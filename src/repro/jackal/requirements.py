@@ -20,6 +20,8 @@ import functools
 import time
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from repro.jackal.actions import ASSERTION_PREFIX, PROBE_LABELS, Labels
 from repro.obs.core import current as _current_obs
 from repro.jackal.model import VIOLATION, JackalModel
@@ -28,7 +30,7 @@ from repro.lts.deadlock import find_deadlocks, shortest_trace_to
 from repro.lts.engine import explore_fast
 from repro.lts.lts import LTS
 from repro.lts.trace import Trace
-from repro.mucalc.checker import holds
+from repro.mucalc.checker import check_many, holds
 from repro.mucalc.diagnostics import counterexample_box, witness_diamond
 from repro.mucalc.syntax import (
     ActLit,
@@ -253,12 +255,11 @@ def check_requirement_2(
     trace = None
     if violated:
         # shortest trace to any state enabling an assertion violation
-        bad = {
-            t.src
-            for t in lts.transitions()
-            if t.label.startswith(ASSERTION_PREFIX)
-        }
-        trace = shortest_trace_to(lts, bad)
+        src, lbl, _dst = lts.columns()
+        is_violation = lts.label_mask(
+            lambda lab: lab.startswith(ASSERTION_PREFIX)
+        )
+        trace = shortest_trace_to(lts, np.unique(src[is_violation[lbl]]))
     return RequirementReport(
         requirement="2 (assertions)",
         holds=not violated,
@@ -463,7 +464,9 @@ def check_requirement_4(
                 (f"flush(t{tid})", formula_4_flush(tid, fair=fair))
             )
         eval_lts = lts
-    failures = [name for name, f in checks if not holds(eval_lts, f)]
+    # one evaluation context for the whole battery
+    verdicts = check_many(eval_lts, [f for _name, f in checks])
+    failures = [name for (name, _f), ok in zip(checks, verdicts) if not ok]
     trace = None
     if failures:
         from repro.lts.cycles import find_lasso_avoiding
@@ -531,6 +534,8 @@ def check_all_requirements(
             out["3.1"] = check_requirement_3_1(config, variant, lts=probe_lts)
         if "3.2" not in skip:
             out["3.2"] = check_requirement_3_2(config, variant, lts=probe_lts)
+        # nothing below reads the probe LTS: free it before Requirement 4
+        del probe_lts
     if "4" not in skip:
         out["4"] = check_requirement_4(
             config, variant, lts=plain_lts, certificate=certificate

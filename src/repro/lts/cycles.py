@@ -9,11 +9,13 @@ flush storm is exhibited as a trace rather than just a failed formula.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
-from repro.lts.deadlock import shortest_trace_to
+import numpy as np
+
+from repro.lts.deadlock import shortest_path
+from repro.lts.frontier import solve_mu_box
 from repro.lts.lts import LTS
 from repro.lts.trace import Trace
 
@@ -37,14 +39,55 @@ class Lasso:
         return "\n".join(out)
 
 
-def _progress_subgraph(lts: LTS, is_progress: Callable[[str], bool]):
-    """Adjacency restricted to non-progress transitions."""
-    n = lts.n_states
-    adj: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-    for t in lts.transitions():
-        if not is_progress(t.label):
-            adj[t.src].append((t.label, t.dst))
-    return adj
+def _on_nontrivial_scc(sub: LTS, roots: np.ndarray) -> np.ndarray:
+    """Boolean vector: states of ``sub`` in an SCC of two or more states.
+
+    Iterative Tarjan from ``roots``; the successors of a state are read
+    as a slice of ``sub``'s forward CSR when the state is first visited.
+    """
+    offsets, _lbl, dst = sub.forward_csr()
+    n = sub.n_states
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    cyclic = np.zeros(n, dtype=bool)
+    stack: list[int] = []
+    counter = 0
+    for root in roots.tolist():
+        if index[root] != -1:
+            continue
+        work: list[tuple[int, Iterator[int] | None]] = [(root, None)]
+        while work:
+            v, succ = work[-1]
+            if succ is None:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+                succ = iter(dst[offsets[v] : offsets[v + 1]].tolist())
+                work[-1] = (v, succ)
+            for w in succ:
+                if index[w] == -1:
+                    work.append((w, None))
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        members.append(w)
+                        if w == v:
+                            break
+                    if len(members) > 1:
+                        cyclic[members] = True
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+    return cyclic
 
 
 def find_lasso_avoiding(
@@ -74,112 +117,41 @@ def find_lasso_avoiding(
     if callable(progress_labels):
         is_progress = progress_labels
     else:
-        progress_set = set(progress_labels)
-        is_progress = progress_set.__contains__
-    skip_loops = set(ignore_self_loops_of)
+        is_progress = set(progress_labels).__contains__
+    quiet = ~lts.label_mask(is_progress)
+    skip = lts.label_mask(set(ignore_self_loops_of).__contains__)
 
-    adj = _progress_subgraph(lts, is_progress)
+    # A cycle lies among the states with an infinite non-progress run
+    # ahead — the complement of mu X. [quiet] X, which the counting
+    # kernel trims away in linear time. On a system without livelock
+    # nothing is left; otherwise Tarjan runs on the residue only.
     n = lts.n_states
-
-    # states on a non-progress cycle: non-trivial SCCs of the subgraph,
-    # or states with a genuine self-loop (iterative Tarjan)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    comp = [-1] * n
-    comp_size: list[int] = []
-    stack: list[int] = []
-    counter = 0
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                _lab, w = adj[v][pi]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = len(comp_size)
-                    members.append(w)
-                    if w == v:
-                        break
-                comp_size.append(len(members))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-
-    def has_real_self_loop(s: int) -> bool:
-        return any(
-            d == s and lab not in skip_loops for lab, d in adj[s]
-        )
-
-    cyclic_states = {
-        s
-        for s in range(n)
-        if comp_size[comp[s]] > 1 or has_real_self_loop(s)
-    }
-    if not cyclic_states:
+    nowhere = np.zeros(n, dtype=bool)
+    finite, _rounds = solve_mu_box(lts, quiet, nowhere, ~nowhere)
+    if finite.all():
+        return None
+    src, lbl, dst = lts.columns()
+    keep = quiet[lbl] & ~finite[src] & ~finite[dst]
+    keep &= ~((src == dst) & skip[lbl])
+    src, lbl, dst = src[keep], lbl[keep], dst[keep]
+    sub = LTS.from_columns(
+        initial=lts.initial, n_states=n,
+        src=src, lbl=lbl, dst=dst, labels=lts.labels,
+    )
+    cyclic = _on_nontrivial_scc(sub, np.flatnonzero(~finite))
+    cyclic[src[src == dst]] = True
+    if not cyclic.any():
         return None
 
-    prefix = shortest_trace_to(lts, cyclic_states)
-    if prefix is None:
-        return None
-    # replay the prefix to find the entry state
-    entry = lts.initial
-    for label in prefix.labels:
-        entry = next(d for lab, d in lts.successors(entry) if lab == label)
-
-    # shortest cycle from entry back to entry inside the subgraph
-    if has_real_self_loop(entry):
-        lab = next(
-            lab for lab, d in adj[entry] if d == entry and lab not in skip_loops
-        )
-        return Lasso(prefix, Trace((lab,)))
-    parent: dict[int, tuple[int, str]] = {}
-    queue = deque()
-    for lab, d in adj[entry]:
-        if comp[d] == comp[entry] and d not in parent:
-            parent[d] = (entry, lab)
-            queue.append(d)
-    while queue:
-        s = queue.popleft()
-        if s == entry:
-            break
-        for lab, d in adj[s]:
-            if comp[d] != comp[entry]:
-                continue
-            if d == entry:
-                labels = [lab]
-                cur = s
-                while cur != entry:
-                    p, l2 = parent[cur]
-                    labels.append(l2)
-                    cur = p
-                labels.reverse()
-                return Lasso(prefix, Trace(tuple(labels)))
-            if d not in parent:
-                parent[d] = (s, lab)
-                queue.append(d)
-    raise AssertionError("cyclic state without recoverable cycle")  # pragma: no cover
+    if cyclic[lts.initial]:
+        entry, prefix = lts.initial, Trace(())
+    else:
+        hit = shortest_path(lts, lts.initial, cyclic)
+        if hit is None:
+            return None
+        entry, prefix = hit
+    # shortest way round from the entry state, inside the subgraph
+    back_at_entry = np.zeros(n, dtype=bool)
+    back_at_entry[entry] = True
+    _entry, cycle = shortest_path(sub, entry, back_at_entry)
+    return Lasso(prefix, cycle)

@@ -15,10 +15,12 @@ naive notion are needed in practice:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable
 
+import numpy as np
+
+from repro.lts.frontier import expand
 from repro.lts.lts import LTS
 from repro.lts.trace import Trace
 
@@ -57,41 +59,57 @@ class DeadlockReport:
         return f"{n} deadlock state(s); shortest error trace: {tl} transitions"
 
 
-def shortest_trace_to(lts: LTS, targets: Iterable[int]) -> Trace | None:
-    """Shortest label trace from ``lts.initial`` to any state in ``targets``.
+def shortest_path(
+    lts: LTS, source: int, is_target: np.ndarray
+) -> tuple[int, Trace] | None:
+    """Shortest path of at least one transition from ``source`` to a state
+    flagged in the boolean vector ``is_target``: ``(state reached, trace)``,
+    or ``None`` when there is none. ``source`` itself counts when a cycle
+    leads back to it.
 
-    Plain BFS over the explicit LTS; returns ``None`` when no target is
-    reachable.
+    Breadth-first, one frontier per round over the forward CSR. Ties break
+    as in a scalar queue-based BFS: the frontier is kept in discovery
+    order, out-edges are scanned in insertion order and the first edge to
+    discover a state becomes its parent, so the trace is the one such a
+    BFS yields.
     """
-    target_set = set(targets)
-    if not target_set:
+    offsets, lbl, dst = lts.forward_csr()
+    # the BFS tree: the (state, label id) each state was discovered
+    # through; -1 marks the undiscovered
+    parent = np.full(lts.n_states, -1, dtype=np.int32)
+    via = np.zeros(lts.n_states, dtype=np.int32)
+    frontier = np.array([source])
+    while len(frontier):
+        pos = expand(offsets, frontier)
+        pos = pos[parent[dst[pos]] < 0]
+        # first occurrence of each new state, back in scan order
+        pos = pos[np.sort(np.unique(dst[pos], return_index=True)[1])]
+        found = dst[pos]
+        parent[found] = np.searchsorted(offsets, pos, side="right") - 1
+        via[found] = lbl[pos]
+        hits = np.flatnonzero(is_target[found])
+        if len(hits):
+            reached = cur = int(found[hits[0]])
+            labels = [lts.labels[via[cur]]]
+            while (cur := int(parent[cur])) != source:
+                labels.append(lts.labels[via[cur]])
+            labels.reverse()
+            return reached, Trace(tuple(labels))
+        frontier = found
+    return None
+
+
+def shortest_trace_to(lts: LTS, targets: Iterable[int]) -> Trace | None:
+    """Shortest label trace from ``lts.initial`` to any state in ``targets``
+    (``None`` when no target is reachable); see :func:`shortest_path`."""
+    is_target = np.zeros(lts.n_states, dtype=bool)
+    is_target[np.fromiter(targets, dtype=np.int64)] = True
+    if not is_target.any():
         return None
-    if lts.initial in target_set:
+    if is_target[lts.initial]:
         return Trace(())
-    # parent[s] = (pred_state, label) along a BFS tree
-    parent: dict[int, tuple[int, str]] = {lts.initial: (-1, "")}
-    queue = deque([lts.initial])
-    found: int | None = None
-    while queue:
-        s = queue.popleft()
-        for label, d in lts.successors(s):
-            if d not in parent:
-                parent[d] = (s, label)
-                if d in target_set:
-                    found = d
-                    queue.clear()
-                    break
-                queue.append(d)
-    if found is None:
-        return None
-    labels: list[str] = []
-    cur = found
-    while cur != lts.initial:
-        pred, label = parent[cur]
-        labels.append(label)
-        cur = pred
-    labels.reverse()
-    return Trace(tuple(labels))
+    hit = shortest_path(lts, lts.initial, is_target)
+    return hit[1] if hit is not None else None
 
 
 def find_deadlocks(

@@ -2,8 +2,9 @@
 
 States are dense integers ``0..n_states-1``; labels are interned strings.
 The representation favours the access patterns of the analyses in this
-package: forward iteration during generation and model checking, and
-on-demand reverse adjacency for fixpoint computations.
+package: appending during generation, then whole-array passes (numpy)
+over the transition columns and their forward and reverse CSR
+adjacency during model checking.
 
 The label ``"tau"`` (also written ``i`` in CADP) denotes the hidden
 action; :data:`TAU` is the canonical spelling used throughout.
@@ -12,9 +13,27 @@ action; :data:`TAU` is the canonical spelling used throughout.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
+
+from repro.lts import frontier
 
 TAU = "tau"
+
+
+def _as_column(values: Sequence[int]) -> array:
+    if isinstance(values, array):
+        return values
+    if isinstance(values, np.ndarray):
+        return array("i", values.astype(np.int32, copy=False).tobytes())
+    return array("i", values)
+
+
+def _readonly_view(column: array) -> np.ndarray:
+    view = np.frombuffer(column, dtype=np.int32)
+    view.flags.writeable = False
+    return view
 
 
 class Transition(NamedTuple):
@@ -41,6 +60,26 @@ class LTS:
     slots full of boxed ints, which is what keeps the
     multi-million-transition systems produced when exploring the
     protocol configurations of the paper in memory.
+
+    Every analysis that runs after generation reads the same columnar
+    adjacency, built lazily and once per LTS:
+
+    * :meth:`columns` — zero-copy read-only ``int32`` numpy views of
+      the three columns;
+    * :meth:`forward_csr` — ``(offsets, lbl, dst)``: the out-edges of
+      state ``s`` are ``lbl[offsets[s]:offsets[s+1]]`` /
+      ``dst[offsets[s]:offsets[s+1]]``, in insertion order;
+    * :meth:`reverse_csr` — ``(offsets, lbl, src)``: the same by
+      destination, for backward fixpoint propagation.
+
+    An LTS whose ``src`` column is already nondecreasing (every LTS a
+    breadth-first sweep emits) needs no permutation: its forward CSR
+    aliases the column views and costs only the offsets. A numpy view
+    pins the ``array('i')`` buffer it exports (``append`` would raise
+    ``BufferError``), so every mutator drops the cached views and CSR
+    first; a caller must not keep a view across a mutation it cares to
+    observe — a view that is still alive keeps showing the old data and
+    the LTS moves on to a private copy of its columns.
     """
 
     __slots__ = (
@@ -51,8 +90,9 @@ class LTS:
         "_dst",
         "labels",
         "_label_index",
+        "_cols",
         "_fwd",
-        "_bwd",
+        "_rev",
         "state_meta",
     )
 
@@ -64,8 +104,9 @@ class LTS:
         self._dst: array = array("i")
         self.labels: list[str] = []
         self._label_index: dict[str, int] = {}
-        self._fwd: list[list[int]] | None = None
-        self._bwd: list[list[int]] | None = None
+        self._cols: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._fwd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._rev: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         #: optional per-state annotations (e.g. the decoded model state)
         self.state_meta: dict[int, object] = {}
 
@@ -75,16 +116,14 @@ class LTS:
         """Allocate a fresh state and return its index."""
         idx = self._n_states
         self._n_states += 1
-        self._fwd = None
-        self._bwd = None
+        self._cols = self._fwd = self._rev = None
         return idx
 
     def ensure_states(self, n: int) -> None:
         """Grow the state set so it contains at least ``n`` states."""
         if n > self._n_states:
             self._n_states = n
-            self._fwd = None
-            self._bwd = None
+            self._cols = self._fwd = self._rev = None
 
     def label_id(self, label: str) -> int:
         """Intern ``label`` and return its dense integer id."""
@@ -98,11 +137,18 @@ class LTS:
     def add_transition(self, src: int, label: str, dst: int) -> None:
         """Append transition ``src --label--> dst`` (states auto-grown)."""
         self.ensure_states(max(src, dst) + 1)
-        self._src.append(src)
+        self._cols = self._fwd = self._rev = None
+        try:
+            self._src.append(src)
+        except BufferError:
+            # somebody still holds a columns() view: leave them the old
+            # buffers and carry on with private copies
+            self._src = array("i", self._src)
+            self._lbl = array("i", self._lbl)
+            self._dst = array("i", self._dst)
+            self._src.append(src)
         self._lbl.append(self.label_id(label))
         self._dst.append(dst)
-        self._fwd = None
-        self._bwd = None
 
     @classmethod
     def from_columns(
@@ -119,15 +165,15 @@ class LTS:
 
         This is the bulk construction path used by the exploration
         engine: ``src``/``lbl``/``dst`` are parallel columns (anything
-        ``array('i')`` accepts), ``labels`` the interned label table
-        indexed by ``lbl``. Columns are adopted as-is when they already
-        are ``array('i')``.
+        ``array('i')`` accepts, or numpy integer arrays), ``labels`` the
+        interned label table indexed by ``lbl``. Columns are adopted
+        as-is when they already are ``array('i')``.
         """
         lts = cls(initial=initial)
         lts._n_states = n_states
-        lts._src = src if isinstance(src, array) else array("i", src)
-        lts._lbl = lbl if isinstance(lbl, array) else array("i", lbl)
-        lts._dst = dst if isinstance(dst, array) else array("i", dst)
+        lts._src = _as_column(src)
+        lts._lbl = _as_column(lbl)
+        lts._dst = _as_column(dst)
         if not (len(lts._src) == len(lts._lbl) == len(lts._dst)):
             raise ValueError("transition columns must have equal length")
         lts.labels = list(labels)
@@ -161,43 +207,72 @@ class LTS:
         (do not mutate)."""
         return self._src, self._lbl, self._dst
 
-    def _forward_index(self) -> list[list[int]]:
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``int32`` numpy views ``(src, label_id, dst)`` of the
+        transition columns — no copy; see the class notes on lifetime."""
+        if self._cols is None:
+            self._cols = (
+                _readonly_view(self._src),
+                _readonly_view(self._lbl),
+                _readonly_view(self._dst),
+            )
+        return self._cols
+
+    def label_mask(self, matches: Callable[[str], bool]) -> np.ndarray:
+        """Boolean vector over label ids: ``matches(label)`` per label."""
+        return np.fromiter(
+            map(matches, self.labels), dtype=bool, count=len(self.labels)
+        )
+
+    def _csr(self, key: np.ndarray, lbl: np.ndarray, other: np.ndarray):
+        """Group the transitions by ``key`` (stable, so insertion order
+        survives inside a group): ``(offsets, lbl, other)``."""
+        offsets = np.zeros(self._n_states + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=self._n_states), out=offsets[1:])
+        if len(key) > 1 and bool((key[1:] < key[:-1]).any()):
+            order = np.argsort(key, kind="stable")
+            lbl, other = lbl[order], other[order]
+        return offsets, lbl, other
+
+    def forward_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(offsets, lbl, dst)``: out-edges grouped by source state."""
         if self._fwd is None:
-            fwd: list[list[int]] = [[] for _ in range(self._n_states)]
-            for ti, s in enumerate(self._src):
-                fwd[s].append(ti)
-            self._fwd = fwd
+            src, lbl, dst = self.columns()
+            self._fwd = self._csr(src, lbl, dst)
         return self._fwd
 
-    def _backward_index(self) -> list[list[int]]:
-        if self._bwd is None:
-            bwd: list[list[int]] = [[] for _ in range(self._n_states)]
-            for ti, d in enumerate(self._dst):
-                bwd[d].append(ti)
-            self._bwd = bwd
-        return self._bwd
+    def reverse_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(offsets, lbl, src)``: in-edges grouped by destination state."""
+        if self._rev is None:
+            src, lbl, dst = self.columns()
+            self._rev = self._csr(dst, lbl, src)
+        return self._rev
+
+    def _adjacent(self, csr, state: int) -> list[tuple[str, int]]:
+        offsets, lbl, other = csr
+        lo, hi = offsets[state], offsets[state + 1]
+        labels = self.labels
+        return [
+            (labels[lab], s)
+            for lab, s in zip(lbl[lo:hi].tolist(), other[lo:hi].tolist())
+        ]
 
     def successors(self, state: int) -> list[tuple[str, int]]:
         """Outgoing ``(label, dst)`` pairs of ``state``."""
-        fwd = self._forward_index()
-        labels = self.labels
-        return [(labels[self._lbl[t]], self._dst[t]) for t in fwd[state]]
+        return self._adjacent(self.forward_csr(), state)
 
     def predecessors(self, state: int) -> list[tuple[str, int]]:
         """Incoming ``(label, src)`` pairs of ``state``."""
-        bwd = self._backward_index()
-        labels = self.labels
-        return [(labels[self._lbl[t]], self._src[t]) for t in bwd[state]]
+        return self._adjacent(self.reverse_csr(), state)
 
     def out_degree(self, state: int) -> int:
         """Number of outgoing transitions of ``state``."""
-        return len(self._forward_index()[state])
+        offsets = self.forward_csr()[0]
+        return int(offsets[state + 1] - offsets[state])
 
     def enabled_labels(self, state: int) -> set[str]:
         """Set of labels enabled in ``state``."""
-        fwd = self._forward_index()
-        labels = self.labels
-        return {labels[self._lbl[t]] for t in fwd[state]}
+        return {label for label, _dst in self.successors(state)}
 
     def deadlock_states(self, ignore_labels: Iterable[str] = ()) -> list[int]:
         """States with no outgoing transition.
@@ -206,20 +281,15 @@ class LTS:
         observability probe self-loops (``c_home`` etc.) which exist only
         for the benefit of the model checker.
         """
-        ignore = {self._label_index[lab] for lab in ignore_labels if lab in self._label_index}
-        fwd = self._forward_index()
-        dead = []
-        for s in range(self._n_states):
-            if all(self._lbl[t] in ignore for t in fwd[s]):
-                dead.append(s)
-        return dead
+        src, lbl, _dst = self.columns()
+        ignored = self.label_mask(set(ignore_labels).__contains__)
+        active = np.bincount(src[~ignored[lbl]], minlength=self._n_states)
+        return np.flatnonzero(active == 0).tolist()
 
     def label_counts(self) -> dict[str, int]:
         """Map each label to its number of transitions."""
-        counts = [0] * len(self.labels)
-        for lab in self._lbl:
-            counts[lab] += 1
-        return {lab: c for lab, c in zip(self.labels, counts)}
+        counts = np.bincount(self.columns()[1], minlength=len(self.labels))
+        return dict(zip(self.labels, counts.tolist()))
 
     # -- transformations -----------------------------------------------
 
@@ -239,22 +309,13 @@ class LTS:
 
     def restricted_to_reachable(self) -> "LTS":
         """A copy containing only states reachable from the initial state."""
-        fwd = self._forward_index()
-        seen = {self.initial}
-        stack = [self.initial]
-        while stack:
-            s = stack.pop()
-            for t in fwd[s]:
-                d = self._dst[t]
-                if d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        remap = {old: new for new, old in enumerate(sorted(seen))}
+        seen = frontier.reachable(self)
+        remap = dict(zip(np.flatnonzero(seen).tolist(), range(self._n_states)))
         out = LTS(remap[self.initial])
         out.ensure_states(len(remap))
         labels = self.labels
         for s, lab, d in zip(self._src, self._lbl, self._dst):
-            if s in remap and d in remap:
+            if s in remap:
                 out.add_transition(remap[s], labels[lab], remap[d])
         for old, meta in self.state_meta.items():
             if old in remap:

@@ -5,15 +5,29 @@ The checker works in three stages:
 1. **regular expansion** — modalities over regular formulas are compiled
    to plain single-step modalities plus fixpoints, using the standard
    identities ``[R1.R2]f = [R1][R2]f``, ``[R1|R2]f = [R1]f /\\ [R2]f``,
-   ``[R*]f = nu X. (f /\\ [R]X)`` and their diamond duals;
+   ``[R*]f = nu X. (f /\\ [R]X)`` and their diamond duals; fresh
+   variables are numbered per expansion, so equal formulas expand to
+   equal formulas;
 2. **static checks** — the result must be closed and alternation free;
 3. **evaluation** — bottom-up over numpy boolean vectors indexed by
-   state. Fixpoints whose variable occurs exactly once, directly under a
-   single-step modality, are solved by linear-time worklist algorithms
-   (reverse reachability for diamonds, the counting algorithm for
-   boxes); everything else falls back to Kleene iteration.
+   state, every pass a whole-array operation on the LTS's columnar
+   adjacency (:meth:`repro.lts.lts.LTS.columns`,
+   :meth:`~repro.lts.lts.LTS.reverse_csr`). A single-step modality is
+   one gather over the transition columns under the predicate's *label
+   mask*. A fixpoint whose variable occurs exactly once, directly under
+   a single-step modality, is solved in linear time by a
+   level-synchronous frontier kernel (:mod:`repro.lts.frontier`):
+   backward reachability for diamonds, the counting algorithm for
+   boxes — each round gathers the frontier's in-edges from the LTS's
+   one reverse CSR, filters them by the label mask and advances all
+   states at once. Everything else falls back to Kleene iteration.
+   One :class:`_Evaluator` is one evaluation context: label masks and
+   the values of *closed* sub-formulas are memoised in it (a closed
+   sub-formula cannot mention the variable a fast path is solving for,
+   so the memo stays on while the fixpoint's body is probed), and
+   :func:`check_many` runs a whole battery through one context.
 
-The worklist fast paths matter: the paper's Requirement 3/4 formulas on
+The linear fast paths matter: the paper's Requirement 3/4 formulas on
 multi-million-state LTSs would need thousands of full-vector Kleene
 rounds otherwise.
 """
@@ -22,11 +36,12 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
+from typing import Iterator
 
 import numpy as np
 
 from repro.errors import FormulaSemanticsError
+from repro.lts.frontier import solve_mu_box, solve_mu_diamond
 from repro.lts.lts import LTS
 from repro.obs.core import current as _current_obs
 from repro.mucalc.syntax import (
@@ -49,54 +64,65 @@ from repro.mucalc.syntax import (
     Var,
     assert_alternation_free,
     free_variables,
+    subformulas,
 )
 
 # ---------------------------------------------------------------------------
 # stage 1: regular expansion
 # ---------------------------------------------------------------------------
 
-_fresh_counter = itertools.count()
-
-
-def _fresh_var() -> str:
-    return f"_R{next(_fresh_counter)}"
-
-
 def expand_regular(f: Formula) -> Formula:
-    """Rewrite all regular modalities into plain modalities + fixpoints."""
+    """Rewrite all regular modalities into plain modalities + fixpoints.
+
+    The variables introduced for ``R*`` are ``_R0``, ``_R1``, ... in
+    expansion order, skipping any name ``f`` already uses — so the
+    result is a function of ``f`` alone and its binders are distinct.
+    """
+    taken = {g.var for g in subformulas(f) if isinstance(g, (Mu, Nu))}
+    taken |= {g.name for g in subformulas(f) if isinstance(g, Var)}
+    fresh = (
+        name
+        for name in map("_R{}".format, itertools.count())
+        if name not in taken
+    )
+    return _expand(f, fresh)
+
+
+def _expand(f: Formula, fresh: Iterator[str]) -> Formula:
     if isinstance(f, (Tt, Ff, Var)):
         return f
     if isinstance(f, And):
-        return And(expand_regular(f.left), expand_regular(f.right))
+        return And(_expand(f.left, fresh), _expand(f.right, fresh))
     if isinstance(f, Or):
-        return Or(expand_regular(f.left), expand_regular(f.right))
+        return Or(_expand(f.left, fresh), _expand(f.right, fresh))
     if isinstance(f, Not):
-        return Not(expand_regular(f.inner))
+        return Not(_expand(f.inner, fresh))
     if isinstance(f, Mu):
-        return Mu(f.var, expand_regular(f.body))
+        return Mu(f.var, _expand(f.body, fresh))
     if isinstance(f, Nu):
-        return Nu(f.var, expand_regular(f.body))
+        return Nu(f.var, _expand(f.body, fresh))
     if isinstance(f, Diamond):
-        return _expand_modal(f.reg, expand_regular(f.inner), diamond=True)
+        return _expand_modal(f.reg, _expand(f.inner, fresh), True, fresh)
     if isinstance(f, Box):
-        return _expand_modal(f.reg, expand_regular(f.inner), diamond=False)
+        return _expand_modal(f.reg, _expand(f.inner, fresh), False, fresh)
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _expand_modal(reg: Regular, inner: Formula, *, diamond: bool) -> Formula:
+def _expand_modal(
+    reg: Regular, inner: Formula, diamond: bool, fresh: Iterator[str]
+) -> Formula:
     if isinstance(reg, RAct):
         return Diamond(reg, inner) if diamond else Box(reg, inner)
     if isinstance(reg, RSeq):
-        return _expand_modal(
-            reg.left, _expand_modal(reg.right, inner, diamond=diamond), diamond=diamond
-        )
+        right = _expand_modal(reg.right, inner, diamond, fresh)
+        return _expand_modal(reg.left, right, diamond, fresh)
     if isinstance(reg, RAlt):
-        left = _expand_modal(reg.left, inner, diamond=diamond)
-        right = _expand_modal(reg.right, inner, diamond=diamond)
+        left = _expand_modal(reg.left, inner, diamond, fresh)
+        right = _expand_modal(reg.right, inner, diamond, fresh)
         return Or(left, right) if diamond else And(left, right)
     if isinstance(reg, RStar):
-        x = _fresh_var()
-        step = _expand_modal(reg.inner, Var(x), diamond=diamond)
+        x = next(fresh)
+        step = _expand_modal(reg.inner, Var(x), diamond, fresh)
         if diamond:
             return Mu(x, Or(inner, step))
         return Nu(x, And(inner, step))
@@ -104,89 +130,8 @@ def _expand_modal(reg: Regular, inner: Formula, *, diamond: bool) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# stage 3: evaluation context
+# stage 3: evaluation
 # ---------------------------------------------------------------------------
-
-
-class _Context:
-    """Per-LTS evaluation caches."""
-
-    def __init__(self, lts: LTS):
-        self.lts = lts
-        self.n = lts.n_states
-        src, lbl, dst = lts.transition_arrays()
-        self.src = np.asarray(src, dtype=np.int64)
-        self.lbl = np.asarray(lbl, dtype=np.int64)
-        self.dst = np.asarray(dst, dtype=np.int64)
-        self.labels = lts.labels
-        self._pred_masks: dict[ActionPredicate, np.ndarray] = {}
-        self._csr_cache: dict[ActionPredicate, tuple] = {}
-        self._memo: dict[Formula, np.ndarray] = {}
-
-    def label_mask(self, pred: ActionPredicate) -> np.ndarray:
-        """Boolean mask over label ids matched by ``pred``."""
-        mask = self._pred_masks.get(pred)
-        if mask is None:
-            mask = np.fromiter(
-                (pred.matches(lab) for lab in self.labels),
-                dtype=bool,
-                count=len(self.labels),
-            )
-            self._pred_masks[pred] = mask
-        return mask
-
-    def edges(self, pred: ActionPredicate) -> tuple[np.ndarray, np.ndarray]:
-        """(src, dst) arrays of transitions whose label matches ``pred``."""
-        mask = self.label_mask(pred)
-        if len(mask) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        sel = mask[self.lbl]
-        return self.src[sel], self.dst[sel]
-
-    def reverse_csr(self, pred: ActionPredicate):
-        """CSR-by-destination view of the pred-matching edge set.
-
-        Returns ``(order_src, offsets, out_count)`` where
-        ``order_src[offsets[t]:offsets[t+1]]`` are the sources of
-        pred-edges into ``t`` and ``out_count[s]`` is the number of
-        pred-edges leaving ``s``.
-        """
-        cached = self._csr_cache.get(pred)
-        if cached is not None:
-            return cached
-        esrc, edst = self.edges(pred)
-        order = np.argsort(edst, kind="stable")
-        sorted_dst = edst[order]
-        order_src = esrc[order]
-        offsets = np.searchsorted(sorted_dst, np.arange(self.n + 1))
-        out_count = np.bincount(esrc, minlength=self.n).astype(np.int64)
-        cached = (order_src, offsets, out_count)
-        self._csr_cache[pred] = cached
-        return cached
-
-
-def _diamond_step(ctx: _Context, pred: ActionPredicate, vec: np.ndarray) -> np.ndarray:
-    """States with some pred-successor inside ``vec``."""
-    esrc, edst = ctx.edges(pred)
-    out = np.zeros(ctx.n, dtype=bool)
-    if len(esrc):
-        hits = esrc[vec[edst]]
-        out[hits] = True
-    return out
-
-
-def _box_step(ctx: _Context, pred: ActionPredicate, vec: np.ndarray) -> np.ndarray:
-    """States all of whose pred-successors are inside ``vec``."""
-    esrc, edst = ctx.edges(pred)
-    out = np.ones(ctx.n, dtype=bool)
-    if len(esrc):
-        viol = esrc[~vec[edst]]
-        out[viol] = False
-    return out
-
-
-# -- fixpoint fast paths ----------------------------------------------------
 
 
 def _find_single_modal_occurrence(var: str, body: Formula):
@@ -230,63 +175,58 @@ def _find_single_modal_occurrence(var: str, body: Formula):
     return None
 
 
-def _solve_mu_diamond(ctx, pred, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least X with ``X = a \\/ (b /\\ <pred>X)`` — reverse reachability."""
-    order_src, offsets, _ = ctx.reverse_csr(pred)
-    x = a.copy()
-    queue = deque(np.flatnonzero(x).tolist())
-    while queue:
-        t = queue.popleft()
-        for s in order_src[offsets[t] : offsets[t + 1]]:
-            if not x[s] and b[s]:
-                x[s] = True
-                queue.append(int(s))
-    return x
-
-
-def _solve_mu_box(ctx, pred, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least X with ``X = a \\/ (b /\\ [pred]X)`` — counting algorithm."""
-    order_src, offsets, out_count = ctx.reverse_csr(pred)
-    cnt = out_count.copy()
-    x = a | (b & (cnt == 0))
-    queue = deque(np.flatnonzero(x).tolist())
-    while queue:
-        t = queue.popleft()
-        for s in order_src[offsets[t] : offsets[t + 1]]:
-            cnt[s] -= 1
-            if not x[s] and b[s] and cnt[s] == 0:
-                x[s] = True
-                queue.append(int(s))
-    return x
-
-
-# -- the evaluator -----------------------------------------------------------
-
-
 class _Evaluator:
-    def __init__(self, ctx: _Context, obs=None):
-        self.ctx = ctx
+    """One evaluation context over one LTS.
+
+    Carries what formulas evaluated through it share: the label mask of
+    each action predicate and the value of each closed sub-formula. It
+    holds views of the LTS's columns, so it must not be kept across a
+    mutation of the LTS.
+    """
+
+    def __init__(self, lts: LTS, obs=None):
+        self.lts = lts
+        self.n = lts.n_states
+        self.src, self.lbl, self.dst = lts.columns()
         self.obs = obs if obs is not None else _current_obs()
+        self._masks: dict[ActionPredicate, np.ndarray] = {}
+        self._memo: dict[Formula, np.ndarray] = {}
         self.hole: Formula | None = None
         self.hole_value: np.ndarray | None = None
 
+    def label_mask(self, pred: ActionPredicate) -> np.ndarray:
+        """Boolean mask over label ids matched by ``pred``."""
+        mask = self._masks.get(pred)
+        if mask is None:
+            mask = self._masks[pred] = self.lts.label_mask(pred.matches)
+        return mask
+
+    def _edges(self, reg: Regular) -> tuple[np.ndarray, np.ndarray]:
+        """(src, dst) of the transitions a single-step modality follows."""
+        if not isinstance(reg, RAct):
+            raise FormulaSemanticsError(
+                "regular modality not expanded; call expand_regular first"
+            )
+        sel = self.label_mask(reg.pred)[self.lbl]
+        return self.src[sel], self.dst[sel]
+
     def eval(self, f: Formula, env: dict[str, np.ndarray]) -> np.ndarray:
-        ctx = self.ctx
         if f is self.hole:
             return self.hole_value  # type: ignore[return-value]
+        # a closed formula mentions no enclosing variable, hence not the
+        # hole either: its value is the same inside and outside a probe
         closed = not free_variables(f)
-        if closed and self.hole is None:
-            memo = ctx._memo.get(f)
+        if closed:
+            memo = self._memo.get(f)
             if memo is not None:
                 return memo
         result = self._eval(f, env)
-        if closed and self.hole is None:
-            ctx._memo[f] = result
+        if closed:
+            self._memo[f] = result
         return result
 
     def _eval(self, f: Formula, env) -> np.ndarray:
-        ctx = self.ctx
-        n = ctx.n
+        n = self.n
         if isinstance(f, Tt):
             return np.ones(n, dtype=bool)
         if isinstance(f, Ff):
@@ -303,17 +243,17 @@ class _Evaluator:
         if isinstance(f, Not):
             return ~self.eval(f.inner, env)
         if isinstance(f, Diamond):
-            if not isinstance(f.reg, RAct):
-                raise FormulaSemanticsError(
-                    "regular modality not expanded; call expand_regular first"
-                )
-            return _diamond_step(ctx, f.reg.pred, self.eval(f.inner, env))
+            # states with some successor inside the inner set
+            esrc, edst = self._edges(f.reg)
+            out = np.zeros(n, dtype=bool)
+            out[esrc[self.eval(f.inner, env)[edst]]] = True
+            return out
         if isinstance(f, Box):
-            if not isinstance(f.reg, RAct):
-                raise FormulaSemanticsError(
-                    "regular modality not expanded; call expand_regular first"
-                )
-            return _box_step(ctx, f.reg.pred, self.eval(f.inner, env))
+            # states all of whose successors are inside the inner set
+            esrc, edst = self._edges(f.reg)
+            out = np.ones(n, dtype=bool)
+            out[esrc[~self.eval(f.inner, env)[edst]]] = False
+            return out
         if isinstance(f, (Mu, Nu)):
             return self._fixpoint(f, env)
         raise TypeError(f"not a formula: {f!r}")
@@ -327,13 +267,14 @@ class _Evaluator:
             self.hole, self.hole_value = saved
 
     def _fixpoint(self, f: Mu | Nu, env) -> np.ndarray:
-        ctx = self.ctx
-        n = ctx.n
+        n = self.n
         is_mu = isinstance(f, Mu)
         recording = self.obs.enabled
         t0 = time.perf_counter() if recording else 0.0
 
-        def _observe(mode: str, iterations: int = 0) -> None:
+        def _observe(mode: str, iterations: int) -> None:
+            # iterations: Kleene rounds, or frontier rounds (the depth
+            # the solution propagated to) on the worklist paths
             self.obs.tracer.emit(
                 "fixpoint", var=f.var, op="mu" if is_mu else "nu",
                 mode=mode, iterations=iterations, states=n,
@@ -342,7 +283,7 @@ class _Evaluator:
             self.obs.metrics.counter(
                 "repro_fixpoints_total", mode=mode
             ).inc()
-            if iterations:
+            if mode == "kleene":
                 self.obs.metrics.counter(
                     "repro_kleene_iterations_total"
                 ).inc(iterations)
@@ -350,27 +291,24 @@ class _Evaluator:
         occ = _find_single_modal_occurrence(f.var, f.body)
         if occ is not None:
             node, kind = occ
-            pred = node.reg.pred  # type: ignore[union-attr]
+            label_ok = self.label_mask(node.reg.pred)  # type: ignore[union-attr]
             # pointwise the body is a \/ (b /\ D) where D is the modal value
-            zeros = np.zeros(n, dtype=bool)
-            ones = np.ones(n, dtype=bool)
-            a = self._eval_with_hole(f.body, node, zeros, env)
-            b = self._eval_with_hole(f.body, node, ones, env)
-            if is_mu and kind == "diamond":
-                out = _solve_mu_diamond(ctx, pred, a, b)
-            elif is_mu and kind == "box":
-                out = _solve_mu_box(ctx, pred, a, b)
-            elif not is_mu and kind == "box":
-                # nu X. a \/ (b /\ [p]X)  =  ~ mu Y. ~a /\ (~b \/ <p>Y)
-                #                        =  ~ mu Y. a' \/ (b' /\ <p>Y)
-                # with a' = ~a /\ ~b, b' = ~a
-                out = ~_solve_mu_diamond(ctx, pred, ~a & ~b, ~a)
-            else:
-                # nu X. a \/ (b /\ <p>X) = ~ mu Y. a' \/ (b' /\ [p]Y)
-                out = ~_solve_mu_box(ctx, pred, ~a & ~b, ~a)
+            a = self._eval_with_hole(f.body, node, np.zeros(n, dtype=bool), env)
+            b = self._eval_with_hole(f.body, node, np.ones(n, dtype=bool), env)
+            if not is_mu:
+                # nu X. a \/ (b /\ [p]X) = ~ mu Y. ~a /\ (~b \/ <p>Y)
+                #                        = ~ mu Y. a' \/ (b' /\ <p>Y)
+                # with a' = ~a /\ ~b, b' = ~a; and dually for <p>
+                a, b = ~a & ~b, ~a
+            solve = (
+                solve_mu_diamond
+                if is_mu == (kind == "diamond")
+                else solve_mu_box
+            )
+            out, rounds = solve(self.lts, label_ok, a, b)
             if recording:
-                _observe(f"worklist-{kind}")
-            return out
+                _observe(f"worklist-{kind}", rounds)
+            return out if is_mu else ~out
         # Kleene iteration fallback
         x = np.zeros(n, dtype=bool) if is_mu else np.ones(n, dtype=bool)
         env2 = dict(env)
@@ -379,7 +317,7 @@ class _Evaluator:
             nxt = self.eval(f.body, env2)
             if np.array_equal(nxt, x):
                 if recording:
-                    _observe("kleene", iterations=rounds)
+                    _observe("kleene", rounds)
                 return x
             x = nxt
         raise FormulaSemanticsError(
@@ -402,8 +340,7 @@ def check(lts: LTS, formula: Formula) -> np.ndarray:
     """
     f = expand_regular(formula)
     assert_alternation_free(f)
-    ctx = _Context(lts)
-    return _Evaluator(ctx).eval(f, {})
+    return _Evaluator(lts).eval(f, {})
 
 
 def holds(lts: LTS, formula: Formula) -> bool:
@@ -419,17 +356,15 @@ def satisfying_states(lts: LTS, formula: Formula) -> list[int]:
 def check_many(lts: LTS, formulas) -> list[bool]:
     """Whether the initial state satisfies each formula.
 
-    Shares one evaluation context (label masks, reverse adjacency,
-    closed-subformula memo) across all formulas — noticeably faster
-    than repeated :func:`holds` calls for requirement batteries like
-    the paper's, which reuse ``T*`` reachability machinery in every
-    formula.
+    Shares one evaluation context (label masks, closed-subformula
+    memo) across all formulas: a sub-formula the battery repeats — the
+    paper's requirement formulas share their ``<T>T`` and inevitability
+    cores — is solved once.
     """
-    ctx = _Context(lts)
+    evaluator = _Evaluator(lts)
     out: list[bool] = []
     for formula in formulas:
         f = expand_regular(formula)
         assert_alternation_free(f)
-        vec = _Evaluator(ctx).eval(f, {})
-        out.append(bool(vec[lts.initial]))
+        out.append(bool(evaluator.eval(f, {})[lts.initial]))
     return out

@@ -105,40 +105,50 @@ def _product_search(
                     stack.append(t)
         return frozenset(out)
 
-    by_src: dict[int, list[tuple[ActionPredicate, int]]] = {}
+    by_src: dict[int, list[tuple[np.ndarray, int]]] = {}
     for a, p, b in nfa.edges:
-        by_src.setdefault(a, []).append((p, b))
+        by_src.setdefault(a, []).append((lts.label_mask(p.matches), b))
+
+    moves: dict[tuple[frozenset[int], int], frozenset[int]] = {}
+
+    def move(nfa_states: frozenset[int], lab: int) -> frozenset[int]:
+        """NFA states after reading label id ``lab`` (empty: no match)."""
+        nxt = moves.get((nfa_states, lab))
+        if nxt is None:
+            moved = {
+                b
+                for a in nfa_states
+                for (mask, b) in by_src.get(a, [])
+                if mask[lab]
+            }
+            nxt = moves[nfa_states, lab] = closure(frozenset(moved))
+        return nxt
 
     start = closure(frozenset([nfa.start]))
     init = (lts.initial, start)
     if nfa.accept in start and goal[lts.initial]:
         return Trace(())
-    parent: dict[tuple, tuple] = {init: (None, "")}
+    offsets, lbl, dst = lts.forward_csr()
+    parent: dict[tuple, tuple] = {init: (None, -1)}
     queue = deque([init])
     while queue:
         node = queue.popleft()
         state, nfa_states = node
-        for label, dst in lts.successors(state):
-            moved = {
-                b
-                for a in nfa_states
-                for (p, b) in by_src.get(a, [])
-                if p.matches(label)
-            }
-            if not moved:
+        lo, hi = offsets[state], offsets[state + 1]
+        for lab, d in zip(lbl[lo:hi].tolist(), dst[lo:hi].tolist()):
+            nxt_nfa = move(nfa_states, lab)
+            if not nxt_nfa:
                 continue
-            nxt_nfa = closure(frozenset(moved))
-            nxt = (dst, nxt_nfa)
+            nxt = (d, nxt_nfa)
             if nxt in parent:
                 continue
-            parent[nxt] = (node, label)
-            if nfa.accept in nxt_nfa and goal[dst]:
+            parent[nxt] = (node, lab)
+            if nfa.accept in nxt_nfa and goal[d]:
                 labels: list[str] = []
                 cur = nxt
                 while parent[cur][0] is not None:
-                    prev, lab = parent[cur]
-                    labels.append(lab)
-                    cur = prev
+                    cur, lab = parent[cur]
+                    labels.append(lts.labels[lab])
                 labels.reverse()
                 return Trace(tuple(labels))
             queue.append(nxt)

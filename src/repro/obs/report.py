@@ -23,8 +23,21 @@ from __future__ import annotations
 
 from repro.obs.tracer import read_trace
 
-#: maximum depth-wave rows rendered before eliding the middle
+#: maximum rows of one table (depth waves, fixpoints) rendered before
+#: eliding the middle
 _MAX_WAVE_ROWS = 40
+
+
+def _head_and_tail(items: list, row, noun: str) -> list[str]:
+    """One rendered row per item, the middle of a long list elided."""
+    if len(items) <= _MAX_WAVE_ROWS:
+        return [row(i) for i in items]
+    head = _MAX_WAVE_ROWS // 2
+    return [
+        *(row(i) for i in items[:head]),
+        f"  ... {len(items) - 2 * head} {noun} elided ...",
+        *(row(i) for i in items[-head:]),
+    ]
 
 
 def phase_breakdown(events: list[dict]) -> dict:
@@ -125,13 +138,7 @@ def _wave_table(waves: list[dict]) -> list[str]:
             )
         return line
 
-    if len(waves) <= _MAX_WAVE_ROWS:
-        lines.extend(row(w) for w in waves)
-    else:
-        head = _MAX_WAVE_ROWS // 2
-        lines.extend(row(w) for w in waves[:head])
-        lines.append(f"  ... {len(waves) - 2 * head} waves elided ...")
-        lines.extend(row(w) for w in waves[-head:])
+    lines.extend(_head_and_tail(waves, row, "waves"))
     return lines
 
 
@@ -389,13 +396,25 @@ def render_report(events: list[dict]) -> str:
         iters = 0
         for e in fixpoints:
             by_mode[e.get("mode", "?")] = by_mode.get(e.get("mode", "?"), 0) + 1
-            iters += e.get("iterations", 0)
+            if e.get("mode") == "kleene":
+                iters += e.get("iterations", 0)
         modes = ", ".join(f"{n} {m}" for m, n in sorted(by_mode.items()))
         lines.append("")
         lines.append(
             f"fixpoints: {len(fixpoints)} solved ({modes}; "
             f"{iters} Kleene iterations)"
         )
+
+        def fixpoint_row(e: dict) -> str:
+            # iterations: Kleene rounds, or the frontier depth of a
+            # worklist solve
+            return (
+                f"  {e.get('op', '?'):<2} {e.get('var', '?'):<8} "
+                f"{e.get('mode', '?'):<17} {e.get('iterations', 0):>6} rounds  "
+                f"{e.get('seconds', 0.0):>8.3f} s"
+            )
+
+        lines.extend(_head_and_tail(fixpoints, fixpoint_row, "fixpoints"))
 
     products = [e for e in events if e.get("ev") == "product_end"]
     if products:

@@ -1,5 +1,6 @@
 """Unit tests for the LTS container."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -127,3 +128,63 @@ def test_successor_predecessor_duality(l):
     fwd = {(s, lab, d) for s in range(l.n_states) for lab, d in l.successors(s)}
     bwd = {(s, lab, d) for d in range(l.n_states) for lab, s in l.predecessors(d)}
     assert fwd == bwd
+
+
+# -- columnar adjacency -------------------------------------------------------
+
+
+def test_columns_are_zero_copy_read_only_views(small_lts):
+    src, lbl, dst = small_lts.columns()
+    assert src.dtype == lbl.dtype == dst.dtype == np.int32
+    assert src.tolist() == [0, 1, 2, 1]
+    assert not src.flags.writeable and not src.flags.owndata
+    assert small_lts.columns()[0] is src  # built once
+
+
+def test_csr_keeps_insertion_order_within_a_state():
+    l = LTS(0)
+    for src, label, dst in [(2, "x", 0), (0, "b", 2), (2, "y", 1), (0, "a", 1)]:
+        l.add_transition(src, label, dst)
+    offsets, lbl, dst = l.forward_csr()
+    assert offsets.tolist() == [0, 2, 2, 4]
+    assert [l.labels[i] for i in lbl] == ["b", "a", "x", "y"]
+    assert dst.tolist() == [2, 1, 0, 1]
+    assert l.successors(2) == [("x", 0), ("y", 1)]
+    assert l.predecessors(1) == [("y", 2), ("a", 0)]
+
+
+def test_forward_csr_of_a_grouped_source_column_aliases_it():
+    l = LTS(0)
+    for s in range(3):
+        l.add_transition(s, "a", s + 1)
+        l.add_transition(s, "b", 0)
+    _offsets, lbl, dst = l.forward_csr()
+    assert lbl is l.columns()[1] and dst is l.columns()[2]
+
+
+def test_analysis_then_mutation_then_analysis(small_lts):
+    assert small_lts.deadlock_states() == [3]
+    small_lts.ensure_states(6)
+    assert small_lts.deadlock_states() == [3, 4, 5]
+    small_lts.add_transition(3, "e", 4)  # views were handed out above
+    assert small_lts.deadlock_states() == [4, 5]
+    assert small_lts.successors(3) == [("e", 4)]
+    assert small_lts.label_counts()["e"] == 1
+
+
+def test_mutation_under_a_live_view_copies_on_write(small_lts):
+    held = small_lts.columns()[0]
+    small_lts.add_transition(3, "e", 0)  # no BufferError
+    assert held.tolist() == [0, 1, 2, 1]  # the old snapshot
+    assert small_lts.columns()[0].tolist() == [0, 1, 2, 1, 3]
+    assert small_lts.n_transitions == 5
+
+
+def test_from_columns_takes_numpy_columns(small_lts):
+    src, lbl, dst = small_lts.columns()
+    keep = src != 1
+    sub = LTS.from_columns(
+        initial=0, n_states=4, src=src[keep], lbl=lbl[keep], dst=dst[keep],
+        labels=small_lts.labels,
+    )
+    assert list(sub.transitions()) == [Transition(0, "a", 1), Transition(2, "c", 0)]

@@ -26,6 +26,7 @@ from repro.mucalc.syntax import (
     RStar,
     Tt,
     Var,
+    subformulas,
 )
 from tests.conftest import random_lts
 
@@ -149,12 +150,10 @@ def test_satisfying_states():
 
 
 def test_unexpanded_modality_rejected():
-    from repro.mucalc.checker import _Context, _Evaluator
+    from repro.mucalc.checker import _Evaluator
 
-    l = ring()
-    ctx = _Context(l)
     with pytest.raises(FormulaSemanticsError):
-        _Evaluator(ctx).eval(Box(RStar(RAct(AnyAct())), Ff()), {})
+        _Evaluator(ring()).eval(Box(RStar(RAct(AnyAct())), Ff()), {})
 
 
 def test_kleene_fallback_matches_fast_path():
@@ -250,12 +249,65 @@ def test_check_many_matches_holds():
 
 
 def test_check_many_reuses_context():
+    from repro import obs
     from repro.mucalc.checker import check_many
 
     l = ring()
-    # duplicate formulas exercise the memo path
+    # a repeated formula is a memo hit, not a second solve
     f = parse_formula("<T*.d> T")
-    assert check_many(l, [f, f, f]) == [True, True, True]
+    inst = obs.Instrumentation(tracer=obs.Tracer())
+    with obs.activate(inst):
+        assert check_many(l, [f, f, f]) == [True, True, True]
+    solved = [e for e in inst.tracer.events() if e["ev"] == "fixpoint"]
+    assert len(solved) == 1
+
+
+def test_expand_regular_is_deterministic():
+    f = parse_formula("[T*.a.(not b)*] <T*.b> T")
+    assert expand_regular(f) == expand_regular(f)
+    # binders are distinct and avoid the names the formula already uses
+    g = expand_regular(Mu("_R0", Or(Diamond(RStar(RAct(AnyAct())), Var("_R0")),
+                                    Diamond(RStar(RAct(ActLit("a"))), Tt()))))
+    binders = [h.var for h in subformulas(g) if isinstance(h, (Mu, Nu))]
+    assert binders == ["_R0", "_R1", "_R2"]
+
+
+def test_closed_subformula_solved_once_inside_a_fixpoint_body():
+    from repro import obs
+
+    # the inevitability core is closed: probing the outer fixpoint's
+    # body (hole at 0, then at 1) must not solve it twice
+    f = parse_formula("[T*.a] mu X. (<T>T /\\ [not d] X)")
+    inst = obs.Instrumentation(tracer=obs.Tracer())
+    with obs.activate(inst):
+        check(ring(), f)
+    solved = [e["var"] for e in inst.tracer.events() if e["ev"] == "fixpoint"]
+    assert sorted(solved) == ["X", "_R0"]
+
+
+def test_verdict_follows_mutation_after_analysis():
+    l = ring()
+    never_e = parse_formula("[T*.e] F")
+    assert holds(l, never_e)
+    l.add_transition(3, "e", 0)  # must not trip over an exported buffer
+    assert not holds(l, never_e)
+
+
+def test_fixpoint_events_carry_frontier_rounds():
+    from repro import obs
+
+    # 0 -a-> 1 -a-> 2 -a-> 3: reaching 3 backwards takes one round per
+    # edge plus the round that finds nothing new
+    l = LTS(0)
+    for s in range(3):
+        l.add_transition(s, "a", s + 1)
+    inst = obs.Instrumentation(tracer=obs.Tracer())
+    with obs.activate(inst):
+        assert holds(l, parse_formula("mu X. ([T]F \\/ <a>X)"))
+    (event,) = [e for e in inst.tracer.events() if e["ev"] == "fixpoint"]
+    assert event["mode"] == "worklist-diamond"
+    assert event["iterations"] == 4
+    assert {"var", "op", "mode", "states", "seconds"} <= event.keys()
 
 
 def test_nu_diamond_fast_path():

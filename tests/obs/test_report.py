@@ -93,13 +93,21 @@ def test_render_report_checks_and_fixpoints():
     events = [
         {"t": 0.1, "ev": "fixpoint", "var": "X", "op": "mu",
          "mode": "kleene", "iterations": 4, "states": 10, "seconds": 0.01},
+        {"t": 0.15, "ev": "fixpoint", "var": "_R0", "op": "nu",
+         "mode": "worklist-box", "iterations": 37, "states": 10,
+         "seconds": 0.002},
         {"t": 0.2, "ev": "check", "requirement": "1 (deadlock freeness)",
          "holds": True, "states": 288, "seconds": 0.05},
         {"t": 0.3, "ev": "product_end", "found": False,
          "product_states": 77, "seconds": 0.02},
     ]
     text = render_report(events)
-    assert "fixpoints: 1 solved (1 kleene; 4 Kleene iterations)" in text
+    # frontier rounds are depth, not Kleene iterations; both show per row
+    assert (
+        "fixpoints: 2 solved (1 kleene, 1 worklist-box; 4 Kleene iterations)"
+        in text
+    )
+    assert "nu _R0      worklist-box          37 rounds     0.002 s" in text
     assert "requirement checks:" in text
     assert "HOLDS" in text
     assert text.count("on-the-fly product: 77 states") == 1
