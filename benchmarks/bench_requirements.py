@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis.reporting import Table
 from repro.jackal import CONFIG_1, CONFIG_2, ProtocolVariant
+from repro.jackal.actions import PROBE_LABELS
 from repro.jackal.requirements import build_lts
 from repro.mucalc.checker import holds
 from repro.mucalc.parser import parse_formula
@@ -33,8 +34,9 @@ def _f4(tid: int) -> list[str]:
 
 
 def _check_config(config, n_threads):
+    # one sweep, the plain LTS derived from it, as check_all_requirements does
     _m, probe_lts = build_lts(config, FIXED, probes=True)
-    _m, plain_lts = build_lts(config, FIXED, probes=False)
+    plain_lts = probe_lts.without_labels(PROBE_LABELS)
     rows = []
     rows.append({
         "formula": F_31, "expected": True,

@@ -104,7 +104,9 @@ def build_model(
 
     Probes are needed by Requirement 3 and poisonous to Requirement 4
     (a probe self-loop is an infinite path avoiding every thread
-    action), so each check selects its own setting.
+    action), so each stand-alone check selects its own setting. The
+    two models have the same states: :func:`check_all_requirements`
+    explores the probe one and drops the self-loops for the rest.
     """
     cfg = replace(config, with_probes=probes)
     return JackalModel(cfg, variant)
@@ -505,39 +507,82 @@ def check_all_requirements(
     skip: tuple[str, ...] = (),
     certificate=None,
 ) -> dict[str, RequirementReport]:
-    """Run requirements 1-4, sharing the two LTS explorations.
+    """Run requirements 1-4 on one exploration of the model.
 
     ``skip`` may name requirement keys (``"1"``, ``"2"``, ``"3.1"``,
     ``"3.2"``, ``"4"``) to omit — the paper could only check 1 and 2 on
-    its third configuration. ``certificate`` reduces both explorations
-    (see :func:`build_lts` for which reduction each LTS can take).
+    its third configuration.
+
+    As in the paper (one LTS per configuration, Table 8), the model is
+    swept once: the probe self-loops come after the protocol moves of a
+    state and lead nowhere new, so the probe sweep numbers the states of
+    the plain one in the same order, and the plain LTS — Requirement 4
+    cannot be decided with the self-loops in — is the probe LTS minus
+    the probe rows (:meth:`~repro.lts.lts.LTS.without_labels`). Nothing
+    is swept for a requirement that reads no LTS (3.2 off two
+    processors), and only the plain model when Requirement 3 is skipped.
+
+    Under a reduction ``certificate`` (see :func:`build_lts` for which
+    reduction each LTS can take) the two LTSs are different graphs —
+    the probe self-loops are visible to the ample-set condition and the
+    plain LTS may not take the full quotient — so each is swept.
     """
+    wanted = {"1", "2", "3.1", "3.2", "4"} - set(skip)
+    needs_plain = bool(wanted & {"1", "2", "4"})
+    needs_probe = "3.1" in wanted or (
+        "3.2" in wanted and config.n_processors == 2
+    )
     out: dict[str, RequirementReport] = {}
-    plain_model = plain_lts = None
-    if not {"1", "2", "4"} <= set(skip):
-        plain_model, plain_lts = build_lts(
+    model = plain_lts = probe_lts = None
+    if certificate is None and needs_plain and needs_probe:
+        model, probe_lts = build_lts(
+            config, variant, probes=True, max_states=max_states,
+            keep_states=True,
+        )
+        plain_lts = _without_probes(probe_lts)
+    elif needs_plain:
+        model, plain_lts = build_lts(
             config, variant, probes=False, max_states=max_states,
             keep_states=True, certificate=certificate,
         )
-    if "1" not in skip:
+    if "1" in wanted:
         out["1"] = check_requirement_1(
-            config, variant, lts=plain_lts, model=plain_model
+            config, variant, lts=plain_lts, model=model
         )
-    if "2" not in skip:
+    # only Requirement 1 reads the per-state tuples, the bulk of
+    # resident memory; a derived plain LTS shares the probe LTS's dict
+    for lts in (plain_lts, probe_lts):
+        if lts is not None:
+            lts.state_meta = {}
+    if "2" in wanted:
         out["2"] = check_requirement_2(config, variant, lts=plain_lts)
-    if "3.1" not in skip or "3.2" not in skip:
+    if needs_probe and probe_lts is None:
         _m, probe_lts = build_lts(
             config, variant, probes=True, max_states=max_states,
             certificate=certificate,
         )
-        if "3.1" not in skip:
-            out["3.1"] = check_requirement_3_1(config, variant, lts=probe_lts)
-        if "3.2" not in skip:
-            out["3.2"] = check_requirement_3_2(config, variant, lts=probe_lts)
-        # nothing below reads the probe LTS: free it before Requirement 4
-        del probe_lts
-    if "4" not in skip:
+    if "3.1" in wanted:
+        out["3.1"] = check_requirement_3_1(config, variant, lts=probe_lts)
+    if "3.2" in wanted:
+        out["3.2"] = check_requirement_3_2(config, variant, lts=probe_lts)
+    # nothing below reads the probe LTS: free it before Requirement 4
+    del probe_lts
+    if "4" in wanted:
         out["4"] = check_requirement_4(
             config, variant, lts=plain_lts, certificate=certificate
         )
     return out
+
+
+def _without_probes(probe_lts: LTS) -> LTS:
+    """The plain LTS of a probe sweep, with an ``lts_derive`` trace event."""
+    t0 = time.perf_counter()
+    plain = probe_lts.without_labels(PROBE_LABELS)
+    obs = _current_obs()
+    if obs.enabled:
+        obs.tracer.emit(
+            "lts_derive", kept=plain.n_transitions,
+            dropped=probe_lts.n_transitions - plain.n_transitions,
+            seconds=round(time.perf_counter() - t0, 6),
+        )
+    return plain

@@ -24,10 +24,6 @@ same limit semantics — but engineered for throughput:
   the state tuple tree, cutting resident memory per visited state by
   roughly an order of magnitude (one small int vs a nested tuple
   graph) at the price of an encode per discovered successor.
-* **successor memo** — pass a dict as ``memo`` to reuse the
-  deterministic successor relation across repeated explorations of
-  the same model (e.g. the per-requirement rebuilds in
-  :mod:`repro.jackal.requirements`).
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ import gc
 import sys
 import time
 from array import array
-from typing import Callable, Hashable, MutableMapping
+from typing import Callable, Hashable
 
 from repro.errors import ExplorationLimitError
 from repro.lts.explore import ExplorationStats, TransitionSystem
@@ -57,7 +53,6 @@ def explore_fast(
     keep_states: bool = False,
     on_level: Callable[[int, int], None] | None = None,
     stats: ExplorationStats | None = None,
-    memo: MutableMapping[Hashable, list] | None = None,
     packed: bool = False,
     codec=None,
     certificate=None,
@@ -71,10 +66,6 @@ def explore_fast(
 
     Parameters
     ----------
-    memo:
-        Optional mapping used to memoise the successor relation across
-        calls. Only sound because successor relations in this package
-        are deterministic functions of the state.
     packed:
         Key the visited index on packed codec integers instead of the
         states themselves (requires the system to provide a codec, as
@@ -90,9 +81,7 @@ def explore_fast(
         :class:`~repro.lts.certreduce.ReducedSystem` view (symmetry
         quotient + ample pruning) and refuses with
         :class:`~repro.errors.ReproError` if the certificate does not
-        validate for this system (JKL303–JKL305). Do not share a
-        ``memo`` between reduced and unreduced sweeps — the memoised
-        relations differ.
+        validate for this system (JKL303–JKL305).
     obs:
         Optional :class:`~repro.obs.core.Instrumentation`; defaults to
         the ambient bundle. Disabled instrumentation costs one branch
@@ -127,7 +116,6 @@ def explore_fast(
 
     succ = getattr(system, "successors_fast", None) or system.successors
     succ_seconds = [0.0]
-    memo_hits = [0]
     if recording:
         # successor generation on its own clock, so waves can split
         # succ time from dedup/bookkeeping time (enabled runs only)
@@ -139,27 +127,6 @@ def explore_fast(
             out = timed_succ(state)
             acc[0] += time.perf_counter() - t
             return out
-
-    if memo is not None:
-        raw_succ = succ
-        memo_get = memo.get
-        if recording:
-            hits = memo_hits
-
-            def succ(state):  # noqa: F811 - deliberate wrapper
-                cached = memo_get(state)
-                if cached is None:
-                    cached = memo[state] = raw_succ(state)
-                else:
-                    hits[0] += 1
-                return cached
-        else:
-
-            def succ(state):  # noqa: F811 - deliberate wrapper
-                cached = memo_get(state)
-                if cached is None:
-                    cached = memo[state] = raw_succ(state)
-                return cached
 
     init = system.initial_state()
     index: dict = {init if encode is None else encode(init): 0}
@@ -212,7 +179,6 @@ def explore_fast(
             seconds=round(stats.seconds, 6),
             states_per_second=round(stats.states_per_second(), 1),
             depth=stats.depth, max_frontier=stats.max_frontier,
-            memo_hits=memo_hits[0] if memo is not None else None,
             reduction=reduction,
             max_rss_bytes=obs.memwatch.max_rss_bytes,
             mem_pressure_events=obs.memwatch.pressure_events,
@@ -227,8 +193,6 @@ def explore_fast(
         m.gauge("repro_sweep_states_per_second", backend=backend).set(
             round(stats.states_per_second(), 1)
         )
-        if memo is not None:
-            m.counter("repro_memo_hits_total").inc(memo_hits[0])
         if red0 is not None:
             m.counter("repro_reduce_canonical_hits_total").inc(
                 system.canonical_hits - red0[0]
@@ -255,7 +219,7 @@ def explore_fast(
             "sweep_start",
             backend="engine-packed" if encode is not None else "engine",
             max_states=max_states, max_depth=max_depth,
-            packed=encode is not None, memo=memo is not None,
+            packed=encode is not None,
         )
         obs.tracer.emit("gc_suspend")
     # nearly every allocation of the sweep stays alive in the visited

@@ -13,6 +13,7 @@ action; :data:`TAU` is the canonical spelling used throughout.
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -34,6 +35,20 @@ def _readonly_view(column: array) -> np.ndarray:
     view = np.frombuffer(column, dtype=np.int32)
     view.flags.writeable = False
     return view
+
+
+def _reinterned(
+    names: Sequence[str], lbl: np.ndarray
+) -> tuple[np.ndarray, list[str]]:
+    """Intern ``names[i]`` for the label ids in column ``lbl`` the way a
+    row-by-row ``add_transition`` would: dense ids in first-appearance
+    order, equal names merged, names no row uses left out."""
+    used, first = np.unique(lbl, return_index=True)
+    table: dict[str, int] = {}
+    remap = np.zeros(len(names), dtype=np.int32)
+    for old in used[np.argsort(first)].tolist():
+        remap[old] = table.setdefault(names[old], len(table))
+    return remap[lbl], list(table)
 
 
 class Transition(NamedTuple):
@@ -293,33 +308,64 @@ class LTS:
 
     # -- transformations -----------------------------------------------
 
+    # numpy columns handed to from_columns are copied, so no result
+    # shares a buffer with this LTS
+
     def relabelled(self, mapping: dict[str, str]) -> "LTS":
         """A copy with labels renamed through ``mapping`` (others kept)."""
-        out = LTS(self.initial)
-        out.ensure_states(self._n_states)
-        labels = self.labels
-        for s, lab, d in zip(self._src, self._lbl, self._dst):
-            lab = labels[lab]
-            out.add_transition(s, mapping.get(lab, lab), d)
-        return out
+        src, lbl, dst = self.columns()
+        lbl, labels = _reinterned(
+            [mapping.get(lab, lab) for lab in self.labels], lbl
+        )
+        return LTS.from_columns(
+            initial=self.initial, n_states=self._n_states,
+            src=src, lbl=lbl, dst=dst, labels=labels,
+        )
 
     def hidden(self, hide: Iterable[str]) -> "LTS":
         """A copy where every label in ``hide`` becomes :data:`TAU`."""
         return self.relabelled({lab: TAU for lab in hide})
 
+    def without_labels(self, drop: Iterable[str]) -> "LTS":
+        """A copy without the transitions labelled in ``drop``.
+
+        States keep their numbers (also those left isolated or
+        unreachable) and the surviving rows their order; the label table
+        keeps its order minus the dropped labels, so ids stay dense. The
+        result is what a generator that never emitted ``drop`` would have
+        built — the plain LTS of a sweep that ran with probe self-loops
+        on. ``state_meta`` is shared with this LTS, not copied.
+        """
+        src, lbl, dst = self.columns()
+        kept = ~self.label_mask(set(drop).__contains__)
+        rows = kept[lbl]
+        out = LTS.from_columns(
+            initial=self.initial, n_states=self._n_states,
+            src=src[rows],
+            lbl=(np.cumsum(kept, dtype=np.int32) - 1)[lbl[rows]],
+            dst=dst[rows],
+            labels=compress(self.labels, kept),
+        )
+        out.state_meta = self.state_meta
+        return out
+
     def restricted_to_reachable(self) -> "LTS":
         """A copy containing only states reachable from the initial state."""
         seen = frontier.reachable(self)
-        remap = dict(zip(np.flatnonzero(seen).tolist(), range(self._n_states)))
-        out = LTS(remap[self.initial])
-        out.ensure_states(len(remap))
-        labels = self.labels
-        for s, lab, d in zip(self._src, self._lbl, self._dst):
-            if s in remap:
-                out.add_transition(remap[s], labels[lab], remap[d])
-        for old, meta in self.state_meta.items():
-            if old in remap:
-                out.state_meta[remap[old]] = meta
+        renumber = np.cumsum(seen, dtype=np.int32) - 1
+        src, lbl, dst = self.columns()
+        rows = seen[src]
+        lbl, labels = _reinterned(self.labels, lbl[rows])
+        out = LTS.from_columns(
+            initial=int(renumber[self.initial]), n_states=int(seen.sum()),
+            src=renumber[src[rows]], lbl=lbl, dst=renumber[dst[rows]],
+            labels=labels,
+        )
+        out.state_meta = {
+            int(renumber[old]): meta
+            for old, meta in self.state_meta.items()
+            if seen[old]
+        }
         return out
 
     # -- dunder ---------------------------------------------------------

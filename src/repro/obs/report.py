@@ -4,8 +4,9 @@ The consumer side of :mod:`repro.obs.tracer`: ``repro report
 trace.jsonl`` loads the JSONL events back and prints, per sweep, the
 depth waves, the per-phase timing breakdown (successor generation vs
 dedup vs transport), the distributed worker timeline (dispatches,
-deaths, re-dispatches, fault injections), and the mu-calculus fixpoint
-and requirement-check summaries.
+deaths, re-dispatches, fault injections), the derivation of the plain
+LTS from a probe sweep, and the mu-calculus fixpoint and
+requirement-check summaries.
 
 ``repro report`` also accepts a ``--trace-dir`` directory (or several
 files): the per-process streams are merged into one causal timeline
@@ -389,6 +390,16 @@ def render_report(events: list[dict]) -> str:
     for i, sweep in enumerate(sweeps, 1):
         lines.append("")
         lines.extend(_render_sweep(i, sweep))
+
+    derived = [e for e in events if e.get("ev") == "lts_derive"]
+    if derived:
+        lines.append("")
+        lines.extend(
+            f"derived plain LTS: {e.get('kept', 0):,} transitions kept, "
+            f"{e.get('dropped', 0):,} probe self-loops dropped "
+            f"({e.get('seconds', 0.0):.3f} s)"
+            for e in derived
+        )
 
     fixpoints = [e for e in events if e.get("ev") == "fixpoint"]
     if fixpoints:

@@ -104,15 +104,6 @@ def test_limit_semantics_match_reference():
     assert st_fast.max_frontier == st_ref.max_frontier > 0
 
 
-def test_memo_reuse_is_sound():
-    sys_ = Grid(6, 6)
-    memo = {}
-    first = explore_fast(sys_, memo=memo)
-    assert memo  # populated on the first pass
-    second = explore_fast(sys_, memo=memo)
-    assert second == first == explore(sys_)
-
-
 def test_packed_visited_set_matches():
     cfg = Config(threads_per_processor=(1, 1), rounds=1, with_probes=False)
     model = JackalModel(cfg)

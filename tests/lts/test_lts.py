@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.lts.lts import LTS, TAU, Transition
-from tests.conftest import random_lts
+from tests import oracles
+from tests.conftest import LABELS, random_lts
 
 
 def test_empty_lts():
@@ -128,6 +130,78 @@ def test_successor_predecessor_duality(l):
     fwd = {(s, lab, d) for s in range(l.n_states) for lab, d in l.successors(s)}
     bwd = {(s, lab, d) for d in range(l.n_states) for lab, s in l.predecessors(d)}
     assert fwd == bwd
+
+
+# -- column-wise transformations against one add_transition per row -----------
+
+
+def _same_lts(got: LTS, want: LTS) -> None:
+    assert (got.initial, got.n_states) == (want.initial, want.n_states)
+    assert got.labels == want.labels  # dense ids, first-appearance order
+    assert got.transition_arrays() == want.transition_arrays()
+    assert got.state_meta == want.state_meta
+    assert all(got.label_id(lab) == i for i, lab in enumerate(want.labels))
+
+
+def _snapshot(l: LTS):
+    return (
+        l.n_states, list(l.labels), dict(l.state_meta),
+        *(list(col) for col in l.transition_arrays()),
+    )
+
+
+#: none of, some of, all of the labels in use, and one no LTS carries
+label_sets = st.sets(st.sampled_from(LABELS + ["absent"]))
+
+
+@given(random_lts(), label_sets)
+def test_without_labels_is_the_lts_that_never_had_them(l, drop):
+    l.state_meta[0] = "initial"
+    fwd = l.forward_csr()
+    before = _snapshot(l)
+    got = l.without_labels(drop)
+    _same_lts(got, oracles.without_labels(l, drop))
+    # isolated and unreachable states keep their numbers
+    assert got.n_states == l.n_states and got.initial == l.initial
+    assert not set(got.labels) & drop
+    assert got.state_meta is l.state_meta
+    # the source and its cached adjacency are untouched, and unshared
+    assert _snapshot(l) == before and l.forward_csr() is fwd
+    got.add_transition(0, "fresh", 0)
+    assert _snapshot(l) == before
+
+
+def test_without_labels_keeps_the_table_order_of_the_survivors():
+    l = LTS(0)
+    for src, label, dst in [(0, "p", 0), (0, "a", 1), (1, "q", 1), (1, "b", 0)]:
+        l.add_transition(src, label, dst)
+    got = l.without_labels(["p", "q"])
+    assert got.labels == ["a", "b"]
+    assert list(got.transitions()) == [(0, "a", 1), (1, "b", 0)]
+    assert l.without_labels([]) == l
+    assert l.without_labels(["a", "b", "p", "q"]).n_transitions == 0
+
+
+@given(
+    random_lts(),
+    st.dictionaries(st.sampled_from(LABELS), st.sampled_from(LABELS + ["z"])),
+)
+def test_relabelled_matches_row_by_row(l, mapping):
+    before = _snapshot(l)
+    _same_lts(l.relabelled(mapping), oracles.relabelled(l, mapping))
+    _same_lts(
+        l.hidden(mapping), oracles.relabelled(l, dict.fromkeys(mapping, TAU))
+    )
+    assert _snapshot(l) == before
+
+
+@given(random_lts())
+def test_restricted_to_reachable_matches_row_by_row(l):
+    for s in range(0, l.n_states, 2):
+        l.state_meta[s] = f"meta{s}"
+    before = _snapshot(l)
+    _same_lts(l.restricted_to_reachable(), oracles.restricted_to_reachable(l))
+    assert _snapshot(l) == before
 
 
 # -- columnar adjacency -------------------------------------------------------

@@ -145,6 +145,24 @@ def test_report_on_truncated_trace(tmp_path):
     assert "sweep 1: engine" in text  # open sweep, end line was torn
 
 
+def test_report_on_a_trace_holding_only_a_derivation():
+    """An ``lts_derive`` event renders without any sweep around it, and
+    with its fields missing (the schema is append-only, readers lenient)."""
+    events = [
+        {"t": 0.0, "ev": "lts_derive", "kept": 623117, "dropped": 302639,
+         "seconds": 0.0246},
+        {"t": 0.1, "ev": "lts_derive"},
+    ]
+    text = render_report(events)
+    assert "0 sweep(s), 2 events" in text
+    assert (
+        "derived plain LTS: 623,117 transitions kept, "
+        "302,639 probe self-loops dropped (0.025 s)" in text
+    )
+    assert "derived plain LTS: 0 transitions kept" in text
+    assert "phase breakdown" not in text
+
+
 def test_report_on_interleaved_multi_sweep_trace():
     """Two sweeps back to back render as two numbered sections."""
     events = [

@@ -5,7 +5,8 @@ rewritten as array passes over the LTS's CSR adjacency, kept (bodies
 verbatim) as differential oracles: a deque worklist over a per-predicate
 reverse CSR for the two linear fixpoint shapes, list-of-lists adjacency
 for deadlock detection and shortest traces, Tarjan over tuple lists for
-the lasso search, and the per-label-string product search. They read an
+the lasso search, the per-label-string product search, and the LTS
+transformations as one ``add_transition`` per row. They read an
 LTS only through ``transitions()``, ``transition_arrays()``, ``labels``,
 ``n_states`` and ``initial`` — nothing the array code paths provide.
 
@@ -104,6 +105,51 @@ def shortest_trace_to(lts: LTS, targets: Iterable[int]) -> Trace | None:
         cur = pred
     labels.reverse()
     return Trace(tuple(labels))
+
+
+# ---------------------------------------------------------------------------
+# transformations, one add_transition per row
+# ---------------------------------------------------------------------------
+
+
+def relabelled(lts: LTS, mapping: dict[str, str]) -> LTS:
+    out = LTS(lts.initial)
+    out.ensure_states(lts.n_states)
+    for s, lab, d in lts.transitions():
+        out.add_transition(s, mapping.get(lab, lab), d)
+    return out
+
+
+def without_labels(lts: LTS, drop: Iterable[str]) -> LTS:
+    drop = set(drop)
+    out = LTS(lts.initial)
+    out.ensure_states(lts.n_states)
+    for s, lab, d in lts.transitions():
+        if lab not in drop:
+            out.add_transition(s, lab, d)
+    out.state_meta = lts.state_meta
+    return out
+
+
+def restricted_to_reachable(lts: LTS) -> LTS:
+    fwd = forward_index(lts)
+    seen = {lts.initial}
+    stack = [lts.initial]
+    while stack:
+        for _label, d in successors(lts, fwd, stack.pop()):
+            if d not in seen:
+                seen.add(d)
+                stack.append(d)
+    remap = {old: new for new, old in enumerate(sorted(seen))}
+    out = LTS(remap[lts.initial])
+    out.ensure_states(len(remap))
+    for s, lab, d in lts.transitions():
+        if s in remap:
+            out.add_transition(remap[s], lab, remap[d])
+    for old, meta in lts.state_meta.items():
+        if old in remap:
+            out.state_meta[remap[old]] = meta
+    return out
 
 
 # ---------------------------------------------------------------------------
