@@ -44,9 +44,7 @@ def main() -> None:
               transitions=st.transitions, seconds=round(st.seconds, 2),
               notes=f"{st.states_per_second():,.0f} states/s")
 
-    _lts, dstats = distributed_explore(
-        model, n_workers=args.workers, backend="process"
-    )
+    _lts, dstats = distributed_explore(model, n_workers=args.workers)
     table.add(
         strategy=f"distributed ({args.workers} workers)",
         states=dstats.states,
@@ -56,8 +54,7 @@ def main() -> None:
     )
 
     _lts, fstats = distributed_explore(
-        model, n_workers=args.workers, backend="process",
-        faults=FaultPlan.parse("kill:0@2"),
+        model, n_workers=args.workers, faults=FaultPlan.parse("kill:0@2"),
     )
     table.add(
         strategy="distributed, worker 0 killed",

@@ -225,14 +225,12 @@ def _cmd_explore(args) -> int:
             _lts, stats = distributed_explore(
                 model,
                 n_workers=args.workers or os.cpu_count() or 2,
-                transport=args.transport,
                 max_states=args.max_states,
                 certificate=cert,
             )
         row = {
             "states": stats.states, "transitions": stats.transitions,
             "workers": len(stats.per_worker_states),
-            "transport": stats.transport,
             "seconds": round(stats.seconds, 3),
             "states/s": round(
                 stats.states / stats.seconds if stats.seconds > 0 else 0.0
@@ -345,7 +343,6 @@ def _cmd_bench(args) -> int:
                 profile=args.profile,
                 faults=faults,
                 batch_size=args.batch_size,
-                transport=args.transport,
                 certificate=cert,
             )
     except BenchMismatchError as exc:
@@ -535,9 +532,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes for --distributed "
                    "(default: the machine's CPU count)")
-    p.add_argument("--transport", default=None,
-                   choices=("auto", "queue", "shm"),
-                   help="distributed transport (default auto)")
     _add_reduce_arg(p)
     _add_obs_args(p)
     p.set_defaults(fn=_cmd_explore)
@@ -568,11 +562,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--workers", type=int, default=None,
                    help="partitions for the distributed backend "
                    "(default: the machine's available CPU count)")
-    p.add_argument("--transport", default=None,
-                   choices=("auto", "queue", "shm"),
-                   help="distributed transport (default auto: "
-                   "shared-memory rings when codec+fork are available, "
-                   "else the pickled-queue fallback)")
     p.add_argument("--repeats", type=int, default=1,
                    help="timed runs per backend; best is reported")
     p.add_argument("--profile", action="store_true",
@@ -584,8 +573,9 @@ def main(argv: list[str] | None = None) -> int:
                    "delay:W@SECONDS) — the cross-check then exercises "
                    "crash recovery")
     p.add_argument("--batch-size", type=int, default=None,
-                   help="states per distributed work batch (default 256; "
-                   "shrink to force many batches on small systems)")
+                   help="initial distributed expansion quantum in states "
+                   "(default 256; shrink to force many quanta on small "
+                   "systems)")
     p.add_argument("--out", default=None, metavar="JSON",
                    help="write the report (e.g. BENCH_explore.json)")
     p.add_argument("--min-sps", type=float, default=None,

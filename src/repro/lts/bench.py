@@ -14,8 +14,8 @@ The resulting report is a plain dict so the CLI can dump it as
     states / transitions / deadlocks (identical across backends).
 ``backends``
     per-backend ``seconds``, ``states_per_second``, ``max_frontier``
-    (serial paths), and for the distributed backend the transport,
-    the worker-pool ``spawn_s`` (a fixed per-run cost excluded from
+    (serial paths), and for the distributed backend the worker-pool
+    ``spawn_s`` (a fixed per-run cost excluded from
     ``states_per_second``) and the partition balance
     (``per_worker_states``, ``per_worker_batches``, ``imbalance``,
     ``batches``).
@@ -26,10 +26,9 @@ The resulting report is a plain dict so the CLI can dump it as
     one extra instrumented engine pass — the timed runs themselves stay
     un-instrumented.
 ``phases_distributed``
-    the same breakdown from one instrumented distributed pass per
-    transport (the resolved transport plus the ``queue`` baseline when
-    they differ), making the data-plane saving visible: shm transport
-    seconds are expected strictly below the queue transport's.
+    the same breakdown from one instrumented distributed pass;
+    ``transport_s`` there is ring reads/writes plus the coordinator's
+    control handling.
 ``metrics``
     the metrics snapshot of that pass, plus the distributed backend's
     recovery counters (worker deaths, re-dispatched batches) when it
@@ -110,7 +109,6 @@ def bench_explore(
     profile: bool = False,
     faults=None,
     batch_size: int | None = None,
-    transport: str | None = None,
     certificate=None,
 ) -> dict:
     """Benchmark exploration backends on ``system`` and cross-check them.
@@ -135,12 +133,8 @@ def bench_explore(
         a recovery test: a crashed worker's sweep must still report the
         serial reference counts exactly.
     batch_size:
-        States per distributed work batch (default 256; the shm
-        transport treats it as the initial adaptive quantum).
-    transport:
-        Distributed transport (``"shm"``, ``"queue"`` or
-        ``None``/``"auto"`` — shared-memory rings whenever the system
-        has a codec and ``fork`` is available).
+        Initial expansion quantum of the distributed backend, in
+        states (default 256; adaptive afterwards).
     certificate:
         Optional :class:`~repro.staticcheck.certificates.ReductionCertificate`.
         When given, every backend sweeps the certificate-validated
@@ -182,8 +176,7 @@ def bench_explore(
         # that would otherwise land entirely on the first timed round
         try:
             distributed_explore(
-                system, n_workers=n_workers, backend="process",
-                transport=transport, batch_size=batch_size,
+                system, n_workers=n_workers, batch_size=batch_size,
                 max_states=_WARMUP_STATES,
             )
         except ExplorationLimitError:
@@ -196,9 +189,8 @@ def bench_explore(
                 best[name], results[name] = st, lts
         if "distributed" in backends:
             _lts, dstats = distributed_explore(
-                system, n_workers=n_workers, backend="process",
-                faults=faults, batch_size=batch_size,
-                transport=transport,
+                system, n_workers=n_workers, faults=faults,
+                batch_size=batch_size,
             )
             # rank rounds by sweep time alone — worker spawn is a
             # per-run fixed cost reported separately (spawn_s)
@@ -246,7 +238,6 @@ def bench_explore(
                 best_dist.states / sweep_s if sweep_s > 0 else 0.0
             ),
             "spawn_s": best_dist.spawn_s,
-            "transport": best_dist.transport,
             "n_workers": n_workers,
             "per_worker_states": best_dist.per_worker_states,
             "per_worker_batches": best_dist.per_worker_batches,
@@ -329,24 +320,17 @@ def bench_explore(
         explore(system, obs=inst_s)
     _note_mem("serial", mw_serial)
     if best_dist is not None:
-        # one instrumented distributed pass per transport (the resolved
-        # one, plus the queue baseline when they differ) so the report
-        # shows what the shm data plane saves: its transport seconds
-        # must sit strictly below the queue transport's
-        dist_phases: dict = {}
-        for tr in dict.fromkeys((best_dist.transport, "queue")):
-            reg_d, tracer_d = MetricsRegistry(), Tracer()
-            mw_d = MemWatch(metrics=reg_d)
-            with Instrumentation(metrics=reg_d, tracer=tracer_d,
-                                 memwatch=mw_d) as inst_d:
-                distributed_explore(
-                    system, n_workers=n_workers, backend="process",
-                    transport=tr, batch_size=batch_size, obs=inst_d,
-                )
-            dist_phases[tr] = phase_breakdown(tracer_d.events())
-            if tr == best_dist.transport:
-                _note_mem("distributed", mw_d)
-        report["phases_distributed"] = dist_phases
+        # one instrumented distributed pass, for the same reason
+        reg_d, tracer_d = MetricsRegistry(), Tracer()
+        mw_d = MemWatch(metrics=reg_d)
+        with Instrumentation(metrics=reg_d, tracer=tracer_d,
+                             memwatch=mw_d) as inst_d:
+            distributed_explore(
+                system, n_workers=n_workers, batch_size=batch_size,
+                obs=inst_d,
+            )
+        report["phases_distributed"] = phase_breakdown(tracer_d.events())
+        _note_mem("distributed", mw_d)
     metrics = registry.snapshot()
     if best_dist is not None:
         metrics["repro_dist_worker_deaths_total"] = best_dist.worker_deaths
@@ -424,8 +408,7 @@ def format_bench(report: dict) -> str:
     dist = report["backends"].get("distributed")
     if dist:
         lines.append(
-            f"distributed transport: {dist.get('transport', 'queue')} "
-            f"workers={dist.get('n_workers', '?')} "
+            f"distributed: workers={dist.get('n_workers', '?')} "
             f"spawn_s={dist.get('spawn_s', 0.0):.3f} "
             "(excluded from states/s)"
         )
@@ -434,14 +417,10 @@ def format_bench(report: dict) -> str:
             f"states/worker={dist['per_worker_states']} "
             f"batches/worker={dist['per_worker_batches']}"
         )
-        dp = report.get("phases_distributed") or {}
+        dp = report.get("phases_distributed")
         if dp:
             lines.append(
-                "distributed transport seconds: "
-                + " vs ".join(
-                    f"{tr} {ph['transport_s']:.3f}s"
-                    for tr, ph in dp.items()
-                )
+                f"distributed transport seconds: {dp['transport_s']:.3f}s"
             )
         if dist.get("worker_deaths"):
             lines.append(

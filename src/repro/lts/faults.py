@@ -25,12 +25,10 @@ A :class:`FaultPlan` names, per worker, one of three misbehaviours:
 Plans are wired through ``distributed_explore(faults=...)`` and the
 ``repro bench --inject-fault`` flag; recovery is observable through
 ``DistributedStats.worker_deaths`` / ``redispatched_batches`` /
-``recovered``. Injection is transport-independent: the same plans
-fire inside the queue-transport workers and the shared-memory ring
-workers (where ``kill``/``raise`` count expansion *quanta* instead of
-fixed-size batches), and recovery must reproduce exact serial totals
-over both data planes (``tests/lts/test_faults.py``,
-``tests/lts/test_shm_transport.py``).
+``recovered``. The workers gather adaptive *quanta* out of their
+shared-memory rings, so ``kill``/``raise`` count expansion quanta, and
+recovery must reproduce exact serial totals
+(``tests/lts/test_faults.py``, ``tests/lts/test_shm_transport.py``).
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
 """Shared-memory ring buffers for the distributed sweep's data plane.
 
-The pickled-queue transport routes every successor bucket through the
-coordinator: each hop pays a pickle, an OS pipe write, an unpickle, a
-coordinator dispatch, and the same again towards the owner. This module
-provides the replacement data plane — one single-producer
-single-consumer :class:`RingBuffer` per ordered worker pair, backed by
+Routing every successor bucket through the coordinator costs each hop
+a pickle, an OS pipe write, an unpickle, a coordinator dispatch, and
+the same again towards the owner. This module provides the data plane
+that avoids it — one single-producer single-consumer
+:class:`RingBuffer` per ordered worker pair, backed by
 :mod:`multiprocessing.shared_memory` — so workers forward packed codec
 keys **directly to their owners** as flat little-endian byte blocks and
-the coordinator drops off the steady-state path entirely (it keeps only
+the coordinator stays off the steady-state path entirely (it keeps only
 control traffic: acknowledgements, termination counting, liveness and
 the crash-recovery ledger).
 
@@ -37,8 +37,8 @@ worker consumed-but-never-acked is still physically in its inbound
 rings and :meth:`RingBuffer.drain_unconsumed` (coordinator crash path,
 producers known stopped) recovers it.
 
-:class:`AdaptiveBatch` is the transport's pacing controller: the queue
-backend's fixed 256-state batches are far too small for fast models
+:class:`AdaptiveBatch` is the transport's pacing controller: fixed
+256-state batches are far too small for fast models
 (thousands of per-batch round trips) and too large for slow ones. It
 tracks an exponential moving average of the measured expansion rate and
 sizes the next quantum to a wall-clock target.

@@ -3,8 +3,8 @@
 The consumer side of :mod:`repro.obs.tracer`: ``repro report
 trace.jsonl`` loads the JSONL events back and prints, per sweep, the
 depth waves, the per-phase timing breakdown (successor generation vs
-dedup vs transport), the distributed worker timeline (dispatches,
-deaths, re-dispatches, fault injections), the derivation of the plain
+dedup vs transport), the distributed worker timeline (deaths,
+re-dispatches, fault injections), the derivation of the plain
 LTS from a probe sweep, and the mu-calculus fixpoint and
 requirement-check summaries.
 
@@ -60,11 +60,9 @@ def phase_breakdown(events: list[dict]) -> dict:
             ws = e.get("worker_succ_s", 0.0)
             succ += ws
             dedup += max(e.get("worker_expand_s", 0.0) - ws, 0.0)
-            # queue transport: coordinator routing; shm transport:
             # ring writes/reads (workers) + the control-plane handling
             transport += (
-                e.get("coord_put_s", 0.0)
-                + e.get("coord_handle_s", 0.0)
+                e.get("coord_handle_s", 0.0)
                 + e.get("ring_put_s", 0.0)
                 + e.get("ring_get_s", 0.0)
             )
@@ -148,9 +146,6 @@ _TIMELINE_EVENTS = (
     "limit", "coord_sample", "mem_pressure", "worker_start",
 )
 
-#: events whose (worker, seq) stamp opens a batch's latency window
-_BATCH_OPEN_EVENTS = ("dispatch", "ring_get")
-
 
 def _has_lanes(events: list[dict]) -> bool:
     return any("lane" in e for e in events)
@@ -167,8 +162,7 @@ def _fmt_bytes(n: float) -> str:
 def _batch_latencies(events: list[dict]) -> list[float]:
     """Dispatch-to-ack seconds per correlated ``(worker, seq)`` batch.
 
-    A batch opens at the coordinator's ``dispatch`` (queue transport)
-    or the worker's ``ring_get`` quantum pickup (shm transport) and
+    A batch opens at the worker's ``ring_get`` quantum pickup and
     closes at the coordinator-side ``ack`` carrying the same
     correlation id — the full work-plus-control round trip.
     """
@@ -179,7 +173,7 @@ def _batch_latencies(events: list[dict]) -> list[float]:
         if key[0] is None or key[1] is None:
             continue
         ev = e.get("ev")
-        if ev in _BATCH_OPEN_EVENTS:
+        if ev == "ring_get":
             opened.setdefault(key, e.get("t", 0.0))
         elif ev == "ack" and e.get("lane", "coordinator") == "coordinator":
             t0 = opened.pop(key, None)

@@ -1,86 +1,23 @@
 """Tests for partitioned (distributed) state-space generation."""
 
+import multiprocessing as mp
+import os
+
 import pytest
 
-from repro.errors import ExplorationLimitError
-from repro.lts.distributed import distributed_explore
+from repro.errors import ExplorationLimitError, ReproError, WorkerFailureError
+from repro.lts.distributed import DistributedStats, distributed_explore
 from repro.lts.explore import explore
-from repro.lts.reduction import minimize_strong
-
-
-class Diamond:
-    """A diamond lattice of given width — branches recombine."""
-
-    def __init__(self, width=5):
-        self.width = width
-
-    def initial_state(self):
-        return (0, 0)
-
-    def successors(self, s):
-        level, pos = s
-        if level >= self.width:
-            return []
-        return [("l", (level + 1, pos)), ("r", (level + 1, pos + 1))]
-
-
-def test_inline_counts_match_serial():
-    sys = Diamond(6)
-    exact = explore(sys)
-    _lts, stats = distributed_explore(sys, n_workers=3, backend="inline")
-    assert stats.states == exact.n_states
-    assert stats.transitions == exact.n_transitions
-    assert stats.deadlocks == len(exact.deadlock_states())
-    assert sum(stats.per_worker_states) == stats.states
-    assert stats.levels >= 6
-
-
-def test_inline_collect_builds_equivalent_lts():
-    sys = Diamond(5)
-    exact = explore(sys)
-    lts, _stats = distributed_explore(
-        sys, n_workers=4, backend="inline", collect=True
-    )
-    # BFS renumbering may differ; compare modulo strong bisimulation
-    assert lts.n_states == exact.n_states
-    assert lts.n_transitions == exact.n_transitions
-    assert minimize_strong(lts) == minimize_strong(exact)
-
-
-def test_single_worker_inline(chain_system):
-    lts, stats = distributed_explore(
-        chain_system, n_workers=1, backend="inline", collect=True
-    )
-    assert stats.states == 4
-    assert stats.imbalance() == 1.0
-
-
-def test_inline_max_states():
-    with pytest.raises(ExplorationLimitError):
-        distributed_explore(
-            Diamond(60), n_workers=2, backend="inline", max_states=100
-        )
-
-
-def test_inline_limit_fills_stats_and_attaches():
-    with pytest.raises(ExplorationLimitError) as ei:
-        distributed_explore(
-            Diamond(60), n_workers=2, backend="inline", max_states=100
-        )
-    stats = ei.value.stats
-    assert stats is not None
-    assert stats.states > 100
-    assert stats.seconds > 0.0
-    assert stats.levels > 0
-    assert sum(stats.per_worker_states) == stats.states
+from repro.lts.faults import FaultPlan
+from repro.lts.statehash import key_owner
+from tests.lts.systems import Diamond, GeneratorDiamond, jackal
 
 
 @pytest.mark.slow
 def test_process_limit_fills_stats_and_attaches():
     with pytest.raises(ExplorationLimitError) as ei:
         distributed_explore(
-            Diamond(60), n_workers=2, backend="process", max_states=100,
-            batch_size=8,
+            Diamond(60), n_workers=2, max_states=100, batch_size=8
         )
     stats = ei.value.stats
     assert stats is not None
@@ -88,58 +25,44 @@ def test_process_limit_fills_stats_and_attaches():
     assert stats.seconds > 0.0
 
 
-class GeneratorDiamond(Diamond):
-    """Diamond whose ``successors`` is a generator, not a sequence.
-
-    The :class:`~repro.lts.explore.TransitionSystem` protocol only
-    promises an Iterable; ``_expand_batch`` used to call ``len()`` on
-    the result and silently dropped every transition of such systems.
-    """
-
-    def successors(self, s):
-        yield from Diamond.successors(self, s)
-
-
-def test_generator_successors_inline_backend():
+@pytest.mark.slow
+def test_generator_successors_process_backend():
     sys_ = GeneratorDiamond(6)
     exact = explore(sys_)
-    _lts, stats = distributed_explore(sys_, n_workers=3, backend="inline")
+    _lts, stats = distributed_explore(sys_, n_workers=2)
     assert stats.states == exact.n_states
     assert stats.transitions == exact.n_transitions
     assert stats.deadlocks == len(exact.deadlock_states())
 
 
-@pytest.mark.slow
-def test_generator_successors_process_backend():
-    sys_ = GeneratorDiamond(6)
-    exact = explore(sys_)
-    _lts, stats = distributed_explore(sys_, n_workers=2, backend="process")
-    assert stats.states == exact.n_states
-    assert stats.transitions == exact.n_transitions
-
-
 def test_bad_arguments(chain_system):
     with pytest.raises(ValueError):
         distributed_explore(chain_system, n_workers=0)
-    with pytest.raises(ValueError):
-        distributed_explore(chain_system, backend="carrier-pigeon")
+    # every option of a removed data plane is gone, not ignored
+    for gone in ("backend", "transport", "packed", "fault_tolerant",
+                 "ring_bytes"):
+        with pytest.raises(TypeError):
+            distributed_explore(Diamond(3), **{gone: None})
+
+
+def test_packed_requires_codec(chain_system):
+    # the rings carry packed codec keys: a system without a codec() is
+    # refused up front and pointed at the backend that serves it
+    with pytest.raises(ReproError, match="explore_fast"):
+        distributed_explore(chain_system, n_workers=2)
 
 
 @pytest.mark.slow
 def test_process_backend_matches_serial():
     sys = Diamond(7)
     exact = explore(sys)
-    lts, stats = distributed_explore(
-        sys, n_workers=2, backend="process", collect=True
-    )
+    lts, stats = distributed_explore(sys, n_workers=2, collect=True)
     assert stats.states == exact.n_states
     assert stats.transitions == exact.n_transitions
     assert lts.n_states == exact.n_states
 
 
 def test_imbalance_metric():
-    from repro.lts.distributed import DistributedStats
-
     s = DistributedStats(states=100, per_worker_states=[50, 50])
     assert s.imbalance() == 1.0
     s2 = DistributedStats(states=100, per_worker_states=[75, 25])
@@ -151,8 +74,6 @@ def test_imbalance_excludes_workers_that_never_held_states():
     """Regression: a worker that crashed before holding any states must
     not dilute the mean — [100, 0, 50] is a 1.33 skew over the two
     holders, not 2.0 over three partitions."""
-    from repro.lts.distributed import DistributedStats
-
     s = DistributedStats(
         states=150, per_worker_states=[100, 0, 50], worker_deaths=1
     )
@@ -176,13 +97,9 @@ def test_owner_mixing_improves_imbalance():
     ``hash(k) % 2**m`` abandons whole partitions. The mixed owner must
     spread the same keys almost evenly.
     """
-    from repro.jackal import Config, JackalModel
-    from repro.lts.distributed import _owner
     from repro.lts.explore import breadth_first_states
 
-    model = JackalModel(
-        Config(threads_per_processor=(1, 1), rounds=1, with_probes=False)
-    )
+    model = jackal()
     codec = model.codec()
     keys = [codec.encode(s) for s in breadth_first_states(model)]
 
@@ -191,67 +108,88 @@ def test_owner_mixing_improves_imbalance():
 
     for n in (2, 4):
         raw = _partition_imbalance(keys, n, raw_owner)
-        mixed = _partition_imbalance(keys, n, _owner)
+        mixed = _partition_imbalance(keys, n, key_owner)
         assert mixed < raw  # the mixer strictly improves the partition
         assert mixed < 1.25
         assert raw > 1.5  # raw hashing really is pathological here
 
 
-@pytest.mark.parametrize(
-    "tpp,rounds",
-    [((1, 1), 1), ((2,), 1), ((1, 1), 2)],
-)
-def test_inline_backend_matches_serial_on_jackal(tpp, rounds):
-    from repro.jackal import Config, JackalModel
-
-    model = JackalModel(
-        Config(threads_per_processor=tpp, rounds=rounds, with_probes=False)
-    )
-    exact = explore(model)
-    _lts, stats = distributed_explore(model, n_workers=3, backend="inline")
-    assert stats.states == exact.n_states
-    assert stats.transitions == exact.n_transitions
-    assert stats.deadlocks == len(exact.deadlock_states())
-
-
 @pytest.mark.slow
-@pytest.mark.parametrize("packed", [True, False])
-def test_process_backend_matches_serial_on_jackal(packed):
-    from repro.jackal import Config, JackalModel
+@pytest.mark.parametrize("certified", [True, False])
+def test_process_backend_matches_serial_on_jackal(certified):
+    from repro.jackal.params import ProtocolVariant
+    from repro.staticcheck.symmetry import certify
 
-    model = JackalModel(
-        Config(threads_per_processor=(1, 1), rounds=1, with_probes=False)
+    model = jackal()
+    cert = (
+        certify(model.config, ProtocolVariant.fixed())[0]
+        if certified else None
     )
-    exact = explore(model)
-    _lts, stats = distributed_explore(
-        model, n_workers=2, backend="process", packed=packed
-    )
+    exact = explore(model, certificate=cert)
+    _lts, stats = distributed_explore(model, n_workers=2, certificate=cert)
     assert stats.states == exact.n_states
     assert stats.transitions == exact.n_transitions
     assert stats.deadlocks == len(exact.deadlock_states())
     assert sum(stats.per_worker_batches) == stats.batches > 0
 
 
-def test_packed_requires_codec(chain_system):
-    with pytest.raises(ValueError):
-        distributed_explore(chain_system, backend="inline", packed=True)
+# -- failure paths leave nothing behind --------------------------------------
 
 
-def test_packed_auto_detection(chain_system):
-    from repro.jackal import Config, JackalModel
+def _shm_segments():
+    return sorted(n for n in os.listdir("/dev/shm") if n.startswith("psm_"))
 
-    # systems without a codec fall back to tuple shipping silently
-    _lts, stats = distributed_explore(
-        chain_system, n_workers=2, backend="inline"
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "plan,max_states,raises",
+    [
+        (None, None, None),
+        ("kill:0@2", None, None),
+        ("raise:1@1", None, None),
+        ("kill:0@0,kill:1@0", None, WorkerFailureError),
+        (None, 100, ExplorationLimitError),
+    ],
+    ids=["clean", "kill", "raise", "all-dead", "limit"],
+)
+def test_no_shm_residue_on_any_exit_path(plan, max_states, raises):
+    before = _shm_segments()
+    kwargs = dict(
+        n_workers=2, max_states=max_states, batch_size=8,
+        poll_interval=0.05,
+        faults=FaultPlan.parse(plan) if plan else None,
     )
-    assert stats.states == 4
-    # Jackal models pick up their codec automatically
-    model = JackalModel(
-        Config(threads_per_processor=(2,), rounds=1, with_probes=False)
-    )
-    lts, _stats = distributed_explore(
-        model, n_workers=2, backend="inline", collect=True
-    )
-    exact = explore(model)
-    assert lts.n_states == exact.n_states
-    assert minimize_strong(lts) == minimize_strong(exact)
+    if raises is None:
+        _lts, stats = distributed_explore(Diamond(24), **kwargs)
+        assert stats.states == explore(Diamond(24)).n_states
+    else:
+        with pytest.raises(raises):
+            distributed_explore(Diamond(60), **kwargs)
+    assert _shm_segments() == before
+
+
+@pytest.mark.slow
+def test_failed_worker_start_releases_rings_and_stops_started_workers(
+    monkeypatch,
+):
+    """Regression: the rings and the first workers used to be created
+    outside the sweep's ``finally``, so an ``OSError`` from ``fork`` on
+    a later worker leaked every segment and left the started workers
+    spinning in their idle loop."""
+    ctx = mp.get_context("fork")
+    real_start = ctx.Process.start
+    started = []
+
+    def start(self):
+        if started:
+            raise OSError("fork: resource temporarily unavailable")
+        real_start(self)
+        started.append(self)
+
+    monkeypatch.setattr(ctx.Process, "start", start)
+    before = _shm_segments()
+    with pytest.raises(OSError, match="fork"):
+        distributed_explore(Diamond(8), n_workers=3)
+    assert len(started) == 1
+    assert not started[0].is_alive()
+    assert _shm_segments() == before

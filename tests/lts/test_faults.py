@@ -16,22 +16,7 @@ from repro.lts.distributed import distributed_explore
 from repro.lts.explore import explore
 from repro.lts.faults import FaultPlan, WorkerFault
 from repro.lts.reduction import minimize_strong
-
-
-class Diamond:
-    """A diamond lattice of given width — branches recombine."""
-
-    def __init__(self, width=5):
-        self.width = width
-
-    def initial_state(self):
-        return (0, 0)
-
-    def successors(self, s):
-        level, pos = s
-        if level >= self.width:
-            return []
-        return [("l", (level + 1, pos)), ("r", (level + 1, pos + 1))]
+from tests.lts.systems import Diamond, jackal
 
 
 # -- FaultPlan parsing ------------------------------------------------------
@@ -64,53 +49,14 @@ def test_fault_plan_parse_rejects_garbage(bad):
         FaultPlan.parse(bad)
 
 
-def test_faults_require_process_backend():
-    with pytest.raises(ValueError):
-        distributed_explore(
-            Diamond(4), backend="inline", faults=FaultPlan.parse("kill:0@0")
-        )
-
-
 def test_bad_poll_and_batch_arguments():
     with pytest.raises(ValueError):
-        distributed_explore(Diamond(4), backend="inline", poll_interval=0.0)
+        distributed_explore(Diamond(4), poll_interval=0.0)
     with pytest.raises(ValueError):
-        distributed_explore(Diamond(4), backend="inline", batch_size=0)
+        distributed_explore(Diamond(4), batch_size=0)
 
 
 # -- the compact acknowledged-key ledger ------------------------------------
-
-
-def test_ack_ledger_packs_ints_and_rewidens():
-    from repro.lts.distributed import _AckLedger
-
-    led = _AckLedger()
-    led.add([1, 255])                       # fits in one byte
-    led.add([2**72 + 1, 7])                 # forces a re-widening
-    led.add([0, 255, 2**31])
-    assert led.to_set() == {1, 255, 2**72 + 1, 7, 0, 2**31}
-    led.clear()
-    assert led.to_set() == set()
-
-
-def test_ack_ledger_seeded_width_avoids_midsweep_rewiden():
-    """Regression: the ledger used to start at width 1, so the first
-    real packed key triggered an O(buffer) pure-Python ``_rewiden``
-    mid-sweep. Seeded with the codec's byte width, ordinary keys append
-    at the seeded width from the first batch on."""
-    from repro.lts.distributed import _AckLedger
-
-    led = _AckLedger(width=4)
-    led.add([1, 2**31 - 1])                 # both fit the seeded width
-    assert led._width == 4                  # no narrowing, no widening
-    assert len(led._buf) == 8
-    assert led.to_set() == {1, 2**31 - 1}
-    # a larger key still widens in place, exactly once
-    led.add([2**40])
-    assert led._width == 6
-    assert led.to_set() == {1, 2**31 - 1, 2**40}
-    with pytest.raises(ValueError):
-        _AckLedger(width=0)
 
 
 def test_ack_ledger_add_bytes_matches_codec_wire_format():
@@ -118,31 +64,14 @@ def test_ack_ledger_add_bytes_matches_codec_wire_format():
     from repro.lts.shmring import pack_keys
 
     led = _AckLedger(width=4)
-    led.add_bytes(pack_keys([5, 1 << 24], 4), 4)  # straight append
-    assert led.to_set() == {5, 1 << 24}
-    led.add_bytes(pack_keys([1 << 40], 6), 6)     # wider block rewidens
-    assert led._width == 6
-    assert led.to_set() == {5, 1 << 24, 1 << 40}
-    led.add_bytes(pack_keys([7], 2), 2)           # narrower re-packs
-    assert led.to_set() == {5, 1 << 24, 1 << 40, 7}
-
-
-def test_ack_ledger_falls_back_to_sets_for_tuples():
-    from repro.lts.distributed import _AckLedger
-
-    led = _AckLedger()
-    led.add([3, 9])                         # packed...
-    led.add([(0, 1), (2, 3)])               # ...then tuple states arrive
-    led.add([(0, 1), 11])
-    assert led.to_set() == {3, 9, (0, 1), (2, 3), 11}
-
-
-def test_ack_ledger_handles_negative_ints_via_set_mode():
-    from repro.lts.distributed import _AckLedger
-
-    led = _AckLedger()
-    led.add([5, -3, 8])                     # negatives force set mode
-    assert led.to_set() == {5, -3, 8}
+    led.add_bytes(pack_keys([5, 1 << 24], 4))     # straight append
+    led.add_bytes(pack_keys([7, 5], 4))
+    assert led.nbytes == 16
+    assert led.to_set() == {5, 1 << 24, 7}
+    led.clear()
+    assert led.to_set() == set()
+    with pytest.raises(ValueError):
+        _AckLedger(width=0)
 
 
 # -- crash recovery ---------------------------------------------------------
@@ -153,7 +82,7 @@ def test_kill_one_worker_recovers_exact_counts():
     sys_ = Diamond(24)
     exact = explore(sys_)
     _lts, stats = distributed_explore(
-        sys_, n_workers=2, backend="process",
+        sys_, n_workers=2,
         faults=FaultPlan.parse("kill:0@2"),
         batch_size=8, poll_interval=0.05,
     )
@@ -182,7 +111,7 @@ def test_two_kills_at_different_times_recover_exact_counts():
     sys_ = Diamond(26)
     exact = explore(sys_)
     _lts, stats = distributed_explore(
-        sys_, n_workers=4, backend="process",
+        sys_, n_workers=4,
         faults=FaultPlan.parse("kill:0@1,kill:1@6"),
         batch_size=4, poll_interval=0.05,
     )
@@ -199,7 +128,7 @@ def test_kill_with_collect_builds_equivalent_lts():
     sys_ = Diamond(12)
     exact = explore(sys_)
     lts, stats = distributed_explore(
-        sys_, n_workers=3, backend="process", collect=True,
+        sys_, n_workers=3, collect=True,
         faults=FaultPlan.parse("kill:1@1"),
         batch_size=4, poll_interval=0.05,
     )
@@ -214,7 +143,7 @@ def test_raise_in_successors_recovers():
     sys_ = Diamond(20)
     exact = explore(sys_)
     _lts, stats = distributed_explore(
-        sys_, n_workers=2, backend="process",
+        sys_, n_workers=2,
         faults=FaultPlan.parse("raise:1@1"),
         batch_size=8, poll_interval=0.05,
     )
@@ -229,7 +158,7 @@ def test_delay_injection_exercises_poll_without_deaths():
     sys_ = Diamond(10)
     exact = explore(sys_)
     _lts, stats = distributed_explore(
-        sys_, n_workers=2, backend="process",
+        sys_, n_workers=2,
         faults=FaultPlan.parse("delay:0@0.03"),
         batch_size=16, poll_interval=0.01,
     )
@@ -240,16 +169,19 @@ def test_delay_injection_exercises_poll_without_deaths():
 
 @pytest.mark.slow
 def test_kill_recovery_on_jackal_model_packed_keys():
-    from repro.jackal import Config, JackalModel
+    """Recovery on real packed keys, under a reduction certificate: the
+    re-routed keys are orbit-canonical ones and must still be counted
+    exactly once."""
+    from repro.jackal.params import ProtocolVariant
+    from repro.staticcheck.symmetry import certify
 
-    model = JackalModel(
-        Config(threads_per_processor=(1, 1), rounds=1, with_probes=False)
-    )
-    exact = explore(model)
+    model = jackal()
+    cert, _findings = certify(model.config, ProtocolVariant.fixed())
+    exact = explore(model, certificate=cert)
     _lts, stats = distributed_explore(
-        model, n_workers=2, backend="process",
+        model, n_workers=2, certificate=cert,
         faults=FaultPlan.parse("kill:1@2"),
-        batch_size=64, poll_interval=0.05,
+        batch_size=32, poll_interval=0.05,
     )
     assert stats.states == exact.n_states
     assert stats.transitions == exact.n_transitions
@@ -266,7 +198,7 @@ def test_all_workers_dead_raises_within_bounded_time():
     t0 = time.monotonic()
     with pytest.raises(WorkerFailureError) as ei:
         distributed_explore(
-            Diamond(30), n_workers=2, backend="process",
+            Diamond(30), n_workers=2,
             faults=FaultPlan.parse("kill:0@0,kill:1@0"),
             batch_size=8, poll_interval=0.05,
         )
@@ -281,43 +213,11 @@ def test_all_workers_dead_raises_within_bounded_time():
 
 
 @pytest.mark.slow
-def test_fault_tolerant_false_fails_fast_instead_of_recovering():
-    """Opting out of the recovery ledger turns a crash into a clean,
-    bounded-time failure (never a hang, never a silent overcount)."""
-    t0 = time.monotonic()
-    with pytest.raises(WorkerFailureError) as ei:
-        distributed_explore(
-            Diamond(30), n_workers=2, backend="process",
-            faults=FaultPlan.parse("kill:0@1"),
-            batch_size=8, poll_interval=0.05, fault_tolerant=False,
-        )
-    assert time.monotonic() - t0 < 10.0
-    stats = ei.value.stats
-    assert stats is not None
-    assert stats.worker_deaths == 1
-    assert not stats.recovered
-    assert stats.seconds > 0.0
-
-
-@pytest.mark.slow
-def test_fault_tolerant_false_fault_free_sweep_is_exact():
-    sys_ = Diamond(12)
-    exact = explore(sys_)
-    _lts, stats = distributed_explore(
-        sys_, n_workers=2, backend="process", fault_tolerant=False,
-        batch_size=8,
-    )
-    assert stats.states == exact.n_states
-    assert stats.transitions == exact.n_transitions
-    assert stats.worker_deaths == 0
-
-
-@pytest.mark.slow
 def test_limit_raises_cleanly_with_dead_worker():
     t0 = time.monotonic()
     with pytest.raises(ExplorationLimitError) as ei:
         distributed_explore(
-            Diamond(80), n_workers=2, backend="process",
+            Diamond(80), n_workers=2,
             faults=FaultPlan.parse("kill:0@1"), max_states=150,
             batch_size=8, poll_interval=0.05,
         )

@@ -1,19 +1,21 @@
-"""Tests for the shared-memory ring transport.
+"""Tests for the shared-memory ring data plane.
 
 Three layers: the SPSC ring primitive and the key packing helpers
 (:mod:`repro.lts.shmring`), the adaptive quantum controller, and the
-full shm-transport sweep — which must explore exactly the same LTS as
-the queue transport and the serial reference, with and without injected
-worker faults, because a transport that changes counts is not a
-transport but a bug.
+full sweep over the rings on Jackal models — which must explore exactly
+the same LTS as the serial reference, with and without injected worker
+faults, because a transport that changes counts is not a transport but
+a bug.
 """
+
+import multiprocessing as mp
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.jackal import Config, JackalModel
-from repro.lts.distributed import _coalesce, _take_chunk, distributed_explore
+from repro.errors import ReproError
+from repro.lts.distributed import distributed_explore
 from repro.lts.explore import explore
 from repro.lts.faults import FaultPlan
 from repro.lts.reduction import minimize_strong
@@ -24,28 +26,7 @@ from repro.lts.shmring import (
     unpack_keys,
 )
 from repro.lts.statehash import key_owner
-
-
-class Diamond:
-    """A diamond lattice of given width — branches recombine."""
-
-    def __init__(self, width=5):
-        self.width = width
-
-    def initial_state(self):
-        return (0, 0)
-
-    def successors(self, s):
-        level, pos = s
-        if level >= self.width:
-            return []
-        return [("l", (level + 1, pos)), ("r", (level + 1, pos + 1))]
-
-
-def _jackal(tpp):
-    return JackalModel(
-        Config(threads_per_processor=tpp, rounds=1, with_probes=False)
-    )
+from tests.lts.systems import Diamond, jackal
 
 
 # -- RingBuffer -------------------------------------------------------------
@@ -202,95 +183,28 @@ def test_worker_inlined_owner_mix_matches_key_owner():
             assert inlined == key_owner(key, n_workers)
 
 
-# -- dispatch-queue helpers (regression: O(n) list ops) ---------------------
-
-
-def test_coalesce_merges_and_take_chunk_splits():
-    from collections import deque
-
-    q: deque = deque()
-    _coalesce(q, 0, [1, 2], batch_size=4)
-    _coalesce(q, 0, [3], batch_size=4)          # merges into the tail
-    assert list(q) == [(0, [1, 2, 3])]
-    _coalesce(q, 1, [4], batch_size=4)          # new depth: new entry
-    _coalesce(q, 1, [5, 6, 7, 8], batch_size=4)
-    _coalesce(q, 1, [9], batch_size=4)          # tail full: new entry
-    assert len(q) == 3
-    depth, chunk = _take_chunk(q, 2)
-    assert depth == 0 and chunk == [2, 3]       # oversize head splits
-    depth, chunk = _take_chunk(q, 2)
-    assert depth == 0 and chunk == [1]
-    seen = []
-    while q:
-        depth, chunk = _take_chunk(q, 100)
-        seen.append((depth, chunk))
-    assert seen == [(1, [4, 5, 6, 7, 8]), (1, [9])]
-
-
-def test_dispatch_queue_is_not_quadratic_on_wide_frontiers():
-    # regression for the old list-based pending queue: `queue[-1][1] +
-    # bucket` rebuilt the tail per merge and `queue.pop(0)` copied the
-    # remainder per dispatch — O(n^2) over a wide frontier. The deque +
-    # in-place-extend version drains 200k items in linear time; the old
-    # shape took multiple seconds on this workload.
-    import time
-    from collections import deque
-
-    q: deque = deque()
-    t0 = time.perf_counter()
-    for i in range(2000):
-        _coalesce(q, 0, list(range(100)), batch_size=256)
-    drained = 0
-    while q:
-        _depth, chunk = _take_chunk(q, 256)
-        drained += len(chunk)
-    elapsed = time.perf_counter() - t0
-    assert drained == 200_000
-    assert elapsed < 1.0, f"dispatch drain took {elapsed:.2f}s"
-
-
-# -- backend equivalence: shm vs queue vs serial ----------------------------
+# -- backend equivalence: rings vs serial ------------------------------------
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("transport", ["queue", "shm"])
-def test_transport_matches_serial_on_jackal_config1(transport):
-    model = _jackal((1, 1))
+def test_matches_serial_on_jackal_config2():
+    model = jackal((2, 1))
     exact = explore(model)
-    _lts, stats = distributed_explore(
-        model, n_workers=2, backend="process", transport=transport,
-        batch_size=64,
+    _lts, stats = distributed_explore(model, n_workers=2)
+    assert (stats.states, stats.transitions, stats.deadlocks) == (
+        exact.n_states,
+        exact.n_transitions,
+        len(exact.deadlock_states()),
     )
-    assert stats.transport == transport
-    assert stats.states == exact.n_states
-    assert stats.transitions == exact.n_transitions
-    assert stats.deadlocks == len(exact.deadlock_states())
     assert sum(stats.per_worker_states) == stats.states
-
-
-@pytest.mark.slow
-def test_transports_match_serial_on_jackal_config2():
-    model = _jackal((2, 1))
-    exact = explore(model)
-    for transport in ("queue", "shm"):
-        _lts, stats = distributed_explore(
-            model, n_workers=2, backend="process", transport=transport,
-        )
-        assert (stats.states, stats.transitions, stats.deadlocks) == (
-            exact.n_states,
-            exact.n_transitions,
-            len(exact.deadlock_states()),
-        )
 
 
 @pytest.mark.slow
 def test_shm_single_worker_matches_serial():
     # the machine-sized pool on a single-CPU host: one pipelined worker
-    model = _jackal((1, 1))
+    model = jackal()
     exact = explore(model)
-    _lts, stats = distributed_explore(
-        model, n_workers=1, backend="process", transport="shm",
-    )
+    _lts, stats = distributed_explore(model, n_workers=1)
     assert stats.states == exact.n_states
     assert stats.transitions == exact.n_transitions
     assert stats.deadlocks == len(exact.deadlock_states())
@@ -298,11 +212,10 @@ def test_shm_single_worker_matches_serial():
 
 @pytest.mark.slow
 def test_shm_collect_builds_equivalent_lts():
-    model = _jackal((1, 1))
+    model = jackal()
     exact = explore(model)
     lts, _stats = distributed_explore(
-        model, n_workers=2, backend="process", transport="shm",
-        collect=True, batch_size=64,
+        model, n_workers=2, collect=True, batch_size=64
     )
     assert lts.n_states == exact.n_states
     assert lts.n_transitions == exact.n_transitions
@@ -312,37 +225,29 @@ def test_shm_collect_builds_equivalent_lts():
 
 @pytest.mark.slow
 def test_shm_spawn_time_reported_separately():
-    model = _jackal((1, 1))
-    _lts, stats = distributed_explore(
-        model, n_workers=2, backend="process", transport="shm",
-    )
+    model = jackal()
+    _lts, stats = distributed_explore(model, n_workers=2)
     assert stats.spawn_s > 0.0
     assert stats.spawn_s < stats.seconds
 
 
-def test_transport_validation():
-    with pytest.raises(ValueError):
-        distributed_explore(Diamond(3), transport="carrier-pigeon")
-    # shm ships packed codec keys: a codec-less system must be refused
-    with pytest.raises(ValueError):
-        distributed_explore(Diamond(3), transport="shm")
-    # ... and auto falls back to the queue transport for it
-    _lts, stats = distributed_explore(
-        Diamond(3), n_workers=2, backend="inline"
-    )
-    assert stats.states == explore(Diamond(3)).n_states
+def test_transport_validation(monkeypatch):
+    # workers inherit the mapped rings through fork: a platform without
+    # that start method is refused up front, naming the backend to use
+    monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
+    with pytest.raises(ReproError, match="explore_fast"):
+        distributed_explore(Diamond(3), n_workers=2)
 
 
-# -- fault injection over the shm transport ---------------------------------
+# -- fault injection over the rings -----------------------------------------
 
 
 @pytest.mark.slow
 def test_shm_kill_recovers_exact_counts():
-    model = _jackal((1, 1))
+    model = jackal()
     exact = explore(model)
     _lts, stats = distributed_explore(
-        model, n_workers=2, backend="process", transport="shm",
-        faults=FaultPlan.parse("kill:1@2"),
+        model, n_workers=2, faults=FaultPlan.parse("kill:1@2"),
         batch_size=32, poll_interval=0.05,
     )
     assert stats.states == exact.n_states
@@ -354,11 +259,10 @@ def test_shm_kill_recovers_exact_counts():
 
 @pytest.mark.slow
 def test_shm_raise_recovers_exact_counts():
-    model = _jackal((1, 1))
+    model = jackal()
     exact = explore(model)
     _lts, stats = distributed_explore(
-        model, n_workers=2, backend="process", transport="shm",
-        faults=FaultPlan.parse("raise:0@2"),
+        model, n_workers=2, faults=FaultPlan.parse("raise:0@2"),
         batch_size=32, poll_interval=0.05,
     )
     assert stats.states == exact.n_states
@@ -369,11 +273,10 @@ def test_shm_raise_recovers_exact_counts():
 
 @pytest.mark.slow
 def test_shm_delay_injection_no_deaths():
-    model = _jackal((1, 1))
+    model = jackal()
     exact = explore(model)
     _lts, stats = distributed_explore(
-        model, n_workers=2, backend="process", transport="shm",
-        faults=FaultPlan.parse("delay:0@0.02"),
+        model, n_workers=2, faults=FaultPlan.parse("delay:0@0.02"),
         batch_size=64, poll_interval=0.05,
     )
     assert stats.states == exact.n_states

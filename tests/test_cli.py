@@ -496,7 +496,7 @@ def test_explore_distributed_trace_dir_and_merged_report(tmp_path, capsys):
     td = tmp_path / "td"
     code = main([
         "explore", "--config", "1", "--distributed", "--workers", "2",
-        "--transport", "shm", "--trace-dir", str(td),
+        "--trace-dir", str(td),
     ])
     captured = capsys.readouterr()
     assert code == 0
