@@ -8,10 +8,10 @@ Regenerates the state/transition growth series along both axes
 system) and asserts the super-linear growth the paper reports.
 
 Also benchmarks the exploration engine against the seed serial
-explorer (``test_engine_speedup``): the engine must clear 2x the
-serial states/sec on the same configuration while producing the
-identical LTS, and the full cross-backend report is written to
-``BENCH_explore.json``.
+explorer (``test_engine_speedup``): on a model large enough to be above
+timer noise the engine, sweeping through the frontier kernel, must
+clear 4x the serial states/sec while producing the identical LTS, and
+the report is written to ``BENCH_explore.json``.
 """
 
 import dataclasses
@@ -78,28 +78,27 @@ def test_growth_in_threads(once):
 
 @pytest.mark.benchmark(group="scaling")
 def test_engine_speedup(once):
-    """The exploration engine clears 2x the seed serial explorer.
+    """The exploration engine clears 4x the seed serial explorer.
 
-    Timings are min-of-3 with a warm-up pass on both sides, the
-    standard guard against scheduler noise; the serial and engine runs
-    are interleaved so background load hits both equally. Counts are
+    Configuration 2 at two rounds (201,575 states): the engine's sweep
+    is then several tenths of a second, not the 10-200 ms of a
+    one-round model where per-level fixed costs and timer noise decide
+    the ratio. Measured here: engine 0.6-0.9 s against 7-8 s serial
+    (8-12x); the one-state-at-a-time loop the kernel replaced read
+    2.5-3.5x, so the floor tells the two apart. Timings are min-of-2
+    with a warm-up pass on both sides; the serial and engine runs are
+    interleaved so background load hits both equally. Counts are
     cross-checked by :func:`bench_explore` (it raises on any backend
-    disagreement), and the full report lands in ``BENCH_explore.json``.
+    disagreement), and the report lands in ``BENCH_explore.json``.
     """
-    cfg = Config(
-        threads_per_processor=(1, 1, 1), rounds=1, with_probes=False
-    )
+    cfg = Config(threads_per_processor=(2, 1), rounds=2, with_probes=False)
     model = JackalModel(cfg, ProtocolVariant.fixed())
 
     def run():
-        explore(model)  # warm both paths before timing
-        explore_fast(model)
-        return bench_explore(
-            model,
-            backends=("serial", "engine", "engine-packed", "distributed"),
-            n_workers=2,
-            repeats=3,
-        )
+        explore_fast(model)  # builds the kernel; serial needs no warm-up
+        # the partitioned backend needs ~30 s a run at this size and has
+        # its own gates (`repro bench --min-dist-speedup`, the CI smoke)
+        return bench_explore(model, backends=("serial", "engine"), repeats=2)
 
     report = once(run)
     report["config"] = cfg.describe()
@@ -108,12 +107,12 @@ def test_engine_speedup(once):
     print()
     print(format_bench(report))
     print(f"written: {out.resolve()}")
-    assert report["system"]["states"] == 9312
-    assert report["system"]["transitions"] == 25713
-    assert report["speedup"]["engine"] >= 2.0
+    assert report["system"]["states"] == 201_575
+    assert report["system"]["transitions"] == 623_117
+    assert report["speedup"]["engine"] >= 4.0
     # the shipped BENCH_explore.json must carry memory telemetry for
-    # every tier: RSS watermark plus the bounded watermark series
-    for name in ("serial", "engine", "distributed"):
+    # every tier it ran: RSS watermark plus the bounded watermark series
+    for name in ("serial", "engine"):
         row = report["backends"][name]
         assert row["max_rss_bytes"] > 0, name
         assert row["mem"]["watermarks"], name
@@ -174,6 +173,16 @@ def test_max_rss_gate(once):
 
 
 # -- flight-recorder overhead gate ------------------------------------------
+
+
+class _ScalarOnly:
+    """The model minus its frontier kernel, so that ``explore_fast``
+    takes the one-state-at-a-time loop the gate below guards."""
+
+    def __init__(self, model):
+        self.initial_state = model.initial_state
+        self.successors = model.successors
+        self.successors_fast = model.successors_fast
 
 
 def _baseline_engine(system):
@@ -243,13 +252,15 @@ def _baseline_engine(system):
 
 @pytest.mark.benchmark(group="scaling")
 def test_instrumentation_disabled_overhead(once):
-    """Disabled instrumentation costs <= 3% on the engine's tight loop.
+    """Disabled instrumentation costs <= 3% on the engine's scalar loop.
 
     The flight recorder's contract: when nothing is recording, the
     engine must run within 3% of the frozen pre-instrumentation loop
-    above. Interleaved min-of-5 timings absorb scheduler noise; the
-    comparison is retried up to 3 times before failing so one noisy
-    round cannot flake the gate.
+    above. Both sides sweep the kernel-less shim: the scalar loop is
+    what a :class:`~repro.lts.certreduce.ReducedSystem` still runs,
+    and the loop the frozen copy is a copy of. Interleaved min-of-5
+    timings absorb scheduler noise; the comparison is retried up to 3
+    times before failing so one noisy round cannot flake the gate.
     """
     import math
     import time
@@ -257,7 +268,7 @@ def test_instrumentation_disabled_overhead(once):
     cfg = Config(
         threads_per_processor=(1, 1, 1), rounds=1, with_probes=False
     )
-    model = JackalModel(cfg, ProtocolVariant.fixed())
+    model = _ScalarOnly(JackalModel(cfg, ProtocolVariant.fixed()))
 
     def measure():
         _baseline_engine(model)  # warm both paths before timing

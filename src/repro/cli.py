@@ -556,7 +556,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_model_args(p)
     p.add_argument(
         "--backends",
-        default="serial,engine,engine-packed,distributed",
+        default="serial,engine,distributed",
         help="comma-separated backends (serial is always run)",
     )
     p.add_argument("--workers", type=int, default=None,

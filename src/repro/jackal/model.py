@@ -859,6 +859,17 @@ class JackalModel:
             codec = self._codec = StateCodec(self)
         return codec
 
+    def kernel(self):
+        """The :class:`~repro.jackal.kernel.FrontierKernel` of this model
+        — the same relation over packed rows, a whole BFS level per
+        call (built on first use, then cached)."""
+        kernel = getattr(self, "_kernel", None)
+        if kernel is None:
+            from repro.jackal.kernel import FrontierKernel
+
+            kernel = self._kernel = FrontierKernel(self)
+        return kernel
+
     # -- threads -----------------------------------------------------------------
 
     def _thread_moves(self, state, out) -> None:

@@ -2,8 +2,7 @@
 
 One entry point, :func:`bench_explore`, runs the same transition system
 through the exploration backends — the reference serial explorer, the
-fast engine (tuple-keyed and packed), and the partitioned backend — and
-cross-checks that every path reports identical state, transition and
+fast engine, and the partitioned backend — and cross-checks that every path reports identical state, transition and
 deadlock counts before any throughput number is reported. A benchmark
 that silently explores a different LTS is worse than no benchmark.
 
@@ -71,7 +70,7 @@ from repro.obs import (
 )
 
 #: backends in report order
-BACKENDS = ("serial", "engine", "engine-packed", "distributed")
+BACKENDS = ("serial", "engine", "distributed")
 
 #: states explored by the untimed distributed warm-up pass
 _WARMUP_STATES = 4096
@@ -161,11 +160,6 @@ def bench_explore(
     runs = [("serial", lambda s: explore(system, stats=s))]
     if "engine" in backends:
         runs.append(("engine", lambda s: explore_fast(system, stats=s)))
-    if "engine-packed" in backends and getattr(system, "codec", None):
-        runs.append(
-            ("engine-packed",
-             lambda s: explore_fast(system, stats=s, packed=True))
-        )
     best: dict = {}
     results: dict = {}
     best_dist = None
@@ -307,12 +301,7 @@ def bench_explore(
                          memwatch=mw_engine) as inst:
         explore_fast(system, obs=inst)
     report["phases"] = phase_breakdown(tracer.events())
-    engine_name = next(
-        (n for n in ("engine", "engine-packed") if n in report["backends"]),
-        None,
-    )
-    if engine_name is not None:
-        _note_mem(engine_name, mw_engine)
+    _note_mem("engine", mw_engine)
     # one instrumented serial pass for its watermark series (the serial
     # reference is the out-of-core tier's memory baseline)
     mw_serial = MemWatch()

@@ -144,6 +144,10 @@ class ReducedSystem:
     def codec(self):
         return self._codec
 
+    #: no frontier kernel: ``__getattr__`` would otherwise hand the
+    #: engine the wrapped model's, which knows nothing of the reduction
+    kernel = None
+
     def initial_state(self):
         init = self.system.initial_state()
         if self._project is not None:

@@ -4,13 +4,23 @@ The drop-in successor of :func:`repro.lts.explore.explore` for
 performance-critical generation. Same breadth-first order, same LTS,
 same limit semantics — but engineered for throughput:
 
-* **fast successor path** — a system exposing ``successors_fast``
-  (e.g. :class:`~repro.jackal.model.JackalModel`) is expanded through
-  it; the readable reference relation stays the specification.
+* **frontier kernel** — a system offering ``kernel()`` (e.g.
+  :class:`~repro.jackal.model.JackalModel`) is swept a whole BFS level
+  at a time: the kernel expands the level's packed rows into candidate
+  rows in ``successors`` order, the visited index keys on the row
+  bytes, the next frontier and the kept states stay rows, and
+  ``state_meta`` decodes them on access (:class:`RowStates`). Which
+  loop runs is a property of the system — it has a kernel or it does
+  not — never of an option or a size.
+* **fast successor path** — a kernel-less system exposing
+  ``successors_fast`` (e.g.
+  :class:`~repro.lts.certreduce.ReducedSystem`) is expanded through
+  it, one state at a time; the readable reference relation stays the
+  specification.
 * **one hash per discovery** — the visited index is probed with
-  ``dict.setdefault`` instead of a get/store pair, and the frontier
-  carries ``(index, state)`` pairs so expansion never re-hashes a
-  state it already numbered.
+  ``dict.setdefault`` instead of a get/store pair, and the scalar
+  frontier carries ``(index, state)`` pairs so expansion never
+  re-hashes a state it already numbered.
 * **label interning once per label** — labels are interned into a
   local table as they appear instead of per-transition method calls
   into the LTS.
@@ -19,11 +29,6 @@ same limit semantics — but engineered for throughput:
   :meth:`repro.lts.lts.LTS.from_columns`, skipping the per-call
   bookkeeping (state growth, cache invalidation) of
   ``add_transition``.
-* **packed visited set** — with ``packed=True`` the visited index keys
-  on the :class:`~repro.jackal.codec.StateCodec` integer instead of
-  the state tuple tree, cutting resident memory per visited state by
-  roughly an order of magnitude (one small int vs a nested tuple
-  graph) at the price of an encode per discovered successor.
 """
 
 from __future__ import annotations
@@ -32,7 +37,10 @@ import gc
 import sys
 import time
 from array import array
-from typing import Callable, Hashable
+from collections.abc import Mapping
+from typing import Callable
+
+import numpy as np
 
 from repro.errors import ExplorationLimitError
 from repro.lts.explore import ExplorationStats, TransitionSystem
@@ -40,9 +48,38 @@ from repro.lts.lts import LTS
 from repro.obs.core import current as _current_obs
 
 
-def _codec_for(system):
-    factory = getattr(system, "codec", None)
-    return None if factory is None else factory()
+class RowStates(Mapping):
+    """Read-only ``state id -> model state`` over a kernel sweep's rows.
+
+    A packed row is a fraction of the tuple tree it stands for, and most
+    consumers read a handful of states (Requirement 1: the terminal
+    ones), so states are decoded when asked for. :meth:`values` and
+    :meth:`items` decode everything in bulk — a snapshot list, not a
+    view, at a fraction of the per-row cost.
+    """
+
+    def __init__(self, kernel, rows: np.ndarray):
+        self._kernel = kernel
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self):
+        return iter(range(len(self._rows)))
+
+    def __getitem__(self, idx):
+        if not (
+            isinstance(idx, (int, np.integer)) and 0 <= idx < len(self._rows)
+        ):
+            raise KeyError(idx)
+        return self._kernel.unpack(self._rows[idx:idx + 1])[0]
+
+    def values(self) -> list:  # type: ignore[override]
+        return self._kernel.unpack(self._rows)
+
+    def items(self) -> list:  # type: ignore[override]
+        return list(enumerate(self.values()))
 
 
 def explore_fast(
@@ -53,28 +90,18 @@ def explore_fast(
     keep_states: bool = False,
     on_level: Callable[[int, int], None] | None = None,
     stats: ExplorationStats | None = None,
-    packed: bool = False,
-    codec=None,
     certificate=None,
     obs=None,
 ) -> LTS:
     """Generate the reachable LTS of ``system`` by breadth-first search.
 
-    Accepts everything :func:`repro.lts.explore.explore` accepts (and
+    Accepts everything :func:`repro.lts.explore.explore` accepts and
     matches its semantics — state numbering, depth bounding, the
-    partial LTS attached to :class:`ExplorationLimitError`), plus:
+    partial LTS attached to :class:`ExplorationLimitError` — whichever
+    loop the system gets (see the module notes).
 
     Parameters
     ----------
-    packed:
-        Key the visited index on packed codec integers instead of the
-        states themselves (requires the system to provide a codec, as
-        :class:`~repro.jackal.model.JackalModel` does, or an explicit
-        ``codec``). Roughly an order of magnitude less visited-set
-        memory; slightly slower per state.
-    codec:
-        Codec overriding the system-provided one; must expose
-        ``encode``/``decode``.
     certificate:
         Optional :class:`~repro.staticcheck.certificates.ReductionCertificate`.
         When given, the sweep runs on a certificate-validated
@@ -106,48 +133,120 @@ def explore_fast(
         # object on .stats) then reports complete timing
         stats = ExplorationStats()
     t0 = time.perf_counter()
-    if packed and codec is None:
-        codec = _codec_for(system)
-        if codec is None:
-            raise ValueError(
-                "packed exploration needs a codec (system.codec() or codec=)"
-            )
-    encode = codec.encode if (packed and codec is not None) else None
 
-    succ = getattr(system, "successors_fast", None) or system.successors
+    kernel = getattr(system, "kernel", None)
     succ_seconds = [0.0]
-    if recording:
-        # successor generation on its own clock, so waves can split
-        # succ time from dedup/bookkeeping time (enabled runs only)
-        timed_succ = succ
-        acc = succ_seconds
-
-        def succ(state):  # noqa: F811 - instrumented wrapper
-            t = time.perf_counter()
-            out = timed_succ(state)
-            acc[0] += time.perf_counter() - t
-            return out
 
     init = system.initial_state()
-    index: dict = {init if encode is None else encode(init): 0}
+    index: dict = {}
     n = 1
     state_meta: dict[int, object] = {}
-    if keep_states:
-        state_meta[0] = init
 
     src = array("i")
     lbl = array("i")
     dst = array("i")
-    src_append = src.append
-    lbl_append = lbl.append
-    dst_append = dst.append
     labels: list[str] = []
-    labels_append = labels.append
-    lmap: dict[str, int] = {}
-    lmap_get = lmap.get
-    index_setdefault = index.setdefault
 
-    frontier: list[tuple[int, Hashable]] = [(0, init)]
+    if kernel is None:
+        succ = getattr(system, "successors_fast", None) or system.successors
+        if recording:
+            # successor generation on its own clock, so waves can split
+            # succ time from dedup/bookkeeping time (enabled runs only)
+            timed_succ = succ
+            acc = succ_seconds
+
+            def succ(state):  # noqa: F811 - instrumented wrapper
+                t = time.perf_counter()
+                out = timed_succ(state)
+                acc[0] += time.perf_counter() - t
+                return out
+
+        index[init] = 0
+        lmap: dict[str, int] = {}
+        if keep_states:
+            state_meta[0] = init
+        frontier = [(0, init)]
+
+        def step(frontier):
+            """Expand ``[(id, state), ...]``; stops at the transition
+            that discovers state number ``max_states``."""
+            nonlocal n
+            count = n  # a local in the hot loop; written back on exit
+            index_setdefault = index.setdefault
+            src_append, lbl_append = src.append, lbl.append
+            dst_append = dst.append
+            lmap_get = lmap.get
+            nxt: list = []
+            nxt_append = nxt.append
+            for sidx, state in frontier:
+                for label, state2 in succ(state):
+                    didx = index_setdefault(state2, count)
+                    if didx == count:
+                        count += 1
+                        if keep_states:
+                            state_meta[didx] = state2
+                        nxt_append((didx, state2))
+                    lid = lmap_get(label)
+                    if lid is None:
+                        lid = lmap[label] = len(labels)
+                        labels.append(label)
+                    src_append(sidx)
+                    lbl_append(lid)
+                    dst_append(didx)
+                    if max_states is not None and count > max_states:
+                        n = count
+                        return nxt, True
+            n = count
+            return nxt, False
+
+    else:
+        kernel = kernel()
+        frontier = kernel.pack([init])
+        index[frontier.view(kernel.key_dtype).item()] = 0
+        # kernel label id -> LTS label id, in first-appearance order
+        kmap = np.full(len(kernel.labels), -1, dtype=np.int32)
+        kept = [frontier]
+
+        def step(frontier):
+            """Expand a level of packed rows; on a breach the columns are
+            cut after the transition that discovers state number
+            ``max_states``."""
+            nonlocal n
+            t = time.perf_counter()
+            cand, src_pos, lids = kernel.expand(frontier)
+            succ_seconds[0] += time.perf_counter() - t
+            first = n - len(frontier)  # the frontier was numbered last
+            keys = cand.view(kernel.key_dtype).ravel().tolist()
+            # first-appearance order, as the scalar loop numbers them
+            new = [key for key in dict.fromkeys(keys) if key not in index]
+            breached = max_states is not None and n + len(new) > max_states
+            if breached:
+                del new[max_states + 1 - n:]
+                cut = keys.index(new[-1]) + 1
+                del keys[cut:]
+                src_pos, lids = src_pos[:cut], lids[:cut]
+            index.update(zip(new, range(n, n + len(new))))
+            n += len(new)
+            ids = np.fromiter(
+                map(index.__getitem__, keys), dtype=np.int32, count=len(keys)
+            )
+            nxt = np.frombuffer(b"".join(new), dtype=np.uint64).reshape(
+                len(new), frontier.shape[1]
+            )
+            if keep_states:
+                kept.append(nxt)
+            lcol = kmap[lids]
+            if lcol.size and lcol.min() < 0:
+                unseen, at = np.unique(lids[lcol < 0], return_index=True)
+                for lid in unseen[np.argsort(at)].tolist():
+                    kmap[lid] = len(labels)
+                    labels.append(kernel.labels[lid])
+                lcol = kmap[lids]
+            src.frombytes((src_pos + first).astype(np.int32).tobytes())
+            lbl.frombytes(lcol.tobytes())
+            dst.frombytes(ids.tobytes())
+            return nxt, breached
+
     depth = 0
     level_sizes = [1]
     max_frontier = 1
@@ -161,7 +260,6 @@ def explore_fast(
         stats.level_sizes = level_sizes
 
     def _emit_end(outcome: str) -> None:
-        backend = "engine-packed" if encode is not None else "engine"
         reduction = (
             {
                 "canonical_hits": system.canonical_hits - red0[0],
@@ -174,7 +272,7 @@ def explore_fast(
         obs.memwatch.note("visited_index", sys.getsizeof(index))
         obs.memwatch.sample(force=True)
         obs.tracer.emit(
-            "sweep_end", backend=backend, outcome=outcome,
+            "sweep_end", backend="engine", outcome=outcome,
             states=stats.states, transitions=stats.transitions,
             seconds=round(stats.seconds, 6),
             states_per_second=round(stats.states_per_second(), 1),
@@ -184,13 +282,13 @@ def explore_fast(
             mem_pressure_events=obs.memwatch.pressure_events,
         )
         m = obs.metrics
-        m.counter("repro_sweeps_total", backend=backend, outcome=outcome).inc()
+        m.counter("repro_sweeps_total", backend="engine", outcome=outcome).inc()
         m.counter("repro_sweep_states_total").inc(stats.states)
         m.counter("repro_sweep_transitions_total").inc(stats.transitions)
-        m.gauge("repro_sweep_seconds", backend=backend).set(
+        m.gauge("repro_sweep_seconds", backend="engine").set(
             round(stats.seconds, 6)
         )
-        m.gauge("repro_sweep_states_per_second", backend=backend).set(
+        m.gauge("repro_sweep_states_per_second", backend="engine").set(
             round(stats.states_per_second(), 1)
         )
         if red0 is not None:
@@ -211,15 +309,16 @@ def explore_fast(
         out = LTS.from_columns(
             initial=0, n_states=n, src=src, lbl=lbl, dst=dst, labels=labels
         )
-        out.state_meta = state_meta
+        if kernel is not None and keep_states:
+            out.state_meta = RowStates(kernel, np.concatenate(kept))
+        else:
+            out.state_meta = state_meta
         return out
 
     if recording:
         obs.tracer.emit(
-            "sweep_start",
-            backend="engine-packed" if encode is not None else "engine",
+            "sweep_start", backend="engine",
             max_states=max_states, max_depth=max_depth,
-            packed=encode is not None,
         )
         obs.tracer.emit("gc_suspend")
     # nearly every allocation of the sweep stays alive in the visited
@@ -228,65 +327,26 @@ def explore_fast(
     gc_was_enabled = gc.isenabled()
     gc.disable()
     gc_t0 = time.perf_counter()
-    # the tight path drops the per-transition limit and codec branches
-    tight = max_states is None and encode is None and not keep_states
     try:
-        while frontier:
+        while len(frontier):
             if max_depth is not None and depth >= max_depth:
                 break
             wave_t0 = time.perf_counter()
             wave_succ0 = succ_seconds[0]
             wave_trans0 = len(src)
-            next_frontier: list[tuple[int, Hashable]] = []
-            nf_append = next_frontier.append
-            if tight:
-                for sidx, state in frontier:
-                    for label, nxt in succ(state):
-                        didx = index_setdefault(nxt, n)
-                        if didx == n:
-                            n += 1
-                            nf_append((didx, nxt))
-                        lid = lmap_get(label)
-                        if lid is None:
-                            lid = lmap[label] = len(labels)
-                            labels_append(label)
-                        src_append(sidx)
-                        lbl_append(lid)
-                        dst_append(didx)
-            else:
-                for sidx, state in frontier:
-                    for label, nxt in succ(state):
-                        didx = index_setdefault(
-                            nxt if encode is None else encode(nxt), n
-                        )
-                        if didx == n:
-                            n += 1
-                            if keep_states:
-                                state_meta[didx] = nxt
-                            nf_append((didx, nxt))
-                        lid = lmap_get(label)
-                        if lid is None:
-                            lid = lmap[label] = len(labels)
-                            labels_append(label)
-                        src_append(sidx)
-                        lbl_append(lid)
-                        dst_append(didx)
-                        if max_states is not None and n > max_states:
-                            max_frontier = max(
-                                max_frontier, len(next_frontier)
-                            )
-                            _finish_stats()
-                            if recording:
-                                _emit_end("limit")
-                            raise ExplorationLimitError(
-                                f"state limit {max_states} exceeded "
-                                f"at depth {depth}",
-                                partial=_partial_lts(),
-                                stats=stats,
-                            )
+            frontier, breached = step(frontier)
+            if breached:
+                max_frontier = max(max_frontier, len(frontier))
+                _finish_stats()
+                if recording:
+                    _emit_end("limit")
+                raise ExplorationLimitError(
+                    f"state limit {max_states} exceeded at depth {depth}",
+                    partial=_partial_lts(),
+                    stats=stats,
+                )
             depth += 1
-            frontier = next_frontier
-            if frontier:
+            if len(frontier):
                 level_sizes.append(len(frontier))
                 if len(frontier) > max_frontier:
                     max_frontier = len(frontier)

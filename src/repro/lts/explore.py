@@ -29,6 +29,25 @@ class TransitionSystem(Protocol):
     relation must be deterministic as a *function of the state* (calling
     it twice on the same state yields the same transitions), which every
     model in this package guarantees.
+
+    Two optional members let :func:`repro.lts.engine.explore_fast` go
+    faster without changing the LTS it builds (this explorer ignores
+    both; it is the reference they are tested against):
+
+    ``successors_fast(state)``
+        the same transitions in the same order as ``successors``,
+        returned as a list.
+    ``kernel()``
+        the same relation over packed states, a whole BFS level per
+        call — an object with ``pack(states) -> rows`` (one row of
+        ``uint64`` words per state, equal states giving equal bytes),
+        ``unpack(rows) -> states``, ``key_dtype`` (the ``numpy.void``
+        type of one row), ``labels`` (a list of strings) and
+        ``expand(rows) -> (succ_rows, src_pos, label_ids)``: every
+        transition ``rows[src_pos[i]] --labels[label_ids[i]]-->
+        succ_rows[i]``, sorted by ``src_pos`` and, per source, in
+        ``successors`` order. A system that must not be swept through
+        a kernel it would otherwise inherit sets ``kernel = None``.
     """
 
     def initial_state(self) -> Hashable:
@@ -128,8 +147,10 @@ def explore(
     init = system.initial_state()
     index: dict[Hashable, int] = {init: 0}
     lts.ensure_states(1)
+    state_meta: dict[int, Hashable] = {}
+    lts.state_meta = state_meta
     if keep_states:
-        lts.state_meta[0] = init
+        state_meta[0] = init
 
     frontier: list[Hashable] = [init]
     depth = 0
@@ -222,7 +243,7 @@ def explore(
                     index[nxt] = didx
                     lts.ensure_states(didx + 1)
                     if keep_states:
-                        lts.state_meta[didx] = nxt
+                        state_meta[didx] = nxt
                     next_frontier.append(nxt)
                     if max_states is not None and len(index) > max_states:
                         add_transition(sidx, label, didx)

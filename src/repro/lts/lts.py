@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import compress
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,8 +122,9 @@ class LTS:
         self._cols: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._fwd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._rev: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        #: optional per-state annotations (e.g. the decoded model state)
-        self.state_meta: dict[int, object] = {}
+        #: optional per-state annotations (e.g. the decoded model state);
+        #: a kernel sweep's is read-only and decodes on access
+        self.state_meta: Mapping[int, object] = {}
 
     # -- construction -------------------------------------------------
 

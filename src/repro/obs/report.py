@@ -5,8 +5,9 @@ trace.jsonl`` loads the JSONL events back and prints, per sweep, the
 depth waves, the per-phase timing breakdown (successor generation vs
 dedup vs transport), the distributed worker timeline (deaths,
 re-dispatches, fault injections), the derivation of the plain
-LTS from a probe sweep, and the mu-calculus fixpoint and
-requirement-check summaries.
+LTS from a probe sweep, the mu-calculus fixpoint and
+requirement-check summaries, and a last line that accounts for the
+whole recording (:func:`whole_run`).
 
 ``repro report`` also accepts a ``--trace-dir`` directory (or several
 files): the per-process streams are merged into one causal timeline
@@ -72,6 +73,48 @@ def phase_breakdown(events: list[dict]) -> dict:
         "transport_s": round(transport, 6),
         "other_s": round(max(total - succ - dedup - transport, 0.0), 6),
         "total_s": round(total, 6),
+    }
+
+
+def whole_run(events: list[dict]) -> dict:
+    """Where the recording's wall-clock went, top down.
+
+    ``sweeps_s`` + ``lts_derive_s`` + ``checks_s`` +
+    ``unattributed_s`` = ``span_s``, the time from the first to the
+    last event — an event that carries ``seconds`` began that long
+    before it was written. A stand-alone requirement check explores
+    inside its own ``check`` window; the sweep and derive seconds that
+    ended inside a window are taken out of that check, so nothing
+    counts twice.
+    """
+    timed = [e for e in events if "t" in e]
+    span = (
+        timed[-1]["t"] - min(e["t"] - e.get("seconds", 0.0) for e in timed)
+        if timed else 0.0
+    )
+    parts = {"sweep_end": 0.0, "lts_derive": 0.0, "check": 0.0}
+    generation = [
+        e for e in timed if e.get("ev") in ("sweep_end", "lts_derive")
+    ]
+    for e in timed:
+        ev = e.get("ev")
+        if ev not in parts:
+            continue
+        seconds = e.get("seconds", 0.0)
+        parts[ev] += seconds
+        if ev == "check":
+            parts[ev] -= sum(
+                inner.get("seconds", 0.0)
+                for inner in generation
+                if e["t"] - seconds < inner["t"] <= e["t"]
+            )
+    attributed = sum(parts.values())
+    return {
+        "span_s": round(span, 6),
+        "sweeps_s": round(parts["sweep_end"], 6),
+        "lts_derive_s": round(parts["lts_derive"], 6),
+        "checks_s": round(parts["check"], 6),
+        "unattributed_s": round(max(span - attributed, 0.0), 6),
     }
 
 
@@ -447,6 +490,20 @@ def render_report(events: list[dict]) -> str:
     if len(sweeps) > 1 and total_phases["total_s"] > 0:
         lines.append("")
         lines.append("overall " + _fmt_phase_line(total_phases))
+    run = whole_run(events)
+    if run["span_s"] > 0:
+        lines.append("")
+        lines.append(
+            f"whole run: {run['span_s']:.3f} s = "
+            + " + ".join(
+                f"{name} {run[key]:.3f} s ({_pct(run[key], run['span_s'])})"
+                for name, key in (
+                    ("sweeps", "sweeps_s"), ("lts_derive", "lts_derive_s"),
+                    ("checks", "checks_s"),
+                    ("unattributed", "unattributed_s"),
+                )
+            )
+        )
     return "\n".join(lines)
 
 

@@ -1,4 +1,4 @@
-"""Transition systems shared by the partitioned-sweep tests."""
+"""Transition systems shared by the sweep tests."""
 
 from __future__ import annotations
 
@@ -10,6 +10,20 @@ def jackal(tpp=(1, 1)):
     return JackalModel(
         Config(threads_per_processor=tpp, rounds=1, with_probes=False)
     )
+
+
+class ScalarOnly:
+    """A model minus its frontier kernel: ``explore_fast`` expands it one
+    state at a time through ``successors_fast``, as it does a
+    :class:`~repro.lts.certreduce.ReducedSystem`."""
+
+    def __init__(self, model):
+        self.model = model
+        self.initial_state = model.initial_state
+        self.successors = model.successors
+
+    def successors_fast(self, state):
+        return self.model.successors_fast(state)
 
 
 class PairCodec:

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import obs
 from repro.errors import ReproError
 from repro.jackal.model import JackalModel
 from repro.jackal.params import CONFIG_1, CONFIG_2, ProtocolVariant
@@ -89,17 +90,31 @@ def test_backends_agree_on_the_reduced_system():
     model = _model(CONFIG_1)
     serial = explore(model, certificate=cert)
     fast = explore_fast(model, certificate=cert)
-    packed = explore_fast(
-        ReducedSystem(model, cert), packed=True
-    )
     _lts, dist = distributed_explore(model, n_workers=2, certificate=cert)
     counts = (serial.n_states, serial.n_transitions)
     assert (fast.n_states, fast.n_transitions) == counts
-    assert (packed.n_states, packed.n_transitions) == counts
     assert (dist.states, dist.transitions) == counts
     # and it actually shrank the sweep
     unreduced = explore_fast(model)
     assert serial.n_states < unreduced.n_states
+
+
+def test_certified_sweep_never_gets_the_unreduced_kernel():
+    # ReducedSystem forwards unknown attributes to the model it wraps.
+    # Were ``kernel`` one of them, the engine would sweep the model's
+    # kernel — the full state space — and report it as the reduction.
+    config = replace(CONFIG_1, rounds=4)
+    cert = _cert(config)
+    assert ReducedSystem(_model(config), cert).kernel is None
+    for probes, states in ((False, 29_681), (True, 30_279)):
+        tracer = obs.Tracer(ring=1000)
+        with obs.Instrumentation(tracer=tracer) as inst:
+            lts = explore_fast(
+                _model(config, probes=probes), certificate=cert, obs=inst
+            )
+        assert lts.n_states == states
+        (end,) = [e for e in tracer.events() if e["ev"] == "sweep_end"]
+        assert end["reduction"]["canonical_hits"] > 0
 
 
 def test_reduction_counters_count():

@@ -11,6 +11,7 @@ from repro.errors import ExplorationLimitError
 from repro.jackal import Config, JackalModel, ProtocolVariant
 from repro.lts.engine import explore_fast
 from repro.lts.explore import ExplorationStats, explore
+from tests.lts.systems import ScalarOnly
 
 
 class Grid:
@@ -104,21 +105,9 @@ def test_limit_semantics_match_reference():
     assert st_fast.max_frontier == st_ref.max_frontier > 0
 
 
-def test_packed_visited_set_matches():
-    cfg = Config(threads_per_processor=(1, 1), rounds=1, with_probes=False)
-    model = JackalModel(cfg)
-    plain = explore_fast(model)
-    packed = explore_fast(model, packed=True)
-    assert packed == plain
-    assert list(packed.transitions()) == list(plain.transitions())
-
-
-def test_packed_needs_codec():
-    with pytest.raises(ValueError):
-        explore_fast(Grid(3, 3), packed=True)
-
-
 def test_uses_fast_successor_path():
+    """One path per system: a kernel-less system is expanded through
+    ``successors_fast``, a model with a kernel never is."""
     cfg = Config(threads_per_processor=(1, 1), rounds=1, with_probes=False)
     model = JackalModel(cfg)
     calls = {"fast": 0}
@@ -129,5 +118,8 @@ def test_uses_fast_successor_path():
         return orig(state)
 
     model.successors_fast = counting
-    explore_fast(model)
-    assert calls["fast"] > 0
+    by_kernel = explore_fast(model)
+    assert calls["fast"] == 0
+    by_state = explore_fast(ScalarOnly(model))
+    assert calls["fast"] == by_state.n_states
+    assert list(by_kernel.transitions()) == list(by_state.transitions())

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro import obs
 from repro.lts.engine import explore_fast
-from repro.obs.report import phase_breakdown, render_report, report_from_file
+from repro.obs.report import (
+    phase_breakdown,
+    render_report,
+    report_from_file,
+    whole_run,
+)
+from repro.obs.tracer import read_trace
 
 
 def test_phase_breakdown_from_wave_events():
@@ -123,6 +131,49 @@ def test_report_from_file_round_trip(tmp_path, chain_system):
         explore_fast(chain_system, obs=inst)
     text = report_from_file(path)
     assert "sweep 1: engine" in text
+
+
+def _recorded_check(tmp_path, *extra):
+    from repro.cli import main
+
+    path = tmp_path / "check.jsonl"
+    args = ["check", "--config", "1", "--rounds", "1", "--trace", str(path)]
+    assert main(args + list(extra)) == 0
+    return path, read_trace(path)
+
+
+def _seconds(events, ev):
+    return sum(e["seconds"] for e in events if e["ev"] == ev)
+
+
+def test_whole_run_line_accounts_for_a_recorded_check(tmp_path, capsys):
+    path, events = _recorded_check(tmp_path)
+    run = whole_run(events)
+    # one sweep, one derivation, five checks that were handed their LTS
+    assert run["sweeps_s"] == pytest.approx(_seconds(events, "sweep_end"))
+    assert run["lts_derive_s"] == pytest.approx(_seconds(events, "lts_derive"))
+    assert run["checks_s"] == pytest.approx(_seconds(events, "check"))
+    assert min(run.values()) >= 0
+    assert run["span_s"] >= events[-1]["t"] - events[0]["t"]
+    assert (
+        run["sweeps_s"] + run["lts_derive_s"] + run["checks_s"]
+        + run["unattributed_s"]
+    ) == pytest.approx(run["span_s"], abs=1e-5)
+    last = report_from_file(path).splitlines()[-1]
+    assert last.startswith(f"whole run: {run['span_s']:.3f} s = sweeps ")
+    assert "+ checks " in last and "+ unattributed " in last
+
+
+def test_whole_run_counts_a_sweep_inside_a_check_once(tmp_path, capsys):
+    # a stand-alone check explores inside its own `check` window
+    _path, events = _recorded_check(tmp_path, "--requirement", "1")
+    (check,) = [e for e in events if e["ev"] == "check"]
+    run = whole_run(events)
+    assert run["sweeps_s"] == pytest.approx(_seconds(events, "sweep_end"))
+    assert run["checks_s"] == pytest.approx(
+        check["seconds"] - run["sweeps_s"], abs=1e-5
+    )
+    assert run["span_s"] == pytest.approx(check["seconds"], abs=1e-3)
 
 
 def test_report_on_empty_trace(tmp_path):
