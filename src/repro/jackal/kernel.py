@@ -327,7 +327,6 @@ class FrontierKernel:
         self.W = cfg.writes_per_round
         self.layout = Layout(self._declare(cfg))
         self.n_words = self.layout.n_words
-        self.key_dtype = np.dtype((np.void, 8 * self.n_words))
         #: the label table :meth:`expand`'s label ids index
         self.labels = list(dict.fromkeys(_strings(
             [table for name, table in vars(model).items()

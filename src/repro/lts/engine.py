@@ -7,9 +7,11 @@ same limit semantics — but engineered for throughput:
 * **frontier kernel** — a system offering ``kernel()`` (e.g.
   :class:`~repro.jackal.model.JackalModel`) is swept a whole BFS level
   at a time: the kernel expands the level's packed rows into candidate
-  rows in ``successors`` order, the visited index keys on the row
-  bytes, the next frontier and the kept states stay rows, and
-  ``state_meta`` decodes them on access (:class:`RowStates`). Which
+  rows in ``successors`` order, a :class:`~repro.lts.rowset.RowSet`
+  numbers them — one array of every visited row in state-id order
+  beside a hash table of ids, so no row ever becomes a Python object —
+  the next frontier is the slice of that array the level added, and
+  ``state_meta`` decodes rows on access (:class:`RowStates`). Which
   loop runs is a property of the system — it has a kernel or it does
   not — never of an option or a size.
 * **fast successor path** — a kernel-less system exposing
@@ -17,8 +19,8 @@ same limit semantics — but engineered for throughput:
   :class:`~repro.lts.certreduce.ReducedSystem`) is expanded through
   it, one state at a time; the readable reference relation stays the
   specification.
-* **one hash per discovery** — the visited index is probed with
-  ``dict.setdefault`` instead of a get/store pair, and the scalar
+* **one hash per discovery** — the scalar loop's visited index is
+  probed with ``dict.setdefault`` instead of a get/store pair, and its
   frontier carries ``(index, state)`` pairs so expansion never
   re-hashes a state it already numbered.
 * **label interning once per label** — labels are interned into a
@@ -45,6 +47,7 @@ import numpy as np
 from repro.errors import ExplorationLimitError
 from repro.lts.explore import ExplorationStats, TransitionSystem
 from repro.lts.lts import LTS
+from repro.lts.rowset import RowSet
 from repro.obs.core import current as _current_obs
 
 
@@ -138,7 +141,6 @@ def explore_fast(
     succ_seconds = [0.0]
 
     init = system.initial_state()
-    index: dict = {}
     n = 1
     state_meta: dict[int, object] = {}
 
@@ -161,7 +163,7 @@ def explore_fast(
                 acc[0] += time.perf_counter() - t
                 return out
 
-        index[init] = 0
+        index = {init: 0}
         lmap: dict[str, int] = {}
         if keep_states:
             state_meta[0] = init
@@ -202,10 +204,10 @@ def explore_fast(
     else:
         kernel = kernel()
         frontier = kernel.pack([init])
-        index[frontier.view(kernel.key_dtype).item()] = 0
+        visited = RowSet(frontier.shape[1])
+        visited.add(frontier)
         # kernel label id -> LTS label id, in first-appearance order
         kmap = np.full(len(kernel.labels), -1, dtype=np.int32)
-        kept = [frontier]
 
         def step(frontier):
             """Expand a level of packed rows; on a breach the columns are
@@ -216,25 +218,14 @@ def explore_fast(
             cand, src_pos, lids = kernel.expand(frontier)
             succ_seconds[0] += time.perf_counter() - t
             first = n - len(frontier)  # the frontier was numbered last
-            keys = cand.view(kernel.key_dtype).ravel().tolist()
-            # first-appearance order, as the scalar loop numbers them
-            new = [key for key in dict.fromkeys(keys) if key not in index]
-            breached = max_states is not None and n + len(new) > max_states
-            if breached:
-                del new[max_states + 1 - n:]
-                cut = keys.index(new[-1]) + 1
-                del keys[cut:]
+            ids, cut = visited.add(
+                cand, None if max_states is None else max_states + 1 - n
+            )
+            if cut is not None:
                 src_pos, lids = src_pos[:cut], lids[:cut]
-            index.update(zip(new, range(n, n + len(new))))
-            n += len(new)
-            ids = np.fromiter(
-                map(index.__getitem__, keys), dtype=np.int32, count=len(keys)
-            )
-            nxt = np.frombuffer(b"".join(new), dtype=np.uint64).reshape(
-                len(new), frontier.shape[1]
-            )
-            if keep_states:
-                kept.append(nxt)
+            # sliced after the add: growing the set moves its rows
+            nxt = visited.rows[n:]
+            n = len(visited)
             lcol = kmap[lids]
             if lcol.size and lcol.min() < 0:
                 unseen, at = np.unique(lids[lcol < 0], return_index=True)
@@ -245,7 +236,7 @@ def explore_fast(
             src.frombytes((src_pos + first).astype(np.int32).tobytes())
             lbl.frombytes(lcol.tobytes())
             dst.frombytes(ids.tobytes())
-            return nxt, breached
+            return nxt, cut is not None
 
     depth = 0
     level_sizes = [1]
@@ -259,6 +250,11 @@ def explore_fast(
         stats.depth = depth
         stats.level_sizes = level_sizes
 
+    def visited_bytes() -> int:
+        # exact for the row set; for the scalar loop the dict's own
+        # table only, its keys being the states themselves
+        return sys.getsizeof(index) if kernel is None else visited.nbytes
+
     def _emit_end(outcome: str) -> None:
         reduction = (
             {
@@ -269,7 +265,7 @@ def explore_fast(
             if red0 is not None
             else None
         )
-        obs.memwatch.note("visited_index", sys.getsizeof(index))
+        obs.memwatch.note("visited_index", visited_bytes())
         obs.memwatch.sample(force=True)
         obs.tracer.emit(
             "sweep_end", backend="engine", outcome=outcome,
@@ -277,6 +273,7 @@ def explore_fast(
             seconds=round(stats.seconds, 6),
             states_per_second=round(stats.states_per_second(), 1),
             depth=stats.depth, max_frontier=stats.max_frontier,
+            bytes_per_state=round(visited_bytes() / stats.states, 1),
             reduction=reduction,
             max_rss_bytes=obs.memwatch.max_rss_bytes,
             mem_pressure_events=obs.memwatch.pressure_events,
@@ -310,7 +307,7 @@ def explore_fast(
             initial=0, n_states=n, src=src, lbl=lbl, dst=dst, labels=labels
         )
         if kernel is not None and keep_states:
-            out.state_meta = RowStates(kernel, np.concatenate(kept))
+            out.state_meta = RowStates(kernel, visited.rows)
         else:
             out.state_meta = state_meta
         return out
@@ -321,9 +318,11 @@ def explore_fast(
             max_states=max_states, max_depth=max_depth,
         )
         obs.tracer.emit("gc_suspend")
-    # nearly every allocation of the sweep stays alive in the visited
-    # index, so generational GC passes rescan an ever-growing live set
-    # for nothing — suspend collection for the duration
+    # nearly every allocation of the scalar loop stays alive in the
+    # visited index, so generational GC passes rescan an ever-growing
+    # live set for nothing — suspend collection for the duration (the
+    # kernel loop allocates arrays, which the collector does not track:
+    # there the suspension costs and saves nothing)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     gc_t0 = time.perf_counter()
@@ -359,7 +358,7 @@ def explore_fast(
                     wave_s=round(wave_s, 6), succ_s=round(succ_s, 6),
                     dedup_s=round(max(wave_s - succ_s, 0.0), 6),
                 )
-                obs.memwatch.note("visited_index", sys.getsizeof(index))
+                obs.memwatch.note("visited_index", visited_bytes())
                 obs.memwatch.sample()
                 elapsed = time.perf_counter() - t0
                 obs.progress.maybe(

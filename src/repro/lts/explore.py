@@ -41,8 +41,7 @@ class TransitionSystem(Protocol):
         the same relation over packed states, a whole BFS level per
         call — an object with ``pack(states) -> rows`` (one row of
         ``uint64`` words per state, equal states giving equal bytes),
-        ``unpack(rows) -> states``, ``key_dtype`` (the ``numpy.void``
-        type of one row), ``labels`` (a list of strings) and
+        ``unpack(rows) -> states``, ``labels`` (a list of strings) and
         ``expand(rows) -> (succ_rows, src_pos, label_ids)``: every
         transition ``rows[src_pos[i]] --labels[label_ids[i]]-->
         succ_rows[i]``, sorted by ``src_pos`` and, per source, in

@@ -343,6 +343,8 @@ def _render_sweep(i: int, events: list[dict]) -> list[str]:
             )
         if end.get("max_rss_bytes"):
             mem = f"  memory: max RSS {_fmt_bytes(end['max_rss_bytes'])}"
+            if "bytes_per_state" in end:
+                mem += f"  visited set {end['bytes_per_state']:.1f} B/state"
             if end.get("mem_pressure_events"):
                 mem += (
                     f"  pressure events {end['mem_pressure_events']}"

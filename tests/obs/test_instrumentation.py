@@ -18,6 +18,7 @@ from repro.lts.explore import ExplorationStats, explore
 from repro.mucalc.checker import holds
 from repro.mucalc.onthefly import check_reachable
 from repro.mucalc.parser import parse_formula
+from repro.obs.report import render_report
 
 
 def _bundle():
@@ -89,6 +90,21 @@ def test_metrics_snapshot_after_engine_sweep(model):
     assert (
         snap["repro_visited_probe_hits_total"]
         == lts.n_transitions - lts.n_states
+    )
+
+
+def test_kernel_sweep_reports_every_byte_of_its_visited_set(model):
+    tracer = obs.Tracer(ring=100_000)
+    inst = obs.Instrumentation(tracer=tracer, memwatch=obs.MemWatch(tracer))
+    lts = explore_fast(model, obs=inst)
+    end = _events(inst, "sweep_end")[0]
+    held = inst.memwatch.structs["visited_index"]
+    assert end["bytes_per_state"] == round(held / lts.n_states, 1)
+    # the rows themselves and four int32 slots a state, not a dict shell
+    words = model.kernel().pack([model.initial_state()]).shape[1]
+    assert held >= lts.n_states * (8 * words + 16)
+    assert f"visited set {end['bytes_per_state']:.1f} B/state" in (
+        render_report(inst.tracer.events())
     )
 
 
