@@ -96,8 +96,6 @@ def test_engine_speedup(once):
 
     def run():
         explore_fast(model)  # builds the kernel; serial needs no warm-up
-        # the partitioned backend needs ~30 s a run at this size and has
-        # its own gates (`repro bench --min-dist-speedup`, the CI smoke)
         return bench_explore(model, backends=("serial", "engine"), repeats=2)
 
     report = once(run)

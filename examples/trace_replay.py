@@ -8,7 +8,7 @@ fixpoint dominated — had to be re-run. This example records a full
 verification session (exploration + requirement checks) into a JSONL
 trace plus a metrics snapshot, then *replays* the trace offline: the
 depth-wave table, the per-phase timing breakdown (successor generation
-vs dedup vs transport), and the requirement-check summary, all without
+vs dedup), and the requirement-check summary, all without
 touching the model again.
 
 Run:  python examples/trace_replay.py

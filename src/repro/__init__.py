@@ -6,8 +6,9 @@ The package rebuilds the paper's entire toolchain and subject:
 
 * :mod:`repro.algebra` — a muCRL-style process algebra with data,
   parallel composition, encapsulation and hiding;
-* :mod:`repro.lts` — explicit-state LTS generation (serial, bitstate,
-  distributed), reductions and the ``.aut`` interchange format;
+* :mod:`repro.lts` — explicit-state LTS generation (serial, the
+  level-vectorised engine, bitstate), reductions and the ``.aut``
+  interchange format;
 * :mod:`repro.mucalc` — a regular alternation-free mu-calculus model
   checker (the CADP *Evaluator* stand-in);
 * :mod:`repro.jackal` — the Jackal DSM cache coherence protocol model,

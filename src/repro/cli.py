@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import os
 import sys
 
 from repro import obs
@@ -99,11 +98,6 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--trace", default=None, metavar="JSONL",
                    help="record a structured event trace to this file "
                    "(render it later with `repro report`)")
-    g.add_argument("--trace-dir", default=None, metavar="DIR",
-                   help="record one trace stream per process into this "
-                   "directory: trace.coordinator.jsonl plus a "
-                   "trace.worker<N>.jsonl per distributed worker "
-                   "(render the merged timeline with `repro report DIR`)")
     g.add_argument("--trace-ring", type=int, default=None, metavar="N",
                    help="keep only the last N events (bounded memory; "
                    "with --trace the retained tail is written at exit)")
@@ -129,21 +123,13 @@ def _instrumented(args):
     black box behind.
     """
     trace = getattr(args, "trace", None)
-    trace_dir = getattr(args, "trace_dir", None)
     ring = getattr(args, "trace_ring", None)
     metrics_out = getattr(args, "metrics_out", None)
     progress = getattr(args, "progress", False)
     pressure_mb = getattr(args, "mem_pressure_mb", None)
-    if not (trace or trace_dir or ring or metrics_out or progress
-            or pressure_mb):
+    if not (trace or ring or metrics_out or progress or pressure_mb):
         yield obs.NULL
         return
-    if trace and trace_dir:
-        raise ReproError("--trace and --trace-dir are mutually exclusive")
-    if trace_dir:
-        # the coordinator's stream lives next to the per-worker ones
-        os.makedirs(trace_dir, exist_ok=True)
-        trace = os.path.join(trace_dir, "trace.coordinator.jsonl")
     registry = obs.MetricsRegistry() if metrics_out else None
     tracer = obs.Tracer(path=trace, ring=ring) if (trace or ring) else None
     reporter = obs.ProgressReporter() if progress else None
@@ -153,16 +139,13 @@ def _instrumented(args):
             int(pressure_mb * 1024 * 1024) if pressure_mb else None
         ),
     )
-    inst = obs.Instrumentation(registry, tracer, reporter, memwatch,
-                               trace_dir=trace_dir)
+    inst = obs.Instrumentation(registry, tracer, reporter, memwatch)
     try:
         with obs.activate(inst):
             yield inst
     finally:
         inst.close()
-        if trace_dir:
-            print(f"written: {trace_dir}", file=sys.stderr)
-        elif trace:
+        if trace:
             print(f"written: {trace}", file=sys.stderr)
         if metrics_out:
             rendered = (
@@ -217,36 +200,6 @@ def _cmd_explore(args) -> int:
     cfg = _config(args)
     variant = _VARIANTS[args.variant]()
     cert = _certificate(args)
-    if args.distributed:
-        from repro.lts.distributed import distributed_explore
-
-        model = build_model(cfg, variant, probes=args.probes)
-        with _instrumented(args):
-            _lts, stats = distributed_explore(
-                model,
-                n_workers=args.workers or os.cpu_count() or 2,
-                max_states=args.max_states,
-                certificate=cert,
-            )
-        row = {
-            "states": stats.states, "transitions": stats.transitions,
-            "workers": len(stats.per_worker_states),
-            "seconds": round(stats.seconds, 3),
-            "states/s": round(
-                stats.states / stats.seconds if stats.seconds > 0 else 0.0
-            ),
-        }
-        print(Table(
-            f"distributed sweep of config {args.config} "
-            f"({variant.describe()})",
-            list(row), [row],
-        ).render())
-        if args.aut:
-            raise ReproError(
-                "--aut needs the explicit LTS; drop --distributed "
-                "(the distributed backend is count-only from the CLI)"
-            )
-        return 0
     with _instrumented(args):
         _model, lts = build_lts(
             cfg, variant, probes=args.probes, max_states=args.max_states,
@@ -312,37 +265,31 @@ def _cmd_narrate(args) -> int:
 def _cmd_bench(args) -> int:
     import json
 
-    from repro.lts.bench import BenchMismatchError, bench_explore, format_bench
+    from repro.lts.bench import (
+        BACKENDS,
+        BenchMismatchError,
+        bench_explore,
+        format_bench,
+    )
 
+    backends = tuple(args.backends.split(","))
+    unknown = sorted(set(backends) - set(BACKENDS))
+    if unknown:
+        raise ReproError(
+            f"unknown backend(s) {', '.join(unknown)}; "
+            f"choose from {', '.join(BACKENDS)}"
+        )
     cfg = dataclasses.replace(_config(args), with_probes=False)
     variant = _VARIANTS[args.variant]()
     model = build_model(cfg, variant, probes=False)
-    backends = tuple(args.backends.split(","))
-    faults = None
-    if args.inject_fault:
-        from repro.lts.faults import FaultPlan
-
-        if "distributed" not in backends:
-            # a fault plan that no backend would exercise must not be
-            # silently ignored — the "benchmark" would claim recovery
-            # coverage it never ran
-            raise ReproError(
-                "--inject-fault targets the distributed backend, but "
-                f"--backends {args.backends!r} does not include "
-                "'distributed'"
-            )
-        faults = FaultPlan.parse(",".join(args.inject_fault))
     cert = _certificate(args)
     try:
         with _instrumented(args):
             report = bench_explore(
                 model,
                 backends=backends,
-                n_workers=args.workers,
                 repeats=args.repeats,
                 profile=args.profile,
-                faults=faults,
-                batch_size=args.batch_size,
                 certificate=cert,
             )
     except BenchMismatchError as exc:
@@ -369,22 +316,6 @@ def _cmd_bench(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    if args.min_dist_speedup is not None:
-        dist_speedup = report["speedup"].get("distributed")
-        if dist_speedup is None:
-            print(
-                "FAIL: --min-dist-speedup set but the distributed "
-                "backend did not run",
-                file=sys.stderr,
-            )
-            return 1
-        if dist_speedup < args.min_dist_speedup:
-            print(
-                f"FAIL: distributed speedup {dist_speedup:.2f}x below "
-                f"the --min-dist-speedup floor {args.min_dist_speedup}",
-                file=sys.stderr,
-            )
-            return 1
     if args.max_rss_mb is not None:
         from repro.lts.bench import rss_gate
 
@@ -407,30 +338,17 @@ def _cmd_bench(args) -> int:
 def _cmd_report(args) -> int:
     import json
 
-    from repro.obs.report import report_from_file, report_from_paths
+    from repro.obs.report import report_from_file
 
-    paths = args.tracefile
-    single_file = len(paths) == 1 and not os.path.isdir(paths[0])
-    shown = paths[0] if len(paths) == 1 else ", ".join(paths)
+    path = args.tracefile
     try:
-        if single_file and not args.lenient:
-            # one plain file keeps the strict contract: a malformed
-            # line is a clean error, never a silent partial report
-            rendered = report_from_file(paths[0])
-        elif single_file:
-            rendered = report_from_file(paths[0], lenient=True)
-        else:
-            # directories / multiple streams merge leniently — crashed
-            # workers legitimately leave torn tails behind
-            rendered = report_from_paths(paths)
-    except BrokenPipeError:
-        raise
+        # strict: a malformed line is a clean error, never a silent
+        # partial report
+        rendered = report_from_file(path)
     except OSError as exc:
-        raise ReproError(f"cannot read trace {shown!r}: {exc}") from exc
+        raise ReproError(f"cannot read trace {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ReproError(
-            f"malformed trace {shown!r}: {exc.msg}"
-        ) from exc
+        raise ReproError(f"malformed trace {path!r}: {exc.msg}") from exc
     print(rendered)
     return 0
 
@@ -525,13 +443,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--probes", action="store_true",
                    help="include the observability probe self-loops")
     p.add_argument("--aut", default=None, help="write the LTS to this path")
-    p.add_argument("--distributed", action="store_true",
-                   help="count-only partitioned sweep with worker "
-                   "processes (combine with --trace-dir for one trace "
-                   "stream per worker)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for --distributed "
-                   "(default: the machine's CPU count)")
     _add_reduce_arg(p)
     _add_obs_args(p)
     p.set_defaults(fn=_cmd_explore)
@@ -556,33 +467,17 @@ def main(argv: list[str] | None = None) -> int:
     _add_model_args(p)
     p.add_argument(
         "--backends",
-        default="serial,engine,distributed",
+        default="serial,engine",
         help="comma-separated backends (serial is always run)",
     )
-    p.add_argument("--workers", type=int, default=None,
-                   help="partitions for the distributed backend "
-                   "(default: the machine's available CPU count)")
     p.add_argument("--repeats", type=int, default=1,
                    help="timed runs per backend; best is reported")
     p.add_argument("--profile", action="store_true",
                    help="cProfile the engine and print hot functions")
-    p.add_argument("--inject-fault", action="append", default=[],
-                   metavar="KIND:W@N",
-                   help="inject a worker fault into the distributed "
-                   "backend (repeatable; kill:W@N, raise:W@N, "
-                   "delay:W@SECONDS) — the cross-check then exercises "
-                   "crash recovery")
-    p.add_argument("--batch-size", type=int, default=None,
-                   help="initial distributed expansion quantum in states "
-                   "(default 256; shrink to force many quanta on small "
-                   "systems)")
     p.add_argument("--out", default=None, metavar="JSON",
                    help="write the report (e.g. BENCH_explore.json)")
     p.add_argument("--min-sps", type=float, default=None,
                    help="exit 1 if the best backend is slower than this")
-    p.add_argument("--min-dist-speedup", type=float, default=None,
-                   help="exit 1 if the distributed backend's speedup "
-                   "over serial falls below this (e.g. 1.0)")
     p.add_argument("--max-rss-mb", type=float, default=None,
                    help="exit 1 if any backend's instrumented-pass RSS "
                    "watermark exceeds this many MiB (memory regression "
@@ -591,16 +486,9 @@ def main(argv: list[str] | None = None) -> int:
     _add_obs_args(p)
     p.set_defaults(fn=_cmd_bench)
 
-    p = sub.add_parser(
-        "report", help="render recorded trace files/dirs as a timeline"
-    )
-    p.add_argument("tracefile", metavar="TRACE", nargs="+",
-                   help="JSONL trace file(s) written by --trace, and/or "
-                   "--trace-dir directories; several streams merge into "
-                   "one causal timeline with per-worker lanes")
-    p.add_argument("--lenient", action="store_true",
-                   help="skip unparseable lines instead of failing "
-                   "(always on for directories/multiple streams)")
+    p = sub.add_parser("report", help="render a recorded trace as a timeline")
+    p.add_argument("tracefile", metavar="TRACE",
+                   help="JSONL trace file written by --trace")
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("litmus", help="JMM conformance of the DSM runtime")

@@ -31,33 +31,13 @@ class ExplorationLimitError(ReproError):
         the set of states discovered so far (may be ``None`` when nothing
         useful was produced before the limit hit).
     stats:
-        The partially filled stats object of the aborted sweep
-        (``ExplorationStats`` or ``DistributedStats``; ``None`` when the
-        raising path tracks none).
+        The partially filled ``ExplorationStats`` of the aborted sweep
+        (``None`` when the raising path tracks none).
     """
 
     def __init__(self, message: str, partial=None, stats=None):
         super().__init__(message)
         self.partial = partial
-        self.stats = stats
-
-
-class WorkerFailureError(ReproError):
-    """A distributed sweep lost all of its worker processes.
-
-    Single worker deaths are recovered by re-dispatching the lost
-    batches to the survivors (see :mod:`repro.lts.distributed`); this
-    error is raised only when no worker is left to re-dispatch to.
-
-    Attributes
-    ----------
-    stats:
-        Partially filled ``DistributedStats`` describing how far the
-        sweep got, including ``worker_deaths`` (may be ``None``).
-    """
-
-    def __init__(self, message: str, stats=None):
-        super().__init__(message)
         self.stats = stats
 
 

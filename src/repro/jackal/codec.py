@@ -24,9 +24,8 @@ sink; every ordinary state is ``(bits << 1) | 1``.
 
 The codec is the currency of the performance layer: visited sets and
 successor memos key on the packed int (one machine word + int object
-instead of a tuple tree), hash partitioning mixes it directly
-(:func:`repro.lts.statehash.state_key64`), and the distributed backend
-ships packed keys between workers instead of pickled tuple trees.
+instead of a tuple tree), and well-mixed hashing mixes it directly
+(:func:`repro.lts.statehash.state_key64`).
 
 Packing is memoised at two levels: sub-tuples (one thread, one copy
 row, one queue slot) and whole state *halves* — ``(threads, copies)``
@@ -275,13 +274,6 @@ class StateCodec:
                 out.append((wl, rstate))
         return tuple(reversed(out))
 
-    # projector closures are rebuilt on demand; dropping them keeps the
-    # codec picklable (distributed workers ship models, not caches)
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_projectors"] = {}
-        return state
-
     # -- public API -----------------------------------------------------
 
     def _pack_hi(self, hi) -> int:
@@ -373,9 +365,8 @@ class StateCodec:
 
         Returns ``(remaining_key, fields)`` with the fields memoised
         through ``table``. A plain method rather than a closure inside
-        :meth:`decode`: decode sits on the distributed transport's
-        per-state hot path, and building a cell-variable closure per
-        call costs more than the field walk itself.
+        :meth:`decode`: building a cell-variable closure per call costs
+        more than the field walk itself.
         """
         mask = (1 << width) - 1
         get = table.get

@@ -2,7 +2,7 @@
 
 This subpackage is the reproduction's stand-in for the LTS side of the
 muCRL toolset and CADP used in the paper: explicit-state generation
-(serial, bitstate-hashed, and distributed), the Aldebaran ``.aut``
+(serial and bitstate-hashed), the Aldebaran ``.aut``
 interchange format, behavioural reductions (strong and branching
 bisimulation, tau-compression), deadlock detection with shortest
 counterexample traces, and trace replay.
@@ -16,8 +16,7 @@ from repro.lts.explore import (
     ExplorationStats,
 )
 from repro.lts.engine import explore_fast
-from repro.lts.statehash import mix64, state_key64, double_hashes, live_owner
-from repro.lts.faults import FaultPlan, WorkerFault, FaultInjection
+from repro.lts.statehash import mix64, state_key64, double_hashes
 from repro.lts.deadlock import DeadlockReport, find_deadlocks, shortest_trace_to
 from repro.lts.trace import Trace, replay
 from repro.lts.reduction import (
@@ -29,7 +28,6 @@ from repro.lts.reduction import (
     bisimilar,
 )
 from repro.lts.bitstate import bitstate_explore, BitstateResult
-from repro.lts.distributed import distributed_explore, DistributedStats
 from repro.lts.aut import read_aut, write_aut
 from repro.lts.stats import lts_summary, degree_histogram
 from repro.lts.cycles import Lasso, find_lasso_avoiding
@@ -46,10 +44,6 @@ __all__ = [
     "mix64",
     "state_key64",
     "double_hashes",
-    "live_owner",
-    "FaultPlan",
-    "WorkerFault",
-    "FaultInjection",
     "DeadlockReport",
     "find_deadlocks",
     "shortest_trace_to",
@@ -63,8 +57,6 @@ __all__ = [
     "bisimilar",
     "bitstate_explore",
     "BitstateResult",
-    "distributed_explore",
-    "DistributedStats",
     "read_aut",
     "write_aut",
     "lts_summary",

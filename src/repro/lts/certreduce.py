@@ -2,11 +2,10 @@
 
 :class:`ReducedSystem` wraps a :class:`~repro.jackal.model.JackalModel`
 (or anything exposing ``config``/``variant``/``codec()``) and presents
-the same ``TransitionSystem`` protocol, so *every* sweep backend —
-serial :func:`~repro.lts.explore.explore`, the columnar
-:func:`~repro.lts.engine.explore_fast`, and the multiprocessing
-:func:`~repro.lts.distributed.distributed_explore` — reduces
-identically with no per-backend BFS changes:
+the same ``TransitionSystem`` protocol, so both sweep backends —
+serial :func:`~repro.lts.explore.explore` and the columnar
+:func:`~repro.lts.engine.explore_fast` — reduce identically with no
+per-backend BFS changes:
 
 * **symmetry quotient** (``canonical=True``): every successor state is
   replaced by its orbit representative — the state with the minimal
@@ -121,19 +120,6 @@ class ReducedSystem:
         self.ample_prunes = 0
         #: successors changed by the certified slice projection
         self.slice_hits = 0
-
-    # pickled into distributed workers; the parent already validated
-    def __reduce__(self):
-        return (
-            _rebuild,
-            (
-                self.system,
-                self.certificate,
-                self.canonical,
-                self.ample,
-                tuple(sorted(self.slice_fields)),
-            ),
-        )
 
     def __getattr__(self, name):
         if name == "system":  # guard: __init__ may not have run yet
@@ -361,14 +347,3 @@ def unfold_full_quotient(system, certificate, *, _validated: bool = False):
                     nxt.append((rep2, key2, gamma2))
         frontier = nxt
     return lts
-
-
-def _rebuild(system, certificate, canonical, ample, slice_fields=None):
-    return ReducedSystem(
-        system,
-        certificate,
-        canonical=canonical,
-        ample=ample,
-        slice_fields=slice_fields,
-        _validated=True,
-    )

@@ -1,19 +1,16 @@
 """Flight recorder: structured tracing, metrics, and live progress.
 
-The observability layer of the package. Three cooperating pieces:
+The observability layer of the package. Four cooperating pieces:
 
 * :mod:`repro.obs.metrics` — a get-or-create registry of counters,
   gauges and histograms with JSON and Prometheus text exposition;
 * :mod:`repro.obs.tracer` — structured JSONL event traces with
   monotonic timestamps and a bounded ring-buffer mode;
 * :mod:`repro.obs.progress` — a rate-limited live status line on
-  stderr (states/s, frontier size, workers alive);
+  stderr (states/s, frontier size, depth);
 * :mod:`repro.obs.memwatch` — RSS sampling at heartbeat points, with
   high-watermarks, per-structure byte accounting and edge-triggered
-  ``mem_pressure`` events;
-* :mod:`repro.obs.merge` — merging per-process trace streams (one per
-  distributed worker, clock-aligned via the spawn handshake) into one
-  causal timeline.
+  ``mem_pressure`` events.
 
 They travel together as an :class:`Instrumentation` bundle. The
 ambient default (:data:`NULL`) is fully disabled and costs one
@@ -40,7 +37,6 @@ documented in ``docs/observability.md``.
 
 from repro.obs.core import NULL, Instrumentation, activate, current
 from repro.obs.memwatch import NULL_MEMWATCH, MemWatch, NullMemWatch, rss_bytes
-from repro.obs.merge import lanes, merge_traces, worker_stream_name
 from repro.obs.metrics import (
     NULL_REGISTRY,
     Counter,
@@ -55,7 +51,6 @@ from repro.obs.report import (
     phase_breakdown,
     render_report,
     report_from_file,
-    report_from_paths,
 )
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer, read_trace
 
@@ -80,13 +75,9 @@ __all__ = [
     "activate",
     "current",
     "escape_label_value",
-    "lanes",
-    "merge_traces",
     "phase_breakdown",
     "read_trace",
     "render_report",
     "report_from_file",
-    "report_from_paths",
     "rss_bytes",
-    "worker_stream_name",
 ]

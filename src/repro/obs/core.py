@@ -24,14 +24,10 @@ class Instrumentation:
     """A metrics registry + tracer + progress + memory watcher, or no-ops.
 
     ``enabled`` is true when any component is live — the single flag
-    hot loops branch on (per wave, not per state). ``trace_dir``, when
-    set, is the directory distributed sweeps write per-worker trace
-    streams into (``trace.worker<N>.jsonl`` next to the coordinator's
-    stream; see :mod:`repro.obs.merge`).
+    hot loops branch on (per wave, not per state).
     """
 
-    __slots__ = ("metrics", "tracer", "progress", "memwatch", "enabled",
-                 "trace_dir")
+    __slots__ = ("metrics", "tracer", "progress", "memwatch", "enabled")
 
     def __init__(
         self,
@@ -39,13 +35,11 @@ class Instrumentation:
         tracer: Tracer | None = None,
         progress: ProgressReporter | None = None,
         memwatch: MemWatch | None = None,
-        trace_dir: str | None = None,
     ):
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.progress = progress if progress is not None else NULL_PROGRESS
         self.memwatch = memwatch if memwatch is not None else NULL_MEMWATCH
-        self.trace_dir = str(trace_dir) if trace_dir is not None else None
         self.enabled = bool(
             self.metrics.enabled or self.tracer.enabled
             or self.progress.enabled or self.memwatch.enabled

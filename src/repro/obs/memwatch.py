@@ -6,11 +6,10 @@ cluster — and ROADMAP item 3 (the out-of-core tier) needs to know
 *when* memory pressure starts so a spill threshold can be wired to it.
 This module is that signal source: a :class:`MemWatch` samples the
 process's resident set size at the flight recorder's existing
-heartbeat points (once per BFS wave, once per coordinator poll, once
-per worker quantum — never per state), tracks the high-watermark,
-accepts byte-size reports from the big structures (visited index,
-frontier, codec memo dicts, shm rings), and emits ``mem_pressure``
-tracer events when a configurable threshold is crossed.
+heartbeat points (once per BFS wave — never per state), tracks the
+high-watermark, accepts byte-size reports from the big structures
+(the visited index), and emits ``mem_pressure`` tracer events when a
+configurable threshold is crossed.
 
 RSS is read from ``/proc/self/statm`` (two integer parses, no
 dependencies); where ``/proc`` is unavailable it falls back to
@@ -169,7 +168,7 @@ class MemWatch:
         """Record the current byte size of a named big structure.
 
         Callers report what only they can know — the visited index,
-        the frontier, a codec memo, the shm ring matrix — so
+        say — so
         ``mem_pressure`` events can say *where* the bytes live. Each
         structure is one gauge time series
         (``repro_mem_struct_bytes{struct=...}``).

@@ -46,7 +46,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that goes up and down (queue depth, workers alive)."""
+    """A value that goes up and down (frontier size, RSS)."""
 
     __slots__ = ("name", "labels", "value")
     kind = "gauge"
@@ -156,9 +156,10 @@ def escape_label_value(v) -> str:
 class MetricsRegistry:
     """Named instruments, get-or-created on first use.
 
-    ``counter("x", worker=0)`` and ``counter("x", worker=1)`` are two
-    time series of the same metric family, rendered Prometheus-style as
-    ``x{worker="0"}`` / ``x{worker="1"}``.
+    ``counter("x", backend="serial")`` and ``counter("x",
+    backend="engine")`` are two time series of the same metric family,
+    rendered Prometheus-style as ``x{backend="serial"}`` /
+    ``x{backend="engine"}``.
     """
 
     enabled = True

@@ -2,10 +2,10 @@
 
 Long sweeps are silent by default; with progress enabled the backends
 call :meth:`ProgressReporter.maybe` at natural heartbeat points (once
-per BFS wave, once per coordinator poll) and at most every ``interval``
-seconds one ``\\r``-rewritten status line lands on stderr::
+per BFS wave) and at most every ``interval`` seconds one
+``\\r``-rewritten status line lands on stderr::
 
-    [repro] 182,340 states | 45,210 st/s | frontier 12,041 | depth 17 | workers 4/4
+    [repro] 182,340 states | 45,210 st/s | frontier 12,041 | depth 17
 
 The reporter rate-limits itself, so callers never need their own
 timers; :meth:`done` finishes the line with a newline so subsequent
@@ -54,8 +54,7 @@ class ProgressReporter:
 
         Field values are formatted with thousands separators; the
         conventional keys are ``states``, ``sps`` (states/second),
-        ``frontier``, ``depth``, and ``workers`` (e.g. ``"3/4"``), but
-        any key renders.
+        ``frontier`` and ``depth``, but any key renders.
         """
         now = self._clock()
         if now - self._last < self._interval:

@@ -1,8 +1,8 @@
 """Structured JSONL event traces.
 
 The flight recorder's chronological side: every lifecycle event of an
-exploration or check — sweep start/end, BFS depth waves, distributed
-batch dispatch/ack, worker deaths, fixpoint iterations — is one JSON
+exploration or check — sweep start/end, BFS depth waves, fixpoint
+iterations, requirement checks — is one JSON
 object per line with a monotonic timestamp::
 
     {"t": 0.000132, "ev": "sweep_start", "backend": "engine", ...}
@@ -55,18 +55,6 @@ class Tracer:
             # buffered tail (the whole point of a flight recorder)
             self._fh = open(self._path, "w", buffering=1)
 
-    @property
-    def epoch(self) -> float:
-        """The clock reading all ``t`` values are relative to.
-
-        On Linux ``time.perf_counter`` is a system-wide monotonic
-        clock, so epochs from different processes on one machine are
-        directly comparable — the basis of the distributed flight
-        recorder's clock handshake (a worker's ``clock_offset`` is its
-        own epoch minus the coordinator's).
-        """
-        return self._t0
-
     def emit(self, ev: str, **fields) -> None:
         """Record one event (timestamped now)."""
         rec = {"t": round(self._clock() - self._t0, 6), "ev": ev}
@@ -105,7 +93,6 @@ class NullTracer:
     """The disabled tracer: :meth:`emit` is a no-op."""
 
     enabled = False
-    epoch = 0.0
 
     def emit(self, ev: str, **fields) -> None:
         pass
@@ -127,11 +114,9 @@ def read_trace(path, *, lenient: bool = False) -> list[dict]:
     Blank lines are skipped, so traces survive manual editing; a
     malformed line raises ``json.JSONDecodeError`` with the line number
     attached for context. With ``lenient=True`` malformed lines — the
-    truncated tail of a crashed writer, or torn interleavings from two
-    processes sharing one file — are skipped instead, and any events
-    that parsed are returned; ``repro report`` reads traces this way
-    because a black box recovered after a crash is expected to end
-    mid-line.
+    truncated tail of a crashed writer — are skipped instead, and any
+    events that parsed are returned. ``repro report`` reads strictly: a
+    malformed line is a clean error, never a silent partial report.
     """
     events: list[dict] = []
     with open(path) as fh:

@@ -20,7 +20,6 @@ from repro.jackal.params import CONFIG_1, CONFIG_2, ProtocolVariant
 from repro.jackal.requirements import check_all_requirements
 from repro.lts.bench import bench_explore
 from repro.lts.certreduce import ReducedSystem
-from repro.lts.distributed import distributed_explore
 from repro.lts.engine import explore_fast
 from repro.lts.explore import explore
 from repro.staticcheck.symmetry import certify
@@ -90,10 +89,8 @@ def test_backends_agree_on_the_reduced_system():
     model = _model(CONFIG_1)
     serial = explore(model, certificate=cert)
     fast = explore_fast(model, certificate=cert)
-    _lts, dist = distributed_explore(model, n_workers=2, certificate=cert)
     counts = (serial.n_states, serial.n_transitions)
     assert (fast.n_states, fast.n_transitions) == counts
-    assert (dist.states, dist.transitions) == counts
     # and it actually shrank the sweep
     unreduced = explore_fast(model)
     assert serial.n_states < unreduced.n_states
@@ -224,24 +221,3 @@ def test_bench_reports_slice_gain_over_canonical_only():
     assert red["slice_hits"] > 0
     assert red["states"] < red["states_canonical_only"]
     assert red["factor"] > red["factor_canonical_only"]
-
-
-# -- pickling (what the distributed workers rely on) -------------------------
-
-
-def test_reduced_system_pickles_without_revalidation(monkeypatch):
-    import pickle
-
-    cert = _cert(CONFIG_1)
-    red = ReducedSystem(_model(CONFIG_1), cert)
-
-    def boom(*_a, **_k):  # pragma: no cover - failure path
-        raise AssertionError("workers must not re-validate")
-
-    import repro.staticcheck.certificates as certmod
-
-    monkeypatch.setattr(certmod, "validate", boom)
-    clone = pickle.loads(pickle.dumps(red))
-    assert clone.canonical and clone.ample
-    state = clone.initial_state()
-    assert list(clone.successors(state)) == list(red.successors(state))

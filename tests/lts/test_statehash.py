@@ -1,76 +1,6 @@
-"""Tests for the well-mixed hashing helpers, chiefly ``live_owner``.
+"""Tests for the well-mixed hashing helpers."""
 
-The crash-recovery re-route relies on a property that plain
-``hash % len(live)`` does not have: the survivor chosen for a key must
-not change when the membership shrinks *again* (otherwise a key
-re-expanded by survivor A after one crash is re-expanded a second time
-by survivor B after a later crash, silently overcounting states).
-``live_owner`` is rendezvous hashing, which has exactly that stability.
-"""
-
-import random
-
-from repro.lts.statehash import live_owner, mix64
-
-
-def test_live_owner_draws_from_live_list():
-    live = [0, 3, 5]
-    for k in range(200):
-        assert live_owner(k, live) in live
-
-
-def test_live_owner_deterministic():
-    live = [1, 2, 4, 7]
-    for k in range(50):
-        assert live_owner(k, live) == live_owner(k, list(live))
-
-
-def test_live_owner_stable_under_unrelated_removal():
-    """Removing a worker that does not own a key never re-routes it.
-
-    This is the membership-stability property the coordinator's exact
-    recovery rests on; the old modulo scheme fails it for most keys.
-    """
-    live = [0, 1, 2, 3]
-    for k in range(500):
-        owner = live_owner(k, live)
-        for gone in live:
-            if gone == owner:
-                continue
-            shrunk = [w for w in live if w != gone]
-            assert live_owner(k, shrunk) == owner
-
-
-def test_live_owner_stable_across_successive_shrinks():
-    """The review scenario: two deaths at different times.
-
-    A key owned by the first dead worker is re-routed to some survivor
-    A; after a second (different) death, the same key must still route
-    to A while A lives.
-    """
-    rng = random.Random(7)
-    for _ in range(200):
-        key = rng.getrandbits(40)
-        live = [0, 1, 2, 3, 4, 5]
-        previous = None
-        while len(live) > 1:
-            owner = live_owner(key, live)
-            if previous is not None and previous in live:
-                assert owner == previous
-            previous = owner
-            # kill some worker other than the current owner when we can
-            victims = [w for w in live if w != owner] or live
-            live.remove(rng.choice(victims))
-
-
-def test_live_owner_spreads_evenly():
-    live = [2, 4, 5]  # an arbitrary surviving subset
-    counts = dict.fromkeys(live, 0)
-    n = 6000
-    for k in range(n):
-        counts[live_owner((k, k + 1), live)] += 1
-    for c in counts.values():
-        assert abs(c - n / len(live)) < 0.15 * n / len(live)
+from repro.lts.statehash import mix64
 
 
 def test_mix64_bijective_sample():

@@ -93,8 +93,8 @@ def test_read_trace_lenient_drops_torn_tail(tmp_path):
 def test_file_mode_survives_sigkill(tmp_path):
     """Line buffering means a killed process loses at most one line.
 
-    The crash-safety contract of the per-worker streams: SIGKILL the
-    writer mid-stream (no close, no atexit, no flush) and every event
+    The flight recorder's crash-safety contract: SIGKILL the writer
+    mid-stream (no close, no atexit, no flush) and every event
     emitted before the kill must already be on disk.
     """
     import os

@@ -16,7 +16,7 @@ from repro.jackal.actions import PROBE_LABELS, Labels
 from repro.jackal.requirements import build_lts, formula_3_1, formula_4_write
 from repro.lts.aut import read_aut, write_aut
 from repro.lts.bitstate import bitstate_explore
-from repro.lts.distributed import distributed_explore
+from repro.lts.engine import explore_fast
 from repro.lts.explore import explore
 from repro.lts.reduction import minimize_branching, minimize_strong
 from repro.mucalc.bes import bes_holds
@@ -74,9 +74,9 @@ def test_generation_strategies_agree():
     cfg = dataclasses.replace(CONFIG_1, with_probes=False)
     model = JackalModel(cfg, ProtocolVariant.fixed())
     exact = explore(model)
-    _l, dstats = distributed_explore(model, n_workers=3)
-    assert dstats.states == exact.n_states
-    assert dstats.transitions == exact.n_transitions
+    fast = explore_fast(model)
+    assert fast.n_states == exact.n_states
+    assert fast.n_transitions == exact.n_transitions
     bres = bitstate_explore(model, table_bytes=1 << 18)
     assert bres.visited == exact.n_states  # ample table: no omissions
 
