@@ -6,7 +6,7 @@ progress to the terminal and was gone; anything you wanted to know
 afterwards — where the time went, how the frontier grew, which
 fixpoint dominated — had to be re-run. This example records a full
 verification session (exploration + requirement checks) into a JSONL
-trace plus a metrics snapshot, then *replays* the trace offline: the
+trace, then *replays* the trace offline: the
 depth-wave table, the per-phase timing breakdown (successor generation
 vs dedup), and the requirement-check summary, all without
 touching the model again.
@@ -21,6 +21,7 @@ from repro import obs
 from repro.jackal import CONFIG_1, JackalModel, ProtocolVariant
 from repro.jackal.requirements import check_requirement_1, check_requirement_2
 from repro.lts.engine import explore_fast
+from repro.obs.report import phase_breakdown, render_report
 
 
 def main() -> None:
@@ -28,27 +29,20 @@ def main() -> None:
     trace_path = workdir / "session.jsonl"
 
     # -- record: one instrumented verification session ----------------------
-    registry = obs.MetricsRegistry()
-    inst = obs.Instrumentation(
-        metrics=registry, tracer=obs.Tracer(trace_path)
-    )
-    with inst, obs.activate(inst):
+    with obs.Tracer(trace_path) as tracer, obs.activate(tracer):
         model = JackalModel(CONFIG_1, ProtocolVariant.fixed())
         explore_fast(model)
         check_requirement_1(CONFIG_1)
         check_requirement_2(CONFIG_1)
-    metrics_path = workdir / "metrics.prom"
-    metrics_path.write_text(registry.render_prometheus())
     print(f"recorded: {trace_path}")
-    print(f"recorded: {metrics_path}")
     print()
 
-    # -- replay: everything below comes from the files alone ----------------
+    # -- replay: everything below comes from the file alone -----------------
     events = obs.read_trace(trace_path)
-    print(obs.render_report(events))
+    print(render_report(events))
     print()
 
-    phases = obs.phase_breakdown(events)
+    phases = phase_breakdown(events)
     print("phase breakdown (replayed from the trace):")
     for key, seconds in phases.items():
         print(f"  {key:<14} {seconds:.4f} s")
@@ -62,9 +56,8 @@ def main() -> None:
     )
 
     # ring mode: the bounded black box for sweeps too large to trace
-    ring = obs.Tracer(ring=8)
-    with obs.Instrumentation(tracer=ring) as bounded:
-        explore_fast(model, obs=bounded)
+    with obs.Tracer(ring=8) as ring:
+        explore_fast(model, tracer=ring)
     print(
         f"ring mode kept the last {len(ring.events())} of the sweep's "
         f"events (bounded memory)"

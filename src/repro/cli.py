@@ -10,10 +10,9 @@ checking, trace narration — as subcommands::
     python -m repro narrate --config 1 --variant error1 --cyclic
     python -m repro litmus
     python -m repro formula --config 1 '[T*.c_home] F'
-    python -m repro bench   --config 1 --out BENCH_explore.json --profile
     python -m repro lint    --config 2 --certify --cert-out CERT.json
     python -m repro check   --config 2 --reduce CERT.json
-    python -m repro explore --config 1 --trace sweep.jsonl --metrics-out m.json
+    python -m repro explore --config 1 --trace sweep.jsonl
     python -m repro report  sweep.jsonl
 """
 
@@ -101,67 +100,32 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--trace-ring", type=int, default=None, metavar="N",
                    help="keep only the last N events (bounded memory; "
                    "with --trace the retained tail is written at exit)")
-    g.add_argument("--metrics-out", default=None, metavar="FILE",
-                   help="write final metrics to this file (JSON, or "
-                   "Prometheus text if the path ends in .prom)")
-    g.add_argument("--progress", action="store_true",
-                   help="live progress line on stderr while exploring")
-    g.add_argument("--mem-pressure-mb", type=float, default=None,
-                   metavar="MB",
-                   help="emit a mem_pressure trace event when the "
-                   "process RSS crosses this many MiB (memory "
-                   "watermarks are recorded whenever any recording "
-                   "flag is on)")
 
 
 @contextlib.contextmanager
-def _instrumented(args):
-    """Activate the flight recorder the obs flags ask for (or NULL).
+def _traced(args):
+    """Activate the tracer ``--trace``/``--trace-ring`` ask for, if any.
 
-    On exit the trace file is closed and the metrics snapshot written,
-    even when the command fails — a wedged sweep still leaves its
-    black box behind.
+    On exit the trace file is closed, even when the command fails — a
+    wedged sweep still leaves its black box behind.
     """
-    trace = getattr(args, "trace", None)
-    ring = getattr(args, "trace_ring", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    progress = getattr(args, "progress", False)
-    pressure_mb = getattr(args, "mem_pressure_mb", None)
-    if not (trace or ring or metrics_out or progress or pressure_mb):
-        yield obs.NULL
+    if not (args.trace or args.trace_ring):
+        yield
         return
-    registry = obs.MetricsRegistry() if metrics_out else None
-    tracer = obs.Tracer(path=trace, ring=ring) if (trace or ring) else None
-    reporter = obs.ProgressReporter() if progress else None
-    memwatch = obs.MemWatch(
-        tracer=tracer, metrics=registry,
-        threshold_bytes=(
-            int(pressure_mb * 1024 * 1024) if pressure_mb else None
-        ),
-    )
-    inst = obs.Instrumentation(registry, tracer, reporter, memwatch)
+    tracer = obs.Tracer(path=args.trace, ring=args.trace_ring)
     try:
-        with obs.activate(inst):
-            yield inst
+        with obs.activate(tracer):
+            yield
     finally:
-        inst.close()
-        if trace:
-            print(f"written: {trace}", file=sys.stderr)
-        if metrics_out:
-            rendered = (
-                registry.render_prometheus()
-                if metrics_out.endswith(".prom")
-                else registry.render_json() + "\n"
-            )
-            with open(metrics_out, "w") as fh:
-                fh.write(rendered)
-            print(f"written: {metrics_out}", file=sys.stderr)
+        tracer.close()
+        if args.trace:
+            print(f"written: {args.trace}", file=sys.stderr)
 
 
 def _cmd_check(args) -> int:
     cfg = _config(args)
     variant = _VARIANTS[args.variant]()
-    with _instrumented(args):
+    with _traced(args):
         return _run_check(args, cfg, variant)
 
 
@@ -174,7 +138,7 @@ def _run_check(args, cfg, variant) -> int:
         print(rep.summary())
         if rep.trace is not None and args.show_trace:
             print(rep.trace.format())
-        return 0 if rep.holds else 1
+        return 1 if rep.holds is False else 0
     results = check_all_requirements(
         cfg, variant, max_states=args.max_states, certificate=cert
     )
@@ -183,14 +147,12 @@ def _run_check(args, cfg, variant) -> int:
         f"{cfg.describe()})",
         ["requirement", "verdict", "detail", "states"],
     )
-    ok = True
     for rep in results.values():
-        ok &= rep.holds
-        table.add(requirement=rep.requirement,
-                  verdict="HOLDS" if rep.holds else "VIOLATED",
+        table.add(requirement=rep.requirement, verdict=rep.verdict,
                   detail=rep.detail, states=rep.lts_states)
     print(table.render())
-    return 0 if ok else 1
+    # a requirement not checked on this configuration is neutral
+    return 1 if any(r.holds is False for r in results.values()) else 0
 
 
 def _cmd_explore(args) -> int:
@@ -200,7 +162,7 @@ def _cmd_explore(args) -> int:
     cfg = _config(args)
     variant = _VARIANTS[args.variant]()
     cert = _certificate(args)
-    with _instrumented(args):
+    with _traced(args):
         _model, lts = build_lts(
             cfg, variant, probes=args.probes, max_states=args.max_states,
             certificate=cert,
@@ -260,79 +222,6 @@ def _cmd_narrate(args) -> int:
     print()
     print(narrate_trace(model, rep.trace))
     return 1
-
-
-def _cmd_bench(args) -> int:
-    import json
-
-    from repro.lts.bench import (
-        BACKENDS,
-        BenchMismatchError,
-        bench_explore,
-        format_bench,
-    )
-
-    backends = tuple(args.backends.split(","))
-    unknown = sorted(set(backends) - set(BACKENDS))
-    if unknown:
-        raise ReproError(
-            f"unknown backend(s) {', '.join(unknown)}; "
-            f"choose from {', '.join(BACKENDS)}"
-        )
-    cfg = dataclasses.replace(_config(args), with_probes=False)
-    variant = _VARIANTS[args.variant]()
-    model = build_model(cfg, variant, probes=False)
-    cert = _certificate(args)
-    try:
-        with _instrumented(args):
-            report = bench_explore(
-                model,
-                backends=backends,
-                repeats=args.repeats,
-                profile=args.profile,
-                certificate=cert,
-            )
-    except BenchMismatchError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 2
-    report["config"] = cfg.describe()
-    report["variant"] = variant.describe()
-    print(format_bench(report))
-    if args.profile:
-        print()
-        print(report["profile"])
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-        print(f"written: {args.out}")
-    if args.min_sps is not None:
-        best = max(
-            row["states_per_second"] for row in report["backends"].values()
-        )
-        if best < args.min_sps:
-            print(
-                f"FAIL: best throughput {best:.0f} states/s below the "
-                f"--min-sps floor {args.min_sps}",
-                file=sys.stderr,
-            )
-            return 1
-    if args.max_rss_mb is not None:
-        from repro.lts.bench import rss_gate
-
-        cap = int(args.max_rss_mb * 1024 * 1024)
-        over = rss_gate(report, cap)
-        if over:
-            worst = max(
-                report["backends"][n]["max_rss_bytes"] for n in over
-            )
-            print(
-                f"FAIL: RSS watermark {worst / (1024 * 1024):.1f} MiB "
-                f"exceeds the --max-rss-mb cap {args.max_rss_mb} "
-                f"(backends: {', '.join(over)})",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
 
 
 def _cmd_report(args) -> int:
@@ -460,31 +349,6 @@ def main(argv: list[str] | None = None) -> int:
                    "(default: requirement 1, falling back to 3.2 when "
                    "1 holds)")
     p.set_defaults(fn=_cmd_narrate)
-
-    p = sub.add_parser(
-        "bench", help="benchmark the exploration backends (BENCH_explore.json)"
-    )
-    _add_model_args(p)
-    p.add_argument(
-        "--backends",
-        default="serial,engine",
-        help="comma-separated backends (serial is always run)",
-    )
-    p.add_argument("--repeats", type=int, default=1,
-                   help="timed runs per backend; best is reported")
-    p.add_argument("--profile", action="store_true",
-                   help="cProfile the engine and print hot functions")
-    p.add_argument("--out", default=None, metavar="JSON",
-                   help="write the report (e.g. BENCH_explore.json)")
-    p.add_argument("--min-sps", type=float, default=None,
-                   help="exit 1 if the best backend is slower than this")
-    p.add_argument("--max-rss-mb", type=float, default=None,
-                   help="exit 1 if any backend's instrumented-pass RSS "
-                   "watermark exceeds this many MiB (memory regression "
-                   "gate)")
-    _add_reduce_arg(p)
-    _add_obs_args(p)
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("report", help="render a recorded trace as a timeline")
     p.add_argument("tracefile", metavar="TRACE",

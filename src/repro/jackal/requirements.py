@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.jackal.actions import ASSERTION_PREFIX, PROBE_LABELS, Labels
-from repro.obs.core import current as _current_obs
+from repro.obs.core import current as _current_tracer
 from repro.jackal.model import VIOLATION, JackalModel
 from repro.jackal.params import Config, ProtocolVariant
 from repro.lts.deadlock import find_deadlocks, shortest_trace_to
@@ -55,43 +55,46 @@ class RequirementReport:
     """Outcome of one requirement check."""
 
     requirement: str
-    holds: bool
+    #: ``None`` when the requirement was not checked on this
+    #: configuration — neither a pass nor a failure
+    holds: bool | None
     detail: str
     trace: Trace | None = None
     lts_states: int = 0
     lts_transitions: int = 0
 
+    @property
+    def verdict(self) -> str:
+        """``HOLDS``, ``VIOLATED`` or ``NOT CHECKED``."""
+        if self.holds is None:
+            return "NOT CHECKED"
+        return "HOLDS" if self.holds else "VIOLATED"
+
     def summary(self) -> str:
         """One-line verdict."""
-        verdict = "HOLDS" if self.holds else "VIOLATED"
         extra = f" — {self.detail}" if self.detail else ""
-        return f"requirement {self.requirement}: {verdict}{extra}"
+        return f"requirement {self.requirement}: {self.verdict}{extra}"
 
 
 def _observed(fn):
     """Record each requirement check on the ambient flight recorder.
 
     Emits one ``check`` event (requirement id, verdict, LTS sizes,
-    wall seconds) and bumps the check counters; free when nothing is
-    recording.
+    wall seconds); free when nothing is recording.
     """
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        obs = _current_obs()
-        if not obs.enabled:
+        tracer = _current_tracer()
+        if not tracer.enabled:
             return fn(*args, **kwargs)
         t0 = time.perf_counter()
         rep = fn(*args, **kwargs)
-        obs.tracer.emit(
+        tracer.emit(
             "check", requirement=rep.requirement, holds=rep.holds,
             states=rep.lts_states, transitions=rep.lts_transitions,
             seconds=round(time.perf_counter() - t0, 6),
         )
-        obs.metrics.counter(
-            "repro_checks_total",
-            verdict="holds" if rep.holds else "violated",
-        ).inc()
         return rep
 
     return wrapper
@@ -341,12 +344,13 @@ def check_requirement_3_2(
     """In a stable state a region has at most ``n - 1`` copies.
 
     As in the paper, only meaningful for two-processor configurations
-    (``c_copy`` there means the home was lost).
+    (``c_copy`` there means the home was lost); on any other the report
+    says so with ``holds=None``.
     """
     if config.n_processors != 2:
         return RequirementReport(
             requirement="3.2 (bounded copies when stable)",
-            holds=True,
+            holds=None,
             detail="skipped: formulated (as in the paper) for 2 processors",
         )
     if lts is None:
@@ -578,9 +582,9 @@ def _without_probes(probe_lts: LTS) -> LTS:
     """The plain LTS of a probe sweep, with an ``lts_derive`` trace event."""
     t0 = time.perf_counter()
     plain = probe_lts.without_labels(PROBE_LABELS)
-    obs = _current_obs()
-    if obs.enabled:
-        obs.tracer.emit(
+    tracer = _current_tracer()
+    if tracer.enabled:
+        tracer.emit(
             "lts_derive", kept=plain.n_transitions,
             dropped=probe_lts.n_transitions - plain.n_transitions,
             seconds=round(time.perf_counter() - t0, 6),

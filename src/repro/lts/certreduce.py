@@ -26,8 +26,7 @@ per-backend BFS changes:
   (projection commutes with stepping), i.e. a strong bisimulation, so
   *all* verdicts, liveness included, are preserved. ``None`` (the
   default) takes the certificate's ``common_dropped`` set; pass ``()``
-  to disable slicing (the canonical-only comparison ``bench_explore``
-  reports).
+  to disable slicing (the canonical-only comparison).
 
 Historically, per-thread-indexed properties (Requirement 4's
 ``write(t)`` inevitability) were not invariant under the quotient's
@@ -48,8 +47,8 @@ JKL401–404); there is no degraded mode. The wrapper counts
 ``canonical_hits`` (successors whose key changed under
 canonicalization), ``ample_prunes`` (transitions pruned) and
 ``slice_hits`` (successors changed by projection), which the backends
-surface as ``repro_reduce_*`` metrics and ``bench_explore`` turns into
-the reported reduction factor.
+report per sweep in the ``reduction`` field of the trace's
+``sweep_end`` event.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ from repro.errors import ExplorationLimitError
 from repro.lts.explore import ExplorationStats, TransitionSystem
 from repro.lts.lts import LTS
 from repro.lts.rowset import RowSet
-from repro.obs.core import current as _current_obs
+from repro.obs.core import current as _current_tracer, peak_rss_bytes
 
 
 class RowStates(Mapping):
@@ -94,7 +94,7 @@ def explore_fast(
     on_level: Callable[[int, int], None] | None = None,
     stats: ExplorationStats | None = None,
     certificate=None,
-    obs=None,
+    tracer=None,
 ) -> LTS:
     """Generate the reachable LTS of ``system`` by breadth-first search.
 
@@ -112,20 +112,20 @@ def explore_fast(
         quotient + ample pruning) and refuses with
         :class:`~repro.errors.ReproError` if the certificate does not
         validate for this system (JKL303–JKL305).
-    obs:
-        Optional :class:`~repro.obs.core.Instrumentation`; defaults to
-        the ambient bundle. Disabled instrumentation costs one branch
-        per BFS wave — the hot per-state loops are untouched.
+    tracer:
+        Optional :class:`~repro.obs.tracer.Tracer`; defaults to the
+        ambient one. A disabled tracer costs one branch per BFS wave —
+        the hot per-state loops are untouched.
     """
     if certificate is not None:
         from repro.lts.certreduce import ReducedSystem
 
         system = ReducedSystem(system, certificate)
-    if obs is None:
-        obs = _current_obs()
-    recording = obs.enabled
+    if tracer is None:
+        tracer = _current_tracer()
+    recording = tracer.enabled
     # reduction counters are cumulative on the (possibly reused)
-    # wrapper, so metrics report this sweep's delta
+    # wrapper, so the trace reports this sweep's delta
     red0 = (
         (system.canonical_hits, system.ample_prunes, system.slice_hits)
         if hasattr(system, "canonical_hits")
@@ -265,42 +265,15 @@ def explore_fast(
             if red0 is not None
             else None
         )
-        obs.memwatch.note("visited_index", visited_bytes())
-        obs.memwatch.sample(force=True)
-        obs.tracer.emit(
+        tracer.emit(
             "sweep_end", backend="engine", outcome=outcome,
             states=stats.states, transitions=stats.transitions,
             seconds=round(stats.seconds, 6),
             states_per_second=round(stats.states_per_second(), 1),
             depth=stats.depth, max_frontier=stats.max_frontier,
             bytes_per_state=round(visited_bytes() / stats.states, 1),
-            reduction=reduction,
-            max_rss_bytes=obs.memwatch.max_rss_bytes,
-            mem_pressure_events=obs.memwatch.pressure_events,
+            reduction=reduction, max_rss_bytes=peak_rss_bytes(),
         )
-        m = obs.metrics
-        m.counter("repro_sweeps_total", backend="engine", outcome=outcome).inc()
-        m.counter("repro_sweep_states_total").inc(stats.states)
-        m.counter("repro_sweep_transitions_total").inc(stats.transitions)
-        m.gauge("repro_sweep_seconds", backend="engine").set(
-            round(stats.seconds, 6)
-        )
-        m.gauge("repro_sweep_states_per_second", backend="engine").set(
-            round(stats.states_per_second(), 1)
-        )
-        if red0 is not None:
-            m.counter("repro_reduce_canonical_hits_total").inc(
-                system.canonical_hits - red0[0]
-            )
-            m.counter("repro_reduce_ample_prunes_total").inc(
-                system.ample_prunes - red0[1]
-            )
-            m.counter("repro_reduce_slice_hits_total").inc(
-                system.slice_hits - red0[2]
-            )
-        # visited-probe hits: probes that found an already-numbered
-        # state (every transition probes once; discoveries miss)
-        m.counter("repro_visited_probe_hits_total").inc(len(src) - n)
 
     def _partial_lts() -> LTS:
         out = LTS.from_columns(
@@ -313,11 +286,11 @@ def explore_fast(
         return out
 
     if recording:
-        obs.tracer.emit(
+        tracer.emit(
             "sweep_start", backend="engine",
             max_states=max_states, max_depth=max_depth,
         )
-        obs.tracer.emit("gc_suspend")
+        tracer.emit("gc_suspend")
     # nearly every allocation of the scalar loop stays alive in the
     # visited index, so generational GC passes rescan an ever-growing
     # live set for nothing — suspend collection for the duration (the
@@ -352,18 +325,11 @@ def explore_fast(
             if recording:
                 wave_s = time.perf_counter() - wave_t0
                 succ_s = succ_seconds[0] - wave_succ0
-                obs.tracer.emit(
+                tracer.emit(
                     "wave", depth=depth, states=n, frontier=len(frontier),
                     transitions=len(src) - wave_trans0,
                     wave_s=round(wave_s, 6), succ_s=round(succ_s, 6),
                     dedup_s=round(max(wave_s - succ_s, 0.0), 6),
-                )
-                obs.memwatch.note("visited_index", visited_bytes())
-                obs.memwatch.sample()
-                elapsed = time.perf_counter() - t0
-                obs.progress.maybe(
-                    states=n, sps=n / elapsed if elapsed > 0 else 0.0,
-                    frontier=len(frontier), depth=depth,
                 )
             if on_level is not None:
                 on_level(depth, n)
@@ -371,7 +337,7 @@ def explore_fast(
         if gc_was_enabled:
             gc.enable()
         if recording:
-            obs.tracer.emit(
+            tracer.emit(
                 "gc_resume",
                 suspended_s=round(time.perf_counter() - gc_t0, 6),
             )

@@ -11,14 +11,13 @@ extracted.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Protocol, runtime_checkable
 
 from repro.errors import ExplorationLimitError
 from repro.lts.lts import LTS
-from repro.obs.core import current as _current_obs
+from repro.obs.core import current as _current_tracer, peak_rss_bytes
 
 
 @runtime_checkable
@@ -84,7 +83,7 @@ def explore(
     on_level: Callable[[int, int], None] | None = None,
     stats: ExplorationStats | None = None,
     certificate=None,
-    obs=None,
+    tracer=None,
 ) -> LTS:
     """Generate the reachable LTS of ``system`` by breadth-first search.
 
@@ -116,9 +115,9 @@ def explore(
         quotient + ample pruning) and refuses with
         :class:`~repro.errors.ReproError` if the certificate does not
         validate for this system (JKL303–JKL305).
-    obs:
-        Optional :class:`~repro.obs.core.Instrumentation`; defaults to
-        the ambient bundle (disabled unless activated).
+    tracer:
+        Optional :class:`~repro.obs.tracer.Tracer`; defaults to the
+        ambient one (disabled unless activated).
 
     Returns
     -------
@@ -129,11 +128,11 @@ def explore(
         from repro.lts.certreduce import ReducedSystem
 
         system = ReducedSystem(system, certificate)
-    if obs is None:
-        obs = _current_obs()
-    recording = obs.enabled
+    if tracer is None:
+        tracer = _current_tracer()
+    recording = tracer.enabled
     # reduction counters are cumulative on the (possibly reused)
-    # wrapper, so metrics report this sweep's delta
+    # wrapper, so the trace reports this sweep's delta
     red0 = (
         (system.canonical_hits, system.ample_prunes, system.slice_hits)
         if hasattr(system, "canonical_hits")
@@ -160,7 +159,7 @@ def explore(
 
     succ_seconds = [0.0]
     if recording:
-        obs.tracer.emit(
+        tracer.emit(
             "sweep_start", backend="serial",
             max_states=max_states, max_depth=max_depth,
         )
@@ -193,39 +192,14 @@ def explore(
             if red0 is not None
             else None
         )
-        obs.memwatch.note("visited_index", sys.getsizeof(index))
-        obs.memwatch.sample(force=True)
-        obs.tracer.emit(
+        tracer.emit(
             "sweep_end", backend="serial", outcome=outcome,
             states=stats.states, transitions=stats.transitions,
             seconds=round(stats.seconds, 6),
             states_per_second=round(stats.states_per_second(), 1),
             depth=stats.depth, max_frontier=stats.max_frontier,
-            reduction=reduction,
-            max_rss_bytes=obs.memwatch.max_rss_bytes,
-            mem_pressure_events=obs.memwatch.pressure_events,
+            reduction=reduction, max_rss_bytes=peak_rss_bytes(),
         )
-        m = obs.metrics
-        m.counter("repro_sweeps_total", backend="serial",
-                  outcome=outcome).inc()
-        m.counter("repro_sweep_states_total").inc(stats.states)
-        m.counter("repro_sweep_transitions_total").inc(stats.transitions)
-        m.gauge("repro_sweep_seconds", backend="serial").set(
-            round(stats.seconds, 6)
-        )
-        m.gauge("repro_sweep_states_per_second", backend="serial").set(
-            round(stats.states_per_second(), 1)
-        )
-        if red0 is not None:
-            m.counter("repro_reduce_canonical_hits_total").inc(
-                system.canonical_hits - red0[0]
-            )
-            m.counter("repro_reduce_ample_prunes_total").inc(
-                system.ample_prunes - red0[1]
-            )
-            m.counter("repro_reduce_slice_hits_total").inc(
-                system.slice_hits - red0[2]
-            )
 
     while frontier:
         if max_depth is not None and depth >= max_depth:
@@ -264,19 +238,11 @@ def explore(
         if recording:
             wave_s = time.perf_counter() - wave_t0
             succ_s = succ_seconds[0] - wave_succ0
-            obs.tracer.emit(
+            tracer.emit(
                 "wave", depth=depth, states=len(index),
                 frontier=len(frontier), wave_s=round(wave_s, 6),
                 succ_s=round(succ_s, 6),
                 dedup_s=round(max(wave_s - succ_s, 0.0), 6),
-            )
-            obs.memwatch.note("visited_index", sys.getsizeof(index))
-            obs.memwatch.sample()
-            elapsed = time.perf_counter() - t0
-            obs.progress.maybe(
-                states=len(index),
-                sps=len(index) / elapsed if elapsed > 0 else 0.0,
-                frontier=len(frontier), depth=depth,
             )
         if on_level is not None:
             on_level(depth, len(index))

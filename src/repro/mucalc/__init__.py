@@ -43,7 +43,6 @@ from repro.mucalc.syntax import (
 from repro.mucalc.parser import parse_formula
 from repro.mucalc.checker import check, check_many, holds, satisfying_states
 from repro.mucalc.diagnostics import witness_diamond, counterexample_box
-from repro.mucalc.onthefly import check_never, check_reachable, find_path
 from repro.mucalc.bes import formula_to_bes, solve_bes, BES
 
 __all__ = [
@@ -78,9 +77,6 @@ __all__ = [
     "satisfying_states",
     "witness_diamond",
     "counterexample_box",
-    "check_never",
-    "check_reachable",
-    "find_path",
     "formula_to_bes",
     "solve_bes",
     "BES",

@@ -43,7 +43,7 @@ import numpy as np
 from repro.errors import FormulaSemanticsError
 from repro.lts.frontier import solve_mu_box, solve_mu_diamond
 from repro.lts.lts import LTS
-from repro.obs.core import current as _current_obs
+from repro.obs.core import current as _current_tracer
 from repro.mucalc.syntax import (
     ActionPredicate,
     And,
@@ -184,11 +184,11 @@ class _Evaluator:
     mutation of the LTS.
     """
 
-    def __init__(self, lts: LTS, obs=None):
+    def __init__(self, lts: LTS, tracer=None):
         self.lts = lts
         self.n = lts.n_states
         self.src, self.lbl, self.dst = lts.columns()
-        self.obs = obs if obs is not None else _current_obs()
+        self.tracer = tracer if tracer is not None else _current_tracer()
         self._masks: dict[ActionPredicate, np.ndarray] = {}
         self._memo: dict[Formula, np.ndarray] = {}
         self.hole: Formula | None = None
@@ -269,24 +269,17 @@ class _Evaluator:
     def _fixpoint(self, f: Mu | Nu, env) -> np.ndarray:
         n = self.n
         is_mu = isinstance(f, Mu)
-        recording = self.obs.enabled
+        recording = self.tracer.enabled
         t0 = time.perf_counter() if recording else 0.0
 
         def _observe(mode: str, iterations: int) -> None:
             # iterations: Kleene rounds, or frontier rounds (the depth
             # the solution propagated to) on the worklist paths
-            self.obs.tracer.emit(
+            self.tracer.emit(
                 "fixpoint", var=f.var, op="mu" if is_mu else "nu",
                 mode=mode, iterations=iterations, states=n,
                 seconds=round(time.perf_counter() - t0, 6),
             )
-            self.obs.metrics.counter(
-                "repro_fixpoints_total", mode=mode
-            ).inc()
-            if mode == "kleene":
-                self.obs.metrics.counter(
-                    "repro_kleene_iterations_total"
-                ).inc(iterations)
 
         occ = _find_single_modal_occurrence(f.var, f.body)
         if occ is not None:

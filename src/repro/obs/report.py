@@ -3,15 +3,12 @@
 The consumer side of :mod:`repro.obs.tracer`: ``repro report
 trace.jsonl`` loads the JSONL events back and prints, per sweep, the
 depth waves, the per-phase timing breakdown (successor generation vs
-dedup), the sweep's notable events (GC brackets, limits, memory
-pressure), the derivation of the plain LTS from a probe sweep, the
-mu-calculus fixpoint and requirement-check summaries, and a last line
-that accounts for the whole recording (:func:`whole_run`). Events it
-does not know — including those of traces recorded by older versions
-— are skipped, never an error.
-
-:func:`phase_breakdown` is also used directly by the bench harness to
-embed the same breakdown into ``BENCH_explore.json``.
+dedup), the sweep's notable events (GC brackets, limits), the
+derivation of the plain LTS from a probe sweep, the mu-calculus
+fixpoint and requirement-check summaries, and a last line that
+accounts for the whole recording (:func:`whole_run`). Events and
+fields it does not know — including those of traces recorded by older
+versions — are skipped, never an error.
 """
 
 from __future__ import annotations
@@ -164,15 +161,7 @@ def _wave_table(waves: list[dict]) -> list[str]:
     return lines
 
 
-_TIMELINE_EVENTS = ("gc_suspend", "gc_resume", "limit", "mem_pressure")
-
-
-def _fmt_bytes(n: float) -> str:
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(n) < 1024.0 or unit == "GiB":
-            return f"{n:.1f} {unit}" if unit != "B" else f"{int(n)} B"
-        n /= 1024.0
-    return f"{n:.1f} GiB"  # pragma: no cover - loop always returns
+_TIMELINE_EVENTS = ("gc_suspend", "gc_resume", "limit")
 
 
 def _render_sweep(i: int, events: list[dict]) -> list[str]:
@@ -206,13 +195,9 @@ def _render_sweep(i: int, events: list[dict]) -> list[str]:
                 f"slice_hits={red.get('slice_hits', 0):,}"
             )
         if end.get("max_rss_bytes"):
-            mem = f"  memory: max RSS {_fmt_bytes(end['max_rss_bytes'])}"
+            mem = f"  memory: max RSS {end['max_rss_bytes'] / 2**20:.1f} MiB"
             if "bytes_per_state" in end:
                 mem += f"  visited set {end['bytes_per_state']:.1f} B/state"
-            if end.get("mem_pressure_events"):
-                mem += (
-                    f"  pressure events {end['mem_pressure_events']}"
-                )
             lines.append(mem)
 
     waves = [e for e in events if e.get("ev") == "wave"]
@@ -235,6 +220,11 @@ def _render_sweep(i: int, events: list[dict]) -> list[str]:
     if phases["total_s"] > 0:
         lines.append("  " + _fmt_phase_line(phases))
     return lines
+
+
+#: a ``check`` event's ``holds`` as the CLI prints it (``null``: the
+#: requirement was not checked on this configuration)
+_VERDICTS = {True: "HOLDS", False: "VIOLATED"}
 
 
 def render_report(events: list[dict]) -> str:
@@ -286,16 +276,6 @@ def render_report(events: list[dict]) -> str:
 
         lines.extend(_head_and_tail(fixpoints, fixpoint_row, "fixpoints"))
 
-    products = [e for e in events if e.get("ev") == "product_end"]
-    if products:
-        lines.append("")
-        for e in products:
-            lines.append(
-                f"on-the-fly product: {e.get('product_states', 0):,} states, "
-                f"{'witness found' if e.get('found') else 'no witness'} "
-                f"({e.get('seconds', 0.0):.3f} s)"
-            )
-
     checks = [e for e in events if e.get("ev") == "check"]
     if checks:
         lines.append("")
@@ -303,7 +283,7 @@ def render_report(events: list[dict]) -> str:
         for e in checks:
             lines.append(
                 f"  {e.get('requirement', '?'):<34} "
-                f"{'HOLDS' if e.get('holds') else 'VIOLATED':<9} "
+                f"{_VERDICTS.get(e.get('holds'), 'NOT CHECKED'):<11} "
                 f"{e.get('states', 0):>10,} states  "
                 f"{e.get('seconds', 0.0):>7.3f} s"
             )

@@ -1,6 +1,6 @@
 """Structured JSONL event traces.
 
-The flight recorder's chronological side: every lifecycle event of an
+The flight recorder's one record of a run: every lifecycle event of an
 exploration or check — sweep start/end, BFS depth waves, fixpoint
 iterations, requirement checks — is one JSON
 object per line with a monotonic timestamp::

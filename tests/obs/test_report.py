@@ -36,9 +36,8 @@ def test_phase_breakdown_empty():
 
 
 def test_render_report_on_recorded_sweep(chain_system):
-    tracer = obs.Tracer(ring=10_000)
-    with obs.Instrumentation(tracer=tracer) as inst:
-        explore_fast(chain_system, obs=inst)
+    with obs.Tracer(ring=10_000) as tracer:
+        explore_fast(chain_system, tracer=tracer)
     text = render_report(tracer.events())
     assert "flight recorder report" in text
     assert "sweep 1: engine" in text
@@ -89,6 +88,29 @@ def test_recorded_distributed_trace_still_renders():
     }
 
 
+def test_trace_of_the_retired_recorders_still_renders():
+    """Older traces carry the memory watcher's ``mem_pressure`` events
+    and ``mem_pressure_events`` field and the on-the-fly checker's
+    ``product_*`` events; they are skipped, and the rest renders."""
+    events = [
+        {"t": 0.0, "ev": "sweep_start", "backend": "engine"},
+        {"t": 0.05, "ev": "mem_pressure", "rss_bytes": 2097152,
+         "threshold_bytes": 1048576, "structs": {"visited_index": 4096}},
+        {"t": 0.1, "ev": "sweep_end", "outcome": "ok", "states": 7,
+         "transitions": 9, "seconds": 0.1, "max_rss_bytes": 2097152,
+         "bytes_per_state": 58.5, "mem_pressure_events": 1},
+        {"t": 0.2, "ev": "product_start", "regular": "T*.c",
+         "max_states": None},
+        {"t": 0.3, "ev": "product_end", "found": True, "product_states": 77,
+         "seconds": 0.1},
+    ]
+    text = render_report(events)
+    assert "sweep 1: engine — ok" in text
+    assert "memory: max RSS 2.0 MiB  visited set 58.5 B/state" in text
+    for retired in ("mem_pressure", "pressure", "product", "77"):
+        assert retired not in text
+
+
 def test_render_report_wave_elision():
     waves = [
         {"t": i * 0.001, "ev": "wave", "depth": i, "states": i,
@@ -110,8 +132,9 @@ def test_render_report_checks_and_fixpoints():
          "seconds": 0.002},
         {"t": 0.2, "ev": "check", "requirement": "1 (deadlock freeness)",
          "holds": True, "states": 288, "seconds": 0.05},
-        {"t": 0.3, "ev": "product_end", "found": False,
-         "product_states": 77, "seconds": 0.02},
+        {"t": 0.25, "ev": "check",
+         "requirement": "3.2 (bounded copies when stable)", "holds": None,
+         "states": 0, "seconds": 0.0},
     ]
     text = render_report(events)
     # frontier rounds are depth, not Kleene iterations; both show per row
@@ -121,14 +144,15 @@ def test_render_report_checks_and_fixpoints():
     )
     assert "nu _R0      worklist-box          37 rounds     0.002 s" in text
     assert "requirement checks:" in text
-    assert "HOLDS" in text
-    assert text.count("on-the-fly product: 77 states") == 1
+    assert "1 (deadlock freeness)              HOLDS " in text
+    # a requirement not checked on this configuration is not a HOLDS
+    assert "3.2 (bounded copies when stable)   NOT CHECKED " in text
 
 
 def test_report_from_file_round_trip(tmp_path, chain_system):
     path = tmp_path / "sweep.jsonl"
-    with obs.Instrumentation(tracer=obs.Tracer(path)) as inst:
-        explore_fast(chain_system, obs=inst)
+    with obs.Tracer(path) as tracer:
+        explore_fast(chain_system, tracer=tracer)
     text = report_from_file(path)
     assert "sweep 1: engine" in text
 
