@@ -215,8 +215,10 @@ def test_instrumentation_disabled_overhead(once):
     The flight recorder's contract: when nothing is recording, the
     engine must run within 3% of the frozen pre-instrumentation loop
     above. Both sides sweep the kernel-less shim: the scalar loop is
-    what a :class:`~repro.lts.certreduce.ReducedSystem` still runs,
-    and the loop the frozen copy is a copy of. Interleaved min-of-5
+    the loop the frozen copy is a copy of, and no product path runs it
+    any more (a :class:`~repro.lts.certreduce.ReducedSystem` sweeps on
+    a kernel), so the gate guards the instrumentation points rather
+    than a path a check depends on. Interleaved min-of-5
     timings absorb scheduler noise; the comparison is retried up to 3
     times before failing so one noisy round cannot flake the gate.
     """

@@ -123,6 +123,7 @@ def build_lts(
     max_states: int | None = None,
     keep_states: bool = False,
     certificate=None,
+    _validated: bool = False,
 ) -> tuple[JackalModel, LTS]:
     """Explore the protocol into an explicit LTS.
 
@@ -155,6 +156,10 @@ def build_lts(
             model,
             certificate,
             canonical=probes or licenses_full_quotient(certificate),
+            _validated=_validated,
+        )
+        return model, system.sweep(
+            max_states=max_states, keep_states=keep_states
         )
     lts = explore_fast(system, max_states=max_states, keep_states=keep_states)
     return model, lts
@@ -453,13 +458,20 @@ def check_requirement_4(
             certificate=certificate,
         )
     if quotient:
-        from repro.lts.certreduce import unfold_full_quotient
+        from repro.lts.certreduce import (
+            QuotientLTS,
+            unfold_full_quotient,
+            unfold_quotient,
+        )
         from repro.staticcheck.formulasym import requirement4_orbit_formulas
 
         checks = requirement4_orbit_formulas(config, fair=fair)
-        eval_lts = unfold_full_quotient(
-            build_model(config, variant, probes=False), certificate
-        )
+        if isinstance(lts, QuotientLTS):
+            eval_lts = unfold_quotient(lts, certificate)
+        else:
+            eval_lts = unfold_full_quotient(
+                build_model(config, variant, probes=False), certificate
+            )
     else:
         checks = []
         for tid in range(config.n_threads):
@@ -538,6 +550,10 @@ def check_all_requirements(
     )
     out: dict[str, RequirementReport] = {}
     model = plain_lts = probe_lts = None
+    if certificate is not None:
+        from repro.lts.certreduce import require_valid
+
+        require_valid(certificate, config, variant)
     if certificate is None and needs_plain and needs_probe:
         model, probe_lts = build_lts(
             config, variant, probes=True, max_states=max_states,
@@ -547,7 +563,7 @@ def check_all_requirements(
     elif needs_plain:
         model, plain_lts = build_lts(
             config, variant, probes=False, max_states=max_states,
-            keep_states=True, certificate=certificate,
+            keep_states=True, certificate=certificate, _validated=True,
         )
     if "1" in wanted:
         out["1"] = check_requirement_1(
@@ -563,7 +579,7 @@ def check_all_requirements(
     if needs_probe and probe_lts is None:
         _m, probe_lts = build_lts(
             config, variant, probes=True, max_states=max_states,
-            certificate=certificate,
+            certificate=certificate, _validated=True,
         )
     if "3.1" in wanted:
         out["3.1"] = check_requirement_3_1(config, variant, lts=probe_lts)

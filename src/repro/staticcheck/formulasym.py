@@ -23,7 +23,7 @@ means renaming the ``t<i>``/``p<j>`` tokens inside its action literals
   ``∧_{t ∈ orbit} φ_t`` is then group-invariant as a property, which
   licenses the full-quotient *sweep*; the formulas themselves still
   quote concrete indices whose frames the quotient merges away, so the
-  checker evaluates them on the quotient's exact group-unfolding
+  checker evaluates them on the quotient's group-unfolding
   (:func:`repro.lts.certreduce.unfold_full_quotient`), never on the
   quotient LTS directly;
 * **asymmetric** — a permuted formula leaves the family. The full

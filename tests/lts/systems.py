@@ -3,8 +3,8 @@
 
 class ScalarOnly:
     """A model minus its frontier kernel: ``explore_fast`` expands it one
-    state at a time through ``successors_fast``, as it does a
-    :class:`~repro.lts.certreduce.ReducedSystem`."""
+    state at a time through ``successors_fast`` (no product path takes
+    that loop any more)."""
 
     def __init__(self, model):
         self.model = model

@@ -78,3 +78,26 @@ def test_cli_module_importable():
     from repro.cli import main
 
     assert callable(main)
+
+
+def test_uncertified_check_loads_no_static_analysis():
+    """Importing any ``repro.staticcheck`` module loads the whole package
+    and ``repro.algebra`` with it — megabytes of resident memory an
+    uncertified check has no use for. They stay behind the certificate."""
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "from repro.jackal.params import CONFIG_1\n"
+        "from repro.jackal.requirements import check_all_requirements\n"
+        "check_all_requirements(replace(CONFIG_1, rounds=1))\n"
+        "print(sorted(m for m in sys.modules if m.startswith(\n"
+        "    ('repro.staticcheck', 'repro.algebra'))))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
