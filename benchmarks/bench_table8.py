@@ -12,13 +12,11 @@ C2 = 5,424,848 / 40,476,069 (reqs 1-4); C3 = 36,371,052 / 290,181,444
 (reqs 1-2).
 """
 
-import dataclasses
-
 import pytest
 
+from repro.analysis.experiments import run_table8
 from repro.analysis.reporting import Table
-from repro.jackal import CONFIG_1, CONFIG_2, CONFIG_3, ProtocolVariant
-from repro.jackal.requirements import check_all_requirements
+from repro.jackal import CONFIG_1, CONFIG_2, CONFIG_3
 
 ROUNDS = 2
 PAPER_ROWS = {
@@ -30,37 +28,29 @@ PAPER_ROWS = {
 _results: dict[str, dict] = {}
 
 
-def _run(name, cfg, skip):
-    cfg = dataclasses.replace(cfg, rounds=ROUNDS)
-    res = check_all_requirements(cfg, ProtocolVariant.fixed(), skip=skip)
-    row = {
-        "config": name,
-        "states": max(r.lts_states for r in res.values()),
-        "transitions": max(r.lts_transitions for r in res.values()),
-        "req_checked": ", ".join(sorted(res)),
-        "all_hold": all(r.holds for r in res.values()),
-    }
-    _results[name] = row
-    return row
+def _run(name, cfg):
+    [row] = run_table8(rounds=ROUNDS, configs={name: cfg})
+    _results[name] = row.as_dict()
+    return _results[name]
 
 
 @pytest.mark.benchmark(group="table8")
 def test_table8_config_1(once):
-    row = once(_run, "1", CONFIG_1, ())
+    row = once(_run, "1", CONFIG_1)
     assert row["all_hold"]
     assert row["req_checked"] == "1, 2, 3.1, 3.2, 4"
 
 
 @pytest.mark.benchmark(group="table8")
 def test_table8_config_2(once):
-    row = once(_run, "2", CONFIG_2, ())
+    row = once(_run, "2", CONFIG_2)
     assert row["all_hold"]
 
 
 @pytest.mark.benchmark(group="table8")
 def test_table8_config_3(once):
     # requirements 1-2 only, exactly as in the paper
-    row = once(_run, "3", CONFIG_3, ("3.1", "3.2", "4"))
+    row = once(_run, "3", CONFIG_3)
     assert row["all_hold"]
     assert row["req_checked"] == "1, 2"
 
@@ -70,13 +60,9 @@ def test_table8_shape_matches_paper(once):
     """The qualitative claims of Table 8 hold for our model too."""
 
     def check_shape():
-        for name, cfg, skip in [
-            ("1", CONFIG_1, ()),
-            ("2", CONFIG_2, ()),
-            ("3", CONFIG_3, ("3.1", "3.2", "4")),
-        ]:
+        for name, cfg in [("1", CONFIG_1), ("2", CONFIG_2), ("3", CONFIG_3)]:
             if name not in _results:
-                _run(name, cfg, skip)
+                _run(name, cfg)
         return _results
 
     rows = once(check_shape)
@@ -87,7 +73,7 @@ def test_table8_shape_matches_paper(once):
     assert s2 < s3 * 5 and s2 * 1.5 < s3, (s2, s3)
     table = Table(
         "Table 8 (paper vs. reproduction)",
-        ["config", "states", "transitions", "req_checked",
+        ["config", "states", "transitions", "req_checked", "seconds",
          "paper_states", "paper_transitions", "paper_req"],
     )
     for k in ("1", "2", "3"):

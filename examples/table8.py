@@ -20,12 +20,9 @@ Run:  python examples/table8.py [--rounds 2] [--cyclic]
 """
 
 import argparse
-import dataclasses
-import time
 
+from repro.analysis.experiments import run_table8
 from repro.analysis.reporting import Table
-from repro.jackal import CONFIG_1, CONFIG_2, CONFIG_3, ProtocolVariant
-from repro.jackal.requirements import check_all_requirements
 
 PAPER = {
     "1": (65_234, 360_162, "1, 2, 3, 4"),
@@ -43,33 +40,15 @@ def main() -> None:
     args = ap.parse_args()
     rounds = None if args.cyclic else args.rounds
 
-    configs = [("1", CONFIG_1, ()), ("2", CONFIG_2, ()), ("3", CONFIG_3, ("3.1", "3.2", "4"))]
     table = Table(
         f"Table 8 reproduction (fixed protocol, rounds={'inf' if rounds is None else rounds})",
         ["config", "states", "transitions", "req_checked", "all_hold",
          "seconds", "paper_states", "paper_transitions", "paper_req"],
     )
-    for name, cfg, skip in configs:
-        cfg = dataclasses.replace(cfg, rounds=rounds)
-        t0 = time.perf_counter()
-        res = check_all_requirements(cfg, ProtocolVariant.fixed(), skip=skip)
-        dt = time.perf_counter() - t0
-        states = max(r.lts_states for r in res.values())
-        transitions = max(r.lts_transitions for r in res.values())
-        ps, pt, pr = PAPER[name]
-        table.add(
-            config=name,
-            states=states,
-            transitions=transitions,
-            req_checked=", ".join(sorted(res)),
-            all_hold=all(r.holds for r in res.values()),
-            seconds=round(dt, 1),
-            paper_states=ps,
-            paper_transitions=pt,
-            paper_req=pr,
-        )
-        print(f"config {name} done in {dt:.1f}s")
-    print()
+    for row in run_table8(rounds=rounds):
+        ps, pt, pr = PAPER[row.config]
+        table.add(**row.as_dict(), paper_states=ps, paper_transitions=pt,
+                  paper_req=pr)
     print(table.render())
 
 

@@ -8,7 +8,6 @@ checking, trace narration — as subcommands::
     python -m repro explore --config 1 --rounds 2 --aut out.aut
     python -m repro table8  --rounds 2
     python -m repro narrate --config 1 --variant error1 --cyclic
-    python -m repro litmus
     python -m repro formula --config 1 '[T*.c_home] F'
     python -m repro lint    --config 2 --certify --cert-out CERT.json
     python -m repro check   --config 2 --reduce CERT.json
@@ -24,8 +23,9 @@ import dataclasses
 import sys
 
 from repro import obs
+from repro.analysis.experiments import run_table8
 from repro.analysis.explain import narrate_trace
-from repro.analysis.reporting import Table
+from repro.analysis.reporting import Table, format_table
 from repro.errors import ReproError
 from repro.jackal.params import CONFIG_1, CONFIG_2, CONFIG_3, Config, ProtocolVariant
 from repro.jackal.requirements import (
@@ -177,26 +177,13 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_table8(args) -> int:
-    rows = []
-    for name, cfg in _CONFIGS.items():
-        skip = ("3.1", "3.2", "4") if name == "3" else ()
-        c = dataclasses.replace(
-            cfg, rounds=None if args.cyclic else args.rounds
-        )
-        res = check_all_requirements(
-            c, ProtocolVariant.fixed(), skip=skip, max_states=args.max_states
-        )
-        rows.append({
-            "config": name,
-            "states": max(r.lts_states for r in res.values()),
-            "transitions": max(r.lts_transitions for r in res.values()),
-            "req_checked": ", ".join(sorted(res)),
-            "all_hold": all(r.holds for r in res.values()),
-        })
-    print(Table("Table 8 reproduction",
-                ["config", "states", "transitions", "req_checked", "all_hold"],
-                rows).render())
-    return 0 if all(r["all_hold"] for r in rows) else 1
+    rows = run_table8(
+        rounds=None if args.cyclic else args.rounds,
+        max_states=args.max_states,
+    )
+    print(format_table([r.as_dict() for r in rows],
+                       title="Table 8 reproduction"))
+    return 0 if all(r.all_hold for r in rows) else 1
 
 
 def _cmd_narrate(args) -> int:
@@ -240,17 +227,6 @@ def _cmd_report(args) -> int:
         raise ReproError(f"malformed trace {path!r}: {exc.msg}") from exc
     print(rendered)
     return 0
-
-
-def _cmd_litmus(_args) -> int:
-    from repro.jmm import LITMUS_TESTS, run_conformance
-
-    ok = True
-    for t in LITMUS_TESTS():
-        res = run_conformance(t)
-        ok &= res.conforms
-        print(res.summary())
-    return 0 if ok else 1
 
 
 def _cmd_lint(args) -> int:
@@ -354,9 +330,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("tracefile", metavar="TRACE",
                    help="JSONL trace file written by --trace")
     p.set_defaults(fn=_cmd_report)
-
-    p = sub.add_parser("litmus", help="JMM conformance of the DSM runtime")
-    p.set_defaults(fn=_cmd_litmus)
 
     p = sub.add_parser(
         "lint", help="static protocol analysis (no state-space exploration)"

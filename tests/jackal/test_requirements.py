@@ -13,6 +13,8 @@ from repro.jackal.requirements import (
     check_requirement_3_2,
     check_requirement_4,
     formula_3_1,
+    formula_3_2_bad_state,
+    formula_4_flush,
     formula_4_write,
 )
 
@@ -102,6 +104,23 @@ class TestReportPlumbing:
             "[T*.write(t0)] mu X. (<T>T /\\ [not writeover(t0)] X)"
         )
         assert f == g
+        assert formula_4_write(1, fair=True) == parse_formula(
+            "[T*.write(t1).(not writeover(t1))*] "
+            "<(not writeover(t1))*.writeover(t1)> T"
+        )
+        assert formula_4_flush(0) == parse_formula(
+            "[T*.flush(t0)] mu X. (<T>T /\\ [not flushover(t0)] X)"
+        )
+        assert formula_4_flush(0, fair=True) == parse_formula(
+            "[T*.flush(t0).(not flushover(t0))*] "
+            "<(not flushover(t0))*.flushover(t0)> T"
+        )
+        # parenthesised on purpose: the flat conjunction of the paper's
+        # text parses left-associated, the builder's tree is balanced
+        assert formula_3_2_bad_state() == parse_formula(
+            "<T*> ((<c_copy>T /\\ <lock_empty>T) /\\ "
+            "(<homequeue_empty>T /\\ <remotequeue_empty>T))"
+        )
 
 
 class TestNoMigrationAblation:

@@ -26,11 +26,6 @@ def test_mucrl_fragments():
     assert "des (" in out  # .aut rendering
 
 
-def test_jmm_conformance():
-    out = run_example("jmm_conformance.py")
-    assert "IMPLEMENTS the JMM" in out
-
-
 @pytest.mark.slow
 def test_quickstart():
     out = run_example("quickstart.py")

@@ -10,7 +10,6 @@ SUBPACKAGES = [
     "repro.lts",
     "repro.mucalc",
     "repro.jackal",
-    "repro.jmm",
     "repro.analysis",
 ]
 
