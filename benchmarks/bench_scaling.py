@@ -133,74 +133,54 @@ def test_growth_in_rounds(once):
 # -- flight-recorder overhead gate ------------------------------------------
 
 
-class _ScalarOnly:
-    """The model minus its frontier kernel, so that ``explore_fast``
-    takes the one-state-at-a-time loop the gate below guards."""
-
-    def __init__(self, model):
-        self.initial_state = model.initial_state
-        self.successors = model.successors
-        self.successors_fast = model.successors_fast
-
-
-def _baseline_engine(system):
-    """Frozen copy of the engine's tight loop as it stood before the
-    flight recorder landed (PR 2's ``explore_fast`` fast path,
-    including the stats bookkeeping and columnar LTS adoption) — the
-    un-instrumented reference the overhead gate compares against.
+def _baseline_engine(model):
+    """Frozen, un-instrumented copy of the engine's kernel loop: per BFS
+    level ``expand`` -> ``RowSet.add`` -> label interning -> three column
+    appends, with the stats bookkeeping and columnar LTS adoption — the
+    reference the overhead gate below compares against.
     """
-    import gc
     from array import array
 
-    from repro.lts.lts import LTS
+    import numpy as np
 
-    succ = getattr(system, "successors_fast", None) or system.successors
-    init = system.initial_state()
-    index = {init: 0}
+    from repro.lts.lts import LTS
+    from repro.lts.rowset import RowSet
+
+    kernel = model.kernel()
+    frontier = kernel.pack([model.initial_state()])
+    visited = RowSet(frontier.shape[1])
+    visited.add(frontier)
     n = 1
     src = array("i")
     lbl = array("i")
     dst = array("i")
-    src_append = src.append
-    lbl_append = lbl.append
-    dst_append = dst.append
     labels = []
-    labels_append = labels.append
-    lmap = {}
-    lmap_get = lmap.get
-    index_setdefault = index.setdefault
-    frontier = [(0, init)]
+    kmap = np.full(len(kernel.labels), -1, dtype=np.int32)
     depth = 0
     level_sizes = [1]
     max_frontier = 1
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        while frontier:
-            next_frontier = []
-            nf_append = next_frontier.append
-            for sidx, state in frontier:
-                for label, nxt in succ(state):
-                    didx = index_setdefault(nxt, n)
-                    if didx == n:
-                        n += 1
-                        nf_append((didx, nxt))
-                    lid = lmap_get(label)
-                    if lid is None:
-                        lid = lmap[label] = len(labels)
-                        labels_append(label)
-                    src_append(sidx)
-                    lbl_append(lid)
-                    dst_append(didx)
-            depth += 1
-            frontier = next_frontier
-            if frontier:
-                level_sizes.append(len(frontier))
-                if len(frontier) > max_frontier:
-                    max_frontier = len(frontier)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    while len(frontier):
+        cand, src_pos, lids = kernel.expand(frontier)
+        first = n - len(frontier)
+        ids, _cut = visited.add(cand)
+        frontier = visited.rows[n:]
+        n = len(visited)
+        lcol = kmap[lids]
+        if lcol.size and lcol.min() < 0:
+            unseen, at = np.unique(lids[lcol < 0], return_index=True)
+            for lid in unseen[np.argsort(at)].tolist():
+                kmap[lid] = len(labels)
+                labels.append(kernel.labels[lid])
+            lcol = kmap[lids]
+        src.frombytes((src_pos + first).astype(np.int32).tobytes())
+        lbl.frombytes(lcol.tobytes())
+        dst.frombytes(ids.tobytes())
+        del cand, src_pos, lids, ids, lcol
+        depth += 1
+        if len(frontier):
+            level_sizes.append(len(frontier))
+            if len(frontier) > max_frontier:
+                max_frontier = len(frontier)
     out = LTS.from_columns(
         initial=0, n_states=n, src=src, lbl=lbl, dst=dst, labels=labels
     )
@@ -210,25 +190,21 @@ def _baseline_engine(system):
 
 @pytest.mark.benchmark(group="scaling")
 def test_instrumentation_disabled_overhead(once):
-    """Disabled instrumentation costs <= 3% on the engine's scalar loop.
+    """Disabled instrumentation costs <= 3% on the engine's kernel loop.
 
     The flight recorder's contract: when nothing is recording, the
-    engine must run within 3% of the frozen pre-instrumentation loop
-    above. Both sides sweep the kernel-less shim: the scalar loop is
-    the loop the frozen copy is a copy of, and no product path runs it
-    any more (a :class:`~repro.lts.certreduce.ReducedSystem` sweeps on
-    a kernel), so the gate guards the instrumentation points rather
-    than a path a check depends on. Interleaved min-of-5
-    timings absorb scheduler noise; the comparison is retried up to 3
-    times before failing so one noisy round cannot flake the gate.
+    engine must run within 3% of the frozen un-instrumented loop above.
+    Both sides sweep configuration 2 at two rounds (201,575 states), so
+    a sweep is several tenths of a second, well above timer noise.
+    Interleaved min-of-5 timings absorb scheduler noise; the comparison
+    is retried up to 3 times before failing so one noisy round cannot
+    flake the gate.
     """
     import math
     import time
 
-    cfg = Config(
-        threads_per_processor=(1, 1, 1), rounds=1, with_probes=False
-    )
-    model = _ScalarOnly(JackalModel(cfg, ProtocolVariant.fixed()))
+    cfg = Config(threads_per_processor=(2, 1), rounds=2, with_probes=False)
+    model = JackalModel(cfg, ProtocolVariant.fixed())
 
     def measure():
         _baseline_engine(model)  # warm both paths before timing
@@ -255,6 +231,7 @@ def test_instrumentation_disabled_overhead(once):
     lts = explore_fast(model)
     ref = _baseline_engine(model)
     assert (lts.n_states, lts.n_transitions) == (ref.n_states, ref.n_transitions)
+    assert lts.n_states == 201_575
     ratio = cur / base if base > 0 else 1.0
     print(f"\nbaseline {base:.3f}s  engine {cur:.3f}s  ratio {ratio:.3f}")
     assert cur <= 1.03 * base, (

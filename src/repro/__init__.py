@@ -13,8 +13,6 @@ The package rebuilds the paper's entire toolchain and subject:
   checker (the CADP *Evaluator* stand-in);
 * :mod:`repro.jackal` — the Jackal DSM cache coherence protocol model,
   its buggy and fixed variants, and the paper's four requirements;
-* :mod:`repro.jmm` — an abstract Java Memory Model machine plus a
-  value-level DSM simulator (the paper's stated future work);
 * :mod:`repro.analysis` — trace explanation and experiment reporting.
 
 Quickstart::

@@ -22,18 +22,14 @@ into one fixed-width integer:
 The reserved key ``0`` encodes the :data:`~repro.jackal.model.VIOLATION`
 sink; every ordinary state is ``(bits << 1) | 1``.
 
-The codec is the currency of the performance layer: visited sets and
-successor memos key on the packed int (one machine word + int object
-instead of a tuple tree), and well-mixed hashing mixes it directly
-(:func:`repro.lts.statehash.state_key64`).
+The packed key orders states totally: the certified symmetry quotient
+takes the orbit member with the least key as its representative
+(:meth:`StateCodec.canonicalize`). The sweeps themselves key on the
+frontier kernel's rows (:mod:`repro.jackal.kernel`), not on this key.
 
-Packing is memoised at two levels: sub-tuples (one thread, one copy
-row, one queue slot) and whole state *halves* — ``(threads, copies)``
-and ``(queues, locks, migrations)``. A transition usually perturbs
-only one half, so after warm-up an ``encode`` is two dict hits and a
-shift rather than a field-by-field walk; the half memos are capped
-(:data:`_HALF_MEMO_MAX`) so the cache never outgrows the sweep it is
-accelerating.
+Packing is memoised per sub-tuple (one thread, one copy row, one
+queue slot, one lock tuple, one migration row), so a warm ``encode``
+is a few dict hits on small tuples.
 """
 
 from __future__ import annotations
@@ -49,11 +45,6 @@ from repro.jackal.model import VIOLATION, JackalModel, Msg
 PROJECTABLE_FIELDS = frozenset(
     ("copy.rstate", "rq.rstate", "rqa.rstate", "mig.rstate")
 )
-
-#: entry cap on the half-state encode memos — pure caches (clearing
-#: costs a re-walk, never correctness), so bounding them keeps the
-#: codec's footprint flat on billion-state sweeps
-_HALF_MEMO_MAX = 1 << 18
 
 
 def _width(max_value: int) -> int:
@@ -108,7 +99,7 @@ class StateCodec:
         self._w_mig = _width(1 << (P + 1))
         self._w_migrow = R * self._w_mig
 
-        #: bit widths of the two memoised state halves (see encode):
+        #: bit widths of the two state halves (see encode):
         #: hi = (threads, copies), lo = (queues, locks, migrations)
         self._w_hi = T * self._w_thread + P * self._w_copyrow
         self._w_lo = (
@@ -119,18 +110,8 @@ class StateCodec:
         )
         #: total key width (including the violation flag bit)
         self.n_bits = 1 + self._w_hi + self._w_lo
-        #: bytes needed by :meth:`encode_bytes`
+        #: bytes of a packed key
         self.n_bytes = (self.n_bits + 7) // 8
-
-        # half-state memo tables: (threads, copies) -> packed hi bits,
-        # (hq, rq, hqa, rqa, locks, migs) -> packed lo bits. Successor
-        # states overlap heavily in whole halves (a transition usually
-        # touches one thread *or* one queue slot), so a warm encode is
-        # two dict hits and one shift instead of a 20-field walk.
-        self._enc_hi: dict = {}
-        self._enc_lo: dict = {}
-        self._dec_hi: dict = {}
-        self._dec_lo: dict = {}
         self._lo_mask = (1 << self._w_lo) - 1
         # memo tables: sub-tuple -> packed bits (and the reverse)
         self._enc_thread: dict = {}
@@ -277,7 +258,7 @@ class StateCodec:
     # -- public API -----------------------------------------------------
 
     def _pack_hi(self, hi) -> int:
-        """Pack the ``(threads, copies)`` half (field-walk slow path)."""
+        """Pack the ``(threads, copies)`` half."""
         threads, copies = hi
         key = 0
         et = self._enc_thread
@@ -344,21 +325,8 @@ class StateCodec:
             if state != VIOLATION:
                 raise ModelError(f"not a protocol state: {state!r}")
             return 0
-        hi_part = state[:2]
-        hi = self._enc_hi.get(hi_part)
-        if hi is None:
-            if len(self._enc_hi) > _HALF_MEMO_MAX:
-                self._enc_hi.clear()
-            hi = self._enc_hi[hi_part] = self._pack_hi(hi_part)
-            self._dec_hi.setdefault(hi, hi_part)
-        lo_part = state[2:]
-        lo = self._enc_lo.get(lo_part)
-        if lo is None:
-            if len(self._enc_lo) > _HALF_MEMO_MAX:
-                self._enc_lo.clear()
-            lo = self._enc_lo[lo_part] = self._pack_lo(lo_part)
-            self._dec_lo.setdefault(lo, lo_part)
-        return (hi << self._w_lo | lo) << 1 | 1
+        hi = self._pack_hi(state[:2])
+        return (hi << self._w_lo | self._pack_lo(state[2:])) << 1 | 1
 
     def _take(self, key: int, width: int, count: int, table: dict, unpack):
         """Split ``count`` ``width``-bit fields off the low end of ``key``.
@@ -410,25 +378,12 @@ class StateCodec:
         return (hq, rq, hqa, rqa, locks, migs)
 
     def decode(self, key: int):
-        """Inverse of :meth:`encode` (half-memoised like encode)."""
+        """Inverse of :meth:`encode`."""
         if key == 0:
             return VIOLATION
         key >>= 1
-        lo_bits = key & self._lo_mask
-        hi_bits = key >> self._w_lo
-        hi = self._dec_hi.get(hi_bits)
-        if hi is None:
-            if len(self._dec_hi) > _HALF_MEMO_MAX:
-                self._dec_hi.clear()
-            hi = self._dec_hi[hi_bits] = self._unpack_hi(hi_bits)
-            self._enc_hi.setdefault(hi, hi_bits)
-        lo = self._dec_lo.get(lo_bits)
-        if lo is None:
-            if len(self._dec_lo) > _HALF_MEMO_MAX:
-                self._dec_lo.clear()
-            lo = self._dec_lo[lo_bits] = self._unpack_lo(lo_bits)
-            self._enc_lo.setdefault(lo, lo_bits)
-        return hi + lo
+        return (self._unpack_hi(key >> self._w_lo)
+                + self._unpack_lo(key & self._lo_mask))
 
     def canonicalize(self, state, perms):
         """Minimal ``(key, representative)`` over the orbit of ``state``.
@@ -544,29 +499,9 @@ class StateCodec:
             return self.encode_canonical(projected, perms)
         return self.encode(projected)
 
-    def encode_bytes(self, state) -> bytes:
-        """The packed key as a fixed-width big-endian byte string."""
-        return self.encode(state).to_bytes(self.n_bytes, "big")
-
-    def decode_bytes(self, data: bytes):
-        """Inverse of :meth:`encode_bytes`."""
-        return self.decode(int.from_bytes(data, "big"))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"StateCodec(T={self.T}, P={self.P}, R={self.R}, "
             f"bits={self.n_bits})"
         )
 
-
-def codec_for(system) -> StateCodec | None:
-    """A codec for ``system`` when one applies (else ``None``).
-
-    The generic exploration machinery calls this to decide whether
-    packed keys are available; any system exposing a ``codec()``
-    method returning an encode/decode pair participates.
-    """
-    factory = getattr(system, "codec", None)
-    if factory is None:
-        return None
-    return factory()

@@ -437,8 +437,8 @@ def check_requirement_4(
     With a certificate whose ``formulas`` section licenses the full
     quotient, the sweep itself takes the full symmetry quotient (that
     is where the state-space win is), and the per-thread formulas are
-    evaluated on its exact *group-unfolding*
-    (:func:`repro.lts.certreduce.unfold_full_quotient`): quotient edges
+    evaluated on its *group-unfolding*
+    (:func:`repro.lts.certreduce.unfold_quotient`): quotient edges
     carry their winning permutations, so the unfolding reconstructs the
     concrete per-thread frames the quotient LTS itself merges away —
     per-thread labels like ``write(t0)`` are not decidable on the

@@ -4,28 +4,21 @@ The drop-in successor of :func:`repro.lts.explore.explore` for
 performance-critical generation. Same breadth-first order, same LTS,
 same limit semantics — but engineered for throughput:
 
-* **frontier kernel** — a system offering ``kernel()`` (e.g.
-  :class:`~repro.jackal.model.JackalModel`) is swept a whole BFS level
-  at a time: the kernel expands the level's packed rows into candidate
-  rows in ``successors`` order, a :class:`~repro.lts.rowset.RowSet`
-  numbers them — one array of every visited row in state-id order
-  beside a hash table of ids, so no row ever becomes a Python object —
-  the next frontier is the slice of that array the level added, and
-  ``state_meta`` decodes rows on access (:class:`RowStates`). Which
-  loop runs is a property of the system — it has a kernel or it does
-  not — never of an option or a size.
-* **fast successor path** — a kernel-less system exposing
-  ``successors_fast`` (e.g.
-  :class:`~repro.lts.certreduce.ReducedSystem`) is expanded through
-  it, one state at a time; the readable reference relation stays the
-  specification.
-* **one hash per discovery** — the scalar loop's visited index is
-  probed with ``dict.setdefault`` instead of a get/store pair, and its
-  frontier carries ``(index, state)`` pairs so expansion never
-  re-hashes a state it already numbered.
-* **label interning once per label** — labels are interned into a
-  local table as they appear instead of per-transition method calls
-  into the LTS.
+* **frontier kernel** — the system's ``kernel()`` (a
+  :class:`~repro.jackal.model.JackalModel`'s, or the
+  :class:`~repro.lts.certreduce.ReducedKernel` of a reduced view of
+  one) is swept a whole BFS level at a time: the kernel expands the
+  level's packed rows into candidate rows in ``successors`` order, a
+  :class:`~repro.lts.rowset.RowSet` numbers them — one array of every
+  visited row in state-id order beside a hash table of ids, so no row
+  ever becomes a Python object — the next frontier is the slice of
+  that array the level added, and ``state_meta`` decodes rows on
+  access (:class:`RowStates`). A system without a kernel is handed to
+  the reference explorer (trace backend ``serial``): which loop runs is
+  a property of the system, never of an option or a size.
+* **label interning once per label** — kernel label ids map to LTS
+  label ids through one array, extended as labels first appear,
+  instead of per-transition method calls into the LTS.
 * **columnar transitions** — transitions accumulate directly into
   ``array('i')`` columns and are adopted wholesale by
   :meth:`repro.lts.lts.LTS.from_columns`, skipping the per-call
@@ -35,8 +28,6 @@ same limit semantics — but engineered for throughput:
 
 from __future__ import annotations
 
-import gc
-import sys
 import time
 from array import array
 from collections.abc import Mapping
@@ -45,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ExplorationLimitError
-from repro.lts.explore import ExplorationStats, TransitionSystem
+from repro.lts.explore import ExplorationStats, TransitionSystem, explore
 from repro.lts.lts import LTS
 from repro.lts.rowset import RowSet
 from repro.obs.core import current as _current_tracer, peak_rss_bytes
@@ -100,8 +91,9 @@ def explore_fast(
 
     Accepts everything :func:`repro.lts.explore.explore` accepts and
     matches its semantics — state numbering, depth bounding, the
-    partial LTS attached to :class:`ExplorationLimitError` — whichever
-    loop the system gets (see the module notes).
+    partial LTS attached to :class:`ExplorationLimitError`. A system
+    without ``kernel()`` is explored by :func:`~repro.lts.explore.explore`
+    itself (see the module notes).
 
     Parameters
     ----------
@@ -114,9 +106,14 @@ def explore_fast(
         validate for this system (JKL303–JKL305).
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`; defaults to the
-        ambient one. A disabled tracer costs one branch per BFS wave —
-        the hot per-state loops are untouched.
+        ambient one. A disabled tracer costs one branch per BFS wave.
     """
+    if getattr(system, "kernel", None) is None:
+        return explore(
+            system, max_states=max_states, max_depth=max_depth,
+            keep_states=keep_states, on_level=on_level, stats=stats,
+            certificate=certificate, tracer=tracer,
+        )
     if certificate is not None:
         from repro.lts.certreduce import ReducedSystem
 
@@ -137,106 +134,17 @@ def explore_fast(
         stats = ExplorationStats()
     t0 = time.perf_counter()
 
-    kernel = getattr(system, "kernel", None)
-    succ_seconds = [0.0]
-
-    init = system.initial_state()
+    kernel = system.kernel()
+    frontier = kernel.pack([system.initial_state()])
+    visited = RowSet(frontier.shape[1])
+    visited.add(frontier)
     n = 1
-    state_meta: dict[int, object] = {}
-
     src = array("i")
     lbl = array("i")
     dst = array("i")
     labels: list[str] = []
-
-    if kernel is None:
-        succ = getattr(system, "successors_fast", None) or system.successors
-        if recording:
-            # successor generation on its own clock, so waves can split
-            # succ time from dedup/bookkeeping time (enabled runs only)
-            timed_succ = succ
-            acc = succ_seconds
-
-            def succ(state):  # noqa: F811 - instrumented wrapper
-                t = time.perf_counter()
-                out = timed_succ(state)
-                acc[0] += time.perf_counter() - t
-                return out
-
-        index = {init: 0}
-        lmap: dict[str, int] = {}
-        if keep_states:
-            state_meta[0] = init
-        frontier = [(0, init)]
-
-        def step(frontier):
-            """Expand ``[(id, state), ...]``; stops at the transition
-            that discovers state number ``max_states``."""
-            nonlocal n
-            count = n  # a local in the hot loop; written back on exit
-            index_setdefault = index.setdefault
-            src_append, lbl_append = src.append, lbl.append
-            dst_append = dst.append
-            lmap_get = lmap.get
-            nxt: list = []
-            nxt_append = nxt.append
-            for sidx, state in frontier:
-                for label, state2 in succ(state):
-                    didx = index_setdefault(state2, count)
-                    if didx == count:
-                        count += 1
-                        if keep_states:
-                            state_meta[didx] = state2
-                        nxt_append((didx, state2))
-                    lid = lmap_get(label)
-                    if lid is None:
-                        lid = lmap[label] = len(labels)
-                        labels.append(label)
-                    src_append(sidx)
-                    lbl_append(lid)
-                    dst_append(didx)
-                    if max_states is not None and count > max_states:
-                        n = count
-                        return nxt, True
-            n = count
-            return nxt, False
-
-    else:
-        kernel = kernel()
-        frontier = kernel.pack([init])
-        visited = RowSet(frontier.shape[1])
-        visited.add(frontier)
-        # kernel label id -> LTS label id, in first-appearance order
-        kmap = np.full(len(kernel.labels), -1, dtype=np.int32)
-
-        def step(frontier):
-            """Expand a level of packed rows; on a breach the columns are
-            cut after the transition that discovers state number
-            ``max_states``."""
-            nonlocal n
-            t = time.perf_counter()
-            cand, src_pos, lids = kernel.expand(frontier)
-            succ_seconds[0] += time.perf_counter() - t
-            first = n - len(frontier)  # the frontier was numbered last
-            ids, cut = visited.add(
-                cand, None if max_states is None else max_states + 1 - n
-            )
-            if cut is not None:
-                src_pos, lids = src_pos[:cut], lids[:cut]
-            # sliced after the add: growing the set moves its rows
-            nxt = visited.rows[n:]
-            n = len(visited)
-            lcol = kmap[lids]
-            if lcol.size and lcol.min() < 0:
-                unseen, at = np.unique(lids[lcol < 0], return_index=True)
-                for lid in unseen[np.argsort(at)].tolist():
-                    kmap[lid] = len(labels)
-                    labels.append(kernel.labels[lid])
-                lcol = kmap[lids]
-            src.frombytes((src_pos + first).astype(np.int32).tobytes())
-            lbl.frombytes(lcol.tobytes())
-            dst.frombytes(ids.tobytes())
-            return nxt, cut is not None
+    # kernel label id -> LTS label id, in first-appearance order
+    kmap = np.full(len(kernel.labels), -1, dtype=np.int32)
 
     depth = 0
     level_sizes = [1]
@@ -249,11 +157,6 @@ def explore_fast(
         stats.seconds = time.perf_counter() - t0
         stats.depth = depth
         stats.level_sizes = level_sizes
-
-    def visited_bytes() -> int:
-        # exact for the row set; for the scalar loop the dict's own
-        # table only, its keys being the states themselves
-        return sys.getsizeof(index) if kernel is None else visited.nbytes
 
     def _emit_end(outcome: str) -> None:
         reduction = (
@@ -271,7 +174,7 @@ def explore_fast(
             seconds=round(stats.seconds, 6),
             states_per_second=round(stats.states_per_second(), 1),
             depth=stats.depth, max_frontier=stats.max_frontier,
-            bytes_per_state=round(visited_bytes() / stats.states, 1),
+            bytes_per_state=round(visited.nbytes / stats.states, 1),
             reduction=reduction, max_rss_bytes=peak_rss_bytes(),
         )
 
@@ -279,10 +182,7 @@ def explore_fast(
         out = LTS.from_columns(
             initial=0, n_states=n, src=src, lbl=lbl, dst=dst, labels=labels
         )
-        if kernel is not None and keep_states:
-            out.state_meta = RowStates(kernel, visited.rows)
-        else:
-            out.state_meta = state_meta
+        out.state_meta = RowStates(kernel, visited.rows) if keep_states else {}
         return out
 
     if recording:
@@ -290,57 +190,62 @@ def explore_fast(
             "sweep_start", backend="engine",
             max_states=max_states, max_depth=max_depth,
         )
-        tracer.emit("gc_suspend")
-    # nearly every allocation of the scalar loop stays alive in the
-    # visited index, so generational GC passes rescan an ever-growing
-    # live set for nothing — suspend collection for the duration (the
-    # kernel loop allocates arrays, which the collector does not track:
-    # there the suspension costs and saves nothing)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    gc_t0 = time.perf_counter()
-    try:
-        while len(frontier):
-            if max_depth is not None and depth >= max_depth:
-                break
-            wave_t0 = time.perf_counter()
-            wave_succ0 = succ_seconds[0]
-            wave_trans0 = len(src)
-            frontier, breached = step(frontier)
-            if breached:
-                max_frontier = max(max_frontier, len(frontier))
-                _finish_stats()
-                if recording:
-                    _emit_end("limit")
-                raise ExplorationLimitError(
-                    f"state limit {max_states} exceeded at depth {depth}",
-                    partial=_partial_lts(),
-                    stats=stats,
-                )
-            depth += 1
-            if len(frontier):
-                level_sizes.append(len(frontier))
-                if len(frontier) > max_frontier:
-                    max_frontier = len(frontier)
+    while len(frontier):
+        if max_depth is not None and depth >= max_depth:
+            break
+        wave_t0 = time.perf_counter()
+        wave_trans0 = len(src)
+        cand, src_pos, lids = kernel.expand(frontier)
+        succ_s = time.perf_counter() - wave_t0
+        first = n - len(frontier)  # the frontier was numbered last
+        # on a breach the columns are cut after the transition that
+        # discovers state number ``max_states``
+        ids, cut = visited.add(
+            cand, None if max_states is None else max_states + 1 - n
+        )
+        if cut is not None:
+            src_pos, lids = src_pos[:cut], lids[:cut]
+        # sliced after the add: growing the set moves its rows
+        frontier = visited.rows[n:]
+        n = len(visited)
+        lcol = kmap[lids]
+        if lcol.size and lcol.min() < 0:
+            unseen, at = np.unique(lids[lcol < 0], return_index=True)
+            for lid in unseen[np.argsort(at)].tolist():
+                kmap[lid] = len(labels)
+                labels.append(kernel.labels[lid])
+            lcol = kmap[lids]
+        src.frombytes((src_pos + first).astype(np.int32).tobytes())
+        lbl.frombytes(lcol.tobytes())
+        dst.frombytes(ids.tobytes())
+        # free the level's candidates before the next expand allocates
+        # its own: holding both raises the sweep's peak memory
+        del cand, src_pos, lids, ids, lcol
+        if cut is not None:
+            max_frontier = max(max_frontier, len(frontier))
+            _finish_stats()
             if recording:
-                wave_s = time.perf_counter() - wave_t0
-                succ_s = succ_seconds[0] - wave_succ0
-                tracer.emit(
-                    "wave", depth=depth, states=n, frontier=len(frontier),
-                    transitions=len(src) - wave_trans0,
-                    wave_s=round(wave_s, 6), succ_s=round(succ_s, 6),
-                    dedup_s=round(max(wave_s - succ_s, 0.0), 6),
-                )
-            if on_level is not None:
-                on_level(depth, n)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        if recording:
-            tracer.emit(
-                "gc_resume",
-                suspended_s=round(time.perf_counter() - gc_t0, 6),
+                _emit_end("limit")
+            raise ExplorationLimitError(
+                f"state limit {max_states} exceeded at depth {depth}",
+                partial=_partial_lts(),
+                stats=stats,
             )
+        depth += 1
+        if len(frontier):
+            level_sizes.append(len(frontier))
+            if len(frontier) > max_frontier:
+                max_frontier = len(frontier)
+        if recording:
+            wave_s = time.perf_counter() - wave_t0
+            tracer.emit(
+                "wave", depth=depth, states=n, frontier=len(frontier),
+                transitions=len(src) - wave_trans0,
+                wave_s=round(wave_s, 6), succ_s=round(succ_s, 6),
+                dedup_s=round(max(wave_s - succ_s, 0.0), 6),
+            )
+        if on_level is not None:
+            on_level(depth, n)
 
     _finish_stats()
     if recording:

@@ -29,13 +29,10 @@ class TransitionSystem(Protocol):
     it twice on the same state yields the same transitions), which every
     model in this package guarantees.
 
-    Two optional members let :func:`repro.lts.engine.explore_fast` go
+    One optional member lets :func:`repro.lts.engine.explore_fast` go
     faster without changing the LTS it builds (this explorer ignores
-    both; it is the reference they are tested against):
+    it; it is the reference the kernel is tested against):
 
-    ``successors_fast(state)``
-        the same transitions in the same order as ``successors``,
-        returned as a list.
     ``kernel()``
         the same relation over packed states, a whole BFS level per
         call — an object with ``pack(states) -> rows`` (one row of
@@ -44,8 +41,7 @@ class TransitionSystem(Protocol):
         ``expand(rows) -> (succ_rows, src_pos, label_ids)``: every
         transition ``rows[src_pos[i]] --labels[label_ids[i]]-->
         succ_rows[i]``, sorted by ``src_pos`` and, per source, in
-        ``successors`` order. A system that must not be swept through
-        a kernel it would otherwise inherit sets ``kernel = None``.
+        ``successors`` order.
     """
 
     def initial_state(self) -> Hashable:

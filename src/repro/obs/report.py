@@ -3,9 +3,8 @@
 The consumer side of :mod:`repro.obs.tracer`: ``repro report
 trace.jsonl`` loads the JSONL events back and prints, per sweep, the
 depth waves, the per-phase timing breakdown (successor generation vs
-dedup), the sweep's notable events (GC brackets, limits), the
-derivation of the plain LTS from a probe sweep, the mu-calculus
-fixpoint and requirement-check summaries, and a last line that
+dedup), the derivation of the plain LTS from a probe sweep, the
+mu-calculus fixpoint and requirement-check summaries, and a last line that
 accounts for the whole recording (:func:`whole_run`). Events and
 fields it does not know — including those of traces recorded by older
 versions — are skipped, never an error.
@@ -161,9 +160,6 @@ def _wave_table(waves: list[dict]) -> list[str]:
     return lines
 
 
-_TIMELINE_EVENTS = ("gc_suspend", "gc_resume", "limit")
-
-
 def _render_sweep(i: int, events: list[dict]) -> list[str]:
     start = events[0] if events[0].get("ev") == "sweep_start" else {}
     end = next(
@@ -204,17 +200,6 @@ def _render_sweep(i: int, events: list[dict]) -> list[str]:
     if waves:
         lines.append("  depth waves:")
         lines.extend("  " + ln for ln in _wave_table(waves))
-
-    timeline = [
-        e for e in events if e.get("ev") in _TIMELINE_EVENTS
-    ]
-    if timeline:
-        lines.append("  events:")
-        for e in timeline:
-            detail = " ".join(
-                f"{k}={v}" for k, v in e.items() if k not in ("t", "ev")
-            )
-            lines.append(f"    {e.get('t', 0.0):>9.3f} s  {e['ev']}  {detail}")
 
     phases = phase_breakdown(events)
     if phases["total_s"] > 0:

@@ -31,8 +31,8 @@ that predates the formula-side obligations.
 
 The fingerprint covers the configuration, the variant flags, the
 model's label vocabulary, the packed-state width, and a digest of the
-model/spec/codec/requirements sources: any change that could alter the
-transition relation *or the certified formulas* re-keys the
+model/kernel/spec/codec/requirements sources: any change that could
+alter the transition relation *or the certified formulas* re-keys the
 certificate and stales every old one (JKL303).
 
 Every refusal finding carries a machine-readable ``data`` payload
@@ -93,6 +93,7 @@ def spec_fingerprint(config: Config, variant: ProtocolVariant) -> str:
     report) and by every consumer before reducing.
     """
     from repro.jackal import codec as codec_mod
+    from repro.jackal import kernel as kernel_mod
     from repro.jackal import model as model_mod
     from repro.jackal import mucrl_spec as spec_mod
     from repro.jackal import requirements as req_mod
@@ -103,8 +104,9 @@ def spec_fingerprint(config: Config, variant: ProtocolVariant) -> str:
     sources = hashlib.sha256()
     # requirements are fingerprinted too: v3 certificates certify the
     # formulas themselves (symmetrization licenses the full quotient),
-    # so editing a requirement must stale every certificate
-    for mod in (model_mod, codec_mod, spec_mod, req_mod):
+    # so editing a requirement must stale every certificate; the kernel
+    # is the relation every certified sweep executes
+    for mod in (model_mod, kernel_mod, codec_mod, spec_mod, req_mod):
         sources.update(inspect.getsource(mod).encode())
     payload = {
         "config": _config_dict(config),

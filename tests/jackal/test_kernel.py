@@ -24,7 +24,6 @@ from repro.lts.engine import explore_fast
 from repro.lts.explore import ExplorationStats, explore
 from repro.obs.report import render_report
 from tests.jackal.test_model_properties import _walk, configs
-from tests.lts.systems import ScalarOnly
 
 VARIANTS = ("fixed", "error1", "error2", "buggy", "no_migration", "alf")
 TOPOLOGIES = ((1, 1), (2, 1), (1, 1, 1), (2, 2))
@@ -145,8 +144,7 @@ def _c1r2(**kwargs):
 def test_state_limit_matches_the_scalar_loop(max_states):
     model = _c1r2()
     scalar, scalar_stats, scalar_limit = _sweep(
-        explore_fast, ScalarOnly(model), keep_states=True,
-        max_states=max_states,
+        explore, model, keep_states=True, max_states=max_states
     )
     fast, fast_stats, fast_limit = _sweep(
         explore_fast, model, keep_states=True, max_states=max_states
@@ -189,7 +187,7 @@ def test_released_free_lock_is_the_scalar_model_error():
     model = _c1r2()
     state = _with_thread0(model, phase=int(Phase.HAVE_SERVER))
     with pytest.raises(ModelError) as scalar:
-        model.successors_fast(state)
+        model.successors(state)
     with pytest.raises(ModelError) as packed:
         model.kernel().expand(model.kernel().pack([state]))
     assert str(packed.value) == str(scalar.value)
@@ -209,7 +207,7 @@ def test_value_outside_its_field_raises_instead_of_wrapping():
     )
     locks = ((0, 0, 0, 0, 1, 0),) + state[6][1:]
     state = state[:6] + (locks,) + state[7:]
-    after = dict(unchecked.successors_fast(state))[model.lbl_fhome[0][0]]
+    after = dict(unchecked.successors(state))[model.lbl_fhome[0][0]]
     assert after[1][0][0][3] == -1
     with pytest.raises(ModelError, match="copy0_0.lt"):
         unchecked.kernel().expand(unchecked.kernel().pack([state]))
@@ -228,7 +226,8 @@ def test_instrumented_kernel_sweep_reports_like_the_scalar_loop():
     with obs.Tracer(ring=10_000) as tracer:
         lts = explore_fast(model, stats=stats, tracer=tracer)
     events = tracer.events()
-    assert [e["ev"] for e in events[:2]] == ["sweep_start", "gc_suspend"]
+    assert events[0]["ev"] == "sweep_start"
+    assert not [e for e in events if e["ev"].startswith("gc_")]
     assert events[0]["backend"] == "engine" and "packed" not in events[0]
     waves = [e for e in events if e["ev"] == "wave"]
     assert [w["depth"] for w in waves] == list(range(1, stats.depth + 1))

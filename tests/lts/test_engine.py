@@ -7,30 +7,10 @@ most tests here are differential: run both, compare everything.
 
 import pytest
 
-from repro.errors import ExplorationLimitError
+from repro import obs
 from repro.jackal import Config, JackalModel, ProtocolVariant
 from repro.lts.engine import explore_fast
 from repro.lts.explore import ExplorationStats, explore
-from tests.lts.systems import ScalarOnly
-
-
-class Grid:
-    """A w x h grid walked right/down; (w-1, h-1) is terminal."""
-
-    def __init__(self, w=4, h=3):
-        self.w, self.h = w, h
-
-    def initial_state(self):
-        return (0, 0)
-
-    def successors(self, s):
-        x, y = s
-        out = []
-        if x + 1 < self.w:
-            out.append(("right", (x + 1, y)))
-        if y + 1 < self.h:
-            out.append(("down", (x, y + 1)))
-        return out
 
 
 def _assert_identical(system, **kwargs):
@@ -48,14 +28,6 @@ def _assert_identical(system, **kwargs):
     assert st_fast.depth == st_ref.depth
     assert st_fast.level_sizes == st_ref.level_sizes
     return ref, fast
-
-
-def test_matches_reference_on_grid():
-    _assert_identical(Grid(6, 5))
-
-
-def test_matches_reference_on_chain(chain_system):
-    _assert_identical(chain_system)
 
 
 @pytest.mark.parametrize(
@@ -76,50 +48,25 @@ def test_matches_reference_with_probes():
     _assert_identical(JackalModel(cfg, ProtocolVariant.fixed()))
 
 
-def test_keep_states(chain_system):
-    ref = explore(chain_system, keep_states=True)
-    fast = explore_fast(chain_system, keep_states=True)
-    assert fast.state_meta == ref.state_meta
-
-
-def test_max_depth():
-    _assert_identical(Grid(10, 10), max_depth=3)
-
-
-def test_on_level_callback():
-    ref_levels, fast_levels = [], []
-    explore(Grid(5, 5), on_level=lambda d, n: ref_levels.append((d, n)))
-    explore_fast(Grid(5, 5), on_level=lambda d, n: fast_levels.append((d, n)))
-    assert fast_levels == ref_levels
-
-
-def test_limit_semantics_match_reference():
-    st_ref, st_fast = ExplorationStats(), ExplorationStats()
-    with pytest.raises(ExplorationLimitError) as ref_exc:
-        explore(Grid(50, 50), max_states=10, stats=st_ref)
-    with pytest.raises(ExplorationLimitError) as fast_exc:
-        explore_fast(Grid(50, 50), max_states=10, stats=st_fast)
-    assert fast_exc.value.partial == ref_exc.value.partial
-    assert st_fast.states == st_ref.states
-    assert st_fast.transitions == st_ref.transitions
-    assert st_fast.max_frontier == st_ref.max_frontier > 0
-
-
-def test_uses_fast_successor_path():
-    """One path per system: a kernel-less system is expanded through
-    ``successors_fast``, a model with a kernel never is."""
+def test_one_loop_per_system(chain_system):
+    """A system with a kernel is swept on it and never asked for
+    ``successors``; a kernel-less one is the reference explorer's."""
     cfg = Config(threads_per_processor=(1, 1), rounds=1, with_probes=False)
     model = JackalModel(cfg)
-    calls = {"fast": 0}
-    orig = model.successors_fast
+    calls = {"successors": 0}
+    orig = model.successors
 
     def counting(state):
-        calls["fast"] += 1
+        calls["successors"] += 1
         return orig(state)
 
-    model.successors_fast = counting
-    by_kernel = explore_fast(model)
-    assert calls["fast"] == 0
-    by_state = explore_fast(ScalarOnly(model))
-    assert calls["fast"] == by_state.n_states
-    assert list(by_kernel.transitions()) == list(by_state.transitions())
+    model.successors = counting
+    explore_fast(model)
+    assert calls["successors"] == 0
+    with obs.Tracer(ring=1000) as tracer:
+        ref, fast = _assert_identical(
+            chain_system, keep_states=True, tracer=tracer
+        )
+    assert fast.state_meta == ref.state_meta
+    starts = [e for e in tracer.events() if e["ev"] == "sweep_start"]
+    assert [e["backend"] for e in starts] == ["serial", "serial"]

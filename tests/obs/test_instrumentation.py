@@ -53,14 +53,13 @@ def test_serial_sweep_events(chain_system):
         assert w["succ_s"] + w["dedup_s"] <= w["wave_s"] + 2e-6
 
 
-def test_engine_sweep_events_and_gc_window(chain_system):
+def test_engine_sweep_events(model):
     tracer = _tracer()
-    explore_fast(chain_system, tracer=tracer)
+    explore_fast(model, tracer=tracer)
     assert _events(tracer, "sweep_start")[0]["backend"] == "engine"
-    assert _events(tracer, "gc_suspend")
-    resume = _events(tracer, "gc_resume")
-    assert resume and resume[0]["suspended_s"] >= 0
     assert _events(tracer, "sweep_end")[0]["outcome"] == "ok"
+    # the collector is never suspended: the sweep's rows are arrays
+    assert not [e for e in _events(tracer) if e["ev"].startswith("gc_")]
 
 
 def test_instrumented_run_explores_the_same_lts(model):

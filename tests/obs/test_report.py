@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
+from repro.jackal.params import CONFIG_1, ProtocolVariant
+from repro.jackal.requirements import build_model
 from repro.lts.engine import explore_fast
 from repro.obs.report import (
     phase_breakdown,
@@ -13,6 +15,11 @@ from repro.obs.report import (
     whole_run,
 )
 from repro.obs.tracer import read_trace
+
+
+@pytest.fixture
+def model():
+    return build_model(CONFIG_1, ProtocolVariant.fixed(), probes=False)
 
 
 def test_phase_breakdown_from_wave_events():
@@ -35,15 +42,14 @@ def test_phase_breakdown_empty():
     assert phases["other_s"] == 0.0
 
 
-def test_render_report_on_recorded_sweep(chain_system):
+def test_render_report_on_recorded_sweep(model):
     with obs.Tracer(ring=10_000) as tracer:
-        explore_fast(chain_system, tracer=tracer)
+        explore_fast(model, tracer=tracer)
     text = render_report(tracer.events())
     assert "flight recorder report" in text
     assert "sweep 1: engine" in text
     assert "depth waves:" in text
     assert "phase breakdown:" in text
-    assert "gc_suspend" in text
 
 
 def test_recorded_distributed_trace_still_renders():
@@ -90,12 +96,15 @@ def test_recorded_distributed_trace_still_renders():
 
 def test_trace_of_the_retired_recorders_still_renders():
     """Older traces carry the memory watcher's ``mem_pressure`` events
-    and ``mem_pressure_events`` field and the on-the-fly checker's
-    ``product_*`` events; they are skipped, and the rest renders."""
+    and ``mem_pressure_events`` field, the on-the-fly checker's
+    ``product_*`` events and the engine's ``gc_suspend``/``gc_resume``
+    bracket; they are skipped, and the rest renders."""
     events = [
         {"t": 0.0, "ev": "sweep_start", "backend": "engine"},
+        {"t": 0.01, "ev": "gc_suspend"},
         {"t": 0.05, "ev": "mem_pressure", "rss_bytes": 2097152,
          "threshold_bytes": 1048576, "structs": {"visited_index": 4096}},
+        {"t": 0.09, "ev": "gc_resume", "suspended_s": 0.08},
         {"t": 0.1, "ev": "sweep_end", "outcome": "ok", "states": 7,
          "transitions": 9, "seconds": 0.1, "max_rss_bytes": 2097152,
          "bytes_per_state": 58.5, "mem_pressure_events": 1},
@@ -107,7 +116,8 @@ def test_trace_of_the_retired_recorders_still_renders():
     text = render_report(events)
     assert "sweep 1: engine — ok" in text
     assert "memory: max RSS 2.0 MiB  visited set 58.5 B/state" in text
-    for retired in ("mem_pressure", "pressure", "product", "77"):
+    for retired in ("mem_pressure", "pressure", "product", "77", "gc_",
+                    "suspended"):
         assert retired not in text
 
 
@@ -149,10 +159,10 @@ def test_render_report_checks_and_fixpoints():
     assert "3.2 (bounded copies when stable)   NOT CHECKED " in text
 
 
-def test_report_from_file_round_trip(tmp_path, chain_system):
+def test_report_from_file_round_trip(tmp_path, model):
     path = tmp_path / "sweep.jsonl"
     with obs.Tracer(path) as tracer:
-        explore_fast(chain_system, tracer=tracer)
+        explore_fast(model, tracer=tracer)
     text = report_from_file(path)
     assert "sweep 1: engine" in text
 

@@ -1,6 +1,7 @@
 """The certifier and the certificate trust chain (JKL301–JKL305)."""
 
 import importlib
+import inspect
 import json
 from dataclasses import replace
 
@@ -107,6 +108,24 @@ def test_stale_fingerprint_fires_jkl303():
     rules = [
         f.rule for f in validate(cert, CONFIG_1, ProtocolVariant.error1())
     ]
+    assert rules == ["JKL303"]
+
+
+def test_edited_kernel_rekeys_and_stales_old_certificates(monkeypatch):
+    """Every certified sweep executes the frontier kernel, so an edited
+    kernel rule must re-key the spec and refuse the old certificate."""
+    from repro.jackal import kernel as kernel_mod
+
+    cert, _ = certify(CONFIG_1, FIXED)
+    getsource = inspect.getsource
+
+    def edited(obj):
+        text = getsource(obj)
+        return text + "\n# an edited rule\n" if obj is kernel_mod else text
+
+    monkeypatch.setattr(inspect, "getsource", edited)
+    assert spec_fingerprint(CONFIG_1, FIXED) != cert.fingerprint
+    rules = [f.rule for f in validate(cert, CONFIG_1, FIXED)]
     assert rules == ["JKL303"]
 
 
