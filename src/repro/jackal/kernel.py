@@ -53,6 +53,7 @@ from repro.jackal.codec import _width
 from repro.jackal.model import VIOLATION, Msg, Phase, RegionState
 
 _M64 = (1 << 64) - 1
+_NARROW = (np.uint8, np.uint16, np.uint32)
 #: rows decoded per batch by :meth:`FrontierKernel.unpack` — bounds the
 #: per-field Python lists alive at once
 _UNPACK_CHUNK = 1 << 16
@@ -76,7 +77,7 @@ _REQ, _RET, _FLUSH = int(Msg.REQ), int(Msg.RET), int(Msg.FLUSH)
 class Field:
     """One bit-field of a packed row: ``(row[word] >> shift) & mask``."""
 
-    __slots__ = ("name", "idx", "word", "shift", "mask", "clear")
+    __slots__ = ("name", "idx", "word", "shift", "mask", "clear", "dtype")
 
     def __init__(self, name: str, idx: int, word: int, shift: int, width: int):
         self.name = name
@@ -87,6 +88,12 @@ class Field:
         # numpy 2 refuses a negative Python int against uint64, so the
         # complement is taken inside 64 bits
         self.clear = _M64 ^ (self.mask << shift)
+        #: the narrowest unsigned type that holds ``mask + 1``, so that
+        #: ``INC`` at the top and ``DEC`` at zero leave the field's
+        #: range instead of wrapping back into it
+        self.dtype = next(
+            (t for t in _NARROW if self.mask < np.iinfo(t).max), np.uint64
+        )
 
 
 class Layout:
@@ -185,13 +192,16 @@ class _Level:
         self.patches: list = []
 
     def col(self, f: Field) -> np.ndarray:
-        """Field ``f`` of every row of the level (extracted once)."""
+        """Field ``f`` of every row of the level (extracted once, kept
+        in the field's narrow type)."""
         c = self.cache[f.idx]
         if c is None:
             c = self.cols[f.word]
             if f.shift:
                 c = c >> f.shift
-            c = self.cache[f.idx] = c & f.mask
+            c = self.cache[f.idx] = np.bitwise_and(
+                c, f.mask, dtype=f.dtype, casting="unsafe"
+            )
         return c
 
     def move(self, sel, rank: int, label: str, *updates) -> None:

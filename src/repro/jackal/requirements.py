@@ -26,8 +26,12 @@ from repro.jackal.actions import ASSERTION_PREFIX, PROBE_LABELS, Labels
 from repro.obs.core import current as _current_tracer
 from repro.jackal.model import VIOLATION, JackalModel
 from repro.jackal.params import Config, ProtocolVariant
-from repro.lts.deadlock import find_deadlocks, shortest_trace_to
-from repro.lts.engine import explore_fast
+from repro.lts.deadlock import (
+    DeadlockReport,
+    find_deadlocks,
+    shortest_trace_to,
+)
+from repro.lts.engine import SearchTree, explore_fast, search_tree
 from repro.lts.lts import LTS
 from repro.lts.trace import Trace
 from repro.mucalc.checker import check_many, holds
@@ -146,23 +150,33 @@ def build_lts(
     representatives up to the certified commutations and renamings,
     not necessarily the shortest concrete run.
     """
-    model = build_model(config, variant, probes=probes)
-    system = model
-    if certificate is not None:
-        from repro.lts.certreduce import ReducedSystem
-        from repro.staticcheck.formulasym import licenses_full_quotient
-
-        system = ReducedSystem(
-            model,
-            certificate,
-            canonical=probes or licenses_full_quotient(certificate),
-            _validated=_validated,
-        )
+    model, system = _system(
+        config, variant, probes=probes, certificate=certificate,
+        _validated=_validated,
+    )
+    if system is not model:
         return model, system.sweep(
             max_states=max_states, keep_states=keep_states
         )
     lts = explore_fast(system, max_states=max_states, keep_states=keep_states)
     return model, lts
+
+
+def _system(config, variant, *, probes, certificate, _validated):
+    """The model, and what :func:`build_lts` sweeps: the model itself,
+    or its certified reduced view."""
+    model = build_model(config, variant, probes=probes)
+    if certificate is None:
+        return model, model
+    from repro.lts.certreduce import ReducedSystem
+    from repro.staticcheck.formulasym import licenses_full_quotient
+
+    return model, ReducedSystem(
+        model,
+        certificate,
+        canonical=probes or licenses_full_quotient(certificate),
+        _validated=_validated,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +200,26 @@ def check_requirement_1(
             config, variant, probes=False, max_states=max_states,
             keep_states=True, certificate=certificate,
         )
-    # assertion-violation sink states belong to Requirement 2, not here
     report = find_deadlocks(
-        lts,
-        ignore_labels=PROBE_LABELS,
-        is_valid_end=lambda s: s == VIOLATION or model.is_done_state(s),
+        lts, ignore_labels=PROBE_LABELS, is_valid_end=_valid_end(model)
     )
+    return _report_1(report, lts.n_states, lts.n_transitions)
+
+
+def _valid_end(model: JackalModel):
+    """Proper termination: every thread done. The assertion-violation
+    sink is one too — it belongs to Requirement 2, not here."""
+    return lambda s: s == VIOLATION or model.is_done_state(s)
+
+
+def _report_1(report, n_states: int, n_transitions: int) -> RequirementReport:
     return RequirementReport(
         requirement="1 (deadlock freeness)",
         holds=report.deadlock_free,
         detail=report.summary(),
         trace=report.shortest_trace,
-        lts_states=lts.n_states,
-        lts_transitions=lts.n_transitions,
+        lts_states=n_states,
+        lts_transitions=n_transitions,
     )
 
 
@@ -226,7 +247,7 @@ def check_requirement_1_bitstate(
         model,
         table_bytes=table_bytes,
         max_states=max_states,
-        is_valid_end=lambda s: s == VIOLATION or model.is_done_state(s),
+        is_valid_end=_valid_end(model),
     )
     detail = (
         f"~{res.visited:,} states swept, {res.deadlocks} improper "
@@ -261,22 +282,28 @@ def check_requirement_2(
             config, variant, probes=False, max_states=max_states,
             certificate=certificate,
         )
-    violated = [lab for lab in lts.labels if lab.startswith(ASSERTION_PREFIX)]
+    violated = [lab for lab in lts.labels if _is_assertion(lab)]
     trace = None
     if violated:
         # shortest trace to any state enabling an assertion violation
         src, lbl, _dst = lts.columns()
-        is_violation = lts.label_mask(
-            lambda lab: lab.startswith(ASSERTION_PREFIX)
-        )
+        is_violation = lts.label_mask(_is_assertion)
         trace = shortest_trace_to(lts, np.unique(src[is_violation[lbl]]))
+    return _report_2(violated, trace, lts.n_states, lts.n_transitions)
+
+
+def _is_assertion(label: str) -> bool:
+    return label.startswith(ASSERTION_PREFIX)
+
+
+def _report_2(violated, trace, n_states: int, n_transitions: int):
     return RequirementReport(
         requirement="2 (assertions)",
         holds=not violated,
         detail=("violated: " + ", ".join(sorted(violated))) if violated else "",
         trace=trace,
-        lts_states=lts.n_states,
-        lts_transitions=lts.n_transitions,
+        lts_states=n_states,
+        lts_transitions=n_transitions,
     )
 
 
@@ -538,6 +565,12 @@ def check_all_requirements(
     is swept for a requirement that reads no LTS (3.2 off two
     processors), and only the plain model when Requirement 3 is skipped.
 
+    When no wanted requirement reads an LTS (3.1, 4, and 3.2 on two
+    processors are skipped — the paper's configuration-3 check),
+    Requirements 1 and 2 are decided inside the sweep, which stores no
+    transition (:func:`~repro.lts.engine.search_tree`): same reports,
+    same counts, same shortest traces as from the plain LTS.
+
     Under a reduction ``certificate`` (see :func:`build_lts` for which
     reduction each LTS can take) the two LTSs are different graphs —
     the probe self-loops are visible to the ample-set condition and the
@@ -554,6 +587,14 @@ def check_all_requirements(
         from repro.lts.certreduce import require_valid
 
         require_valid(certificate, config, variant)
+    if not needs_probe and "4" not in wanted:
+        if needs_plain:
+            out = _decided_in_sweep(
+                config, variant, wanted, max_states, certificate
+            )
+        if "3.2" in wanted:
+            out["3.2"] = check_requirement_3_2(config, variant)
+        return out
     if certificate is None and needs_plain and needs_probe:
         model, probe_lts = build_lts(
             config, variant, probes=True, max_states=max_states,
@@ -592,6 +633,44 @@ def check_all_requirements(
             config, variant, lts=plain_lts, certificate=certificate
         )
     return out
+
+
+def _decided_in_sweep(config, variant, wanted, max_states, certificate):
+    """Requirements 1 and 2 from one sweep that keeps a search tree
+    instead of the plain LTS."""
+    model, system = _system(
+        config, variant, probes=False, certificate=certificate,
+        _validated=True,
+    )
+    tree = search_tree(
+        system, ignore_labels=PROBE_LABELS, mark=_is_assertion,
+        is_valid_end=_valid_end(model), max_states=max_states,
+    )
+    out = {}
+    if "1" in wanted:
+        out["1"] = _requirement_1_of(tree)
+    if "2" in wanted:
+        out["2"] = _requirement_2_of(tree)
+    return out
+
+
+@_observed
+def _requirement_1_of(tree: SearchTree) -> RequirementReport:
+    report = DeadlockReport(
+        deadlock_free=not tree.deadlocks,
+        deadlocks=tree.deadlocks,
+        terminal_ok=tree.terminal_ok,
+        shortest_trace=tree.trace_to(tree.deadlocks),
+    )
+    return _report_1(report, tree.n_states, tree.n_transitions)
+
+
+@_observed
+def _requirement_2_of(tree: SearchTree) -> RequirementReport:
+    return _report_2(
+        tree.marked_labels, tree.trace_to(tree.marked), tree.n_states,
+        tree.n_transitions,
+    )
 
 
 def _without_probes(probe_lts: LTS) -> LTS:

@@ -16,14 +16,15 @@ same limit semantics — but engineered for throughput:
   access (:class:`RowStates`). A system without a kernel is handed to
   the reference explorer (trace backend ``serial``): which loop runs is
   a property of the system, never of an option or a size.
-* **label interning once per label** — kernel label ids map to LTS
-  label ids through one array, extended as labels first appear,
-  instead of per-transition method calls into the LTS.
-* **columnar transitions** — transitions accumulate directly into
-  ``array('i')`` columns and are adopted wholesale by
-  :meth:`repro.lts.lts.LTS.from_columns`, skipping the per-call
-  bookkeeping (state growth, cache invalidation) of
-  ``add_transition``.
+* **one loop, two destinations** — each numbered wave goes to a
+  destination. :func:`explore_fast` keeps every transition: they
+  accumulate directly into ``array('i')`` columns, labels interned
+  once per label through one array, and are adopted wholesale by
+  :meth:`repro.lts.lts.LTS.from_columns`. :func:`search_tree` keeps no
+  transition at all, only what deadlock and reachability questions
+  read: one BFS parent and label per state, the states without a move
+  (decided on the spot), and the sources of the moves it was asked to
+  mark (:class:`SearchTree`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from __future__ import annotations
 import time
 from array import array
 from collections.abc import Mapping
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from repro.errors import ExplorationLimitError
 from repro.lts.explore import ExplorationStats, TransitionSystem, explore
 from repro.lts.lts import LTS
 from repro.lts.rowset import RowSet
+from repro.lts.trace import Trace
 from repro.obs.core import current as _current_tracer, peak_rss_bytes
 
 
@@ -74,6 +77,174 @@ class RowStates(Mapping):
 
     def items(self) -> list:  # type: ignore[override]
         return list(enumerate(self.values()))
+
+
+@dataclass
+class SearchTree:
+    """What :func:`search_tree` keeps of a sweep: no transition, but
+    enough to decide deadlock freedom and the reachability of marked
+    moves, with the shortest traces the full LTS would give.
+
+    Attributes
+    ----------
+    parent, via:
+        Per state, the state that first discovered it and the kernel
+        label id of that move (``-1`` and ``0`` at the initial state).
+        Discovery is in state-id order, so these are the BFS tree of
+        :func:`~repro.lts.deadlock.shortest_path` on the full LTS.
+    deadlocks, terminal_ok:
+        The states without a move outside the ignored labels, in id
+        order, split by the ``is_valid_end`` predicate.
+    marked:
+        The sources of the marked moves, ascending and distinct.
+    marked_labels:
+        The marked labels that occur, in kernel order.
+    """
+
+    labels: list[str]
+    parent: np.ndarray
+    via: np.ndarray
+    deadlocks: list[int]
+    terminal_ok: list[int]
+    marked: np.ndarray
+    marked_labels: list[str]
+    n_states: int
+    n_transitions: int
+
+    def trace_to(self, targets: Iterable[int]) -> Trace | None:
+        """Shortest label trace from state 0 to any of ``targets`` —
+        that of :func:`~repro.lts.deadlock.shortest_trace_to` on the
+        full LTS: the lowest id is the first target a BFS meets."""
+        targets = np.fromiter(targets, dtype=np.int64)
+        if not targets.size:
+            return None
+        cur = int(targets.min())
+        labels = []
+        while cur > 0:
+            labels.append(self.labels[self.via[cur]])
+            cur = int(self.parent[cur])
+        labels.reverse()
+        return Trace(tuple(labels))
+
+
+class _Columns:
+    """:func:`explore_fast`'s destination: every transition, as the
+    three columns of an LTS."""
+
+    name = "columns"
+
+    def __init__(self, kernel, keep_states: bool):
+        self.kernel = kernel
+        self.keep_states = keep_states
+        self.src, self.lbl, self.dst = array("i"), array("i"), array("i")
+        self.labels: list[str] = []
+        # kernel label id -> LTS label id, in first-appearance order
+        self.kmap = np.full(len(kernel.labels), -1, dtype=np.int32)
+
+    @property
+    def n_transitions(self) -> int:
+        return len(self.src)
+
+    @property
+    def nbytes(self) -> int:
+        return 12 * len(self.src)
+
+    def wave(self, level, first, n0, src_pos, lids, ids, whole) -> None:
+        lcol = self.kmap[lids]
+        if lcol.size and lcol.min() < 0:
+            unseen, at = np.unique(lids[lcol < 0], return_index=True)
+            for lid in unseen[np.argsort(at)].tolist():
+                self.kmap[lid] = len(self.labels)
+                self.labels.append(self.kernel.labels[lid])
+            lcol = self.kmap[lids]
+        self.src.frombytes((src_pos + first).astype(np.int32).tobytes())
+        self.lbl.frombytes(lcol.tobytes())
+        self.dst.frombytes(ids.tobytes())
+
+    def result(self, rows: np.ndarray) -> LTS:
+        out = LTS.from_columns(
+            initial=0, n_states=len(rows), src=self.src, lbl=self.lbl,
+            dst=self.dst, labels=self.labels,
+        )
+        out.state_meta = (
+            RowStates(self.kernel, rows) if self.keep_states else {}
+        )
+        return out
+
+
+class _Tree:
+    """:func:`search_tree`'s destination (see :class:`SearchTree`)."""
+
+    name = "tree"
+
+    def __init__(self, kernel, ignore, mark, is_valid_end):
+        self.kernel = kernel
+        names = kernel.labels
+        self.active = ~np.fromiter(
+            (lab in ignore for lab in names), dtype=bool, count=len(names)
+        )
+        self.mark = np.fromiter(map(mark, names), dtype=bool, count=len(names))
+        self.is_valid_end = is_valid_end
+        self.parent = array("i", [-1])
+        self.via = array("i", [0])
+        self.deadlocks: list[int] = []
+        self.terminal_ok: list[int] = []
+        self.marked: list[np.ndarray] = []
+        self.marked_lids: set[int] = set()
+        self.n_transitions = 0
+
+    @property
+    def nbytes(self) -> int:
+        return 4 * (len(self.parent) + len(self.via)) + sum(
+            m.nbytes for m in self.marked
+        )
+
+    def wave(self, level, first, n0, src_pos, lids, ids, whole) -> None:
+        self.n_transitions += len(ids)
+        # new ids are handed out in order of first appearance, so a
+        # candidate discovers a state iff its id is new and tops every
+        # id before it
+        found = ids >= n0
+        found[1:] &= ids[1:] > np.maximum.accumulate(ids)[:-1]
+        pos = found.nonzero()[0]
+        self.parent.frombytes(
+            (src_pos[pos] + first).astype(np.int32).tobytes()
+        )
+        self.via.frombytes(lids[pos].astype(np.int32).tobytes())
+        hit = self.mark[lids]
+        if hit.any():
+            self.marked.append(
+                np.unique(src_pos[hit]).astype(np.int32) + first
+            )
+            self.marked_lids.update(np.unique(lids[hit]).tolist())
+        if not whole:
+            return  # rows past the cut are not known to be stuck
+        moved = np.zeros(len(level), dtype=bool)
+        moved[src_pos[self.active[lids]]] = True
+        stuck = (~moved).nonzero()[0]
+        if not stuck.size:
+            return
+        states = self.kernel.unpack(level[stuck])
+        for i, state in zip(stuck.tolist(), states):
+            valid = self.is_valid_end is not None and self.is_valid_end(state)
+            (self.terminal_ok if valid else self.deadlocks).append(first + i)
+
+    def result(self, rows: np.ndarray) -> SearchTree:
+        names = self.kernel.labels
+        return SearchTree(
+            labels=names,
+            parent=np.frombuffer(self.parent, dtype=np.int32),
+            via=np.frombuffer(self.via, dtype=np.int32),
+            deadlocks=self.deadlocks,
+            terminal_ok=self.terminal_ok,
+            marked=(
+                np.concatenate(self.marked) if self.marked
+                else np.zeros(0, dtype=np.int32)
+            ),
+            marked_labels=[names[i] for i in sorted(self.marked_lids)],
+            n_states=len(rows),
+            n_transitions=self.n_transitions,
+        )
 
 
 def explore_fast(
@@ -118,6 +289,55 @@ def explore_fast(
         from repro.lts.certreduce import ReducedSystem
 
         system = ReducedSystem(system, certificate)
+    return _sweep(
+        system, lambda kernel: _Columns(kernel, keep_states),
+        max_states=max_states, max_depth=max_depth, on_level=on_level,
+        stats=stats, tracer=tracer,
+    )
+
+
+def search_tree(
+    system: TransitionSystem,
+    *,
+    ignore_labels: Iterable[str] = (),
+    mark: Callable[[str], bool] = lambda label: False,
+    is_valid_end: Callable[[Hashable], bool] | None = None,
+    max_states: int | None = None,
+    tracer=None,
+) -> SearchTree:
+    """Sweep ``system`` (which must offer ``kernel()``) as
+    :func:`explore_fast` does, keeping a :class:`SearchTree` instead of
+    the transitions.
+
+    A state counts as terminal when it has no move outside
+    ``ignore_labels``; it is decoded on the spot and filed under
+    ``terminal_ok`` when ``is_valid_end`` accepts it, else under
+    ``deadlocks`` — :func:`~repro.lts.deadlock.find_deadlocks` on the
+    full LTS. The moves whose label satisfies ``mark`` are recorded by
+    source. State and transition counts, the limit, its message and
+    its ``stats`` are those of :func:`explore_fast`; on the limit the
+    error's ``partial`` is the tree of the states numbered so far, with
+    the terminal states of the levels expanded in full and the marked
+    moves before the cut.
+    """
+    ignore = frozenset(ignore_labels)
+    return _sweep(
+        system, lambda kernel: _Tree(kernel, ignore, mark, is_valid_end),
+        max_states=max_states, max_depth=None, on_level=None, stats=None,
+        tracer=tracer,
+    )
+
+
+def _sweep(system, make_dest, *, max_states, max_depth, on_level, stats,
+           tracer):
+    """The level loop: number each wave, hand it to the destination
+    ``make_dest(kernel)`` builds, return the destination's result.
+
+    A destination's ``wave(level, first, n0, src_pos, lids, ids, whole)``
+    gets the rows just expanded (state ids from ``first``), the
+    candidates' source positions, kernel label ids and state ids (new
+    ids start at ``n0``), cut at the limit, and whether the level was
+    expanded whole."""
     if tracer is None:
         tracer = _current_tracer()
     recording = tracer.enabled
@@ -135,16 +355,11 @@ def explore_fast(
     t0 = time.perf_counter()
 
     kernel = system.kernel()
+    dest = make_dest(kernel)
     frontier = kernel.pack([system.initial_state()])
     visited = RowSet(frontier.shape[1])
     visited.add(frontier)
     n = 1
-    src = array("i")
-    lbl = array("i")
-    dst = array("i")
-    labels: list[str] = []
-    # kernel label id -> LTS label id, in first-appearance order
-    kmap = np.full(len(kernel.labels), -1, dtype=np.int32)
 
     depth = 0
     level_sizes = [1]
@@ -152,7 +367,7 @@ def explore_fast(
 
     def _finish_stats():
         stats.states = n
-        stats.transitions = len(src)
+        stats.transitions = dest.n_transitions
         stats.max_frontier = max_frontier
         stats.seconds = time.perf_counter() - t0
         stats.depth = depth
@@ -175,15 +390,9 @@ def explore_fast(
             states_per_second=round(stats.states_per_second(), 1),
             depth=stats.depth, max_frontier=stats.max_frontier,
             bytes_per_state=round(visited.nbytes / stats.states, 1),
+            dest=dest.name, dest_bytes=dest.nbytes,
             reduction=reduction, max_rss_bytes=peak_rss_bytes(),
         )
-
-    def _partial_lts() -> LTS:
-        out = LTS.from_columns(
-            initial=0, n_states=n, src=src, lbl=lbl, dst=dst, labels=labels
-        )
-        out.state_meta = RowStates(kernel, visited.rows) if keep_states else {}
-        return out
 
     if recording:
         tracer.emit(
@@ -194,33 +403,27 @@ def explore_fast(
         if max_depth is not None and depth >= max_depth:
             break
         wave_t0 = time.perf_counter()
-        wave_trans0 = len(src)
+        wave_trans0 = dest.n_transitions
         cand, src_pos, lids = kernel.expand(frontier)
         succ_s = time.perf_counter() - wave_t0
         first = n - len(frontier)  # the frontier was numbered last
-        # on a breach the columns are cut after the transition that
+        # on a breach the wave is cut after the transition that
         # discovers state number ``max_states``
         ids, cut = visited.add(
             cand, None if max_states is None else max_states + 1 - n
         )
         if cut is not None:
             src_pos, lids = src_pos[:cut], lids[:cut]
-        # sliced after the add: growing the set moves its rows
-        frontier = visited.rows[n:]
+        # sliced after the add: growing the set moves its rows, and the
+        # rows it moved out of are freed here
+        rows = visited.rows
+        frontier = rows[n:]
+        dest.wave(rows[first:n], first, n, src_pos, lids, ids, cut is None)
+        del rows
         n = len(visited)
-        lcol = kmap[lids]
-        if lcol.size and lcol.min() < 0:
-            unseen, at = np.unique(lids[lcol < 0], return_index=True)
-            for lid in unseen[np.argsort(at)].tolist():
-                kmap[lid] = len(labels)
-                labels.append(kernel.labels[lid])
-            lcol = kmap[lids]
-        src.frombytes((src_pos + first).astype(np.int32).tobytes())
-        lbl.frombytes(lcol.tobytes())
-        dst.frombytes(ids.tobytes())
         # free the level's candidates before the next expand allocates
         # its own: holding both raises the sweep's peak memory
-        del cand, src_pos, lids, ids, lcol
+        del cand, src_pos, lids, ids
         if cut is not None:
             max_frontier = max(max_frontier, len(frontier))
             _finish_stats()
@@ -228,7 +431,7 @@ def explore_fast(
                 _emit_end("limit")
             raise ExplorationLimitError(
                 f"state limit {max_states} exceeded at depth {depth}",
-                partial=_partial_lts(),
+                partial=dest.result(visited.rows),
                 stats=stats,
             )
         depth += 1
@@ -240,7 +443,7 @@ def explore_fast(
             wave_s = time.perf_counter() - wave_t0
             tracer.emit(
                 "wave", depth=depth, states=n, frontier=len(frontier),
-                transitions=len(src) - wave_trans0,
+                transitions=dest.n_transitions - wave_trans0,
                 wave_s=round(wave_s, 6), succ_s=round(succ_s, 6),
                 dedup_s=round(max(wave_s - succ_s, 0.0), 6),
             )
@@ -250,4 +453,4 @@ def explore_fast(
     _finish_stats()
     if recording:
         _emit_end("ok")
-    return _partial_lts()
+    return dest.result(visited.rows)

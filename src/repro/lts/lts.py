@@ -299,8 +299,9 @@ class LTS:
         """
         src, lbl, _dst = self.columns()
         ignored = self.label_mask(set(ignore_labels).__contains__)
-        active = np.bincount(src[~ignored[lbl]], minlength=self._n_states)
-        return np.flatnonzero(active == 0).tolist()
+        active = np.zeros(self._n_states, dtype=bool)
+        active[src[~ignored[lbl]] if ignored.any() else src] = True
+        return np.flatnonzero(~active).tolist()
 
     def label_counts(self) -> dict[str, int]:
         """Map each label to its number of transitions."""

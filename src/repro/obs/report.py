@@ -17,6 +17,8 @@ from repro.obs.tracer import read_trace
 #: maximum rows of one table (depth waves, fixpoints) rendered before
 #: eliding the middle
 _MAX_WAVE_ROWS = 40
+#: what a kernel sweep keeps of each wave (``sweep_end.dest``)
+_DESTS = {"columns": "transition columns", "tree": "BFS tree"}
 
 
 def _head_and_tail(items: list, row, noun: str) -> list[str]:
@@ -192,8 +194,15 @@ def _render_sweep(i: int, events: list[dict]) -> list[str]:
             )
         if end.get("max_rss_bytes"):
             mem = f"  memory: max RSS {end['max_rss_bytes'] / 2**20:.1f} MiB"
-            if "bytes_per_state" in end:
-                mem += f"  visited set {end['bytes_per_state']:.1f} B/state"
+            visited = end.get("bytes_per_state")
+            if visited is not None:
+                mem += f"  visited set {visited:.1f} B/state"
+            if visited is not None and "dest_bytes" in end:
+                kept = end["dest_bytes"] / max(end.get("states", 0), 1)
+                mem += (
+                    f"  {_DESTS.get(end.get('dest'), 'kept')} "
+                    f"{kept:.1f} B/state  (together {visited + kept:.1f})"
+                )
             lines.append(mem)
 
     waves = [e for e in events if e.get("ev") == "wave"]

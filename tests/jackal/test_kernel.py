@@ -10,6 +10,7 @@ order, same label table, same decoded state behind every id.
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.errors import ExplorationLimitError, ModelError
+from repro.jackal.kernel import DEC, INC, From, Layout, _Level
 from repro.jackal.model import VIOLATION, JackalModel, Phase
 from repro.jackal.params import Config, ProtocolVariant
 from repro.lts.engine import explore_fast
@@ -218,6 +220,79 @@ def test_value_outside_its_field_raises_instead_of_wrapping():
     ))
     assert moves == dict(model.successors(state))
     assert moves[model.lbl_viol_lt] == VIOLATION
+
+
+#: one element of fields either side of each cache-type boundary, and
+#: two elements wider than any narrow type
+_BOUNDARY = Layout([
+    ("narrow", [("f7", 7), ("f8", 8), ("f15", 15), ("f16", 16)]),
+    ("wa", [("x", 40)]),
+    ("wb", [("x", 40)]),
+])
+
+
+def _level(**values):
+    """A one-row level over :data:`_BOUNDARY` holding ``values``."""
+    row = np.zeros((1, _BOUNDARY.n_words), dtype=np.uint64)
+    for name, value in values.items():
+        f = _BOUNDARY[name.replace("_", ".")]
+        row[0, f.word] |= np.uint64(value << f.shift)
+    kernel = SimpleNamespace(
+        layout=_BOUNDARY, label_ids={"step": 0}, n_words=_BOUNDARY.n_words,
+        n_ranks=1,
+    )
+    return _Level(kernel, row)
+
+
+def _after(lv, name):
+    """Field ``name`` of the one successor ``lv`` emitted."""
+    succ, _src, _lids = lv.finish()
+    f = _BOUNDARY[name.replace("_", ".")]
+    return int((succ[0, f.word] >> np.uint64(f.shift)) & np.uint64(f.mask))
+
+
+@pytest.mark.parametrize("width,itemsize", [(7, 1), (8, 2), (15, 2), (16, 4)])
+def test_inc_and_dec_leave_a_narrow_field_at_each_type_boundary(
+    width, itemsize
+):
+    name = f"narrow_f{width}"
+    f = _BOUNDARY[f"narrow.f{width}"]
+    one = np.array([0])
+    lv = _level(**{name: f.mask})
+    assert lv.col(f).dtype.itemsize == itemsize
+    with pytest.raises(ModelError, match=f.name):
+        lv.move(one, 0, "step", (f, INC))
+    with pytest.raises(ModelError, match=f.name):
+        _level(**{name: 0}).move(one, 0, "step", (f, DEC))
+    # one step inside the range still lands on the edge
+    lv = _level(**{name: f.mask - 1})
+    lv.move(one, 0, "step", (f, INC))
+    assert _after(lv, name) == f.mask
+    lv = _level(**{name: 1})
+    lv.move(one, 0, "step", (f, DEC))
+    assert _after(lv, name) == 0
+
+
+def test_from_keeps_the_value_between_narrow_and_wide_fields():
+    wide = (1 << 39) | 0xFFFF
+    one = np.array([0])
+    narrow, wa, wb = (
+        _BOUNDARY["narrow.f16"], _BOUNDARY["wa.x"], _BOUNDARY["wb.x"]
+    )
+    lv = _level(narrow_f16=0xFFFF, wa_x=wide)
+    assert lv.col(wa).dtype == np.uint64
+    lv.move(one, 0, "step", (wb, From(narrow)))
+    assert _after(lv, "wb_x") == 0xFFFF
+    lv = _level(wa_x=wide)
+    lv.move(one, 0, "step", (_BOUNDARY["wb"], From(_BOUNDARY["wa"])))
+    assert _after(lv, "wb_x") == wide
+    # a wide value that fits the narrow field is copied whole, one that
+    # does not is refused
+    lv = _level(wa_x=0xFFFF)
+    lv.move(one, 0, "step", (narrow, From(wa)))
+    assert _after(lv, "narrow_f16") == 0xFFFF
+    with pytest.raises(ModelError, match="narrow.f16"):
+        _level(wa_x=wide).move(one, 0, "step", (narrow, From(wa)))
 
 
 def test_instrumented_kernel_sweep_reports_like_the_scalar_loop():

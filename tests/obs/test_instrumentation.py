@@ -13,7 +13,7 @@ from repro import obs
 from repro.errors import ExplorationLimitError
 from repro.jackal.params import CONFIG_1, ProtocolVariant
 from repro.jackal.requirements import build_model, check_requirement_1
-from repro.lts.engine import explore_fast
+from repro.lts.engine import explore_fast, search_tree
 from repro.lts.explore import ExplorationStats, explore
 from repro.mucalc.checker import holds
 from repro.mucalc.parser import parse_formula
@@ -85,6 +85,26 @@ def test_kernel_sweep_reports_every_byte_of_its_visited_set(model):
     assert f"visited set {end['bytes_per_state']:.1f} B/state" in (
         render_report(tracer.events())
     )
+
+
+def test_sweep_end_reports_what_the_wave_destination_holds(model):
+    tracer = _tracer()
+    lts = explore_fast(model, tracer=tracer)
+    tree = search_tree(model, tracer=tracer)
+    columns, kept = _events(tracer, "sweep_end")
+    assert columns["dest"] == "columns"
+    assert columns["dest_bytes"] == 12 * lts.n_transitions
+    assert (kept["dest"], kept["dest_bytes"]) == ("tree", 8 * tree.n_states)
+    # beside the visited set, with the two together: bytes a state all in
+    text = render_report(tracer.events())
+    visited = columns["bytes_per_state"]
+    per_state = columns["dest_bytes"] / columns["states"]
+    assert (
+        f"visited set {visited:.1f} B/state  "
+        f"transition columns {per_state:.1f} B/state  "
+        f"(together {visited + per_state:.1f})"
+    ) in text
+    assert "BFS tree 8.0 B/state" in text
 
 
 @pytest.mark.parametrize("explorer", [explore, explore_fast])
