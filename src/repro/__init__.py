@@ -6,9 +6,9 @@ The package rebuilds the paper's entire toolchain and subject:
 
 * :mod:`repro.algebra` — a muCRL-style process algebra with data,
   parallel composition, encapsulation and hiding;
-* :mod:`repro.lts` — explicit-state LTS generation (serial, the
-  level-vectorised engine, bitstate), reductions and the ``.aut``
-  interchange format;
+* :mod:`repro.lts` — explicit-state LTS generation (the reference
+  BFS, the level-vectorised engine, bitstate), reductions and the
+  ``.aut`` interchange format;
 * :mod:`repro.mucalc` — a regular alternation-free mu-calculus model
   checker (the CADP *Evaluator* stand-in);
 * :mod:`repro.jackal` — the Jackal DSM cache coherence protocol model,
@@ -17,12 +17,12 @@ The package rebuilds the paper's entire toolchain and subject:
 
 Quickstart::
 
-    from repro.jackal import JackalModel, Config, ProtocolVariant
+    from repro.jackal import Config, ProtocolVariant
     from repro.jackal.requirements import check_requirement_1
 
-    model = JackalModel(Config(n_processors=2, threads_per_processor=(1, 1)),
-                        ProtocolVariant.fixed())
-    report = check_requirement_1(model)
+    # two processors with one thread each: the paper's configuration 1
+    config = Config(threads_per_processor=(1, 1), rounds=1)
+    report = check_requirement_1(config, ProtocolVariant.fixed())
     assert report.holds
 """
 

@@ -1,25 +1,18 @@
-"""Programmatic experiment runners.
+"""The Table 8 runner behind ``repro table8`` (experiment T8).
 
-One function per experiment of DESIGN.md's index, each returning a
-structured result object. The examples and the CLI are thin wrappers
-over these; downstream users can call them directly to re-run the
-paper's study under modified parameters.
+:func:`run_table8` returns one :class:`Table8Row` per configuration;
+callers can re-run the table under modified parameters. The error hunts
+(E1, E2) are single requirement checks and need no runner.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.jackal.params import CONFIG_1, CONFIG_2, CONFIG_3, Config, ProtocolVariant
-from repro.jackal.requirements import (
-    RequirementReport,
-    check_all_requirements,
-    check_requirement_1,
-    check_requirement_3_2,
-)
-from repro.lts.trace import Trace
+from repro.jackal.requirements import RequirementReport, check_all_requirements
 
 
 @dataclass
@@ -77,78 +70,3 @@ def run_table8(
             )
         )
     return rows
-
-
-@dataclass
-class ErrorReproduction:
-    """Outcome of reproducing one of the two historical errors."""
-
-    error: str
-    buggy_report: RequirementReport
-    fixed_report: RequirementReport
-    trace: Trace | None = field(default=None)
-
-    @property
-    def reproduced(self) -> bool:
-        """Bug present in the buggy variant and absent in the fixed one."""
-        return (not self.buggy_report.holds) and self.fixed_report.holds
-
-    def summary(self) -> str:
-        status = "reproduced" if self.reproduced else "NOT reproduced"
-        length = len(self.trace) if self.trace else 0
-        return f"{self.error}: {status} (trace: {length} transitions)"
-
-
-def run_error1(
-    *, config: Config | None = None, max_states: int | None = None
-) -> ErrorReproduction:
-    """Reproduce Error 1 (experiment E1): the migration/fault-lock
-    deadlock, on the paper's configuration 1 with cyclic threads."""
-    cfg = config or dataclasses.replace(CONFIG_1, rounds=None)
-    buggy = check_requirement_1(
-        cfg, ProtocolVariant.error1(), max_states=max_states
-    )
-    fixed = check_requirement_1(
-        cfg, ProtocolVariant.fixed(), max_states=max_states
-    )
-    return ErrorReproduction(
-        error="Error 1 (deadlock, §5.4.1)",
-        buggy_report=buggy,
-        fixed_report=fixed,
-        trace=buggy.trace,
-    )
-
-
-def run_error2(
-    *, config: Config = CONFIG_2, max_states: int | None = None
-) -> ErrorReproduction:
-    """Reproduce Error 2 (experiment E2): the lost home, via property
-    3.2 on the paper's configuration 2."""
-    buggy = check_requirement_3_2(
-        config, ProtocolVariant.error2(), max_states=max_states
-    )
-    fixed = check_requirement_3_2(
-        config, ProtocolVariant.fixed(), max_states=max_states
-    )
-    return ErrorReproduction(
-        error="Error 2 (lost home, §5.4.3)",
-        buggy_report=buggy,
-        fixed_report=fixed,
-        trace=buggy.trace,
-    )
-
-
-def run_full_study(
-    *, rounds: int | None = 1, max_states: int | None = None
-) -> dict[str, object]:
-    """The whole paper in one call: Table 8 plus both error hunts.
-
-    Returns ``{"table8": [...], "error1": ..., "error2": ...}``; the
-    study "passes" when all Table-8 requirements hold on the fixed
-    protocol and both errors are reproduced.
-    """
-    return {
-        "table8": run_table8(rounds=rounds, max_states=max_states),
-        "error1": run_error1(max_states=max_states),
-        "error2": run_error2(max_states=max_states),
-    }

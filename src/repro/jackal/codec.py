@@ -485,20 +485,6 @@ class StateCodec:
         """``state`` with the ``dropped`` fine fields retracted."""
         return self.projector(dropped)(state)
 
-    def encode_sliced(self, state, dropped, perms=()) -> int:
-        """The packed key of the sliced (projected) state.
-
-        Composes with symmetry reduction: with ``perms`` the key is
-        the orbit-minimal encoding of the projection — projection and
-        permutation commute, so the composite is well defined and
-        identifies exactly the states the certificate's slice and
-        group together.
-        """
-        projected = self.projector(dropped)(state)
-        if perms:
-            return self.encode_canonical(projected, perms)
-        return self.encode(projected)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"StateCodec(T={self.T}, P={self.P}, R={self.R}, "

@@ -12,6 +12,10 @@
 Each check returns a :class:`RequirementReport` carrying the verdict,
 the sizes of the LTS analysed, and a diagnostic trace when the
 requirement fails — the reproduction of the paper's error traces.
+There is one plan, :func:`check_all_requirements`: a stand-alone
+``check_requirement_X(config, variant)`` is that plan with the other
+four requirements skipped, and ``check_requirement_X(..., lts=L)``
+decides on ``L`` alone. The formulas are the paper's text, parsed.
 """
 
 from __future__ import annotations
@@ -36,22 +40,23 @@ from repro.lts.lts import LTS
 from repro.lts.trace import Trace
 from repro.mucalc.checker import check_many, holds
 from repro.mucalc.diagnostics import counterexample_box, witness_diamond
-from repro.mucalc.syntax import (
-    ActLit,
-    And,
-    AnyAct,
-    Box,
-    Diamond,
-    Ff,
-    Formula,
-    Mu,
-    NotAct,
-    RAct,
-    RSeq,
-    RStar,
-    Tt,
-    Var,
+from repro.mucalc.parser import parse_formula
+
+#: the requirement keys of :func:`check_all_requirements`, in report order
+REQUIREMENTS = ("1", "2", "3.1", "3.2", "4")
+
+#: the paper's formulas (§5.4.3, §5.4.4) as DESIGN.md quotes them. 3.2's
+#: conjunction is parenthesised into the balanced tree the certificates'
+#: ``formulas`` section fingerprints; Requirement 4 is per request
+#: ``start`` and its completion ``finish``, fair on cyclic models
+#: (completion stays reachable while it has not happened)
+R3_1 = "[T*.c_home] F"
+R3_2_BAD_STATE = (
+    "<T*> ((<c_copy>T /\\ <lock_empty>T) /\\ "
+    "(<homequeue_empty>T /\\ <remotequeue_empty>T))"
 )
+R4_EXACT = "[T*.{start}] mu X. (<T>T /\\ [not {finish}] X)"
+R4_FAIR = "[T*.{start}.(not {finish})*] <(not {finish})*.{finish}> T"
 
 
 @dataclass
@@ -81,10 +86,10 @@ class RequirementReport:
 
 
 def _observed(fn):
-    """Record each requirement check on the ambient flight recorder.
+    """Record each decided requirement on the ambient flight recorder.
 
     Emits one ``check`` event (requirement id, verdict, LTS sizes,
-    wall seconds); free when nothing is recording.
+    wall seconds of the decision); free when nothing is recording.
     """
 
     @functools.wraps(fn)
@@ -184,7 +189,6 @@ def _system(config, variant, *, probes, certificate, _validated):
 # ---------------------------------------------------------------------------
 
 
-@_observed
 def check_requirement_1(
     config: Config,
     variant: ProtocolVariant = ProtocolVariant.fixed(),
@@ -194,12 +198,22 @@ def check_requirement_1(
     model: JackalModel | None = None,
     certificate=None,
 ) -> RequirementReport:
-    """The protocol never wedges (improper terminal states unreachable)."""
-    if lts is None or model is None:
-        model, lts = build_lts(
-            config, variant, probes=False, max_states=max_states,
-            keep_states=True, certificate=certificate,
-        )
+    """The protocol never wedges (improper terminal states unreachable).
+
+    Without ``lts`` this is :func:`check_all_requirements` for 1 alone,
+    decided inside the sweep. With it, the check reads ``lts`` and
+    ``model`` — built (not swept) when missing — for which terminal
+    states are proper ends.
+    """
+    if lts is None:
+        return _planned("1", config, variant, max_states, certificate)
+    if model is None:
+        model = build_model(config, variant, probes=False)
+    return _requirement_1_on(lts, model)
+
+
+@_observed
+def _requirement_1_on(lts, model) -> RequirementReport:
     report = find_deadlocks(
         lts, ignore_labels=PROBE_LABELS, is_valid_end=_valid_end(model)
     )
@@ -267,7 +281,6 @@ def check_requirement_1_bitstate(
 # ---------------------------------------------------------------------------
 
 
-@_observed
 def check_requirement_2(
     config: Config,
     variant: ProtocolVariant = ProtocolVariant.fixed(),
@@ -278,10 +291,12 @@ def check_requirement_2(
 ) -> RequirementReport:
     """No assertion from the protocol description is violated."""
     if lts is None:
-        _model, lts = build_lts(
-            config, variant, probes=False, max_states=max_states,
-            certificate=certificate,
-        )
+        return _planned("2", config, variant, max_states, certificate)
+    return _requirement_2_on(lts)
+
+
+@_observed
+def _requirement_2_on(lts) -> RequirementReport:
     violated = [lab for lab in lts.labels if _is_assertion(lab)]
     trace = None
     if violated:
@@ -312,29 +327,19 @@ def _report_2(violated, trace, n_states: int, n_transitions: int):
 # ---------------------------------------------------------------------------
 
 
-def formula_3_1() -> Formula:
-    """The paper's 3.1: ``[T*.c_home] F``."""
-    return Box(RSeq(RStar(RAct(AnyAct())), RAct(ActLit("c_home"))), Ff())
+@functools.lru_cache(maxsize=None)
+def formula_3_1():
+    """The paper's 3.1, :data:`R3_1`."""
+    return parse_formula(R3_1)
 
 
-def formula_3_2_bad_state() -> Formula:
-    """The paper's 3.2 existence formula:
-    ``<T*> (<c_copy>T /\\ <lock_empty>T /\\ <homequeue_empty>T /\\
-    <remotequeue_empty>T)`` — requirement 3.2 holds iff this is FALSE."""
-    probes = And(
-        And(
-            Diamond(RAct(ActLit("c_copy")), Tt()),
-            Diamond(RAct(ActLit("lock_empty")), Tt()),
-        ),
-        And(
-            Diamond(RAct(ActLit("homequeue_empty")), Tt()),
-            Diamond(RAct(ActLit("remotequeue_empty")), Tt()),
-        ),
-    )
-    return Diamond(RStar(RAct(AnyAct())), probes)
+@functools.lru_cache(maxsize=None)
+def formula_3_2_bad_state():
+    """The paper's 3.2 existence formula, :data:`R3_2_BAD_STATE` —
+    requirement 3.2 holds iff this is FALSE."""
+    return parse_formula(R3_2_BAD_STATE)
 
 
-@_observed
 def check_requirement_3_1(
     config: Config,
     variant: ProtocolVariant = ProtocolVariant.fixed(),
@@ -345,10 +350,12 @@ def check_requirement_3_1(
 ) -> RequirementReport:
     """Each region has at most one home node at any time."""
     if lts is None:
-        _model, lts = build_lts(
-            config, variant, probes=True, max_states=max_states,
-            certificate=certificate,
-        )
+        return _planned("3.1", config, variant, max_states, certificate)
+    return _requirement_3_1_on(lts)
+
+
+@_observed
+def _requirement_3_1_on(lts) -> RequirementReport:
     f = formula_3_1()
     ok = holds(lts, f)
     trace = None
@@ -364,7 +371,6 @@ def check_requirement_3_1(
     )
 
 
-@_observed
 def check_requirement_3_2(
     config: Config,
     variant: ProtocolVariant = ProtocolVariant.fixed(),
@@ -380,16 +386,23 @@ def check_requirement_3_2(
     says so with ``holds=None``.
     """
     if config.n_processors != 2:
-        return RequirementReport(
-            requirement="3.2 (bounded copies when stable)",
-            holds=None,
-            detail="skipped: formulated (as in the paper) for 2 processors",
-        )
+        return _not_checked_3_2()
     if lts is None:
-        _model, lts = build_lts(
-            config, variant, probes=True, max_states=max_states,
-            certificate=certificate,
-        )
+        return _planned("3.2", config, variant, max_states, certificate)
+    return _requirement_3_2_on(lts)
+
+
+@_observed
+def _not_checked_3_2() -> RequirementReport:
+    return RequirementReport(
+        requirement="3.2 (bounded copies when stable)",
+        holds=None,
+        detail="skipped: formulated (as in the paper) for 2 processors",
+    )
+
+
+@_observed
+def _requirement_3_2_on(lts) -> RequirementReport:
     f = formula_3_2_bad_state()
     bad_reachable = holds(lts, f)
     trace = None
@@ -412,40 +425,25 @@ def check_requirement_3_2(
 # ---------------------------------------------------------------------------
 
 
-def formula_4_write(tid: int, *, fair: bool = False) -> Formula:
-    """The paper's 4.1 for thread ``tid``:
-    ``[T*.write(t)] mu X. (<T>T /\\ [not writeover(t)] X)``.
-
-    With ``fair=True``, the fair reformulation for cyclic models:
-    ``[T*.write(t).(not writeover(t))*] <(not writeover(t))*.writeover(t)> T``
-    (completion remains reachable while it has not happened).
-    """
-    return _inevitability(Labels.write(tid), Labels.writeover(tid), fair)
-
-
-def formula_4_flush(tid: int, *, fair: bool = False) -> Formula:
-    """The paper's 4.2 for thread ``tid`` (flush completion)."""
-    return _inevitability(Labels.flush(tid), Labels.flushover(tid), fair)
-
-
-def _inevitability(start: str, finish: str, fair: bool) -> Formula:
-    t_star = RStar(RAct(AnyAct()))
-    after_start = RSeq(t_star, RAct(ActLit(start)))
-    not_finish = RAct(NotAct(ActLit(finish)))
-    if fair:
-        pending = RSeq(after_start, RStar(not_finish))
-        can_finish = Diamond(
-            RSeq(RStar(not_finish), RAct(ActLit(finish))), Tt()
-        )
-        return Box(pending, can_finish)
-    inner = Mu(
-        "X",
-        And(Diamond(RAct(AnyAct()), Tt()), Box(not_finish, Var("X"))),
+@functools.lru_cache(maxsize=None)
+def formula_4_write(tid: int, *, fair: bool = False):
+    """The paper's 4.1 for thread ``tid``, :data:`R4_EXACT` of
+    ``write(t)`` and ``writeover(t)`` (:data:`R4_FAIR` with ``fair``)."""
+    text = R4_FAIR if fair else R4_EXACT
+    return parse_formula(
+        text.format(start=Labels.write(tid), finish=Labels.writeover(tid))
     )
-    return Box(after_start, inner)
 
 
-@_observed
+@functools.lru_cache(maxsize=None)
+def formula_4_flush(tid: int, *, fair: bool = False):
+    """The paper's 4.2 for thread ``tid`` (flush completion)."""
+    text = R4_FAIR if fair else R4_EXACT
+    return parse_formula(
+        text.format(start=Labels.flush(tid), finish=Labels.flushover(tid))
+    )
+
+
 def check_requirement_4(
     config: Config,
     variant: ProtocolVariant = ProtocolVariant.fixed(),
@@ -473,17 +471,19 @@ def check_requirement_4(
     conjunctions. Failure attribution is then per certified thread
     orbit (``write({t0,t1})``).
     """
+    if lts is None:
+        return _planned("4", config, variant, max_states, certificate)
+    return _requirement_4_on(config, variant, lts, certificate)
+
+
+@_observed
+def _requirement_4_on(config, variant, lts, certificate) -> RequirementReport:
     fair = config.rounds is None
     quotient = False
     if certificate is not None:
         from repro.staticcheck.formulasym import licenses_full_quotient
 
         quotient = licenses_full_quotient(certificate)
-    if lts is None:
-        _model, lts = build_lts(
-            config, variant, probes=False, max_states=max_states,
-            certificate=certificate,
-        )
     if quotient:
         from repro.lts.certreduce import (
             QuotientLTS,
@@ -576,7 +576,7 @@ def check_all_requirements(
     the probe self-loops are visible to the ample-set condition and the
     plain LTS may not take the full quotient — so each is swept.
     """
-    wanted = {"1", "2", "3.1", "3.2", "4"} - set(skip)
+    wanted = set(REQUIREMENTS) - set(skip)
     needs_plain = bool(wanted & {"1", "2", "4"})
     needs_probe = "3.1" in wanted or (
         "3.2" in wanted and config.n_processors == 2
@@ -633,6 +633,16 @@ def check_all_requirements(
             config, variant, lts=plain_lts, certificate=certificate
         )
     return out
+
+
+def _planned(key, config, variant, max_states, certificate):
+    """A stand-alone check: :func:`check_all_requirements` with every
+    requirement but ``key`` skipped."""
+    skip = tuple(k for k in REQUIREMENTS if k != key)
+    return check_all_requirements(
+        config, variant, skip=skip, max_states=max_states,
+        certificate=certificate,
+    )[key]
 
 
 def _decided_in_sweep(config, variant, wanted, max_states, certificate):

@@ -2,10 +2,10 @@
 
 This subpackage is the reproduction's stand-in for the LTS side of the
 muCRL toolset and CADP used in the paper: explicit-state generation
-(serial and bitstate-hashed), the Aldebaran ``.aut``
-interchange format, behavioural reductions (strong and branching
-bisimulation, tau-compression), deadlock detection with shortest
-counterexample traces, and trace replay.
+(the reference BFS, the level-vectorised engine, bitstate hashing),
+the Aldebaran ``.aut`` interchange format, behavioural reductions
+(strong and branching bisimulation, tau-compression), deadlock
+detection with shortest counterexample traces, and trace replay.
 """
 
 from repro.lts.lts import LTS, Transition
@@ -31,7 +31,6 @@ from repro.lts.bitstate import bitstate_explore, BitstateResult
 from repro.lts.aut import read_aut, write_aut
 from repro.lts.stats import lts_summary, degree_histogram
 from repro.lts.cycles import Lasso, find_lasso_avoiding
-from repro.lts.dot import write_dot
 
 __all__ = [
     "LTS",
@@ -63,5 +62,4 @@ __all__ = [
     "degree_histogram",
     "Lasso",
     "find_lasso_avoiding",
-    "write_dot",
 ]

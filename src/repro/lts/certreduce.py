@@ -2,12 +2,12 @@
 
 :class:`ReducedSystem` wraps a :class:`~repro.jackal.model.JackalModel`
 (or anything exposing ``config``/``variant``/``codec()``) and presents
-the same ``TransitionSystem`` protocol — a kernel included when the
-wrapped system has one, so :func:`~repro.lts.engine.explore_fast`
-sweeps the reduction a BFS level at a time (:class:`ReducedKernel`),
-held column for column to ``successors``. Per state, in this order:
+the same ``TransitionSystem`` protocol, a kernel included, so
+:func:`~repro.lts.engine.explore_fast` sweeps the reduction a BFS level
+at a time (:class:`ReducedKernel`), held column for column to
+``successors``. Per state, in this order:
 
-* **ample pruning** (``ample=True``): a *safe-class* transition
+* **ample pruning**: a *safe-class* transition
   (certified invisible and independent of every other enabled one) is
   expanded alone. Safe-class transitions strictly move queue content
   toward handlers and never re-enable each other, so the ignoring
@@ -72,13 +72,15 @@ class QuotientLTS(LTS):
 class ReducedSystem:
     """A certified symmetry/ample-reduced view of ``system``."""
 
+    #: the kernel of the last sweep, set by :meth:`kernel`
+    _swept: ReducedKernel
+
     def __init__(
         self,
         system,
         certificate,
         *,
         canonical: bool = True,
-        ample: bool = True,
         slice_fields=None,
         _validated: bool = False,
     ):
@@ -95,7 +97,6 @@ class ReducedSystem:
         self.system = system
         self.certificate = certificate
         self.canonical = canonical
-        self.ample = ample
         if slice_fields is None:
             from repro.staticcheck.slicing import certified_slice
 
@@ -110,7 +111,6 @@ class ReducedSystem:
         )
         self._footprints: dict = {}
         self._safe: dict = {}
-        self._swept: ReducedKernel | None = None
         #: successors whose visited key changed under canonicalization
         self.canonical_hits = 0
         #: commuting transitions pruned by singleton ample sets
@@ -127,22 +127,17 @@ class ReducedSystem:
     def codec(self):
         return self._codec
 
-    @property
-    def kernel(self):
-        """``kernel()`` of this view when the wrapped system has one —
-        never the wrapped kernel, which knows nothing of the reduction."""
-        return None if getattr(self.system, "kernel", None) is None else self._kernel
-
-    def _kernel(self) -> ReducedKernel:
+    def kernel(self) -> ReducedKernel:
+        """The reduction over the wrapped system's kernel — never the
+        wrapped kernel itself, which knows nothing of the reduction."""
         self._swept = ReducedKernel(self, self.system.kernel())
         return self._swept
 
     def sweep(self, **kwargs) -> LTS:
-        """:func:`~repro.lts.engine.explore_fast` of this view; a
-        :class:`QuotientLTS` when it ran on a kernel."""
+        """:func:`~repro.lts.engine.explore_fast` of this view: a
+        :class:`QuotientLTS`, carrying the winners :func:`unfold_quotient`
+        reads."""
         lts = explore_fast(self, **kwargs)
-        if self._swept is None:
-            return lts
         src, lbl, dst = lts.transition_arrays()
         out = QuotientLTS.from_columns(
             initial=lts.initial, n_states=lts.n_states,
@@ -203,8 +198,7 @@ class ReducedSystem:
         return moves
 
     def _reduce_moves(self, moves):
-        if self.ample:
-            moves = self._prune(moves)
+        moves = self._prune(moves)
         project = self._project
         if project is not None:
             projected = []
@@ -268,9 +262,8 @@ class ReducedKernel:
 
     def expand(self, rows):
         cand, src_pos, lids = self.base.expand(rows)
-        if self.red.ample:
-            keep = self._prune(src_pos, lids)
-            cand, src_pos, lids = cand[keep], src_pos[keep], lids[keep]
+        keep = self._prune(src_pos, lids)
+        cand, src_pos, lids = cand[keep], src_pos[keep], lids[keep]
         sliced, win = self._reduce(cand)
         self.red.slice_hits += sliced
         self.red.canonical_hits += int(np.count_nonzero(win))

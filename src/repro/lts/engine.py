@@ -13,9 +13,8 @@ same limit semantics — but engineered for throughput:
   visited row in state-id order beside a hash table of ids, so no row
   ever becomes a Python object — the next frontier is the slice of
   that array the level added, and ``state_meta`` decodes rows on
-  access (:class:`RowStates`). A system without a kernel is handed to
-  the reference explorer (trace backend ``serial``): which loop runs is
-  a property of the system, never of an option or a size.
+  access (:class:`RowStates`). A system without a kernel is refused:
+  the reference explorer is the only loop that runs ``successors``.
 * **one loop, two destinations** — each numbered wave goes to a
   destination. :func:`explore_fast` keeps every transition: they
   accumulate directly into ``array('i')`` columns, labels interned
@@ -37,8 +36,8 @@ from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
-from repro.errors import ExplorationLimitError
-from repro.lts.explore import ExplorationStats, TransitionSystem, explore
+from repro.errors import ExplorationLimitError, ReproError
+from repro.lts.explore import ExplorationStats, TransitionSystem
 from repro.lts.lts import LTS
 from repro.lts.rowset import RowSet
 from repro.lts.trace import Trace
@@ -251,48 +250,32 @@ def explore_fast(
     system: TransitionSystem,
     *,
     max_states: int | None = None,
-    max_depth: int | None = None,
     keep_states: bool = False,
-    on_level: Callable[[int, int], None] | None = None,
     stats: ExplorationStats | None = None,
-    certificate=None,
     tracer=None,
 ) -> LTS:
-    """Generate the reachable LTS of ``system`` by breadth-first search.
+    """Generate the reachable LTS of ``system`` by sweeping its
+    ``kernel()`` a BFS level at a time.
 
-    Accepts everything :func:`repro.lts.explore.explore` accepts and
-    matches its semantics — state numbering, depth bounding, the
-    partial LTS attached to :class:`ExplorationLimitError`. A system
-    without ``kernel()`` is explored by :func:`~repro.lts.explore.explore`
-    itself (see the module notes).
+    Matches :func:`repro.lts.explore.explore` on every system that has
+    a kernel — state numbering, stats, the partial LTS attached to
+    :class:`ExplorationLimitError`. A system without ``kernel()`` is
+    refused with :class:`~repro.errors.ReproError`: it belongs to
+    :func:`~repro.lts.explore.explore`. A reduced view is swept by
+    wrapping the model in :class:`~repro.lts.certreduce.ReducedSystem`.
 
-    Parameters
-    ----------
-    certificate:
-        Optional :class:`~repro.staticcheck.certificates.ReductionCertificate`.
-        When given, the sweep runs on a certificate-validated
-        :class:`~repro.lts.certreduce.ReducedSystem` view (symmetry
-        quotient + ample pruning) and refuses with
-        :class:`~repro.errors.ReproError` if the certificate does not
-        validate for this system (JKL303–JKL305).
-    tracer:
-        Optional :class:`~repro.obs.tracer.Tracer`; defaults to the
-        ambient one. A disabled tracer costs one branch per BFS wave.
+    ``tracer`` is an optional :class:`~repro.obs.tracer.Tracer`;
+    it defaults to the ambient one. A disabled tracer costs one branch
+    per BFS wave.
     """
     if getattr(system, "kernel", None) is None:
-        return explore(
-            system, max_states=max_states, max_depth=max_depth,
-            keep_states=keep_states, on_level=on_level, stats=stats,
-            certificate=certificate, tracer=tracer,
+        raise ReproError(
+            f"explore_fast sweeps a kernel(): {type(system).__name__} has "
+            "none (repro.lts.explore.explore explores it state by state)"
         )
-    if certificate is not None:
-        from repro.lts.certreduce import ReducedSystem
-
-        system = ReducedSystem(system, certificate)
     return _sweep(
         system, lambda kernel: _Columns(kernel, keep_states),
-        max_states=max_states, max_depth=max_depth, on_level=on_level,
-        stats=stats, tracer=tracer,
+        max_states=max_states, stats=stats, tracer=tracer,
     )
 
 
@@ -323,13 +306,11 @@ def search_tree(
     ignore = frozenset(ignore_labels)
     return _sweep(
         system, lambda kernel: _Tree(kernel, ignore, mark, is_valid_end),
-        max_states=max_states, max_depth=None, on_level=None, stats=None,
-        tracer=tracer,
+        max_states=max_states, stats=None, tracer=tracer,
     )
 
 
-def _sweep(system, make_dest, *, max_states, max_depth, on_level, stats,
-           tracer):
+def _sweep(system, make_dest, *, max_states, stats, tracer):
     """The level loop: number each wave, hand it to the destination
     ``make_dest(kernel)`` builds, return the destination's result.
 
@@ -395,13 +376,8 @@ def _sweep(system, make_dest, *, max_states, max_depth, on_level, stats,
         )
 
     if recording:
-        tracer.emit(
-            "sweep_start", backend="engine",
-            max_states=max_states, max_depth=max_depth,
-        )
+        tracer.emit("sweep_start", backend="engine", max_states=max_states)
     while len(frontier):
-        if max_depth is not None and depth >= max_depth:
-            break
         wave_t0 = time.perf_counter()
         wave_trans0 = dest.n_transitions
         cand, src_pos, lids = kernel.expand(frontier)
@@ -447,8 +423,6 @@ def _sweep(system, make_dest, *, max_states, max_depth, on_level, stats,
                 wave_s=round(wave_s, 6), succ_s=round(succ_s, 6),
                 dedup_s=round(max(wave_s - succ_s, 0.0), 6),
             )
-        if on_level is not None:
-            on_level(depth, n)
 
     _finish_stats()
     if recording:

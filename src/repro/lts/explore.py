@@ -1,23 +1,23 @@
-"""Explicit-state LTS generation.
+"""Explicit-state LTS generation: the reference explorer.
 
-This module is the serial instantiator: it turns any object implementing
-the :class:`TransitionSystem` protocol (an initial state plus a successor
+:func:`explore` turns any object implementing the
+:class:`TransitionSystem` protocol (an initial state plus a successor
 function over hashable states) into an explicit :class:`~repro.lts.LTS`
-by breadth-first search. BFS order matters: state 0 is the initial state
-and the discovered distance ordering lets deadlock analysis return
-*shortest* error traces, exactly how the paper's counterexamples were
-extracted.
+by breadth-first search, one state at a time. It is the oracle the
+engine (:func:`repro.lts.engine.explore_fast`) is tested against. BFS
+order matters: state 0 is the initial state and the discovered distance
+ordering lets deadlock analysis return *shortest* error traces, exactly
+how the paper's counterexamples were extracted.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Protocol, runtime_checkable
+from typing import Hashable, Iterable, Protocol, runtime_checkable
 
 from repro.errors import ExplorationLimitError
 from repro.lts.lts import LTS
-from repro.obs.core import current as _current_tracer, peak_rss_bytes
 
 
 @runtime_checkable
@@ -29,9 +29,9 @@ class TransitionSystem(Protocol):
     it twice on the same state yields the same transitions), which every
     model in this package guarantees.
 
-    One optional member lets :func:`repro.lts.engine.explore_fast` go
-    faster without changing the LTS it builds (this explorer ignores
-    it; it is the reference the kernel is tested against):
+    One optional member is what :func:`repro.lts.engine.explore_fast`
+    sweeps — it builds the same LTS (this explorer ignores it; it is
+    the reference the kernel is tested against):
 
     ``kernel()``
         the same relation over packed states, a whole BFS level per
@@ -74,14 +74,13 @@ def explore(
     system: TransitionSystem,
     *,
     max_states: int | None = None,
-    max_depth: int | None = None,
     keep_states: bool = False,
-    on_level: Callable[[int, int], None] | None = None,
     stats: ExplorationStats | None = None,
-    certificate=None,
-    tracer=None,
 ) -> LTS:
     """Generate the reachable LTS of ``system`` by breadth-first search.
+
+    The oracle the engine is held to: one state at a time through
+    ``successors``, nothing traced, nothing reduced.
 
     Parameters
     ----------
@@ -92,48 +91,19 @@ def explore(
         than this many states have been discovered. The partially built
         LTS is attached to the exception, mirroring how the paper could
         only partially analyse its third configuration.
-    max_depth:
-        Stop expanding beyond this BFS depth (the LTS is then a
-        depth-bounded under-approximation; no error is raised).
     keep_states:
         When true, store each model state in ``lts.state_meta`` so traces
         can be decoded back into protocol configurations.
-    on_level:
-        Callback ``(depth, states_so_far)`` invoked per completed level.
     stats:
         Optional stats object to fill in. A fresh one is created when
         omitted so every exit path — including the limit error, which
         carries it on ``.stats`` — reports complete timing.
-    certificate:
-        Optional :class:`~repro.staticcheck.certificates.ReductionCertificate`.
-        When given, the sweep runs on a certificate-validated
-        :class:`~repro.lts.certreduce.ReducedSystem` view (symmetry
-        quotient + ample pruning) and refuses with
-        :class:`~repro.errors.ReproError` if the certificate does not
-        validate for this system (JKL303–JKL305).
-    tracer:
-        Optional :class:`~repro.obs.tracer.Tracer`; defaults to the
-        ambient one (disabled unless activated).
 
     Returns
     -------
     LTS
         States are numbered in BFS discovery order; state 0 is initial.
     """
-    if certificate is not None:
-        from repro.lts.certreduce import ReducedSystem
-
-        system = ReducedSystem(system, certificate)
-    if tracer is None:
-        tracer = _current_tracer()
-    recording = tracer.enabled
-    # reduction counters are cumulative on the (possibly reused)
-    # wrapper, so the trace reports this sweep's delta
-    red0 = (
-        (system.canonical_hits, system.ample_prunes, system.slice_hits)
-        if hasattr(system, "canonical_hits")
-        else None
-    )
     if stats is None:
         stats = ExplorationStats()
     t0 = time.perf_counter()
@@ -150,25 +120,7 @@ def explore(
     depth = 0
     level_sizes = [1]
     max_frontier = 1
-    succ = system.successors
     add_transition = lts.add_transition
-
-    succ_seconds = [0.0]
-    if recording:
-        tracer.emit(
-            "sweep_start", backend="serial",
-            max_states=max_states, max_depth=max_depth,
-        )
-        # charge successor generation (including generator consumption)
-        # to its own clock so waves can split succ time from dedup time
-        raw_succ = succ
-        acc = succ_seconds
-
-        def succ(state):  # noqa: F811 - instrumented wrapper
-            t = time.perf_counter()
-            out = list(raw_succ(state))
-            acc[0] += time.perf_counter() - t
-            return out
 
     def _finish_stats() -> None:
         stats.states = len(index)
@@ -178,34 +130,11 @@ def explore(
         stats.depth = depth
         stats.level_sizes = level_sizes
 
-    def _emit_end(outcome: str) -> None:
-        reduction = (
-            {
-                "canonical_hits": system.canonical_hits - red0[0],
-                "ample_prunes": system.ample_prunes - red0[1],
-                "slice_hits": system.slice_hits - red0[2],
-            }
-            if red0 is not None
-            else None
-        )
-        tracer.emit(
-            "sweep_end", backend="serial", outcome=outcome,
-            states=stats.states, transitions=stats.transitions,
-            seconds=round(stats.seconds, 6),
-            states_per_second=round(stats.states_per_second(), 1),
-            depth=stats.depth, max_frontier=stats.max_frontier,
-            reduction=reduction, max_rss_bytes=peak_rss_bytes(),
-        )
-
     while frontier:
-        if max_depth is not None and depth >= max_depth:
-            break
-        wave_t0 = time.perf_counter()
-        wave_succ0 = succ_seconds[0]
         next_frontier: list[Hashable] = []
         for state in frontier:
             sidx = index[state]
-            for label, nxt in succ(state):
+            for label, nxt in system.successors(state):
                 didx = index.get(nxt)
                 if didx is None:
                     didx = len(index)
@@ -218,8 +147,6 @@ def explore(
                         add_transition(sidx, label, didx)
                         max_frontier = max(max_frontier, len(next_frontier))
                         _finish_stats()
-                        if recording:
-                            _emit_end("limit")
                         raise ExplorationLimitError(
                             f"state limit {max_states} exceeded at depth {depth}",
                             partial=lts,
@@ -231,21 +158,8 @@ def explore(
         if frontier:
             level_sizes.append(len(frontier))
         max_frontier = max(max_frontier, len(frontier))
-        if recording:
-            wave_s = time.perf_counter() - wave_t0
-            succ_s = succ_seconds[0] - wave_succ0
-            tracer.emit(
-                "wave", depth=depth, states=len(index),
-                frontier=len(frontier), wave_s=round(wave_s, 6),
-                succ_s=round(succ_s, 6),
-                dedup_s=round(max(wave_s - succ_s, 0.0), 6),
-            )
-        if on_level is not None:
-            on_level(depth, len(index))
 
     _finish_stats()
-    if recording:
-        _emit_end("ok")
     return lts
 
 

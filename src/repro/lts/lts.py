@@ -128,13 +128,6 @@ class LTS:
 
     # -- construction -------------------------------------------------
 
-    def add_state(self) -> int:
-        """Allocate a fresh state and return its index."""
-        idx = self._n_states
-        self._n_states += 1
-        self._cols = self._fwd = self._rev = None
-        return idx
-
     def ensure_states(self, n: int) -> None:
         """Grow the state set so it contains at least ``n`` states."""
         if n > self._n_states:
@@ -264,22 +257,15 @@ class LTS:
             self._rev = self._csr(dst, lbl, src)
         return self._rev
 
-    def _adjacent(self, csr, state: int) -> list[tuple[str, int]]:
-        offsets, lbl, other = csr
+    def successors(self, state: int) -> list[tuple[str, int]]:
+        """Outgoing ``(label, dst)`` pairs of ``state``."""
+        offsets, lbl, dst = self.forward_csr()
         lo, hi = offsets[state], offsets[state + 1]
         labels = self.labels
         return [
-            (labels[lab], s)
-            for lab, s in zip(lbl[lo:hi].tolist(), other[lo:hi].tolist())
+            (labels[lab], d)
+            for lab, d in zip(lbl[lo:hi].tolist(), dst[lo:hi].tolist())
         ]
-
-    def successors(self, state: int) -> list[tuple[str, int]]:
-        """Outgoing ``(label, dst)`` pairs of ``state``."""
-        return self._adjacent(self.forward_csr(), state)
-
-    def predecessors(self, state: int) -> list[tuple[str, int]]:
-        """Incoming ``(label, src)`` pairs of ``state``."""
-        return self._adjacent(self.reverse_csr(), state)
 
     def out_degree(self, state: int) -> int:
         """Number of outgoing transitions of ``state``."""

@@ -62,10 +62,10 @@ def whole_run(events: list[dict]) -> dict:
     ``sweeps_s`` + ``lts_derive_s`` + ``checks_s`` +
     ``unattributed_s`` = ``span_s``, the time from the first to the
     last event — an event that carries ``seconds`` began that long
-    before it was written. A stand-alone requirement check explores
-    inside its own ``check`` window; the sweep and derive seconds that
-    ended inside a window are taken out of that check, so nothing
-    counts twice.
+    before it was written. Older traces show a stand-alone requirement
+    check exploring inside its own ``check`` window; the sweep and
+    derive seconds that ended inside a window are taken out of that
+    check, so nothing counts twice.
     """
     timed = [e for e in events if "t" in e]
     span = (

@@ -158,23 +158,6 @@ def test_state_limit_matches_the_scalar_loop(max_states):
     assert fast.state_meta == scalar.state_meta
 
 
-def test_depth_bound_level_callback_and_dropped_states():
-    model = _c1r2()
-    levels: dict = {"ref": [], "fast": []}
-    ref, ref_stats, _ = _sweep(
-        explore, model, max_depth=9,
-        on_level=lambda d, n: levels["ref"].append((d, n)),
-    )
-    fast, fast_stats, _ = _sweep(
-        explore_fast, model, max_depth=9,
-        on_level=lambda d, n: levels["fast"].append((d, n)),
-    )
-    _assert_same_lts(fast, ref)
-    assert _stats(fast_stats) == _stats(ref_stats)
-    assert levels["fast"] == levels["ref"] and len(levels["ref"]) == 9
-    assert fast.state_meta == {}
-
-
 def _with_thread0(model, **fields):
     """The initial state with fields of thread 0 replaced."""
     names = ("phase", "reg", "aho", "wdone", "rounds", "dirty")

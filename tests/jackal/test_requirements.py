@@ -1,6 +1,7 @@
 """The paper's four requirements on the fixed protocol (Section 5.4)."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.jackal.requirements import (
 )
 
 FIXED = ProtocolVariant.fixed()
+ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestConfig1:
@@ -121,6 +123,21 @@ class TestReportPlumbing:
             "<T*> ((<c_copy>T /\\ <lock_empty>T) /\\ "
             "(<homequeue_empty>T /\\ <remotequeue_empty>T))"
         )
+
+    def test_formula_texts_are_the_design_rows(self):
+        # the builders parse these strings; DESIGN.md quotes them
+        from repro.jackal import requirements as rq
+
+        rows: dict = {}  # the artefact table, before the experiment index
+        for line in (ROOT / "DESIGN.md").read_text().splitlines():
+            if line.startswith("| R"):
+                cells = line.split("|")
+                rows.setdefault(cells[1].strip(), cells[3])
+        assert f"`{rq.R3_1}`" in rows["R3.1"]
+        assert f"`{rq.R3_2_BAD_STATE}` is false" in rows["R3.2"]
+        for text in (rq.R4_EXACT, rq.R4_FAIR):
+            row = text.format(start="write(t)", finish="writeover(t)")
+            assert f"`{row}`" in rows["R4"]
 
 
 class TestNoMigrationAblation:

@@ -2,10 +2,11 @@
 
 The derived LTS must *be* the separately swept one (same numbering, same
 columns), the combined check must report what the five stand-alone
-checks report, and the trace must show the sweeps that actually ran.
-When only Requirements 1 and 2 are wanted, the one sweep keeps a search
-tree instead of an LTS, and its reports must still be those of the
-stand-alone checks on an explicitly built LTS.
+checks report — each of which runs the same plan for itself alone —
+and the trace must show the sweeps that actually ran. When only
+Requirements 1 and 2 are wanted, the one sweep keeps a search tree
+instead of an LTS, and its reports must still be those of the checks
+on an explicitly built LTS.
 """
 
 from __future__ import annotations
@@ -83,10 +84,32 @@ def test_derived_lts_and_reports_equal_separate_sweeps(variant, config):
         assert np.array_equal(mine, theirs)
     assert derived.state_meta is probe.state_meta
 
-    reports = check_all_requirements(config, variant)
+    _assert_stand_alone_is_the_plan(config, variant)
+
+
+def _assert_stand_alone_is_the_plan(config, variant, **kwargs):
+    reports = check_all_requirements(config, variant, **kwargs)
     assert list(reports) == list(STAND_ALONE)
     for key, check in STAND_ALONE.items():
-        assert _fields(reports[key]) == _fields(check(config, variant)), key
+        mine = check(config, variant, **kwargs)
+        assert _fields(reports[key]) == _fields(mine), key
+
+
+@pytest.mark.parametrize(
+    "name,variant,certified",
+    [("c3r2", "fixed", False), ("c3r2", "error1", False),
+     ("c1", "fixed", True)],
+    ids=["c3r2-fixed", "c3r2-error1", "c1-certified"],
+)
+def test_stand_alone_checks_are_the_plan(name, variant, certified):
+    # the 15 small cells are held to this by the test above
+    config, variant = _config(name), getattr(ProtocolVariant, variant)()
+    kwargs = {}
+    if certified:
+        cert, findings = certify(config, variant)
+        assert cert is not None, findings
+        kwargs["certificate"] = cert
+    _assert_stand_alone_is_the_plan(config, variant, **kwargs)
 
 
 def _recorded(config, **kwargs):
@@ -109,6 +132,28 @@ def test_full_check_sweeps_once_and_derives():
     assert _count(events, "check") == 5
 
 
+def test_stand_alone_requirement_1_is_decided_in_the_sweep():
+    with obs.Tracer(ring=100_000) as tracer, obs.activate(tracer):
+        report = check_requirement_1(CONFIG_3, FIXED)
+    events = tracer.events()
+    (end,) = [e for e in events if e["ev"] == "sweep_end"]
+    assert end["dest"] == "tree"
+    (check,) = [e for e in events if e["ev"] == "check"]
+    assert check["requirement"] == report.requirement
+    assert check["states"] == end["states"] == report.lts_states
+
+
+def test_requirement_1_on_a_partial_lts_sweeps_nothing():
+    with pytest.raises(ExplorationLimitError) as exc:
+        build_lts(CONFIG_1, FIXED, probes=False, max_states=100)
+    partial = exc.value.partial
+    with obs.Tracer(ring=100_000) as tracer, obs.activate(tracer):
+        report = check_requirement_1(CONFIG_1, FIXED, lts=partial)
+    assert report.lts_states == partial.n_states == 101
+    assert _count(tracer.events(), "sweep_end") == 0
+    assert _count(tracer.events(), "check") == 1
+
+
 def test_requirements_1_and_2_sweep_plain_only():
     reports, events = _recorded(CONFIG_1, skip=LTS_READERS)
     assert set(reports) == {"1", "2"}
@@ -127,6 +172,8 @@ def test_requirements_1_and_2_sweep_plain_only():
 def _config(name):
     if name == "c3r2":
         return dataclasses.replace(CONFIG_3, rounds=2)
+    if name == "c1":
+        return CONFIG_1
     return CONFIGS[name]
 
 

@@ -63,12 +63,6 @@ def test_max_states_limit_fills_stats():
     assert st.seconds > 0
 
 
-def test_max_depth_underapproximation():
-    l = explore(Grid(10, 10), max_depth=2)
-    # depth 0,1,2 of the grid: 1 + 2 + 3 states
-    assert l.n_states == 6
-
-
 def test_stats():
     st = ExplorationStats()
     explore(Grid(4, 3), stats=st)
@@ -78,13 +72,6 @@ def test_stats():
     assert sum(st.level_sizes) == 12
     assert st.depth >= 5
     assert st.states_per_second() >= 0
-
-
-def test_on_level_callback():
-    seen = []
-    explore(Grid(3, 3), on_level=lambda d, n: seen.append((d, n)))
-    assert seen[0][0] == 1
-    assert seen[-1][1] == 9
 
 
 def test_breadth_first_states_order(chain_system):

@@ -199,15 +199,26 @@ def test_whole_run_line_accounts_for_a_recorded_check(tmp_path, capsys):
 
 
 def test_whole_run_counts_a_sweep_inside_a_check_once(tmp_path, capsys):
-    # a stand-alone check explores inside its own `check` window
+    # a stand-alone check runs the plan: its `check` window opens after
+    # the sweep ends and holds the decision alone
     _path, events = _recorded_check(tmp_path, "--requirement", "1")
+    (end,) = [e for e in events if e["ev"] == "sweep_end"]
     (check,) = [e for e in events if e["ev"] == "check"]
+    assert check["t"] - check["seconds"] >= end["t"] - 1e-6
     run = whole_run(events)
-    assert run["sweeps_s"] == pytest.approx(_seconds(events, "sweep_end"))
-    assert run["checks_s"] == pytest.approx(
-        check["seconds"] - run["sweeps_s"], abs=1e-5
-    )
-    assert run["span_s"] == pytest.approx(check["seconds"], abs=1e-3)
+    assert run["sweeps_s"] == pytest.approx(end["seconds"])
+    assert run["checks_s"] == pytest.approx(check["seconds"])
+    # older traces recorded the sweep inside the check's window; it is
+    # still counted once
+    nested = [
+        {"t": 0.0, "ev": "sweep_start", "backend": "engine"},
+        {"t": 0.5, "ev": "sweep_end", "backend": "engine", "seconds": 0.5},
+        {"t": 0.6, "ev": "check", "requirement": "1", "seconds": 0.6},
+    ]
+    run = whole_run(nested)
+    assert (run["span_s"], run["sweeps_s"]) == (0.6, 0.5)
+    assert run["checks_s"] == pytest.approx(0.1)
+    assert run["unattributed_s"] == pytest.approx(0.0)
 
 
 def test_report_on_empty_trace(tmp_path):

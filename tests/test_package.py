@@ -100,3 +100,15 @@ def test_uncertified_check_loads_no_static_analysis():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_quickstart_in_the_package_docstring_runs():
+    import textwrap
+
+    import repro
+
+    _head, found, block = repro.__doc__.partition("Quickstart::\n")
+    assert found
+    code = textwrap.dedent(block)
+    assert "check_requirement_1(" in code
+    exec(compile(code, "repro.__doc__", "exec"), {})
