@@ -49,7 +49,6 @@ from repro.jackal.actions import (
     PROBE_LABELS,
     REMOTEQUEUE_EMPTY,
 )
-from repro.jackal.codec import _width
 from repro.jackal.model import VIOLATION, Msg, Phase, RegionState
 
 _M64 = (1 << 64) - 1
@@ -72,6 +71,14 @@ _ALF_WRITE = int(Phase.ALF_WRITE)
 _ALF_FLUSH = int(Phase.ALF_FLUSH)
 _USED = int(RegionState.USED)
 _REQ, _RET, _FLUSH = int(Msg.REQ), int(Msg.RET), int(Msg.FLUSH)
+#: the canonical key's order of element families (the layout's is hq,
+#: rq, hqa, rqa): :meth:`FrontierKernel.key_units`
+_KEY_ORDER = ("thread", "copy", "hq", "hqa", "rq", "rqa", "locks", "mig")
+
+
+def _width(max_value: int) -> int:
+    """Bits needed for values ``0..max_value`` (at least one)."""
+    return max(1, max_value.bit_length())
 
 
 class Field:
@@ -127,6 +134,8 @@ class Layout:
                 )
                 used += bits
         self.n_words = word + 1
+        #: bits of all leaf fields together
+        self.n_bits = sum(f.mask.bit_length() for f in self.leaves)
 
     def _add(self, name, word, shift, width) -> Field:
         field = self._fields[name] = Field(
@@ -367,8 +376,9 @@ class FrontierKernel:
         self._rank_probe = self._rank_rq + P
         self.n_ranks = self._rank_probe + 5
 
-        # element decoders for unpack: per element kind, the fields'
-        # (shift inside the element, mask) and the code -> tuple memo
+        # element decoders for unpack and StateCodec.decode: per element
+        # kind, the fields' (shift inside the element, mask) and the
+        # code -> tuple memo
         self._kinds = {}
         for kind, group in (
             ("thread", self.th[0]), ("copy", self.cp[0][0]),
@@ -421,6 +431,29 @@ class FrontierKernel:
             (f"mig{p}_{r}", mig) for p in range(P) for r in range(R)
         ]
         return elements
+
+    def key_units(self) -> list:
+        """The units of a state in canonical key order:
+        ``[((family, *indices, lock kind), [(name, field), ...]), ...]``.
+
+        A unit is what a renaming moves whole: a thread, a region copy,
+        a queue slot, one lock's (holder, waiters) pair or a migration
+        slot. Families follow :data:`_KEY_ORDER`; units of a family and
+        fields of a unit keep their declaration order. The canonical key
+        (``StateCodec``, and the orbit representatives of
+        :mod:`repro.lts.certreduce`) is these fields concatenated, the
+        first most significant.
+        """
+        units: dict = {}
+        for f in self.layout.leaves:
+            if f is not self.f_violation:
+                element, name = f.name.split(".")
+                kind, _, name = name.rpartition("_")
+                family = element.rstrip("0123456789_")
+                index = map(int, element[len(family):].split("_"))
+                units.setdefault((family, *index, kind), []).append((name, f))
+        return sorted(units.items(),
+                      key=lambda unit: _KEY_ORDER.index(unit[0][0]))
 
     def _values(self, state):
         """The field values of ``state`` in declaration order."""

@@ -250,9 +250,9 @@ class JackalModel:
     successors_fast = successors
 
     def codec(self):
-        """The :class:`~repro.jackal.codec.StateCodec` for this topology
-        (built on first use, then cached — its memo tables are shared
-        by every exploration of this model)."""
+        """The :class:`~repro.jackal.codec.StateCodec` for this topology:
+        one state's canonical key, a view of :meth:`kernel`'s layout
+        (built on first use, then cached)."""
         codec = getattr(self, "_codec", None)
         if codec is None:
             from repro.jackal.codec import StateCodec

@@ -84,6 +84,11 @@ def read_aut(source: str | Path | TextIO) -> LTS:
     if not m:
         raise AutFormatError(f"bad header: {lines[0]!r}")
     initial, n_trans, n_states = (int(g) for g in m.groups())
+    if initial >= n_states:
+        raise AutFormatError(
+            f"header: initial state {initial} out of range (header says "
+            f"{n_states} states)"
+        )
     lts = LTS(initial=initial)
     lts.ensure_states(n_states)
     count = 0
@@ -91,7 +96,7 @@ def read_aut(source: str | Path | TextIO) -> LTS:
         if not line.strip():
             continue
         src, label, dst = _parse_transition(line, lineno)
-        if src >= n_states or dst >= n_states:
+        if not (0 <= src < n_states and 0 <= dst < n_states):
             raise AutFormatError(
                 f"line {lineno}: state index out of range (header says "
                 f"{n_states} states)"

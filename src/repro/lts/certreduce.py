@@ -301,8 +301,6 @@ class ReducedKernel:
         return sliced, self._orbit.canonicalize(rows)
 
 
-#: the codec's key order of element families (the layout's is hq, rq, hqa)
-_KEY_ORDER = ("thread", "copy", "hq", "hqa", "rq", "rqa", "locks", "mig")
 #: the index-valued leaf fields, and the renaming each goes through
 _RENAMED = {"home": "pid", "src": "pid", "sender": "pid", "tid": "tid",
             "wl": "pmask", "h": "holder", "w": "tmask"}
@@ -311,30 +309,23 @@ _RENAMED = {"home": "pid", "src": "pid", "sender": "pid", "tid": "tid",
 class _Orbit:
     """Orbit representatives of packed rows under a certified group.
 
-    A renaming moves units — a thread, copy, queue slot, lock (holder,
-    waiters) pair or migration slot — whole and rewrites their
-    :data:`_RENAMED` fields. The representative is the image least in
-    :class:`~repro.jackal.codec.StateCodec`'s key order, lexicographic
-    over the leaf fields (families in :data:`_KEY_ORDER`, fields as
-    declared), so tables map a unit's code straight to its image's code
-    and key bits. Ties keep the first strict minimum in certificate order.
+    A renaming moves the kernel's key units — a thread, copy, queue
+    slot, lock (holder, waiters) pair or migration slot — whole and
+    rewrites their :data:`_RENAMED` fields. The representative is the
+    image least in the canonical key order
+    (:meth:`~repro.jackal.kernel.FrontierKernel.key_units`, the order
+    :class:`~repro.jackal.codec.StateCodec` encodes), so tables map a
+    unit's code straight to its image's code and key bits. Ties keep
+    the first strict minimum in certificate order.
     """
 
     def __init__(self, kernel, group):
-        units: dict = {}  # (family, *indices, lock kind) -> [(name, field)]
-        for f in kernel.layout.leaves:
-            if f is not kernel.f_violation:
-                element, name = f.name.split(".")
-                kind, _, name = name.rpartition("_")
-                family = element.rstrip("0123456789_")
-                index = map(int, element[len(family):].split("_"))
-                units.setdefault((family, *index, kind), []).append((name, f))
-        order = sorted(units, key=lambda unit: _KEY_ORDER.index(unit[0]))
+        order = kernel.key_units()
         self._loc, kinds, key_loc = [], [], []
         word = used = 0
-        for unit in order:
-            base = units[unit][0][1]
-            kinds.append(tuple((name, f.shift - base.shift, f.mask) for name, f in units[unit]))
+        for _unit, parts in order:
+            base = parts[0][1]
+            kinds.append(tuple((name, f.shift - base.shift, f.mask) for name, f in parts))
             width = sum(m.bit_length() for _n, _s, m in kinds[-1])
             self._loc.append((base.word, base.shift, (1 << width) - 1))
             if used + width > 64:
@@ -343,14 +334,14 @@ class _Orbit:
             key_loc.append((word, 64 - used))
         self._n_keys, self._n_words = word + 1, kernel.n_words
         self._violation = kernel.f_violation
-        position = {unit: u for u, unit in enumerate(order)}
+        position = {unit: u for u, (unit, _parts) in enumerate(order)}
         #: per group element, per unit: the unit moved onto it, its image
         #: and key tables, and where the key bits go
         self._units = []
         for g in group:
             tables = {kind: _tables(kind, g, kernel) for kind in set(kinds)}
             source = [0] * len(order)
-            for u, (family, i, *rest) in enumerate(order):
+            for u, ((family, i, *rest), _parts) in enumerate(order):
                 i = g.tid_map[i] if family == "thread" else g.pid_map[i]
                 source[position[(family, i, *rest)]] = u
             self._units.append([

@@ -36,16 +36,10 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def state_key64(state: Hashable, key: int | None = None) -> int:
-    """A well-mixed 64-bit key for ``state``.
-
-    When the caller already holds a packed integer ``key`` for the
-    state (see :class:`repro.jackal.codec.StateCodec`), it is mixed
-    directly — cheaper and collision-free at the 64-bit level. Without
-    one, the built-in hash is mixed, which keeps table positions
-    uniform for arbitrary hashable states.
-    """
-    return mix64(hash(state) if key is None else key)
+def state_key64(state: Hashable) -> int:
+    """A well-mixed 64-bit key for ``state``: its built-in hash, mixed,
+    which keeps table positions uniform for arbitrary hashable states."""
+    return mix64(hash(state))
 
 
 def double_hashes(h: int, k: int, n: int) -> list[int]:

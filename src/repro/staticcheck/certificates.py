@@ -30,10 +30,12 @@ outright (JKL305) — the backends must never reduce on a certificate
 that predates the formula-side obligations.
 
 The fingerprint covers the configuration, the variant flags, the
-model's label vocabulary, the packed-state width, and a digest of the
-model/kernel/spec/codec/requirements sources: any change that could
-alter the transition relation *or the certified formulas* re-keys the
-certificate and stales every old one (JKL303).
+model's label vocabulary, the bit width of the frontier kernel's
+:class:`~repro.jackal.kernel.Layout` (the rows every certified sweep
+packs), and a digest of the model/kernel/spec/codec/requirements
+sources: any change that could alter the transition relation *or the
+certified formulas* re-keys the certificate and stales every old one
+(JKL303).
 
 Every refusal finding carries a machine-readable ``data`` payload
 (expected-vs-found values, digests, the spec fingerprint) so the lint
@@ -112,7 +114,7 @@ def spec_fingerprint(config: Config, variant: ProtocolVariant) -> str:
         "config": _config_dict(config),
         "variant": _variant_dict(variant),
         "labels": sorted(model_labels(model)),
-        "state_bits": model.codec().n_bits,
+        "state_bits": model.kernel().layout.n_bits,
         "sources": sources.hexdigest(),
     }
     return hashlib.sha256(_canonical(payload)).hexdigest()

@@ -3,7 +3,7 @@
 Every transition label of :class:`~repro.jackal.model.JackalModel`
 belongs to a *class* (the rule that emits it) whose read and write
 footprint over the packed state fields is known statically — the
-:class:`~repro.jackal.codec.StateCodec` field layout is the ground
+frontier kernel's :class:`~repro.jackal.kernel.Layout` is the ground
 truth for what a "field" is. Two transitions *may commute* when
 neither writes an atom the other reads or writes; that relation is
 what the ample-set pruner in :mod:`repro.lts.certreduce` consults.

@@ -3,8 +3,8 @@
 The independence pass (:mod:`repro.staticcheck.independence`) already
 assigns every label class a read/write footprint over *coarse* atoms —
 whole structures like ``copy[p]`` or ``rq[p]``. This pass refines each
-structure into its packed sub-fields (the
-:class:`~repro.jackal.codec.StateCodec` bit fields) and builds a
+structure into its packed sub-fields (the bit fields of the frontier
+kernel's :class:`~repro.jackal.kernel.Layout`) and builds a
 field-level dependency graph:
 
 * the **guard set** of a class — the fine fields its enabling condition

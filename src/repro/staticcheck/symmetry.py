@@ -20,9 +20,10 @@ Certification is three independent obligations:
    ``sum``-bound processor/thread variable against a literal index
    (either finding is JKL301);
 3. **bounded equivariance self-test** — on a breadth-first sample of
-   states, ``decode ∘ permute ∘ encode`` must commute (the packed
-   :class:`~repro.jackal.codec.StateCodec` layout respects the
-   permutation action) and the successor relation must be equivariant:
+   states, ``decode ∘ permute ∘ encode`` must commute (the frontier
+   kernel's :class:`~repro.jackal.kernel.Layout`, read through
+   :class:`~repro.jackal.codec.StateCodec`, respects the permutation
+   action) and the successor relation must be equivariant:
    ``succ(π(s)) = π(succ(s))``, labels included. Any counterexample is
    JKL302 with the offending state and permutation.
 
@@ -422,7 +423,7 @@ def equivariance_findings(
     max_states: int = DEFAULT_SELFTEST_STATES,
     max_findings: int = 3,
 ) -> list[Finding]:
-    """JKL302 counterexamples to codec/successor equivariance."""
+    """JKL302 counterexamples to layout/successor equivariance."""
     findings: list[Finding] = []
     perms = [g for g in group if not g.is_identity]
     if not perms:

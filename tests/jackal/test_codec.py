@@ -1,15 +1,14 @@
-"""Tests for the packed state codec.
+"""Tests for the state codec, a per-state view of the kernel's layout.
 
 The codec must be a bijection between reachable protocol states and
-packed integers (``decode(encode(s)) == s``): its keys are what the
+integer keys (``decode(encode(s)) == s``): its keys are what the
 certified symmetry quotient minimises over.
 """
 
 import pytest
 
-from repro.errors import ExplorationLimitError
+from repro.errors import ExplorationLimitError, ModelError
 from repro.jackal import Config, JackalModel, ProtocolVariant
-from repro.jackal.codec import StateCodec
 from repro.jackal.model import VIOLATION
 from repro.lts.explore import breadth_first_states
 
@@ -25,6 +24,8 @@ CONFIGS = [
     (Config(threads_per_processor=(1, 1), rounds=1, with_probes=False),
      ProtocolVariant.error2()),
     (Config(threads_per_processor=(1, 1), rounds=None, with_probes=False),
+     ProtocolVariant.fixed()),
+    (Config(threads_per_processor=(1, 1, 1), rounds=1, with_probes=False),
      ProtocolVariant.fixed()),
 ]
 
@@ -49,19 +50,39 @@ def test_roundtrip_over_reachable_states(cfg, variant):
     assert len(set(keys)) == len(states)
 
 
-def test_cold_decode_matches_warm_encode():
-    """The memos must never be load-bearing: a codec that has decoded
-    nothing (cold caches) must invert keys produced by another
-    instance, and re-encoding its decodes must reproduce the keys."""
-    cfg = Config(threads_per_processor=(1, 1), rounds=1, with_probes=False)
-    model = JackalModel(cfg)
-    warm = model.codec()
-    cold = StateCodec(JackalModel(cfg))
-    states = _sample_states(model, cap=1500)
-    for s in states:
-        k = warm.encode(s)
-        assert cold.decode(k) == s
-        assert cold.encode(cold.decode(k)) == k
+def _lexicographic(state):
+    """``state``'s fields in the documented key order, as nested tuples:
+    threads, copies, hq, hqa, rq, rqa, locks, migrations; an empty slot
+    sorts first, a message by (kind, payload)."""
+    threads, copies, hq, rq, hqa, rqa, locks, migs = state
+
+    def slots(queue):
+        return tuple((0,) if m == 0 else (1, *m) for m in queue)
+
+    return (threads, copies, slots(hq), slots(hqa), slots(rq), slots(rqa),
+            locks, tuple(slots(row) for row in migs))
+
+
+@pytest.mark.parametrize("cfg,variant", CONFIGS)
+def test_keys_order_states_lexicographically(cfg, variant):
+    # the symmetry quotient's representative is the least key of an
+    # orbit, and the ample choice follows the representative: the
+    # certified counts depend on this order, not only on injectivity
+    model = JackalModel(cfg, variant)
+    states = _sample_states(model)
+    assert (sorted(states, key=model.codec().encode)
+            == sorted(states, key=_lexicographic))
+
+
+def test_value_wider_than_its_field_is_refused():
+    model = JackalModel(Config(rounds=1))
+    codec = model.codec()
+    threads, *rest = model.initial_state()
+    wdone = model.kernel().layout["thread0.wdone"]
+    ph, reg, aho, _wdone, rounds, dirty = threads[0]
+    wide = (ph, reg, aho, wdone.mask + 1, rounds, dirty)
+    with pytest.raises(ModelError, match="thread0.wdone"):
+        codec.encode(((wide, *threads[1:]), *rest))
 
 
 def test_violation_is_key_zero():
@@ -79,6 +100,7 @@ def test_ordinary_keys_are_odd_and_bounded():
         k = codec.encode(s)
         assert k & 1  # tag bit distinguishing real states from VIOLATION
         assert k.bit_length() <= codec.n_bits
+    assert codec.n_bits == model.kernel().layout.n_bits
 
 
 def test_codec_cached_on_model():

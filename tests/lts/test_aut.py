@@ -72,8 +72,15 @@ def test_transition_count_mismatch():
 
 
 def test_state_out_of_range():
-    with pytest.raises(AutFormatError, match="out of range"):
-        read_aut(io.StringIO("des (0, 1, 2)\n(0, a, 7)\n"))
+    for text, where in (
+        ("des (0, 1, 2)\n(0, a, 7)\n", "line 2"),
+        ("des (0, 1, 2)\n(-1, a, 1)\n", "line 2"),
+        ("des (0, 1, 2)\n(0, a, -1)\n", "line 2"),
+        ("des (5, 0, 2)\n", "header"),
+        ("des (0, 0, 0)\n", "header"),
+    ):
+        with pytest.raises(AutFormatError, match=f"{where}.*out of range"):
+            read_aut(io.StringIO(text))
 
 
 def test_unterminated_quote():

@@ -2,8 +2,8 @@
 
 The property tests are the satellite obligations: codec round-trips
 commute with random admissible permutations on configurations 1 and 2,
-and ``encode_canonical`` is constant on every orbit it claims to
-canonicalize.
+and the canonical key of ``canonicalize`` is constant on every orbit
+it claims to canonicalize.
 """
 
 import random
@@ -98,7 +98,7 @@ def test_codec_round_trip_under_random_permutations(config):
         assert codec.decode(codec.encode(state)) == state
 
 
-# -- property: encode_canonical is an orbit invariant ------------------------
+# -- property: the canonical key is an orbit invariant -----------------------
 
 
 @pytest.mark.parametrize("config", [CONFIG_1, CONFIG_2])
@@ -108,9 +108,9 @@ def test_encode_canonical_is_orbit_invariant(config):
     group = admissible_group(config)
     nontrivial = [g for g in group if not g.is_identity]
     for state in _sample_states(model, 150):
-        key = codec.encode_canonical(state, nontrivial)
+        key = codec.canonicalize(state, nontrivial)[0]
         orbit_keys = {
-            codec.encode_canonical(g.apply(state), nontrivial)
+            codec.canonicalize(g.apply(state), nontrivial)[0]
             for g in group
         }
         # the whole orbit maps to one canonical key, and that key is
