@@ -2,13 +2,13 @@
 for a Java DSM Implementation* (Pang, Fokkink, Hofman, Veldema;
 IPPS 2003).
 
-The package rebuilds the paper's entire toolchain and subject:
+The package rebuilds the paper's subject and the part of its
+toolchain that decides a verdict; the protocol is written once, as a
+direct Python model (the muCRL specification step has no stand-in):
 
-* :mod:`repro.algebra` — a muCRL-style process algebra with data,
-  parallel composition, encapsulation and hiding;
 * :mod:`repro.lts` — explicit-state LTS generation (the reference
-  BFS, the level-vectorised engine, bitstate), reductions and the
-  ``.aut`` interchange format;
+  BFS, the level-vectorised engine, bitstate), the certified symmetry
+  reduction and the ``.aut`` interchange format;
 * :mod:`repro.mucalc` — a regular alternation-free mu-calculus model
   checker (the CADP *Evaluator* stand-in);
 * :mod:`repro.jackal` — the Jackal DSM cache coherence protocol model,
@@ -28,7 +28,6 @@ Quickstart::
 
 from repro.errors import (
     ReproError,
-    SpecificationError,
     ExplorationLimitError,
     FormulaSyntaxError,
     FormulaSemanticsError,
@@ -41,7 +40,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ReproError",
-    "SpecificationError",
     "ExplorationLimitError",
     "FormulaSyntaxError",
     "FormulaSemanticsError",

@@ -63,6 +63,19 @@ def _config(args) -> Config:
     return dataclasses.replace(cfg, rounds=rounds)
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type for counts: an integer >= 1, else exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}"
+        )
+    return value
+
+
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", choices=sorted(_CONFIGS), default="1",
                    help="paper configuration (default 1)")
@@ -72,7 +85,7 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
                    help="write+flush rounds per thread (default 1)")
     p.add_argument("--cyclic", action="store_true",
                    help="cyclic threads, as in the paper's muCRL spec")
-    p.add_argument("--max-states", type=int, default=None,
+    p.add_argument("--max-states", type=_positive_int, default=None,
                    help="abort beyond this many states")
 
 
@@ -97,7 +110,8 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--trace", default=None, metavar="JSONL",
                    help="record a structured event trace to this file "
                    "(render it later with `repro report`)")
-    g.add_argument("--trace-ring", type=int, default=None, metavar="N",
+    g.add_argument("--trace-ring", type=_positive_int, default=None,
+                   metavar="N",
                    help="keep only the last N events (bounded memory; "
                    "with --trace the retained tail is written at exit)")
 
@@ -315,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("table8", help="regenerate the paper's Table 8")
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--cyclic", action="store_true")
-    p.add_argument("--max-states", type=int, default=None)
+    p.add_argument("--max-states", type=_positive_int, default=None)
     p.set_defaults(fn=_cmd_table8)
 
     p = sub.add_parser("narrate", help="find and narrate an error trace")
@@ -386,6 +400,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BrokenPipeError:  # e.g. `repro ... | head`
         return 0
+    except OSError as exc:
+        # an unwritable --trace/--out/--aut/--cert-out path is a usage
+        # error like the ones above, not a verdict
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

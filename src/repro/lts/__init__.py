@@ -3,9 +3,9 @@
 This subpackage is the reproduction's stand-in for the LTS side of the
 muCRL toolset and CADP used in the paper: explicit-state generation
 (the reference BFS, the level-vectorised engine, bitstate hashing),
-the Aldebaran ``.aut`` interchange format, behavioural reductions
-(strong and branching bisimulation, tau-compression), deadlock
-detection with shortest counterexample traces, and trace replay.
+the certified symmetry/ample reduction of a sweep, the Aldebaran
+``.aut`` interchange format, deadlock detection with shortest
+counterexample traces, lassos, and trace replay.
 """
 
 from repro.lts.lts import LTS, Transition
@@ -19,14 +19,6 @@ from repro.lts.engine import explore_fast
 from repro.lts.statehash import mix64, state_key64, double_hashes
 from repro.lts.deadlock import DeadlockReport, find_deadlocks, shortest_trace_to
 from repro.lts.trace import Trace, replay
-from repro.lts.reduction import (
-    strong_bisimulation_classes,
-    minimize_strong,
-    branching_bisimulation_classes,
-    minimize_branching,
-    compress_tau_cycles,
-    bisimilar,
-)
 from repro.lts.bitstate import bitstate_explore, BitstateResult
 from repro.lts.aut import read_aut, write_aut
 from repro.lts.stats import lts_summary, degree_histogram
@@ -48,12 +40,6 @@ __all__ = [
     "shortest_trace_to",
     "Trace",
     "replay",
-    "strong_bisimulation_classes",
-    "minimize_strong",
-    "branching_bisimulation_classes",
-    "minimize_branching",
-    "compress_tau_cycles",
-    "bisimilar",
     "bitstate_explore",
     "BitstateResult",
     "read_aut",

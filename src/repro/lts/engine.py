@@ -384,9 +384,10 @@ def _sweep(system, make_dest, *, max_states, stats, tracer):
         succ_s = time.perf_counter() - wave_t0
         first = n - len(frontier)  # the frontier was numbered last
         # on a breach the wave is cut after the transition that
-        # discovers state number ``max_states``
+        # discovers state number ``max_states`` (or, as in the reference
+        # explorer, the first new state when the limit is below 1)
         ids, cut = visited.add(
-            cand, None if max_states is None else max_states + 1 - n
+            cand, None if max_states is None else max(max_states + 1 - n, 1)
         )
         if cut is not None:
             src_pos, lids = src_pos[:cut], lids[:cut]

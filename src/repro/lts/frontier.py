@@ -1,8 +1,8 @@
 """Level-synchronous frontier kernels over an LTS's CSR adjacency.
 
 Every analysis that walks the graph after generation — the checker's
-linear-time fixpoints, shortest-trace BFS, the lasso search's trimming,
-reachability restriction — does so one *frontier* at a time: gather the
+linear-time fixpoints, shortest-trace BFS, the lasso search's trimming
+— does so one *frontier* at a time: gather the
 adjacency slices of all frontier states in one array pass
 (:func:`expand`), filter, deduplicate, repeat. A round costs a handful of
 numpy calls whatever the frontier's size, so the per-edge cost is the
@@ -83,16 +83,3 @@ def solve_mu_box(
         frontier = s[(pending[s] == 0) & b[s] & ~x[s]]
         x[frontier] = True
     return x, rounds
-
-
-def reachable(lts: LTS) -> np.ndarray:
-    """Boolean vector of the states reachable from ``lts.initial``."""
-    offsets, _lbl, dst = lts.forward_csr()
-    seen = np.zeros(lts.n_states, dtype=bool)
-    frontier = np.array([lts.initial])
-    seen[frontier] = True
-    while len(frontier):
-        d = dst[expand(offsets, frontier)]
-        frontier = np.unique(d[~seen[d]])
-        seen[frontier] = True
-    return seen

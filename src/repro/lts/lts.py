@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.lts import frontier
 
 TAU = "tau"
 
@@ -310,10 +309,6 @@ class LTS:
             src=src, lbl=lbl, dst=dst, labels=labels,
         )
 
-    def hidden(self, hide: Iterable[str]) -> "LTS":
-        """A copy where every label in ``hide`` becomes :data:`TAU`."""
-        return self.relabelled({lab: TAU for lab in hide})
-
     def without_labels(self, drop: Iterable[str]) -> "LTS":
         """A copy without the transitions labelled in ``drop``.
 
@@ -335,25 +330,6 @@ class LTS:
             labels=compress(self.labels, kept),
         )
         out.state_meta = self.state_meta
-        return out
-
-    def restricted_to_reachable(self) -> "LTS":
-        """A copy containing only states reachable from the initial state."""
-        seen = frontier.reachable(self)
-        renumber = np.cumsum(seen, dtype=np.int32) - 1
-        src, lbl, dst = self.columns()
-        rows = seen[src]
-        lbl, labels = _reinterned(self.labels, lbl[rows])
-        out = LTS.from_columns(
-            initial=int(renumber[self.initial]), n_states=int(seen.sum()),
-            src=renumber[src[rows]], lbl=lbl, dst=renumber[dst[rows]],
-            labels=labels,
-        )
-        out.state_meta = {
-            int(renumber[old]): meta
-            for old, meta in self.state_meta.items()
-            if seen[old]
-        }
         return out
 
     # -- dunder ---------------------------------------------------------

@@ -3,8 +3,8 @@
 The analyzer approximates, in milliseconds and without building any
 LTS, the lock-discipline and vacuity mistakes the paper's model
 checking found the slow way: lockset dataflow over the protocol phase
-graph, lints over the muCRL-style specifications, and a cross-check of
-formula labels against the model's vocabulary.
+graph and a cross-check of formula labels against the model's
+vocabulary.
 
 It also certifies reductions (``repro lint --certify``): a symmetry +
 independence analysis whose signed :class:`ReductionCertificate` the
@@ -46,7 +46,6 @@ from repro.staticcheck.phasegraph import (
     PhaseRule,
     phase_graph,
 )
-from repro.staticcheck.speclint import lint_spec, lint_system
 from repro.staticcheck.symmetry import (
     Permutation,
     admissible_group,
@@ -78,8 +77,6 @@ __all__ = [
     "label_footprint",
     "lint_labels",
     "lint_locksets",
-    "lint_spec",
-    "lint_system",
     "load",
     "may_commute",
     "model_labels",

@@ -1,11 +1,10 @@
 """The ``repro lint`` driver: run every static analysis, one report.
 
-Three exploration-free passes over the protocol artefacts:
+Two exploration-free passes over the protocol model:
 
 1. lockset dataflow over the phase graph of the selected
    :class:`~repro.jackal.params.ProtocolVariant` (JKL0xx);
-2. specification lints over the shipped muCRL-style systems (JKL1xx);
-3. label cross-check between the model's vocabulary and the
+2. label cross-check between the model's vocabulary and the
    requirement formulas (JKL2xx).
 
 None of them builds an LTS — the analyzer only constructs the model
@@ -19,11 +18,6 @@ from dataclasses import replace
 from typing import Iterable, Sequence
 
 from repro.jackal.model import JackalModel
-from repro.jackal.mucrl_spec import (
-    locker_system,
-    region_system,
-    thread_write_remote_spec,
-)
 from repro.jackal.params import Config, ProtocolVariant
 from repro.jackal.requirements import (
     formula_3_1,
@@ -36,7 +30,6 @@ from repro.staticcheck.findings import LintReport
 from repro.staticcheck.labelcheck import lint_labels
 from repro.staticcheck.lockset import lint_locksets
 from repro.staticcheck.phasegraph import phase_graph
-from repro.staticcheck.speclint import lint_spec, lint_system
 
 
 def default_formulas(config: Config) -> list[tuple[str, Formula]]:
@@ -70,14 +63,7 @@ def run_lint(
     # 1. lockset dataflow over the phase graph
     report.extend(lint_locksets(phase_graph(variant)))
 
-    # 2. the shipped algebraic specifications
-    report.extend(lint_system(region_system(), "region_system"))
-    report.extend(lint_system(locker_system(), "locker_system"))
-    report.extend(
-        lint_spec(thread_write_remote_spec(), "thread_write_remote")
-    )
-
-    # 3. label cross-check (probe labels are part of the vocabulary,
+    # 2. label cross-check (probe labels are part of the vocabulary,
     #    as in the Requirement-3 LTS builds)
     model = JackalModel(replace(config, with_probes=True), variant)
     named = default_formulas(config) if formulas is None else list(formulas)

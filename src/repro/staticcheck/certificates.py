@@ -97,7 +97,6 @@ def spec_fingerprint(config: Config, variant: ProtocolVariant) -> str:
     from repro.jackal import codec as codec_mod
     from repro.jackal import kernel as kernel_mod
     from repro.jackal import model as model_mod
-    from repro.jackal import mucrl_spec as spec_mod
     from repro.jackal import requirements as req_mod
     from repro.jackal.model import JackalModel
     from repro.staticcheck.labelcheck import model_labels
@@ -108,7 +107,7 @@ def spec_fingerprint(config: Config, variant: ProtocolVariant) -> str:
     # formulas themselves (symmetrization licenses the full quotient),
     # so editing a requirement must stale every certificate; the kernel
     # is the relation every certified sweep executes
-    for mod in (model_mod, kernel_mod, codec_mod, spec_mod, req_mod):
+    for mod in (model_mod, kernel_mod, codec_mod, req_mod):
         sources.update(inspect.getsource(mod).encode())
     payload = {
         "config": _config_dict(config),

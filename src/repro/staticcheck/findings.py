@@ -5,7 +5,6 @@ can be suppressed individually and CI gates stay meaningful as rules
 are added. The numbering is grouped by analysis:
 
 * ``JKL0xx`` — lockset dataflow over the protocol phase graph;
-* ``JKL1xx`` — process-algebra specification lints;
 * ``JKL2xx`` — label cross-checks between the model and formulas;
 * ``JKL3xx`` — reduction certification (symmetry/independence);
 * ``JKL4xx`` — formula-directed reduction (symmetrization/slicing).
@@ -52,17 +51,11 @@ RULES: dict[str, str] = {
     "JKL005": "home-side operation reachable under the fault lock "
     "(the static signature of the paper's Error 1)",
     "JKL006": "a thread phase is unreachable from IDLE in the phase graph",
-    "JKL101": "a guard is statically unsatisfiable (or makes a branch dead)",
-    "JKL102": "a dead summand: delta branch or term unreachable after delta",
-    "JKL103": "a sum variable is never used by its body",
-    "JKL104": "a communication pair references an action no process performs",
-    "JKL105": "an encapsulation/hiding set names an action never performed",
-    "JKL106": "a communication pair is never forced: no action of the pair "
-    "appears in any encapsulation set",
     "JKL201": "a formula references a label the model can never emit",
     "JKL202": "a label prefix in a formula matches nothing the model emits",
-    "JKL301": "the model/spec is not index-generic: no nontrivial "
-    "processor/thread permutation applies, or a guard special-cases an index",
+    "JKL301": "the model is not index-generic: no nontrivial "
+    "processor/thread permutation applies, or its label vocabulary is not "
+    "closed under one",
     "JKL302": "the bounded equivariance self-test found a state where "
     "permuting and stepping do not commute",
     "JKL303": "a reduction certificate's fingerprint does not match the "

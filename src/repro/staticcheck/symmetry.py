@@ -16,9 +16,7 @@ Certification is three independent obligations:
    reduce by);
 2. **index genericity** — the model's label vocabulary must be closed
    under every admissible permutation (a rule emitted only for ``p0``
-   breaks closure), and no ``mucrl_spec`` guard may compare a
-   ``sum``-bound processor/thread variable against a literal index
-   (either finding is JKL301);
+   breaks closure: JKL301);
 3. **bounded equivariance self-test** — on a breadth-first sample of
    states, ``decode ∘ permute ∘ encode`` must commute (the frontier
    kernel's :class:`~repro.jackal.kernel.Layout`, read through
@@ -310,85 +308,6 @@ def _label_closure_findings(
     return findings
 
 
-def _guard_literal_findings() -> list[Finding]:
-    """JKL301 when a shipped spec guard special-cases a processor or
-    thread index: a ``sum``-bound TID/PID variable compared (or
-    otherwise combined) with an integer literal is never index-generic.
-    """
-    from repro.algebra.terms import (
-        Alt,
-        Cond,
-        Const,
-        DVar,
-        Fn,
-        Seq,
-        Sum,
-    )
-    from repro.jackal.mucrl_spec import (
-        locker_system,
-        region_system,
-        thread_write_remote_spec,
-    )
-
-    findings: list[Finding] = []
-
-    def expr_special_cases(expr: Any, indexed: dict[str, str]) -> bool:
-        """Does ``expr`` combine an index-sorted variable with an int
-        literal inside the same function application?"""
-        if not isinstance(expr, Fn):
-            return False
-        has_index = any(
-            isinstance(a, DVar) and a.name in indexed for a in expr.args
-        )
-        has_literal = any(
-            isinstance(a, Const) and isinstance(a.value, int)
-            and not isinstance(a.value, bool)
-            for a in expr.args
-        )
-        if has_index and has_literal:
-            return True
-        return any(expr_special_cases(a, indexed) for a in expr.args)
-
-    def walk(term: Any, indexed: dict[str, str], where: str) -> None:
-        if isinstance(term, Sum):
-            inner = dict(indexed)
-            if term.sort.name in ("TID", "PID"):
-                inner[term.var] = term.sort.name
-            walk(term.body, inner, where)
-        elif isinstance(term, Cond):
-            if expr_special_cases(term.cond, indexed):
-                findings.append(
-                    Finding(
-                        "JKL301",
-                        Severity.ERROR,
-                        where,
-                        f"guard {term.cond} compares an index-sorted sum "
-                        "variable against a literal index: the summand is "
-                        "not index-generic, so no permutation symmetry "
-                        "can be certified",
-                    )
-                )
-            walk(term.then, indexed, where)
-            walk(term.els, indexed, where)
-        elif isinstance(term, (Seq, Alt)):
-            walk(term.left, indexed, where)
-            walk(term.right, indexed, where)
-        else:
-            sub = getattr(term, "subterms", None)
-            if sub is not None:
-                for t in sub():
-                    walk(t, indexed, where)
-
-    for name, spec in (
-        ("region_system", region_system().spec),
-        ("locker_system", locker_system().spec),
-        ("thread_write_remote", thread_write_remote_spec()),
-    ):
-        for d in spec.defs:
-            walk(d.body, {}, f"{name}/{d.name}")
-    return findings
-
-
 # -- obligation 3: bounded equivariance self-test -----------------------
 
 
@@ -518,7 +437,6 @@ def certify(
     if model is None:
         model = JackalModel(replace(config, with_probes=True), variant)
     findings.extend(_label_closure_findings(model, nontrivial))
-    findings.extend(_guard_literal_findings())
     if not any(f.severity == Severity.ERROR for f in findings):
         findings.extend(
             equivariance_findings(model, nontrivial, max_states=max_states)

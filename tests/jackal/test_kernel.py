@@ -142,7 +142,7 @@ def _c1r2(**kwargs):
     )
 
 
-@pytest.mark.parametrize("max_states", [1, 2, 50, 51, 1000])
+@pytest.mark.parametrize("max_states", [-3, 0, 1, 2, 50, 51, 1000])
 def test_state_limit_matches_the_scalar_loop(max_states):
     model = _c1r2()
     scalar, scalar_stats, scalar_limit = _sweep(
@@ -152,7 +152,9 @@ def test_state_limit_matches_the_scalar_loop(max_states):
         explore_fast, model, keep_states=True, max_states=max_states
     )
     assert fast_limit == scalar_limit is not None
-    assert fast.n_states == max_states + 1
+    assert fast_limit == f"state limit {max_states} exceeded at depth {fast_stats.depth}"
+    # a limit below 1 trips on the first new state, as a limit of 1 does
+    assert fast.n_states == max(max_states, 1) + 1
     _assert_same_lts(fast, scalar)
     assert _stats(fast_stats) == _stats(scalar_stats)
     assert fast.state_meta == scalar.state_meta

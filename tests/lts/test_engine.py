@@ -17,7 +17,7 @@ def _assert_identical(system, **kwargs):
     st_ref, st_fast = ExplorationStats(), ExplorationStats()
     ref = explore(system, stats=st_ref, **kwargs)
     fast = explore_fast(system, stats=st_fast, **kwargs)
-    # not merely bisimilar: numbering and transition order must agree
+    # not merely equivalent: numbering and transition order must agree
     assert fast.n_states == ref.n_states
     assert fast.n_transitions == ref.n_transitions
     assert list(fast.transitions()) == list(ref.transitions())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.lts.lts import LTS, TAU, Transition
+from repro.lts.lts import LTS, Transition
 from tests import oracles
 from tests.conftest import LABELS, random_lts
 
@@ -78,30 +78,6 @@ def test_relabelled(small_lts):
     assert r.n_transitions == small_lts.n_transitions
 
 
-def test_hidden(small_lts):
-    h = small_lts.hidden(["a", "b"])
-    assert h.label_counts()[TAU] == 2
-
-
-def test_restricted_to_reachable():
-    l = LTS(0)
-    l.add_transition(0, "a", 1)
-    l.add_transition(5, "b", 6)  # unreachable island
-    r = l.restricted_to_reachable()
-    assert r.n_states == 2
-    assert r.n_transitions == 1
-
-
-def test_restricted_keeps_meta():
-    l = LTS(0)
-    l.add_transition(0, "a", 1)
-    l.ensure_states(4)
-    l.state_meta[1] = "one"
-    l.state_meta[3] = "unreachable"
-    r = l.restricted_to_reachable()
-    assert r.state_meta == {1: "one"}
-
-
 def test_structural_equality(small_lts):
     other = LTS(0)
     for t in small_lts.transitions():
@@ -113,13 +89,6 @@ def test_structural_equality(small_lts):
 
 def test_equality_other_type(small_lts):
     assert small_lts != 42
-
-
-@given(random_lts())
-def test_reachable_restriction_is_idempotent(l):
-    once = l.restricted_to_reachable()
-    twice = once.restricted_to_reachable()
-    assert once == twice
 
 
 @given(random_lts())
@@ -196,18 +165,6 @@ def test_without_labels_keeps_the_table_order_of_the_survivors():
 def test_relabelled_matches_row_by_row(l, mapping):
     before = _snapshot(l)
     _same_lts(l.relabelled(mapping), oracles.relabelled(l, mapping))
-    _same_lts(
-        l.hidden(mapping), oracles.relabelled(l, dict.fromkeys(mapping, TAU))
-    )
-    assert _snapshot(l) == before
-
-
-@given(random_lts())
-def test_restricted_to_reachable_matches_row_by_row(l):
-    for s in range(0, l.n_states, 2):
-        l.state_meta[s] = f"meta{s}"
-    before = _snapshot(l)
-    _same_lts(l.restricted_to_reachable(), oracles.restricted_to_reachable(l))
     assert _snapshot(l) == before
 
 

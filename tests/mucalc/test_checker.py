@@ -28,6 +28,7 @@ from repro.mucalc.syntax import (
     Var,
     subformulas,
 )
+from tests import oracles
 from tests.conftest import random_lts
 
 
@@ -211,7 +212,7 @@ def closed_formula(draw, depth=3):
 def test_checker_agrees_with_bes_backend(l, f):
     from repro.mucalc.bes import bes_holds
 
-    r = l.restricted_to_reachable()
+    r = oracles.restricted_to_reachable(l)
     if r.n_states == 0:
         return
     assert holds(r, f) == bes_holds(r, f)

@@ -26,8 +26,8 @@ def test_finding_order_is_deterministic():
     """Findings serialize sorted by (rule, location, message), no
     matter the order the analysis passes emitted them in."""
     a = Finding("JKL202", Severity.WARNING, "b-loc", "m")
-    b = Finding("JKL101", Severity.ERROR, "z-loc", "m")
-    c = Finding("JKL101", Severity.ERROR, "a-loc", "m")
+    b = Finding("JKL005", Severity.ERROR, "z-loc", "m")
+    c = Finding("JKL005", Severity.ERROR, "a-loc", "m")
     for order in ([a, b, c], [c, a, b], [b, c, a]):
         report = LintReport(findings=list(order))
         rules = [
@@ -35,8 +35,8 @@ def test_finding_order_is_deterministic():
             for f in report.as_dict()["findings"]
         ]
         assert rules == [
-            ("JKL101", "a-loc"),
-            ("JKL101", "z-loc"),
+            ("JKL005", "a-loc"),
+            ("JKL005", "z-loc"),
             ("JKL202", "b-loc"),
         ]
 

@@ -236,8 +236,9 @@ def test_lint_rules_catalogue(capsys):
     code = main(["lint", "--rules"])
     out = capsys.readouterr().out
     assert code == 0
-    for rule in ("JKL001", "JKL005", "JKL101", "JKL201"):
+    for rule in ("JKL001", "JKL005", "JKL201", "JKL301"):
         assert rule in out
+    assert not [line for line in out.splitlines() if line.startswith("JKL1")]
 
 
 def test_lint_extra_formula_vacuous(capsys):
@@ -396,6 +397,37 @@ def test_lint_malformed_extra_formula_exit_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--max-states", "0"],
+    ["explore", "--max-states", "-1"],
+    ["table8", "--max-states", "0"],
+    ["explore", "--trace-ring", "-1"],
+    ["explore", "--trace-ring", "0"],
+    ["explore", "--trace-ring", "many"],
+])
+def test_counts_below_one_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["explore", "--trace", "{missing}/t.jsonl"],
+    ["explore", "--aut", "{missing}/c1.aut"],
+    ["lint", "--out", "{missing}/lint.txt"],
+    ["lint", "--certify", "--cert-out", "{missing}/CERT.json"],
+])
+def test_unwritable_output_path_exits_2(argv, tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "dir"
+    code = main([arg.format(missing=missing) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert str(missing) in err
+    assert "Traceback" not in err
 
 
 # -- flight recorder (--trace / --trace-ring / repro report) ----------------

@@ -20,12 +20,6 @@ def run_example(name: str, *args: str, timeout: int = 600) -> str:
     return proc.stdout
 
 
-def test_mucrl_fragments():
-    out = run_example("mucrl_fragments.py")
-    assert "fault/flush mutual exclusion: True" in out
-    assert "des (" in out  # .aut rendering
-
-
 @pytest.mark.slow
 def test_quickstart():
     out = run_example("quickstart.py")
@@ -51,19 +45,6 @@ def test_table8_one_round():
     out = run_example("table8.py", "--rounds", "1")
     assert "Table 8 reproduction" in out
     assert out.count("yes") >= 3
-
-
-def test_text_spec():
-    out = run_example("text_spec.py")
-    assert "branching-bisimilar to a one-place buffer: True" in out
-    assert "deadlock free" in out
-
-
-def test_lpe_pipeline():
-    out = run_example("lpe_pipeline.py")
-    assert "strongly bisimilar to the direct SOS semantics: True" in out
-    assert "branching-bisimilar to a one-place buffer: True" in out
-    assert "divergence-sensitive equivalent to the buffer: False" in out
 
 
 @pytest.mark.slow
