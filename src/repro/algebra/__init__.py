@@ -49,15 +49,6 @@ from repro.algebra.spec import ProcessDef, Spec
 from repro.algebra.composition import Comm, Par, Encap, Hide, Rename
 from repro.algebra.semantics import SpecSystem, TERMINATED
 from repro.algebra.pretty import pretty_term
-from repro.algebra.linearize import (
-    LPE,
-    Summand,
-    linearize,
-    parallel_expand,
-    encapsulate,
-    hide_actions,
-)
-from repro.algebra.mcrl_text import McrlModule, parse_mcrl
 
 __all__ = [
     "Act",
@@ -84,12 +75,4 @@ __all__ = [
     "SpecSystem",
     "TERMINATED",
     "pretty_term",
-    "LPE",
-    "Summand",
-    "linearize",
-    "parallel_expand",
-    "encapsulate",
-    "hide_actions",
-    "McrlModule",
-    "parse_mcrl",
 ]

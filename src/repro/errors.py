@@ -12,6 +12,14 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
 
+class SpecificationError(ReproError):
+    """A process-algebra specification is malformed.
+
+    Raised for unknown process identifiers, arity mismatches, unbound
+    data variables, or ill-formed communication functions.
+    """
+
+
 class ExplorationLimitError(ReproError):
     """State-space exploration exceeded a configured resource limit.
 

@@ -26,7 +26,6 @@ from repro.algebra import (
     TERMINATED,
 )
 from repro.lts.explore import explore
-from repro.lts.reduction import minimize_strong
 
 D = FiniteSort("D", (0, 1))
 EMPTY = Spec(defs=[])
@@ -37,7 +36,27 @@ def lts_of(term, spec=EMPTY):
 
 
 def bisimilar(t1, t2, spec=EMPTY) -> bool:
-    return minimize_strong(lts_of(t1, spec)) == minimize_strong(lts_of(t2, spec))
+    """Strong bisimilarity of the two terms' LTSs: refine the partition
+    of their disjoint union by ``(label, successor block)`` signatures
+    until it is stable, then compare the initial states' blocks."""
+    left, right = lts_of(t1, spec), lts_of(t2, spec)
+    moves = [left.successors(s) for s in range(left.n_states)]
+    shift = left.n_states
+    moves += [[(a, d + shift) for a, d in right.successors(s)]
+              for s in range(right.n_states)]
+    block = [0] * len(moves)
+    while True:
+        sigs: dict[tuple, int] = {}
+        refined = [
+            sigs.setdefault(
+                (block[s], frozenset((a, block[d]) for a, d in moves[s])),
+                len(sigs),
+            )
+            for s in range(len(moves))
+        ]
+        if len(sigs) == len(set(block)):
+            return refined[left.initial] == refined[right.initial + shift]
+        block = refined
 
 
 def test_single_action():
