@@ -16,6 +16,13 @@ largest configuration is only checked for requirements 1 and 2 (as in
 the paper). Pass ``--rounds N`` to scale thread workloads, ``--cyclic``
 for the paper's recursive threads.
 
+With ``--cyclic`` only rows 1 and 2 finish on an 8 GiB machine: the
+unreduced cyclic configuration 3 runs out of memory (more than 30 M
+states, still growing). That cell is decided exactly on its certified
+symmetry quotient instead, with quotient counts:
+
+    pytest benchmarks/bench_table8.py -k cyclic_certified --benchmark-only -s
+
 Run:  python examples/table8.py [--rounds 2] [--cyclic]
 """
 

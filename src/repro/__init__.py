@@ -9,8 +9,8 @@ direct Python model (the muCRL specification step has no stand-in):
 * :mod:`repro.algebra` — the terms and SOS semantics of a
   muCRL-style process algebra, kept as a library: no check imports it;
 * :mod:`repro.lts` — explicit-state LTS generation (the reference
-  BFS, the level-vectorised engine, bitstate), the certified symmetry
-  reduction and the ``.aut`` interchange format;
+  BFS, the level-vectorised engine), the certified symmetry reduction
+  and the ``.aut`` interchange format;
 * :mod:`repro.mucalc` — a regular alternation-free mu-calculus model
   checker (the CADP *Evaluator* stand-in);
 * :mod:`repro.jackal` — the Jackal DSM cache coherence protocol model,

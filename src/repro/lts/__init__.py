@@ -2,10 +2,10 @@
 
 This subpackage is the reproduction's stand-in for the LTS side of the
 muCRL toolset and CADP used in the paper: explicit-state generation
-(the reference BFS, the level-vectorised engine, bitstate hashing),
-the certified symmetry/ample reduction of a sweep, the Aldebaran
-``.aut`` interchange format, deadlock detection with shortest
-counterexample traces, lassos, and trace replay.
+(the reference BFS, the level-vectorised engine), the certified
+symmetry/ample reduction of a sweep, the Aldebaran ``.aut``
+interchange format, deadlock detection with shortest counterexample
+traces, lassos, and trace replay.
 """
 
 from repro.lts.lts import LTS, Transition
@@ -16,10 +16,9 @@ from repro.lts.explore import (
     ExplorationStats,
 )
 from repro.lts.engine import explore_fast
-from repro.lts.statehash import mix64, state_key64, double_hashes
+from repro.lts.statehash import mix64
 from repro.lts.deadlock import DeadlockReport, find_deadlocks, shortest_trace_to
 from repro.lts.trace import Trace, replay
-from repro.lts.bitstate import bitstate_explore, BitstateResult
 from repro.lts.aut import read_aut, write_aut
 from repro.lts.stats import lts_summary, degree_histogram
 from repro.lts.cycles import Lasso, find_lasso_avoiding
@@ -33,15 +32,11 @@ __all__ = [
     "breadth_first_states",
     "ExplorationStats",
     "mix64",
-    "state_key64",
-    "double_hashes",
     "DeadlockReport",
     "find_deadlocks",
     "shortest_trace_to",
     "Trace",
     "replay",
-    "bitstate_explore",
-    "BitstateResult",
     "read_aut",
     "write_aut",
     "lts_summary",

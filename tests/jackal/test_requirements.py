@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import ExplorationLimitError
 from repro.jackal.params import CONFIG_1, CONFIG_2, CONFIG_3, ProtocolVariant
 from repro.jackal.requirements import (
+    _valid_end,
+    build_model,
     check_all_requirements,
     check_requirement_1,
     check_requirement_2,
@@ -18,6 +21,7 @@ from repro.jackal.requirements import (
     formula_4_flush,
     formula_4_write,
 )
+from repro.lts.engine import search_tree
 
 FIXED = ProtocolVariant.fixed()
 ROOT = Path(__file__).resolve().parents[2]
@@ -154,48 +158,19 @@ class TestNoMigrationAblation:
         assert ablated.lts_states < full.lts_states
 
 
-class TestBitstateApproximation:
-    """Supertrace-hashed requirement 1 for oversized configurations."""
+class TestStoreAndForwardRegression:
+    """The cyclic 3-processor instance, swept exactly up to a cap."""
 
-    def test_finds_error1_deadlock(self):
-        cfg = dataclasses.replace(CONFIG_1, rounds=None)
-        from repro.jackal.requirements import check_requirement_1_bitstate
-
-        rep = check_requirement_1_bitstate(
-            cfg, ProtocolVariant.error1(), table_bytes=1 << 20
-        )
-        assert not rep.holds
-        assert "improper terminal" in rep.detail
-
-    def test_clean_on_fixed(self):
-        cfg = dataclasses.replace(CONFIG_1, rounds=None)
-        from repro.jackal.requirements import check_requirement_1_bitstate
-
-        rep = check_requirement_1_bitstate(
-            cfg, ProtocolVariant.fixed(), table_bytes=1 << 20
-        )
-        assert rep.holds
-        assert "fill" in rep.detail
-
-    def test_sweeps_config3(self):
-        from repro.jackal.requirements import check_requirement_1_bitstate
-
-        rep = check_requirement_1_bitstate(
-            CONFIG_3, ProtocolVariant.fixed(), table_bytes=1 << 22
-        )
-        assert rep.holds
-        assert rep.lts_states > 5000
-
-    @pytest.mark.slow
     def test_config3_cyclic_prefix_deadlock_free(self):
         # regression for the store-and-forward wedge that existed before
         # migrations moved to their control slot: a 300k-state prefix of
         # the cyclic 3-processor instance used to contain deadlocks
         cfg = dataclasses.replace(CONFIG_3, rounds=None)
-        from repro.jackal.requirements import check_requirement_1_bitstate
-
-        rep = check_requirement_1_bitstate(
-            cfg, ProtocolVariant.fixed(),
-            table_bytes=1 << 23, max_states=300_000,
-        )
-        assert rep.holds, rep.detail
+        model = build_model(cfg, ProtocolVariant.fixed(), probes=False)
+        with pytest.raises(ExplorationLimitError) as info:
+            search_tree(
+                model, is_valid_end=_valid_end(model), max_states=300_000
+            )
+        tree = info.value.partial
+        assert tree.n_states >= 300_000
+        assert not tree.deadlocks

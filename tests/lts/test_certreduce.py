@@ -3,10 +3,12 @@
 Soundness is checked the only way that matters — verdict equality
 between reduced and unreduced requirement sweeps on configurations 1
 and 2, on the fixed protocol *and* on both seeded bugs (Error 1's
-deadlock, Error 2's home loss / liveness failure). The acceptance
-floor (visited states drop at least 2x) is asserted where the sweep is
-big enough for symmetry to bite: configuration 2 as shipped, and
-configuration 1 at two write rounds.
+deadlock, Error 2's home loss / liveness failure) — and on cyclic
+configurations 1 and 2 for Requirements 1-2 alone, decided inside the
+certified sweep, the path that decides cyclic configuration 3. The
+acceptance floor (visited states drop at least 2x) is asserted where
+the sweep is big enough for symmetry to bite: configuration 2 as
+shipped, and configuration 1 at two write rounds.
 
 The reduced kernel is licensed the way the frontier kernel is: the
 engine's sweep of it must equal the reference explorer's sweep of
@@ -346,28 +348,48 @@ def test_visited_states_drop_at_least_2x(config):
 # -- soundness: verdict equality, fixed and both paper bugs ------------------
 
 
+#: the paper's configuration-3 check: Requirements 1-2 decided inside
+#: the certified sweep (``search_tree``), as on cyclic configuration 3
+_IN_SWEEP = ("3.1", "3.2", "4")
+
+
 @pytest.mark.parametrize(
-    "config,variant",
+    "config,variant,skip",
     [
-        (CONFIG_1, ProtocolVariant.fixed()),
-        (CONFIG_1, ProtocolVariant.error1()),
-        (CONFIG_1, ProtocolVariant.error2()),
-        (CONFIG_2, ProtocolVariant.fixed()),
-        (CONFIG_2, ProtocolVariant.error1()),
-        (CONFIG_2, ProtocolVariant.error2()),
+        (CONFIG_1, ProtocolVariant.fixed(), ()),
+        (CONFIG_1, ProtocolVariant.error1(), ()),
+        (CONFIG_1, ProtocolVariant.error2(), ()),
+        (CONFIG_2, ProtocolVariant.fixed(), ()),
+        (CONFIG_2, ProtocolVariant.error1(), ()),
+        (CONFIG_2, ProtocolVariant.error2(), ()),
+    ]
+    + [
+        (replace(config, rounds=None), variant, _IN_SWEEP)
+        for config in (CONFIG_1, CONFIG_2)
+        for variant in (
+            ProtocolVariant.fixed(),
+            ProtocolVariant.error1(),
+            ProtocolVariant.error2(),
+        )
     ],
     ids=[
         "c1-fixed", "c1-error1", "c1-error2",
         "c2-fixed", "c2-error1", "c2-error2",
+        "cyclic1-fixed", "cyclic1-error1", "cyclic1-error2",
+        "cyclic2-fixed", "cyclic2-error1", "cyclic2-error2",
     ],
 )
-def test_verdicts_match_unreduced_sweep(config, variant):
+def test_verdicts_match_unreduced_sweep(config, variant, skip):
     cert = _cert(config, variant)
-    plain = check_all_requirements(config, variant)
-    reduced = check_all_requirements(config, variant, certificate=cert)
+    plain = check_all_requirements(config, variant, skip=skip)
+    reduced = check_all_requirements(
+        config, variant, skip=skip, certificate=cert
+    )
     assert {k: r.holds for k, r in plain.items()} == {
         k: r.holds for k, r in reduced.items()
     }
+    # a deadlock found on one side is found, with a trace, on the other
+    assert (plain["1"].trace is None) == (reduced["1"].trace is None)
 
 
 def test_requirement_4_runs_the_full_quotient():

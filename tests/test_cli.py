@@ -335,6 +335,22 @@ def test_check_reduce_roundtrip(tmp_path, capsys):
     assert "HOLDS" in out and "VIOLATED" not in out
 
 
+def test_check_reduce_labels_quotient_counts(tmp_path, capsys):
+    # under a certificate the state counts are quotient counts, and
+    # every requirement row says so, not only Requirement 4's
+    cert_path = tmp_path / "CERT.json"
+    cyclic = ["--config", "1", "--cyclic"]
+    assert main(["lint", "--certify", "--cert-out", str(cert_path),
+                 *cyclic]) == 0
+    capsys.readouterr()
+    assert main(["check", *cyclic, "--reduce", str(cert_path)]) == 0
+    out = capsys.readouterr().out
+    for label in ("1 (deadlock freeness", "2 (assertions",
+                  "3.1 (at most one home", "3.2 (bounded copies when stable",
+                  "4 (liveness, fair"):
+        assert f"{label}, full quotient)" in out, label
+
+
 def test_check_reduce_refuses_stale_certificate(tmp_path, capsys):
     cert_path = tmp_path / "CERT.json"
     # certified for config 1, then used on config 2: JKL303, exit 2

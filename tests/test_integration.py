@@ -15,7 +15,6 @@ from repro.jackal import CONFIG_1, JackalModel, ProtocolVariant
 from repro.jackal.actions import PROBE_LABELS, Labels
 from repro.jackal.requirements import build_lts, formula_3_1, formula_4_write
 from repro.lts.aut import read_aut, write_aut
-from repro.lts.bitstate import bitstate_explore
 from repro.lts.engine import explore_fast
 from repro.lts.explore import explore
 from repro.mucalc.bes import bes_holds
@@ -50,8 +49,6 @@ def test_generation_strategies_agree():
     fast = explore_fast(model)
     assert fast.n_states == exact.n_states
     assert fast.n_transitions == exact.n_transitions
-    bres = bitstate_explore(model, table_bytes=1 << 18)
-    assert bres.visited == exact.n_states  # ample table: no omissions
 
 
 def test_requirement4_formula_on_raw_lts():
