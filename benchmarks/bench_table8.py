@@ -12,9 +12,9 @@ C2 = 5,424,848 / 40,476,069 (reqs 1-4); C3 = 36,371,052 / 290,181,444
 (reqs 1-2).
 
 The cyclic configuration 3 (the paper's recursion, its 36 M-state cell)
-does not fit an 8 GiB machine unreduced;
-``test_table8_config_3_cyclic_certified`` decides Requirements 1-2 on
-its certified symmetry quotient instead and prints the quotient counts,
+does not fit an 8 GiB machine unreduced; ``run_table8`` decides
+Requirements 1-2 on its certified symmetry quotient instead, and
+``test_table8_config_3_cyclic_certified`` prints the quotient counts,
 seconds and peak RSS that EXPERIMENTS.md records. The RSS is the
 process peak, so run one variant per process:
 
@@ -22,17 +22,13 @@ process peak, so run one variant per process:
         -k "cyclic_certified and fixed"      # likewise "... and error1"
 """
 
-import dataclasses
 import resource
-import time
 
 import pytest
 
 from repro.analysis.experiments import run_table8
 from repro.analysis.reporting import Table
 from repro.jackal import CONFIG_1, CONFIG_2, CONFIG_3, ProtocolVariant
-from repro.jackal.requirements import check_all_requirements
-from repro.staticcheck.symmetry import certify
 
 ROUNDS = 2
 PAPER_ROWS = {
@@ -85,27 +81,17 @@ def test_table8_config_3(once):
 def test_table8_config_3_cyclic_certified(once, variant, verdicts):
     """Requirements 1-2 on the cyclic configuration 3, exactly, on the
     certified quotient (quotient counts, not concrete ones)."""
-    cfg = dataclasses.replace(CONFIG_3, rounds=None)
-
-    def run():
-        t0 = time.perf_counter()
-        cert, findings = certify(cfg, variant)
-        assert cert is not None, findings
-        reports = check_all_requirements(
-            cfg, variant, skip=("3.1", "3.2", "4"), certificate=cert
-        )
-        return reports, time.perf_counter() - t0
-
-    reports, seconds = once(run)
-    assert {k: r.holds for k, r in reports.items()} == verdicts
+    [row] = once(run_table8, rounds=None, variant=variant,
+                 configs={"3": CONFIG_3})
+    assert row.config == "3 (certified quotient)"
+    assert {k: r.holds for k, r in row.requirements.items()} == verdicts
     rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    r1 = reports["1"]
     print(
-        f"\ncyclic config 3 ({variant.describe()}, certified quotient): "
-        f"{r1.lts_states:,} states, {r1.lts_transitions:,} transitions, "
-        f"{seconds:.1f} s, peak RSS {rss_mib:,.0f} MiB"
+        f"\ncyclic config {row.config} ({variant.describe()}): "
+        f"{row.states:,} states, {row.transitions:,} transitions, "
+        f"{row.seconds:.1f} s, peak RSS {rss_mib:,.0f} MiB"
     )
-    for r in reports.values():
+    for r in row.requirements.values():
         print(" ", r.summary())
 
 

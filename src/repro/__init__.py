@@ -6,8 +6,6 @@ The package rebuilds the paper's subject and the part of its
 toolchain that decides a verdict; the protocol is written once, as a
 direct Python model (the muCRL specification step has no stand-in):
 
-* :mod:`repro.algebra` — the terms and SOS semantics of a
-  muCRL-style process algebra, kept as a library: no check imports it;
 * :mod:`repro.lts` — explicit-state LTS generation (the reference
   BFS, the level-vectorised engine), the certified symmetry reduction
   and the ``.aut`` interchange format;
@@ -30,7 +28,6 @@ Quickstart::
 
 from repro.errors import (
     ReproError,
-    SpecificationError,
     ExplorationLimitError,
     FormulaSyntaxError,
     FormulaSemanticsError,
@@ -43,7 +40,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ReproError",
-    "SpecificationError",
     "ExplorationLimitError",
     "FormulaSyntaxError",
     "FormulaSemanticsError",

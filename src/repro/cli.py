@@ -393,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except ReproError as exc:
-        # library failures (bad parameters, malformed specs/formulas,
+        # library failures (bad parameters, malformed formulas,
         # exploration limits) are reported, not tracebacked; exit code 2
         # distinguishes them from verification verdicts (0/1)
         print(f"error: {exc}", file=sys.stderr)

@@ -12,14 +12,6 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
 
-class SpecificationError(ReproError):
-    """A process-algebra specification is malformed.
-
-    Raised for unknown process identifiers, arity mismatches, unbound
-    data variables, or ill-formed communication functions.
-    """
-
-
 class ExplorationLimitError(ReproError):
     """State-space exploration exceeded a configured resource limit.
 
@@ -27,9 +19,10 @@ class ExplorationLimitError(ReproError):
     ----------
     partial:
         The partially generated artifact — :func:`repro.lts.explore.explore`
-        attaches the partial LTS, :func:`repro.lts.explore.breadth_first_states`
-        the set of states discovered so far (may be ``None`` when nothing
-        useful was produced before the limit hit).
+        and :func:`repro.lts.engine.explore_fast` attach the partial LTS,
+        :func:`repro.lts.engine.search_tree` the partial ``SearchTree``
+        (may be ``None`` when nothing useful was produced before the
+        limit hit).
     stats:
         The partially filled ``ExplorationStats`` of the aborted sweep
         (``None`` when the raising path tracks none).

@@ -12,7 +12,6 @@ from repro.lts.lts import LTS, Transition
 from repro.lts.explore import (
     TransitionSystem,
     explore,
-    breadth_first_states,
     ExplorationStats,
 )
 from repro.lts.engine import explore_fast
@@ -20,7 +19,7 @@ from repro.lts.statehash import mix64
 from repro.lts.deadlock import DeadlockReport, find_deadlocks, shortest_trace_to
 from repro.lts.trace import Trace, replay
 from repro.lts.aut import read_aut, write_aut
-from repro.lts.stats import lts_summary, degree_histogram
+from repro.lts.stats import lts_summary
 from repro.lts.cycles import Lasso, find_lasso_avoiding
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "TransitionSystem",
     "explore",
     "explore_fast",
-    "breadth_first_states",
     "ExplorationStats",
     "mix64",
     "DeadlockReport",
@@ -40,7 +38,6 @@ __all__ = [
     "read_aut",
     "write_aut",
     "lts_summary",
-    "degree_histogram",
     "Lasso",
     "find_lasso_avoiding",
 ]

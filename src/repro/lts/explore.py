@@ -162,33 +162,3 @@ def explore(
     _finish_stats()
     return lts
 
-
-def breadth_first_states(
-    system: TransitionSystem, *, max_states: int | None = None
-) -> Iterable[Hashable]:
-    """Yield the reachable states of ``system`` in BFS order.
-
-    A lighter-weight alternative to :func:`explore` for analyses that do
-    not need the transition structure (e.g. invariant checking). When
-    ``max_states`` is exceeded, the raised
-    :class:`~repro.errors.ExplorationLimitError` carries the set of
-    states discovered so far on its ``partial`` attribute.
-    """
-    init = system.initial_state()
-    seen = {init}
-    frontier = [init]
-    yield init
-    while frontier:
-        nxt: list[Hashable] = []
-        for state in frontier:
-            for _label, succ in system.successors(state):
-                if succ not in seen:
-                    seen.add(succ)
-                    if max_states is not None and len(seen) > max_states:
-                        raise ExplorationLimitError(
-                            f"state limit {max_states} exceeded",
-                            partial=seen,
-                        )
-                    nxt.append(succ)
-                    yield succ
-        frontier = nxt

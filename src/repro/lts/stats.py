@@ -53,15 +53,3 @@ def lts_summary(lts: LTS) -> LTSSummary:
         max_out_degree=max(out_deg, default=0),
     )
 
-
-def degree_histogram(lts: LTS) -> dict[int, int]:
-    """Map out-degree -> number of states with that degree."""
-    n = lts.n_states
-    out_deg = [0] * n
-    src, _lbl, _dst = lts.transition_arrays()
-    for s in src:
-        out_deg[s] += 1
-    hist: dict[int, int] = {}
-    for d in out_deg:
-        hist[d] = hist.get(d, 0) + 1
-    return dict(sorted(hist.items()))

@@ -41,7 +41,7 @@ from repro.mucalc.syntax import (
     assert_alternation_free,
 )
 from repro.mucalc.parser import parse_formula
-from repro.mucalc.checker import check, check_many, holds, satisfying_states
+from repro.mucalc.checker import check, check_many, holds
 from repro.mucalc.diagnostics import witness_diamond, counterexample_box
 from repro.mucalc.bes import formula_to_bes, solve_bes, BES
 
@@ -74,7 +74,6 @@ __all__ = [
     "check",
     "check_many",
     "holds",
-    "satisfying_states",
     "witness_diamond",
     "counterexample_box",
     "formula_to_bes",

@@ -341,11 +341,6 @@ def holds(lts: LTS, formula: Formula) -> bool:
     return bool(check(lts, formula)[lts.initial])
 
 
-def satisfying_states(lts: LTS, formula: Formula) -> list[int]:
-    """All states satisfying ``formula``."""
-    return np.flatnonzero(check(lts, formula)).tolist()
-
-
 def check_many(lts: LTS, formulas) -> list[bool]:
     """Whether the initial state satisfies each formula.
 

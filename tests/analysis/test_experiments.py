@@ -2,9 +2,11 @@
 
 import dataclasses
 
+import pytest
+
 from repro.analysis.experiments import run_table8
 from repro.jackal.params import CONFIG_1, Config, ProtocolVariant
-from repro.jackal.requirements import check_requirement_1
+from repro.jackal.requirements import check_all_requirements, check_requirement_1
 
 
 def test_run_table8_small():
@@ -18,10 +20,26 @@ def test_run_table8_small():
     assert d["config"] == "1" and d["all_hold"] is True
 
 
-def test_run_table8_skips_mu_calc_on_three_processors():
-    cfg3 = Config(threads_per_processor=(1, 1, 1), rounds=1)
-    rows = run_table8(rounds=1, configs={"3": cfg3})
-    assert set(rows[0].requirements) == {"1", "2"}
+@pytest.mark.parametrize(
+    "cfg3,label",
+    [
+        (Config(threads_per_processor=(1, 1, 1), rounds=1), "3"),
+        # cyclic: decided on the certified symmetry quotient
+        (Config(threads_per_processor=(1, 1, 0), rounds=None),
+         "3 (certified quotient)"),
+    ],
+    ids=["rounds1", "cyclic"],
+)
+def test_run_table8_skips_mu_calc_on_three_processors(cfg3, label):
+    [row] = run_table8(rounds=cfg3.rounds, configs={"3": cfg3})
+    assert set(row.requirements) == {"1", "2"}
+    assert row.all_hold
+    assert row.config == label
+    if cfg3.rounds is None:
+        # quotient counts, never shown as concrete ones
+        unreduced = check_all_requirements(cfg3, skip=("3.1", "3.2", "4"))
+        assert unreduced["1"].lts_states == 27_555
+        assert row.states == 20_488
 
 
 def test_error1_not_reproduced_without_migration():

@@ -10,7 +10,7 @@ import pytest
 from repro.errors import ExplorationLimitError, ModelError
 from repro.jackal import Config, JackalModel, ProtocolVariant
 from repro.jackal.model import VIOLATION
-from repro.lts.explore import breadth_first_states
+from repro.lts.explore import explore
 
 CONFIGS = [
     (Config(threads_per_processor=(1, 1), rounds=1, with_probes=False),
@@ -32,10 +32,10 @@ CONFIGS = [
 
 def _sample_states(model, cap=4000):
     try:
-        return list(breadth_first_states(model, max_states=cap))
-    except ExplorationLimitError:
-        # enough states sampled; the generator raises at the cap
-        return list(breadth_first_states(model, max_states=None))[:cap]
+        lts = explore(model, max_states=cap, keep_states=True)
+    except ExplorationLimitError as e:
+        lts = e.partial  # enough states sampled: the first ones in BFS order
+    return list(lts.state_meta.values())[:cap]
 
 
 @pytest.mark.parametrize("cfg,variant", CONFIGS)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.jackal.model import VIOLATION, JackalModel, Msg, Phase
 from repro.jackal.params import CONFIG_1, CONFIG_2, Config, ProtocolVariant
-from repro.lts.explore import breadth_first_states
+from repro.lts.explore import explore
 
 CONFIGS = [
     dataclasses.replace(CONFIG_1, with_probes=False),
@@ -23,7 +23,8 @@ CONFIGS = [
 
 def sweep(config: Config, variant=ProtocolVariant.fixed()):
     model = JackalModel(config, variant)
-    for state in breadth_first_states(model, max_states=400_000):
+    lts = explore(model, max_states=400_000, keep_states=True)
+    for state in lts.state_meta.values():
         if state == VIOLATION:
             continue
         yield model, state
@@ -147,7 +148,8 @@ def test_dirty_thread_has_positive_localthreads():
 def test_no_assertion_violations_reachable_fixed():
     for config in CONFIGS:
         model = JackalModel(config, ProtocolVariant.fixed())
-        for state in breadth_first_states(model, max_states=400_000):
+        lts = explore(model, max_states=400_000, keep_states=True)
+        for state in lts.state_meta.values():
             assert state != VIOLATION
 
 

@@ -143,10 +143,11 @@ def test_writes_per_round_uses_local_path():
     cfg = dataclasses.replace(CONFIG_1, writes_per_round=2, with_probes=False)
     m = JackalModel(cfg, ProtocolVariant.fixed())
     # a second write to a still-dirty region goes through Phase.LOCAL
-    from repro.lts.explore import breadth_first_states
+    from repro.lts.explore import explore
 
+    lts = explore(m, max_states=100_000, keep_states=True)
     assert any(
         any(th[0] == Phase.LOCAL for th in state[0])
-        for state in breadth_first_states(m, max_states=100_000)
+        for state in lts.state_meta.values()
         if state != VIOLATION
     )

@@ -31,14 +31,13 @@ class TestTwoRegions:
 
     def test_regions_migrate_independently(self):
         cfg = dataclasses.replace(TWO_REGIONS, with_probes=False)
-        lts = explore(JackalModel(cfg, ProtocolVariant.fixed()))
+        lts = explore(
+            JackalModel(cfg, ProtocolVariant.fixed()), keep_states=True
+        )
         # both regions can be fetched remotely (region ids appear in
         # message labels only indirectly; check via model walk)
-        model = JackalModel(cfg, ProtocolVariant.fixed())
         seen_regions = set()
-        from repro.lts.explore import breadth_first_states
-
-        for state in breadth_first_states(model, max_states=50_000):
+        for state in lts.state_meta.values():
             threads = state[0]
             for th in threads:
                 if th[0] != 0:  # any active phase records its region
@@ -68,7 +67,6 @@ class TestWritesPerRound:
 
     def test_second_write_to_same_region_is_local(self):
         from repro.jackal.model import Phase
-        from repro.lts.explore import breadth_first_states
 
         cfg = Config(
             threads_per_processor=(1,), writes_per_round=2, with_probes=False
@@ -78,7 +76,9 @@ class TestWritesPerRound:
         # LOCAL path (access check passes on the cached copy)
         assert any(
             state[0][0][0] == Phase.LOCAL
-            for state in breadth_first_states(model, max_states=10_000)
+            for state in explore(
+                model, max_states=10_000, keep_states=True
+            ).state_meta.values()
         )
 
     def test_two_writes_across_two_regions(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ExplorationLimitError
-from repro.lts.explore import ExplorationStats, breadth_first_states, explore
+from repro.lts.explore import ExplorationStats, explore
 
 
 class Grid:
@@ -72,29 +72,6 @@ def test_stats():
     assert sum(st.level_sizes) == 12
     assert st.depth >= 5
     assert st.states_per_second() >= 0
-
-
-def test_breadth_first_states_order(chain_system):
-    states = list(breadth_first_states(chain_system))
-    assert states[0] == 0
-    assert set(states) == {0, 1, 2, 3}
-
-
-def test_breadth_first_states_limit():
-    with pytest.raises(ExplorationLimitError):
-        list(breadth_first_states(Grid(50, 50), max_states=5))
-
-
-def test_breadth_first_states_limit_attaches_partial():
-    with pytest.raises(ExplorationLimitError) as ei:
-        list(breadth_first_states(Grid(50, 50), max_states=5))
-    # the discovered-so-far set rides on the exception, like the
-    # partial LTS does for explore(); the limit trips one state over
-    assert ei.value.partial is not None
-    assert len(ei.value.partial) == 6
-    assert (0, 0) in ei.value.partial
-
-
 def test_explore_deterministic(chain_system):
     a = explore(chain_system)
     b = explore(chain_system)

@@ -1,7 +1,7 @@
 """Tests for LTS statistics."""
 
 from repro.lts.lts import LTS, TAU
-from repro.lts.stats import degree_histogram, lts_summary
+from repro.lts.stats import lts_summary
 
 
 def test_summary(small_lts):
@@ -36,8 +36,3 @@ def test_as_row(small_lts):
     assert row["states"] == 4
     assert row["avg_deg"] == 1.0
 
-
-def test_degree_histogram(small_lts):
-    h = degree_histogram(small_lts)
-    assert h == {0: 1, 1: 2, 2: 1}
-    assert list(h) == sorted(h)

@@ -6,11 +6,12 @@ import pytest
 
 SUBPACKAGES = [
     "repro",
-    "repro.algebra",
     "repro.lts",
     "repro.mucalc",
     "repro.jackal",
     "repro.analysis",
+    "repro.staticcheck",
+    "repro.obs",
 ]
 
 
@@ -42,12 +43,10 @@ def test_error_hierarchy():
         FormulaSyntaxError,
         ModelError,
         ReproError,
-        SpecificationError,
         TraceError,
     )
 
     for exc in (
-        SpecificationError,
         ExplorationLimitError,
         FormulaSyntaxError,
         FormulaSemanticsError,
@@ -82,7 +81,7 @@ def test_cli_module_importable():
 def test_uncertified_check_loads_no_static_analysis():
     """Importing any ``repro.staticcheck`` module loads the whole
     package — resident memory an uncertified check has no use for. It
-    stays behind the certificate, and no check loads ``repro.algebra``."""
+    stays behind the certificate."""
     import subprocess
     import sys
 
@@ -92,8 +91,8 @@ def test_uncertified_check_loads_no_static_analysis():
         "from repro.jackal.params import CONFIG_1\n"
         "from repro.jackal.requirements import check_all_requirements\n"
         "check_all_requirements(replace(CONFIG_1, rounds=1))\n"
-        "print(sorted(m for m in sys.modules if m.startswith(\n"
-        "    ('repro.staticcheck', 'repro.algebra'))))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('repro.staticcheck')))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
