@@ -22,6 +22,12 @@ relation evaluated for a whole breadth-first level at once:
   region or thread named inside a held message) become a static loop
   over the few candidate values with an equality mask, which also
   makes every label static per rule instance;
+* a rule's updates are data: :meth:`Layout.plan` compiles an update
+  list once into a write plan — one keep and one or mask per word with
+  every constant folded in and range-checked, plus the few values
+  computed per row — so an emission's constants cost two array
+  operations per word they touch however many fields they write,
+  applied once, to the level's candidate block;
 * the assertion-violation sink is the row with only the ``violation``
   flag set; an empty queue or migration slot is all-zero, so equal
   states have equal bytes; every ``ModelError`` of the scalar relation
@@ -136,6 +142,8 @@ class Layout:
         self.n_words = word + 1
         #: bits of all leaf fields together
         self.n_bits = sum(f.mask.bit_length() for f in self.leaves)
+        #: compiled write plans by update structure: :meth:`plan`
+        self._plans: dict[tuple, _Plan] = {}
 
     def _add(self, name, word, shift, width) -> Field:
         field = self._fields[name] = Field(
@@ -157,6 +165,52 @@ class Layout:
             if name.startswith(prefix):
                 setattr(ns, name[len(prefix):], field)
         return ns
+
+    def plan(self, updates) -> _Plan:
+        """The write plan of ``updates`` (see :meth:`_Level.move`),
+        compiled on first use and cached by the updates' structure: the
+        field, with the value unless it is given per row."""
+        key = tuple([
+            (f,) if type(value) is np.ndarray else (f, type(value), value)
+            for f, value in updates
+        ])
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._compile(updates)
+        return plan
+
+    def _compile(self, updates) -> _Plan:
+        keep, bits = [_M64] * self.n_words, [0] * self.n_words
+        taken = [0] * self.n_words
+        computed = []
+        for i, (f, value) in enumerate(updates):
+            # the writes are folded out of order: no two may share a bit
+            span = f.mask << f.shift
+            if taken[f.word] & span:
+                raise ModelError(f"{f.name} overlaps another write")
+            taken[f.word] |= span
+            if isinstance(value, (Raise, Drop)):
+                if value.bits > f.mask:
+                    raise ModelError(f"{f.name} has no bits {value.bits:#b}")
+                if isinstance(value, Raise):
+                    bits[f.word] |= value.bits << f.shift
+                else:
+                    keep[f.word] &= _M64 ^ (value.bits << f.shift)
+                continue
+            keep[f.word] &= f.clear
+            if isinstance(value, int):
+                if not 0 <= value <= f.mask:
+                    raise ModelError(f"{f.name} = {value} outside its field")
+                bits[f.word] |= value << f.shift
+            else:
+                # a source no wider than the field is in range as read
+                computed.append((i, f, not isinstance(value, From)
+                                 or value.field.mask > f.mask))
+        return _Plan(
+            tuple((w, np.uint64(keep[w]), np.uint64(bits[w]))
+                  for w in range(self.n_words) if taken[w]),
+            tuple(computed),
+        )
 
 
 class Raise(NamedTuple):
@@ -182,12 +236,23 @@ class From(NamedTuple):
 INC, DEC = object(), object()
 
 
+class _Plan(NamedTuple):
+    """One :meth:`_Level.move` update list, compiled: the successor is
+    ``source & keep | bits``, then each computed write or-ed into its
+    field (which ``keep`` has cleared)."""
+
+    #: ``(word, keep, bits)`` of every word the update list writes
+    words: tuple
+    #: ``(update index, field, range-checked)``
+    computed: tuple
+
+
 class _Level:
     """One BFS level being expanded: its rows by word, the field columns
     read so far, and the candidate successors emitted so far."""
 
     __slots__ = ("kernel", "rows", "cols", "cache", "sels", "ranks",
-                 "lids", "patches")
+                 "lids", "plans", "values")
 
     def __init__(self, kernel, rows):
         self.kernel = kernel
@@ -197,8 +262,10 @@ class _Level:
         self.sels: list[np.ndarray] = []
         self.ranks: list[int] = []
         self.lids: list[int] = []
-        #: per emission: ``{word: values}``, or None for the violation row
-        self.patches: list = []
+        #: per emission: its write plan, or None for the violation row
+        self.plans: list = []
+        #: per emission: the values of its plan's computed writes
+        self.values: list = []
 
     def col(self, f: Field) -> np.ndarray:
         """Field ``f`` of every row of the level (extracted once, kept
@@ -215,80 +282,50 @@ class _Level:
 
     def move(self, sel, rank: int, label: str, *updates) -> None:
         """One rule instance firing on the rows ``sel``: each successor
-        is its source row with ``updates`` — ``(field, value)`` pairs,
-        applied in order — written over it.
+        is its source row with ``updates`` — ``(field, value)`` pairs —
+        written over it.
 
         A value is an int, one value per selected row, or one of
         :class:`Raise`, :class:`Drop`, :class:`From`, :data:`INC`,
-        :data:`DEC`. Constant updates are folded per word into one
-        and/or pair, applied when a computed update touches the word or
-        at the end, so program order is preserved.
+        :data:`DEC`; every computed value is read from the source row.
+        The update list compiles once into a write plan
+        (:meth:`Layout.plan`): the constants folded into one and/or
+        mask per word, which ``finish`` applies to the whole emission.
+        Two writes that share a bit are refused, so the order of the
+        updates does not matter.
         """
         if not sel.size:
             return
-        words: dict[int, np.ndarray] = {}
-        pending: dict[int, list[int]] = {}
-
-        def word(w: int) -> np.ndarray:
-            a = words.get(w)
-            if a is None:
-                a = words[w] = self.cols[w][sel]
-            p = pending.pop(w, None)
-            if p is not None:
-                a &= p[0]
-                a |= p[1]
-            return a
-
-        for f, value in updates:
-            if isinstance(value, (int, Raise, Drop)):
-                if isinstance(value, int):
-                    if not 0 <= value <= f.mask:
-                        raise ModelError(
-                            f"{f.name} = {value} outside its field"
-                        )
-                    keep, bits = f.clear, value << f.shift
-                elif value.bits > f.mask:
-                    raise ModelError(f"{f.name} has no bits {value.bits:#b}")
-                elif isinstance(value, Raise):
-                    keep, bits = _M64, value.bits << f.shift
-                else:
-                    keep, bits = _M64 ^ (value.bits << f.shift), 0
-                p = pending.get(f.word)
-                if p is None:
-                    pending[f.word] = [keep, bits]
-                else:
-                    p[0] &= keep
-                    p[1] = (p[1] & keep) | bits
-                continue
+        plan = self.kernel.layout.plan(updates)
+        values = []
+        for i, f, checked in plan.computed:
+            value = updates[i][1]
             if value is INC:
                 value = self.col(f)[sel] + 1
             elif value is DEC:
                 value = self.col(f)[sel] - 1  # wraps below zero
             elif isinstance(value, From):
                 value = self.col(value.field)[sel]
-            if value.dtype != np.uint64:
-                value = value.astype(np.uint64)  # a guard used as 0/1
-            if int(value.max()) > f.mask:
+            elif value.dtype.kind == "i":
+                value = value.astype(np.uint64)  # a negative one wraps
+            if checked and int(value.max()) > f.mask:
                 raise ModelError(
                     f"{f.name} written with a value outside its field"
                 )
-            a = word(f.word)
-            a &= f.clear
-            a |= value << f.shift if f.shift else value
-        for w in list(pending):
-            word(w)
-        self._emit(sel, rank, label, words)
+            values.append(value)
+        self._emit(sel, rank, label, plan, values)
 
     def violation(self, sel, rank: int, label: str) -> None:
         """The rows ``sel`` step to the assertion-violation sink."""
         if sel.size:
-            self._emit(sel, rank, label, None)
+            self._emit(sel, rank, label, None, None)
 
-    def _emit(self, sel, rank, label, patch) -> None:
+    def _emit(self, sel, rank, label, plan, values) -> None:
         self.sels.append(sel)
         self.ranks.append(rank)
         self.lids.append(self.kernel.label_ids[label])
-        self.patches.append(patch)
+        self.plans.append(plan)
+        self.values.append(values)
 
     def finish(self):
         """``(succ_rows, src_pos, label_ids)`` in ``successors`` order."""
@@ -305,14 +342,19 @@ class _Level:
         lids = np.repeat(np.array(self.lids, dtype=np.int32), counts)
         succ = self.rows[src_pos]
         lo = 0
-        for count, patch in zip(counts, self.patches):
-            hi = lo + count
-            if patch is None:
-                succ[lo:hi] = kernel.violation_row
-            else:
-                for w, values in patch.items():
-                    succ[lo:hi, w] = values
-            lo = hi
+        for count, plan, values in zip(counts, self.plans, self.values):
+            block = succ[lo:lo + count]
+            lo += count
+            if plan is None:
+                block[:] = kernel.violation_row
+                continue
+            for w, keep, bits in plan.words:
+                word = block[:, w]
+                word &= keep
+                word |= bits
+            for (_i, f, _checked), value in zip(plan.computed, values):
+                word = block[:, f.word]
+                word |= np.left_shift(value, f.shift, dtype=np.uint64)
         # (source row, rank) is unique per candidate: a rule instance
         # emits at most one successor per source
         order = np.argsort(src_pos * kernel.n_ranks + rank, kind="stable")

@@ -36,6 +36,7 @@ from repro.lts.deadlock import (
     shortest_trace_to,
 )
 from repro.lts.engine import SearchTree, explore_fast, search_tree
+from repro.lts.frontier import distinct
 from repro.lts.lts import LTS
 from repro.lts.trace import Trace
 from repro.mucalc.checker import check_many, holds
@@ -264,7 +265,7 @@ def _requirement_2_on(lts) -> RequirementReport:
         # shortest trace to any state enabling an assertion violation
         src, lbl, _dst = lts.columns()
         is_violation = lts.label_mask(_is_assertion)
-        trace = shortest_trace_to(lts, np.unique(src[is_violation[lbl]]))
+        trace = shortest_trace_to(lts, distinct(src[is_violation[lbl]]))
     return _report_2(violated, trace, lts.n_states, lts.n_transitions)
 
 

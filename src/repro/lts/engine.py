@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.errors import ExplorationLimitError, ReproError
 from repro.lts.explore import ExplorationStats, TransitionSystem
+from repro.lts.frontier import distinct
 from repro.lts.lts import LTS
 from repro.lts.rowset import RowSet
 from repro.lts.trace import Trace
@@ -213,9 +214,9 @@ class _Tree:
         hit = self.mark[lids]
         if hit.any():
             self.marked.append(
-                np.unique(src_pos[hit]).astype(np.int32) + first
+                distinct(src_pos[hit]).astype(np.int32) + first
             )
-            self.marked_lids.update(np.unique(lids[hit]).tolist())
+            self.marked_lids.update(distinct(lids[hit]).tolist())
         if not whole:
             return  # rows past the cut are not known to be stuck
         moved = np.zeros(len(level), dtype=bool)

@@ -39,6 +39,19 @@ def expand(offsets: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.arange(total) + np.repeat(starts - (ends - counts), counts)
 
 
+def distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``a``, as ``np.unique(a)``.
+
+    ``np.unique`` without ``return_*`` goes through a hash table since
+    numpy 2.3, which on the few-thousand-element integer arrays of a
+    frontier round is several times slower than a sort and compare.
+    """
+    s = np.sort(a)
+    keep = np.ones(len(s), dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def solve_mu_diamond(
     lts: LTS, label_ok: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, int]:
@@ -55,7 +68,7 @@ def solve_mu_diamond(
         rounds += 1
         pos = expand(offsets, frontier)
         s = src[pos[label_ok[lbl[pos]]]]
-        frontier = np.unique(s[b[s] & ~x[s]])
+        frontier = distinct(s[b[s] & ~x[s]])
         x[frontier] = True
     return x, rounds
 

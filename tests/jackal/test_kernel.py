@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.errors import ExplorationLimitError, ModelError
-from repro.jackal.kernel import DEC, INC, From, Layout, _Level
+from repro.jackal.kernel import DEC, INC, Drop, From, Layout, Raise, _Level
 from repro.jackal.model import VIOLATION, JackalModel, Phase
 from repro.jackal.params import Config, ProtocolVariant
 from repro.lts.engine import explore_fast
@@ -218,22 +218,33 @@ _BOUNDARY = Layout([
 
 def _level(**values):
     """A one-row level over :data:`_BOUNDARY` holding ``values``."""
-    row = np.zeros((1, _BOUNDARY.n_words), dtype=np.uint64)
-    for name, value in values.items():
-        f = _BOUNDARY[name.replace("_", ".")]
-        row[0, f.word] |= np.uint64(value << f.shift)
+    return _rows_level([values])
+
+
+def _rows_level(rows):
+    """A level over :data:`_BOUNDARY` with one row per dict of values."""
+    packed = np.zeros((len(rows), _BOUNDARY.n_words), dtype=np.uint64)
+    for i, values in enumerate(rows):
+        for name, value in values.items():
+            f = _BOUNDARY[name.replace("_", ".")]
+            packed[i, f.word] |= np.uint64(value << f.shift)
     kernel = SimpleNamespace(
         layout=_BOUNDARY, label_ids={"step": 0}, n_words=_BOUNDARY.n_words,
         n_ranks=1,
     )
-    return _Level(kernel, row)
+    return _Level(kernel, packed)
 
 
 def _after(lv, name):
     """Field ``name`` of the one successor ``lv`` emitted."""
-    succ, _src, _lids = lv.finish()
+    (value,) = _after_rows(lv.finish()[0], name)
+    return value
+
+
+def _after_rows(succ, name):
+    """Field ``name`` of every row of ``succ``."""
     f = _BOUNDARY[name.replace("_", ".")]
-    return int((succ[0, f.word] >> np.uint64(f.shift)) & np.uint64(f.mask))
+    return ((succ[:, f.word] >> np.uint64(f.shift)) & np.uint64(f.mask)).tolist()
 
 
 @pytest.mark.parametrize("width,itemsize", [(7, 1), (8, 2), (15, 2), (16, 4)])
@@ -278,6 +289,79 @@ def test_from_keeps_the_value_between_narrow_and_wide_fields():
     assert _after(lv, "narrow_f16") == 0xFFFF
     with pytest.raises(ModelError, match="narrow.f16"):
         _level(wa_x=wide).move(one, 0, "step", (narrow, From(wa)))
+
+
+@pytest.mark.parametrize("first,second", [
+    ("narrow.f8", "narrow.f8"),  # the same field twice
+    ("narrow", "narrow.f15"),  # an element and one of its own fields
+    ("narrow.f15", "narrow"),
+])
+def test_overlapping_writes_in_one_move_are_refused(first, second):
+    one = np.array([0])
+    with pytest.raises(ModelError, match=rf"{second} overlaps another write"):
+        _level().move(one, 0, "step", (_BOUNDARY[first], 0),
+                      (_BOUNDARY[second], INC))
+    # fields side by side in one word do not overlap
+    lv = _level()
+    lv.move(one, 0, "step", (_BOUNDARY["narrow.f7"], 1),
+            (_BOUNDARY["narrow.f8"], 2))
+    assert (_after(lv, "narrow_f7"), _after(lv, "narrow_f8")) == (1, 2)
+
+
+def test_out_of_range_constant_raises_on_every_use_and_is_not_cached():
+    one = np.array([0])
+    f7 = _BOUNDARY["narrow.f7"]
+    plans = dict(_BOUNDARY._plans)
+    for _ in range(2):
+        with pytest.raises(ModelError, match="narrow.f7 = 128 outside"):
+            _level().move(one, 0, "step", (f7, 128))
+        with pytest.raises(ModelError, match="narrow.f7 has no bits"):
+            _level().move(one, 0, "step", (f7, Raise(128)))
+    assert _BOUNDARY._plans == plans
+
+
+def test_from_narrow_to_wide_is_exact_without_a_range_check():
+    narrow, wb = _BOUNDARY["narrow.f16"], _BOUNDARY["wb.x"]
+    rows = [{"narrow_f16": v, "wb_x": (1 << 40) - 1} for v in (0, 1, 0xFFFF)]
+    lv = _rows_level(rows)
+    lv.move(np.arange(3), 0, "step", (wb, From(narrow)))
+    assert _after_rows(lv.finish()[0], "wb_x") == [0, 1, 0xFFFF]
+    (_i, _f, checked), = _BOUNDARY.plan([(wb, From(narrow))]).computed
+    assert not checked
+    (_i, _f, checked), = _BOUNDARY.plan([(narrow, From(wb))]).computed
+    assert checked
+
+
+def test_a_cached_plan_gives_the_rows_of_a_fresh_one():
+    f7, f8, f16 = (_BOUNDARY[f"narrow.f{w}"] for w in (7, 8, 16))
+    wa, wb = _BOUNDARY["wa.x"], _BOUNDARY["wb.x"]
+
+    def successors(rows):
+        lv = _rows_level(rows)
+        sel = np.arange(len(rows))
+        lv.move(sel, 0, "step", (f7, 5), (f8, INC), (wb, From(wa)),
+                (f16, sel * 7), (_BOUNDARY["narrow.f15"], Raise(0b101)))
+        return lv.finish()[0]
+
+    successors([{"narrow_f8": 1}])  # compiles the plan
+    plans = dict(_BOUNDARY._plans)
+    rows = [{"narrow_f8": 9, "narrow_f15": 2, "wa_x": 1 << 39},
+            {"narrow_f7": 127, "wa_x": 3}]
+    cached = successors(rows)
+    assert _BOUNDARY._plans == plans
+    _BOUNDARY._plans.clear()
+    fresh = successors(rows)
+    assert np.array_equal(cached, fresh)
+    assert _after_rows(fresh, "narrow_f8") == [10, 1]
+    assert _after_rows(fresh, "narrow_f15") == [0b111, 0b101]
+    assert _after_rows(fresh, "wb_x") == [1 << 39, 3]
+    assert _after_rows(fresh, "narrow_f16") == [0, 7]
+    # Raise and Drop of the same bits compare equal as tuples; their
+    # plans must not
+    lv = _level(narrow_f16=1)
+    lv.move(np.array([0]), 0, "step", (f16, Raise(1)))
+    lv.move(np.array([0]), 0, "step", (f16, Drop(1)))
+    assert _after_rows(lv.finish()[0], "narrow_f16") == [1, 0]
 
 
 def test_instrumented_kernel_sweep_reports_like_the_scalar_loop():
