@@ -163,7 +163,7 @@ def _baseline_engine(model):
         cand, src_pos, lids = kernel.expand(frontier)
         first = n - len(frontier)
         ids, _cut = visited.add(cand)
-        frontier = visited.rows[n:]
+        frontier = visited.rows(n)
         n = len(visited)
         lcol = kmap[lids]
         if lcol.size and lcol.min() < 0:

@@ -340,7 +340,8 @@ class _Level:
         src_pos = np.concatenate(self.sels)
         rank = np.repeat(np.array(self.ranks, dtype=np.int64), counts)
         lids = np.repeat(np.array(self.lids, dtype=np.int32), counts)
-        succ = self.rows[src_pos]
+        # take, not fancy indexing: on (m, words) rows it is 4-8x faster
+        succ = self.rows.take(src_pos, axis=0)
         lo = 0
         for count, plan, values in zip(counts, self.plans, self.values):
             block = succ[lo:lo + count]
@@ -358,7 +359,7 @@ class _Level:
         # (source row, rank) is unique per candidate: a rule instance
         # emits at most one successor per source
         order = np.argsort(src_pos * kernel.n_ranks + rank, kind="stable")
-        return succ[order], src_pos[order], lids[order]
+        return succ.take(order, axis=0), src_pos[order], lids[order]
 
 
 def _nz(mask) -> np.ndarray:
@@ -639,7 +640,7 @@ class FrontierKernel:
                 # the sink has no moves, and its all-zero payload would
                 # read as idle cyclic threads
                 alive = _nz(sunk == 0)
-                rows = rows[alive]
+                rows = rows.take(alive, axis=0)
         lv = _Level(self, rows)
         if len(rows):
             for tid in range(self.T):

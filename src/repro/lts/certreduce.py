@@ -263,7 +263,8 @@ class ReducedKernel:
     def expand(self, rows):
         cand, src_pos, lids = self.base.expand(rows)
         keep = self._prune(src_pos, lids)
-        cand, src_pos, lids = cand[keep], src_pos[keep], lids[keep]
+        cand = np.compress(keep, cand, axis=0)  # not cand[keep]: 4x slower
+        src_pos, lids = src_pos[keep], lids[keep]
         sliced, win = self._reduce(cand)
         self.red.slice_hits += sliced
         self.red.canonical_hits += int(np.count_nonzero(win))

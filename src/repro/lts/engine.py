@@ -9,12 +9,12 @@ same limit semantics — but engineered for throughput:
   :class:`~repro.lts.certreduce.ReducedKernel` of a reduced view of
   one) is swept a whole BFS level at a time: the kernel expands the
   level's packed rows into candidate rows in ``successors`` order, a
-  :class:`~repro.lts.rowset.RowSet` numbers them — one array of every
-  visited row in state-id order beside a hash table of ids, so no row
-  ever becomes a Python object — the next frontier is the slice of
-  that array the level added, and ``state_meta`` decodes rows on
-  access (:class:`RowStates`). A system without a kernel is refused:
-  the reference explorer is the only loop that runs ``successors``.
+  :class:`~repro.lts.rowset.RowSet` numbers them — every visited row
+  in state-id order in power-of-two segments beside a hash table of
+  ids, so no row ever becomes a Python object — the next frontier is
+  the rows the level added, and ``state_meta`` decodes rows on access
+  (:class:`RowStates`). A system without a kernel is refused: the
+  reference explorer is the only loop that runs ``successors``.
 * **one loop, two destinations** — each numbered wave goes to a
   destination. :func:`explore_fast` keeps every transition: they
   accumulate directly into ``array('i')`` columns, labels interned
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import time
 from array import array
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
@@ -52,28 +53,35 @@ class RowStates(Mapping):
     consumers read a handful of states (Requirement 1: the terminal
     ones), so states are decoded when asked for. :meth:`values` and
     :meth:`items` decode everything in bulk — a snapshot list, not a
-    view, at a fraction of the per-row cost.
+    view, at a fraction of the per-row cost. The rows are the row set's
+    segments (:meth:`RowSet.segments`), read in place.
     """
 
-    def __init__(self, kernel, rows: np.ndarray):
+    def __init__(self, kernel, segments: list[np.ndarray]):
         self._kernel = kernel
-        self._rows = rows
+        self._segments = segments
+        self._starts = [0]
+        for seg in segments:
+            self._starts.append(self._starts[-1] + len(seg))
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._starts[-1]
 
     def __iter__(self):
-        return iter(range(len(self._rows)))
+        return iter(range(len(self)))
 
     def __getitem__(self, idx):
-        if not (
-            isinstance(idx, (int, np.integer)) and 0 <= idx < len(self._rows)
-        ):
+        if not (isinstance(idx, (int, np.integer)) and 0 <= idx < len(self)):
             raise KeyError(idx)
-        return self._kernel.unpack(self._rows[idx:idx + 1])[0]
+        k = bisect_right(self._starts, idx) - 1
+        at = idx - self._starts[k]
+        return self._kernel.unpack(self._segments[k][at:at + 1])[0]
 
     def values(self) -> list:  # type: ignore[override]
-        return self._kernel.unpack(self._rows)
+        return [
+            state for seg in self._segments
+            for state in self._kernel.unpack(seg)
+        ]
 
     def items(self) -> list:  # type: ignore[override]
         return list(enumerate(self.values()))
@@ -161,13 +169,14 @@ class _Columns:
         self.lbl.frombytes(lcol.tobytes())
         self.dst.frombytes(ids.tobytes())
 
-    def result(self, rows: np.ndarray) -> LTS:
+    def result(self, visited: RowSet) -> LTS:
         out = LTS.from_columns(
-            initial=0, n_states=len(rows), src=self.src, lbl=self.lbl,
+            initial=0, n_states=len(visited), src=self.src, lbl=self.lbl,
             dst=self.dst, labels=self.labels,
         )
         out.state_meta = (
-            RowStates(self.kernel, rows) if self.keep_states else {}
+            RowStates(self.kernel, visited.segments())
+            if self.keep_states else {}
         )
         return out
 
@@ -229,7 +238,7 @@ class _Tree:
             valid = self.is_valid_end is not None and self.is_valid_end(state)
             (self.terminal_ok if valid else self.deadlocks).append(first + i)
 
-    def result(self, rows: np.ndarray) -> SearchTree:
+    def result(self, visited: RowSet) -> SearchTree:
         names = self.kernel.labels
         return SearchTree(
             labels=names,
@@ -242,7 +251,7 @@ class _Tree:
                 else np.zeros(0, dtype=np.int32)
             ),
             marked_labels=[names[i] for i in sorted(self.marked_lids)],
-            n_states=len(rows),
+            n_states=len(visited),
             n_transitions=self.n_transitions,
         )
 
@@ -339,7 +348,7 @@ def _sweep(system, make_dest, *, max_states, stats, tracer):
     kernel = system.kernel()
     dest = make_dest(kernel)
     frontier = kernel.pack([system.initial_state()])
-    visited = RowSet(frontier.shape[1])
+    visited = RowSet(frontier.shape[1], tracer)
     visited.add(frontier)
     n = 1
 
@@ -392,16 +401,12 @@ def _sweep(system, make_dest, *, max_states, stats, tracer):
         )
         if cut is not None:
             src_pos, lids = src_pos[:cut], lids[:cut]
-        # sliced after the add: growing the set moves its rows, and the
-        # rows it moved out of are freed here
-        rows = visited.rows
-        frontier = rows[n:]
-        dest.wave(rows[first:n], first, n, src_pos, lids, ids, cut is None)
-        del rows
+        level, frontier = frontier, visited.rows(n)
+        dest.wave(level, first, n, src_pos, lids, ids, cut is None)
         n = len(visited)
         # free the level's candidates before the next expand allocates
         # its own: holding both raises the sweep's peak memory
-        del cand, src_pos, lids, ids
+        del level, cand, src_pos, lids, ids
         if cut is not None:
             max_frontier = max(max_frontier, len(frontier))
             _finish_stats()
@@ -409,7 +414,7 @@ def _sweep(system, make_dest, *, max_states, stats, tracer):
                 _emit_end("limit")
             raise ExplorationLimitError(
                 f"state limit {max_states} exceeded at depth {depth}",
-                partial=dest.result(visited.rows),
+                partial=dest.result(visited),
                 stats=stats,
             )
         depth += 1
@@ -429,4 +434,4 @@ def _sweep(system, make_dest, *, max_states, stats, tracer):
     _finish_stats()
     if recording:
         _emit_end("ok")
-    return dest.result(visited.rows)
+    return dest.result(visited)

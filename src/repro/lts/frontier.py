@@ -58,11 +58,15 @@ def solve_mu_diamond(
     """Least ``X = a \\/ (b /\\ <L>X)`` — backward reachability.
 
     ``label_ok`` masks the label ids in ``L``. Returns the solution and
-    the number of frontier rounds (the backward depth reached).
+    the number of frontier rounds (the backward depth reached). An
+    empty ``a`` is the answer itself, and the reverse adjacency is not
+    built for it.
     """
-    offsets, lbl, src = lts.reverse_csr()
     x = a.copy()
     frontier = np.flatnonzero(x)
+    if not len(frontier):
+        return x, 0
+    offsets, lbl, src = lts.reverse_csr()
     rounds = 0
     while len(frontier):
         rounds += 1
@@ -81,12 +85,16 @@ def solve_mu_box(
     Every state carries the number of its ``L``-successors not yet known
     to be in ``X``; a state joins when the counter reaches zero. Each
     state enters a frontier once, so every ``L``-edge is gathered once.
+    The reverse adjacency is built only if the first frontier is not
+    empty.
     """
-    offsets, lbl, src = lts.reverse_csr()
     all_src, all_lbl, _dst = lts.columns()
     pending = np.bincount(all_src[label_ok[all_lbl]], minlength=lts.n_states)
     x = a | (b & (pending == 0))
     frontier = np.flatnonzero(x)
+    if not len(frontier):
+        return x, 0
+    offsets, lbl, src = lts.reverse_csr()
     rounds = 0
     while len(frontier):
         rounds += 1

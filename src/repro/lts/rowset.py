@@ -3,11 +3,20 @@
 The frontier kernel (:mod:`repro.jackal.kernel`) hands the engine a BFS
 level as one ``(m, words)`` ``uint64`` array. :class:`RowSet` numbers
 those rows without ever turning one into a Python object: every visited
-row lives in one growable array *in state-id order* (so the array is at
-once the visited set, the next frontier and the kept states), beside an
-open-addressing table of state ids — power-of-two size, load at most
-one quarter, linear probing — hashed by the splitmix64 finaliser of
-:mod:`repro.lts.statehash` folded over the words.
+row lives *in state-id order* in a few power-of-two segments (so the
+rows are at once the visited set, the next frontier and the kept
+states), beside an open-addressing table of state ids — power-of-two
+size, load at most one quarter, linear probing — hashed by the
+splitmix64 finaliser of :mod:`repro.lts.statehash` folded over the
+words.
+
+Segment 0 holds ids ``[0, B)`` and segment ``k >= 1`` ids
+``[B * 2**(k-1), B * 2**k)``, ``B`` being :data:`_SEGMENT`, so ``n``
+states take at most ``log2(n / B) + 1`` arrays. Segment 0 starts at 16
+rows and doubles as one array until it holds ``B``: a small model lives
+there alone, and those at most ``B`` rows are the only ones ever
+copied. From then on each growth adds a segment as large as all before
+it, and no row moves again.
 
 :meth:`RowSet.add` is three batched passes: *look up* the batch in the
 table, *number* the rows it did not find in first-appearance order, and
@@ -19,9 +28,19 @@ one costs probes, never a state.
 
 from __future__ import annotations
 
+import time
+import tracemalloc
+
 import numpy as np
 
+from repro.obs.tracer import NULL_TRACER
+
 _MIN_SLOTS = 64
+#: rows in segment 0 (a power of two); segment ``k >= 1`` holds
+#: ``_SEGMENT * 2**(k-1)``
+_SEGMENT = 1 << 16
+#: rows rehashed per pass when the slot table grows
+_CHUNK = 1 << 14
 
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
@@ -88,26 +107,46 @@ def _number_distinct(
 
 
 class RowSet:
-    """The distinct rows seen so far, numbered in order of arrival."""
+    """The distinct rows seen so far, numbered in order of arrival.
 
-    def __init__(self, words: int):
-        self._rows = np.empty((_MIN_SLOTS // 4, words), dtype=np.uint64)
+    ``tracer`` (a :class:`~repro.obs.tracer.Tracer`) gets one
+    ``rowset_grow`` event per growth of the segments or the table.
+    """
+
+    def __init__(self, words: int, tracer=NULL_TRACER):
+        self._words = words
+        self._tracer = tracer
+        self._capacity = min(_MIN_SLOTS // 4, _SEGMENT)
+        self._segments = [np.empty((self._capacity, words), dtype=np.uint64)]
+        self._starts = [0]  # the first id of each segment
         self._table = np.full(_MIN_SLOTS, -1, dtype=np.int32)
         self._n = 0
 
     def __len__(self) -> int:
         return self._n
 
-    @property
-    def rows(self) -> np.ndarray:
-        """Row ``i`` is state ``i``. A view: stale once :meth:`add` grows
-        the array, so take it after the ``add`` whose rows it should show."""
-        return self._rows[:self._n]
+    def rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """States ``start`` to ``stop - 1`` as one ``(m, words)`` array:
+        a view when they lie in one segment, else a copy of the pieces.
+        A row never changes once stored, so a view stays valid while the
+        set grows."""
+        stop = self._n if stop is None else min(stop, self._n)
+        parts = [view for view, _ in self._pieces(start, stop)]
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return np.empty((0, self._words), dtype=np.uint64)
+        return np.concatenate(parts)
+
+    def segments(self) -> list[np.ndarray]:
+        """Every state's row, as views of the segments in id order."""
+        return [view for view, _ in self._pieces(0, self._n)]
 
     @property
     def nbytes(self) -> int:
-        """Bytes held: the row array and the slot table, as allocated."""
-        return self._rows.nbytes + self._table.nbytes
+        """Bytes resident: the rows stored and the slot table. The rest
+        of the last segment is allocated but not yet written."""
+        return 8 * self._words * self._n + self._table.nbytes
 
     def add(
         self, batch: np.ndarray, room: int | None = None
@@ -137,10 +176,19 @@ class RowSet:
             cut = int(unseen[firsts[-1]]) + 1
             ids = ids[:cut]
         new = unseen[firsts]
+        for view, at in self._pieces(n, n + len(new)):
+            view[:] = batch.take(new[at - n:at - n + len(view)], axis=0)
         self._n = n + len(new)
-        self._rows[n:self._n] = batch.take(new, axis=0)
         self._insert(h[new], np.arange(n, self._n, dtype=np.int32))
         return ids, cut
+
+    def _pieces(self, start: int, stop: int):
+        """``(view, first id)`` for each segment's share of the ids
+        ``[start, stop)``, in id order."""
+        for first, seg in zip(self._starts, self._segments):
+            lo, hi = max(start - first, 0), min(stop - first, len(seg))
+            if lo < hi:
+                yield seg[lo:hi], first + lo
 
     def _reserve(self, n: int) -> None:
         """Make room for ``n`` rows at load <= 1/4 — before the lookup,
@@ -151,19 +199,66 @@ class RowSet:
         probe sequence, and a round costs some thirty array calls
         whatever its size. At load 1/2 a level took 8-12 rounds, at 1/4
         it takes 4-6, which is most of what a small level costs; the
-        price is a table of 16-32 bytes a state instead of 8-16."""
-        if n > len(self._rows):
-            rows = np.empty(
-                (max(n, 2 * len(self._rows)), self._rows.shape[1]),
-                dtype=np.uint64,
-            )
-            rows[:self._n] = self._rows[:self._n]
-            self._rows = rows
-        if 4 * n > len(self._table):
+        price is a table of 16-32 bytes a state instead of 8-16.
+
+        Once segment 0 is full, a growth adds a segment as large as all
+        before it and copies no row. A larger table is filled from the
+        rows, which are the source of truth: the old table is released
+        first, and the rows are hashed and inserted :data:`_CHUNK` at a
+        time. So a growth allocates the new table, one new segment and
+        one chunk's temporaries, and nothing else of the set's size.
+        When ``tracemalloc`` is tracing, the event's
+        ``traced_peak_bytes`` measures that: the peak of traced memory
+        during the growth above what was traced before it.
+        """
+        ids, slots = self._capacity, len(self._table)
+        if n <= ids and 4 * n <= slots:
+            return
+        t0 = time.perf_counter()
+        tracing = tracemalloc.is_tracing()
+        if tracing:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        allocated = 0
+        while n > self._capacity:
+            if self._capacity < _SEGMENT:
+                # segment 0 doubles as one array up to B rows: a small
+                # model allocates as it grows, in blocks the allocator
+                # hands back, as when all rows were one array
+                seg = np.empty(
+                    (min(max(n, 2 * self._capacity), _SEGMENT), self._words),
+                    dtype=np.uint64,
+                )
+                seg[:self._n] = self._segments[0][:self._n]
+                self._segments[0] = seg
+                self._capacity = len(seg)
+            else:
+                seg = np.empty((self._capacity, self._words), dtype=np.uint64)
+                self._segments.append(seg)
+                self._starts.append(self._capacity)
+                self._capacity += len(seg)
+            allocated += seg.nbytes
+        if 4 * n > slots:
+            self._table = None  # type: ignore[assignment]
             self._table = np.full(1 << (4 * n - 1).bit_length(), -1,
                                   dtype=np.int32)
-            self._insert(
-                _hash_rows(self.rows), np.arange(self._n, dtype=np.int32)
+            allocated += self._table.nbytes
+            for view, first in self._pieces(0, self._n):
+                for lo in range(0, len(view), _CHUNK):
+                    chunk = view[lo:lo + _CHUNK]
+                    self._insert(_hash_rows(chunk), np.arange(
+                        first + lo, first + lo + len(chunk), dtype=np.int32
+                    ))
+        if self._tracer.enabled:
+            self._tracer.emit(
+                "rowset_grow", ids_before=ids, ids_after=self._capacity,
+                slots_before=slots, slots_after=len(self._table),
+                row_bytes=8 * self._words, bytes=allocated,
+                traced_peak_bytes=(
+                    tracemalloc.get_traced_memory()[1] - held
+                    if tracing else None
+                ),
+                seconds=round(time.perf_counter() - t0, 6),
             )
 
     def _slots(self, h: np.ndarray) -> np.ndarray:
@@ -172,21 +267,44 @@ class RowSet:
     def _lookup(self, batch: np.ndarray, h: np.ndarray) -> np.ndarray:
         """The id of each row of ``batch``, -1 where it is not in the set."""
         ids = np.full(len(batch), -1, dtype=np.int32)
-        table, rows, mask = self._table, self._rows, len(self._table) - 1
+        table, mask = self._table, len(self._table) - 1
         slot = self._slots(h)
         at = np.arange(len(batch))  # batch positions still probing
         while len(at):
             found = table[slot]
             occupied = (found >= 0).nonzero()[0]  # an empty slot: unseen
             found, at, slot = found[occupied], at[occupied], slot[occupied]
-            # take, not rows[found]: 2-D fancy indexing is far slower
-            hit = _rows_equal(
-                rows.take(found, axis=0), batch.take(at, axis=0)
-            )
+            rows, order = self._gather(found)
+            if order is not None:
+                found, at, slot = found[order], at[order], slot[order]
+            hit = _rows_equal(rows, batch.take(at, axis=0))
             ids[at[hit]] = found[hit]
             miss = (~hit).nonzero()[0]
             at, slot = at[miss], (slot[miss] + 1) & mask
         return ids
+
+    def _gather(self, found: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The rows of the states ``found``, and the order they are in:
+        ``None`` for ``found``'s own, else a permutation of ``found``
+        that groups it by segment, so each segment is one ``take``."""
+        # take, not rows[found]: 2-D fancy indexing is far slower
+        if len(self._segments) == 1:
+            return self._segments[0].take(found, axis=0), None
+        # ids below B are segment 0, ids in [B * 2**(k-1), B * 2**k)
+        # segment k: the binary exponent of ``id // B``
+        shift = _SEGMENT.bit_length() - 1
+        seg_of = np.frexp(found >> shift)[1].astype(np.uint8)
+        order = seg_of.argsort(kind="stable")  # a radix sort on uint8
+        found = found[order]
+        rows = np.empty((len(found), self._words), dtype=np.uint64)
+        ends = np.bincount(seg_of, minlength=len(self._segments)).cumsum()
+        lo = 0
+        for first, seg, hi in zip(self._starts, self._segments, ends):
+            if lo < hi:  # "clip": the ids are in range, "raise" buffers
+                seg.take(found[lo:hi] - first, axis=0, out=rows[lo:hi],
+                         mode="clip")
+            lo = hi
+        return rows, order
 
     def _insert(self, h: np.ndarray, ids: np.ndarray) -> None:
         """Give distinct, absent rows (hashes ``h``) slots holding ``ids``."""

@@ -7,7 +7,7 @@ most tests here are differential: run both, compare everything.
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ExplorationLimitError, ReproError
 from repro.jackal import Config, JackalModel, ProtocolVariant
 from repro.lts.engine import explore_fast
 from repro.lts.explore import ExplorationStats, explore
@@ -67,3 +67,54 @@ def test_one_loop_per_system(chain_system):
     with pytest.raises(ReproError, match=r"ChainSystem has none"):
         explore_fast(chain_system)
     assert explore(chain_system).n_states == 4
+
+
+# -- the visited rows in several segments ---------------------------------
+
+
+@pytest.fixture
+def small_segments(monkeypatch):
+    from repro.lts import rowset
+
+    monkeypatch.setattr(rowset, "_SEGMENT", 16)
+
+
+def _c1r1():
+    cfg = Config(threads_per_processor=(1, 1), rounds=1, with_probes=False)
+    return JackalModel(cfg, ProtocolVariant.fixed())
+
+
+@pytest.mark.parametrize("max_states", [14, 15, 16, 30, 31, 32, 63, 64, 99])
+def test_a_cut_across_a_segment_boundary_is_the_reference_partial(
+    small_segments, max_states
+):
+    # 288 states: segments [0, 16), [16, 32), [32, 64), [64, 128), ...;
+    # the partial holds ``max_states + 1`` of them, so the cut lands
+    # just before, on and just past a boundary
+    model = _c1r1()
+    partials = []
+    for explorer in (explore, explore_fast):
+        with pytest.raises(ExplorationLimitError) as err:
+            explorer(model, keep_states=True, max_states=max_states)
+        partials.append(err.value.partial)
+    ref, fast = partials
+    assert fast.n_states == ref.n_states == max_states + 1
+    assert fast.labels == ref.labels
+    assert list(fast.transitions()) == list(ref.transitions())
+    assert fast.state_meta == ref.state_meta
+
+
+def test_row_states_read_through_several_segments(small_segments):
+    model = _c1r1()
+    ref = explore(model, keep_states=True)
+    fast = explore_fast(model, keep_states=True)
+    segments = fast.state_meta._segments
+    assert len(segments) >= 5
+    assert [len(s) for s in segments[:4]] == [16, 16, 32, 64]
+    assert fast.state_meta.values() == [
+        ref.state_meta[i] for i in range(ref.n_states)
+    ]
+    for i in (0, 15, 16, 17, 31, 32, 63, 64, 127, 128, ref.n_states - 1):
+        assert fast.state_meta[i] == ref.state_meta[i]
+    with pytest.raises(KeyError):
+        fast.state_meta[ref.n_states]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.lts import frontier
-from repro.lts.frontier import distinct, solve_mu_diamond
+from repro.lts.frontier import distinct, solve_mu_box, solve_mu_diamond
 from repro.lts.lts import LTS
 
 
@@ -46,3 +46,45 @@ def test_solve_mu_diamond_is_unchanged_by_the_dedup(monkeypatch):
     assert np.array_equal(got, want)
     assert rounds == want_rounds > 1
     assert a.sum() < got.sum() < n
+
+
+def _random_lts(seed, n=400):
+    rng = np.random.default_rng(seed)
+    lts = LTS(0)
+    lts.ensure_states(n)
+    for src, lab, dst in zip(rng.integers(0, n, 4 * n),
+                             rng.integers(0, 3, 4 * n),
+                             rng.integers(0, n, 4 * n)):
+        lts.add_transition(int(src), "abc"[lab], int(dst))
+    return lts, rng
+
+
+@pytest.mark.parametrize("solve", [solve_mu_diamond, solve_mu_box])
+def test_an_empty_first_frontier_builds_no_reverse_adjacency(
+    solve, monkeypatch
+):
+    lts, rng = _random_lts(5)
+    n = lts.n_states
+    calls = []
+    reverse_csr = LTS.reverse_csr
+
+    def spy(self):
+        calls.append(self)
+        return reverse_csr(self)
+
+    monkeypatch.setattr(LTS, "reverse_csr", spy)
+    # every state has an 'a'-move, so [L]X adds no state of its own
+    label_ok = lts.label_mask(lambda label: label != "c")
+    for s in range(n):
+        lts.add_transition(s, "a", s)
+    a = np.zeros(n, dtype=bool)
+    b = rng.random(n) < 0.8
+    got, rounds = solve(lts, label_ok, a, b)
+    assert calls == []
+    assert (rounds, got.any()) == (0, False)
+    assert got is not a
+    # what the solver gives once there is a frontier: the adjacency is
+    # built, and an empty ``a`` above was the same answer as before
+    a[rng.integers(0, n, 8)] = True
+    got, rounds = solve(lts, label_ok, a, b)
+    assert calls == [lts] and rounds >= 1 and (got >= a).all()

@@ -66,9 +66,14 @@ class DictOracle:
 
 def _assert_agree(visited, oracle):
     assert len(visited) == len(oracle.index)
-    assert len(visited.rows) == len(visited)
-    # row i is state i: the array is the numbering
-    assert [row.tobytes() for row in visited.rows] == list(oracle.index)
+    assert len(visited.rows()) == len(visited)
+    # row i is state i: the rows are the numbering
+    assert [row.tobytes() for row in visited.rows()] == list(oracle.index)
+    # segment k >= 1 holds ids [B * 2**(k-1), B * 2**k)
+    bounds = visited._starts + [visited._capacity]
+    assert bounds[:2] == [0, len(visited._segments[0])]
+    if len(bounds) > 2:
+        assert bounds[1:] == [rowset._SEGMENT << k for k in range(len(bounds) - 1)]
 
 
 # ``any_hash`` patches the same function for every example of a test
@@ -145,7 +150,7 @@ def test_room_mid_batch_keeps_repeats_before_the_cut(any_hash):
     batch = new[[0, 0, 1, 0, 2, 1, 3, 4]]
     ids, cut = visited.add(batch, 3)
     assert (ids.tolist(), cut, len(visited)) == ([0, 0, 1, 0, 2], 5, 3)
-    assert np.array_equal(visited.rows, new[:3])
+    assert np.array_equal(visited.rows(), new[:3])
 
 
 def test_room_exactly_fits(any_hash):
@@ -181,7 +186,9 @@ def test_batch_larger_than_the_table_and_several_doublings():
         assert 4 * len(visited) <= len(visited._table)
     assert len(visited._table) >= 256 * slots
     _assert_agree(visited, oracle)
-    assert visited.nbytes == visited._rows.nbytes + visited._table.nbytes
+    assert visited.nbytes == (
+        sum(seg.nbytes for seg in visited.segments()) + visited._table.nbytes
+    )
 
 
 def test_colliding_rows_take_the_lexsort_branch(monkeypatch):
@@ -255,3 +262,127 @@ def test_engine_numbering_survives_a_degenerate_hash(any_hash, max_states):
     for mine, theirs in zip(fast.columns(), ref.columns()):
         assert np.array_equal(mine, theirs)
     assert fast.state_meta == ref.state_meta
+
+
+# -- segments ------------------------------------------------------------
+#
+# With the first segment patched down to 8 rows, batches straddle
+# several segment boundaries (8, 16, 32, 64, ...).
+
+_SMALL = 8
+
+
+@pytest.fixture
+def small_segments(monkeypatch):
+    monkeypatch.setattr(rowset, "_SEGMENT", _SMALL)
+
+
+@_settings
+@given(batch_sequences(max_rows=300), st.data())
+def test_segments_number_and_cut_like_a_dict(any_hash, small_segments, case,
+                                             data):
+    words, batches = case
+    visited, oracle = RowSet(words), DictOracle()
+    for batch in batches:
+        room = data.draw(st.none() | st.integers(1, max(1, len(batch))))
+        ids, cut = visited.add(batch, room)
+        want, want_cut = oracle.add(batch, room)
+        assert (ids.tolist(), cut) == (want, want_cut)
+        _assert_agree(visited, oracle)
+
+
+@pytest.mark.parametrize("lands", [
+    _SMALL - 1, _SMALL, _SMALL + 1, 2 * _SMALL, 2 * _SMALL + 1,
+    4 * _SMALL, 4 * _SMALL + 1,
+])
+def test_room_cuts_on_and_past_a_segment_boundary(any_hash, small_segments,
+                                                  lands):
+    # 5 states first, then a batch whose cut leaves ``lands`` states
+    visited, oracle = RowSet(2), DictOracle()
+    head = _distinct(5)
+    visited.add(head)
+    oracle.add(head)
+    batch = np.concatenate([_distinct(40, start=100), head])
+    batch = batch[np.random.default_rng(lands).permutation(len(batch))]
+    room = lands - 5
+    ids, cut = visited.add(batch, room)
+    want, want_cut = oracle.add(batch, room)
+    assert (ids.tolist(), cut) == (want, want_cut)
+    assert len(visited) == lands
+    _assert_agree(visited, oracle)
+    # every slice across the boundary reads the rows of the ids
+    rows = visited.rows()
+    for lo, hi in ((lands - 2, lands), (lands - 1, lands + 3), (3, lands)):
+        assert np.array_equal(visited.rows(lo, hi), rows[lo:hi])
+    # and the next batch goes on from the cut
+    more = _distinct(3, start=500)
+    assert visited.add(more)[0].tolist() == oracle.add(more)[0]
+    _assert_agree(visited, oracle)
+
+
+def test_a_growth_copies_no_segment_and_rehashes_a_chunk_at_a_time(
+    small_segments, monkeypatch
+):
+    chunk = 5
+    monkeypatch.setattr(rowset, "_CHUNK", chunk)
+    rehashes = []  # per table growth: the rows held, the insert sizes
+    inserts = []
+    reserve, insert = RowSet._reserve, RowSet._insert
+
+    def spy_reserve(self, n):
+        held = list(self._segments)
+        slots = len(self._table)
+        inserts.clear()
+        reserve(self, n)
+        # segment 0 doubles as one array until it is full; every
+        # segment that existed at full size is still the same array
+        for k, seg in enumerate(held):
+            if k or len(seg) == _SMALL:
+                assert self._segments[k] is seg
+        if len(self._table) > slots:
+            rehashes.append((len(self), list(inserts)))
+
+    def spy_insert(self, h, ids):
+        inserts.append(len(ids))
+        insert(self, h, ids)
+
+    monkeypatch.setattr(RowSet, "_reserve", spy_reserve)
+    monkeypatch.setattr(RowSet, "_insert", spy_insert)
+    visited, oracle = RowSet(3), DictOracle()
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        batch = _distinct(chunk, words=3, start=rng.integers(0, 400))
+        assert visited.add(batch)[0].tolist() == oracle.add(batch)[0]
+    _assert_agree(visited, oracle)
+    assert len(visited._segments) >= 5
+    # every table growth re-inserts every row, never more than a chunk
+    # at a time, and the later ones take many chunks
+    assert len(rehashes) >= 3
+    for n, sizes in rehashes:
+        assert sum(sizes) == n and max(sizes, default=0) <= chunk
+    assert len(rehashes[-1][1]) > 10
+
+
+def test_growth_events_count_what_a_growth_allocates(small_segments):
+    from repro.obs.tracer import Tracer
+
+    tracer = Tracer()
+    visited = RowSet(2, tracer)
+    for k in range(12):
+        visited.add(_distinct(7, start=7 * k))
+    events = [e for e in tracer.events() if e["ev"] == "rowset_grow"]
+    assert events
+    for e in events:
+        assert e["row_bytes"] == 16
+        table_bytes = (
+            4 * e["slots_after"] if e["slots_after"] > e["slots_before"] else 0
+        )
+        # segment 0 regrows as one array; later growths add a segment
+        new_rows = e["ids_after"] - (
+            0 if e["ids_before"] < _SMALL else e["ids_before"]
+        )
+        assert e["bytes"] == table_bytes + 16 * new_rows
+        assert e["traced_peak_bytes"] is None  # tracemalloc is off
+        assert e["seconds"] >= 0
+    assert events[-1]["ids_after"] == visited._capacity
+    assert events[-1]["slots_after"] == len(visited._table)
