@@ -43,7 +43,6 @@ from repro.mucalc.syntax import (
 from repro.mucalc.parser import parse_formula
 from repro.mucalc.checker import check, check_many, holds
 from repro.mucalc.diagnostics import witness_diamond, counterexample_box
-from repro.mucalc.bes import formula_to_bes, solve_bes, BES
 
 __all__ = [
     "Formula",
@@ -76,7 +75,4 @@ __all__ = [
     "holds",
     "witness_diamond",
     "counterexample_box",
-    "formula_to_bes",
-    "solve_bes",
-    "BES",
 ]

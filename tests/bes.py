@@ -4,9 +4,11 @@ The classical route from alternation-free mu-calculus model checking to
 linear-time solving goes through a BES: one boolean variable per
 (subformula, state) pair, grouped into blocks of uniform fixpoint sign,
 solved innermost-first with a worklist. CADP's Evaluator is built on
-exactly this translation; we provide it both as an educational artifact
-and as an independent oracle against which the direct vectorised checker
-(:mod:`repro.mucalc.checker`) is cross-validated in the test suite.
+exactly this translation. No check runs on it: it is an independent
+oracle, next to :mod:`tests.oracles`, against which the direct
+vectorised checker (:mod:`repro.mucalc.checker`) is cross-validated —
+on small LTSs in ``tests/mucalc/`` and on the probe LTSs of the
+protocol matrix in ``tests/conformance/``.
 
 Only negation-free formulas are translatable (negation over closed
 subformulas can be eliminated beforehand by dualisation; the paper's

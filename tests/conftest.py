@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 from hypothesis import strategies as st
 
-from repro.lts.lts import LTS, TAU
+pytest.register_assert_rewrite("tests.conformance.harness")
+
+from repro.lts.lts import LTS, TAU  # noqa: E402
+from tests.conformance import harness  # noqa: E402
 
 
 class ChainSystem:
@@ -22,6 +28,76 @@ class ChainSystem:
             3: [],
         }
         return table[s]
+
+
+#: worker processes of the differential harness; one cell's paths run
+#: in one of them
+WORKERS = 2
+
+
+def pytest_collection_modifyitems(items):
+    """The tests that wait for the differential harness (they ask for
+    ``agree``) run last, so its workers compute while the rest runs."""
+    items.sort(key=lambda item: "agree" in getattr(item, "fixturenames", ()))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _harness(request):
+    """The differential harness's workers, started with the session.
+
+    The cells of the session's selected tests (their ``cell``
+    parameters) go to the workers in test order; a cell asked for later
+    follows. Each cell is checked once per session
+    (:func:`tests.conformance.harness.check_cell`).
+    """
+    cells = dict.fromkeys(
+        item.callspec.params["cell"]
+        for item in request.session.items
+        if "cell" in getattr(getattr(item, "callspec", None), "params", {})
+    )
+    with ProcessPoolExecutor(
+        WORKERS, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        jobs = {cell: pool.submit(harness.check_cell, cell) for cell in cells}
+
+        def outcome(cell):
+            if cell not in jobs:
+                jobs[cell] = pool.submit(harness.check_cell, cell)
+            return jobs[cell].result()
+
+        yield outcome
+        for job in jobs.values():
+            job.cancel()
+
+
+@pytest.fixture(scope="session")
+def agree(_harness):
+    """``agree(cell, *paths)`` fails the test unless every named path of
+    the differential harness agrees on ``cell``."""
+
+    def check(cell, *paths):
+        outcome = _harness(cell)
+        for path in paths:
+            if outcome[path] is not None:
+                pytest.fail(f"{path} on {cell}:\n{outcome[path]}",
+                            pytrace=False)
+
+    return check
+
+
+@pytest.fixture(scope="session")
+def explorer_agrees():
+    """:func:`tests.conformance.harness.explorer_agrees`, once per
+    ``(config, variant)`` and session: the explorer axis's examples and
+    the tests named for them share one sweep."""
+    passed = set()
+
+    def check(config, variant):
+        if (config, variant) not in passed:
+            harness.explorer_agrees(config, variant)
+            passed.add((config, variant))
+
+    return check
 
 
 @pytest.fixture

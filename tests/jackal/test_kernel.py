@@ -1,15 +1,15 @@
-"""The differential that licenses the frontier kernel.
+"""The frontier kernel, state by state and field by field.
 
 ``JackalModel.successors`` is the specification. The kernel evaluates
-the same relation over packed rows a BFS level at a time, and the
-engine numbers what it returns — so the two must agree not up to
-bisimulation but column for column: same state ids, same transition
-order, same label table, same decoded state behind every id.
+the same relation over packed rows a BFS level at a time: here its
+``expand`` is held to ``successors`` on random walks, its limits and
+model errors to the scalar loop's, and its write plans to the field
+boundaries. Whole sweeps are held to the reference explorer column for
+column in ``tests/conformance/``.
 """
 
 from __future__ import annotations
 
-import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,84 +18,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.errors import ExplorationLimitError, ModelError
+from repro.errors import ModelError
 from repro.jackal.kernel import DEC, INC, Drop, From, Layout, Raise, _Level
 from repro.jackal.model import VIOLATION, JackalModel, Phase
 from repro.jackal.params import Config, ProtocolVariant
 from repro.lts.engine import explore_fast
 from repro.lts.explore import ExplorationStats, explore
 from repro.obs.report import render_report
+from tests.conformance.harness import (
+    EXPLORER_CELLS,
+    assert_same_lts,
+    capped_sweep,
+    explorer_config,
+    sweep_stats,
+)
 from tests.jackal.test_model_properties import _walk, configs
-
-VARIANTS = ("fixed", "error1", "error2", "buggy", "no_migration", "alf")
-TOPOLOGIES = ((1, 1), (2, 1), (1, 1, 1), (2, 2))
-#: n_regions x rounds x writes_per_round x probes
-PARAMETERS = tuple(itertools.product(
-    (1, 2), (1, 2, None), (1, 2), (True, False)
-))
-#: every variant on every topology, the 24 parameter combinations dealt
-#: round-robin over them twice with different offsets, so each
-#: combination runs under two (variant, topology) pairs
-CELLS = [
-    (variant, topology, *PARAMETERS[(i + shift) % len(PARAMETERS)])
-    for shift in (0, 7)
-    for i, (variant, topology) in enumerate(
-        itertools.product(VARIANTS, TOPOLOGIES)
-    )
-]
-#: bounds the big cells; both explorers then stop at the same transition
-CAP = 4000
-
-
-def _stats(st_):
-    return (st_.states, st_.transitions, st_.max_frontier, st_.depth,
-            st_.level_sizes)
-
-
-def _sweep(explorer, system, **kwargs):
-    """``(lts, stats, limit message or None)`` of a possibly capped sweep."""
-    stats = ExplorationStats()
-    try:
-        return explorer(system, stats=stats, **kwargs), stats, None
-    except ExplorationLimitError as exc:
-        assert exc.stats is stats
-        return exc.partial, stats, str(exc)
-
-
-def _assert_same_lts(mine, theirs):
-    assert mine.labels == theirs.labels
-    assert mine.n_states == theirs.n_states
-    for a, b in zip(mine.columns(), theirs.columns()):
-        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize(
-    "variant,topology,n_regions,rounds,writes,probes", CELLS,
+    "variant,topology,n_regions,rounds,writes,probes", EXPLORER_CELLS,
     ids=lambda v: "cyclic" if v is None else str(v).replace(" ", ""),
 )
 def test_engine_on_kernel_equals_reference_explorer(
-    variant, topology, n_regions, rounds, writes, probes
+    explorer_agrees, variant, topology, n_regions, rounds, writes, probes
 ):
-    model = JackalModel(
-        Config(threads_per_processor=topology, n_regions=n_regions,
-               rounds=rounds, writes_per_round=writes, with_probes=probes),
-        getattr(ProtocolVariant, variant)(),
+    # one of the explorer axis's examples (tests/conformance)
+    explorer_agrees(
+        explorer_config(topology, n_regions, rounds, writes, probes), variant
     )
-    ref, ref_stats, ref_limit = _sweep(
-        explore, model, keep_states=True, max_states=CAP
-    )
-    fast, fast_stats, fast_limit = _sweep(
-        explore_fast, model, keep_states=True, max_states=CAP
-    )
-    assert fast_limit == ref_limit
-    _assert_same_lts(fast, ref)
-    assert _stats(fast_stats) == _stats(ref_stats)
-    assert len(fast.state_meta) == ref.n_states
-    assert fast.state_meta == ref.state_meta
-    assert fast.state_meta.values() == [
-        ref.state_meta[i] for i in range(ref.n_states)
-    ]
-    assert fast.state_meta.get(ref.n_states) is None
 
 
 @st.composite
@@ -145,18 +95,18 @@ def _c1r2(**kwargs):
 @pytest.mark.parametrize("max_states", [-3, 0, 1, 2, 50, 51, 1000])
 def test_state_limit_matches_the_scalar_loop(max_states):
     model = _c1r2()
-    scalar, scalar_stats, scalar_limit = _sweep(
-        explore, model, keep_states=True, max_states=max_states
+    scalar, scalar_stats, scalar_limit = capped_sweep(
+        explore, model, max_states=max_states
     )
-    fast, fast_stats, fast_limit = _sweep(
-        explore_fast, model, keep_states=True, max_states=max_states
+    fast, fast_stats, fast_limit = capped_sweep(
+        explore_fast, model, max_states=max_states
     )
     assert fast_limit == scalar_limit is not None
     assert fast_limit == f"state limit {max_states} exceeded at depth {fast_stats.depth}"
     # a limit below 1 trips on the first new state, as a limit of 1 does
     assert fast.n_states == max(max_states, 1) + 1
-    _assert_same_lts(fast, scalar)
-    assert _stats(fast_stats) == _stats(scalar_stats)
+    assert_same_lts(fast, scalar)
+    assert sweep_stats(fast_stats) == sweep_stats(scalar_stats)
     assert fast.state_meta == scalar.state_meta
 
 

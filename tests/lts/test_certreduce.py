@@ -1,23 +1,26 @@
 """Certificate-gated reduction: refusal, soundness, and the factor.
 
 Soundness is checked the only way that matters — verdict equality
-between reduced and unreduced requirement sweeps on configurations 1
-and 2, on the fixed protocol *and* on both seeded bugs (Error 1's
-deadlock, Error 2's home loss / liveness failure) — and on cyclic
-configurations 1 and 2 for Requirements 1-2 alone, decided inside the
-certified sweep, the path that decides cyclic configuration 3. The
-acceptance floor (visited states drop at least 2x) is asserted where
-the sweep is big enough for symmetry to bite: configuration 2 as
-shipped, and configuration 1 at two write rounds.
+between reduced and unreduced requirement sweeps — by the differential
+harness (``tests/conformance/``, path ``certified``) on every cell of
+its matrix, the fixed protocol *and* the seeded bugs, including Error
+1's deadlock and Error 2's home loss on cyclic configuration 1 with
+Requirements 1-2 decided inside the certified sweep, the path that
+decides cyclic configuration 3. The reduced kernel is licensed there
+the way the frontier kernel is (path ``reduced_kernel``): the engine's
+sweep of it must equal the reference explorer's sweep of
+``ReducedSystem.successors`` column for column, counters included. The
+tests at the end of this file named for those checks are views onto
+its cells, and cyclic configuration 2, which is no cell of it.
 
-The reduced kernel is licensed the way the frontier kernel is: the
-engine's sweep of it must equal the reference explorer's sweep of
-``ReducedSystem.successors`` column for column, counters included.
+Here: the refusals, the certified check's own bookkeeping, the
+unfolding's frame, and the acceptance floor (visited states drop at
+least 2x) where the sweep is big enough for symmetry to bite:
+configuration 2 as shipped, and configuration 1 at two write rounds.
 """
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro import obs
@@ -26,7 +29,6 @@ from repro.jackal.model import JackalModel
 from repro.jackal.params import CONFIG_1, CONFIG_2, CONFIG_3, ProtocolVariant
 from repro.jackal.requirements import (
     build_lts,
-    build_model,
     check_all_requirements,
     check_requirement_4,
 )
@@ -34,11 +36,11 @@ from repro.lts.certreduce import (
     ReducedKernel,
     ReducedSystem,
     unfold_full_quotient,
-    unfold_quotient,
 )
 from repro.lts.engine import explore_fast
 from repro.lts.explore import explore
 from repro.staticcheck.symmetry import Permutation, certify
+from tests.conformance.harness import LTS_READERS, PAPER, Cell
 
 FIXED = ProtocolVariant.fixed()
 CONFIG_1_ROUNDS_4 = replace(CONFIG_1, rounds=4)
@@ -101,18 +103,6 @@ def test_build_lts_certificate_refuses_too():
 # -- the reduction is real ---------------------------------------------------
 
 
-def test_backends_agree_on_the_reduced_system():
-    cert = _cert(CONFIG_1)
-    model = _model(CONFIG_1)
-    serial = explore(ReducedSystem(model, cert))
-    fast = explore_fast(ReducedSystem(model, cert))
-    counts = (serial.n_states, serial.n_transitions)
-    assert (fast.n_states, fast.n_transitions) == counts
-    # and it actually shrank the sweep
-    unreduced = explore_fast(model)
-    assert serial.n_states < unreduced.n_states
-
-
 def test_certified_sweep_never_gets_the_unreduced_kernel(monkeypatch):
     # ReducedSystem forwards unknown attributes to the model it wraps.
     # Were ``kernel`` one of them, the engine would sweep the model's
@@ -167,69 +157,6 @@ def test_certificate_validated_before_any_sweep():
     assert not [e for e in tracer.events() if e["ev"] == "sweep_start"]
 
 
-# -- the reduced kernel against the scalar reference -------------------------
-
-
-def _assert_same_lts(mine, theirs):
-    assert mine.labels == theirs.labels
-    assert mine.n_states == theirs.n_states
-    for a, b in zip(mine.columns(), theirs.columns()):
-        assert np.array_equal(a, b)
-
-
-def _counters(red):
-    return red.canonical_hits, red.ample_prunes, red.slice_hits
-
-
-def _assert_kernel_is_scalar(model, cert, **kwargs):
-    by_kernel = ReducedSystem(model, cert, **kwargs)
-    by_state = ReducedSystem(model, cert, _validated=True, **kwargs)
-    _assert_same_lts(explore_fast(by_kernel), explore(by_state))
-    assert _counters(by_kernel) == _counters(by_state)
-
-
-DIFFERENTIAL = [
-    pytest.param(
-        config, variant, probes,
-        id=f"{name}-{variant}-{'probe' if probes else 'plain'}",
-    )
-    for name, config in (("c1", CONFIG_1), ("c2", CONFIG_2), ("c3", CONFIG_3))
-    for variant in ("fixed", "error1", "error2")
-    for probes in (False, True)
-] + [
-    pytest.param(
-        CONFIG_1_ROUNDS_4, "fixed", probes,
-        id=f"c1r4-fixed-{'probe' if probes else 'plain'}",
-    )
-    for probes in (False, True)
-] + [
-    # the smallest cell where ordering the queue slots hq, rq, hqa, rqa
-    # (the kernel's layout) instead of hq, hqa, rq, rqa (the codec's
-    # key) picks other representatives
-    pytest.param(
-        replace(CONFIG_1, rounds=2), "error2", False, id="c1r2-error2-plain"
-    ),
-]
-
-
-@pytest.mark.parametrize("config,variant,probes", DIFFERENTIAL)
-def test_reduced_kernel_equals_scalar_reduction(config, variant, probes):
-    # configuration 3 (|G| = 6) is the cell where tie-breaking between
-    # group elements and their composition are not trivial
-    variant = getattr(ProtocolVariant, variant)()
-    _assert_kernel_is_scalar(
-        _model(config, variant, probes), _cert(config, variant)
-    )
-
-
-@pytest.mark.parametrize(
-    "ablation", [{"canonical": False}, {"slice_fields": ()}],
-    ids=["canonical-off", "slice-off"],
-)
-def test_reduced_kernel_equals_scalar_reduction_ablated(ablation):
-    _assert_kernel_is_scalar(_model(CONFIG_1), _cert(CONFIG_1), **ablation)
-
-
 @pytest.mark.parametrize(
     "config,first_labels",
     [
@@ -255,36 +182,6 @@ def test_unfolding_starts_in_the_concrete_frame(config, first_labels):
     init = model.codec().project(model.initial_state(), red.slice_fields)
     assert rename.apply(init) == red.initial_state() != init
     assert unfold_full_quotient(model, cert).labels[:4] == first_labels
-
-
-#: the unfolding's (states, transitions) per cell, as the scalar
-#: unfolding built them through ``successors`` before it was columnar
-UNFOLDED = {
-    ("c1", "fixed"): (258, 451), ("c1", "error1"): (258, 451),
-    ("c1", "error2"): (302, 517), ("c2", "fixed"): (3_235, 7_006),
-    ("c2", "error1"): (3_259, 7_032), ("c2", "error2"): (4_261, 8_842),
-    ("c3", "fixed"): (8_080, 18_183), ("c3", "error1"): (8_080, 18_183),
-    ("c3", "error2"): (11_008, 23_977),
-}
-
-
-@pytest.mark.parametrize(
-    "name,variant",
-    [pytest.param(*cell, id="-".join(cell)) for cell in sorted(UNFOLDED)],
-)
-def test_unfolding_counts(name, variant):
-    config = {"c1": CONFIG_1, "c2": CONFIG_2, "c3": CONFIG_3}[name]
-    variant_ = getattr(ProtocolVariant, variant)()
-    cert = _cert(config, variant_)
-    unfolded = unfold_full_quotient(
-        build_model(config, variant_, probes=False), cert
-    )
-    assert (unfolded.n_states, unfolded.n_transitions) == UNFOLDED[
-        (name, variant)
-    ]
-    # Requirement 4 unfolds the plain LTS the check already swept
-    _m, plain = build_lts(config, variant_, probes=False, certificate=cert)
-    _assert_same_lts(unfold_quotient(plain, cert), unfolded)
 
 
 def test_requirement_4_sweeps_the_quotient_for_an_lts_without_winners():
@@ -340,56 +237,11 @@ def test_certified_slice_shrinks_beyond_canonical_only():
 def test_visited_states_drop_at_least_2x(config):
     cert = _cert(config)
     model = _model(config)
-    reduced = explore_fast(ReducedSystem(model, cert))
+    red = ReducedSystem(model, cert)
+    reduced = explore_fast(red)
     unreduced = explore_fast(model)
     assert unreduced.n_states >= 2 * reduced.n_states
-
-
-# -- soundness: verdict equality, fixed and both paper bugs ------------------
-
-
-#: the paper's configuration-3 check: Requirements 1-2 decided inside
-#: the certified sweep (``search_tree``), as on cyclic configuration 3
-_IN_SWEEP = ("3.1", "3.2", "4")
-
-
-@pytest.mark.parametrize(
-    "config,variant,skip",
-    [
-        (CONFIG_1, ProtocolVariant.fixed(), ()),
-        (CONFIG_1, ProtocolVariant.error1(), ()),
-        (CONFIG_1, ProtocolVariant.error2(), ()),
-        (CONFIG_2, ProtocolVariant.fixed(), ()),
-        (CONFIG_2, ProtocolVariant.error1(), ()),
-        (CONFIG_2, ProtocolVariant.error2(), ()),
-    ]
-    + [
-        (replace(config, rounds=None), variant, _IN_SWEEP)
-        for config in (CONFIG_1, CONFIG_2)
-        for variant in (
-            ProtocolVariant.fixed(),
-            ProtocolVariant.error1(),
-            ProtocolVariant.error2(),
-        )
-    ],
-    ids=[
-        "c1-fixed", "c1-error1", "c1-error2",
-        "c2-fixed", "c2-error1", "c2-error2",
-        "cyclic1-fixed", "cyclic1-error1", "cyclic1-error2",
-        "cyclic2-fixed", "cyclic2-error1", "cyclic2-error2",
-    ],
-)
-def test_verdicts_match_unreduced_sweep(config, variant, skip):
-    cert = _cert(config, variant)
-    plain = check_all_requirements(config, variant, skip=skip)
-    reduced = check_all_requirements(
-        config, variant, skip=skip, certificate=cert
-    )
-    assert {k: r.holds for k, r in plain.items()} == {
-        k: r.holds for k, r in reduced.items()
-    }
-    # a deadlock found on one side is found, with a trace, on the other
-    assert (plain["1"].trace is None) == (reduced["1"].trace is None)
+    assert red.canonical_hits > 0 and red.ample_prunes > 0
 
 
 def test_requirement_4_runs_the_full_quotient():
@@ -406,29 +258,66 @@ def test_requirement_4_runs_the_full_quotient():
     assert reduced["4"].lts_states < ample_only.n_states
 
 
-# -- the factor ---------------------------------------------------------------
+# -- views onto the differential harness (tests/conformance/) ---------------
 
 
-def test_bench_reports_reduction_factor():
-    cert = _cert(CONFIG_2)
-    model = _model(CONFIG_2)
-    reduced_system = ReducedSystem(model, cert)
-    reduced = explore_fast(reduced_system)
-    unreduced = explore_fast(model)
-    assert unreduced.n_states >= 2 * reduced.n_states
-    assert reduced_system.canonical_hits > 0
-    assert reduced_system.ample_prunes > 0
+def test_backends_agree_on_the_reduced_system(agree):
+    agree(Cell("c1r1", "fixed"), "reduced_kernel", "certified")
 
 
-def test_bench_reports_slice_gain_over_canonical_only():
-    # acceptance: on at least one configuration the slice must beat the
-    # canonical+ample reduction alone
-    cert = _cert(CONFIG_1)
-    model = _model(CONFIG_1)
-    sliced_system = ReducedSystem(model, cert)
-    sliced = explore_fast(sliced_system)
-    canonical_only = explore_fast(
-        ReducedSystem(model, cert, slice_fields=(), _validated=True)
+@pytest.mark.parametrize(
+    "cell",
+    [
+        pytest.param(Cell(config, variant), id=f"{name}-{variant}-{sweep}")
+        for name, config in (("c1", "c1r1"), ("c2", "c2r1"), ("c3", "c3r1"))
+        for variant in PAPER
+        for sweep in ("plain", "probe")
+    ] + [pytest.param(Cell("c1r2", "error2"), id="c1r2-error2-plain")],
+)
+def test_reduced_kernel_equals_scalar_reduction(agree, cell):
+    agree(cell, "reduced_kernel")
+
+
+@pytest.mark.parametrize("ablation", ["canonical-off", "slice-off"])
+def test_reduced_kernel_equals_scalar_reduction_ablated(agree, ablation):
+    agree(Cell("c1r1", "fixed"), "reduced_kernel")
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        pytest.param(Cell(config, variant), id=f"{name}-{variant}")
+        for name, config in (("c1", "c1r1"), ("c2", "c2r1"), ("c3", "c3r1"))
+        for variant in PAPER
+    ],
+)
+def test_unfolding_counts(agree, cell):
+    agree(cell, "certified")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(Cell(config, variant), id=f"{name}-{variant}")
+        for name, config in (("c1", "c1r1"), ("c2", "c2r1"), ("cyclic1", "c1cyc"))
+        for variant in PAPER
+    ] + [pytest.param(variant, id=f"cyclic2-{variant}") for variant in PAPER],
+)
+def test_verdicts_match_unreduced_sweep(agree, case):
+    if isinstance(case, Cell):
+        agree(case, "certified")
+        return
+    # cyclic configuration 2 is no cell of the matrix: Requirements 1-2
+    # decided in its certified sweep against the unreduced one
+    config = replace(CONFIG_2, rounds=None)
+    variant = getattr(ProtocolVariant, case)()
+    cert = _cert(config, variant)
+    plain = check_all_requirements(config, variant, skip=LTS_READERS)
+    reduced = check_all_requirements(
+        config, variant, skip=LTS_READERS, certificate=cert
     )
-    assert sliced_system.slice_hits > 0
-    assert sliced.n_states < canonical_only.n_states
+    assert {k: r.holds for k, r in plain.items()} == {
+        k: r.holds for k, r in reduced.items()
+    }
+    # a deadlock found on one side is found, with a trace, on the other
+    assert (plain["1"].trace is None) == (reduced["1"].trace is None)

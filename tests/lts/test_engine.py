@@ -1,8 +1,10 @@
 """Tests for the fast exploration engine.
 
 The engine promises *exact* equivalence with the reference explorer —
-same BFS numbering, same LTS, same stats, same limit semantics — so
-most tests here are differential: run both, compare everything.
+same BFS numbering, same LTS, same stats, same limit semantics. The
+differential that holds it there is the explorer axis in
+``tests/conformance/`` (:func:`~tests.conformance.harness.explorer_agrees`);
+here it runs across the visited set's segment boundaries.
 """
 
 import pytest
@@ -10,42 +12,22 @@ import pytest
 from repro.errors import ExplorationLimitError, ReproError
 from repro.jackal import Config, JackalModel, ProtocolVariant
 from repro.lts.engine import explore_fast
-from repro.lts.explore import ExplorationStats, explore
-
-
-def _assert_identical(system, **kwargs):
-    st_ref, st_fast = ExplorationStats(), ExplorationStats()
-    ref = explore(system, stats=st_ref, **kwargs)
-    fast = explore_fast(system, stats=st_fast, **kwargs)
-    # not merely equivalent: numbering and transition order must agree
-    assert fast.n_states == ref.n_states
-    assert fast.n_transitions == ref.n_transitions
-    assert list(fast.transitions()) == list(ref.transitions())
-    assert fast == ref
-    assert st_fast.states == st_ref.states
-    assert st_fast.transitions == st_ref.transitions
-    assert st_fast.max_frontier == st_ref.max_frontier
-    assert st_fast.depth == st_ref.depth
-    assert st_fast.level_sizes == st_ref.level_sizes
-    return ref, fast
+from repro.lts.explore import explore
 
 
 @pytest.mark.parametrize(
     "tpp,variant",
-    [
-        ((1, 1), ProtocolVariant.fixed()),
-        ((2,), ProtocolVariant.fixed()),
-        ((1, 1), ProtocolVariant.error1()),
-    ],
+    [((1, 1), "fixed"), ((2,), "fixed"), ((1, 1), "error1")],
+    ids=["tpp0-variant0", "tpp1-variant1", "tpp2-variant2"],
 )
-def test_matches_reference_on_jackal(tpp, variant):
+def test_matches_reference_on_jackal(explorer_agrees, tpp, variant):
     cfg = Config(threads_per_processor=tpp, rounds=1, with_probes=False)
-    _assert_identical(JackalModel(cfg, variant))
+    explorer_agrees(cfg, variant)
 
 
-def test_matches_reference_with_probes():
+def test_matches_reference_with_probes(explorer_agrees):
     cfg = Config(threads_per_processor=(1, 1), rounds=1, with_probes=True)
-    _assert_identical(JackalModel(cfg, ProtocolVariant.fixed()))
+    explorer_agrees(cfg, "fixed")
 
 
 def test_one_loop_per_system(chain_system):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import FormulaSemanticsError
 from repro.lts.lts import LTS
-from repro.mucalc.bes import BES, Block, bes_holds, formula_to_bes, solve_bes
+from tests.bes import BES, Block, bes_holds, formula_to_bes, solve_bes
 from repro.mucalc.parser import parse_formula
 from repro.mucalc.syntax import Diamond, Not, RAct, ActLit, Tt
 

@@ -211,7 +211,7 @@ def closed_formula(draw, depth=3):
 @given(random_lts(), closed_formula())
 @settings(max_examples=60, deadline=None)
 def test_checker_agrees_with_bes_backend(l, f):
-    from repro.mucalc.bes import bes_holds
+    from tests.bes import bes_holds
 
     r = oracles.restricted_to_reachable(l)
     if r.n_states == 0:

@@ -1,16 +1,20 @@
 """Scalar reference implementations for the columnar checker kernel.
 
 These are the per-element algorithms the analyses used before they were
-rewritten as array passes over the LTS's CSR adjacency, kept (bodies
-verbatim) as differential oracles: a deque worklist over a per-predicate
-reverse CSR for the two linear fixpoint shapes, list-of-lists adjacency
-for deadlock detection and shortest traces, Tarjan over tuple lists for
-the lasso search, the per-label-string product search, and the LTS
-transformations as one ``add_transition`` per row. They read an
+rewritten as array passes over the LTS's CSR adjacency, kept as
+differential oracles (bodies verbatim, except that the lasso search
+takes its entry state from the BFS instead of replaying the prefix):
+a deque worklist over a per-predicate reverse CSR for the two linear
+fixpoint shapes, list-of-lists adjacency for deadlock detection and
+shortest traces, Tarjan over tuple lists for the lasso search, the
+per-label-string product search, and the LTS transformations as one
+``add_transition`` per row. They read an
 LTS only through ``transitions()``, ``transition_arrays()``, ``labels``,
 ``n_states`` and ``initial`` — nothing the array code paths provide.
 
-``tests/test_oracle_equivalence.py`` holds the comparisons.
+``tests/test_oracle_equivalence.py`` holds them to the array code on
+random LTSs, and ``tests/conformance/`` on every cell of the protocol
+matrix.
 """
 
 from __future__ import annotations
@@ -75,12 +79,21 @@ def deadlock_states(lts: LTS, ignore_labels: Iterable[str] = ()) -> list[int]:
 
 
 def shortest_trace_to(lts: LTS, targets: Iterable[int]) -> Trace | None:
+    hit = shortest_path_to(lts, targets)
+    return None if hit is None else hit[1]
+
+
+def shortest_path_to(
+    lts: LTS, targets: Iterable[int]
+) -> tuple[int, Trace] | None:
+    """The target a BFS from the initial state meets first, and the
+    labels of the BFS-tree path to it."""
     fwd = forward_index(lts)
     target_set = set(targets)
     if not target_set:
         return None
     if lts.initial in target_set:
-        return Trace(())
+        return lts.initial, Trace(())
     # parent[s] = (pred_state, label) along a BFS tree
     parent: dict[int, tuple[int, str]] = {lts.initial: (-1, "")}
     queue = deque([lts.initial])
@@ -104,7 +117,7 @@ def shortest_trace_to(lts: LTS, targets: Iterable[int]) -> Trace | None:
         labels.append(label)
         cur = pred
     labels.reverse()
-    return Trace(tuple(labels))
+    return found, Trace(tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +444,10 @@ def find_lasso_avoiding(
     if not cyclic_states:
         return None
 
-    prefix = shortest_trace_to(lts, cyclic_states)
-    if prefix is None:
+    hit = shortest_path_to(lts, cyclic_states)
+    if hit is None:
         return None
-    # replay the prefix to find the entry state
-    fwd = forward_index(lts)
-    entry = lts.initial
-    for label in prefix.labels:
-        entry = next(
-            d for lab, d in successors(lts, fwd, entry) if lab == label
-        )
+    entry, prefix = hit
 
     # shortest cycle from entry back to entry inside the subgraph
     if has_real_self_loop(entry):

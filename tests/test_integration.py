@@ -17,7 +17,7 @@ from repro.jackal.requirements import build_lts, formula_3_1, formula_4_write
 from repro.lts.aut import read_aut, write_aut
 from repro.lts.engine import explore_fast
 from repro.lts.explore import explore
-from repro.mucalc.bes import bes_holds
+from tests.bes import bes_holds
 from repro.mucalc.checker import holds
 from repro.mucalc.parser import parse_formula
 

@@ -4,29 +4,17 @@ Random LTSs cover the shapes the frontier code has to get right — no
 states, no transitions, self-loops, unreachable states, duplicate edges,
 source columns both grouped (the aliasing CSR path) and shuffled (the
 permuting one), predicates matching no, some and all labels. The Jackal
-variants then pin verdicts and trace labels end to end.
+variants are held to the same oracles cell by cell in
+``tests/conformance/``; the last test here is a view onto its cells.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.jackal.actions import ASSERTION_PREFIX, PROBE_LABELS
-from repro.jackal.model import VIOLATION
-from repro.jackal.params import CONFIG_1, ProtocolVariant
-from repro.jackal.requirements import (
-    build_lts,
-    check_all_requirements,
-    formula_3_1,
-    formula_3_2_bad_state,
-    formula_4_flush,
-    formula_4_write,
-)
 from repro.lts.cycles import find_lasso_avoiding
 from repro.lts.deadlock import shortest_trace_to
 from repro.lts.frontier import solve_mu_box, solve_mu_diamond
@@ -48,6 +36,7 @@ from repro.mucalc.syntax import (
     Var,
 )
 from tests import oracles
+from tests.conformance.harness import Cell
 
 LABELS = ["a", "b", "c", "tau"]
 #: matches every label / one / all but one / none
@@ -158,15 +147,9 @@ def test_lassos_match_oracle(lts, progress, ignore_tau_loops):
         assert not progress & set(got.cycle.labels)
         entries = _runs(lts, got.prefix.labels, {lts.initial})
         assert any(e in _runs(lts, got.cycle.labels, {e}) for e in entries)
-    try:
-        want = oracles.find_lasso_avoiding(
-            lts, progress, ignore_self_loops_of=ignore
-        )
-    except (AssertionError, StopIteration):
-        # the oracle re-finds its entry state by replaying the prefix's
-        # labels and can land outside every cycle when two equally
-        # labelled edges leave one state
-        return
+    want = oracles.find_lasso_avoiding(
+        lts, progress, ignore_self_loops_of=ignore
+    )
     assert (got is None) == (want is None)
     if got is None:
         return
@@ -178,84 +161,16 @@ def test_lassos_match_oracle(lts, progress, ignore_tau_loops):
         assert got.cycle == want.cycle
 
 
-# -- the Jackal variants, end to end ----------------------------------------
-
-
-def _oracle_reports(config, variant) -> dict[str, tuple[bool, tuple | None]]:
-    """(verdict, trace labels) per requirement through the scalar oracles."""
-    out = {}
-    model, plain = build_lts(config, variant, probes=False, keep_states=True)
-    _m, probe = build_lts(config, variant, probes=True)
-
-    def labels(trace):
-        return None if trace is None else trace.labels
-
-    deadlocks = [
-        s
-        for s in oracles.deadlock_states(plain, PROBE_LABELS)
-        if not (
-            plain.state_meta[s] == VIOLATION
-            or model.is_done_state(plain.state_meta[s])
-        )
-    ]
-    out["1"] = (
-        not deadlocks,
-        labels(oracles.shortest_trace_to(plain, deadlocks)),
-    )
-    bad = {
-        t.src for t in plain.transitions()
-        if t.label.startswith(ASSERTION_PREFIX)
-    }
-    out["2"] = (not bad, labels(oracles.shortest_trace_to(plain, bad)))
-
-    f = formula_3_1()
-    ok = bool(oracles.check(probe, f)[probe.initial])
-    trace = None
-    if not ok:
-        trace = oracles.product_search(
-            probe, f.reg, ~oracles.check(probe, f.inner)
-        )
-    out["3.1"] = (ok, labels(trace))
-    f = formula_3_2_bad_state()
-    bad_reachable = bool(oracles.check(probe, f)[probe.initial])
-    trace = None
-    if bad_reachable:
-        trace = oracles.product_search(
-            probe, f.reg, oracles.check(probe, f.inner)
-        )
-    out["3.2"] = (not bad_reachable, labels(trace))
-
-    fair = config.rounds is None
-    ok = all(
-        bool(oracles.check(plain, make(tid, fair=fair))[plain.initial])
-        for tid in range(config.n_threads)
-        for make in (formula_4_write, formula_4_flush)
-    )
-    trace = None
-    if not ok:
-        lasso = oracles.find_lasso_avoiding(
-            plain,
-            [
-                lab for lab in plain.labels
-                if lab.startswith(("writeover", "flushover"))
-            ],
-        )
-        if lasso is not None:
-            trace = lasso.prefix.labels + lasso.cycle.labels
-    out["4"] = (ok, trace)
-    return out
-
-
-@pytest.mark.parametrize("rounds", [2, None], ids=["rounds2", "cyclic"])
 @pytest.mark.parametrize(
-    "variant", ["fixed", "error1", "error2", "buggy", "no_migration"]
+    "cell",
+    [
+        Cell(config, variant)
+        for config in ("c1r2", "c1cyc")
+        for variant in ("fixed", "error1", "error2", "buggy", "no_migration")
+    ],
+    ids=lambda cell: (
+        f"{cell.variant}-{'cyclic' if cell.config == 'c1cyc' else 'rounds2'}"
+    ),
 )
-def test_jackal_verdicts_and_traces_match_oracle(variant, rounds):
-    config = dataclasses.replace(CONFIG_1, rounds=rounds)
-    variant = getattr(ProtocolVariant, variant)()
-    reports = check_all_requirements(config, variant)
-    got = {
-        key: (rep.holds, None if rep.trace is None else rep.trace.labels)
-        for key, rep in reports.items()
-    }
-    assert got == _oracle_reports(config, variant)
+def test_jackal_verdicts_and_traces_match_oracle(agree, cell):
+    agree(cell, "scalar", "explore_fast")
