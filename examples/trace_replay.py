@@ -56,8 +56,8 @@ def main() -> None:
     )
 
     # ring mode: the bounded black box for sweeps too large to trace
-    with obs.Tracer(ring=8) as ring:
-        explore_fast(model, tracer=ring)
+    with obs.Tracer(ring=8) as ring, obs.activate(ring):
+        explore_fast(model)
     print(
         f"ring mode kept the last {len(ring.events())} of the sweep's "
         f"events (bounded memory)"

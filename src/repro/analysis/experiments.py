@@ -8,12 +8,12 @@ callers can re-run the table under modified parameters. The error hunts
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass
 
 from repro.errors import ReproError
 from repro.jackal.params import CONFIG_1, CONFIG_2, CONFIG_3, Config, ProtocolVariant
 from repro.jackal.requirements import RequirementReport, check_all_requirements
+from repro.obs.core import current as _current_tracer
 
 
 @dataclass
@@ -55,7 +55,8 @@ def run_table8(
     8 GiB unreduced, so it is decided exactly on its certified symmetry
     quotient, and its ``config`` says so: the counts are quotient ones.
     A configuration that cannot be certified raises
-    :class:`~repro.errors.ReproError` naming the findings.
+    :class:`~repro.errors.ReproError` naming the findings. A row's
+    ``seconds`` are its ``table8_row`` span's.
     """
     if configs is None:
         configs = {"1": CONFIG_1, "2": CONFIG_2, "3": CONFIG_3}
@@ -63,28 +64,29 @@ def run_table8(
     for name, cfg in configs.items():
         skip = ("3.1", "3.2", "4") if cfg.n_processors > 2 else ()
         c = dataclasses.replace(cfg, rounds=rounds)
-        t0 = time.perf_counter()
-        certificate = None
-        if skip and rounds is None:
-            from repro.staticcheck.symmetry import certify
+        with _current_tracer().span("table8_row") as span:
+            certificate = None
+            if skip and rounds is None:
+                from repro.staticcheck.symmetry import certify
 
-            certificate, findings = certify(c, variant)
-            if certificate is None:
-                raise ReproError(
-                    f"configuration {name} cannot be certified: "
-                    + "; ".join(f.render() for f in findings)
-                )
-            name = f"{name} (certified quotient)"
-        res = check_all_requirements(
-            c, variant, skip=skip, max_states=max_states, certificate=certificate
-        )
-        rows.append(
-            Table8Row(
-                config=name,
-                states=max(r.lts_states for r in res.values()),
-                transitions=max(r.lts_transitions for r in res.values()),
-                requirements=res,
-                seconds=time.perf_counter() - t0,
+                certificate, findings = certify(c, variant)
+                if certificate is None:
+                    raise ReproError(
+                        f"configuration {name} cannot be certified: "
+                        + "; ".join(f.render() for f in findings)
+                    )
+                name = f"{name} (certified quotient)"
+            res = check_all_requirements(
+                c, variant, skip=skip, max_states=max_states,
+                certificate=certificate,
             )
-        )
+            states = max(r.lts_states for r in res.values())
+            transitions = max(r.lts_transitions for r in res.values())
+            span.fields.update(
+                config=name, states=states, transitions=transitions
+            )
+        rows.append(Table8Row(
+            config=name, states=states, transitions=transitions,
+            requirements=res, seconds=span.seconds,
+        ))
     return rows

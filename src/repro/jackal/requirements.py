@@ -21,7 +21,6 @@ decides on ``L`` alone. The formulas are the paper's text, parsed.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,22 +88,17 @@ class RequirementReport:
 def _observed(fn):
     """Record each decided requirement on the ambient flight recorder.
 
-    Emits one ``check`` event (requirement id, verdict, LTS sizes,
-    wall seconds of the decision); free when nothing is recording.
-    """
+    Each decision is one ``check`` span (requirement id, verdict, LTS
+    sizes, seconds); a sweep it runs is a span inside it."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        tracer = _current_tracer()
-        if not tracer.enabled:
-            return fn(*args, **kwargs)
-        t0 = time.perf_counter()
-        rep = fn(*args, **kwargs)
-        tracer.emit(
-            "check", requirement=rep.requirement, holds=rep.holds,
-            states=rep.lts_states, transitions=rep.lts_transitions,
-            seconds=round(time.perf_counter() - t0, 6),
-        )
+        with _current_tracer().span("check") as span:
+            rep = fn(*args, **kwargs)
+            span.fields.update(
+                requirement=rep.requirement, holds=rep.holds,
+                states=rep.lts_states, transitions=rep.lts_transitions,
+            )
         return rep
 
     return wrapper
@@ -143,18 +137,15 @@ def build_lts(
 
     With a reduction ``certificate`` the sweep runs on the certified
     reduced view (:mod:`repro.lts.certreduce`): ample pruning, the
-    certified field slice, and — when the certificate's ``formulas``
-    section licenses it — the full symmetry quotient. The probe LTS
-    (Requirement 3) always quotients (its formulas are index-free);
-    the plain LTS also carries the per-thread Requirement-4
-    inevitability formulas, which individually are *not*
-    quotient-invariant — a schema-v3 certificate with
-    ``plain_quotient: "full"`` proves their families orbit-closed, so
-    the driver checks their symmetrized orbit conjunctions on the full
-    quotient instead of falling back to ample pruning only. Verdicts
-    are preserved either way; traces extracted from a reduced LTS are
-    representatives up to the certified commutations and renamings,
-    not necessarily the shortest concrete run.
+    certified field slice and the full symmetry quotient. The plain
+    LTS also carries the per-thread Requirement-4 inevitability
+    formulas, which individually are *not* quotient-invariant; a
+    certificate that validates proves their families orbit-closed
+    (its ``formulas`` section says ``plain_quotient: "full"``), so the
+    driver checks their symmetrized orbit conjunctions on the full
+    quotient. Traces extracted from a reduced LTS are representatives
+    up to the certified commutations and renamings, not necessarily
+    the shortest concrete run.
     """
     model, system = _system(
         config, variant, probes=probes, certificate=certificate,
@@ -175,14 +166,8 @@ def _system(config, variant, *, probes, certificate, _validated):
     if certificate is None:
         return model, model
     from repro.lts.certreduce import ReducedSystem
-    from repro.staticcheck.formulasym import licenses_full_quotient
 
-    return model, ReducedSystem(
-        model,
-        certificate,
-        canonical=probes or licenses_full_quotient(certificate),
-        _validated=_validated,
-    )
+    return model, ReducedSystem(model, certificate, _validated=_validated)
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +406,8 @@ def check_requirement_4(
     network forever" the paper's Requirement 4 forbids, rendered as a
     concrete run (the flush storm of Error 2 shows up this way).
 
-    With a certificate whose ``formulas`` section licenses the full
-    quotient, the sweep itself takes the full symmetry quotient (that
-    is where the state-space win is), and the per-thread formulas are
+    With a certificate the sweep takes the full symmetry quotient
+    (that is where the state-space win is), and the per-thread formulas are
     evaluated on its *group-unfolding*
     (:func:`repro.lts.certreduce.unfold_quotient`): quotient edges
     carry their winning permutations, so the unfolding reconstructs the
@@ -441,12 +425,7 @@ def check_requirement_4(
 @_observed
 def _requirement_4_on(config, variant, lts, certificate) -> RequirementReport:
     fair = config.rounds is None
-    quotient = False
     if certificate is not None:
-        from repro.staticcheck.formulasym import licenses_full_quotient
-
-        quotient = licenses_full_quotient(certificate)
-    if quotient:
         from repro.lts.certreduce import (
             QuotientLTS,
             unfold_full_quotient,
@@ -487,7 +466,7 @@ def _requirement_4_on(config, variant, lts, certificate) -> RequirementReport:
         if lasso is not None:
             trace = Trace(lasso.prefix.labels + lasso.cycle.labels)
     mode = "fair" if fair else "exact"
-    if quotient:
+    if certificate is not None:
         mode += ", full quotient"
     return RequirementReport(
         requirement=f"4 (liveness, {mode})",
@@ -535,8 +514,8 @@ def check_all_requirements(
 
     Under a reduction ``certificate`` (see :func:`build_lts` for which
     reduction each LTS can take) the two LTSs are different graphs —
-    the probe self-loops are visible to the ample-set condition and the
-    plain LTS may not take the full quotient — so each is swept.
+    the probe self-loops are visible to the ample-set condition — so
+    each is swept.
     """
     wanted = set(REQUIREMENTS) - set(skip)
     needs_plain = bool(wanted & {"1", "2", "4"})
@@ -599,18 +578,13 @@ def check_all_requirements(
 
 def _name_reduction(out, certificate):
     """Suffix the label of each certified report that read a sweep with
-    the reduction that sweep ran under, so quotient counts never pass
+    the full quotient that sweep ran on, so quotient counts never pass
     for concrete ones. Requirement 4 names its own."""
     if certificate is None:
         return out
-    from repro.staticcheck.formulasym import licenses_full_quotient
-
-    plain = "full quotient" if licenses_full_quotient(certificate) else "ample"
     for key, rep in out.items():
         if key != "4" and rep.holds is not None:
-            # the probe sweep (Requirement 3) always quotients
-            reduction = "full quotient" if key.startswith("3") else plain
-            rep.requirement = f"{rep.requirement[:-1]}, {reduction})"
+            rep.requirement = f"{rep.requirement[:-1]}, full quotient)"
     return out
 
 
@@ -663,14 +637,11 @@ def _requirement_2_of(tree: SearchTree) -> RequirementReport:
 
 
 def _without_probes(probe_lts: LTS) -> LTS:
-    """The plain LTS of a probe sweep, with an ``lts_derive`` trace event."""
-    t0 = time.perf_counter()
-    plain = probe_lts.without_labels(PROBE_LABELS)
-    tracer = _current_tracer()
-    if tracer.enabled:
-        tracer.emit(
-            "lts_derive", kept=plain.n_transitions,
+    """The plain LTS of a probe sweep, as an ``lts_derive`` trace span."""
+    with _current_tracer().span("lts_derive") as span:
+        plain = probe_lts.without_labels(PROBE_LABELS)
+        span.fields.update(
+            kept=plain.n_transitions,
             dropped=probe_lts.n_transitions - plain.n_transitions,
-            seconds=round(time.perf_counter() - t0, 6),
         )
     return plain

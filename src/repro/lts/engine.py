@@ -28,7 +28,6 @@ same limit semantics — but engineered for throughput:
 
 from __future__ import annotations
 
-import time
 from array import array
 from bisect import bisect_right
 from collections.abc import Mapping
@@ -262,7 +261,6 @@ def explore_fast(
     max_states: int | None = None,
     keep_states: bool = False,
     stats: ExplorationStats | None = None,
-    tracer=None,
 ) -> LTS:
     """Generate the reachable LTS of ``system`` by sweeping its
     ``kernel()`` a BFS level at a time.
@@ -273,10 +271,8 @@ def explore_fast(
     refused with :class:`~repro.errors.ReproError`: it belongs to
     :func:`~repro.lts.explore.explore`. A reduced view is swept by
     wrapping the model in :class:`~repro.lts.certreduce.ReducedSystem`.
-
-    ``tracer`` is an optional :class:`~repro.obs.tracer.Tracer`;
-    it defaults to the ambient one. A disabled tracer costs one branch
-    per BFS wave.
+    The sweep records on the ambient tracer (:func:`repro.obs.activate`);
+    a disabled one costs a no-op call per BFS wave.
     """
     if getattr(system, "kernel", None) is None:
         raise ReproError(
@@ -285,7 +281,7 @@ def explore_fast(
         )
     return _sweep(
         system, lambda kernel: _Columns(kernel, keep_states),
-        max_states=max_states, stats=stats, tracer=tracer,
+        max_states=max_states, stats=stats,
     )
 
 
@@ -296,7 +292,6 @@ def search_tree(
     mark: Callable[[str], bool] = lambda label: False,
     is_valid_end: Callable[[Hashable], bool] | None = None,
     max_states: int | None = None,
-    tracer=None,
 ) -> SearchTree:
     """Sweep ``system`` (which must offer ``kernel()``) as
     :func:`explore_fast` does, keeping a :class:`SearchTree` instead of
@@ -316,11 +311,11 @@ def search_tree(
     ignore = frozenset(ignore_labels)
     return _sweep(
         system, lambda kernel: _Tree(kernel, ignore, mark, is_valid_end),
-        max_states=max_states, stats=None, tracer=tracer,
+        max_states=max_states, stats=None,
     )
 
 
-def _sweep(system, make_dest, *, max_states, stats, tracer):
+def _sweep(system, make_dest, *, max_states, stats):
     """The level loop: number each wave, hand it to the destination
     ``make_dest(kernel)`` builds, return the destination's result.
 
@@ -328,10 +323,9 @@ def _sweep(system, make_dest, *, max_states, stats, tracer):
     gets the rows just expanded (state ids from ``first``), the
     candidates' source positions, kernel label ids and state ids (new
     ids start at ``n0``), cut at the limit, and whether the level was
-    expanded whole."""
-    if tracer is None:
-        tracer = _current_tracer()
-    recording = tracer.enabled
+    expanded whole. The sweep is one ``sweep_end`` span of the ambient
+    tracer, and its waves are laps of it."""
+    tracer = _current_tracer()
     # reduction counters are cumulative on the (possibly reused)
     # wrapper, so the trace reports this sweep's delta
     red0 = (
@@ -343,87 +337,49 @@ def _sweep(system, make_dest, *, max_states, stats, tracer):
         # every exit path (incl. the limit error, which carries this
         # object on .stats) then reports complete timing
         stats = ExplorationStats()
-    t0 = time.perf_counter()
+    with tracer.span("sweep_end", backend="engine") as sweep:
+        kernel = system.kernel()
+        dest = make_dest(kernel)
+        frontier = kernel.pack([system.initial_state()])
+        visited = RowSet(frontier.shape[1])
+        visited.add(frontier)
+        n = 1
 
-    kernel = system.kernel()
-    dest = make_dest(kernel)
-    frontier = kernel.pack([system.initial_state()])
-    visited = RowSet(frontier.shape[1], tracer)
-    visited.add(frontier)
-    n = 1
+        depth = 0
+        level_sizes = [1]
+        max_frontier = 1
+        cut = None
 
-    depth = 0
-    level_sizes = [1]
-    max_frontier = 1
-
-    def _finish_stats():
-        stats.states = n
-        stats.transitions = dest.n_transitions
-        stats.max_frontier = max_frontier
-        stats.seconds = time.perf_counter() - t0
-        stats.depth = depth
-        stats.level_sizes = level_sizes
-
-    def _emit_end(outcome: str) -> None:
-        reduction = (
-            {
-                "canonical_hits": system.canonical_hits - red0[0],
-                "ample_prunes": system.ample_prunes - red0[1],
-                "slice_hits": system.slice_hits - red0[2],
-            }
-            if red0 is not None
-            else None
-        )
-        tracer.emit(
-            "sweep_end", backend="engine", outcome=outcome,
-            states=stats.states, transitions=stats.transitions,
-            seconds=round(stats.seconds, 6),
-            states_per_second=round(stats.states_per_second(), 1),
-            depth=stats.depth, max_frontier=stats.max_frontier,
-            bytes_per_state=round(visited.nbytes / stats.states, 1),
-            dest=dest.name, dest_bytes=dest.nbytes,
-            reduction=reduction, max_rss_bytes=peak_rss_bytes(),
-        )
-
-    if recording:
         tracer.emit("sweep_start", backend="engine", max_states=max_states)
-    while len(frontier):
-        wave_t0 = time.perf_counter()
-        wave_trans0 = dest.n_transitions
-        cand, src_pos, lids = kernel.expand(frontier)
-        succ_s = time.perf_counter() - wave_t0
-        first = n - len(frontier)  # the frontier was numbered last
-        # on a breach the wave is cut after the transition that
-        # discovers state number ``max_states`` (or, as in the reference
-        # explorer, the first new state when the limit is below 1)
-        ids, cut = visited.add(
-            cand, None if max_states is None else max(max_states + 1 - n, 1)
-        )
-        if cut is not None:
-            src_pos, lids = src_pos[:cut], lids[:cut]
-        level, frontier = frontier, visited.rows(n)
-        dest.wave(level, first, n, src_pos, lids, ids, cut is None)
-        n = len(visited)
-        # free the level's candidates before the next expand allocates
-        # its own: holding both raises the sweep's peak memory
-        del level, cand, src_pos, lids, ids
-        if cut is not None:
-            max_frontier = max(max_frontier, len(frontier))
-            _finish_stats()
-            if recording:
-                _emit_end("limit")
-            raise ExplorationLimitError(
-                f"state limit {max_states} exceeded at depth {depth}",
-                partial=dest.result(visited),
-                stats=stats,
+        while len(frontier):
+            wave_t0 = sweep.lap()
+            wave_trans0 = dest.n_transitions
+            cand, src_pos, lids = kernel.expand(frontier)
+            succ_s = sweep.lap() - wave_t0
+            first = n - len(frontier)  # the frontier was numbered last
+            # on a breach the wave is cut after the transition that
+            # discovers state number ``max_states`` (or, as in the reference
+            # explorer, the first new state when the limit is below 1)
+            ids, cut = visited.add(
+                cand, None if max_states is None else max(max_states + 1 - n, 1)
             )
-        depth += 1
-        if len(frontier):
-            level_sizes.append(len(frontier))
-            if len(frontier) > max_frontier:
-                max_frontier = len(frontier)
-        if recording:
-            wave_s = time.perf_counter() - wave_t0
+            if cut is not None:
+                src_pos, lids = src_pos[:cut], lids[:cut]
+            level, frontier = frontier, visited.rows(n)
+            dest.wave(level, first, n, src_pos, lids, ids, cut is None)
+            n = len(visited)
+            # free the level's candidates before the next expand allocates
+            # its own: holding both raises the sweep's peak memory
+            del level, cand, src_pos, lids, ids
+            if cut is not None:
+                max_frontier = max(max_frontier, len(frontier))
+                break
+            depth += 1
+            if len(frontier):
+                level_sizes.append(len(frontier))
+                if len(frontier) > max_frontier:
+                    max_frontier = len(frontier)
+            wave_s = sweep.lap() - wave_t0
             tracer.emit(
                 "wave", depth=depth, states=n, frontier=len(frontier),
                 transitions=dest.n_transitions - wave_trans0,
@@ -431,7 +387,30 @@ def _sweep(system, make_dest, *, max_states, stats, tracer):
                 dedup_s=round(max(wave_s - succ_s, 0.0), 6),
             )
 
-    _finish_stats()
-    if recording:
-        _emit_end("ok")
+        stats.states = n
+        stats.transitions = dest.n_transitions
+        stats.max_frontier = max_frontier
+        stats.seconds = sweep.stop()
+        stats.depth = depth
+        stats.level_sizes = level_sizes
+        sweep.fields.update(
+            outcome="ok" if cut is None else "limit",
+            states=stats.states, transitions=stats.transitions,
+            states_per_second=round(stats.states_per_second(), 1),
+            depth=stats.depth, max_frontier=stats.max_frontier,
+            bytes_per_state=round(visited.nbytes / stats.states, 1),
+            dest=dest.name, dest_bytes=dest.nbytes,
+            reduction=None if red0 is None else {
+                "canonical_hits": system.canonical_hits - red0[0],
+                "ample_prunes": system.ample_prunes - red0[1],
+                "slice_hits": system.slice_hits - red0[2],
+            },
+            max_rss_bytes=peak_rss_bytes(),
+        )
+    if cut is not None:
+        raise ExplorationLimitError(
+            f"state limit {max_states} exceeded at depth {depth}",
+            partial=dest.result(visited),
+            stats=stats,
+        )
     return dest.result(visited)

@@ -12,12 +12,12 @@ how the paper's counterexamples were extracted.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Protocol, runtime_checkable
 
 from repro.errors import ExplorationLimitError
 from repro.lts.lts import LTS
+from repro.obs import clock
 
 
 @runtime_checkable
@@ -106,7 +106,7 @@ def explore(
     """
     if stats is None:
         stats = ExplorationStats()
-    t0 = time.perf_counter()
+    t0 = clock()
     lts = LTS(initial=0)
     init = system.initial_state()
     index: dict[Hashable, int] = {init: 0}
@@ -126,7 +126,7 @@ def explore(
         stats.states = len(index)
         stats.transitions = lts.n_transitions
         stats.max_frontier = max_frontier
-        stats.seconds = time.perf_counter() - t0
+        stats.seconds = clock() - t0
         stats.depth = depth
         stats.level_sizes = level_sizes
 

@@ -28,12 +28,11 @@ one costs probes, never a state.
 
 from __future__ import annotations
 
-import time
 import tracemalloc
 
 import numpy as np
 
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.core import current
 
 _MIN_SLOTS = 64
 #: rows in segment 0 (a power of two); segment ``k >= 1`` holds
@@ -109,13 +108,12 @@ def _number_distinct(
 class RowSet:
     """The distinct rows seen so far, numbered in order of arrival.
 
-    ``tracer`` (a :class:`~repro.obs.tracer.Tracer`) gets one
-    ``rowset_grow`` event per growth of the segments or the table.
+    Each growth of the segments or the table is a ``rowset_grow`` span
+    of the ambient tracer.
     """
 
-    def __init__(self, words: int, tracer=NULL_TRACER):
+    def __init__(self, words: int):
         self._words = words
-        self._tracer = tracer
         self._capacity = min(_MIN_SLOTS // 4, _SEGMENT)
         self._segments = [np.empty((self._capacity, words), dtype=np.uint64)]
         self._starts = [0]  # the first id of each segment
@@ -214,51 +212,49 @@ class RowSet:
         ids, slots = self._capacity, len(self._table)
         if n <= ids and 4 * n <= slots:
             return
-        t0 = time.perf_counter()
-        tracing = tracemalloc.is_tracing()
-        if tracing:
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-        allocated = 0
-        while n > self._capacity:
-            if self._capacity < _SEGMENT:
-                # segment 0 doubles as one array up to B rows: a small
-                # model allocates as it grows, in blocks the allocator
-                # hands back, as when all rows were one array
-                seg = np.empty(
-                    (min(max(n, 2 * self._capacity), _SEGMENT), self._words),
-                    dtype=np.uint64,
-                )
-                seg[:self._n] = self._segments[0][:self._n]
-                self._segments[0] = seg
-                self._capacity = len(seg)
-            else:
-                seg = np.empty((self._capacity, self._words), dtype=np.uint64)
-                self._segments.append(seg)
-                self._starts.append(self._capacity)
-                self._capacity += len(seg)
-            allocated += seg.nbytes
-        if 4 * n > slots:
-            self._table = None  # type: ignore[assignment]
-            self._table = np.full(1 << (4 * n - 1).bit_length(), -1,
-                                  dtype=np.int32)
-            allocated += self._table.nbytes
-            for view, first in self._pieces(0, self._n):
-                for lo in range(0, len(view), _CHUNK):
-                    chunk = view[lo:lo + _CHUNK]
-                    self._insert(_hash_rows(chunk), np.arange(
-                        first + lo, first + lo + len(chunk), dtype=np.int32
-                    ))
-        if self._tracer.enabled:
-            self._tracer.emit(
-                "rowset_grow", ids_before=ids, ids_after=self._capacity,
+        with current().span("rowset_grow") as grow:
+            tracing = tracemalloc.is_tracing()
+            if tracing:
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+            allocated = 0
+            while n > self._capacity:
+                if self._capacity < _SEGMENT:
+                    # segment 0 doubles as one array up to B rows: a small
+                    # model allocates as it grows, in blocks the allocator
+                    # hands back, as when all rows were one array
+                    seg = np.empty(
+                        (min(max(n, 2 * self._capacity), _SEGMENT), self._words),
+                        dtype=np.uint64,
+                    )
+                    seg[:self._n] = self._segments[0][:self._n]
+                    self._segments[0] = seg
+                    self._capacity = len(seg)
+                else:
+                    seg = np.empty((self._capacity, self._words), dtype=np.uint64)
+                    self._segments.append(seg)
+                    self._starts.append(self._capacity)
+                    self._capacity += len(seg)
+                allocated += seg.nbytes
+            if 4 * n > slots:
+                self._table = None  # type: ignore[assignment]
+                self._table = np.full(1 << (4 * n - 1).bit_length(), -1,
+                                      dtype=np.int32)
+                allocated += self._table.nbytes
+                for view, first in self._pieces(0, self._n):
+                    for lo in range(0, len(view), _CHUNK):
+                        chunk = view[lo:lo + _CHUNK]
+                        self._insert(_hash_rows(chunk), np.arange(
+                            first + lo, first + lo + len(chunk), dtype=np.int32
+                        ))
+            grow.fields.update(
+                ids_before=ids, ids_after=self._capacity,
                 slots_before=slots, slots_after=len(self._table),
                 row_bytes=8 * self._words, bytes=allocated,
                 traced_peak_bytes=(
                     tracemalloc.get_traced_memory()[1] - held
                     if tracing else None
                 ),
-                seconds=round(time.perf_counter() - t0, 6),
             )
 
     def _slots(self, h: np.ndarray) -> np.ndarray:

@@ -35,7 +35,6 @@ rounds otherwise.
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Iterator
 
 import numpy as np
@@ -184,11 +183,10 @@ class _Evaluator:
     mutation of the LTS.
     """
 
-    def __init__(self, lts: LTS, tracer=None):
+    def __init__(self, lts: LTS):
         self.lts = lts
         self.n = lts.n_states
         self.src, self.lbl, self.dst = lts.columns()
-        self.tracer = tracer if tracer is not None else _current_tracer()
         self._masks: dict[ActionPredicate, np.ndarray] = {}
         self._memo: dict[Formula, np.ndarray] = {}
         self.hole: Formula | None = None
@@ -267,20 +265,19 @@ class _Evaluator:
             self.hole, self.hole_value = saved
 
     def _fixpoint(self, f: Mu | Nu, env) -> np.ndarray:
-        n = self.n
         is_mu = isinstance(f, Mu)
-        recording = self.tracer.enabled
-        t0 = time.perf_counter() if recording else 0.0
-
-        def _observe(mode: str, iterations: int) -> None:
+        with _current_tracer().span(
+            "fixpoint", var=f.var, op="mu" if is_mu else "nu"
+        ) as span:
+            out, mode, rounds = self._solve(f, is_mu, env)
             # iterations: Kleene rounds, or frontier rounds (the depth
             # the solution propagated to) on the worklist paths
-            self.tracer.emit(
-                "fixpoint", var=f.var, op="mu" if is_mu else "nu",
-                mode=mode, iterations=iterations, states=n,
-                seconds=round(time.perf_counter() - t0, 6),
-            )
+            span.fields.update(mode=mode, iterations=rounds, states=self.n)
+        return out
 
+    def _solve(self, f: Mu | Nu, is_mu: bool, env):
+        """``(value, mode, rounds)`` of the fixpoint ``f``."""
+        n = self.n
         occ = _find_single_modal_occurrence(f.var, f.body)
         if occ is not None:
             node, kind = occ
@@ -299,9 +296,7 @@ class _Evaluator:
                 else solve_mu_box
             )
             out, rounds = solve(self.lts, label_ok, a, b)
-            if recording:
-                _observe(f"worklist-{kind}", rounds)
-            return out if is_mu else ~out
+            return (out if is_mu else ~out), f"worklist-{kind}", rounds
         # Kleene iteration fallback
         x = np.zeros(n, dtype=bool) if is_mu else np.ones(n, dtype=bool)
         env2 = dict(env)
@@ -309,9 +304,7 @@ class _Evaluator:
             env2[f.var] = x
             nxt = self.eval(f.body, env2)
             if np.array_equal(nxt, x):
-                if recording:
-                    _observe("kleene", rounds)
-                return x
+                return x, "kleene", rounds
             x = nxt
         raise FormulaSemanticsError(
             f"fixpoint {f.var} did not converge within {n + 2} iterations "

@@ -21,13 +21,14 @@ is documented in ``docs/observability.md``.
 """
 
 from repro.obs.core import activate, current
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer, read_trace
+from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer, clock, read_trace
 
 __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Tracer",
     "activate",
+    "clock",
     "current",
     "read_trace",
 ]

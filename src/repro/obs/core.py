@@ -1,12 +1,8 @@
 """The ambient tracer and the one memory reading a sweep records.
 
-Instrumented code takes a tracer or looks up the ambient one with
-:func:`current`. The module-level default is :data:`NULL_TRACER`, so
-library calls cost one attribute lookup when nobody is recording; the
-CLI activates a real :class:`~repro.obs.tracer.Tracer` around each
-command with :func:`activate`, which also reaches code that is not
-worth threading a parameter through (the mu-calculus evaluator's
-fixpoint loops, the requirement checks).
+Instrumented code records on :func:`current`, which is
+:data:`NULL_TRACER` unless :func:`activate` made a tracer current —
+the one way to choose it; the CLI does so around each command.
 """
 
 from __future__ import annotations

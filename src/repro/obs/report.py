@@ -59,42 +59,33 @@ def phase_breakdown(events: list[dict]) -> dict:
 def whole_run(events: list[dict]) -> dict:
     """Where the recording's wall-clock went, top down.
 
-    ``sweeps_s`` + ``lts_derive_s`` + ``checks_s`` +
-    ``unattributed_s`` = ``span_s``, the time from the first to the
-    last event — an event that carries ``seconds`` began that long
-    before it was written. Older traces show a stand-alone requirement
-    check exploring inside its own ``check`` window; the sweep and
-    derive seconds that ended inside a window are taken out of that
-    check, so nothing counts twice.
+    ``sweeps_s`` + ``lts_derive_s`` + ``checks_s`` + ``unattributed_s``
+    = ``span_s``, the ``t`` of the last event. A span counts its own
+    ``seconds`` less those of the counted spans nearest inside it (by
+    ``parent`` ids): a sweep inside a check counts once, as sweep time.
+    Events without ids (older traces) count whole, as top-level spans.
     """
-    timed = [e for e in events if "t" in e]
-    span = (
-        timed[-1]["t"] - min(e["t"] - e.get("seconds", 0.0) for e in timed)
-        if timed else 0.0
-    )
+    spans = {e["span"]: e for e in events if "span" in e}
     parts = {"sweep_end": 0.0, "lts_derive": 0.0, "check": 0.0}
-    generation = [
-        e for e in timed if e.get("ev") in ("sweep_end", "lts_derive")
-    ]
-    for e in timed:
-        ev = e.get("ev")
-        if ev not in parts:
+    for e in events:
+        if e.get("ev") not in parts:
             continue
         seconds = e.get("seconds", 0.0)
-        parts[ev] += seconds
-        if ev == "check":
-            parts[ev] -= sum(
-                inner.get("seconds", 0.0)
-                for inner in generation
-                if e["t"] - seconds < inner["t"] <= e["t"]
-            )
-    attributed = sum(parts.values())
+        parts[e["ev"]] += seconds
+        outer = spans.get(e.get("parent"))
+        for _hop in spans:  # a hand-edited trace may hold a parent cycle
+            if outer is None or outer.get("ev") in parts:
+                break
+            outer = spans.get(outer.get("parent"))
+        if outer is not None and outer.get("ev") in parts:
+            parts[outer["ev"]] -= seconds
+    span = max((e["t"] for e in events if "t" in e), default=0.0)
     return {
         "span_s": round(span, 6),
         "sweeps_s": round(parts["sweep_end"], 6),
         "lts_derive_s": round(parts["lts_derive"], 6),
         "checks_s": round(parts["check"], 6),
-        "unattributed_s": round(max(span - attributed, 0.0), 6),
+        "unattributed_s": round(max(span - sum(parts.values()), 0.0), 6),
     }
 
 
@@ -114,11 +105,9 @@ def _fmt_phase_line(phases: dict) -> str:
     return "phase breakdown: " + " | ".join(parts)
 
 
-def _split_sweeps(events: list[dict]):
-    """``(sweep_event_lists, leftovers)`` — sweeps delimited by
-    sweep_start/sweep_end, everything outside any sweep in leftovers."""
+def _split_sweeps(events: list[dict]) -> list[list[dict]]:
+    """The events of each sweep, delimited by sweep_start/sweep_end."""
     sweeps: list[list[dict]] = []
-    leftovers: list[dict] = []
     cur: list[dict] | None = None
     for e in events:
         ev = e.get("ev")
@@ -131,11 +120,9 @@ def _split_sweeps(events: list[dict]):
             if ev == "sweep_end":
                 sweeps.append(cur)
                 cur = None
-        else:
-            leftovers.append(e)
     if cur is not None:
         sweeps.append(cur)
-    return sweeps, leftovers
+    return sweeps
 
 
 def _wave_table(waves: list[dict]) -> list[str]:
@@ -223,11 +210,11 @@ _VERDICTS = {True: "HOLDS", False: "VIOLATED"}
 
 def render_report(events: list[dict]) -> str:
     """The full human-readable report for a trace (see module docstring)."""
-    sweeps, _leftovers = _split_sweeps(events)
-    span = events[-1].get("t", 0.0) if events else 0.0
+    sweeps = _split_sweeps(events)
+    run = whole_run(events)
     head = (
         f"flight recorder report — {len(sweeps)} sweep(s), "
-        f"{len(events)} events, {span:.3f} s of recording"
+        f"{len(events)} events, {run['span_s']:.3f} s of recording"
     )
     lines = [head]
     for i, sweep in enumerate(sweeps, 1):
@@ -286,7 +273,6 @@ def render_report(events: list[dict]) -> str:
     if len(sweeps) > 1 and total_phases["total_s"] > 0:
         lines.append("")
         lines.append("overall " + _fmt_phase_line(total_phases))
-    run = whole_run(events)
     if run["span_s"] > 0:
         lines.append("")
         lines.append(

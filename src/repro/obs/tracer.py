@@ -7,10 +7,13 @@ object per line with a monotonic timestamp::
 
     {"t": 0.000132, "ev": "sweep_start", "backend": "engine", ...}
 
-``t`` is seconds since the tracer was created (``time.perf_counter``
-based, so it never goes backwards and is immune to wall-clock jumps);
-``ev`` names the event type; all other keys are event-specific and
-documented in ``docs/observability.md``.
+``t`` is seconds since the tracer was created, read from
+:data:`clock` (monotonic, so it never goes backwards and is immune to
+wall-clock jumps); ``ev`` names the event type; all other keys are
+event-specific and documented in ``docs/observability.md``. Every
+duration is a :meth:`Tracer.span`, whose event is written at the
+block's end with ``seconds``, a ``span`` id and the ``parent`` id of
+the span around it (``null`` at top level).
 
 Two storage modes:
 
@@ -34,19 +37,65 @@ import json
 import time
 from collections import deque
 
+#: the one clock: every ``t`` and every span's ``seconds``
+clock = time.perf_counter
+
+
+class Span:
+    """A block timed by two reads of :data:`clock` (see the module
+    docstring); ``fields`` may grow inside it. A block left by an
+    exception writes no event."""
+
+    def __init__(self, tracer, ev: str, fields: dict):
+        # tracer None: time, record nothing
+        self._tracer, self._ev, self.fields = tracer, ev, fields
+        self._end: float | None = None
+        self.seconds = 0.0
+
+    def __enter__(self) -> "Span":
+        tracer = self._tracer
+        if tracer is not None:
+            tracer._ids += 1
+            self._id, self._parent = tracer._ids, tracer._inner
+            tracer._inner = self._id
+        self._t0 = clock()
+        return self
+
+    def lap(self) -> float:
+        """Seconds since the block was entered."""
+        return clock() - self._t0
+
+    def stop(self) -> float:
+        """End the timing here (the event is still written at the exit)."""
+        if self._end is None:
+            self._end = clock()
+            self.seconds = self._end - self._t0
+        return self.seconds
+
+    def __exit__(self, exc_type, *exc) -> None:
+        self.stop()
+        tracer = self._tracer
+        if tracer is not None:
+            tracer._inner = self._parent
+            if exc_type is None:
+                tracer._write(self._ev, self._t0 + self.seconds, {
+                    **self.fields, "seconds": round(self.seconds, 6),
+                    "span": self._id, "parent": self._parent,
+                })
+
 
 class Tracer:
     """An enabled trace sink (see module docstring for the modes)."""
 
     enabled = True
 
-    def __init__(self, path=None, ring: int | None = None, _clock=None):
+    def __init__(self, path=None, ring: int | None = None):
         if ring is not None and ring < 1:
             raise ValueError("ring must be >= 1")
-        self._clock = _clock or time.perf_counter
-        self._t0 = self._clock()
+        self._t0 = clock()
+        self._ids = 0
+        self._inner: int | None = None  # the innermost open span's id
         self._path = str(path) if path is not None else None
-        self._ring = ring
         self._events: deque = deque(maxlen=ring)
         self._fh = None
         if self._path is not None and ring is None:
@@ -57,7 +106,14 @@ class Tracer:
 
     def emit(self, ev: str, **fields) -> None:
         """Record one event (timestamped now)."""
-        rec = {"t": round(self._clock() - self._t0, 6), "ev": ev}
+        self._write(ev, clock(), fields)
+
+    def span(self, ev: str, **fields) -> Span:
+        """A block that records ``ev`` with its ``seconds`` at the end."""
+        return Span(self, ev, fields)
+
+    def _write(self, ev: str, now: float, fields: dict) -> None:
+        rec = {"t": round(now - self._t0, 6), "ev": ev}
         rec.update(fields)
         if self._fh is not None:
             self._fh.write(json.dumps(rec) + "\n")
@@ -90,12 +146,15 @@ class Tracer:
 
 
 class NullTracer:
-    """The disabled tracer: :meth:`emit` is a no-op."""
+    """The disabled tracer: :meth:`emit` is a no-op, a span only times."""
 
     enabled = False
 
     def emit(self, ev: str, **fields) -> None:
         pass
+
+    def span(self, ev: str, **fields) -> Span:
+        return Span(None, ev, fields)
 
     def events(self) -> list[dict]:
         return []

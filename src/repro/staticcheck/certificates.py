@@ -240,7 +240,7 @@ def validate(
     # runtime imports: symmetry/independence import this module
     from repro.staticcheck.formulasym import formulas_section
     from repro.staticcheck.independence import ample_table
-    from repro.staticcheck.slicing import slices_section
+    from repro.staticcheck.slicing import _slices_section
     from repro.staticcheck.symmetry import is_admissible
 
     findings: list[Finding] = []
@@ -352,7 +352,9 @@ def validate(
     # refusal of the re-derivation itself (JKL401/403) also lands here.
     derived_formulas, formula_findings = formulas_section(config)
     findings.extend(formula_findings)
-    derived_slices, slice_findings = slices_section(config)
+    derived_slices, slice_findings = _slices_section(
+        config, derived_independence
+    )
     findings.extend(slice_findings)
     for name, stored, derived in (
         ("formulas", cert.formulas, derived_formulas),

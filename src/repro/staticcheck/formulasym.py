@@ -40,9 +40,9 @@ construction: deadlock freeness observes only the (index-generic)
 done-state predicate, and Requirement 2 observes the
 ``assertion_violation`` label *class*, which is closed under index
 renaming. The resulting ``formulas`` certificate section records all
-of this, and its ``plain_quotient: "full"`` verdict is what
-:func:`repro.jackal.requirements.build_lts` consults before running
-the plain LTS under the full symmetry quotient.
+of this in its ``plain_quotient: "full"`` verdict, which validation
+re-derives (JKL404): a certified plain LTS is always swept under the
+full symmetry quotient.
 """
 
 from __future__ import annotations

@@ -201,11 +201,11 @@ def class_flows(
     return flows
 
 
-def label_classes(config: "Config") -> tuple[str, ...]:
-    """The label classes of ``config``'s vocabulary (union over
+def _label_classes(table: dict) -> tuple[str, ...]:
+    """The label classes of an ``ample_table``'s vocabulary (union over
     variants, probe labels included), one representative per class."""
     seen: dict[str, str] = {}
-    for label in ample_table(config)["labels"]:
+    for label in table["labels"]:
         seen.setdefault(parse_label(label)[0], label)
     return tuple(seen[name] for name in sorted(seen))
 
@@ -242,7 +242,10 @@ def cone_of_influence(
     (``None`` = every class) and saturates over the flow graph: a
     field in the cone pulls in every field it is computed from.
     """
-    classes = label_classes(config)
+    return _cone(config, _label_classes(ample_table(config)), observable)
+
+
+def _cone(config, classes, observable):
     if observable is not None:
         wanted = set(observable)
         classes = tuple(
@@ -273,6 +276,10 @@ def verify_slice(config: "Config", dropped: Iterable[str]) -> list[Finding]:
     the *current* flow table, so a slice certified against an older
     spec is refused here rather than silently mis-projected.
     """
+    return _refutations(config, _label_classes(ample_table(config)), dropped)
+
+
+def _refutations(config, classes, dropped) -> list[Finding]:
     dropped = frozenset(dropped)
     findings: list[Finding] = []
     unknown = dropped - _FULL
@@ -288,7 +295,7 @@ def verify_slice(config: "Config", dropped: Iterable[str]) -> list[Finding]:
             )
         )
         return findings
-    for cls in label_classes(config):
+    for cls in classes:
         name = parse_label(cls)[0]
         guard, _writes = fine_footprint(cls, config)
         hit = sorted(guard & dropped)
@@ -340,16 +347,22 @@ def slices_section(
     section is ``None`` when the derived slice fails its own static
     verification (JKL403), which on the shipped spec it never does.
     """
+    return _slices_section(config, ample_table(config))
+
+
+def _slices_section(config, table):
+    """:func:`slices_section` on the ``ample_table`` its caller holds."""
     from repro.staticcheck.formulasym import requirement_formula_families
 
+    classes = _label_classes(table)
     families = requirement_formula_families(config)
     requirements: dict[str, dict] = {}
     all_dropped: list[frozenset[str]] = []
     findings: list[Finding] = []
 
     def entry(observable: Iterable[str] | None) -> dict:
-        kept, dropped = cone_of_influence(config, observable)
-        findings.extend(verify_slice(config, dropped))
+        kept, dropped = _cone(config, classes, observable)
+        findings.extend(_refutations(config, classes, dropped))
         all_dropped.append(dropped)
         return {
             "observable_classes": (

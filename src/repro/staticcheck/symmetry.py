@@ -450,13 +450,14 @@ def certify(
         formulas_section,
         vocabulary_findings,
     )
-    from repro.staticcheck.slicing import selftest_findings, slices_section
+    from repro.staticcheck.slicing import _slices_section, selftest_findings
 
     formulas, formula_findings = formulas_section(config)
     findings.extend(formula_findings)
     if formulas is not None:
         findings.extend(vocabulary_findings(model, config, nontrivial))
-    slices, slice_findings = slices_section(config)
+    table = independence.ample_table(config)
+    slices, slice_findings = _slices_section(config, table)
     findings.extend(slice_findings)
     dropped: frozenset = frozenset()
     if slices is not None and not any(
@@ -473,7 +474,7 @@ def certify(
         config,
         variant,
         group=nontrivial,
-        independence=independence.ample_table(config),
+        independence=table,
         formulas=formulas,
         slices=slices,
         selftest={

@@ -317,8 +317,8 @@ def test_a_cached_plan_gives_the_rows_of_a_fresh_one():
 def test_instrumented_kernel_sweep_reports_like_the_scalar_loop():
     model = _c1r2()
     stats = ExplorationStats()
-    with obs.Tracer(ring=10_000) as tracer:
-        lts = explore_fast(model, stats=stats, tracer=tracer)
+    with obs.Tracer(ring=10_000) as tracer, obs.activate(tracer):
+        lts = explore_fast(model, stats=stats)
     events = tracer.events()
     assert events[0]["ev"] == "sweep_start"
     assert not [e for e in events if e["ev"].startswith("gc_")]

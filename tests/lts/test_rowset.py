@@ -364,12 +364,13 @@ def test_a_growth_copies_no_segment_and_rehashes_a_chunk_at_a_time(
 
 
 def test_growth_events_count_what_a_growth_allocates(small_segments):
-    from repro.obs.tracer import Tracer
+    from repro import obs
 
-    tracer = Tracer()
-    visited = RowSet(2, tracer)
-    for k in range(12):
-        visited.add(_distinct(7, start=7 * k))
+    tracer = obs.Tracer()
+    visited = RowSet(2)
+    with obs.activate(tracer):
+        for k in range(12):
+            visited.add(_distinct(7, start=7 * k))
     events = [e for e in tracer.events() if e["ev"] == "rowset_grow"]
     assert events
     for e in events:

@@ -35,7 +35,8 @@ def model():
 
 def test_engine_sweep_events(model):
     tracer = _tracer()
-    explore_fast(model, tracer=tracer)
+    with obs.activate(tracer):
+        explore_fast(model)
     assert _events(tracer, "sweep_start")[0]["backend"] == "engine"
     assert _events(tracer, "sweep_end")[0]["outcome"] == "ok"
     waves = _events(tracer, "wave")
@@ -51,7 +52,8 @@ def test_engine_sweep_events(model):
 def test_instrumented_run_explores_the_same_lts(model):
     plain = explore_fast(model)
     tracer = _tracer()
-    traced = explore_fast(model, tracer=tracer)
+    with obs.activate(tracer):
+        traced = explore_fast(model)
     assert traced.n_states == plain.n_states
     assert traced.n_transitions == plain.n_transitions
     end = _events(tracer, "sweep_end")[0]
@@ -61,7 +63,8 @@ def test_instrumented_run_explores_the_same_lts(model):
 
 def test_kernel_sweep_reports_every_byte_of_its_visited_set(model):
     tracer = _tracer()
-    lts = explore_fast(model, tracer=tracer)
+    with obs.activate(tracer):
+        lts = explore_fast(model)
     end = _events(tracer, "sweep_end")[0]
     # the rows themselves and four int32 slots a state, not a dict shell
     words = model.kernel().pack([model.initial_state()]).shape[1]
@@ -75,8 +78,9 @@ def test_kernel_sweep_reports_every_byte_of_its_visited_set(model):
 
 def test_sweep_end_reports_what_the_wave_destination_holds(model):
     tracer = _tracer()
-    lts = explore_fast(model, tracer=tracer)
-    tree = search_tree(model, tracer=tracer)
+    with obs.activate(tracer):
+        lts = explore_fast(model)
+        tree = search_tree(model)
     columns, kept = _events(tracer, "sweep_end")
     assert columns["dest"] == "columns"
     assert columns["dest_bytes"] == 12 * lts.n_transitions
@@ -108,8 +112,8 @@ def test_limit_error_carries_complete_stats(model, explorer):
 @pytest.mark.parametrize("explorer", [explore_fast])
 def test_limit_event_emitted(model, explorer):
     tracer = _tracer()
-    with pytest.raises(ExplorationLimitError):
-        explorer(model, max_states=50, tracer=tracer)
+    with pytest.raises(ExplorationLimitError), obs.activate(tracer):
+        explorer(model, max_states=50)
     end = _events(tracer, "sweep_end")[0]
     assert end["outcome"] == "limit"
     assert end["states"] >= 50

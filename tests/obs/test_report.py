@@ -43,8 +43,8 @@ def test_phase_breakdown_empty():
 
 
 def test_render_report_on_recorded_sweep(model):
-    with obs.Tracer(ring=10_000) as tracer:
-        explore_fast(model, tracer=tracer)
+    with obs.Tracer(ring=10_000) as tracer, obs.activate(tracer):
+        explore_fast(model)
     text = render_report(tracer.events())
     assert "flight recorder report" in text
     assert "sweep 1: engine" in text
@@ -161,8 +161,8 @@ def test_render_report_checks_and_fixpoints():
 
 def test_report_from_file_round_trip(tmp_path, model):
     path = tmp_path / "sweep.jsonl"
-    with obs.Tracer(path) as tracer:
-        explore_fast(model, tracer=tracer)
+    with obs.Tracer(path) as tracer, obs.activate(tracer):
+        explore_fast(model)
     text = report_from_file(path)
     assert "sweep 1: engine" in text
 
@@ -208,17 +208,37 @@ def test_whole_run_counts_a_sweep_inside_a_check_once(tmp_path, capsys):
     run = whole_run(events)
     assert run["sweeps_s"] == pytest.approx(end["seconds"])
     assert run["checks_s"] == pytest.approx(check["seconds"])
-    # older traces recorded the sweep inside the check's window; it is
-    # still counted once
+    # a sweep whose parent is a check is counted once, as sweep time,
+    # also through a span between them that is not counted
     nested = [
         {"t": 0.0, "ev": "sweep_start", "backend": "engine"},
-        {"t": 0.5, "ev": "sweep_end", "backend": "engine", "seconds": 0.5},
-        {"t": 0.6, "ev": "check", "requirement": "1", "seconds": 0.6},
+        {"t": 0.5, "ev": "sweep_end", "backend": "engine", "seconds": 0.5,
+         "span": 2, "parent": 1},
+        {"t": 0.6, "ev": "check", "requirement": "1", "seconds": 0.6,
+         "span": 1, "parent": None},
     ]
-    run = whole_run(nested)
-    assert (run["span_s"], run["sweeps_s"]) == (0.6, 0.5)
-    assert run["checks_s"] == pytest.approx(0.1)
-    assert run["unattributed_s"] == pytest.approx(0.0)
+    between = [
+        nested[0], {**nested[1], "parent": 3},
+        {"t": 0.55, "ev": "fixpoint", "seconds": 0.55, "span": 3,
+         "parent": 1},
+        nested[2],
+    ]
+    for events in (nested, between):
+        run = whole_run(events)
+        assert (run["span_s"], run["sweeps_s"]) == (0.6, 0.5)
+        assert run["checks_s"] == pytest.approx(0.1)
+        assert run["unattributed_s"] == pytest.approx(0.0)
+
+
+def test_whole_run_ends_on_a_parent_cycle():
+    # a hand-edited trace is outside input: a cycle of parent ids among
+    # spans that are not counted must not hang the report
+    events = [
+        {"t": 0.1, "ev": "fixpoint", "seconds": 0.1, "span": 1, "parent": 2},
+        {"t": 0.2, "ev": "fixpoint", "seconds": 0.1, "span": 2, "parent": 1},
+        {"t": 0.3, "ev": "check", "seconds": 0.1, "span": 3, "parent": 1},
+    ]
+    assert whole_run(events)["checks_s"] == 0.1
 
 
 def test_report_on_empty_trace(tmp_path):

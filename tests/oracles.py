@@ -455,16 +455,15 @@ def find_lasso_avoiding(
             lab for lab, d in adj[entry] if d == entry and lab not in skip_loops
         )
         return Lasso(prefix, Trace((lab,)))
+    # any self-loop left on entry is an ignored one: it closes no cycle
     parent: dict[int, tuple[int, str]] = {}
     queue = deque()
     for lab, d in adj[entry]:
-        if comp[d] == comp[entry] and d not in parent:
+        if d != entry and comp[d] == comp[entry] and d not in parent:
             parent[d] = (entry, lab)
             queue.append(d)
     while queue:
         s = queue.popleft()
-        if s == entry:
-            break
         for lab, d in adj[s]:
             if comp[d] != comp[entry]:
                 continue

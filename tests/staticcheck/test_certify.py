@@ -163,6 +163,28 @@ def test_independence_drift_fires_jkl305():
     assert rules == ["JKL305"]
 
 
+@pytest.mark.parametrize("check", ["validate", "certify"])
+def test_one_independence_table_per_validation(monkeypatch, check):
+    # the slices section's label classes come from the table the check
+    # stores or compares, not from a table built again per slice
+    from repro.staticcheck import independence, slicing
+
+    cert, _ = certify(CONFIG_1, FIXED)
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return ample_table(config)
+
+    monkeypatch.setattr(independence, "ample_table", counted)
+    monkeypatch.setattr(slicing, "ample_table", counted)
+    if check == "validate":
+        assert validate(cert, CONFIG_1, FIXED) == []
+    else:
+        assert certify(CONFIG_1, FIXED)[0].independence == cert.independence
+    assert len(calls) == 1
+
+
 def test_missing_field_raises():
     from repro.errors import ReproError
 
