@@ -23,27 +23,23 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from repro.jackal.actions import ASSERTION_PREFIX, PROBE_LABELS, Labels
+from repro.jackal.actions import ASSERTION_PREFIX, C_HOME, PROBE_LABELS, Labels
 from repro.obs.core import current as _current_tracer
 from repro.jackal.model import VIOLATION, JackalModel
 from repro.jackal.params import Config, ProtocolVariant
-from repro.lts.deadlock import (
-    DeadlockReport,
-    find_deadlocks,
-    shortest_trace_to,
-)
-from repro.lts.engine import SearchTree, explore_fast, search_tree
+from repro.lts.deadlock import DeadlockReport, find_deadlocks, shortest_trace_to
+from repro.lts.engine import Observations, SearchTree, explore_fast
+from repro.lts.engine import search_tree
 from repro.lts.frontier import distinct
 from repro.lts.lts import LTS
 from repro.lts.trace import Trace
-from repro.mucalc.checker import check_many, holds
-from repro.mucalc.diagnostics import counterexample_box, witness_diamond
+from repro.mucalc.checker import check_many
 from repro.mucalc.parser import parse_formula
 
 #: the requirement keys of :func:`check_all_requirements`, in report order
 REQUIREMENTS = ("1", "2", "3.1", "3.2", "4")
+#: the requirements the probes decide
+PROBED = frozenset(("3.1", "3.2"))
 
 #: the paper's formulas (§5.4.3, §5.4.4) as DESIGN.md quotes them. 3.2's
 #: conjunction is parenthesised into the balanced tree the certificates'
@@ -111,9 +107,9 @@ def build_model(
 
     Probes are needed by Requirement 3 and poisonous to Requirement 4
     (a probe self-loop is an infinite path avoiding every thread
-    action), so each stand-alone check selects its own setting. The
-    two models have the same states: :func:`check_all_requirements`
-    explores the probe one and drops the self-loops for the rest.
+    action). The two models have the same states:
+    :func:`check_all_requirements` sweeps the probe one and observes
+    the self-loops instead of storing them.
     """
     cfg = replace(config, with_probes=probes)
     return JackalModel(cfg, variant)
@@ -298,23 +294,47 @@ def check_requirement_3_1(
     """Each region has at most one home node at any time."""
     if lts is None:
         return _planned("3.1", config, variant, max_states, certificate)
-    return _requirement_3_1_on(lts)
+    return _requirement_3("3.1", lts)
+
+
+#: per Requirement 3 key: its report name, the probes whose common
+#: state violates it, and what that state means
+_R3 = {
+    "3.1": ("3.1 (at most one home)", PROBE_LABELS[:1],
+            "two processors simultaneously claim the home"),
+    "3.2": ("3.2 (bounded copies when stable)", PROBE_LABELS[1:],
+            "stable state with no home reached"),
+}
 
 
 @_observed
-def _requirement_3_1_on(lts) -> RequirementReport:
-    f = formula_3_1()
-    ok = holds(lts, f)
-    trace = None
-    if not ok:
-        trace = counterexample_box(lts, f.reg, f.inner)
+def _requirement_3(key: str, swept) -> RequirementReport:
+    """3.1 or 3.2 from the probe bits of an LTS or a search tree that
+    observed them, or of an LTS that stores them (``lts=``): violated
+    iff a state has every probe :data:`_R3` names. The trace is the
+    shortest to the lowest-id such state, for 3.1 with its ``c_home``
+    step; the sizes are the probe LTS's."""
+    name, probes, violation = _R3[key]
+    seen, n_transitions = swept.observed, swept.n_transitions
+    if seen is None:  # read the stored self-loops as bits
+        seen = Observations(swept.labels, PROBE_LABELS)
+        seen.wave(swept.n_states, *swept.columns()[:2])
+    else:
+        n_transitions += seen.count
+    bad = seen.states(*probes)[:1]
+    if isinstance(swept, SearchTree):
+        trace = swept.trace_to(bad)
+    else:
+        trace = shortest_trace_to(swept, bad)
+    if trace is not None and key == "3.1":
+        trace = Trace(trace.labels + (C_HOME,))
     return RequirementReport(
-        requirement="3.1 (at most one home)",
-        holds=ok,
-        detail="" if ok else "two processors simultaneously claim the home",
+        requirement=name,
+        holds=not bad.size,
+        detail=violation if bad.size else "",
         trace=trace,
-        lts_states=lts.n_states,
-        lts_transitions=lts.n_transitions,
+        lts_states=swept.n_states,
+        lts_transitions=n_transitions,
     )
 
 
@@ -336,7 +356,7 @@ def check_requirement_3_2(
         return _not_checked_3_2()
     if lts is None:
         return _planned("3.2", config, variant, max_states, certificate)
-    return _requirement_3_2_on(lts)
+    return _requirement_3("3.2", lts)
 
 
 @_observed
@@ -345,25 +365,6 @@ def _not_checked_3_2() -> RequirementReport:
         requirement="3.2 (bounded copies when stable)",
         holds=None,
         detail="skipped: formulated (as in the paper) for 2 processors",
-    )
-
-
-@_observed
-def _requirement_3_2_on(lts) -> RequirementReport:
-    f = formula_3_2_bad_state()
-    bad_reachable = holds(lts, f)
-    trace = None
-    if bad_reachable:
-        trace = witness_diamond(lts, f.reg, f.inner)
-    return RequirementReport(
-        requirement="3.2 (bounded copies when stable)",
-        holds=not bad_reachable,
-        detail=(
-            "stable state with no home reached" if bad_reachable else ""
-        ),
-        trace=trace,
-        lts_states=lts.n_states,
-        lts_transitions=lts.n_transitions,
     )
 
 
@@ -498,82 +499,40 @@ def check_all_requirements(
     its third configuration.
 
     As in the paper (one LTS per configuration, Table 8), the model is
-    swept once: the probe self-loops come after the protocol moves of a
-    state and lead nowhere new, so the probe sweep numbers the states of
-    the plain one in the same order, and the plain LTS — Requirement 4
-    cannot be decided with the self-loops in — is the probe LTS minus
-    the probe rows (:meth:`~repro.lts.lts.LTS.without_labels`). Nothing
-    is swept for a requirement that reads no LTS (3.2 off two
-    processors), and only the plain model when Requirement 3 is skipped.
+    swept once. Requirement 3 is a predicate on states, shown as probe
+    self-loops; the probe model's sweep keeps them as one bit per probe
+    per state (:class:`~repro.lts.engine.Observations`). A self-loop
+    discovers no state, so state ids and shortest traces are the probe
+    LTS's, and what the sweep stores is the plain LTS. The 3.1/3.2
+    reports count the probe LTS: stored transitions plus self-loops.
+    Without Requirement 4, which alone reads an LTS, the sweep keeps a
+    search tree (:func:`~repro.lts.engine.search_tree`) and stores no
+    transition. 3.2 off two processors sweeps nothing.
 
-    When no wanted requirement reads an LTS (3.1, 4, and 3.2 on two
-    processors are skipped — the paper's configuration-3 check),
-    Requirements 1 and 2 are decided inside the sweep, which stores no
-    transition (:func:`~repro.lts.engine.search_tree`): same reports,
-    same counts, same shortest traces as from the plain LTS.
-
-    Under a reduction ``certificate`` (see :func:`build_lts` for which
-    reduction each LTS can take) the two LTSs are different graphs —
-    the probe self-loops are visible to the ample-set condition — so
-    each is swept.
+    Under a reduction ``certificate`` (see :func:`build_lts`) the probes
+    are visible to the ample-set condition, so the probe and the plain
+    view are different graphs: 3.1 and 3.2 are decided on a search tree
+    of the probe view, the rest on a sweep of the plain one.
     """
     wanted = set(REQUIREMENTS) - set(skip)
-    needs_plain = bool(wanted & {"1", "2", "4"})
-    needs_probe = "3.1" in wanted or (
-        "3.2" in wanted and config.n_processors == 2
-    )
-    out: dict[str, RequirementReport] = {}
-    model = plain_lts = probe_lts = None
+    if not_checked := "3.2" in wanted and config.n_processors != 2:
+        wanted.remove("3.2")
+    sweeps = [wanted]
     if certificate is not None:
         from repro.lts.certreduce import require_valid
 
         require_valid(certificate, config, variant)
-    if not needs_probe and "4" not in wanted:
-        if needs_plain:
-            out = _decided_in_sweep(
-                config, variant, wanted, max_states, certificate
-            )
-        if "3.2" in wanted:
-            out["3.2"] = check_requirement_3_2(config, variant)
-        return _name_reduction(out, certificate)
-    if certificate is None and needs_plain and needs_probe:
-        model, probe_lts = build_lts(
-            config, variant, probes=True, max_states=max_states,
-            keep_states=True,
+        sweeps = [wanted - PROBED, wanted & PROBED]
+    out: dict[str, RequirementReport] = {}
+    for keys in filter(None, sweeps):
+        out.update(
+            _decided_in_sweep(config, variant, keys, max_states, certificate)
         )
-        plain_lts = _without_probes(probe_lts)
-    elif needs_plain:
-        model, plain_lts = build_lts(
-            config, variant, probes=False, max_states=max_states,
-            keep_states=True, certificate=certificate, _validated=True,
-        )
-    if "1" in wanted:
-        out["1"] = check_requirement_1(
-            config, variant, lts=plain_lts, model=model
-        )
-    # only Requirement 1 reads the per-state tuples, the bulk of
-    # resident memory; a derived plain LTS shares the probe LTS's dict
-    for lts in (plain_lts, probe_lts):
-        if lts is not None:
-            lts.state_meta = {}
-    if "2" in wanted:
-        out["2"] = check_requirement_2(config, variant, lts=plain_lts)
-    if needs_probe and probe_lts is None:
-        _m, probe_lts = build_lts(
-            config, variant, probes=True, max_states=max_states,
-            certificate=certificate, _validated=True,
-        )
-    if "3.1" in wanted:
-        out["3.1"] = check_requirement_3_1(config, variant, lts=probe_lts)
-    if "3.2" in wanted:
-        out["3.2"] = check_requirement_3_2(config, variant, lts=probe_lts)
-    # nothing below reads the probe LTS: free it before Requirement 4
-    del probe_lts
-    if "4" in wanted:
-        out["4"] = check_requirement_4(
-            config, variant, lts=plain_lts, certificate=certificate
-        )
-    return _name_reduction(out, certificate)
+    if not_checked:
+        out["3.2"] = check_requirement_3_2(config, variant)
+    return _name_reduction(
+        {key: out[key] for key in REQUIREMENTS if key in out}, certificate
+    )
 
 
 def _name_reduction(out, certificate):
@@ -598,22 +557,44 @@ def _planned(key, config, variant, max_states, certificate):
     )[key]
 
 
-def _decided_in_sweep(config, variant, wanted, max_states, certificate):
-    """Requirements 1 and 2 from one sweep that keeps a search tree
-    instead of the plain LTS."""
+def _decided_in_sweep(config, variant, keys, max_states, certificate):
+    """The reports of ``keys`` from one sweep: of the probe model,
+    observing the probes, when 3.1 or 3.2 is wanted; an LTS when
+    Requirement 4 is, else a search tree."""
+    probes = bool(keys & PROBED)
     model, system = _system(
-        config, variant, probes=False, certificate=certificate,
+        config, variant, probes=probes, certificate=certificate,
         _validated=True,
     )
-    tree = search_tree(
-        system, ignore_labels=PROBE_LABELS, mark=_is_assertion,
-        is_valid_end=_valid_end(model), max_states=max_states,
-    )
+    observe = PROBE_LABELS if probes else ()
     out = {}
-    if "1" in wanted:
-        out["1"] = _requirement_1_of(tree)
-    if "2" in wanted:
-        out["2"] = _requirement_2_of(tree)
+    if "4" not in keys:
+        swept = search_tree(
+            system, observe=observe, mark=_is_assertion,
+            is_valid_end=_valid_end(model), max_states=max_states,
+        )
+        if "1" in keys:
+            out["1"] = _requirement_1_of(swept)
+        if "2" in keys:
+            out["2"] = _requirement_2_of(swept)
+    else:
+        # a certified view sweeps into the QuotientLTS Requirement 4 reads
+        sweep = explore_fast if system is model else type(system).sweep
+        swept = sweep(
+            system, observe=observe, max_states=max_states,
+            keep_states="1" in keys,
+        )
+        if "1" in keys:
+            out["1"] = _requirement_1_on(swept, model)
+        # only Requirement 1 reads the per-state tuples, the bulk of
+        # resident memory
+        swept.state_meta = {}
+        if "2" in keys:
+            out["2"] = _requirement_2_on(swept)
+    for key in sorted(keys & PROBED):
+        out[key] = _requirement_3(key, swept)
+    if "4" in keys:
+        out["4"] = _requirement_4_on(config, variant, swept, certificate)
     return out
 
 
@@ -634,14 +615,3 @@ def _requirement_2_of(tree: SearchTree) -> RequirementReport:
         tree.marked_labels, tree.trace_to(tree.marked), tree.n_states,
         tree.n_transitions,
     )
-
-
-def _without_probes(probe_lts: LTS) -> LTS:
-    """The plain LTS of a probe sweep, as an ``lts_derive`` trace span."""
-    with _current_tracer().span("lts_derive") as span:
-        plain = probe_lts.without_labels(PROBE_LABELS)
-        span.fields.update(
-            kept=plain.n_transitions,
-            dropped=probe_lts.n_transitions - plain.n_transitions,
-        )
-    return plain

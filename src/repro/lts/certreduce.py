@@ -143,7 +143,7 @@ class ReducedSystem:
             initial=lts.initial, n_states=lts.n_states,
             src=src, lbl=lbl, dst=dst, labels=lts.labels,
         )
-        out.state_meta = lts.state_meta
+        out.state_meta, out.observed = lts.state_meta, lts.observed
         out.winners = np.concatenate(self._swept.winners)
         out.initial_winner = self._swept.initial_winner
         return out

@@ -24,6 +24,9 @@ same limit semantics — but engineered for throughput:
   read: one BFS parent and label per state, the states without a move
   (decided on the spot), and the sources of the moves it was asked to
   mark (:class:`SearchTree`).
+* **observed labels** — a sweep can *observe* labels instead of
+  handing their moves (probe self-loops) to its destination: each sets
+  one bit of its source state (:class:`Observations`).
 """
 
 from __future__ import annotations
@@ -86,6 +89,43 @@ class RowStates(Mapping):
         return list(enumerate(self.values()))
 
 
+class Observations:
+    """The moves of ``labels`` a sweep observed: bit ``i`` of ``bits[s]``
+    says that state ``s`` has a move labelled ``labels[i]``; ``count``
+    is the number of such moves. States never expanded have no bits."""
+
+    def __init__(self, names: list[str], labels: Iterable[str]):
+        self.labels = tuple(labels)  # a byte a state: at most 8
+        self._bit = np.zeros(len(names), dtype=np.uint8)
+        for i, lab in enumerate(self.labels):
+            if lab in names:
+                self._bit[names.index(lab)] = 1 << i
+        self._bits = array("B")
+        self.count = 0
+
+    @property
+    def bits(self) -> np.ndarray:
+        return np.frombuffer(self._bits, dtype=np.uint8)
+
+    def states(self, *labels: str) -> np.ndarray:
+        """The states that have a move of each of ``labels``, ascending."""
+        want = sum(1 << self.labels.index(lab) for lab in labels)
+        return np.flatnonzero((self.bits & want) == want)
+
+    def wave(self, n_level: int, src_pos, lids) -> np.ndarray | None:
+        """Observe the moves (``src_pos``, name ids ``lids``) of the next
+        ``n_level`` states; the mask of the others (``None``: all)."""
+        if not self.labels:
+            return None
+        bit = self._bit[lids]
+        seen = bit.nonzero()[0]
+        level = np.zeros(n_level, dtype=np.uint8)
+        np.bitwise_or.at(level, src_pos[seen], bit[seen])
+        self._bits.frombytes(level.tobytes())
+        self.count += len(seen)
+        return bit == 0
+
+
 @dataclass
 class SearchTree:
     """What :func:`search_tree` keeps of a sweep: no transition, but
@@ -100,12 +140,15 @@ class SearchTree:
         Discovery is in state-id order, so these are the BFS tree of
         :func:`~repro.lts.deadlock.shortest_path` on the full LTS.
     deadlocks, terminal_ok:
-        The states without a move outside the ignored labels, in id
-        order, split by the ``is_valid_end`` predicate.
+        The states without a move (observed ones aside), in id order,
+        split by the ``is_valid_end`` predicate.
     marked:
         The sources of the marked moves, ascending and distinct.
     marked_labels:
         The marked labels that occur, in kernel order.
+    observed:
+        The observed moves (``None``: no label was observed), which
+        ``n_transitions`` does not count.
     """
 
     labels: list[str]
@@ -117,6 +160,7 @@ class SearchTree:
     marked_labels: list[str]
     n_states: int
     n_transitions: int
+    observed: Observations | None = None
 
     def trace_to(self, targets: Iterable[int]) -> Trace | None:
         """Shortest label trace from state 0 to any of ``targets`` —
@@ -185,12 +229,9 @@ class _Tree:
 
     name = "tree"
 
-    def __init__(self, kernel, ignore, mark, is_valid_end):
+    def __init__(self, kernel, mark, is_valid_end):
         self.kernel = kernel
         names = kernel.labels
-        self.active = ~np.fromiter(
-            (lab in ignore for lab in names), dtype=bool, count=len(names)
-        )
         self.mark = np.fromiter(map(mark, names), dtype=bool, count=len(names))
         self.is_valid_end = is_valid_end
         self.parent = array("i", [-1])
@@ -228,7 +269,7 @@ class _Tree:
         if not whole:
             return  # rows past the cut are not known to be stuck
         moved = np.zeros(len(level), dtype=bool)
-        moved[src_pos[self.active[lids]]] = True
+        moved[src_pos] = True
         stuck = (~moved).nonzero()[0]
         if not stuck.size:
             return
@@ -261,6 +302,7 @@ def explore_fast(
     max_states: int | None = None,
     keep_states: bool = False,
     stats: ExplorationStats | None = None,
+    observe: Iterable[str] = (),
 ) -> LTS:
     """Generate the reachable LTS of ``system`` by sweeping its
     ``kernel()`` a BFS level at a time.
@@ -273,6 +315,9 @@ def explore_fast(
     wrapping the model in :class:`~repro.lts.certreduce.ReducedSystem`.
     The sweep records on the ambient tracer (:func:`repro.obs.activate`);
     a disabled one costs a no-op call per BFS wave.
+
+    The moves labelled in ``observe`` (self-loops, as the probes are)
+    are not kept: each sets a bit of its source in ``lts.observed``.
     """
     if getattr(system, "kernel", None) is None:
         raise ReproError(
@@ -281,14 +326,14 @@ def explore_fast(
         )
     return _sweep(
         system, lambda kernel: _Columns(kernel, keep_states),
-        max_states=max_states, stats=stats,
+        max_states=max_states, stats=stats, observe=observe,
     )
 
 
 def search_tree(
     system: TransitionSystem,
     *,
-    ignore_labels: Iterable[str] = (),
+    observe: Iterable[str] = (),
     mark: Callable[[str], bool] = lambda label: False,
     is_valid_end: Callable[[Hashable], bool] | None = None,
     max_states: int | None = None,
@@ -297,34 +342,35 @@ def search_tree(
     :func:`explore_fast` does, keeping a :class:`SearchTree` instead of
     the transitions.
 
-    A state counts as terminal when it has no move outside
-    ``ignore_labels``; it is decoded on the spot and filed under
-    ``terminal_ok`` when ``is_valid_end`` accepts it, else under
-    ``deadlocks`` — :func:`~repro.lts.deadlock.find_deadlocks` on the
-    full LTS. The moves whose label satisfies ``mark`` are recorded by
+    ``observe`` is as for :func:`explore_fast`. A state counts as
+    terminal when it has no other move; it is decoded on the spot and
+    filed under ``terminal_ok`` when ``is_valid_end`` accepts it, else
+    under ``deadlocks`` — :func:`~repro.lts.deadlock.find_deadlocks`
+    on the full LTS. The moves whose label satisfies ``mark`` are recorded by
     source. State and transition counts, the limit, its message and
     its ``stats`` are those of :func:`explore_fast`; on the limit the
     error's ``partial`` is the tree of the states numbered so far, with
     the terminal states of the levels expanded in full and the marked
     moves before the cut.
     """
-    ignore = frozenset(ignore_labels)
     return _sweep(
-        system, lambda kernel: _Tree(kernel, ignore, mark, is_valid_end),
-        max_states=max_states, stats=None,
+        system, lambda kernel: _Tree(kernel, mark, is_valid_end),
+        max_states=max_states, stats=None, observe=observe,
     )
 
 
-def _sweep(system, make_dest, *, max_states, stats):
+def _sweep(system, make_dest, *, max_states, stats, observe):
     """The level loop: number each wave, hand it to the destination
-    ``make_dest(kernel)`` builds, return the destination's result.
+    ``make_dest(kernel)`` builds, return the destination's result with
+    the moves labelled in ``observe`` as its ``observed``.
 
     A destination's ``wave(level, first, n0, src_pos, lids, ids, whole)``
     gets the rows just expanded (state ids from ``first``), the
     candidates' source positions, kernel label ids and state ids (new
-    ids start at ``n0``), cut at the limit, and whether the level was
-    expanded whole. The sweep is one ``sweep_end`` span of the ambient
-    tracer, and its waves are laps of it."""
+    ids start at ``n0``), cut at the limit and without the observed
+    moves, and whether the level was expanded whole. The sweep is one
+    ``sweep_end`` span of the ambient tracer, and its waves are laps of
+    it."""
     tracer = _current_tracer()
     # reduction counters are cumulative on the (possibly reused)
     # wrapper, so the trace reports this sweep's delta
@@ -340,6 +386,7 @@ def _sweep(system, make_dest, *, max_states, stats):
     with tracer.span("sweep_end", backend="engine") as sweep:
         kernel = system.kernel()
         dest = make_dest(kernel)
+        observed = Observations(kernel.labels, observe)
         frontier = kernel.pack([system.initial_state()])
         visited = RowSet(frontier.shape[1])
         visited.add(frontier)
@@ -366,11 +413,15 @@ def _sweep(system, make_dest, *, max_states, stats):
             if cut is not None:
                 src_pos, lids = src_pos[:cut], lids[:cut]
             level, frontier = frontier, visited.rows(n)
+            # an observed move is a self-loop: it discovers no state
+            kept = observed.wave(len(level), src_pos, lids)
+            if kept is not None:
+                src_pos, lids, ids = src_pos[kept], lids[kept], ids[kept]
             dest.wave(level, first, n, src_pos, lids, ids, cut is None)
             n = len(visited)
             # free the level's candidates before the next expand allocates
             # its own: holding both raises the sweep's peak memory
-            del level, cand, src_pos, lids, ids
+            del level, cand, src_pos, lids, ids, kept
             if cut is not None:
                 max_frontier = max(max_frontier, len(frontier))
                 break
@@ -400,6 +451,7 @@ def _sweep(system, make_dest, *, max_states, stats):
             depth=stats.depth, max_frontier=stats.max_frontier,
             bytes_per_state=round(visited.nbytes / stats.states, 1),
             dest=dest.name, dest_bytes=dest.nbytes,
+            observed=observed.count,
             reduction=None if red0 is None else {
                 "canonical_hits": system.canonical_hits - red0[0],
                 "ample_prunes": system.ample_prunes - red0[1],
@@ -407,10 +459,12 @@ def _sweep(system, make_dest, *, max_states, stats):
             },
             max_rss_bytes=peak_rss_bytes(),
         )
+    out = dest.result(visited)
+    out.observed = observed if observed.labels else None
     if cut is not None:
         raise ExplorationLimitError(
             f"state limit {max_states} exceeded at depth {depth}",
-            partial=dest.result(visited),
+            partial=out,
             stats=stats,
         )
-    return dest.result(visited)
+    return out

@@ -13,7 +13,6 @@ action; :data:`TAU` is the canonical spelling used throughout.
 from __future__ import annotations
 
 from array import array
-from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -26,7 +25,9 @@ def _as_column(values: Sequence[int]) -> array:
     if isinstance(values, array):
         return values
     if isinstance(values, np.ndarray):
-        return array("i", values.astype(np.int32, copy=False).tobytes())
+        column = array("i")  # one copy: contiguous int32 is read in place
+        column.frombytes(np.ascontiguousarray(values, np.int32).data.cast("B"))
+        return column
     return array("i", values)
 
 
@@ -108,6 +109,7 @@ class LTS:
         "_fwd",
         "_rev",
         "state_meta",
+        "observed",
     )
 
     def __init__(self, initial: int = 0):
@@ -124,6 +126,9 @@ class LTS:
         #: optional per-state annotations (e.g. the decoded model state);
         #: a kernel sweep's is read-only and decodes on access
         self.state_meta: Mapping[int, object] = {}
+        #: the moves a sweep observed instead of storing them
+        #: (:class:`repro.lts.engine.Observations`), if it observed any
+        self.observed = None
 
     # -- construction -------------------------------------------------
 
@@ -308,29 +313,6 @@ class LTS:
             initial=self.initial, n_states=self._n_states,
             src=src, lbl=lbl, dst=dst, labels=labels,
         )
-
-    def without_labels(self, drop: Iterable[str]) -> "LTS":
-        """A copy without the transitions labelled in ``drop``.
-
-        States keep their numbers (also those left isolated or
-        unreachable) and the surviving rows their order; the label table
-        keeps its order minus the dropped labels, so ids stay dense. The
-        result is what a generator that never emitted ``drop`` would have
-        built — the plain LTS of a sweep that ran with probe self-loops
-        on. ``state_meta`` is shared with this LTS, not copied.
-        """
-        src, lbl, dst = self.columns()
-        kept = ~self.label_mask(set(drop).__contains__)
-        rows = kept[lbl]
-        out = LTS.from_columns(
-            initial=self.initial, n_states=self._n_states,
-            src=src[rows],
-            lbl=(np.cumsum(kept, dtype=np.int32) - 1)[lbl[rows]],
-            dst=dst[rows],
-            labels=compress(self.labels, kept),
-        )
-        out.state_meta = self.state_meta
-        return out
 
     # -- dunder ---------------------------------------------------------
 

@@ -3,9 +3,9 @@
 The consumer side of :mod:`repro.obs.tracer`: ``repro report
 trace.jsonl`` loads the JSONL events back and prints, per sweep, the
 depth waves, the per-phase timing breakdown (successor generation vs
-dedup), the derivation of the plain LTS from a probe sweep, the
-mu-calculus fixpoint and requirement-check summaries, and a last line that
-accounts for the whole recording (:func:`whole_run`). Events and
+dedup), the mu-calculus fixpoint and requirement-check summaries, and a
+last line that accounts for the whole recording (:func:`whole_run`),
+and the plain-LTS derivations of older traces. Events and
 fields it does not know — including those of traces recorded by older
 versions — are skipped, never an error.
 """
@@ -59,11 +59,13 @@ def phase_breakdown(events: list[dict]) -> dict:
 def whole_run(events: list[dict]) -> dict:
     """Where the recording's wall-clock went, top down.
 
-    ``sweeps_s`` + ``lts_derive_s`` + ``checks_s`` + ``unattributed_s``
-    = ``span_s``, the ``t`` of the last event. A span counts its own
-    ``seconds`` less those of the counted spans nearest inside it (by
-    ``parent`` ids): a sweep inside a check counts once, as sweep time.
-    Events without ids (older traces) count whole, as top-level spans.
+    ``sweeps_s`` + ``checks_s`` + ``unattributed_s`` = ``span_s``, the
+    ``t`` of the last event. A span counts its own ``seconds`` less
+    those of the counted spans nearest inside it (by ``parent`` ids): a
+    sweep inside a check counts once, as sweep time. Events without ids
+    (older traces) count whole, as top-level spans. Only a trace from
+    before the probes were observed as bits has ``lts_derive`` spans,
+    and ``lts_derive_s``.
     """
     spans = {e["span"]: e for e in events if "span" in e}
     parts = {"sweep_end": 0.0, "lts_derive": 0.0, "check": 0.0}
@@ -80,13 +82,12 @@ def whole_run(events: list[dict]) -> dict:
         if outer is not None and outer.get("ev") in parts:
             parts[outer["ev"]] -= seconds
     span = max((e["t"] for e in events if "t" in e), default=0.0)
-    return {
-        "span_s": round(span, 6),
-        "sweeps_s": round(parts["sweep_end"], 6),
-        "lts_derive_s": round(parts["lts_derive"], 6),
-        "checks_s": round(parts["check"], 6),
-        "unattributed_s": round(max(span - sum(parts.values()), 0.0), 6),
-    }
+    run = {"span_s": round(span, 6), "sweeps_s": round(parts["sweep_end"], 6)}
+    if any(e.get("ev") == "lts_derive" for e in events):
+        run["lts_derive_s"] = round(parts["lts_derive"], 6)
+    run["checks_s"] = round(parts["check"], 6)
+    run["unattributed_s"] = round(max(span - sum(parts.values()), 0.0), 6)
+    return run
 
 
 def _pct(part: float, total: float) -> str:
@@ -162,7 +163,8 @@ def _render_sweep(i: int, events: list[dict]) -> list[str]:
         lines.append(
             f"  states {end.get('states', 0):,}  "
             f"transitions {end.get('transitions', 0):,}  "
-            f"seconds {end.get('seconds', 0.0):.3f}  "
+            + (f"observed {n:,}  " if (n := end.get("observed")) else "")
+            + f"seconds {end.get('seconds', 0.0):.3f}  "
             f"states/s {end.get('states_per_second', 0.0):,.0f}"
             + (f"  depth {end['depth']}" if "depth" in end else "")
             + (
@@ -284,6 +286,7 @@ def render_report(events: list[dict]) -> str:
                     ("checks", "checks_s"),
                     ("unattributed", "unattributed_s"),
                 )
+                if key in run
             )
         )
     return "\n".join(lines)

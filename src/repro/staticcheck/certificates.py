@@ -132,7 +132,7 @@ class ReductionCertificate:
     independence: dict = field(default_factory=dict)
     #: formula symmetrization section (``formulasym.formulas_section``)
     formulas: dict = field(default_factory=dict)
-    #: cone-of-influence slice section (``slicing.slices_section``)
+    #: cone-of-influence slice section (``slicing._slices_section``)
     slices: dict = field(default_factory=dict)
     #: how hard the equivariance self-test looked before signing
     selftest: dict = field(default_factory=dict)

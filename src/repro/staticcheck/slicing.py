@@ -32,7 +32,7 @@ the intersection the backends project by.
 
 Trust chain (all refusals are **JKL403**):
 
-* :func:`verify_slice` statically re-checks a dropped set against the
+* :func:`_refutations` statically re-checks a dropped set against the
   current flow table — a guard reading a dropped field, or a dropped
   field flowing into a kept one, refuses the slice;
 * :func:`selftest_findings` replays the congruence on a bounded
@@ -40,7 +40,7 @@ Trust chain (all refusals are **JKL403**):
   ``project(successors(s))`` label-for-label (static analysis never
   builds an LTS — this samples exactly like the equivariance
   self-test);
-* certificate validation re-derives :func:`slices_section` and rejects
+* certificate validation re-derives :func:`_slices_section` and rejects
   drift as JKL404 (see :mod:`repro.staticcheck.certificates`).
 """
 
@@ -49,7 +49,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.staticcheck.findings import Finding, Severity
-from repro.staticcheck.independence import STAR, ample_table, parse_label
+from repro.staticcheck.independence import STAR, parse_label
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.jackal.params import Config
@@ -127,7 +127,7 @@ _STRUCT_RSTATE = {
 #: where rstate values *cross* structures: class -> {dst: extra srcs}.
 #: These document the real dataflow — a data return carries the home
 #: copy's rstate, queue moves and signals thread it onward — and let
-#: :func:`verify_slice` prove the family closed: rstate flows only
+#: :func:`_refutations` prove the family closed: rstate flows only
 #: into rstate.
 _RSTATE_XFLOWS: dict[str, dict[str, tuple[str, ...]]] = {
     "send_dataret": {"rq.rstate": ("copy.rstate",)},
@@ -233,19 +233,13 @@ def _observes_every_class(formula: object) -> bool:
     return False
 
 
-def cone_of_influence(
-    config: "Config", observable: Iterable[str] | None = None
-) -> tuple[frozenset[str], frozenset[str]]:
-    """``(kept, dropped)`` fine fields for ``config``.
+def _cone(config, classes, observable):
+    """``(kept, dropped)`` fine fields of ``config``'s label ``classes``.
 
     Seeds the closure with the guard sets of the observable classes
     (``None`` = every class) and saturates over the flow graph: a
     field in the cone pulls in every field it is computed from.
     """
-    return _cone(config, _label_classes(ample_table(config)), observable)
-
-
-def _cone(config, classes, observable):
     if observable is not None:
         wanted = set(observable)
         classes = tuple(
@@ -268,18 +262,15 @@ def _cone(config, classes, observable):
     return kept, _FULL - kept
 
 
-def verify_slice(config: "Config", dropped: Iterable[str]) -> list[Finding]:
+def _refutations(config, classes, dropped) -> list[Finding]:
     """JKL403 findings refuting a dropped-field set.
 
-    A slice is sound iff no guard observes a dropped field and no
-    dropped field flows into a kept one; both are re-checked against
-    the *current* flow table, so a slice certified against an older
-    spec is refused here rather than silently mis-projected.
+    A slice is sound iff no guard of ``classes`` observes a dropped
+    field and no dropped field flows into a kept one; both are
+    re-checked against the *current* flow table, so a slice certified
+    against an older spec is refused here rather than silently
+    mis-projected.
     """
-    return _refutations(config, _label_classes(ample_table(config)), dropped)
-
-
-def _refutations(config, classes, dropped) -> list[Finding]:
     dropped = frozenset(dropped)
     findings: list[Finding] = []
     unknown = dropped - _FULL
@@ -337,21 +328,17 @@ def _refutations(config, classes, dropped) -> list[Finding]:
     return findings
 
 
-def slices_section(
-    config: "Config",
+def _slices_section(
+    config: "Config", table: dict
 ) -> tuple[dict | None, list[Finding]]:
-    """Derive the ``slices`` certificate section for ``config``.
+    """Derive the ``slices`` certificate section for ``config`` from
+    its ``ample_table``, which the caller holds.
 
     Pure and deterministic — certificate validation re-derives it and
     rejects drift as JKL404. Returns ``(section, findings)``; the
     section is ``None`` when the derived slice fails its own static
     verification (JKL403), which on the shipped spec it never does.
     """
-    return _slices_section(config, ample_table(config))
-
-
-def _slices_section(config, table):
-    """:func:`slices_section` on the ``ample_table`` its caller holds."""
     from repro.staticcheck.formulasym import requirement_formula_families
 
     classes = _label_classes(table)

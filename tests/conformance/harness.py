@@ -10,13 +10,15 @@ narrative, and with every path it is comparable to:
     on :data:`SMALL` cells :mod:`tests.bes` decides 3.1-3.2 again
 ``explore_fast``
     :func:`check_all_requirements`: one engine sweep of the probe model
-    and the plain LTS derived from it
+    that stores the plain LTS and observes the probes as per-state bits
 ``stand_alone``
     the five ``check_requirement_*`` calls
 ``search_tree``
     Requirements 1-2 decided in the sweep, and a tree marking flushes
+    and observing the probes
 ``certified``
-    the certified check, Requirements 1-2 in the certified sweep, the
+    the certified check (a plain quotient LTS and a search tree of the
+    probe quotient), Requirements 1-2 in the certified sweep, the
     unfolded quotient
 ``reduced_kernel``
     the engine's sweep of :class:`~repro.lts.certreduce.ReducedKernel`
@@ -82,7 +84,7 @@ from repro.lts.certreduce import (
     unfold_quotient,
 )
 from repro.lts.deadlock import shortest_trace_to
-from repro.lts.engine import explore_fast, search_tree
+from repro.lts.engine import SearchTree, explore_fast, search_tree
 from repro.lts.explore import ExplorationStats, explore
 from repro.staticcheck.symmetry import certify
 from tests import oracles
@@ -221,31 +223,28 @@ def _is_flush(label: str) -> bool:
 
 @contextmanager
 def _recorded():
-    """Record what the checks built: per name in ``repro.jackal.
-    requirements``, the results of ``build_lts`` (``(model, LTS)``),
-    ``search_tree`` and ``_without_probes`` (the derived plain LTS)."""
-    seen: dict[str, list] = {
-        "build_lts": [], "search_tree": [], "_without_probes": []
-    }
+    """Record what the checks swept: ``(probes, LTS or SearchTree)`` of
+    each sweep the plan runs, in call order — ``search_tree`` and
+    ``explore_fast`` in ``repro.jackal.requirements`` and a certified
+    view's ``ReducedSystem.sweep``."""
+    seen: list = []
 
-    def recording(name, fn):
-        def call(*args, **kwargs):
-            seen[name].append(fn(*args, **kwargs))
-            return seen[name][-1]
+    def recording(fn):
+        def call(system, *args, **kwargs):
+            seen.append((system.config.with_probes,
+                         fn(system, *args, **kwargs)))
+            return seen[-1][1]
         return call
 
     with ExitStack() as stack:
-        for name in seen:
-            fn = getattr(requirements, name)
+        for owner, name in ((requirements, "search_tree"),
+                            (requirements, "explore_fast"),
+                            (ReducedSystem, "sweep")):
+            fn = getattr(owner, name)
             stack.enter_context(
-                mock.patch.object(requirements, name, recording(name, fn))
+                mock.patch.object(owner, name, recording(fn))
             )
         yield seen
-
-
-def _swept(seen) -> list[tuple[bool, object]]:
-    """``(probes, LTS)`` of each recorded ``build_lts``, in call order."""
-    return [(m.config.with_probes, lts) for m, lts in seen["build_lts"]]
 
 
 # -- the paths ---------------------------------------------------------------
@@ -303,28 +302,27 @@ def _compute_scalar(cell: Cell, got) -> dict:
 def _compute_explore_fast(cell: Cell, got) -> dict:
     with _recorded() as seen:
         reports = check_all_requirements(cell.cfg, cell.var)
-    return {"reports": reports, "swept": _swept(seen),
-            "derived": seen["_without_probes"]}
+    return {"reports": reports, "swept": seen}
 
 
 def _compute_stand_alone(cell: Cell, got) -> dict:
     with _recorded() as seen:
         reports = {key: fields(check(cell.cfg, cell.var))
                    for key, check in STAND_ALONE.items()}
-    return {"reports": reports, "swept": _swept(seen)}
+    return {"reports": reports, "swept": seen}
 
 
 def _compute_search_tree(cell: Cell, got) -> dict:
-    with _recorded() as seen:
+    with _recorded() as swept:
         reports = check_all_requirements(cell.cfg, cell.var, skip=LTS_READERS)
-    (tree,) = seen["search_tree"]
+    tree = swept[0][1]
     out = {"reports": {k: fields(r) for k, r in reports.items()},
-           "swept": _swept(seen), "tree": tree,
+           "swept": swept, "tree": tree,
            "ends_trace": tree.trace_to(tree.terminal_ok)}
     if cell in SMALL:
         # no variant fires an assertion: a tree that marks a common move
         flush = search_tree(cell.model(probes=True),
-                            ignore_labels=PROBE_LABELS, mark=_is_flush)
+                            observe=PROBE_LABELS, mark=_is_flush)
         out.update(flush=flush, flush_trace=flush.trace_to(flush.marked))
     return out
 
@@ -334,7 +332,7 @@ def _compute_certified(cell: Cell, got) -> dict:
     assert cert is not None, findings
     with _recorded() as seen:
         reports = check_all_requirements(cell.cfg, cell.var, certificate=cert)
-    out = {"cert": cert, "reports": reports, "swept": _swept(seen)}
+    out = {"cert": cert, "reports": reports, "swept": seen}
     if cell.config in ("c1r1", "c1cyc"):
         # Requirements 1-2 in the certified sweep, the path that decides
         # Table 8's cyclic configuration 3
@@ -387,6 +385,31 @@ def assert_same_lts(mine, theirs) -> None:
         assert np.array_equal(a, b)
 
 
+def _probe_size(swept) -> tuple[int, int]:
+    """The probe LTS's ``(states, transitions)`` of an LTS or a search
+    tree: the observed probe self-loops count as transitions."""
+    seen = swept.observed
+    return swept.n_states, swept.n_transitions + (seen.count if seen else 0)
+
+
+def assert_same_observations(seen, probe) -> None:
+    """``seen`` is what the probe LTS ``probe`` stores of the probes:
+    per state id, one bit for each label of its probe self-loops."""
+    src, lbl, dst = probe.columns()
+    bits = np.zeros(probe.n_states, dtype=np.uint8)
+    count = 0
+    for i, label in enumerate(PROBE_LABELS):
+        if label in probe.labels:
+            rows = lbl == probe.labels.index(label)
+            assert np.array_equal(src[rows], dst[rows]), label
+            assert not (bits[src[rows]] & (1 << i)).any(), label
+            bits[src[rows]] |= 1 << i
+            count += int(rows.sum())
+    assert seen.labels == PROBE_LABELS
+    assert np.array_equal(seen.bits, bits)
+    assert seen.count == count
+
+
 def _assert_verdicts(cell: Cell, holds: dict) -> None:
     want = cell.verdicts()
     assert holds == {key: want[key] for key in holds}, cell
@@ -415,11 +438,15 @@ def _replay(cell: Cell, traces: dict) -> None:
 
 def _assert_first_discoverers(tree, lts) -> None:
     """``tree`` is the BFS tree of ``lts``: each state's parent and label
-    are those of the first transition into it."""
+    are those of the first transition into it. The probes a tree
+    observed count as transitions where ``lts`` stores them."""
     src, lbl, dst = lts.columns()
-    assert (tree.n_states, tree.n_transitions) == (
-        lts.n_states, lts.n_transitions
-    )
+    if tree.observed is not None and lts.observed is None:
+        assert _probe_size(tree) == _probe_size(lts)
+    else:
+        assert (tree.n_states, tree.n_transitions) == (
+            lts.n_states, lts.n_transitions
+        )
     states, first = np.unique(dst, return_index=True)
     first = first[states > 0]
     assert tree.parent[0] == -1 and len(first) == lts.n_states - 1
@@ -448,21 +475,25 @@ def _compare_explore_fast(cell: Cell, got: dict) -> None:
     reports = got["explore_fast"]["reports"]
     assert list(reports) == list(REQUIREMENTS)
     _assert_verdicts(cell, {k: r.holds for k, r in reports.items()})
-    # one sweep, of the probe model, and the plain LTS derived from it
-    [(probes, probe)] = got["explore_fast"]["swept"]
-    [plain] = got["explore_fast"]["derived"]
-    assert probes
+    # one sweep, of the probe model: it stores the plain LTS, no probe
+    # self-loop, and observes the probes
+    [(probes, plain)] = got["explore_fast"]["swept"]
+    assert probes and plain.observed is not None
+    assert not set(PROBE_LABELS) & set(plain.labels)
     for key, rep in reports.items():
-        lts = probe if key.startswith("3") else plain
         if rep.holds is not None:
             assert (rep.lts_states, rep.lts_transitions) == (
-                lts.n_states, lts.n_transitions
+                _probe_size(plain) if key.startswith("3")
+                else (plain.n_states, plain.n_transitions)
             ), key
     if "scalar" in got:
-        assert_same_lts(probe, got["scalar"]["probe"])
-        assert_same_lts(plain, got["scalar"]["plain"])
+        s = got["scalar"]
+        assert_same_lts(plain, s["plain"])
+        assert_same_observations(plain.observed, s["probe"])
+        assert _probe_size(plain) == (s["probe"].n_states,
+                                      s["probe"].n_transitions)
         assert {k: (r.holds, _labels(r.trace)) for k, r in reports.items()} \
-            == {k: got["scalar"][k] for k in REQUIREMENTS}
+            == {k: s[k] for k in REQUIREMENTS}
     _replay(cell, {k: _labels(r.trace) for k, r in reports.items()})
 
 
@@ -472,15 +503,25 @@ def _compare_stand_alone(cell: Cell, got: dict) -> None:
     assert mine["reports"] == {
         key: fields(plan["reports"][key]) for key in STAND_ALONE
     }
-    # 3.1 (and 3.2 on two processors) sweep the probe model, 4 the plain
-    # one: the plan's probe sweep and the plain LTS derived from it
-    assert [probes for probes, _lts in mine["swept"]] == (
-        [True] * (1 + (cell.cfg.n_processors == 2)) + [False]
+    # 1 and 2 keep a search tree of the plain model, 3.1 (and 3.2 on two
+    # processors) one of the probe model, 4 the plain LTS: each is the
+    # plan's one sweep
+    [(_probes, plan_lts)] = plan["swept"]
+    assert [(probes, isinstance(swept, SearchTree))
+            for probes, swept in mine["swept"]] == (
+        [(False, True)] * 2
+        + [(True, True)] * (1 + (cell.cfg.n_processors == 2))
+        + [(False, False)]
     )
-    for probes, lts in mine["swept"]:
-        assert_same_lts(
-            lts, plan["swept"][0][1] if probes else plan["derived"][0]
-        )
+    for probes, swept in mine["swept"]:
+        if isinstance(swept, SearchTree):
+            _assert_first_discoverers(swept, plan_lts)
+        else:
+            assert_same_lts(swept, plan_lts)
+        if probes:
+            seen, theirs = swept.observed, plan_lts.observed
+            assert np.array_equal(seen.bits, theirs.bits)
+            assert seen.count == theirs.count
 
 
 def _compare_search_tree(cell: Cell, got: dict) -> None:
@@ -488,27 +529,33 @@ def _compare_search_tree(cell: Cell, got: dict) -> None:
     _assert_verdicts(cell, {k: r[1] for k, r in t["reports"].items()})
     assert t["reports"] == {k: fields(plan["reports"][k]) for k in ("1", "2")}
     # decided in the sweep: no LTS built, and the tree is the plain LTS's
-    assert not t["swept"]
-    tree, plain = t["tree"], plan["derived"][0]
+    [(probes, tree)] = t["swept"]
+    assert not probes and isinstance(tree, SearchTree)
+    assert tree.observed is None
+    [(_probes, plain)] = plan["swept"]
     _assert_first_discoverers(tree, plain)
     assert sorted(tree.deadlocks + tree.terminal_ok) == plain.deadlock_states()
     assert t["ends_trace"] == shortest_trace_to(plain, tree.terminal_ok)
     _replay(cell, {"end": _labels(t["ends_trace"])})
     if "flush" not in t:
         return
-    tree, probe = t["flush"], plan["swept"][0][1]
-    _assert_first_discoverers(tree, probe)
-    src, lbl, _dst = probe.columns()
+    # the tree of the probe model, its probes observed, is the plain
+    # LTS's, with the plan's observations
+    tree = t["flush"]
+    _assert_first_discoverers(tree, plain)
+    assert np.array_equal(tree.observed.bits, plain.observed.bits)
+    src, lbl, _dst = plain.columns()
     assert np.array_equal(
-        tree.marked, np.unique(src[probe.label_mask(_is_flush)[lbl]])
+        tree.marked, np.unique(src[plain.label_mask(_is_flush)[lbl]])
     )
-    assert sorted(tree.marked_labels) == sorted(filter(_is_flush, probe.labels))
-    assert t["flush_trace"] == shortest_trace_to(probe, tree.marked)
+    assert sorted(tree.marked_labels) == sorted(filter(_is_flush, plain.labels))
+    assert t["flush_trace"] == shortest_trace_to(plain, tree.marked)
     _replay(cell, {"flush": _labels(t["flush_trace"])})
-    # without is_valid_end every state stuck but for its probe
-    # self-loops is a deadlock, and every state has one
-    assert tree.deadlocks == probe.deadlock_states(ignore_labels=PROBE_LABELS)
-    assert not tree.terminal_ok and not probe.deadlock_states()
+    # without is_valid_end every state without a move but its observed
+    # probes is a deadlock, and every such state has a probe
+    assert tree.deadlocks == plain.deadlock_states()
+    assert not tree.terminal_ok
+    assert tree.observed.bits[tree.deadlocks].all()
     # a bounded run ends; a cyclic one only where it wedges
     assert bool(tree.deadlocks) == (
         cell.cfg.rounds is not None or not cell.verdicts()["1"]
@@ -528,6 +575,13 @@ def _compare_certified(cell: Cell, got: dict) -> None:
             assert rep.requirement.endswith(", full quotient)"), key
             assert rep.lts_states < unreduced[key].lts_states, key
     assert [probes for probes, _lts in c["swept"]] == [False, True]
+    # the probe quotient is a search tree: no probe self-loop is stored
+    [_plain, (_probes, tree)] = c["swept"]
+    assert isinstance(tree, SearchTree) and tree.observed.count > 0
+    for key in ("3.1", "3.2"):
+        if reports[key].holds is not None:
+            assert (reports[key].lts_states, reports[key].lts_transitions) \
+                == _probe_size(tree), key
     # Requirements 1-2 in the certified sweep, and stand-alone: the
     # reports of the check
     if "in_sweep" in c:
@@ -548,10 +602,16 @@ def _compare_reduced_kernel(cell: Cell, got: dict) -> None:
     for name, (kernel_lts, kernel_counters, lts, counters) in runs.items():
         assert_same_lts(kernel_lts, lts)
         assert kernel_counters == counters, name
-    # and they are the quotients the certified check swept
-    for probes, lts in got["certified"]["swept"]:
-        if (name := "probe" if probes else "plain") in runs:
-            assert_same_lts(runs[name][0], lts)
+    # and they are the quotients the certified check swept: the plain
+    # LTS, and the search tree of the probe quotient with its probes
+    for probes, swept in got["certified"]["swept"]:
+        if (name := "probe" if probes else "plain") not in runs:
+            continue
+        if probes:
+            _assert_first_discoverers(swept, runs[name][0])
+            assert_same_observations(swept.observed, runs[name][0])
+        else:
+            assert_same_lts(runs[name][0], swept)
 
 
 class Path(NamedTuple):

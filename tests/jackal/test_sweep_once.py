@@ -1,14 +1,16 @@
-"""``check_all_requirements`` explores once and derives the plain LTS.
+"""``check_all_requirements`` explores once and stores one LTS.
 
-The trace must show the sweeps that actually ran: one probe sweep and a
-derived plain LTS for a full uncertified check, one sweep that keeps a
-search tree when only Requirements 1 and 2 are wanted, none for a
-requirement that reads no LTS, two under a certificate; a state limit
-trips where the plain sweep trips. That the derived LTS *is* the plain
-sweep, that the stand-alone checks report what the plan reports and
-that the search tree decides Requirements 1-2 as the LTS does is the
-differential harness's (``tests/conformance/``); the tests here named
-for those are views onto its cells.
+The trace must show the sweeps that actually ran: for a full
+uncertified check one probe sweep that stores the plain LTS and
+observes the probe self-loops as per-state bits, one sweep that keeps
+a search tree when only Requirements 1 and 2 are wanted, none for a
+requirement that reads no LTS, two under a certificate (the probe one
+a search tree); a state limit trips where the plain sweep trips. That
+the stored LTS *is* the plain sweep and the bits the probe
+self-loops, that the stand-alone checks report what the plan reports
+and that the search tree decides Requirements 1-2 as the LTS does is
+the differential harness's (``tests/conformance/``); the tests here
+named for those are views onto its cells.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 
 from repro import obs
 from repro.errors import ExplorationLimitError
+from repro.jackal.actions import PROBE_LABELS
 from repro.jackal.params import CONFIG_1, CONFIG_3, ProtocolVariant
 from repro.jackal.requirements import (
     build_lts,
@@ -25,6 +28,7 @@ from repro.jackal.requirements import (
 )
 from repro.lts.deadlock import shortest_trace_to
 from repro.lts.engine import SearchTree
+from repro.lts.lts import LTS
 from repro.staticcheck.symmetry import certify
 from tests.conformance.harness import LTS_READERS, Cell
 
@@ -44,11 +48,56 @@ def _count(events, ev):
 def test_full_check_sweeps_once_and_derives():
     reports, events = _recorded(CONFIG_1)
     assert _count(events, "sweep_start") == _count(events, "sweep_end") == 1
-    (derive,) = [e for e in events if e["ev"] == "lts_derive"]
-    assert derive["kept"] == reports["4"].lts_transitions
-    assert derive["kept"] + derive["dropped"] == reports["3.1"].lts_transitions
-    assert derive["seconds"] >= 0
+    (end,) = [e for e in events if e["ev"] == "sweep_end"]
+    # the sweep stores the plain LTS and observes the probe self-loops
+    assert end["transitions"] == reports["4"].lts_transitions
+    assert (reports["4"].lts_transitions + end["observed"]
+            == reports["3.1"].lts_transitions)
+    assert end["observed"] > 0
+    assert end["dest"] == "columns"
+    assert end["dest_bytes"] == 12 * reports["4"].lts_transitions
     assert _count(events, "check") == 5
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every LTS built through ``LTS.from_columns`` while the test runs."""
+    out = []
+    from_columns = LTS.from_columns.__func__
+
+    def recording(cls, **kwargs):
+        out.append(from_columns(cls, **kwargs))
+        return out[-1]
+
+    monkeypatch.setattr(LTS, "from_columns", classmethod(recording))
+    return out
+
+
+@pytest.mark.parametrize("variant", ["fixed", "error2"])
+def test_full_check_builds_one_lts_and_no_probe_row(built, variant):
+    reports = check_all_requirements(
+        CONFIG_1, getattr(ProtocolVariant, variant)()
+    )
+    lts, *residues = built
+    assert not set(PROBE_LABELS) & set(lts.labels)
+    assert (lts.n_states, lts.n_transitions) == (
+        reports["4"].lts_states, reports["4"].lts_transitions
+    )
+    assert (lts.n_transitions + lts.observed.count
+            == reports["3.1"].lts_transitions)
+    # besides it, a violated Requirement 4 builds only the non-progress
+    # subgraph its lasso search runs on
+    assert len(residues) == (reports["4"].holds is False)
+    assert all(sub.n_transitions < lts.n_transitions for sub in residues)
+
+
+def test_certified_check_stores_no_probe_transition(built):
+    cert, findings = certify(CONFIG_1, FIXED)
+    assert cert is not None, findings
+    check_all_requirements(CONFIG_1, FIXED, certificate=cert)
+    assert built  # the plain quotient and its unfolding
+    for lts in built:
+        assert not set(PROBE_LABELS) & set(lts.labels)
 
 
 def test_stand_alone_requirement_1_is_decided_in_the_sweep():
@@ -77,9 +126,9 @@ def test_requirements_1_and_2_sweep_plain_only():
     reports, events = _recorded(CONFIG_1, skip=LTS_READERS)
     assert set(reports) == {"1", "2"}
     assert _count(events, "sweep_start") == _count(events, "sweep_end") == 1
-    assert _count(events, "lts_derive") == 0
     (end,) = [e for e in events if e["ev"] == "sweep_end"]
     assert end["transitions"] == reports["1"].lts_transitions
+    assert end["observed"] == 0
     # the sweep kept a parent and a label id a state, no transition
     assert end["dest"] == "tree"
     assert end["dest_bytes"] == 8 * reports["1"].lts_states
@@ -113,15 +162,15 @@ def test_certificate_keeps_both_sweeps():
     assert cert is not None, findings
     reports, events = _recorded(CONFIG_1, certificate=cert)
     assert _count(events, "sweep_start") == 2
-    assert _count(events, "lts_derive") == 0
-    sizes = [
-        (e["states"], e["transitions"])
-        for e in events if e["ev"] == "sweep_end"
-    ]
+    ends = [e for e in events if e["ev"] == "sweep_end"]
+    sizes = [(e["states"], e["transitions"] + e["observed"]) for e in ends]
     assert sizes == [
         (reports["1"].lts_states, reports["1"].lts_transitions),
         (reports["3.1"].lts_states, reports["3.1"].lts_transitions),
     ]
+    # the probe quotient keeps a search tree and observes its probes
+    assert [e["dest"] for e in ends] == ["columns", "tree"]
+    assert ends[0]["observed"] == 0 < ends[1]["observed"]
 
 
 def test_no_sweep_for_a_requirement_that_reads_no_lts():

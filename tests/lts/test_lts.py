@@ -1,5 +1,7 @@
 """Unit tests for the LTS container."""
 
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -126,38 +128,6 @@ def _snapshot(l: LTS):
     )
 
 
-#: none of, some of, all of the labels in use, and one no LTS carries
-label_sets = st.sets(st.sampled_from(LABELS + ["absent"]))
-
-
-@given(random_lts(), label_sets)
-def test_without_labels_is_the_lts_that_never_had_them(l, drop):
-    l.state_meta[0] = "initial"
-    fwd = l.forward_csr()
-    before = _snapshot(l)
-    got = l.without_labels(drop)
-    _same_lts(got, oracles.without_labels(l, drop))
-    # isolated and unreachable states keep their numbers
-    assert got.n_states == l.n_states and got.initial == l.initial
-    assert not set(got.labels) & drop
-    assert got.state_meta is l.state_meta
-    # the source and its cached adjacency are untouched, and unshared
-    assert _snapshot(l) == before and l.forward_csr() is fwd
-    got.add_transition(0, "fresh", 0)
-    assert _snapshot(l) == before
-
-
-def test_without_labels_keeps_the_table_order_of_the_survivors():
-    l = LTS(0)
-    for src, label, dst in [(0, "p", 0), (0, "a", 1), (1, "q", 1), (1, "b", 0)]:
-        l.add_transition(src, label, dst)
-    got = l.without_labels(["p", "q"])
-    assert got.labels == ["a", "b"]
-    assert list(got.transitions()) == [(0, "a", 1), (1, "b", 0)]
-    assert l.without_labels([]) == l
-    assert l.without_labels(["a", "b", "p", "q"]).n_transitions == 0
-
-
 @given(
     random_lts(),
     st.dictionaries(st.sampled_from(LABELS), st.sampled_from(LABELS + ["z"])),
@@ -216,6 +186,29 @@ def test_mutation_under_a_live_view_copies_on_write(small_lts):
     assert held.tolist() == [0, 1, 2, 1]  # the old snapshot
     assert small_lts.columns()[0].tolist() == [0, 1, 2, 1, 3]
     assert small_lts.n_transitions == 5
+
+
+@pytest.mark.parametrize("column", [
+    np.array([3, 0, 2, 2**31 - 1, -1], dtype=np.int64),
+    np.array([3, 0, 2, 2**31 - 1, -1], dtype=np.int32),
+    np.arange(10, dtype=np.int32)[::2],
+    np.arange(10, dtype=np.int64)[::-3],
+    np.zeros(0, dtype=np.int64),
+], ids=["int64", "int32", "strided-int32", "reversed-int64", "empty"])
+def test_numpy_columns_are_adopted_as_the_array_path_would(column):
+    view = column.copy()
+    view.flags.writeable = False  # as LTS.columns() hands them out
+    for values in (view, column):
+        got = LTS.from_columns(
+            initial=0, n_states=1, src=values, lbl=values, dst=values,
+            labels=[],
+        )
+        want = array("i", column.tolist())
+        for col in got.transition_arrays():
+            assert col == want and col.typecode == "i"
+    # a copy: the LTS does not share the caller's buffer
+    column[...] = 7
+    assert got.transition_arrays()[0] == array("i", view.tolist())
 
 
 def test_from_columns_takes_numpy_columns(small_lts):

@@ -183,19 +183,19 @@ def _seconds(events, ev):
 def test_whole_run_line_accounts_for_a_recorded_check(tmp_path, capsys):
     path, events = _recorded_check(tmp_path)
     run = whole_run(events)
-    # one sweep, one derivation, five checks that were handed their LTS
+    # one sweep, no derived LTS, five checks that were handed their sweep
     assert run["sweeps_s"] == pytest.approx(_seconds(events, "sweep_end"))
-    assert run["lts_derive_s"] == pytest.approx(_seconds(events, "lts_derive"))
+    assert "lts_derive_s" not in run
     assert run["checks_s"] == pytest.approx(_seconds(events, "check"))
     assert min(run.values()) >= 0
     assert run["span_s"] >= events[-1]["t"] - events[0]["t"]
     assert (
-        run["sweeps_s"] + run["lts_derive_s"] + run["checks_s"]
-        + run["unattributed_s"]
+        run["sweeps_s"] + run["checks_s"] + run["unattributed_s"]
     ) == pytest.approx(run["span_s"], abs=1e-5)
     last = report_from_file(path).splitlines()[-1]
     assert last.startswith(f"whole run: {run['span_s']:.3f} s = sweeps ")
     assert "+ checks " in last and "+ unattributed " in last
+    assert "lts_derive" not in last
 
 
 def test_whole_run_counts_a_sweep_inside_a_check_once(tmp_path, capsys):
@@ -280,6 +280,12 @@ def test_report_on_a_trace_holding_only_a_derivation():
     )
     assert "derived plain LTS: 0 transitions kept" in text
     assert "phase breakdown" not in text
+    # a trace from before the probes were observed still accounts for
+    # its derivation
+    run = whole_run(events)
+    assert run["lts_derive_s"] == 0.0246
+    assert run["unattributed_s"] == pytest.approx(0.1 - 0.0246)
+    assert "+ lts_derive 0.025 s" in text.splitlines()[-1]
 
 
 def test_report_on_interleaved_multi_sweep_trace():

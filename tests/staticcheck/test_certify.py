@@ -177,7 +177,8 @@ def test_one_independence_table_per_validation(monkeypatch, check):
         return ample_table(config)
 
     monkeypatch.setattr(independence, "ample_table", counted)
-    monkeypatch.setattr(slicing, "ample_table", counted)
+    # slicing cannot build a table of its own: it is handed one
+    assert not hasattr(slicing, "ample_table")
     if check == "validate":
         assert validate(cert, CONFIG_1, FIXED) == []
     else:

@@ -16,13 +16,15 @@ from repro.errors import ModelError
 from repro.jackal.codec import PROJECTABLE_FIELDS
 from repro.jackal.model import JackalModel
 from repro.jackal.params import CONFIG_1, CONFIG_2, ProtocolVariant
+from repro.staticcheck.independence import ample_table
 from repro.staticcheck.slicing import (
     RSTATE_FIELDS,
     UNIVERSE,
-    cone_of_influence,
+    _cone,
+    _label_classes,
+    _refutations,
+    _slices_section,
     selftest_findings,
-    slices_section,
-    verify_slice,
 )
 from repro.staticcheck.symmetry import _sample_states, admissible_group
 
@@ -33,12 +35,16 @@ def _model(config):
     return JackalModel(config, FIXED)
 
 
+def _classes(config):
+    return _label_classes(ample_table(config))
+
+
 # -- the derived slice -------------------------------------------------------
 
 
 @pytest.mark.parametrize("config", [CONFIG_1, CONFIG_2], ids=["c1", "c2"])
 def test_slice_is_exactly_the_rstate_family(config):
-    section, findings = slices_section(config)
+    section, findings = _slices_section(config, ample_table(config))
     assert findings == []
     assert section is not None
     assert frozenset(section["common_dropped"]) == RSTATE_FIELDS
@@ -46,7 +52,7 @@ def test_slice_is_exactly_the_rstate_family(config):
 
 
 def test_cone_partitions_the_universe():
-    kept, dropped = cone_of_influence(CONFIG_1)
+    kept, dropped = _cone(CONFIG_1, _classes(CONFIG_1), None)
     assert kept | dropped == frozenset(UNIVERSE)
     assert not kept & dropped
     assert dropped == RSTATE_FIELDS
@@ -54,7 +60,9 @@ def test_cone_partitions_the_universe():
 
 def test_verify_slice_refuses_observed_fields():
     # dropping a field every guard reads must be a JKL403 refusal
-    findings = verify_slice(CONFIG_1, RSTATE_FIELDS | {"thr.phase"})
+    findings = _refutations(
+        CONFIG_1, _classes(CONFIG_1), RSTATE_FIELDS | {"thr.phase"}
+    )
     assert findings
     assert {f.rule for f in findings} == {"JKL403"}
     assert all(f.severity.name == "ERROR" for f in findings)
@@ -62,7 +70,7 @@ def test_verify_slice_refuses_observed_fields():
 
 
 def test_verify_slice_refuses_unknown_fields():
-    findings = verify_slice(CONFIG_1, {"no.such.field"})
+    findings = _refutations(CONFIG_1, _classes(CONFIG_1), {"no.such.field"})
     assert {f.rule for f in findings} == {"JKL403"}
 
 
