@@ -107,11 +107,6 @@ class Simulator:
         del self._states[len(self._states) - n :]
         del self._labels[len(self._labels) - n :]
 
-    def reset(self) -> None:
-        """Back to the initial state."""
-        self._states = self._states[:1]
-        self._labels = []
-
     def run(self, labels: Sequence[str]) -> Trace:
         """Replay a whole label sequence from the current state."""
         for lab in labels:

@@ -9,8 +9,8 @@ checking, trace narration — as subcommands::
     python -m repro table8  --rounds 2
     python -m repro narrate --config 1 --variant error1 --cyclic
     python -m repro formula --config 1 '[T*.c_home] F'
-    python -m repro lint    --config 2 --certify --cert-out CERT.json
-    python -m repro check   --config 2 --reduce CERT.json
+    python -m repro lint    --config 2 --certify
+    python -m repro check   --config 2 --reduce
     python -m repro explore --config 1 --trace sweep.jsonl
     python -m repro report  sweep.jsonl
 """
@@ -90,19 +90,19 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_reduce_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--reduce", default=None, metavar="CERT.json",
-                   help="sweep under the symmetry/ample reduction this "
-                   "certificate licenses (issued by `repro lint "
-                   "--certify`); refuses with exit 2 unless the "
-                   "certificate validates for this exact spec")
+    p.add_argument("--reduce", action="store_true",
+                   help="certify this spec (as `repro lint --certify` "
+                   "does) and sweep under the symmetry/ample reduction "
+                   "the certificate licenses; exit 2, naming the "
+                   "findings, when certification is refused")
 
 
-def _certificate(args):
-    if getattr(args, "reduce", None) is None:
+def _certificate(args, cfg, variant):
+    if not args.reduce:
         return None
-    from repro.staticcheck.certificates import load
+    from repro.staticcheck.symmetry import certified
 
-    return load(args.reduce)
+    return certified(cfg, variant)
 
 
 def _add_obs_args(p: argparse.ArgumentParser) -> None:
@@ -144,7 +144,7 @@ def _cmd_check(args) -> int:
 
 
 def _run_check(args, cfg, variant) -> int:
-    cert = _certificate(args)
+    cert = _certificate(args, cfg, variant)
     if args.requirement:
         rep = _CHECKS[args.requirement](
             cfg, variant, max_states=args.max_states, certificate=cert
@@ -175,14 +175,16 @@ def _cmd_explore(args) -> int:
 
     cfg = _config(args)
     variant = _VARIANTS[args.variant]()
-    cert = _certificate(args)
     with _traced(args):
+        cert = _certificate(args, cfg, variant)
         _model, lts = build_lts(
             cfg, variant, probes=args.probes, max_states=args.max_states,
             certificate=cert,
         )
     summary = lts_summary(lts)
-    print(Table(f"LTS of config {args.config} ({variant.describe()})",
+    # a certified sweep counts the full quotient, never concrete states
+    view = ", full quotient" if cert is not None else ""
+    print(Table(f"LTS of config {args.config} ({variant.describe()}{view})",
                 list(summary.as_row()), [summary.as_row()]).render())
     if args.aut:
         write_aut(lts, args.aut)
@@ -262,14 +264,12 @@ def _cmd_lint(args) -> int:
     report = run_lint(
         cfg, variant, formulas=formulas, suppress=tuple(args.suppress)
     )
-    cert = None
     if args.certify:
         from repro.staticcheck.symmetry import certify
 
-        # certification failure surfaces as JKL30x findings in the
+        # certification failure surfaces as JKL3xx/4xx findings in the
         # report (machine-readable in --json) and flips the exit code
-        cert, cert_findings = certify(cfg, variant)
-        report.extend(cert_findings)
+        report.extend(certify(cfg, variant)[1])
     rendered = report.render_json() if args.json else report.render_text()
     if args.out:
         with open(args.out, "w") as fh:
@@ -277,9 +277,6 @@ def _cmd_lint(args) -> int:
         print(f"written: {args.out}")
     else:
         print(rendered)
-    if cert is not None:
-        cert.save(args.cert_out)
-        print(f"written: {args.cert_out}")
     return report.exit_code
 
 
@@ -370,11 +367,8 @@ def main(argv: list[str] | None = None) -> int:
                    help="list the rule catalogue and exit")
     p.add_argument("--certify", action="store_true",
                    help="additionally certify the spec for symmetry/"
-                   "ample reduction; failures surface as JKL30x "
-                   "findings (exit 1), success writes --cert-out")
-    p.add_argument("--cert-out", default="CERT.json", metavar="FILE",
-                   help="where --certify writes the signed reduction "
-                   "certificate (default CERT.json)")
+                   "ample reduction (what --reduce does in-process); "
+                   "failures surface as JKL3xx/4xx findings (exit 1)")
     p.set_defaults(fn=_cmd_lint)
 
     p = sub.add_parser("formula", help="check a mu-calculus formula")
@@ -401,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # e.g. `repro ... | head`
         return 0
     except OSError as exc:
-        # an unwritable --trace/--out/--aut/--cert-out path is a usage
+        # an unwritable --trace/--out/--aut path is a usage
         # error like the ones above, not a verdict
         print(f"error: {exc}", file=sys.stderr)
         return 2

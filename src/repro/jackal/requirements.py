@@ -123,7 +123,6 @@ def build_lts(
     max_states: int | None = None,
     keep_states: bool = False,
     certificate=None,
-    _validated: bool = False,
 ) -> tuple[JackalModel, LTS]:
     """Explore the protocol into an explicit LTS.
 
@@ -144,8 +143,7 @@ def build_lts(
     the shortest concrete run.
     """
     model, system = _system(
-        config, variant, probes=probes, certificate=certificate,
-        _validated=_validated,
+        config, variant, probes=probes, certificate=certificate
     )
     if system is not model:
         return model, system.sweep(
@@ -155,7 +153,7 @@ def build_lts(
     return model, lts
 
 
-def _system(config, variant, *, probes, certificate, _validated):
+def _system(config, variant, *, probes, certificate, _validated=False):
     """The model, and what :func:`build_lts` sweeps: the model itself,
     or its certified reduced view."""
     model = build_model(config, variant, probes=probes)

@@ -25,10 +25,9 @@ A kernel sweep records which group element canonicalised each target
 column operations, the concrete frames of Requirement 4's per-thread
 formulas.
 Construction *refuses* to reduce unless the certificate validates for
-the wrapped system's configuration and variant (JKL303–JKL305,
-JKL401–404). The counters ``canonical_hits``, ``ample_prunes`` and
-``slice_hits`` are reported per sweep in the ``reduction`` field of
-``sweep_end``.
+the wrapped system's configuration and variant (JKL305, JKL401–404).
+The counters ``canonical_hits``, ``ample_prunes`` and ``slice_hits``
+are reported per sweep in the ``reduction`` field of ``sweep_end``.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ def _group(cert):
 
 def require_valid(certificate, config, variant) -> None:
     """Refuse (``ReproError``) unless ``certificate`` validates for this
-    spec. The fingerprint is always of the probe model, so one pass
+    spec. A certificate does not depend on the probes, so one pass
     covers the plain view, the probe view and the unfolding."""
     from repro.staticcheck.certificates import validate
 

@@ -205,10 +205,6 @@ class LTS:
         """Number of transitions."""
         return len(self._src)
 
-    def has_label(self, label: str) -> bool:
-        """Whether any transition carries ``label``."""
-        return label in self._label_index
-
     def transitions(self) -> Iterator[Transition]:
         """Iterate over all transitions in insertion order."""
         labels = self.labels
@@ -270,11 +266,6 @@ class LTS:
             (labels[lab], d)
             for lab, d in zip(lbl[lo:hi].tolist(), dst[lo:hi].tolist())
         ]
-
-    def out_degree(self, state: int) -> int:
-        """Number of outgoing transitions of ``state``."""
-        offsets = self.forward_csr()[0]
-        return int(offsets[state + 1] - offsets[state])
 
     def enabled_labels(self, state: int) -> set[str]:
         """Set of labels enabled in ``state``."""

@@ -50,10 +50,6 @@ class Trace:
         """Occurrences of ``label`` in the trace."""
         return sum(1 for lab in self.labels if lab == label)
 
-    def filtered(self, keep) -> "Trace":
-        """Labels satisfying predicate ``keep`` (states are dropped)."""
-        return Trace(tuple(lab for lab in self.labels if keep(lab)))
-
     def prefix(self, n: int) -> "Trace":
         """The first ``n`` steps."""
         states = self.states[: n + 1] if self.states else ()

@@ -6,19 +6,17 @@ checking found the slow way: lockset dataflow over the protocol phase
 graph and a cross-check of formula labels against the model's
 vocabulary.
 
-It also certifies reductions (``repro lint --certify``): a symmetry +
-independence analysis whose signed :class:`ReductionCertificate` the
-exploration backends demand before they quotient by processor/thread
-permutations or prune commuting interleavings.
+It also certifies reductions (``repro lint --certify``, and in-process
+under ``--reduce``): a symmetry + independence analysis whose
+:class:`ReductionCertificate` the exploration backends validate before
+they quotient by processor/thread permutations or prune commuting
+interleavings.
 """
 
 from repro.staticcheck.analyzer import default_formulas, run_lint
 from repro.staticcheck.certificates import (
-    CERT_SCHEMA_VERSION,
     ReductionCertificate,
     issue,
-    load,
-    spec_fingerprint,
     validate,
 )
 from repro.staticcheck.findings import (
@@ -54,7 +52,6 @@ from repro.staticcheck.symmetry import (
 )
 
 __all__ = [
-    "CERT_SCHEMA_VERSION",
     "GRANT_BLOCKERS",
     "LINT_SCHEMA_VERSION",
     "RULES",
@@ -77,11 +74,9 @@ __all__ = [
     "label_footprint",
     "lint_labels",
     "lint_locksets",
-    "load",
     "may_commute",
     "model_labels",
     "phase_graph",
     "run_lint",
-    "spec_fingerprint",
     "validate",
 ]

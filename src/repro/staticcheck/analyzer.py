@@ -68,11 +68,4 @@ def run_lint(
     model = JackalModel(replace(config, with_probes=True), variant)
     named = default_formulas(config) if formulas is None else list(formulas)
     report.extend(lint_labels(model, named))
-
-    # the key any reduction certificate for this spec is issued under;
-    # computed on every run so consumers can match report to CERT.json
-    from repro.staticcheck.certificates import spec_fingerprint
-
-    report.fingerprint = spec_fingerprint(config, variant)
-
     return report

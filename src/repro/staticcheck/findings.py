@@ -23,7 +23,9 @@ from typing import Iterable
 #: order (rule, then location).
 #: 3: findings carry an optional machine-readable ``data`` object
 #: (expected-vs-found values, permutation maps, digests).
-LINT_SCHEMA_VERSION = 3
+#: 4: ``fingerprint`` dropped: certificates are computed in-process,
+#: never keyed to a file.
+LINT_SCHEMA_VERSION = 4
 
 
 class Severity(IntEnum):
@@ -58,12 +60,8 @@ RULES: dict[str, str] = {
     "closed under one",
     "JKL302": "the bounded equivariance self-test found a state where "
     "permuting and stepping do not commute",
-    "JKL303": "a reduction certificate's fingerprint does not match the "
-    "current specification (stale certificate)",
-    "JKL304": "a reduction certificate's signature is invalid "
-    "(tampered or corrupt)",
-    "JKL305": "a reduction certificate is malformed or its schema/group "
-    "is unsupported for this configuration",
+    "JKL305": "a reduction certificate was issued for another spec, or its "
+    "group or independence table does not hold for this configuration",
     "JKL401": "a requirement formula is asymmetric under the certified "
     "permutation group (no symmetrized orbit conjunction exists)",
     "JKL402": "permuting a formula literal leaves the model's label "
@@ -71,8 +69,8 @@ RULES: dict[str, str] = {
     "JKL403": "a field slice is inconsistent: a guard observes a dropped "
     "field, a dropped field flows into a kept one, or the congruence "
     "self-test found a counterexample",
-    "JKL404": "a certificate's formulas/slices section is stale: "
-    "re-deriving the analysis disagrees with what was signed",
+    "JKL404": "a certificate's formulas/slices section does not hold: "
+    "re-deriving the analysis disagrees with what it carries",
 }
 
 
@@ -128,10 +126,6 @@ class LintReport:
     findings: list[Finding] = field(default_factory=list)
     #: rule ids dropped before reporting (from ``--suppress``)
     suppressed: tuple[str, ...] = ()
-    #: fingerprint of the specification the findings are about (see
-    #: :func:`repro.staticcheck.certificates.spec_fingerprint`); the key
-    #: reduction certificates are issued under
-    fingerprint: str | None = None
 
     def extend(self, more: Iterable[Finding]) -> None:
         self.findings.extend(
@@ -170,7 +164,6 @@ class LintReport:
         )
         return {
             "schema_version": LINT_SCHEMA_VERSION,
-            "fingerprint": self.fingerprint,
             "findings": [f.as_dict() for f in ordered],
             "errors": len(self.errors()),
             "warnings": len(self.warnings()),

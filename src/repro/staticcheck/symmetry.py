@@ -4,9 +4,10 @@ The Jackal model is fully symmetric in processors (with equal thread
 counts) and in threads of the same processor: every rule is
 index-generic, so renaming indices maps runs to runs. The paper §5.5
 leaves this structure on the table; here a static pass certifies it
-*before any sweep runs* and emits a signed
+*before any sweep runs* and returns a
 :class:`~repro.staticcheck.certificates.ReductionCertificate` the
-exploration backends can trust (see :mod:`repro.lts.certreduce`).
+exploration backends validate before they reduce (see
+:mod:`repro.lts.certreduce`).
 
 Certification is three independent obligations:
 
@@ -25,12 +26,12 @@ Certification is three independent obligations:
    ``succ(π(s)) = π(succ(s))``, labels included. Any counterexample is
    JKL302 with the offending state and permutation.
 
-Once those hold, the certifier runs the two formula-directed passes of
-certificate schema v3 — formula symmetrization
-(:mod:`repro.staticcheck.formulasym`, JKL401/402) and cone-of-influence
-slicing (:mod:`repro.staticcheck.slicing`, JKL403) — and signs their
-sections into the certificate alongside the group and the independence
-table. Certification is refused, never degraded, on any ERROR.
+Once those hold, the certifier runs the two formula-directed passes —
+formula symmetrization (:mod:`repro.staticcheck.formulasym`,
+JKL401/402) and cone-of-influence slicing
+(:mod:`repro.staticcheck.slicing`, JKL403) — and puts their sections
+into the certificate alongside the group and the independence table.
+Certification is refused, never degraded, on any ERROR.
 
 Soundness note: the *initial* state is deliberately not required to be
 a fixed point of the group (``initial_home`` picks a processor). The
@@ -47,6 +48,7 @@ from dataclasses import dataclass, field, replace
 from itertools import permutations as _permutations, product
 from typing import TYPE_CHECKING, Any
 
+from repro.errors import ReproError
 from repro.jackal.model import JackalModel
 from repro.jackal.params import Config, ProtocolVariant
 from repro.staticcheck.findings import Finding, Severity
@@ -407,7 +409,7 @@ def certify(
 ) -> tuple[ReductionCertificate | None, list[Finding]]:
     """Attempt to certify symmetry + independence for ``config``.
 
-    Returns ``(certificate, findings)``: a signed
+    Returns ``(certificate, findings)``: a
     :class:`~repro.staticcheck.certificates.ReductionCertificate` and
     the (possibly empty) list of findings. On any ERROR finding the
     certificate is ``None`` — certification is refused, never degraded.
@@ -443,9 +445,9 @@ def certify(
         )
     if any(f.severity == Severity.ERROR for f in findings):
         return None, findings
-    # formula-directed passes (certificate schema v3): symmetrize the
-    # requirement formulas under the certified group and derive the
-    # cone-of-influence field slice, each with its own refusals
+    # formula-directed passes: symmetrize the requirement formulas under
+    # the certified group and derive the cone-of-influence field slice,
+    # each with its own refusals
     from repro.staticcheck.formulasym import (
         formulas_section,
         vocabulary_findings,
@@ -459,7 +461,6 @@ def certify(
     table = independence.ample_table(config)
     slices, slice_findings = _slices_section(config, table)
     findings.extend(slice_findings)
-    dropped: frozenset = frozenset()
     if slices is not None and not any(
         f.severity == Severity.ERROR for f in findings
     ):
@@ -477,10 +478,20 @@ def certify(
         independence=table,
         formulas=formulas,
         slices=slices,
-        selftest={
-            "states_sampled": max_states,
-            "permutations": len(nontrivial),
-            "slice_states_sampled": max_states if dropped else 0,
-        },
     )
     return cert, findings
+
+
+def certified(
+    config: Config, variant: ProtocolVariant
+) -> ReductionCertificate:
+    """:func:`certify`'s certificate, or :class:`~repro.errors.ReproError`
+    naming the findings that refused it: for callers that reduce or
+    fail, never sweep unreduced instead."""
+    cert, findings = certify(config, variant)
+    if cert is None:
+        raise ReproError(
+            f"{config.describe()} ({variant.describe()}) cannot be "
+            "certified: " + "; ".join(f.render() for f in findings)
+        )
+    return cert

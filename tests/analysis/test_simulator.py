@@ -66,9 +66,9 @@ def test_undo_and_reset(sim):
     assert sim.depth() == 0 and sim.state == 0
     with pytest.raises(TraceError):
         sim.undo()
-    sim.run(["a"])
-    sim.reset()
-    assert sim.depth() == 0
+    sim.run(["a", "b"])
+    sim.undo(sim.depth())  # back to the initial state
+    assert sim.depth() == 0 and sim.state == 0
 
 
 def test_history(sim):

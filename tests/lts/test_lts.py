@@ -33,7 +33,6 @@ def test_labels_are_interned():
     l.add_transition(0, "b", 1)
     assert l.labels == ["a", "b"]
     assert l.label_id("a") == 0
-    assert l.has_label("a") and not l.has_label("z")
 
 
 def _predecessors(l, state):
@@ -46,7 +45,8 @@ def _predecessors(l, state):
 def test_successors_and_predecessors(small_lts):
     assert sorted(small_lts.successors(1)) == [("b", 2), ("d", 3)]
     assert _predecessors(small_lts, 1) == [("a", 0)]
-    assert small_lts.out_degree(3) == 0
+    offsets = small_lts.forward_csr()[0]
+    assert offsets[4] - offsets[3] == 0
     assert small_lts.enabled_labels(0) == {"a"}
 
 
@@ -76,7 +76,7 @@ def test_label_counts(small_lts):
 
 def test_relabelled(small_lts):
     r = small_lts.relabelled({"a": "x"})
-    assert r.has_label("x") and not r.has_label("a")
+    assert "x" in r.labels and "a" not in r.labels
     assert r.n_transitions == small_lts.n_transitions
 
 

@@ -25,9 +25,8 @@ def test_trace_final_state():
         Trace(("a",)).final_state
 
 
-def test_filtered_and_prefix():
+def test_prefix():
     t = Trace(("a", "b", "c", "b"), (0, 1, 2, 3, 4))
-    assert t.filtered(lambda l: l != "b").labels == ("a", "c")
     p = t.prefix(2)
     assert p.labels == ("a", "b")
     assert p.states == (0, 1, 2)

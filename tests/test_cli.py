@@ -264,40 +264,34 @@ def test_lint_is_fast_and_explores_nothing(monkeypatch):
     assert time.perf_counter() - start < 5.0
 
 
-def test_lint_json_carries_schema_version_and_fingerprint(tmp_path):
+def test_lint_json_carries_schema_version(tmp_path):
     import json
 
     path = tmp_path / "lint.json"
     assert main(["lint", "--json", "--out", str(path)]) == 0
     data = json.loads(path.read_text())
-    assert data["schema_version"] >= 2
-    assert len(data["fingerprint"]) == 64
+    assert data["schema_version"] >= 4
+    assert "fingerprint" not in data
 
 
 # -- repro lint --certify / --reduce ----------------------------------------
 
 
-def test_lint_certify_writes_certificate(tmp_path, capsys):
-    import json
-
-    cert_path = tmp_path / "CERT.json"
-    code = main(["lint", "--certify", "--cert-out", str(cert_path)])
-    assert code == 0
-    from repro.staticcheck.certificates import CERT_SCHEMA_VERSION
-
-    data = json.loads(cert_path.read_text())
-    assert data["schema_version"] == CERT_SCHEMA_VERSION
-    assert data["group"]
-    assert data["signature"]
-    assert str(cert_path) in capsys.readouterr().out
+def test_lint_certify_writes_nothing(tmp_path, monkeypatch, capsys):
+    # a certificate is computed where it is used (--reduce), so
+    # certifying in lint is a check that leaves no file behind
+    monkeypatch.chdir(tmp_path)
+    assert main(["lint", "--certify"]) == 0
+    assert list(tmp_path.iterdir()) == []
+    assert "written" not in capsys.readouterr().out
 
 
 def test_lint_certify_failure_exits_one_without_certificate(
     tmp_path, monkeypatch
 ):
     """The exit-code contract: certification failure is exit 1 with a
-    machine-readable JKL30x reason in the JSON report, and no
-    certificate file is written."""
+    machine-readable JKL30x reason in the JSON report, and no file but
+    the report is written."""
     import json
 
     from repro import cli as cli_mod
@@ -312,38 +306,29 @@ def test_lint_certify_failure_exits_one_without_certificate(
     import repro.staticcheck.symmetry as symmetry_mod
 
     monkeypatch.setattr(symmetry_mod, "certify", refused)
-    cert_path = tmp_path / "CERT.json"
+    monkeypatch.chdir(tmp_path)
     out_path = tmp_path / "lint.json"
     code = cli_mod.main([
-        "lint", "--certify", "--json",
-        "--cert-out", str(cert_path), "--out", str(out_path),
+        "lint", "--certify", "--json", "--out", str(out_path),
     ])
     assert code == 1
-    assert not cert_path.exists()
+    assert list(tmp_path.iterdir()) == [out_path]
     data = json.loads(out_path.read_text())
     assert data["exit_code"] == 1
     assert [f["rule"] for f in data["findings"]] == ["JKL301"]
 
 
-def test_check_reduce_roundtrip(tmp_path, capsys):
-    cert_path = tmp_path / "CERT.json"
-    assert main(["lint", "--certify", "--cert-out", str(cert_path)]) == 0
-    capsys.readouterr()
-    code = main(["check", "--reduce", str(cert_path)])
+def test_check_reduce_roundtrip(capsys):
+    code = main(["check", "--reduce"])
     out = capsys.readouterr().out
     assert code == 0
     assert "HOLDS" in out and "VIOLATED" not in out
 
 
-def test_check_reduce_labels_quotient_counts(tmp_path, capsys):
+def test_check_reduce_labels_quotient_counts(capsys):
     # under a certificate the state counts are quotient counts, and
     # every requirement row says so, not only Requirement 4's
-    cert_path = tmp_path / "CERT.json"
-    cyclic = ["--config", "1", "--cyclic"]
-    assert main(["lint", "--certify", "--cert-out", str(cert_path),
-                 *cyclic]) == 0
-    capsys.readouterr()
-    assert main(["check", *cyclic, "--reduce", str(cert_path)]) == 0
+    assert main(["check", "--config", "1", "--cyclic", "--reduce"]) == 0
     out = capsys.readouterr().out
     for label in ("1 (deadlock freeness", "2 (assertions",
                   "3.1 (at most one home", "3.2 (bounded copies when stable",
@@ -351,41 +336,55 @@ def test_check_reduce_labels_quotient_counts(tmp_path, capsys):
         assert f"{label}, full quotient)" in out, label
 
 
-def test_check_reduce_refuses_stale_certificate(tmp_path, capsys):
-    cert_path = tmp_path / "CERT.json"
-    # certified for config 1, then used on config 2: JKL303, exit 2
-    assert main(["lint", "--certify", "--cert-out", str(cert_path)]) == 0
-    capsys.readouterr()
-    code = main(["check", "--config", "2", "--reduce", str(cert_path)])
+def test_check_reduce_refused_certification_exits_2(
+    tmp_path, monkeypatch, capsys
+):
+    # a spec certification refuses is an error naming the findings,
+    # never an unreduced sweep instead: no sweep starts
+    import repro.staticcheck.symmetry as symmetry_mod
+    from repro.obs.tracer import read_trace
+    from repro.staticcheck.findings import Finding, Severity
+
+    def refused(_config, _variant, **_kw):
+        return None, [
+            Finding("JKL302", Severity.ERROR, "model/successors",
+                    "successor relation is not equivariant")
+        ]
+
+    monkeypatch.setattr(symmetry_mod, "certify", refused)
+    trace = tmp_path / "t.jsonl"
+    code = main(["check", "--reduce", "--trace", str(trace)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "refusing to reduce" in err
-    assert "JKL303" in err
+    assert "error: " in err and "Traceback" not in err
+    assert "cannot be certified" in err
+    assert "JKL302" in err and "not equivariant" in err
+    assert not [e for e in read_trace(trace) if e["ev"] == "sweep_start"]
 
 
-def test_check_reduce_unreadable_certificate_exit_2(tmp_path, capsys):
-    bad = tmp_path / "nope.json"
-    code = main(["check", "--reduce", str(bad)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error:")
+def test_explore_reduce_titles_the_full_quotient(capsys):
+    # the reduced sweep counts the full quotient; its title says so,
+    # as check's rows do, and never reuses the concrete LTS's title
+    assert main(["explore"]) == 0
+    out = capsys.readouterr().out
+    assert "LTS of config 1 (fixed)" in out and "288" in out
+    assert main(["explore", "--reduce"]) == 0
+    out = capsys.readouterr().out
+    assert "LTS of config 1 (fixed, full quotient)" in out and "154" in out
 
 
-def test_explore_reduce_shrinks_the_lts(tmp_path, capsys):
-    cert_path = tmp_path / "CERT.json"
-    assert main(["lint", "--certify", "--cert-out", str(cert_path)]) == 0
-    capsys.readouterr()
+def test_explore_reduce_shrinks_the_lts(capsys):
     assert main(["explore"]) == 0
     unreduced = capsys.readouterr().out
     assert "288" in unreduced
     # the certified formulas section licenses the full symmetry
     # quotient for the plain LTS too (per-thread formulas are decided
     # on its group-unfolding), and the slice trims the rstate fields ...
-    assert main(["explore", "--reduce", str(cert_path)]) == 0
+    assert main(["explore", "--reduce"]) == 0
     assert "154" in capsys.readouterr().out
     # ... and the probe LTS (the requirement-3 view) lands on the same
     # sliced quotient
-    assert main(["explore", "--probes", "--reduce", str(cert_path)]) == 0
+    assert main(["explore", "--probes", "--reduce"]) == 0
     assert "154" in capsys.readouterr().out
 
 
@@ -434,7 +433,7 @@ def test_counts_below_one_are_usage_errors(argv, capsys):
     ["explore", "--trace", "{missing}/t.jsonl"],
     ["explore", "--aut", "{missing}/c1.aut"],
     ["lint", "--out", "{missing}/lint.txt"],
-    ["lint", "--certify", "--cert-out", "{missing}/CERT.json"],
+    ["check", "--trace", "{missing}/t.jsonl"],
 ])
 def test_unwritable_output_path_exits_2(argv, tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir"

@@ -81,4 +81,4 @@ def test_thread_alphabet_completeness(probe_lts):
     for t in range(CONFIG_1.n_threads):
         for lab in (Labels.write(t), Labels.writeover(t),
                     Labels.flush(t), Labels.flushover(t)):
-            assert probe_lts.has_label(lab), lab
+            assert lab in probe_lts.labels, lab
