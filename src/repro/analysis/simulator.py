@@ -112,17 +112,3 @@ class Simulator:
         for lab in labels:
             self.step(lab)
         return self.history()
-
-    def random_walk(self, steps: int, *, seed: int = 0) -> Trace:
-        """Take ``steps`` uniformly random steps (stops at terminal
-        states). Deterministic for a given seed."""
-        import random
-
-        rng = random.Random(seed)
-        for _ in range(steps):
-            moves = self.enabled()
-            if not moves:
-                break
-            label, _ = moves[rng.randrange(len(moves))]
-            self.step(label)
-        return self.history()

@@ -42,10 +42,9 @@ REQUIREMENTS = ("1", "2", "3.1", "3.2", "4")
 PROBED = frozenset(("3.1", "3.2"))
 
 #: the paper's formulas (§5.4.3, §5.4.4) as DESIGN.md quotes them. 3.2's
-#: conjunction is parenthesised into the balanced tree the certificates'
-#: ``formulas`` section fingerprints; Requirement 4 is per request
-#: ``start`` and its completion ``finish``, fair on cyclic models
-#: (completion stays reachable while it has not happened)
+#: conjunction is parenthesised into a balanced tree; Requirement 4 is
+#: per request ``start`` and its completion ``finish``, fair on cyclic
+#: models (completion stays reachable while it has not happened)
 R3_1 = "[T*.c_home] F"
 R3_2_BAD_STATE = (
     "<T*> ((<c_copy>T /\\ <lock_empty>T) /\\ "
@@ -134,13 +133,12 @@ def build_lts(
     reduced view (:mod:`repro.lts.certreduce`): ample pruning, the
     certified field slice and the full symmetry quotient. The plain
     LTS also carries the per-thread Requirement-4 inevitability
-    formulas, which individually are *not* quotient-invariant; a
-    certificate that validates proves their families orbit-closed
-    (its ``formulas`` section says ``plain_quotient: "full"``), so the
-    driver checks their symmetrized orbit conjunctions on the full
-    quotient. Traces extracted from a reduced LTS are representatives
-    up to the certified commutations and renamings, not necessarily
-    the shortest concrete run.
+    formulas, which individually are *not* quotient-invariant; the
+    certifier proved their families orbit-closed (it refuses
+    otherwise, JKL401), so the driver checks their symmetrized orbit
+    conjunctions on the full quotient. Traces extracted from a reduced
+    LTS are representatives up to the certified commutations and
+    renamings, not necessarily the shortest concrete run.
     """
     model, system = _system(
         config, variant, probes=probes, certificate=certificate
@@ -153,7 +151,7 @@ def build_lts(
     return model, lts
 
 
-def _system(config, variant, *, probes, certificate, _validated=False):
+def _system(config, variant, *, probes, certificate):
     """The model, and what :func:`build_lts` sweeps: the model itself,
     or its certified reduced view."""
     model = build_model(config, variant, probes=probes)
@@ -161,7 +159,7 @@ def _system(config, variant, *, probes, certificate, _validated=False):
         return model, model
     from repro.lts.certreduce import ReducedSystem
 
-    return model, ReducedSystem(model, certificate, _validated=_validated)
+    return model, ReducedSystem(model, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +515,6 @@ def check_all_requirements(
         wanted.remove("3.2")
     sweeps = [wanted]
     if certificate is not None:
-        from repro.lts.certreduce import require_valid
-
-        require_valid(certificate, config, variant)
         sweeps = [wanted - PROBED, wanted & PROBED]
     out: dict[str, RequirementReport] = {}
     for keys in filter(None, sweeps):
@@ -561,8 +556,7 @@ def _decided_in_sweep(config, variant, keys, max_states, certificate):
     Requirement 4 is, else a search tree."""
     probes = bool(keys & PROBED)
     model, system = _system(
-        config, variant, probes=probes, certificate=certificate,
-        _validated=True,
+        config, variant, probes=probes, certificate=certificate
     )
     observe = PROBE_LABELS if probes else ()
     out = {}

@@ -12,9 +12,9 @@ at a time (:class:`ReducedKernel`), held column for column to
   expanded alone. Safe-class transitions strictly move queue content
   toward handlers and never re-enable each other, so the ignoring
   proviso holds;
-* **field slicing** (``slice_fields``, by default the certificate's
-  ``common_dropped``; ``()`` disables it): the certified-sliceable
-  ``rstate`` fields are zeroed — a certified congruence
+* **field slicing** (``slice_fields``, by default the certificate's;
+  ``()`` disables it): the certified-sliceable ``rstate`` fields are
+  zeroed — a certified congruence
   (:mod:`repro.staticcheck.slicing`), so *all* verdicts are preserved;
 * **symmetry quotient** (``canonical=True``): each successor becomes
   its orbit representative, the state with the minimal packed key
@@ -25,7 +25,8 @@ A kernel sweep records which group element canonicalised each target
 column operations, the concrete frames of Requirement 4's per-thread
 formulas.
 Construction *refuses* to reduce unless the certificate validates for
-the wrapped system's configuration and variant (JKL305, JKL401–404).
+the wrapped system's configuration and variant (JKL305); this is the
+one place a certificate is validated.
 The counters ``canonical_hits``, ``ample_prunes`` and ``slice_hits``
 are reported per sweep in the ``reduction`` field of ``sweep_end``.
 """
@@ -43,16 +44,17 @@ def _group(cert):
     """The certificate's permutation group, the identity first."""
     from repro.staticcheck.symmetry import Permutation
 
-    tpp = cert.config["threads_per_processor"]
-    return (Permutation(tuple(range(len(tpp))), tuple(range(sum(tpp)))),
-            *(Permutation(tuple(e["pid_map"]), tuple(e["tid_map"]))
-              for e in cert.group))
+    config = cert.config
+    identity = Permutation(
+        tuple(range(config.n_processors)), tuple(range(config.n_threads))
+    )
+    return (identity, *cert.group)
 
 
 def require_valid(certificate, config, variant) -> None:
     """Refuse (``ReproError``) unless ``certificate`` validates for this
-    spec. A certificate does not depend on the probes, so one pass
-    covers the plain view, the probe view and the unfolding."""
+    spec. A certificate does not depend on the probes: the same one
+    validates for the plain view, the probe view and the unfolding."""
     from repro.staticcheck.certificates import validate
 
     findings = validate(certificate, config, variant)
@@ -81,7 +83,6 @@ class ReducedSystem:
         *,
         canonical: bool = True,
         slice_fields=None,
-        _validated: bool = False,
     ):
         config = getattr(system, "config", None)
         variant = getattr(system, "variant", None)
@@ -91,17 +92,14 @@ class ReducedSystem:
                 "config/variant to validate the certificate against "
                 "(JKL305)"
             )
-        if not _validated:
-            require_valid(certificate, config, variant)
+        require_valid(certificate, config, variant)
         self.system = system
         self.certificate = certificate
         self.canonical = canonical
         if slice_fields is None:
-            from repro.staticcheck.slicing import certified_slice
-
-            slice_fields = certified_slice(certificate)
+            slice_fields = certificate.slice_fields
         self.slice_fields = frozenset(slice_fields)
-        self._perms = _group(certificate)[1:] if canonical else ()
+        self._perms = certificate.group if canonical else ()
         self._codec = system.codec()
         self._project = (
             self._codec.projector(self.slice_fields)

@@ -14,11 +14,7 @@ interleavings.
 """
 
 from repro.staticcheck.analyzer import default_formulas, run_lint
-from repro.staticcheck.certificates import (
-    ReductionCertificate,
-    issue,
-    validate,
-)
+from repro.staticcheck.certificates import ReductionCertificate, validate
 from repro.staticcheck.findings import (
     LINT_SCHEMA_VERSION,
     RULES,
@@ -26,11 +22,7 @@ from repro.staticcheck.findings import (
     LintReport,
     Severity,
 )
-from repro.staticcheck.independence import (
-    ample_table,
-    label_footprint,
-    may_commute,
-)
+from repro.staticcheck.independence import label_footprint, may_commute
 from repro.staticcheck.labelcheck import (
     formula_literals,
     lint_labels,
@@ -64,13 +56,11 @@ __all__ = [
     "ReductionCertificate",
     "Severity",
     "admissible_group",
-    "ample_table",
     "certify",
     "compute_locksets",
     "default_formulas",
     "formula_literals",
     "is_admissible",
-    "issue",
     "label_footprint",
     "lint_labels",
     "lint_locksets",

@@ -61,7 +61,7 @@ RULES: dict[str, str] = {
     "JKL302": "the bounded equivariance self-test found a state where "
     "permuting and stepping do not commute",
     "JKL305": "a reduction certificate was issued for another spec, or its "
-    "group or independence table does not hold for this configuration",
+    "permutation group is empty or not admissible for this configuration",
     "JKL401": "a requirement formula is asymmetric under the certified "
     "permutation group (no symmetrized orbit conjunction exists)",
     "JKL402": "permuting a formula literal leaves the model's label "
@@ -69,8 +69,6 @@ RULES: dict[str, str] = {
     "JKL403": "a field slice is inconsistent: a guard observes a dropped "
     "field, a dropped field flows into a kept one, or the congruence "
     "self-test found a counterexample",
-    "JKL404": "a certificate's formulas/slices section does not hold: "
-    "re-deriving the analysis disagrees with what it carries",
 }
 
 

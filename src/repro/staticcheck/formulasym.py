@@ -1,48 +1,39 @@
 """Formula symmetrization: certify the *property* side of the quotient.
 
-PR 6's symmetry certificate proves the model equivariant under the
+The symmetry certificate proves the model equivariant under the
 admissible permutation group, which licenses the orbit quotient for
-orbit-invariant properties — Requirement 3's formulas quote only
-index-free probe labels, so the probe LTS has taken the full quotient
-since then. The plain LTS could not: Requirement 4's per-thread
+orbit-invariant properties. Requirement 3's formulas quote only
+index-free probe labels and are invariant; Requirement 4's per-thread
 inevitability formulas (``[T*."write(t0)"] mu X. ...``) quote concrete
-thread indices and are individually *not* invariant, so the backends
-fell back to ample pruning only (the restriction recorded in ROADMAP
-open item 2).
+thread indices and are individually *not* invariant.
 
-This pass closes that gap statically. For every requirement formula it
-computes the orbit under the certified group — permuting a formula
-means renaming the ``t<i>``/``p<j>`` tokens inside its action literals
-— and classifies the formula family of each requirement:
+This pass settles that statically. Permuting a formula means renaming
+the ``t<i>``/``p<j>`` tokens inside its action literals; under every
+certified permutation each requirement formula must map to itself
+(*invariant*: Requirement 3.1/3.2, and Requirement 4 on a one-thread
+orbit) or to another member of its requirement's family
+(*orbit-closed*: Requirement 4's ``write(t0)`` … family on symmetric
+topologies). The *orbit conjunction* ``∧_{t ∈ orbit} φ_t`` of an
+orbit-closed family is group-invariant as a property, which licenses
+the full-quotient *sweep*; the formulas themselves still quote concrete
+indices whose frames the quotient merges away, so the checker evaluates
+them on the quotient's group-unfolding
+(:func:`repro.lts.certreduce.unfold_full_quotient`), never on the
+quotient LTS directly. Otherwise the full quotient would be unsound,
+and certification refuses:
 
-* **invariant** — every group element maps the formula to itself
-  (Requirement 3.1/3.2, and Requirement 4 on a one-thread orbit);
-* **orbit-closed** — permuting maps each formula to another member of
-  the same requirement's family (Requirement 4's ``write(t0)`` …
-  family on symmetric topologies). The *orbit conjunction*
-  ``∧_{t ∈ orbit} φ_t`` is then group-invariant as a property, which
-  licenses the full-quotient *sweep*; the formulas themselves still
-  quote concrete indices whose frames the quotient merges away, so the
-  checker evaluates them on the quotient's group-unfolding
-  (:func:`repro.lts.certreduce.unfold_full_quotient`), never on the
-  quotient LTS directly;
-* **asymmetric** — a permuted formula leaves the family. The full
-  quotient would be unsound for it, so certification refuses:
-
-  - **JKL401** — a formula is genuinely asymmetric under the group
-    (its permutation is not in the requirement's family);
-  - **JKL402** — permuting a formula literal produces a label outside
-    the model's vocabulary (the property quotes an index the renamed
-    model cannot emit).
+* **JKL401** — a formula is genuinely asymmetric under the group (its
+  permutation is not in the requirement's family);
+* **JKL402** — permuting a formula literal produces a label outside
+  the model's vocabulary (the property quotes an index the renamed
+  model cannot emit).
 
 Requirements 1 and 2 carry no formulas but are quotient-safe by
 construction: deadlock freeness observes only the (index-generic)
 done-state predicate, and Requirement 2 observes the
 ``assertion_violation`` label *class*, which is closed under index
-renaming. The resulting ``formulas`` certificate section records all
-of this in its ``plain_quotient: "full"`` verdict, which validation
-re-derives (JKL404): a certified plain LTS is always swept under the
-full symmetry quotient.
+renaming. So every certificate licenses the full symmetry quotient for
+the plain LTS.
 """
 
 from __future__ import annotations
@@ -80,10 +71,6 @@ from repro.staticcheck.findings import Finding, Severity
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.jackal.params import Config
     from repro.staticcheck.symmetry import Permutation
-
-#: version of the ``formulas`` certificate section layout
-FORMULAS_SCHEMA_VERSION = 1
-
 
 # -- the group action on formulas ----------------------------------------
 
@@ -243,26 +230,30 @@ def requirement4_orbit_formulas(
 # -- the analysis ---------------------------------------------------------
 
 
-def _family_status(
-    req: str,
-    family: list[tuple[str, Formula]],
-    perms: Sequence["Permutation"],
-) -> tuple[dict[str, str], list[list[str]], list[Finding]]:
-    """Per-formula status, the orbit partition, and JKL401 findings."""
-    lookup = {f: name for name, f in family}
-    statuses: dict[str, str] = {}
-    orbit_sets: list[frozenset[str]] = []
+def formulas_section(
+    config: "Config",
+    families: dict[str, list[tuple[str, Formula]]] | None = None,
+) -> list[Finding]:
+    """JKL401 findings: formulas whose renaming under a certified
+    permutation leaves their requirement's family, at most one per
+    formula. Empty when every family is invariant or orbit-closed.
+
+    ``families`` overrides the shipped requirement families; the CI
+    mutation smoke feeds a deliberately asymmetric family through it.
+    """
+    from repro.staticcheck.symmetry import admissible_group
+
+    perms = [g for g in admissible_group(config) if not g.is_identity]
+    if families is None:
+        families = requirement_formula_families(config)
     findings: list[Finding] = []
-    for name, f in family:
-        members = {name}
-        invariant = True
-        for perm in perms:
-            pf = permute_formula(f, perm)
-            if pf == f:
-                continue
-            invariant = False
-            other = lookup.get(pf)
-            if other is None:
+    for req in sorted(families):
+        family = {f: name for name, f in families[req]}
+        for name, f in families[req]:
+            for perm in perms:
+                pf = permute_formula(f, perm)
+                if pf == f or pf in family:
+                    continue
                 findings.append(
                     Finding(
                         "JKL401",
@@ -278,83 +269,13 @@ def _family_status(
                             "requirement": req,
                             "formula": name,
                             "permutation": perm.as_dict(),
-                            "expected": sorted(n for _, n in lookup.items()),
+                            "expected": sorted(family.values()),
                             "found": str(pf),
                         },
                     )
                 )
                 break
-            members.add(other)
-        statuses[name] = "invariant" if invariant else "orbit"
-        orbit_sets.append(frozenset(members))
-    orbits = sorted({tuple(sorted(o)) for o in orbit_sets})
-    return statuses, [list(o) for o in orbits], findings
-
-
-def formulas_section(
-    config: "Config",
-    families: dict[str, list[tuple[str, Formula]]] | None = None,
-) -> tuple[dict | None, list[Finding]]:
-    """Derive the ``formulas`` certificate section for ``config``.
-
-    Pure and deterministic (certificate validation re-derives it and
-    rejects drift as JKL404): the admissible group, the requirement
-    formula families, and their orbit structure are all functions of
-    the configuration alone. Returns ``(section, findings)``; the
-    section is ``None`` when any family is asymmetric (JKL401) — there
-    is no degraded section, matching how certification refuses.
-
-    ``families`` overrides the shipped requirement families; the CI
-    mutation smoke feeds a deliberately asymmetric family through it.
-    """
-    from repro.staticcheck.symmetry import admissible_group
-
-    perms = [g for g in admissible_group(config) if not g.is_identity]
-    if families is None:
-        families = requirement_formula_families(config)
-    requirements: dict[str, dict] = {
-        "1": {
-            "status": "invariant",
-            "reason": "deadlock freeness observes only the index-generic "
-            "done-state predicate",
-        },
-        "2": {
-            "status": "invariant",
-            "reason": "observed by the assertion_violation label class, "
-            "closed under index renaming",
-        },
-    }
-    findings: list[Finding] = []
-    for req in sorted(families):
-        family = families[req]
-        statuses, orbits, fam_findings = _family_status(req, family, perms)
-        findings.extend(fam_findings)
-        if fam_findings:
-            continue
-        entry: dict = {
-            "status": (
-                "invariant"
-                if all(s == "invariant" for s in statuses.values())
-                else "orbit-closed"
-            ),
-            "formulas": {n: statuses[n] for n in sorted(statuses)},
-            "orbits": orbits,
-        }
-        if req == "4":
-            entry["mode"] = "fair" if config.rounds is None else "exact"
-        requirements[req] = entry
-    if findings:
-        return None, findings
-    section = {
-        "schema": FORMULAS_SCHEMA_VERSION,
-        "group_size": len(perms),
-        "requirements": requirements,
-        # every requirement checked on the plain LTS (1, 2, 4) is
-        # invariant or orbit-closed, so the plain sweep may take the
-        # full symmetry quotient instead of ample-only
-        "plain_quotient": "full",
-    }
-    return section, findings
+    return findings
 
 
 def vocabulary_findings(
@@ -414,7 +335,8 @@ def vocabulary_findings(
 
 
 def licenses_full_quotient(certificate: object) -> bool:
-    """Whether a validated certificate's ``formulas`` section licenses
-    the full symmetry quotient for the plain (probe-free) LTS."""
-    section = getattr(certificate, "formulas", None)
-    return bool(section) and section.get("plain_quotient") == "full"
+    """Whether ``certificate`` licenses the full symmetry quotient for
+    the plain LTS: every certificate does (see the module docstring)."""
+    # kept only for the benchmark's reduction passes, which still call
+    # it; the benchmark change of ROADMAP item 1(a) deletes it
+    return True

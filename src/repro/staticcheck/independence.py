@@ -6,7 +6,9 @@ footprint over the packed state fields is known statically — the
 frontier kernel's :class:`~repro.jackal.kernel.Layout` is the ground
 truth for what a "field" is. Two transitions *may commute* when
 neither writes an atom the other reads or writes; that relation is
-what the ample-set pruner in :mod:`repro.lts.certreduce` consults.
+what the ample-set pruner in :mod:`repro.lts.certreduce` consults,
+computing each footprint from the label itself
+(:func:`label_footprint`).
 
 Atoms are per-index field slots: ``thr[t]``, ``copy[p]`` (one
 processor's whole copy row — regions are few and rules touch one row
@@ -49,22 +51,6 @@ TOP = frozenset((STAR,))
 
 #: classes eligible as singleton ample sets, in priority order
 SAFE_CLASSES = ("lock_remotequeue", "lock_homequeue")
-
-#: classes whose labels requirement formulas observe — never pruned
-VISIBLE_CLASSES = frozenset(
-    (
-        "write",
-        "writeover",
-        "flush",
-        "flushover",
-        "assertion_violation",
-        "c_home",
-        "c_copy",
-        "lock_empty",
-        "homequeue_empty",
-        "remotequeue_empty",
-    )
-)
 
 _LABEL = re.compile(r"^([a-z0-9_]+)(?:\((.*)\))?$")
 
@@ -264,60 +250,3 @@ def may_commute(fp_a: Footprint, fp_b: Footprint) -> bool:
 def is_safe(label: str) -> bool:
     """Eligible as a singleton ample set (invisible by construction)."""
     return parse_label(label)[0] in SAFE_CLASSES
-
-
-def is_visible(label: str) -> bool:
-    return parse_label(label)[0] in VISIBLE_CLASSES
-
-
-def _atom_str(atom: Atom) -> str:
-    kind, idx = atom
-    return "*" if kind == "*" else f"{kind}[{idx}]"
-
-
-def ample_table(config: Config) -> dict:
-    """The per-label footprint table stored in a certificate.
-
-    Deterministic for a given configuration, so certificate validation
-    re-derives it and rejects any drift between an old certificate and
-    the current analysis (JKL305). Keys are the concrete labels of the
-    probe-enabled model's vocabulary.
-    """
-    from dataclasses import replace
-
-    from repro.jackal.model import JackalModel
-    from repro.jackal.params import ProtocolVariant
-    from repro.staticcheck.labelcheck import model_labels
-
-    # the vocabulary union over both Error-1 spellings, so one table
-    # serves every variant of the topology
-    labels: set[str] = set()
-    for variant in (ProtocolVariant.fixed(), ProtocolVariant.error1()):
-        labels |= model_labels(
-            JackalModel(replace(config, with_probes=True), variant)
-        )
-    table: dict[str, dict[str, object]] = {}
-    for label in sorted(labels):
-        reads, writes = label_footprint(label, config)
-        table[label] = {
-            "reads": sorted(map(_atom_str, reads)),
-            "writes": sorted(map(_atom_str, writes)),
-            "safe": is_safe(label),
-            "visible": is_visible(label),
-        }
-    return {
-        "atoms": [
-            "thr[t]",
-            "copy[p]",
-            "hq[p]",
-            "hqa[p]",
-            "rq[p]",
-            "rqa[p]",
-            "lock[p]",
-            "mig[p]",
-            "migpend[p]",
-        ],
-        "safe_classes": list(SAFE_CLASSES),
-        "visible_classes": sorted(VISIBLE_CLASSES),
-        "labels": table,
-    }

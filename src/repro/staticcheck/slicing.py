@@ -25,37 +25,34 @@ For the Jackal spec the analysis finds exactly the ``rstate`` family
 read-state bookkeeping the protocol threads through messages and copy
 rows but that no guard ever reads and no kept field is ever computed
 from — it only flows into itself. Every requirement formula closes
-over ``T*`` (any-action paths), so every label class is observable for
-every requirement and the per-requirement slices coincide; the section
-records them per requirement regardless, with ``common_dropped`` as
-the intersection the backends project by.
+over ``T*`` (any-action paths), and Requirements 1 and 2 observe the
+whole transition relation, so every label class is observable for
+every requirement: one cone over all classes is every requirement's
+slice, and the certificate's ``slice_fields`` are what the backends
+project by.
 
 Trust chain (all refusals are **JKL403**):
 
-* :func:`_refutations` statically re-checks a dropped set against the
-  current flow table — a guard reading a dropped field, or a dropped
+* :func:`_refutations` statically checks the dropped set against the
+  flow table — a guard reading a dropped field, or a dropped
   field flowing into a kept one, refuses the slice;
 * :func:`selftest_findings` replays the congruence on a bounded
   breadth-first sample: ``successors(project(s))`` must equal
   ``project(successors(s))`` label-for-label (static analysis never
   builds an LTS — this samples exactly like the equivariance
-  self-test);
-* certificate validation re-derives :func:`_slices_section` and rejects
-  drift as JKL404 (see :mod:`repro.staticcheck.certificates`).
+  self-test).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from dataclasses import replace
+from typing import TYPE_CHECKING, Iterable
 
 from repro.staticcheck.findings import Finding, Severity
 from repro.staticcheck.independence import STAR, parse_label
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.jackal.params import Config
-
-#: version of the ``slices`` certificate section layout
-SLICES_SCHEMA_VERSION = 1
 
 #: every packed sub-field, index-uniform (a slice drops a field at
 #: every processor/thread index, so projection commutes with the
@@ -201,50 +198,31 @@ def class_flows(
     return flows
 
 
-def _label_classes(table: dict) -> tuple[str, ...]:
-    """The label classes of an ``ample_table``'s vocabulary (union over
-    variants, probe labels included), one representative per class."""
+def _label_classes(config: "Config") -> tuple[str, ...]:
+    """One representative label per class of ``config``'s vocabulary
+    (the union over both Error-1 spellings, probe labels included)."""
+    from repro.jackal.model import JackalModel
+    from repro.jackal.params import ProtocolVariant
+    from repro.staticcheck.labelcheck import model_labels
+
+    labels: set[str] = set()
+    for variant in (ProtocolVariant.fixed(), ProtocolVariant.error1()):
+        labels |= model_labels(
+            JackalModel(replace(config, with_probes=True), variant)
+        )
     seen: dict[str, str] = {}
-    for label in table["labels"]:
+    for label in sorted(labels):
         seen.setdefault(parse_label(label)[0], label)
     return tuple(seen[name] for name in sorted(seen))
 
 
-def _observes_every_class(formula: object) -> bool:
-    """Whether a formula's regulars quantify over arbitrary actions
-    (``T*`` paths or negated predicates), making every class
-    observable. All shipped requirement formulas do."""
-    from repro.mucalc.syntax import AnyAct, NotAct, subformulas
-
-    for sub in subformulas(formula):
-        reg = getattr(sub, "reg", None)
-        if reg is None:
-            continue
-        stack = [reg]
-        while stack:
-            node = stack.pop()
-            pred = getattr(node, "pred", None)
-            if isinstance(pred, (AnyAct, NotAct)):
-                return True
-            for attr in ("left", "right", "inner"):
-                child = getattr(node, attr, None)
-                if child is not None:
-                    stack.append(child)
-    return False
-
-
-def _cone(config, classes, observable):
+def _cone(config, classes):
     """``(kept, dropped)`` fine fields of ``config``'s label ``classes``.
 
-    Seeds the closure with the guard sets of the observable classes
-    (``None`` = every class) and saturates over the flow graph: a
-    field in the cone pulls in every field it is computed from.
+    Seeds the closure with the guard sets of every class (all are
+    observable) and saturates over the flow graph: a field in the cone
+    pulls in every field it is computed from.
     """
-    if observable is not None:
-        wanted = set(observable)
-        classes = tuple(
-            c for c in classes if parse_label(c)[0] in wanted
-        ) or classes
     guards = {c: fine_footprint(c, config)[0] for c in classes}
     flows = {c: class_flows(c, config) for c in classes}
     relevant: set[str] = set()
@@ -266,10 +244,8 @@ def _refutations(config, classes, dropped) -> list[Finding]:
     """JKL403 findings refuting a dropped-field set.
 
     A slice is sound iff no guard of ``classes`` observes a dropped
-    field and no dropped field flows into a kept one; both are
-    re-checked against the *current* flow table, so a slice certified
-    against an older spec is refused here rather than silently
-    mis-projected.
+    field and no dropped field flows into a kept one, both read off
+    the flow table (:func:`fine_footprint`, :func:`class_flows`).
     """
     dropped = frozenset(dropped)
     findings: list[Finding] = []
@@ -329,57 +305,14 @@ def _refutations(config, classes, dropped) -> list[Finding]:
 
 
 def _slices_section(
-    config: "Config", table: dict
-) -> tuple[dict | None, list[Finding]]:
-    """Derive the ``slices`` certificate section for ``config`` from
-    its ``ample_table``, which the caller holds.
-
-    Pure and deterministic — certificate validation re-derives it and
-    rejects drift as JKL404. Returns ``(section, findings)``; the
-    section is ``None`` when the derived slice fails its own static
-    verification (JKL403), which on the shipped spec it never does.
-    """
-    from repro.staticcheck.formulasym import requirement_formula_families
-
-    classes = _label_classes(table)
-    families = requirement_formula_families(config)
-    requirements: dict[str, dict] = {}
-    all_dropped: list[frozenset[str]] = []
-    findings: list[Finding] = []
-
-    def entry(observable: Iterable[str] | None) -> dict:
-        kept, dropped = _cone(config, classes, observable)
-        findings.extend(_refutations(config, classes, dropped))
-        all_dropped.append(dropped)
-        return {
-            "observable_classes": (
-                "all" if observable is None else sorted(observable)
-            ),
-            "kept": sorted(kept),
-            "dropped": sorted(dropped),
-        }
-
-    # requirements 1 (deadlock freeness) and 2 (assertion reachability)
-    # observe the whole transition relation
-    requirements["1"] = entry(None)
-    requirements["2"] = entry(None)
-    for req in sorted(families):
-        observes_all = any(
-            _observes_every_class(f) for _name, f in families[req]
-        )
-        requirements[req] = entry(None if observes_all else ())
-    if findings:
-        return None, findings
-    common = frozenset(_FULL)
-    for dropped in all_dropped:
-        common &= dropped
-    section = {
-        "schema": SLICES_SCHEMA_VERSION,
-        "atoms": list(UNIVERSE),
-        "requirements": requirements,
-        "common_dropped": sorted(common),
-    }
-    return section, findings
+    config: "Config",
+) -> tuple[frozenset[str], list[Finding]]:
+    """``(dropped, findings)``: the fields outside the cone of influence
+    of ``config``'s label classes, and the JKL403 refutations of
+    dropping them (none on the shipped spec)."""
+    classes = _label_classes(config)
+    _kept, dropped = _cone(config, classes)
+    return dropped, _refutations(config, classes, dropped)
 
 
 def selftest_findings(
@@ -440,15 +373,3 @@ def selftest_findings(
             if len(findings) >= max_findings:
                 return findings
     return findings
-
-
-def certified_slice(certificate: object) -> frozenset[str]:
-    """The common dropped-field set a validated certificate licenses
-    (empty when the certificate predates or refused slicing)."""
-    section = getattr(certificate, "slices", None)
-    if not isinstance(section, Mapping):
-        return frozenset()
-    return frozenset(section.get("common_dropped", ()))
-
-
-ProjectFn = Callable[[object], object]

@@ -29,9 +29,9 @@ Certification is three independent obligations:
 Once those hold, the certifier runs the two formula-directed passes —
 formula symmetrization (:mod:`repro.staticcheck.formulasym`,
 JKL401/402) and cone-of-influence slicing
-(:mod:`repro.staticcheck.slicing`, JKL403) — and puts their sections
-into the certificate alongside the group and the independence table.
-Certification is refused, never degraded, on any ERROR.
+(:mod:`repro.staticcheck.slicing`, JKL403) — and records the group and
+the certified slice in the certificate. Certification is refused, never
+degraded, on any ERROR.
 
 Soundness note: the *initial* state is deliberately not required to be
 a fixed point of the group (``initial_home`` picks a processor). The
@@ -53,7 +53,7 @@ from repro.jackal.model import JackalModel
 from repro.jackal.params import Config, ProtocolVariant
 from repro.staticcheck.findings import Finding, Severity
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # certificates imports this module
     from repro.staticcheck.certificates import ReductionCertificate
 
 #: default number of sampled states for the equivariance self-test
@@ -419,14 +419,17 @@ def certify(
     covers them); pass a model instance to certify a mutated build, as
     the CI mutation smoke does.
     """
-    from repro.staticcheck import independence
-    from repro.staticcheck.certificates import issue
+    from repro.staticcheck.certificates import ReductionCertificate
+    from repro.staticcheck.formulasym import (
+        formulas_section,
+        vocabulary_findings,
+    )
+    from repro.staticcheck.slicing import _slices_section, selftest_findings
 
-    findings: list[Finding] = []
     group = admissible_group(config)
-    nontrivial = [g for g in group if not g.is_identity]
+    nontrivial = tuple(g for g in group if not g.is_identity)
     if not nontrivial:
-        findings.append(
+        return None, [
             Finding(
                 "JKL301",
                 Severity.ERROR,
@@ -434,50 +437,31 @@ def certify(
                 "only the identity permutation is admissible for this "
                 "topology: there is no symmetry to reduce by",
             )
-        )
-        return None, findings
+        ]
     if model is None:
         model = JackalModel(replace(config, with_probes=True), variant)
-    findings.extend(_label_closure_findings(model, nontrivial))
-    if not any(f.severity == Severity.ERROR for f in findings):
-        findings.extend(
-            equivariance_findings(model, nontrivial, max_states=max_states)
+    # every pass below emits ERRORs only: any finding refuses
+    findings = _label_closure_findings(model, nontrivial)
+    if not findings:
+        findings = equivariance_findings(
+            model, nontrivial, max_states=max_states
         )
-    if any(f.severity == Severity.ERROR for f in findings):
+    if findings:
         return None, findings
-    # formula-directed passes: symmetrize the requirement formulas under
-    # the certified group and derive the cone-of-influence field slice,
-    # each with its own refusals
-    from repro.staticcheck.formulasym import (
-        formulas_section,
-        vocabulary_findings,
-    )
-    from repro.staticcheck.slicing import _slices_section, selftest_findings
-
-    formulas, formula_findings = formulas_section(config)
-    findings.extend(formula_findings)
-    if formulas is not None:
-        findings.extend(vocabulary_findings(model, config, nontrivial))
-    table = independence.ample_table(config)
-    slices, slice_findings = _slices_section(config, table)
+    # formula-directed passes: the requirement formulas must be closed
+    # under the certified group, and the cone-of-influence field slice
+    # must be a congruence, each with its own refusals
+    findings = formulas_section(config)
+    if not findings:
+        findings = vocabulary_findings(model, config, nontrivial)
+    dropped, slice_findings = _slices_section(config)
     findings.extend(slice_findings)
-    if slices is not None and not any(
-        f.severity == Severity.ERROR for f in findings
-    ):
-        dropped = frozenset(slices["common_dropped"])
-        findings.extend(
-            selftest_findings(model, dropped, max_states=max_states)
-        )
-    if any(f.severity == Severity.ERROR for f in findings):
+    if not findings:
+        findings = selftest_findings(model, dropped, max_states=max_states)
+    if findings:
         return None, findings
-    assert formulas is not None and slices is not None
-    cert = issue(
-        config,
-        variant,
-        group=nontrivial,
-        independence=table,
-        formulas=formulas,
-        slices=slices,
+    cert = ReductionCertificate(
+        replace(config, with_probes=False), variant, nontrivial, dropped
     )
     return cert, findings
 

@@ -87,14 +87,3 @@ def test_describe_decodes_protocol_state():
     s = Simulator(m)
     d = s.describe()
     assert isinstance(d, dict) and "threads" in d
-
-
-def test_random_walk_deterministic(chain_system):
-    a = Simulator(chain_system).random_walk(10, seed=3)
-    b = Simulator(chain_system).random_walk(10, seed=3)
-    assert a.labels == b.labels
-
-
-def test_random_walk_stops_at_terminal(chain_system):
-    t = Simulator(chain_system).random_walk(100, seed=1)
-    assert len(t) <= 100

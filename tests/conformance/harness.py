@@ -361,8 +361,7 @@ def _compute_reduced_kernel(cell: Cell, got) -> dict:
     for name, kwargs in runs.items():
         model = cell.model(probes=name == "probe")
         by_kernel, by_state = (
-            ReducedSystem(model, got["certified"]["cert"], _validated=True,
-                          **kwargs)
+            ReducedSystem(model, got["certified"]["cert"], **kwargs)
             for _ in range(2)
         )
         out[name] = (explore_fast(by_kernel), _counters(by_kernel),

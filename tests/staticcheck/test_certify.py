@@ -1,6 +1,7 @@
 """The certifier and what validation refuses (JKL301, JKL302, JKL305)."""
 
 import importlib
+import json
 from dataclasses import asdict, replace
 
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from repro.jackal.model import JackalModel
 from repro.jackal.params import CONFIG_1, CONFIG_2, ProtocolVariant
 from repro.staticcheck.certificates import validate
-from repro.staticcheck.independence import ample_table
-from repro.staticcheck.symmetry import certify
+from repro.staticcheck.slicing import RSTATE_FIELDS
+from repro.staticcheck.symmetry import Permutation, admissible_group, certify
 
 FIXED = ProtocolVariant.fixed()
 
@@ -34,12 +35,12 @@ def test_certify_shipped_specs(config):
     cert, findings = certify(config, FIXED)
     assert findings == []
     assert cert is not None
-    assert cert.config["threads_per_processor"] == list(
-        config.threads_per_processor
+    assert cert.config == replace(config, with_probes=False)
+    assert cert.variant == FIXED
+    assert cert.group == tuple(
+        g for g in admissible_group(config) if not g.is_identity
     )
-    assert cert.variant == asdict(FIXED)
-    assert cert.group  # at least one non-identity permutation
-    assert cert.independence == ample_table(config)
+    assert cert.slice_fields == RSTATE_FIELDS
     assert validate(cert, config, FIXED) == []
 
 
@@ -90,9 +91,10 @@ def test_certificate_for_other_config_fires_jkl305():
     assert [f.rule for f in findings] == ["JKL305"]
     assert findings[0].location == "certificate/config"
     assert findings[0].data == {
-        "expected": dict(cert.config, rounds=2),
-        "found": cert.config,
+        "expected": asdict(replace(cert.config, rounds=2)),
+        "found": asdict(cert.config),
     }
+    json.dumps(findings[0].data)  # the report's --json payload
 
 
 def test_one_certificate_serves_the_plain_and_the_probe_view():
@@ -109,44 +111,33 @@ def test_inadmissible_group_fires_jkl305():
     cert, _ = certify(CONFIG_2, FIXED)
     # CONFIG_2's processors host different thread counts: swapping
     # them is not admissible
-    cert.group = [{"pid_map": [1, 0], "tid_map": [2, 1, 0]}]
-    rules = [f.rule for f in validate(cert, CONFIG_2, FIXED)]
-    assert "JKL305" in rules
+    cert = replace(cert, group=(Permutation((1, 0), (2, 1, 0)),))
+    findings = validate(cert, CONFIG_2, FIXED)
+    assert [f.rule for f in findings] == ["JKL305"]
+    assert findings[0].data == {
+        "permutation": {"pid_map": [1, 0], "tid_map": [2, 1, 0]}
+    }
 
 
 def test_empty_group_fires_jkl305():
     cert, _ = certify(CONFIG_1, FIXED)
-    cert.group = []
-    rules = [f.rule for f in validate(cert, CONFIG_1, FIXED)]
-    assert "JKL305" in rules
-
-
-def test_independence_drift_fires_jkl305():
-    cert, _ = certify(CONFIG_1, FIXED)
-    cert.independence = dict(cert.independence, safe_classes=[])
+    cert = replace(cert, group=())
     rules = [f.rule for f in validate(cert, CONFIG_1, FIXED)]
     assert rules == ["JKL305"]
 
 
-@pytest.mark.parametrize("check", ["validate", "certify"])
-def test_one_independence_table_per_validation(monkeypatch, check):
-    # the slices section's label classes come from the table the check
-    # stores or compares, not from a table built again per slice
-    from repro.staticcheck import independence, slicing
+def test_certify_runs_one_cone(monkeypatch):
+    # every requirement observes every label class, so one cone of
+    # influence is every requirement's slice
+    from repro.staticcheck import slicing
 
-    cert, _ = certify(CONFIG_1, FIXED)
     calls = []
+    cone = slicing._cone
 
-    def counted(config):
-        calls.append(config)
-        return ample_table(config)
+    def counted(*args):
+        calls.append(args)
+        return cone(*args)
 
-    monkeypatch.setattr(independence, "ample_table", counted)
-    # slicing cannot build a table of its own: it is handed one
-    assert not hasattr(slicing, "ample_table")
-    if check == "validate":
-        assert validate(cert, CONFIG_1, FIXED) == []
-    else:
-        assert certify(CONFIG_1, FIXED)[0].independence == cert.independence
+    monkeypatch.setattr(slicing, "_cone", counted)
+    assert certify(CONFIG_1, FIXED)[0] is not None
     assert len(calls) == 1
-

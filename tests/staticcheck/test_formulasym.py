@@ -78,23 +78,29 @@ def test_orbit_formulas_conjoin_each_orbit():
 
 @pytest.mark.parametrize("config", [CONFIG_1, CONFIG_2], ids=["c1", "c2"])
 def test_shipped_families_are_orbit_closed(config):
-    section, findings = formulas_section(config)
-    assert findings == []
-    assert section is not None
-    assert section["plain_quotient"] == "full"
-    assert section["requirements"]["4"]["status"] == "orbit-closed"
-    assert section["requirements"]["3.1"]["status"] == "invariant"
+    assert formulas_section(config) == []
+    families = requirement_formula_families(config)
+    perms = _nontrivial(config)
+    # 3.1 is invariant: every permutation fixes it
+    ((_name, f31),) = families["3.1"]
+    assert all(permute_formula(f31, perm) == f31 for perm in perms)
+    # 4 is orbit-closed: permuting moves some formula to another member
+    fam4 = {f for _name, f in families["4"]}
+    images = {permute_formula(f, perm) for f in fam4 for perm in perms}
+    assert images <= fam4 and any(
+        permute_formula(f, perm) != f for f in fam4 for perm in perms
+    )
+    # and one orbit conjunction per thread orbit and completion kind
+    fair = config.rounds is None
+    assert len(requirement4_orbit_formulas(config, fair=fair)) == 2 * len(
+        thread_orbits(config)
+    )
 
 
 def test_full_quotient_license_follows_the_section():
     cert, findings = certify(CONFIG_1, FIXED)
     assert cert is not None, findings
     assert licenses_full_quotient(cert)
-
-    class NoSection:
-        formulas: dict = {}
-
-    assert not licenses_full_quotient(NoSection())
 
 
 # -- refusals ----------------------------------------------------------------
@@ -105,10 +111,9 @@ def test_asymmetric_family_is_refused_with_jkl401():
     # leaves the family, so the full quotient must be refused
     from repro.jackal.requirements import formula_4_write
 
-    section, findings = formulas_section(
+    findings = formulas_section(
         CONFIG_1, families={"4": [("only_t0", formula_4_write(0))]}
     )
-    assert section is None
     assert findings
     assert {f.rule for f in findings} == {"JKL401"}
     assert all(f.severity.name == "ERROR" for f in findings)

@@ -16,7 +16,6 @@ from repro.errors import ModelError
 from repro.jackal.codec import PROJECTABLE_FIELDS
 from repro.jackal.model import JackalModel
 from repro.jackal.params import CONFIG_1, CONFIG_2, ProtocolVariant
-from repro.staticcheck.independence import ample_table
 from repro.staticcheck.slicing import (
     RSTATE_FIELDS,
     UNIVERSE,
@@ -35,24 +34,19 @@ def _model(config):
     return JackalModel(config, FIXED)
 
 
-def _classes(config):
-    return _label_classes(ample_table(config))
-
-
 # -- the derived slice -------------------------------------------------------
 
 
 @pytest.mark.parametrize("config", [CONFIG_1, CONFIG_2], ids=["c1", "c2"])
 def test_slice_is_exactly_the_rstate_family(config):
-    section, findings = _slices_section(config, ample_table(config))
+    dropped, findings = _slices_section(config)
     assert findings == []
-    assert section is not None
-    assert frozenset(section["common_dropped"]) == RSTATE_FIELDS
+    assert dropped == RSTATE_FIELDS
     assert RSTATE_FIELDS <= PROJECTABLE_FIELDS
 
 
 def test_cone_partitions_the_universe():
-    kept, dropped = _cone(CONFIG_1, _classes(CONFIG_1), None)
+    kept, dropped = _cone(CONFIG_1, _label_classes(CONFIG_1))
     assert kept | dropped == frozenset(UNIVERSE)
     assert not kept & dropped
     assert dropped == RSTATE_FIELDS
@@ -61,7 +55,7 @@ def test_cone_partitions_the_universe():
 def test_verify_slice_refuses_observed_fields():
     # dropping a field every guard reads must be a JKL403 refusal
     findings = _refutations(
-        CONFIG_1, _classes(CONFIG_1), RSTATE_FIELDS | {"thr.phase"}
+        CONFIG_1, _label_classes(CONFIG_1), RSTATE_FIELDS | {"thr.phase"}
     )
     assert findings
     assert {f.rule for f in findings} == {"JKL403"}
@@ -70,7 +64,7 @@ def test_verify_slice_refuses_observed_fields():
 
 
 def test_verify_slice_refuses_unknown_fields():
-    findings = _refutations(CONFIG_1, _classes(CONFIG_1), {"no.such.field"})
+    findings = _refutations(CONFIG_1, _label_classes(CONFIG_1), {"no.such.field"})
     assert {f.rule for f in findings} == {"JKL403"}
 
 
