@@ -1,11 +1,11 @@
 """English narration of protocol traces.
 
 Every label emitted by :class:`~repro.jackal.model.JackalModel` has a
-template here; :func:`explain_trace` renders a counterexample as a
-numbered story, and :func:`narrate_trace` interleaves it with the
-evolving home/WriterList context obtained by replaying the trace — the
-"automatic execution and interpretation of long traces" the paper asks
-for in its conclusions.
+template here (:func:`explain_label`); :func:`narrate_trace` replays a
+counterexample with :func:`~repro.lts.trace.replay` and renders it as a
+numbered story interleaved with the evolving home/WriterList context —
+the "automatic execution and interpretation of long traces" the paper
+asks for in its conclusions.
 """
 
 from __future__ import annotations
@@ -87,29 +87,17 @@ def explain_label(label: str) -> str:
     return label  # unknown labels pass through unchanged
 
 
-def explain_trace(trace: Trace | list[str]) -> list[str]:
-    """Explain every step of a trace."""
-    labels = trace.labels if isinstance(trace, Trace) else trace
-    return [explain_label(lab) for lab in labels]
-
-
 def _context(model, state) -> str:
     """Compact protocol context: homes, writers, queue occupancy."""
     d = model.decode_state(state)
     if d.get("violation"):
         return "!! assertion-violation state"
-    homes = ",".join(
-        f"r{r}@p{d['copies'][p][r]['home']}"
-        for p in range(1)  # homes agree per copy; show p0's view plus diffs
-        for r in range(model.n_regions)
-    )
     views = []
     for r in range(model.n_regions):
         ptrs = [d["copies"][p][r]["home"] for p in range(model.n_proc)]
         writers = d["copies"][ptrs[0]][r]["writers"] if 0 <= ptrs[0] < model.n_proc else []
         views.append(f"r{r}: home-ptrs={ptrs} writers={writers}")
     q = sum(1 for m in d["homequeue"] + d["remotequeue"] if m)
-    del homes
     return "; ".join(views) + f"; msgs-in-flight={q}"
 
 

@@ -178,10 +178,6 @@ class StateCodec:
 
         return project
 
-    def project(self, state, dropped):
-        """``state`` with the ``dropped`` fine fields retracted."""
-        return self.projector(dropped)(state)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"StateCodec(T={self.T}, P={self.P}, R={self.R}, "

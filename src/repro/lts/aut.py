@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import re
+from array import array
 from pathlib import Path
 from typing import TextIO
 
@@ -89,25 +90,28 @@ def read_aut(source: str | Path | TextIO) -> LTS:
             f"header: initial state {initial} out of range (header says "
             f"{n_states} states)"
         )
-    lts = LTS(initial=initial)
-    lts.ensure_states(n_states)
-    count = 0
+    src, lbl, dst = array("i"), array("i"), array("i")
+    label_ids: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        src, label, dst = _parse_transition(line, lineno)
-        if not (0 <= src < n_states and 0 <= dst < n_states):
+        s, label, d = _parse_transition(line, lineno)
+        if not (0 <= s < n_states and 0 <= d < n_states):
             raise AutFormatError(
                 f"line {lineno}: state index out of range (header says "
                 f"{n_states} states)"
             )
-        lts.add_transition(src, label, dst)
-        count += 1
-    if count != n_trans:
+        src.append(s)
+        lbl.append(label_ids.setdefault(label, len(label_ids)))
+        dst.append(d)
+    if len(src) != n_trans:
         raise AutFormatError(
-            f"header promises {n_trans} transitions, found {count}"
+            f"header promises {n_trans} transitions, found {len(src)}"
         )
-    return lts
+    return LTS.from_columns(
+        initial=initial, n_states=n_states, src=src, lbl=lbl, dst=dst,
+        labels=label_ids,
+    )
 
 
 def write_aut(lts: LTS, target: str | Path | TextIO | None = None) -> str:

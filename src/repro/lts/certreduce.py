@@ -115,15 +115,6 @@ class ReducedSystem:
         #: successors changed by the certified slice projection
         self.slice_hits = 0
 
-    def __getattr__(self, name):
-        if name == "system":  # guard: __init__ may not have run yet
-            raise AttributeError(name)
-        # config, variant, is_done_state, pid_of, ... fall through
-        return getattr(self.system, name)
-
-    def codec(self):
-        return self._codec
-
     def kernel(self) -> ReducedKernel:
         """The reduction over the wrapped system's kernel — never the
         wrapped kernel itself, which knows nothing of the reduction."""
@@ -455,8 +446,8 @@ def unfold_quotient(quotient: QuotientLTS, certificate) -> LTS:
         columns.append((ids, gamma * L + lbl[edge], node[keys]))
     src, lbl, dst = map(np.concatenate, zip(*columns))
     names = [g.apply_label(b) for g in group for b in quotient.labels]
-    # relabelled({}) interns the labels in first-appearance order, as
-    # add_transition would, merging the names two frames share
+    # relabelled({}) interns the labels in first-appearance order,
+    # merging the names two frames share
     return LTS.from_columns(
         initial=0, n_states=n_nodes, src=src, lbl=lbl, dst=dst, labels=names,
     ).relabelled({})

@@ -31,13 +31,6 @@ class Lasso:
     def __len__(self) -> int:
         return len(self.prefix) + len(self.cycle)
 
-    def format(self) -> str:
-        """Readable rendering with the cycle marked."""
-        out = [self.prefix.format()] if len(self.prefix) else []
-        out.append("-- cycle --")
-        out.append(self.cycle.format())
-        return "\n".join(out)
-
 
 def _on_nontrivial_scc(sub: LTS, roots: np.ndarray) -> np.ndarray:
     """Boolean vector: states of ``sub`` in an SCC of two or more states.

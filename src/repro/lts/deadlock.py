@@ -20,6 +20,7 @@ from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
+from repro.errors import ReproError
 from repro.lts.frontier import expand
 from repro.lts.lts import LTS
 from repro.lts.trace import Trace
@@ -126,8 +127,8 @@ def find_deadlocks(
         The system under analysis. When ``is_valid_end`` is given, the
         LTS must carry state metadata (``keep_states=True`` during
         exploration) for the terminal states so the predicate can be
-        evaluated; terminal states without metadata are conservatively
-        reported as deadlocks.
+        evaluated; a terminal state without metadata is a
+        :class:`~repro.errors.ReproError`, never a deadlock verdict.
     ignore_labels:
         Labels that do not count as activity (probe self-loops).
     is_valid_end:
@@ -141,7 +142,13 @@ def find_deadlocks(
     for s in terminal:
         if is_valid_end is not None:
             meta = lts.state_meta.get(s)
-            if meta is not None and is_valid_end(meta):
+            if meta is None:
+                raise ReproError(
+                    f"terminal state {s} carries no state metadata to tell "
+                    "proper termination from deadlock: build the LTS with "
+                    "keep_states=True"
+                )
+            if is_valid_end(meta):
                 ok.append(s)
                 continue
         deadlocks.append(s)

@@ -53,10 +53,10 @@ class RowStates(Mapping):
 
     A packed row is a fraction of the tuple tree it stands for, and most
     consumers read a handful of states (Requirement 1: the terminal
-    ones), so states are decoded when asked for. :meth:`values` and
-    :meth:`items` decode everything in bulk — a snapshot list, not a
-    view, at a fraction of the per-row cost. The rows are the row set's
-    segments (:meth:`RowSet.segments`), read in place.
+    ones), so states are decoded when asked for. :meth:`values` decodes
+    everything in bulk — a snapshot list, not a view, at a fraction of
+    the per-row cost. The rows are the row set's segments
+    (:meth:`RowSet.segments`), read in place.
     """
 
     def __init__(self, kernel, segments: list[np.ndarray]):
@@ -84,9 +84,6 @@ class RowStates(Mapping):
             state for seg in self._segments
             for state in self._kernel.unpack(seg)
         ]
-
-    def items(self) -> list:  # type: ignore[override]
-        return list(enumerate(self.values()))
 
 
 class Observations:

@@ -3,15 +3,18 @@
 :func:`explore` turns any object implementing the
 :class:`TransitionSystem` protocol (an initial state plus a successor
 function over hashable states) into an explicit :class:`~repro.lts.LTS`
-by breadth-first search, one state at a time. It is the oracle the
-engine (:func:`repro.lts.engine.explore_fast`) is tested against. BFS
-order matters: state 0 is the initial state and the discovered distance
-ordering lets deadlock analysis return *shortest* error traces, exactly
-how the paper's counterexamples were extracted.
+by breadth-first search, one state at a time: it fills ``array('i')``
+transition columns and adopts them once
+(:meth:`~repro.lts.lts.LTS.from_columns`), as the engine does. It is
+the oracle the engine (:func:`repro.lts.engine.explore_fast`) is tested
+against. BFS order matters: state 0 is the initial state and the
+discovered distance ordering lets deadlock analysis return *shortest*
+error traces, exactly how the paper's counterexamples were extracted.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Protocol, runtime_checkable
 
@@ -107,28 +110,32 @@ def explore(
     if stats is None:
         stats = ExplorationStats()
     t0 = clock()
-    lts = LTS(initial=0)
     init = system.initial_state()
     index: dict[Hashable, int] = {init: 0}
-    lts.ensure_states(1)
     state_meta: dict[int, Hashable] = {}
-    lts.state_meta = state_meta
     if keep_states:
         state_meta[0] = init
+    src, lbl, dst = array("i"), array("i"), array("i")
+    label_ids: dict[str, int] = {}
 
     frontier: list[Hashable] = [init]
     depth = 0
     level_sizes = [1]
     max_frontier = 1
-    add_transition = lts.add_transition
 
-    def _finish_stats() -> None:
+    def _built() -> LTS:
+        lts = LTS.from_columns(
+            initial=0, n_states=len(index), src=src, lbl=lbl, dst=dst,
+            labels=label_ids,
+        )
+        lts.state_meta = state_meta
         stats.states = len(index)
-        stats.transitions = lts.n_transitions
+        stats.transitions = len(src)
         stats.max_frontier = max_frontier
         stats.seconds = clock() - t0
         stats.depth = depth
         stats.level_sizes = level_sizes
+        return lts
 
     while frontier:
         next_frontier: list[Hashable] = []
@@ -139,26 +146,23 @@ def explore(
                 if didx is None:
                     didx = len(index)
                     index[nxt] = didx
-                    lts.ensure_states(didx + 1)
                     if keep_states:
                         state_meta[didx] = nxt
                     next_frontier.append(nxt)
-                    if max_states is not None and len(index) > max_states:
-                        add_transition(sidx, label, didx)
-                        max_frontier = max(max_frontier, len(next_frontier))
-                        _finish_stats()
-                        raise ExplorationLimitError(
-                            f"state limit {max_states} exceeded at depth {depth}",
-                            partial=lts,
-                            stats=stats,
-                        )
-                add_transition(sidx, label, didx)
+                src.append(sidx)
+                lbl.append(label_ids.setdefault(label, len(label_ids)))
+                dst.append(didx)
+                if max_states is not None and len(index) > max_states:
+                    max_frontier = max(max_frontier, len(next_frontier))
+                    raise ExplorationLimitError(
+                        f"state limit {max_states} exceeded at depth {depth}",
+                        partial=_built(),
+                        stats=stats,
+                    )
         depth += 1
         frontier = next_frontier
         if frontier:
             level_sizes.append(len(frontier))
         max_frontier = max(max_frontier, len(frontier))
 
-    _finish_stats()
-    return lts
-
+    return _built()

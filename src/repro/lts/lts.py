@@ -1,10 +1,11 @@
 """In-memory labelled transition system.
 
 States are dense integers ``0..n_states-1``; labels are interned strings.
-The representation favours the access patterns of the analyses in this
-package: appending during generation, then whole-array passes (numpy)
-over the transition columns and their forward and reverse CSR
-adjacency during model checking.
+An LTS is built once, from columns a sweep (or a reader) filled, by
+:meth:`LTS.from_columns`; it has no mutator. The representation favours
+the access patterns of the analyses in this package: whole-array passes
+(numpy) over the transition columns and their forward and reverse CSR
+adjacency.
 
 The label ``"tau"`` (also written ``i`` in CADP) denotes the hidden
 action; :data:`TAU` is the canonical spelling used throughout.
@@ -13,9 +14,14 @@ action; :data:`TAU` is the canonical spelling used throughout.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence,
+)
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.lts.engine import Observations
 
 
 TAU = "tau"
@@ -40,9 +46,9 @@ def _readonly_view(column: array) -> np.ndarray:
 def _reinterned(
     names: Sequence[str], lbl: np.ndarray
 ) -> tuple[np.ndarray, list[str]]:
-    """Intern ``names[i]`` for the label ids in column ``lbl`` the way a
-    row-by-row ``add_transition`` would: dense ids in first-appearance
-    order, equal names merged, names no row uses left out."""
+    """Intern ``names[i]`` for the label ids in column ``lbl``: dense ids
+    in first-appearance order, equal names merged, names no row uses
+    left out."""
     used, first = np.unique(lbl, return_index=True)
     table: dict[str, int] = {}
     remap = np.zeros(len(names), dtype=np.int32)
@@ -60,12 +66,8 @@ class Transition(NamedTuple):
 
 
 class LTS:
-    """A finite labelled transition system.
-
-    Parameters
-    ----------
-    initial:
-        Index of the initial state (conventionally 0).
+    """A finite labelled transition system, built once by
+    :meth:`from_columns` and never changed after.
 
     Notes
     -----
@@ -89,12 +91,7 @@ class LTS:
 
     An LTS whose ``src`` column is already nondecreasing (every LTS a
     breadth-first sweep emits) needs no permutation: its forward CSR
-    aliases the column views and costs only the offsets. A numpy view
-    pins the ``array('i')`` buffer it exports (``append`` would raise
-    ``BufferError``), so every mutator drops the cached views and CSR
-    first; a caller must not keep a view across a mutation it cares to
-    observe — a view that is still alive keeps showing the old data and
-    the LTS moves on to a private copy of its columns.
+    aliases the column views and costs only the offsets.
     """
 
     __slots__ = (
@@ -104,7 +101,6 @@ class LTS:
         "_lbl",
         "_dst",
         "labels",
-        "_label_index",
         "_cols",
         "_fwd",
         "_rev",
@@ -112,56 +108,21 @@ class LTS:
         "observed",
     )
 
-    def __init__(self, initial: int = 0):
-        self.initial = initial
-        self._n_states = 0
-        self._src: array = array("i")
-        self._lbl: array = array("i")
-        self._dst: array = array("i")
-        self.labels: list[str] = []
-        self._label_index: dict[str, int] = {}
-        self._cols: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._fwd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._rev: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        #: optional per-state annotations (e.g. the decoded model state);
-        #: a kernel sweep's is read-only and decodes on access
-        self.state_meta: Mapping[int, object] = {}
-        #: the moves a sweep observed instead of storing them
-        #: (:class:`repro.lts.engine.Observations`), if it observed any
-        self.observed = None
-
-    # -- construction -------------------------------------------------
-
-    def ensure_states(self, n: int) -> None:
-        """Grow the state set so it contains at least ``n`` states."""
-        if n > self._n_states:
-            self._n_states = n
-            self._cols = self._fwd = self._rev = None
-
-    def label_id(self, label: str) -> int:
-        """Intern ``label`` and return its dense integer id."""
-        idx = self._label_index.get(label)
-        if idx is None:
-            idx = len(self.labels)
-            self.labels.append(label)
-            self._label_index[label] = idx
-        return idx
-
-    def add_transition(self, src: int, label: str, dst: int) -> None:
-        """Append transition ``src --label--> dst`` (states auto-grown)."""
-        self.ensure_states(max(src, dst) + 1)
-        self._cols = self._fwd = self._rev = None
-        try:
-            self._src.append(src)
-        except BufferError:
-            # somebody still holds a columns() view: leave them the old
-            # buffers and carry on with private copies
-            self._src = array("i", self._src)
-            self._lbl = array("i", self._lbl)
-            self._dst = array("i", self._dst)
-            self._src.append(src)
-        self._lbl.append(self.label_id(label))
-        self._dst.append(dst)
+    initial: int
+    labels: list[str]
+    #: optional per-state annotations (e.g. the decoded model state); a
+    #: kernel sweep's is read-only and decodes on access
+    state_meta: Mapping[int, object]
+    #: the moves a sweep observed instead of storing them, if it
+    #: observed any
+    observed: Observations | None
+    _n_states: int
+    _src: array
+    _lbl: array
+    _dst: array
+    _cols: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    _fwd: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    _rev: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
     @classmethod
     def from_columns(
@@ -174,15 +135,16 @@ class LTS:
         dst: Sequence[int],
         labels: Iterable[str],
     ) -> "LTS":
-        """Adopt pre-built transition columns without per-call overhead.
+        """The one constructor: adopt pre-built transition columns.
 
-        This is the bulk construction path used by the exploration
-        engine: ``src``/``lbl``/``dst`` are parallel columns (anything
+        ``src``/``lbl``/``dst`` are parallel columns (anything
         ``array('i')`` accepts, or numpy integer arrays), ``labels`` the
         interned label table indexed by ``lbl``. Columns are adopted
-        as-is when they already are ``array('i')``.
+        as-is when they already are ``array('i')``, and the caller does
+        not append to them afterwards.
         """
-        lts = cls(initial=initial)
+        lts = object.__new__(cls)
+        lts.initial = initial
         lts._n_states = n_states
         lts._src = _as_column(src)
         lts._lbl = _as_column(lbl)
@@ -190,7 +152,9 @@ class LTS:
         if not (len(lts._src) == len(lts._lbl) == len(lts._dst)):
             raise ValueError("transition columns must have equal length")
         lts.labels = list(labels)
-        lts._label_index = {lab: i for i, lab in enumerate(lts.labels)}
+        lts._cols = lts._fwd = lts._rev = None
+        lts.state_meta = {}
+        lts.observed = None
         return lts
 
     # -- basic queries -------------------------------------------------
@@ -218,7 +182,7 @@ class LTS:
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only ``int32`` numpy views ``(src, label_id, dst)`` of the
-        transition columns — no copy; see the class notes on lifetime."""
+        transition columns — no copy."""
         if self._cols is None:
             self._cols = (
                 _readonly_view(self._src),
@@ -256,20 +220,6 @@ class LTS:
             src, lbl, dst = self.columns()
             self._rev = self._csr(dst, lbl, src)
         return self._rev
-
-    def successors(self, state: int) -> list[tuple[str, int]]:
-        """Outgoing ``(label, dst)`` pairs of ``state``."""
-        offsets, lbl, dst = self.forward_csr()
-        lo, hi = offsets[state], offsets[state + 1]
-        labels = self.labels
-        return [
-            (labels[lab], d)
-            for lab, d in zip(lbl[lo:hi].tolist(), dst[lo:hi].tolist())
-        ]
-
-    def enabled_labels(self, state: int) -> set[str]:
-        """Set of labels enabled in ``state``."""
-        return {label for label, _dst in self.successors(state)}
 
     def deadlock_states(self, ignore_labels: Iterable[str] = ()) -> list[int]:
         """States with no outgoing transition.
@@ -328,5 +278,5 @@ class LTS:
         )
         return mine == theirs
 
-    def __hash__(self):  # noqa: D105 - mutable container, identity hash
+    def __hash__(self):  # noqa: D105 - identity hash, as __eq__ is structural
         return id(self)

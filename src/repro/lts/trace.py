@@ -1,10 +1,14 @@
-"""Execution traces and trace replay.
+"""Execution traces and the one trace replayer.
 
 A :class:`Trace` is a finite sequence of action labels, optionally
 annotated with the states it passes through. The paper reports that its
 shortest error traces exceeded 100 transitions and typical deadlock
 traces exceeded 300; the trace machinery here is what lets us measure
 those lengths in the reproduction.
+
+:func:`replay` is the only code that replays a trace on a model: a
+counterexample counts as evidence only if it replays label for label,
+so a label that is not enabled (or a prefix of one) is refused.
 """
 
 from __future__ import annotations
@@ -45,15 +49,6 @@ class Trace:
         if not self.states:
             raise TraceError("trace carries no state annotations")
         return self.states[-1]
-
-    def count(self, label: str) -> int:
-        """Occurrences of ``label`` in the trace."""
-        return sum(1 for lab in self.labels if lab == label)
-
-    def prefix(self, n: int) -> "Trace":
-        """The first ``n`` steps."""
-        states = self.states[: n + 1] if self.states else ()
-        return Trace(self.labels[:n], states)
 
     def format(self, *, numbered: bool = True) -> str:
         """Human-readable one-action-per-line rendering."""

@@ -31,7 +31,6 @@ from repro.mucalc.syntax import (
     ActLit,
     NotAct,
     OrAct,
-    AndAct,
     Regular,
     RAct,
     RSeq,
@@ -42,7 +41,7 @@ from repro.mucalc.syntax import (
 )
 from repro.mucalc.parser import parse_formula
 from repro.mucalc.checker import check, check_many, holds
-from repro.mucalc.diagnostics import witness_diamond, counterexample_box
+from repro.mucalc.diagnostics import witness_diamond
 
 __all__ = [
     "Formula",
@@ -61,7 +60,6 @@ __all__ = [
     "ActLit",
     "NotAct",
     "OrAct",
-    "AndAct",
     "Regular",
     "RAct",
     "RSeq",
@@ -74,5 +72,4 @@ __all__ = [
     "check_many",
     "holds",
     "witness_diamond",
-    "counterexample_box",
 ]

@@ -1,17 +1,13 @@
 """Witness and counterexample extraction.
 
 The paper's analysts spent "a lot of time" interpreting error traces, so
-diagnostics are first-class here. For the two most common verdict
-shapes:
+diagnostics are first-class here. :func:`witness_diamond` returns, for
+``<R> f``, a shortest path matching ``R`` that ends in an ``f``-state.
+A counterexample to ``[R] f`` is the witness of ``<R> not f``.
 
-* ``<R> f`` fails/holds — :func:`witness_diamond` returns a shortest
-  path matching ``R`` that ends in an ``f``-state (the witness);
-* ``[R] f`` fails — :func:`counterexample_box` returns a shortest path
-  matching ``R`` that ends in a state violating ``f``.
-
-Both compile the regular formula to a Thompson NFA over action
-predicates and run a breadth-first search on the product of the LTS with
-the NFA, so the returned traces are genuinely shortest.
+The search compiles the regular formula to a Thompson NFA over action
+predicates and runs a breadth-first search on the product of the LTS
+with the NFA, so the returned traces are genuinely shortest.
 """
 
 from __future__ import annotations
@@ -164,12 +160,3 @@ def witness_diamond(lts: LTS, reg: Regular, inner: Formula) -> Trace | None:
     goal = check(lts, inner)
     return _product_search(lts, reg, goal)
 
-
-def counterexample_box(lts: LTS, reg: Regular, inner: Formula) -> Trace | None:
-    """Shortest counterexample for ``[reg] inner`` from the initial state.
-
-    Returns a path matching ``reg`` that ends in a state violating
-    ``inner``, or ``None`` when the box formula holds initially.
-    """
-    goal = ~check(lts, inner)
-    return _product_search(lts, reg, goal)

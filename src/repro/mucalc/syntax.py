@@ -4,8 +4,7 @@ Three layers, as in the logic used by the paper:
 
 * **action predicates** — match individual transition labels
   (:class:`AnyAct` is the paper's ``T``; :class:`ActLit` a quoted label;
-  boolean combinations via :class:`NotAct`, :class:`OrAct`,
-  :class:`AndAct`);
+  complement :class:`NotAct` and union :class:`OrAct`);
 * **regular formulas** — regular expressions over action predicates
   (:class:`RAct`, concatenation :class:`RSeq`, union :class:`RAlt`,
   iteration :class:`RStar`), used inside modalities: ``[T*.a] F``;
@@ -95,20 +94,6 @@ class OrAct(ActionPredicate):
 
     def __str__(self) -> str:
         return f"({self.left} or {self.right})"
-
-
-@dataclass(frozen=True)
-class AndAct(ActionPredicate):
-    """Intersection of two predicates."""
-
-    left: ActionPredicate
-    right: ActionPredicate
-
-    def matches(self, label: str) -> bool:
-        return self.left.matches(label) and self.right.matches(label)
-
-    def __str__(self) -> str:
-        return f"({self.left} and {self.right})"
 
 
 # ---------------------------------------------------------------------------

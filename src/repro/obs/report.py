@@ -62,13 +62,14 @@ def whole_run(events: list[dict]) -> dict:
     ``sweeps_s`` + ``checks_s`` + ``unattributed_s`` = ``span_s``, the
     ``t`` of the last event. A span counts its own ``seconds`` less
     those of the counted spans nearest inside it (by ``parent`` ids): a
-    sweep inside a check counts once, as sweep time. Events without ids
-    (older traces) count whole, as top-level spans. Only a trace from
-    before the probes were observed as bits has ``lts_derive`` spans,
-    and ``lts_derive_s``.
+    sweep inside a check counts once, as sweep time (a certified
+    Requirement 4 handed an LTS without winners, as
+    ``benchmarks/pipeline/make_expected.py`` does, sweeps the quotient
+    inside its check). Events without ids
+    (older traces) count whole, as top-level spans.
     """
     spans = {e["span"]: e for e in events if "span" in e}
-    parts = {"sweep_end": 0.0, "lts_derive": 0.0, "check": 0.0}
+    parts = {"sweep_end": 0.0, "check": 0.0}
     for e in events:
         if e.get("ev") not in parts:
             continue
@@ -82,12 +83,12 @@ def whole_run(events: list[dict]) -> dict:
         if outer is not None and outer.get("ev") in parts:
             parts[outer["ev"]] -= seconds
     span = max((e["t"] for e in events if "t" in e), default=0.0)
-    run = {"span_s": round(span, 6), "sweeps_s": round(parts["sweep_end"], 6)}
-    if any(e.get("ev") == "lts_derive" for e in events):
-        run["lts_derive_s"] = round(parts["lts_derive"], 6)
-    run["checks_s"] = round(parts["check"], 6)
-    run["unattributed_s"] = round(max(span - sum(parts.values()), 0.0), 6)
-    return run
+    return {
+        "span_s": round(span, 6),
+        "sweeps_s": round(parts["sweep_end"], 6),
+        "checks_s": round(parts["check"], 6),
+        "unattributed_s": round(max(span - sum(parts.values()), 0.0), 6),
+    }
 
 
 def _pct(part: float, total: float) -> str:
@@ -223,16 +224,6 @@ def render_report(events: list[dict]) -> str:
         lines.append("")
         lines.extend(_render_sweep(i, sweep))
 
-    derived = [e for e in events if e.get("ev") == "lts_derive"]
-    if derived:
-        lines.append("")
-        lines.extend(
-            f"derived plain LTS: {e.get('kept', 0):,} transitions kept, "
-            f"{e.get('dropped', 0):,} probe self-loops dropped "
-            f"({e.get('seconds', 0.0):.3f} s)"
-            for e in derived
-        )
-
     fixpoints = [e for e in events if e.get("ev") == "fixpoint"]
     if fixpoints:
         by_mode: dict[str, int] = {}
@@ -282,11 +273,9 @@ def render_report(events: list[dict]) -> str:
             + " + ".join(
                 f"{name} {run[key]:.3f} s ({_pct(run[key], run['span_s'])})"
                 for name, key in (
-                    ("sweeps", "sweeps_s"), ("lts_derive", "lts_derive_s"),
-                    ("checks", "checks_s"),
+                    ("sweeps", "sweeps_s"), ("checks", "checks_s"),
                     ("unattributed", "unattributed_s"),
                 )
-                if key in run
             )
         )
     return "\n".join(lines)

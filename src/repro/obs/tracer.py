@@ -156,26 +156,19 @@ class NullTracer:
     def span(self, ev: str, **fields) -> Span:
         return Span(None, ev, fields)
 
-    def events(self) -> list[dict]:
-        return []
-
-    def close(self) -> None:
-        pass
-
 
 #: the shared disabled tracer
 NULL_TRACER = NullTracer()
 
 
-def read_trace(path, *, lenient: bool = False) -> list[dict]:
+def read_trace(path) -> list[dict]:
     """Load a JSONL trace file back into a list of event dicts.
 
     Blank lines are skipped, so traces survive manual editing; a
-    malformed line raises ``json.JSONDecodeError`` with the line number
-    attached for context. With ``lenient=True`` malformed lines — the
-    truncated tail of a crashed writer — are skipped instead, and any
-    events that parsed are returned. ``repro report`` reads strictly: a
-    malformed line is a clean error, never a silent partial report.
+    malformed line (the torn tail of a crashed writer, say) raises
+    ``json.JSONDecodeError`` with the line number attached, which
+    ``repro report`` turns into a clean error, never a silent partial
+    report.
     """
     events: list[dict] = []
     with open(path) as fh:
@@ -186,14 +179,12 @@ def read_trace(path, *, lenient: bool = False) -> list[dict]:
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                if lenient:
-                    continue
                 raise json.JSONDecodeError(
                     f"{exc.msg} (trace line {lineno})", exc.doc, exc.pos
                 ) from None
             if isinstance(rec, dict):
                 events.append(rec)
-            elif not lenient:
+            else:
                 raise json.JSONDecodeError(
                     f"trace line {lineno} is not a JSON object", line, 0
                 )

@@ -46,7 +46,6 @@ from repro.mucalc.syntax import (
     ActionPredicate,
     ActLit,
     And,
-    AndAct,
     AnyAct,
     Box,
     Diamond,
@@ -85,10 +84,6 @@ def _permute_pred(pred: ActionPredicate, perm: "Permutation") -> ActionPredicate
         return NotAct(_permute_pred(pred.inner, perm))
     if isinstance(pred, OrAct):
         return OrAct(
-            _permute_pred(pred.left, perm), _permute_pred(pred.right, perm)
-        )
-    if isinstance(pred, AndAct):
-        return AndAct(
             _permute_pred(pred.left, perm), _permute_pred(pred.right, perm)
         )
     raise ReproError(f"cannot permute action predicate {pred!r}")

@@ -31,7 +31,6 @@ from repro.jackal.actions import PROBE_LABELS
 from repro.mucalc.syntax import (
     ActionPredicate,
     ActLit,
-    AndAct,
     Box,
     Diamond,
     Formula,
@@ -76,7 +75,7 @@ def _lits_in_pred(pred: ActionPredicate) -> Iterator[ActLit]:
         yield pred
     elif isinstance(pred, NotAct):
         yield from _lits_in_pred(pred.inner)
-    elif isinstance(pred, (OrAct, AndAct)):
+    elif isinstance(pred, OrAct):
         yield from _lits_in_pred(pred.left)
         yield from _lits_in_pred(pred.right)
     # AnyAct quotes no label

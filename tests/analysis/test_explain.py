@@ -2,12 +2,11 @@
 
 import dataclasses
 
-from repro.analysis.explain import explain_label, explain_trace, narrate_trace
+from repro.analysis.explain import explain_label, narrate_trace
 from repro.jackal.actions import Labels
 from repro.jackal.model import JackalModel
 from repro.jackal.params import CONFIG_1, ProtocolVariant
 from repro.jackal.requirements import check_requirement_1
-from repro.lts.trace import Trace
 
 
 def test_every_model_label_has_a_template():
@@ -33,14 +32,6 @@ def test_specific_wordings():
 
 def test_unknown_label_passthrough():
     assert explain_label("frobnicate(q9)") == "frobnicate(q9)"
-
-
-def test_explain_trace_accepts_both_types():
-    t = Trace(("write(t0)", "writeover(t0)"))
-    out1 = explain_trace(t)
-    out2 = explain_trace(["write(t0)", "writeover(t0)"])
-    assert out1 == out2
-    assert len(out1) == 2
 
 
 def test_narrate_error1_trace():

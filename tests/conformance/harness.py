@@ -26,7 +26,7 @@ narrative, and with every path it is comparable to:
 
 Counts and traces are compared wherever two paths are comparable, on
 the LTSs the checks decided on (:func:`_recorded`), and every unreduced
-counterexample replays in :class:`~repro.analysis.simulator.Simulator`.
+counterexample replays through :func:`~repro.lts.trace.replay`.
 :func:`check_cell` computes and compares every path of one cell; the
 session fixture ``_harness`` (``tests/conftest.py``) runs it once per
 cell in worker processes.
@@ -52,7 +52,6 @@ from unittest import mock
 
 import numpy as np
 
-from repro.analysis.simulator import Simulator
 from repro.errors import ExplorationLimitError
 from repro.jackal import requirements
 from repro.jackal.actions import ASSERTION_PREFIX, PROBE_LABELS
@@ -86,6 +85,7 @@ from repro.lts.certreduce import (
 from repro.lts.deadlock import shortest_trace_to
 from repro.lts.engine import SearchTree, explore_fast, search_tree
 from repro.lts.explore import ExplorationStats, explore
+from repro.lts.trace import replay
 from repro.staticcheck.symmetry import certify
 from tests import oracles
 from tests.bes import bes_holds
@@ -231,7 +231,8 @@ def _recorded():
 
     def recording(fn):
         def call(system, *args, **kwargs):
-            seen.append((system.config.with_probes,
+            model = getattr(system, "system", system)  # a ReducedSystem's
+            seen.append((model.config.with_probes,
                          fn(system, *args, **kwargs)))
             return seen[-1][1]
         return call
@@ -422,17 +423,16 @@ def _replay(cell: Cell, traces: dict) -> None:
         if labels is None:
             continue
         model = cell.model(probes=key.startswith("3"))
-        sim = Simulator(model)
-        sim.run(labels)
-        enabled = set(sim.enabled_labels())
+        state = replay(model, labels).states[-1]
+        enabled = {label for label, _ in model.successors(state)}
         if key == "1":
             assert not enabled - set(PROBE_LABELS), (cell, labels)
-            assert sim.state != VIOLATION and not model.is_done_state(sim.state)
+            assert state != VIOLATION and not model.is_done_state(state)
         if key == "3.2":
             assert enabled >= {"c_copy", "lock_empty", "homequeue_empty",
                                "remotequeue_empty"}, (cell, labels)
         if key == "end":
-            assert model.is_done_state(sim.state), (cell, labels)
+            assert model.is_done_state(state), (cell, labels)
 
 
 def _assert_first_discoverers(tree, lts) -> None:
@@ -463,11 +463,9 @@ def _compare_scalar(cell: Cell, got: dict) -> None:
     _replay(cell, {k: s[k][1] for k in REQUIREMENTS})
     if s["lasso"] is not None:
         # the cycle returns to the state the prefix reaches
-        sim = Simulator(cell.model(probes=False))
-        sim.run(s["lasso"].prefix.labels)
-        entry = sim.state
-        sim.run(s["lasso"].cycle.labels)
-        assert sim.state == entry
+        prefix, cycle = s["lasso"].prefix.labels, s["lasso"].cycle.labels
+        states = replay(cell.model(probes=False), prefix + cycle).states
+        assert states[-1] == states[len(prefix)]
 
 
 def _compare_explore_fast(cell: Cell, got: dict) -> None:

@@ -12,6 +12,7 @@ pytest.register_assert_rewrite("tests.conformance.harness")
 
 from repro.lts.lts import LTS, TAU  # noqa: E402
 from tests.conformance import harness  # noqa: E402
+from tests.oracles import lts_of  # noqa: E402
 
 
 class ChainSystem:
@@ -108,22 +109,7 @@ def chain_system():
 @pytest.fixture
 def small_lts() -> LTS:
     """0 -a-> 1 -b-> 2 -c-> 0, plus 1 -d-> 3 (terminal)."""
-    l = LTS(0)
-    l.add_transition(0, "a", 1)
-    l.add_transition(1, "b", 2)
-    l.add_transition(2, "c", 0)
-    l.add_transition(1, "d", 3)
-    return l
-
-
-@pytest.fixture
-def tau_lts() -> LTS:
-    """0 -tau-> 1 -a-> 2 ; 0 -a-> 2 (branching-bisim collapsible)."""
-    l = LTS(0)
-    l.add_transition(0, TAU, 1)
-    l.add_transition(1, "a", 2)
-    l.add_transition(0, "a", 2)
-    return l
+    return lts_of([(0, "a", 1), (1, "b", 2), (2, "c", 0), (1, "d", 3)])
 
 
 # -- hypothesis strategies --------------------------------------------------
@@ -136,24 +122,10 @@ def random_lts(draw, max_states: int = 6, max_transitions: int = 12) -> LTS:
     """A random small LTS (states reachable or not, any labels)."""
     n = draw(st.integers(min_value=1, max_value=max_states))
     m = draw(st.integers(min_value=0, max_value=max_transitions))
-    l = LTS(0)
-    l.ensure_states(n)
+    rows = []
     for _ in range(m):
         src = draw(st.integers(min_value=0, max_value=n - 1))
         dst = draw(st.integers(min_value=0, max_value=n - 1))
-        lab = draw(st.sampled_from(LABELS))
-        l.add_transition(src, lab, dst)
-    return l
+        rows.append((src, draw(st.sampled_from(LABELS)), dst))
+    return lts_of(rows, n_states=n)
 
-
-class LTSAsSystem:
-    """Adapter: treat an explicit LTS as a TransitionSystem."""
-
-    def __init__(self, lts: LTS):
-        self.lts = lts
-
-    def initial_state(self):
-        return self.lts.initial
-
-    def successors(self, s):
-        return self.lts.successors(s)

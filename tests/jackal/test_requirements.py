@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ExplorationLimitError
+from repro.errors import ExplorationLimitError, ReproError
 from repro.jackal.params import CONFIG_1, CONFIG_2, CONFIG_3, ProtocolVariant
 from repro.jackal.requirements import (
     _valid_end,
+    build_lts,
     build_model,
     check_all_requirements,
     check_requirement_1,
@@ -49,6 +50,16 @@ class TestConfig1:
         cfg = dataclasses.replace(CONFIG_1, rounds=None)
         rep = check_requirement_1(cfg, FIXED)
         assert rep.holds
+
+    def test_requirement_1_refuses_an_lts_without_states(self):
+        # a bounded model ends properly in a state with every thread
+        # done; an LTS that kept no states cannot tell that end from a
+        # deadlock, so the check refuses it instead of a false violation
+        _model, lts = build_lts(CONFIG_1, FIXED, probes=False)
+        with pytest.raises(ReproError, match="keep_states=True"):
+            check_requirement_1(CONFIG_1, FIXED, lts=lts)
+        _model, kept = build_lts(CONFIG_1, FIXED, probes=False, keep_states=True)
+        assert check_requirement_1(CONFIG_1, FIXED, lts=kept).holds
 
 
 class TestConfig2:

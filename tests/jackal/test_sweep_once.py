@@ -113,7 +113,8 @@ def test_stand_alone_requirement_1_is_decided_in_the_sweep():
 
 def test_requirement_1_on_a_partial_lts_sweeps_nothing():
     with pytest.raises(ExplorationLimitError) as exc:
-        build_lts(CONFIG_1, FIXED, probes=False, max_states=100)
+        build_lts(CONFIG_1, FIXED, probes=False, max_states=100,
+                  keep_states=True)
     partial = exc.value.partial
     with obs.Tracer(ring=100_000) as tracer, obs.activate(tracer):
         report = check_requirement_1(CONFIG_1, FIXED, lts=partial)

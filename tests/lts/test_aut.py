@@ -7,8 +7,9 @@ from hypothesis import given
 
 from repro.errors import AutFormatError
 from repro.lts.aut import read_aut, write_aut
-from repro.lts.lts import LTS, TAU
+from repro.lts.lts import TAU
 from tests.conftest import random_lts
+from tests.oracles import lts_of
 
 
 def test_roundtrip(small_lts):
@@ -23,23 +24,20 @@ def test_header_format(small_lts):
 
 
 def test_tau_written_as_i():
-    l = LTS(0)
-    l.add_transition(0, TAU, 1)
+    l = lts_of([(0, TAU, 1)])
     text = write_aut(l)
     assert "(0, i, 1)" in text
     assert read_aut(io.StringIO(text)).labels == [TAU]
 
 
 def test_quoted_labels_roundtrip():
-    l = LTS(0)
-    l.add_transition(0, 'say "hi", friend', 1)
+    l = lts_of([(0, 'say "hi", friend', 1)])
     back = read_aut(io.StringIO(write_aut(l)))
     assert back.labels == ['say "hi", friend']
 
 
 def test_parenthesised_labels_roundtrip():
-    l = LTS(0)
-    l.add_transition(0, "write(t0)", 1)
+    l = lts_of([(0, "write(t0)", 1)])
     text = write_aut(l)
     assert "(0, write(t0), 1)" in text
     assert read_aut(io.StringIO(text)) == l

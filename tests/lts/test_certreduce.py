@@ -164,7 +164,7 @@ def test_unfolding_starts_in_the_concrete_frame(config, first_labels):
     winner = ReducedKernel(red, model.kernel()).initial_winner
     assert winner > 0
     rename = cert.group[winner - 1]
-    init = model.codec().project(model.initial_state(), red.slice_fields)
+    init = model.codec().projector(red.slice_fields)(model.initial_state())
     assert rename.apply(init) == red.initial_state() != init
     assert unfold_full_quotient(model, cert).labels[:4] == first_labels
 

@@ -5,19 +5,14 @@ import dataclasses
 import pytest
 
 from repro.jackal import CONFIG_2, JackalModel, ProtocolVariant
-from repro.lts.cycles import Lasso, find_lasso_avoiding
+from repro.lts.cycles import find_lasso_avoiding
 from repro.lts.explore import explore
 from repro.lts.lts import LTS
-from repro.lts.trace import Trace
+from tests.oracles import lts_of
 
 
 def looped() -> LTS:
-    l = LTS(0)
-    l.add_transition(0, "a", 1)
-    l.add_transition(1, "spin", 2)
-    l.add_transition(2, "spin", 1)
-    l.add_transition(1, "done", 3)
-    return l
+    return lts_of([(0, "a", 1), (1, "spin", 2), (2, "spin", 1), (1, "done", 3)])
 
 
 def test_finds_simple_lasso():
@@ -39,32 +34,19 @@ def test_predicate_form():
 
 
 def test_self_loop_detected():
-    l = LTS(0)
-    l.add_transition(0, "a", 1)
-    l.add_transition(1, "idle", 1)
+    l = lts_of([(0, "a", 1), (1, "idle", 1)])
     lasso = find_lasso_avoiding(l, ["a"])
     assert lasso.cycle.labels == ("idle",)
 
 
 def test_ignored_self_loops():
-    l = LTS(0)
-    l.add_transition(0, "probe", 0)
-    l.add_transition(0, "a", 1)
+    l = lts_of([(0, "probe", 0), (0, "a", 1)])
     assert find_lasso_avoiding(l, ["a"], ignore_self_loops_of=["probe"]) is None
 
 
 def test_acyclic_graph():
-    l = LTS(0)
-    l.add_transition(0, "a", 1)
-    l.add_transition(1, "b", 2)
+    l = lts_of([(0, "a", 1), (1, "b", 2)])
     assert find_lasso_avoiding(l, []) is None
-
-
-def test_lasso_format():
-    lasso = Lasso(Trace(("a",)), Trace(("x", "y")))
-    txt = lasso.format()
-    assert "-- cycle --" in txt
-    assert "x" in txt
 
 
 def test_error2_flush_storm_is_a_lasso():

@@ -1,14 +1,15 @@
 """Tests for deadlock detection and shortest traces."""
 
+import pytest
+
+from repro.errors import ReproError
 from repro.lts.deadlock import find_deadlocks, shortest_trace_to
 from repro.lts.explore import explore
-from repro.lts.lts import LTS
+from tests.oracles import lts_of
 
 
 def test_no_deadlock_in_cycle():
-    l = LTS(0)
-    l.add_transition(0, "a", 1)
-    l.add_transition(1, "b", 0)
+    l = lts_of([(0, "a", 1), (1, "b", 0)])
     rep = find_deadlocks(l)
     assert rep.deadlock_free
     assert rep.summary().startswith("deadlock free")
@@ -23,9 +24,7 @@ def test_simple_deadlock(small_lts):
 
 
 def test_probe_labels_do_not_mask():
-    l = LTS(0)
-    l.add_transition(0, "a", 1)
-    l.add_transition(1, "probe", 1)
+    l = lts_of([(0, "a", 1), (1, "probe", 1)])
     rep = find_deadlocks(l, ignore_labels=["probe"])
     assert rep.deadlocks == [1]
 
@@ -38,17 +37,17 @@ def test_valid_end_predicate(chain_system):
     assert len(rep.terminal_ok) == 1
 
 
-def test_valid_end_without_meta_is_conservative(small_lts):
-    # no metadata stored: terminal states count as deadlocks
-    rep = find_deadlocks(small_lts, is_valid_end=lambda meta: True)
-    assert not rep.deadlock_free
+def test_valid_end_without_meta_is_an_error(small_lts):
+    # no metadata stored: the predicate cannot be evaluated, and a
+    # terminal state is neither a deadlock nor a proper end
+    with pytest.raises(ReproError, match="keep_states=True"):
+        find_deadlocks(small_lts, is_valid_end=lambda meta: True)
+    # without a predicate every terminal state is a deadlock
+    assert find_deadlocks(small_lts).deadlocks == [3]
 
 
 def test_shortest_trace_to():
-    l = LTS(0)
-    l.add_transition(0, "long1", 1)
-    l.add_transition(1, "long2", 2)
-    l.add_transition(0, "short", 2)
+    l = lts_of([(0, "long1", 1), (1, "long2", 2), (0, "short", 2)])
     t = shortest_trace_to(l, [2])
     assert t.labels == ("short",)
 
@@ -58,9 +57,7 @@ def test_shortest_trace_to_initial(small_lts):
 
 
 def test_shortest_trace_unreachable():
-    l = LTS(0)
-    l.ensure_states(3)
-    l.add_transition(0, "a", 1)
+    l = lts_of([(0, "a", 1)], n_states=3)
     assert shortest_trace_to(l, [2]) is None
     assert shortest_trace_to(l, []) is None
 
@@ -75,8 +72,7 @@ def test_shortest_trace_is_shortest(small_lts):
 
 def test_empty_lts_deadlocks_at_state_zero():
     """An LTS with only its initial state is one big deadlock."""
-    l = LTS(0)
-    l.ensure_states(1)
+    l = lts_of([], n_states=1)
     rep = find_deadlocks(l)
     assert not rep.deadlock_free
     assert rep.deadlocks == [0]
@@ -86,8 +82,7 @@ def test_empty_lts_deadlocks_at_state_zero():
 
 
 def test_empty_lts_with_valid_end_meta_is_proper_termination():
-    l = LTS(0)
-    l.ensure_states(1)
+    l = lts_of([], n_states=1)
     l.state_meta[0] = {"done": True}
     rep = find_deadlocks(l, is_valid_end=lambda meta: meta["done"])
     assert rep.deadlock_free
@@ -96,7 +91,7 @@ def test_empty_lts_with_valid_end_meta_is_proper_termination():
 
 def test_zero_state_lts_reports_nothing():
     """A degenerate LTS with no states at all has no deadlocks."""
-    l = LTS(0)
+    l = lts_of([])
     rep = find_deadlocks(l)
     assert rep.deadlock_free
     assert rep.deadlocks == []
@@ -108,16 +103,17 @@ def test_shortest_trace_to_empty_targets_is_none(small_lts):
 
 def test_shortest_trace_into_violation_sink():
     """Requirement-2 style: trace ends at the assertion-violation sink."""
-    l = LTS(0)
-    l.add_transition(0, "write(t0)", 1)
-    l.add_transition(1, "assertion_violation(unexpected_data_return)", 2)
-    l.add_transition(1, "writeover(t0)", 0)
+    l = lts_of([
+        (0, "write(t0)", 1),
+        (1, "assertion_violation(unexpected_data_return)", 2),
+        (1, "writeover(t0)", 0),
+    ])
     sinks = [
         s
         for s in range(l.n_states)
         if any(
-            lab.startswith("assertion_violation")
-            for lab, _ in l.successors(s)
+            t.src == s and t.label.startswith("assertion_violation")
+            for t in l.transitions()
         )
     ]
     trace = shortest_trace_to(l, sinks)

@@ -36,7 +36,7 @@ def test_explore_bfs_numbering(chain_system):
     # BFS: 0 discovered first, then 1 and 3, then 2
     assert l.initial == 0
     assert l.n_states == 4
-    assert ("a", 1) in l.successors(0)
+    assert (0, "a", 1) in l.transitions()
 
 
 def test_keep_states(chain_system):

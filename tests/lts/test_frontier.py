@@ -8,6 +8,7 @@ import pytest
 from repro.lts import frontier
 from repro.lts.frontier import distinct, solve_mu_box, solve_mu_diamond
 from repro.lts.lts import LTS
+from tests.oracles import lts_of
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
@@ -32,11 +33,7 @@ def test_distinct_on_random_duplicates():
 def test_solve_mu_diamond_is_unchanged_by_the_dedup(monkeypatch):
     rng = np.random.default_rng(11)
     n = 400
-    lts = LTS(0)
-    lts.ensure_states(n)
-    for src, lab, dst in zip(rng.integers(0, n, 1600), rng.integers(0, 3, 1600),
-                             rng.integers(0, n, 1600)):
-        lts.add_transition(int(src), "abc"[lab], int(dst))
+    lts = lts_of(_random_rows(rng, n, 1600), n_states=n)
     label_ok = lts.label_mask(lambda label: label != "c")
     a = rng.random(n) < 0.02
     b = rng.random(n) < 0.8
@@ -48,23 +45,25 @@ def test_solve_mu_diamond_is_unchanged_by_the_dedup(monkeypatch):
     assert a.sum() < got.sum() < n
 
 
-def _random_lts(seed, n=400):
-    rng = np.random.default_rng(seed)
-    lts = LTS(0)
-    lts.ensure_states(n)
-    for src, lab, dst in zip(rng.integers(0, n, 4 * n),
-                             rng.integers(0, 3, 4 * n),
-                             rng.integers(0, n, 4 * n)):
-        lts.add_transition(int(src), "abc"[lab], int(dst))
-    return lts, rng
+def _random_rows(rng, n, m):
+    return [
+        (int(src), "abc"[lab], int(dst))
+        for src, lab, dst in zip(rng.integers(0, n, m), rng.integers(0, 3, m),
+                                 rng.integers(0, n, m))
+    ]
 
 
 @pytest.mark.parametrize("solve", [solve_mu_diamond, solve_mu_box])
 def test_an_empty_first_frontier_builds_no_reverse_adjacency(
     solve, monkeypatch
 ):
-    lts, rng = _random_lts(5)
-    n = lts.n_states
+    rng = np.random.default_rng(5)
+    n = 400
+    # every state has an 'a'-move, so [L]X adds no state of its own
+    lts = lts_of(
+        _random_rows(rng, n, 4 * n) + [(s, "a", s) for s in range(n)],
+        n_states=n,
+    )
     calls = []
     reverse_csr = LTS.reverse_csr
 
@@ -73,10 +72,7 @@ def test_an_empty_first_frontier_builds_no_reverse_adjacency(
         return reverse_csr(self)
 
     monkeypatch.setattr(LTS, "reverse_csr", spy)
-    # every state has an 'a'-move, so [L]X adds no state of its own
     label_ok = lts.label_mask(lambda label: label != "c")
-    for s in range(n):
-        lts.add_transition(s, "a", s)
     a = np.zeros(n, dtype=bool)
     b = rng.random(n) < 0.8
     got, rounds = solve(lts, label_ok, a, b)

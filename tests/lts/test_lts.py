@@ -10,29 +10,27 @@ from hypothesis import strategies as st
 from repro.lts.lts import LTS, Transition
 from tests import oracles
 from tests.conftest import LABELS, random_lts
+from tests.oracles import lts_of
 
 
 def test_empty_lts():
-    l = LTS(0)
+    l = lts_of([])
     assert l.n_states == 0
     assert l.n_transitions == 0
     assert l.labels == []
 
 
-def test_add_transition_grows_states():
-    l = LTS(0)
-    l.add_transition(0, "a", 5)
-    assert l.n_states == 6
-    assert l.n_transitions == 1
-
-
 def test_labels_are_interned():
-    l = LTS(0)
-    l.add_transition(0, "a", 1)
-    l.add_transition(1, "a", 0)
-    l.add_transition(0, "b", 1)
+    l = lts_of([(0, "a", 1), (1, "a", 0), (0, "b", 1)])
     assert l.labels == ["a", "b"]
-    assert l.label_id("a") == 0
+    assert l.columns()[1].tolist() == [0, 0, 1]
+
+
+def _successors(l, state):
+    """Outgoing ``(label, dst)`` pairs of ``state``, off the forward CSR."""
+    offsets, lbl, dst = l.forward_csr()
+    lo, hi = offsets[state], offsets[state + 1]
+    return [(l.labels[i], int(d)) for i, d in zip(lbl[lo:hi], dst[lo:hi])]
 
 
 def _predecessors(l, state):
@@ -43,11 +41,11 @@ def _predecessors(l, state):
 
 
 def test_successors_and_predecessors(small_lts):
-    assert sorted(small_lts.successors(1)) == [("b", 2), ("d", 3)]
+    assert sorted(_successors(small_lts, 1)) == [("b", 2), ("d", 3)]
     assert _predecessors(small_lts, 1) == [("a", 0)]
     offsets = small_lts.forward_csr()[0]
     assert offsets[4] - offsets[3] == 0
-    assert small_lts.enabled_labels(0) == {"a"}
+    assert _successors(small_lts, 0) == [("a", 1)]
 
 
 def test_transitions_iteration(small_lts):
@@ -61,10 +59,7 @@ def test_deadlock_states(small_lts):
 
 
 def test_deadlock_states_ignore_labels():
-    l = LTS(0)
-    l.add_transition(0, "probe", 0)
-    l.add_transition(0, "a", 1)
-    l.add_transition(1, "probe", 1)
+    l = lts_of([(0, "probe", 0), (0, "a", 1), (1, "probe", 1)])
     assert l.deadlock_states() == []
     assert l.deadlock_states(ignore_labels=["probe"]) == [1]
 
@@ -81,12 +76,10 @@ def test_relabelled(small_lts):
 
 
 def test_structural_equality(small_lts):
-    other = LTS(0)
-    for t in small_lts.transitions():
-        other.add_transition(t.src, t.label, t.dst)
-    assert other == small_lts
-    other.add_transition(3, "e", 0)
-    assert other != small_lts
+    rows = list(small_lts.transitions())
+    assert lts_of(rows) == small_lts
+    assert lts_of(rows[::-1]) == small_lts  # a transition multiset
+    assert lts_of([*rows, (3, "e", 0)]) != small_lts
 
 
 def test_equality_other_type(small_lts):
@@ -105,12 +98,12 @@ def test_transition_arrays_consistent(l):
 
 @given(random_lts())
 def test_successor_predecessor_duality(l):
-    fwd = {(s, lab, d) for s in range(l.n_states) for lab, d in l.successors(s)}
+    fwd = {(s, lab, d) for s in range(l.n_states) for lab, d in _successors(l, s)}
     bwd = {(s, lab, d) for d in range(l.n_states) for lab, s in _predecessors(l, d)}
     assert fwd == bwd
 
 
-# -- column-wise transformations against one add_transition per row -----------
+# -- column-wise transformations against the row-by-row oracle ----------------
 
 
 def _same_lts(got: LTS, want: LTS) -> None:
@@ -118,7 +111,6 @@ def _same_lts(got: LTS, want: LTS) -> None:
     assert got.labels == want.labels  # dense ids, first-appearance order
     assert got.transition_arrays() == want.transition_arrays()
     assert got.state_meta == want.state_meta
-    assert all(got.label_id(lab) == i for i, lab in enumerate(want.labels))
 
 
 def _snapshot(l: LTS):
@@ -150,42 +142,19 @@ def test_columns_are_zero_copy_read_only_views(small_lts):
 
 
 def test_csr_keeps_insertion_order_within_a_state():
-    l = LTS(0)
-    for src, label, dst in [(2, "x", 0), (0, "b", 2), (2, "y", 1), (0, "a", 1)]:
-        l.add_transition(src, label, dst)
+    l = lts_of([(2, "x", 0), (0, "b", 2), (2, "y", 1), (0, "a", 1)])
     offsets, lbl, dst = l.forward_csr()
     assert offsets.tolist() == [0, 2, 2, 4]
     assert [l.labels[i] for i in lbl] == ["b", "a", "x", "y"]
     assert dst.tolist() == [2, 1, 0, 1]
-    assert l.successors(2) == [("x", 0), ("y", 1)]
+    assert _successors(l, 2) == [("x", 0), ("y", 1)]
     assert _predecessors(l, 1) == [("y", 2), ("a", 0)]
 
 
 def test_forward_csr_of_a_grouped_source_column_aliases_it():
-    l = LTS(0)
-    for s in range(3):
-        l.add_transition(s, "a", s + 1)
-        l.add_transition(s, "b", 0)
+    l = lts_of([(s, lab, d) for s in range(3) for lab, d in (("a", s + 1), ("b", 0))])
     _offsets, lbl, dst = l.forward_csr()
     assert lbl is l.columns()[1] and dst is l.columns()[2]
-
-
-def test_analysis_then_mutation_then_analysis(small_lts):
-    assert small_lts.deadlock_states() == [3]
-    small_lts.ensure_states(6)
-    assert small_lts.deadlock_states() == [3, 4, 5]
-    small_lts.add_transition(3, "e", 4)  # views were handed out above
-    assert small_lts.deadlock_states() == [4, 5]
-    assert small_lts.successors(3) == [("e", 4)]
-    assert small_lts.label_counts()["e"] == 1
-
-
-def test_mutation_under_a_live_view_copies_on_write(small_lts):
-    held = small_lts.columns()[0]
-    small_lts.add_transition(3, "e", 0)  # no BufferError
-    assert held.tolist() == [0, 1, 2, 1]  # the old snapshot
-    assert small_lts.columns()[0].tolist() == [0, 1, 2, 1, 3]
-    assert small_lts.n_transitions == 5
 
 
 @pytest.mark.parametrize("column", [

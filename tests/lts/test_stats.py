@@ -1,7 +1,8 @@
 """Tests for LTS statistics."""
 
-from repro.lts.lts import LTS, TAU
+from repro.lts.lts import TAU
 from repro.lts.stats import lts_summary
+from tests.oracles import lts_of
 
 
 def test_summary(small_lts):
@@ -16,16 +17,14 @@ def test_summary(small_lts):
 
 
 def test_summary_tau():
-    l = LTS(0)
-    l.add_transition(0, TAU, 1)
-    l.add_transition(1, "a", 0)
+    l = lts_of([(0, TAU, 1), (1, "a", 0)])
     s = lts_summary(l)
     assert s.tau_transitions == 1
     assert s.terminal_states == 0
 
 
 def test_summary_empty():
-    s = lts_summary(LTS(0))
+    s = lts_summary(lts_of([]))
     assert s.states == 0
     assert s.avg_out_degree == 0.0
     assert s.max_out_degree == 0

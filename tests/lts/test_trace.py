@@ -10,7 +10,6 @@ def test_trace_basics():
     t = Trace(("a", "b", "a"))
     assert len(t) == 3
     assert list(t) == ["a", "b", "a"]
-    assert t.count("a") == 2
 
 
 def test_trace_state_annotation_mismatch():
@@ -23,13 +22,6 @@ def test_trace_final_state():
     assert t.final_state == 1
     with pytest.raises(TraceError):
         Trace(("a",)).final_state
-
-
-def test_prefix():
-    t = Trace(("a", "b", "c", "b"), (0, 1, 2, 3, 4))
-    p = t.prefix(2)
-    assert p.labels == ("a", "b")
-    assert p.states == (0, 1, 2)
 
 
 def test_format():
@@ -80,7 +72,6 @@ def test_empty_trace():
     assert len(t) == 0
     assert list(t) == []
     assert t.format() == ""
-    assert t.prefix(3).labels == ()
     with pytest.raises(TraceError):
         t.final_state
 
@@ -113,18 +104,10 @@ def test_replay_into_violation_sink():
         ViolationSystem(), ["write(t0)", "assertion_violation(x)"]
     )
     assert t.final_state == 2
-    assert t.count("assertion_violation(x)") == 1
+    assert t.labels.count("assertion_violation(x)") == 1
     # the sink is terminal: any further label errors out
     with pytest.raises(TraceError, match="not enabled"):
         replay(
             ViolationSystem(),
             ["write(t0)", "assertion_violation(x)", "write(t0)"],
         )
-
-
-def test_prefix_keeps_state_alignment():
-    t = Trace(("a", "b"), (0, 1, 2))
-    p = t.prefix(1)
-    assert p.labels == ("a",)
-    assert p.states == (0, 1)
-    assert p.final_state == 1

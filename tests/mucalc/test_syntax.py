@@ -7,7 +7,6 @@ from repro.mucalc.syntax import (
     ActLit,
     And,
     AnyAct,
-    AndAct,
     Box,
     Diamond,
     Ff,
@@ -35,8 +34,6 @@ def test_action_predicates():
     assert ActLit("write(", prefix=True).matches("write(t0)")
     assert NotAct(ActLit("a")).matches("b")
     assert OrAct(ActLit("a"), ActLit("b")).matches("b")
-    assert AndAct(AnyAct(), NotAct(ActLit("a"))).matches("b")
-    assert not AndAct(AnyAct(), NotAct(ActLit("a"))).matches("a")
 
 
 def test_action_predicate_str():

@@ -87,4 +87,4 @@ def test_untraced_runs_are_still_timed():
     with obs.NULL_TRACER.span("anything") as span:
         pass
     assert span.seconds >= 0
-    assert obs.NULL_TRACER.events() == []
+    assert vars(obs.NULL_TRACER) == {}  # it keeps nothing

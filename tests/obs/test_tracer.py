@@ -80,14 +80,7 @@ def test_read_trace_reports_bad_line_number(tmp_path):
 def test_null_tracer_is_inert():
     assert NULL_TRACER.enabled is False
     NULL_TRACER.emit("anything", x=1)
-    assert NULL_TRACER.events() == []
-    NULL_TRACER.close()  # no-op, no error
-
-
-def test_read_trace_lenient_drops_torn_tail(tmp_path):
-    path = tmp_path / "t.jsonl"
-    path.write_text('{"t": 0.1, "ev": "a"}\n{"t": 0.2, "ev": "b')
-    assert [e["ev"] for e in read_trace(path, lenient=True)] == ["a"]
+    assert vars(NULL_TRACER) == {}  # it keeps nothing
 
 
 def test_file_mode_survives_sigkill(tmp_path):
@@ -119,5 +112,5 @@ def test_file_mode_survives_sigkill(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == -signal.SIGKILL
-    events = read_trace(path, lenient=True)
+    events = read_trace(path)  # whole lines only: a strict read succeeds
     assert [e["i"] for e in events] == list(range(100))

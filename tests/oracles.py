@@ -7,8 +7,8 @@ takes its entry state from the BFS instead of replaying the prefix):
 a deque worklist over a per-predicate reverse CSR for the two linear
 fixpoint shapes, list-of-lists adjacency for deadlock detection and
 shortest traces, Tarjan over tuple lists for the lasso search, the
-per-label-string product search, and the LTS transformations as one
-``add_transition`` per row. They read an
+per-label-string product search, and the LTS transformations row by
+row through :func:`lts_of`. They read an
 LTS only through ``transitions()``, ``transition_arrays()``, ``labels``,
 ``n_states`` and ``initial`` — nothing the array code paths provide.
 
@@ -19,6 +19,7 @@ matrix.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Callable, Iterable
 
@@ -46,6 +47,27 @@ from repro.mucalc.syntax import (
     Var,
     assert_alternation_free,
 )
+
+def lts_of(
+    rows: Iterable[tuple[int, str, int]], *, n_states: int = 0, initial: int = 0
+) -> LTS:
+    """A hand-made LTS from ``(src, label, dst)`` rows, in row order.
+
+    It has at least ``n_states`` states, more if a row names a higher
+    one, and its labels are interned in first-appearance order.
+    """
+    src, lbl, dst = array("i"), array("i"), array("i")
+    ids: dict[str, int] = {}
+    for s, label, d in rows:
+        src.append(s)
+        lbl.append(ids.setdefault(label, len(ids)))
+        dst.append(d)
+        n_states = max(n_states, s + 1, d + 1)
+    return LTS.from_columns(
+        initial=initial, n_states=n_states, src=src, lbl=lbl, dst=dst,
+        labels=ids,
+    )
+
 
 # ---------------------------------------------------------------------------
 # adjacency, deadlocks, shortest traces
@@ -121,25 +143,23 @@ def shortest_path_to(
 
 
 # ---------------------------------------------------------------------------
-# transformations, one add_transition per row
+# transformations, row by row
 # ---------------------------------------------------------------------------
 
 
 def relabelled(lts: LTS, mapping: dict[str, str]) -> LTS:
-    out = LTS(lts.initial)
-    out.ensure_states(lts.n_states)
-    for s, lab, d in lts.transitions():
-        out.add_transition(s, mapping.get(lab, lab), d)
-    return out
+    return lts_of(
+        ((s, mapping.get(lab, lab), d) for s, lab, d in lts.transitions()),
+        n_states=lts.n_states, initial=lts.initial,
+    )
 
 
 def without_labels(lts: LTS, drop: Iterable[str]) -> LTS:
     drop = set(drop)
-    out = LTS(lts.initial)
-    out.ensure_states(lts.n_states)
-    for s, lab, d in lts.transitions():
-        if lab not in drop:
-            out.add_transition(s, lab, d)
+    out = lts_of(
+        (t for t in lts.transitions() if t.label not in drop),
+        n_states=lts.n_states, initial=lts.initial,
+    )
     out.state_meta = lts.state_meta
     return out
 
@@ -154,14 +174,17 @@ def restricted_to_reachable(lts: LTS) -> LTS:
                 seen.add(d)
                 stack.append(d)
     remap = {old: new for new, old in enumerate(sorted(seen))}
-    out = LTS(remap[lts.initial])
-    out.ensure_states(len(remap))
-    for s, lab, d in lts.transitions():
-        if s in remap:
-            out.add_transition(remap[s], lab, remap[d])
-    for old, meta in lts.state_meta.items():
-        if old in remap:
-            out.state_meta[remap[old]] = meta
+    out = lts_of(
+        (
+            (remap[s], lab, remap[d])
+            for s, lab, d in lts.transitions()
+            if s in remap
+        ),
+        n_states=len(remap), initial=remap[lts.initial],
+    )
+    out.state_meta = {
+        remap[old]: meta for old, meta in lts.state_meta.items() if old in remap
+    }
     return out
 
 

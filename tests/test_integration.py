@@ -10,7 +10,7 @@ import io
 
 import pytest
 
-from repro.analysis.explain import explain_trace
+from repro.analysis.explain import narrate_trace
 from repro.jackal import CONFIG_1, JackalModel, ProtocolVariant
 from repro.jackal.actions import PROBE_LABELS, Labels
 from repro.jackal.requirements import build_lts, formula_3_1, formula_4_write
@@ -71,8 +71,9 @@ def test_counterexample_pipeline_end_to_end():
 
     rep = check_requirement_3_2(CONFIG_1, ProtocolVariant.error2())
     assert not rep.holds
-    story = explain_trace(rep.trace)
-    assert len(story) == len(rep.trace)
+    model = JackalModel(CONFIG_1, ProtocolVariant.error2())
+    story = narrate_trace(model, rep.trace).splitlines()
+    assert len(story) == 1 + 2 * len(rep.trace)  # initial, then step + state
     assert any("Sponmigrate" in s for s in story)
 
 

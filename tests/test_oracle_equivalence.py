@@ -36,6 +36,7 @@ from repro.mucalc.syntax import (
     Var,
 )
 from tests import oracles
+from tests.oracles import lts_of
 from tests.conformance.harness import Cell
 
 LABELS = ["a", "b", "c", "tau"]
@@ -46,10 +47,8 @@ PREDICATES = [AnyAct(), ActLit("a"), NotAct(ActLit("a")), ActLit("absent")]
 @st.composite
 def lts_shapes(draw, max_states: int = 40) -> LTS:
     n = draw(st.integers(min_value=0, max_value=max_states))
-    lts = LTS(0)
-    lts.ensure_states(n)
     if n == 0:
-        return lts
+        return lts_of([])
     state = st.integers(min_value=0, max_value=n - 1)
     edges = draw(
         st.lists(
@@ -58,9 +57,7 @@ def lts_shapes(draw, max_states: int = 40) -> LTS:
     )
     if draw(st.booleans()):
         edges.sort(key=lambda e: e[0])  # what a breadth-first sweep emits
-    for src, label, dst in edges:
-        lts.add_transition(src, label, dst)
-    return lts
+    return lts_of(edges, n_states=n)
 
 
 def _vector(n: int):
