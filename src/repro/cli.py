@@ -165,6 +165,11 @@ def _run_check(args, cfg, variant) -> int:
         table.add(requirement=rep.requirement, verdict=rep.verdict,
                   detail=rep.detail, states=rep.lts_states)
     print(table.render())
+    if args.show_trace:
+        for rep in results.values():
+            if rep.holds is False and rep.trace is not None:
+                print(f"\nrequirement {rep.requirement}, error trace:")
+                print(rep.trace.format())
     # a requirement not checked on this configuration is neutral
     return 1 if any(r.holds is False for r in results.values()) else 0
 
@@ -309,7 +314,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--requirement", choices=sorted(_CHECKS), default=None,
                    help="check one requirement (default: all)")
     p.add_argument("--show-trace", action="store_true",
-                   help="print the counterexample trace if any")
+                   help="print the counterexample trace of each violated "
+                   "requirement")
     _add_reduce_arg(p)
     _add_obs_args(p)
     p.set_defaults(fn=_cmd_check)

@@ -1,10 +1,10 @@
 """Frontier kernel: the Jackal successor relation over packed rows.
 
 :meth:`~repro.jackal.model.JackalModel.successors` expands one tuple
-tree at a time; the exploration engine pays for that per transition
-(tuple surgery, a recursive hash of a ~40-tuple tree at the visited
-probe, a 500-byte tree resident per state). This module is the same
-relation evaluated for a whole breadth-first level at once:
+tree at a time; the exploration engine pays for that per transition.
+This module is the same relation evaluated for a whole breadth-first
+level at once, in the shape the paper's specification has: a set of
+guarded summands, each a condition on the state and an update.
 
 * a state is one row of ``uint64`` words; :class:`Layout` assigns every
   field of the state (``name -> bit width``, declared once in
@@ -12,35 +12,45 @@ relation evaluated for a whole breadth-first level at once:
   element (a thread, a region copy, a queue slot, a lock tuple) — hence
   no field — straddles a word. Configuration 3 is 223 bits = 4 words,
   so the visited index keys on 32 bytes;
-* :meth:`FrontierKernel.expand` evaluates every protocol rule as a
-  guard (a boolean vector over the level's rows) and a handful of
-  field updates on the selected rows, then sorts the candidates by
-  ``(source row, static rule rank)`` — the rank reproduces the order in
-  which ``successors`` lists its moves, so numbering the result in
-  order gives the scalar explorers' state ids, not merely an
-  isomorphic LTS. Indices that depend on the data (``home``, the
-  region or thread named inside a held message) become a static loop
-  over the few candidate values with an equality mask, which also
-  makes every label static per rule instance;
-* a rule's updates are data: :meth:`Layout.plan` compiles an update
-  list once into a write plan — one keep and one or mask per word with
-  every constant folded in and range-checked, plus the few values
-  computed per row — so an emission's constants cost two array
-  operations per word they touch however many fields they write,
-  applied once, to the level's candidate block;
+* the protocol is a table of :class:`Rule` instances, built once per
+  model by :meth:`FrontierKernel._summands`. An instance has the rank of
+  its move in the order ``successors`` lists them, a label, a guard — a
+  conjunction of ``(field, op, value | field)`` terms — and an update
+  list. Indices that depend on the data (``home``, the region or thread
+  named inside a held message) and the scalar relation's conditional
+  updates become case splits, one instance per case, so every guard is
+  a conjunction and every label static. The assertion sinks and the
+  scalar relation's ``ModelError`` cases (:class:`Fail`) are rules too;
+* :class:`RuleTable` compiles the instances into arrays and is the one
+  interpreter. Every instance is one bit, numbered in rank order; for
+  each value of each span of a row a guard reads (an element of at most
+  10 bits, with its neighbours while that holds), the table keeps the
+  bits of the instances the value allows. Per batch of rows it decodes
+  the spans each 64 instances read, ands their sets, reads the set bits off
+  in ``(row, rank)`` order and applies every enabled write plan at
+  once: a level costs a few dozen array calls, with no Python loop over
+  rule instances, and numbering the result in order gives the scalar
+  explorers' state ids, not merely an isomorphic LTS;
+* an update list compiles once into a write plan (:meth:`Layout.plan`):
+  one keep and one add mask per word with every constant folded in and
+  range-checked, :data:`INC` and :data:`DEC` as steps added in place,
+  and the fields copied per row (:class:`From`). A write that would
+  leave its field is a :class:`Fail` rule beside the instance, so it
+  raises ``ModelError`` instead of spilling into the neighbouring
+  field;
 * the assertion-violation sink is the row with only the ``violation``
   flag set; an empty queue or migration slot is all-zero, so equal
-  states have equal bytes; every ``ModelError`` of the scalar relation
-  is raised here too, and a value that does not fit its field raises
-  ``ModelError`` instead of spilling into the neighbouring field.
+  states have equal bytes.
 
 ``successors`` stays the readable specification;
-``tests/jackal/test_kernel.py`` holds this module to it column for
-column.
+``tests/jackal/test_kernel.py`` holds this module to it state by state
+and ``tests/conformance/`` sweep by sweep.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -58,10 +68,15 @@ from repro.jackal.actions import (
 from repro.jackal.model import VIOLATION, Msg, Phase, RegionState
 
 _M64 = (1 << 64) - 1
-_NARROW = (np.uint8, np.uint16, np.uint32)
 #: rows decoded per batch by :meth:`FrontierKernel.unpack` — bounds the
 #: per-field Python lists alive at once
 _UNPACK_CHUNK = 1 << 16
+#: rows fired per batch by :meth:`FrontierKernel.expand` — bounds the
+#: ``(instance, row)`` pair arrays alive at once
+_CHUNK = 1 << 12
+#: widest unit a guard reads: the table keeps a set of instances per
+#: unit value
+_UNIT_BITS = 10
 
 _IDLE = int(Phase.IDLE)
 _WANT_SERVER = int(Phase.WANT_SERVER)
@@ -75,11 +90,13 @@ _HAVE_FLUSH = int(Phase.HAVE_FLUSH)
 _LOCAL = int(Phase.LOCAL)
 _ALF_WRITE = int(Phase.ALF_WRITE)
 _ALF_FLUSH = int(Phase.ALF_FLUSH)
-_USED = int(RegionState.USED)
+_USED, _UNUSED = int(RegionState.USED), int(RegionState.UNUSED)
 _REQ, _RET, _FLUSH = int(Msg.REQ), int(Msg.RET), int(Msg.FLUSH)
 #: the canonical key's order of element families (the layout's is hq,
 #: rq, hqa, rqa): :meth:`FrontierKernel.key_units`
 _KEY_ORDER = ("thread", "copy", "hq", "hqa", "rq", "rqa", "locks", "mig")
+#: the probes in rank order
+_PROBES = (C_HOME, C_COPY, LOCK_EMPTY, HOMEQUEUE_EMPTY, REMOTEQUEUE_EMPTY)
 
 
 def _width(max_value: int) -> int:
@@ -90,23 +107,16 @@ def _width(max_value: int) -> int:
 class Field:
     """One bit-field of a packed row: ``(row[word] >> shift) & mask``."""
 
-    __slots__ = ("name", "idx", "word", "shift", "mask", "clear", "dtype")
+    __slots__ = ("name", "word", "shift", "mask", "clear")
 
-    def __init__(self, name: str, idx: int, word: int, shift: int, width: int):
+    def __init__(self, name: str, word: int, shift: int, width: int):
         self.name = name
-        self.idx = idx
         self.word = word
         self.shift = shift
         self.mask = (1 << width) - 1
         # numpy 2 refuses a negative Python int against uint64, so the
         # complement is taken inside 64 bits
         self.clear = _M64 ^ (self.mask << shift)
-        #: the narrowest unsigned type that holds ``mask + 1``, so that
-        #: ``INC`` at the top and ``DEC`` at zero leave the field's
-        #: range instead of wrapping back into it
-        self.dtype = next(
-            (t for t in _NARROW if self.mask < np.iinfo(t).max), np.uint64
-        )
 
 
 class Layout:
@@ -124,38 +134,33 @@ class Layout:
         #: the leaf fields in declaration order — the order of
         #: :meth:`FrontierKernel._values`
         self.leaves: list[Field] = []
+        #: the element of every leaf field
+        self.element: dict[Field, Field] = {}
         word = used = 0
         for element, parts in elements:
             total = sum(bits for _name, bits in parts)
             if total > 64:
-                raise ModelError(
-                    f"element {element} needs {total} bits, more than a word"
-                )
+                raise ModelError(f"element {element} needs {total} bits, more than a word")
             if used + total > 64:
                 word, used = word + 1, 0
-            self._add(element, word, used, total)
+            whole = self._add(element, word, used, total)
             for name, bits in parts:
-                self.leaves.append(
-                    self._add(f"{element}.{name}", word, used, bits)
-                )
+                leaf = self._add(f"{element}.{name}", word, used, bits)
+                self.leaves.append(leaf)
+                self.element[leaf] = whole
                 used += bits
         self.n_words = word + 1
         #: bits of all leaf fields together
         self.n_bits = sum(f.mask.bit_length() for f in self.leaves)
-        #: compiled write plans by update structure: :meth:`plan`
+        #: compiled write plans by update list: :meth:`plan`
         self._plans: dict[tuple, _Plan] = {}
 
     def _add(self, name, word, shift, width) -> Field:
-        field = self._fields[name] = Field(
-            name, len(self._fields), word, shift, width
-        )
+        field = self._fields[name] = Field(name, word, shift, width)
         return field
 
     def __getitem__(self, name: str) -> Field:
         return self._fields[name]
-
-    def __len__(self) -> int:
-        return len(self._fields)
 
     def group(self, element: str) -> SimpleNamespace:
         """The element's fields by short name, the element itself as ``all``."""
@@ -167,13 +172,12 @@ class Layout:
         return ns
 
     def plan(self, updates) -> _Plan:
-        """The write plan of ``updates`` (see :meth:`_Level.move`),
-        compiled on first use and cached by the updates' structure: the
-        field, with the value unless it is given per row."""
-        key = tuple([
-            (f,) if type(value) is np.ndarray else (f, type(value), value)
-            for f, value in updates
-        ])
+        """The write plan of ``updates`` — ``(field, value)`` pairs, a
+        value an int or one of :class:`Raise`, :class:`Drop`,
+        :class:`From`, :data:`INC`, :data:`DEC` — compiled on first use
+        and cached by the update list. Two writes that share a bit are
+        refused, so the order of the updates does not matter."""
+        key = tuple([(f, type(value), value) for f, value in updates])
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self._compile(updates)
@@ -192,10 +196,11 @@ class Layout:
             if isinstance(value, (Raise, Drop)):
                 if value.bits > f.mask:
                     raise ModelError(f"{f.name} has no bits {value.bits:#b}")
+                # cleared either way, so that ``bits`` only ever fills
+                # cleared bits: or-ing them is adding them
+                keep[f.word] &= _M64 ^ (value.bits << f.shift)
                 if isinstance(value, Raise):
                     bits[f.word] |= value.bits << f.shift
-                else:
-                    keep[f.word] &= _M64 ^ (value.bits << f.shift)
                 continue
             keep[f.word] &= f.clear
             if isinstance(value, int):
@@ -203,11 +208,9 @@ class Layout:
                     raise ModelError(f"{f.name} = {value} outside its field")
                 bits[f.word] |= value << f.shift
             else:
-                # a source no wider than the field is in range as read
-                computed.append((i, f, not isinstance(value, From)
-                                 or value.field.mask > f.mask))
+                computed.append((i, f))
         return _Plan(
-            tuple((w, np.uint64(keep[w]), np.uint64(bits[w]))
+            tuple((w, keep[w], bits[w])
                   for w in range(self.n_words) if taken[w]),
             tuple(computed),
         )
@@ -237,133 +240,323 @@ INC, DEC = object(), object()
 
 
 class _Plan(NamedTuple):
-    """One :meth:`_Level.move` update list, compiled: the successor is
-    ``source & keep | bits``, then each computed write or-ed into its
-    field (which ``keep`` has cleared)."""
+    """One update list, compiled: the successor is ``source & keep |
+    bits`` (``bits`` only within bits ``keep`` clears), then each
+    computed write applied to its field."""
 
     #: ``(word, keep, bits)`` of every word the update list writes
     words: tuple
-    #: ``(update index, field, range-checked)``
+    #: ``(update index, field)`` of each :class:`From`, :data:`INC` or
+    #: :data:`DEC` write
     computed: tuple
 
 
-class _Level:
-    """One BFS level being expanded: its rows by word, the field columns
-    read so far, and the candidate successors emitted so far."""
+class Bits(NamedTuple):
+    """Guard operand: the bits ``mask`` of ``field``, in place
+    (``(row[word] >> shift) & mask``)."""
 
-    __slots__ = ("kernel", "rows", "cols", "cache", "sels", "ranks",
-                 "lids", "plans", "values")
+    field: Field
+    mask: int
 
-    def __init__(self, kernel, rows):
-        self.kernel = kernel
-        self.rows = rows
-        self.cols = np.ascontiguousarray(rows.T)
-        self.cache: list = [None] * len(kernel.layout)
-        self.sels: list[np.ndarray] = []
-        self.ranks: list[int] = []
-        self.lids: list[int] = []
-        #: per emission: its write plan, or None for the violation row
-        self.plans: list = []
-        #: per emission: the values of its plan's computed writes
-        self.values: list = []
 
-    def col(self, f: Field) -> np.ndarray:
-        """Field ``f`` of every row of the level (extracted once, kept
-        in the field's narrow type)."""
-        c = self.cache[f.idx]
-        if c is None:
-            c = self.cols[f.word]
-            if f.shift:
-                c = c >> f.shift
-            c = self.cache[f.idx] = np.bitwise_and(
-                c, f.mask, dtype=f.dtype, casting="unsafe"
-            )
-        return c
+class Fail(NamedTuple):
+    """Rule action: the scalar relation's ``ModelError``, its message
+    formatted with the source row's value of ``field``."""
 
-    def move(self, sel, rank: int, label: str, *updates) -> None:
-        """One rule instance firing on the rows ``sel``: each successor
-        is its source row with ``updates`` — ``(field, value)`` pairs —
-        written over it.
+    message: str
+    field: Field | None = None
 
-        A value is an int, one value per selected row, or one of
-        :class:`Raise`, :class:`Drop`, :class:`From`, :data:`INC`,
-        :data:`DEC`; every computed value is read from the source row.
-        The update list compiles once into a write plan
-        (:meth:`Layout.plan`): the constants folded into one and/or
-        mask per word, which ``finish`` applies to the whole emission.
-        Two writes that share a bit are refused, so the order of the
-        updates does not matter.
-        """
-        if not sel.size:
-            return
-        plan = self.kernel.layout.plan(updates)
-        values = []
-        for i, f, checked in plan.computed:
-            value = updates[i][1]
-            if value is INC:
-                value = self.col(f)[sel] + 1
-            elif value is DEC:
-                value = self.col(f)[sel] - 1  # wraps below zero
-            elif isinstance(value, From):
-                value = self.col(value.field)[sel]
-            elif value.dtype.kind == "i":
-                value = value.astype(np.uint64)  # a negative one wraps
-            if checked and int(value.max()) > f.mask:
-                raise ModelError(
-                    f"{f.name} written with a value outside its field"
-                )
-            values.append(value)
-        self._emit(sel, rank, label, plan, values)
 
-    def violation(self, sel, rank: int, label: str) -> None:
-        """The rows ``sel`` step to the assertion-violation sink."""
-        if sel.size:
-            self._emit(sel, rank, label, None, None)
+#: rule action: step to the assertion-violation sink
+SINK = "sink"
 
-    def _emit(self, sel, rank, label, plan, values) -> None:
-        self.sels.append(sel)
-        self.ranks.append(rank)
-        self.lids.append(self.kernel.label_ids[label])
-        self.plans.append(plan)
-        self.values.append(values)
 
-    def finish(self):
-        """``(succ_rows, src_pos, label_ids)`` in ``successors`` order."""
-        kernel = self.kernel
-        if not self.sels:
-            return (
-                np.zeros((0, kernel.n_words), dtype=np.uint64),
-                np.zeros(0, dtype=np.intp),
-                np.zeros(0, dtype=np.int32),
-            )
-        counts = [len(sel) for sel in self.sels]
-        src_pos = np.concatenate(self.sels)
-        rank = np.repeat(np.array(self.ranks, dtype=np.int64), counts)
-        lids = np.repeat(np.array(self.lids, dtype=np.int32), counts)
-        # take, not fancy indexing: on (m, words) rows it is 4-8x faster
-        succ = self.rows.take(src_pos, axis=0)
-        lo = 0
-        for count, plan, values in zip(counts, self.plans, self.values):
-            block = succ[lo:lo + count]
-            lo += count
-            if plan is None:
-                block[:] = kernel.violation_row
+class Rule(NamedTuple):
+    """One guarded summand instance. On a row where every ``guard`` term
+    ``(operand, op, value | field)`` holds — ``op`` one of ``==``,
+    ``!=``, ``<``, ``>=``; an operand a :class:`Field` or :class:`Bits`
+    — it emits ``label`` at ``rank`` and the row with ``updates``
+    written over it (:meth:`Layout.plan`), or the sink (:data:`SINK`),
+    or raises (:class:`Fail`). The first term is the instance's key:
+    the interpreter pairs a row with the instance only where that term
+    holds. Instances of one rank must exclude each other."""
+
+    name: str
+    rank: int
+    label: str
+    guard: tuple
+    updates: object
+
+
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, ">=": operator.ge}
+
+
+def _operand(lhs) -> tuple[Field, int]:
+    """``(field, mask)`` of a guard operand."""
+    return (lhs.field, lhs.mask) if isinstance(lhs, Bits) else (lhs, lhs.mask)
+
+
+def _ranges(starts, counts) -> np.ndarray:
+    """``starts[j] .. starts[j] + counts[j] - 1`` for every ``j``,
+    concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - ends + counts, counts)
+
+
+#: per byte value: how many bits it sets, and their positions from the
+#: lowest (8 slots a value)
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], np.intp)
+_BIT_AT = np.array([
+    [j for j in range(8) if v >> j & 1] + [0] * (8 - bin(v).count("1"))
+    for v in range(256)
+], np.intp).ravel()
+
+
+class RuleTable:
+    """A list of :class:`Rule` instances compiled to arrays, and the
+    interpreter that fires them all on a batch of rows (:meth:`fire`).
+
+    A guard term reads a *span* of a row: the bits of one word holding
+    the term's field — its element where that has at most
+    :data:`_UNIT_BITS` bits, and neighbouring elements or fields of the
+    same word with it while the span stays that narrow. The instances
+    are numbered in rank order and one bit each; for every value of a
+    span and every 64 instances, the table keeps the word of bits of
+    those instances that value allows — clear where an instance's terms
+    on that span fail. A row's enabled instances are the conjunction of
+    its spans' words, over only the spans some instance of the word
+    reads. A term comparing fields of two spans is split into one
+    instance per value of the right-hand field. The write plan of an
+    instance is a keep/or mask per word plus its computed writes.
+    """
+
+    def __init__(self, layout: Layout, rules, label_ids: dict, sink=None):
+        self.layout = layout
+        rules = sorted(
+            (case for rule in rules for case in self._cases(rule)),
+            key=lambda rule: rule.rank,
+        )
+        spans = self._spans({
+            self._unit_of(f) for f in {
+                _operand(lhs)[0] for rule in rules
+                for lhs, _op, _rhs in rule.guard
+            }
+        })
+        # per instance, per span it reads: whether each span value
+        # satisfies its terms there. A case split may leave a guard
+        # that never holds (writers other than p on a one-processor
+        # writer list): such an instance is dropped, its bit spared. In
+        # rank order, a row's enabled instances come out in the order
+        # ``successors`` lists its moves
+        luts: dict = {}  # term -> (span, whether it holds per value)
+        reads, self.rules = [], []
+        for rule in rules:
+            held: dict[int, np.ndarray] = {}
+            for term in rule.guard:
+                span, ok = luts.get(term) or luts.setdefault(term, self._lut(spans, *term))
+                held[span] = held[span] & ok if span in held else ok
+            if all(ok.any() for ok in held.values()):
+                reads.append(held)
+                self.rules.append(rule)
+
+        n, nw = len(self.rules), layout.n_words
+        self.n_words = nw
+        self.rank = np.array([rule.rank for rule in self.rules], np.int64)
+        self.lid = np.array([label_ids.get(rule.label, -1) for rule in self.rules], np.int32)
+        #: per instance, per word: the bits it keeps, and what it adds —
+        #: the constants it writes into the bits it clears, and the
+        #: steps of its INC and DEC writes
+        self.plan = np.zeros((n, 2, nw), dtype=np.uint64)
+        self.plan[:, 0] = _M64
+        self.fail = np.full(n, -1, dtype=np.int32)
+        self.fails: list[Fail] = []
+        moves: list = []
+        self.n_moves = np.array([
+            self._compile_updates(i, rule, moves, sink)
+            for i, rule in enumerate(self.rules)
+        ], np.int64)
+        self.m_start = np.cumsum(self.n_moves) - self.n_moves
+        self.m_word = np.array([m[0] for m in moves], np.intp).reshape(-1, 2)
+        self.m_bits = np.array([m[1] for m in moves], np.uint64).reshape(-1, 3)
+
+        # per 64 instances, the spans they read and what each value of
+        # one allows (a word that reads none still clears its unused bits)
+        self.n_bits = 64 * -(-n // 64)
+        blocks = []
+        for lo in range(0, self.n_bits, 64):
+            readers: dict[int, list] = {}
+            for j, held in enumerate(reads[lo:lo + 64]):
+                for span, ok in held.items():
+                    readers.setdefault(span, []).append((j, ok))
+            blocks.append((min(64, n - lo), readers))
+        spans_read = [sorted(readers) or [0] for _used, readers in blocks]
+        self.starts = np.cumsum([0] + [len(r) for r in spans_read[:-1]])
+        pairs = [self._span_of[span] for read in spans_read for span in read]
+        sizes = [1 << width for _word, _shift, width in pairs]
+        self.p_word = np.array([word for word, _shift, _width in pairs], np.intp)
+        self.p_shift = np.array([shift for _word, shift, _width in pairs], np.uint64)[:, None]
+        self.p_mask = np.array(sizes, np.uint64)[:, None] - np.uint64(1)
+        self.p_base = np.cumsum([0] + sizes[:-1]).astype(np.int64)[:, None]
+        self.allowed = np.empty(sum(sizes), dtype="<u8")
+        at = iter(self.p_base.ravel().tolist())
+        for (used, readers), read in zip(blocks, spans_read):
+            for span in read:
+                size = 1 << self._span_of[span][2]
+                allow = np.zeros((size, 64), dtype=bool)
+                allow[:, :used] = True
+                for j, ok in readers.get(span, ()):
+                    allow[:, j] = ok
+                base = next(at)
+                self.allowed[base:base + size] = np.packbits(
+                    allow, axis=1, bitorder="little").view("<u8").ravel()
+
+    def _spans(self, units) -> dict:
+        """Each unit's span: units of one word, in bit order, share a
+        span while it stays within :data:`_UNIT_BITS` bits. Span 0 has
+        no bits."""
+        #: ``(word, shift, width)`` of every span
+        self._span_of: list[tuple] = [(0, 0, 0)]
+        spans: dict[Field, int] = {}
+        for unit in sorted(units, key=lambda u: (u.word, u.shift)):
+            end = unit.shift + unit.mask.bit_length()
+            word, shift, width = self._span_of[-1]
+            if not spans or word != unit.word or end - shift > _UNIT_BITS:
+                self._span_of.append((unit.word, unit.shift, end - unit.shift))
+            else:
+                self._span_of[-1] = (word, shift, end - shift)
+            spans[unit] = len(self._span_of) - 1
+        return spans
+
+    def _lut(self, spans, lhs, op, rhs) -> tuple[int, np.ndarray]:
+        """The span a guard term reads, and whether the term holds for
+        each of its values."""
+        f, mask = _operand(lhs)
+        span = spans[self._unit_of(f)]
+        _word, shift, width = self._span_of[span]
+        values = np.arange(1 << width)
+        if isinstance(rhs, Field):
+            rhs = (values >> (rhs.shift - shift)) & rhs.mask
+        return span, _COMPARE[op]((values >> (f.shift - shift)) & mask, rhs)
+
+    def _unit_of(self, f: Field) -> Field:
+        """The unit a guard on ``f`` reads: its element where that is
+        at most :data:`_UNIT_BITS` wide, else ``f`` itself."""
+        outer = self.layout.element.get(f, f)
+        unit = outer if outer.mask.bit_length() <= _UNIT_BITS else f
+        if unit.mask.bit_length() > _UNIT_BITS:
+            raise ModelError(f"{f.name} is too wide for a guard")
+        return unit
+
+    def _split(self, rule):
+        """``rule``, with each term that compares fields of two units
+        split into one instance per value of the right-hand field."""
+        for t, (lhs, op, rhs) in enumerate(rule.guard):
+            if (isinstance(rhs, Field) and self._unit_of(rhs)
+                    is not self._unit_of(_operand(lhs)[0])):
+                for v in range(rhs.mask + 1):
+                    guard = (*rule.guard[:t], (lhs, op, v), *rule.guard[t + 1:], (rhs, "==", v))
+                    yield from self._split(rule._replace(guard=guard))
+                return
+        yield rule
+
+    def _cases(self, rule):
+        """``rule`` split on its terms across spans (:meth:`_split`), and
+        after each case, for every computed write of it that can leave
+        its field, the :class:`Fail` raised where it would."""
+        for case in self._split(rule):
+            yield case
+            if type(case.updates) is not tuple:
                 continue
-            for w, keep, bits in plan.words:
-                word = block[:, w]
-                word &= keep
-                word |= bits
-            for (_i, f, _checked), value in zip(plan.computed, values):
-                word = block[:, f.word]
-                word |= np.left_shift(value, f.shift, dtype=np.uint64)
-        # (source row, rank) is unique per candidate: a rule instance
-        # emits at most one successor per source
-        order = np.argsort(src_pos * kernel.n_ranks + rank, kind="stable")
-        return succ.take(order, axis=0), src_pos[order], lids[order]
+            self.layout.plan(case.updates)  # refuses a bad update list first
+            for f, value in case.updates:
+                if value is INC or value is DEC:
+                    term = f, "==", f.mask if value is INC else 0
+                elif isinstance(value, From) and value.field.mask > f.mask:
+                    term = value.field, ">=", f.mask + 1
+                else:
+                    continue
+                yield case._replace(
+                    label="", guard=(*case.guard, term), updates=Fail(
+                        f"{f.name} written with a value outside its field"
+                    ),
+                )
 
+    def _compile_updates(self, i, rule, moves, sink) -> int:
+        """Instance ``i``'s write plan: its keep and add masks, and in
+        ``moves`` its :class:`From` writes; how many of those."""
+        if rule.updates is SINK:
+            self.plan[i, 0], self.plan[i, 1] = 0, sink
+            return 0
+        if isinstance(rule.updates, Fail):
+            self.fail[i] = len(self.fails)
+            self.fails.append(rule.updates)
+            return 0
+        plan = self.layout.plan(rule.updates)
+        for w, keep, bits in plan.words:
+            self.plan[i, :, w] = keep, bits
+        n_moves = 0
+        for u, f in plan.computed:
+            value = rule.updates[u][1]
+            if isinstance(value, From):
+                src = value.field
+                moves.append(((src.word, f.word), (src.shift, src.mask, f.shift)))
+                n_moves += 1
+                continue
+            # INC and DEC add to the field in place (the Fail of the
+            # write that would leave it is raised first)
+            self.plan[i, 0, f.word] |= np.uint64(f.mask << f.shift)
+            step = 1 << f.shift if value is INC else -1 << f.shift
+            add = int(self.plan[i, 1, f.word]) + step
+            self.plan[i, 1, f.word] = add & _M64
+        return n_moves
 
-def _nz(mask) -> np.ndarray:
-    return mask.nonzero()[0]
+    def fire(self, rows):
+        """``(succ, row, instance)`` of every instance enabled on
+        ``rows``, ordered by row and rank; raises the first enabled
+        :class:`Fail`, and ``ModelError`` on a computed value outside
+        its field."""
+        nw = self.n_words
+        # decode each span once per word of instances reading it: a
+        # row's instances are the conjunction of what its values allow
+        cols = np.ascontiguousarray(rows.T)
+        codes = ((cols[self.p_word] >> self.p_shift) & self.p_mask).view(np.int64)
+        codes += self.p_base
+        enabled = np.bitwise_and.reduceat(self.allowed[codes], self.starts)
+        # the set bits, byte by byte: row-major, so in (row, rank) order
+        found = np.ascontiguousarray(enabled.T).view(np.uint8).ravel()
+        at = np.flatnonzero(found)
+        found = found[at].astype(np.intp)
+        count = _POPCOUNT[found]
+        bit = np.repeat(at * 8, count) + _BIT_AT[_ranges(found * 8, count)]
+        row, inst = np.divmod(bit, self.n_bits)
+
+        hit = np.flatnonzero(self.fail[inst] >= 0)
+        if hit.size:
+            self._raise(rows, row[hit], inst[hit])
+
+        # every write plan at once, then the moves between fields
+        words = rows.take(row, axis=0)
+        plan = self.plan.take(inst, axis=0)
+        succ = (words & plan[:, 0]) + plan[:, 1]
+        count = self.n_moves[inst]
+        pair = np.repeat(np.arange(len(inst)), count)
+        k = _ranges(self.m_start[inst], count)
+        if len(k):
+            b, w = self.m_bits[k], self.m_word[k]
+            value = (words.ravel()[pair * nw + w[:, 0]] >> b[:, 0]) & b[:, 1]
+            np.bitwise_or.at(succ.ravel(), pair * nw + w[:, 1], value << b[:, 2])
+        return succ, row, inst
+
+    def _raise(self, rows, row, inst):
+        """The :class:`Fail` of the first ``(row, rank)`` among ``inst``."""
+        first = np.lexsort((self.rank[inst], row))[0]
+        fail = self.fails[self.fail[inst[first]]]
+        value = None
+        if fail.field is not None:
+            f = fail.field
+            value = (int(rows[row[first], f.word]) >> f.shift) & f.mask
+        raise ModelError(fail.message.format(value))
 
 
 def _strings(nested):
@@ -437,6 +630,8 @@ class FrontierKernel:
             ]
             self._kinds[kind] = (parts, {})
 
+        self.table = RuleTable(self.layout, self._summands(), self.label_ids, self.violation_row)
+
     # -- the layout ------------------------------------------------------
 
     def _declare(self, cfg):
@@ -451,8 +646,7 @@ class FrontierKernel:
             ("dirty", R),
         ]
         copy = [("home", w_pid), ("rstate", 1), ("wl", P), ("lt", _width(T))]
-        hmsg = [("full", 1), ("flush", 1), ("tid", w_tid), ("src", w_pid),
-                ("r", w_reg)]
+        hmsg = [("full", 1), ("flush", 1), ("tid", w_tid), ("src", w_pid), ("r", w_reg)]
         rmsg = [("full", 1), ("tid", w_tid), ("sender", w_pid), ("mig", 1),
                 ("wl", P), ("rstate", 1), ("r", w_reg)]
         locks = [
@@ -463,16 +657,11 @@ class FrontierKernel:
         mig = [("full", 1), ("wl", P), ("rstate", 1)]
         elements = [("violation", [("flag", 1)])]
         elements += [(f"thread{t}", thread) for t in range(T)]
-        elements += [
-            (f"copy{p}_{r}", copy) for p in range(P) for r in range(R)
-        ]
-        for queue, parts in (("hq", hmsg), ("rq", rmsg), ("hqa", hmsg),
-                             ("rqa", rmsg)):
+        elements += [(f"copy{p}_{r}", copy) for p in range(P) for r in range(R)]
+        for queue, parts in (("hq", hmsg), ("rq", rmsg), ("hqa", hmsg), ("rqa", rmsg)):
             elements += [(f"{queue}{p}", parts) for p in range(P)]
         elements += [(f"locks{p}", locks) for p in range(P)]
-        elements += [
-            (f"mig{p}_{r}", mig) for p in range(P) for r in range(R)
-        ]
+        elements += [(f"mig{p}_{r}", mig) for p in range(P) for r in range(R)]
         return elements
 
     def key_units(self) -> list:
@@ -495,8 +684,7 @@ class FrontierKernel:
                 family = element.rstrip("0123456789_")
                 index = map(int, element[len(family):].split("_"))
                 units.setdefault((family, *index, kind), []).append((name, f))
-        return sorted(units.items(),
-                      key=lambda unit: _KEY_ORDER.index(unit[0][0]))
+        return sorted(units.items(), key=lambda unit: _KEY_ORDER.index(unit[0][0]))
 
     def _values(self, state):
         """The field values of ``state`` in declaration order."""
@@ -513,17 +701,14 @@ class FrontierKernel:
         for row in copies:
             for copy in row:
                 yield from copy
-        for queue, home in ((hq, True), (rq, False), (hqa, True),
-                            (rqa, False)):
+        for queue, home in ((hq, True), (rq, False), (hqa, True), (rqa, False)):
             for msg in queue:
                 if msg == 0:
                     yield from (0,) * (5 if home else 7)
                 elif home:
                     kind, tid, src, r = msg
                     if kind not in (_REQ, _FLUSH):
-                        raise ModelError(
-                            f"message kind {kind} cannot sit in a home queue"
-                        )
+                        raise ModelError(f"message kind {kind} cannot sit in a home queue")
                     yield from (1, int(kind == _FLUSH), tid, src, r)
                 else:
                     if msg[0] != _RET:
@@ -547,9 +732,7 @@ class FrontierKernel:
             words = [0] * self.n_words
             for f, value in zip(leaves, self._values(state)):
                 if not 0 <= value <= f.mask:
-                    raise ModelError(
-                        f"{f.name} = {value} outside its field"
-                    )
+                    raise ModelError(f"{f.name} = {value} outside its field")
                 words[f.word] |= value << f.shift
             rows[i] = words
         return rows
@@ -582,9 +765,7 @@ class FrontierKernel:
             for code in set(column) - memo.keys():
                 memo[code] = self._decode(kind, code)
         keys = list(zip(*codes))
-        table = {
-            key: tuple(map(memo.__getitem__, key)) for key in set(keys)
-        }
+        table = {key: tuple(map(memo.__getitem__, key)) for key in set(keys)}
         return list(map(table.__getitem__, keys))
 
     def unpack(self, rows) -> list:
@@ -598,13 +779,8 @@ class FrontierKernel:
         P, R = self.P, self.R
 
         def by_processor(kind, grid):
-            flat = self._elements(
-                rows, kind, [group for row in grid for group in row]
-            )
-            regroup = {
-                key: tuple(key[p * R:(p + 1) * R] for p in range(P))
-                for key in set(flat)
-            }
+            flat = self._elements(rows, kind, [group for row in grid for group in row])
+            regroup = {key: tuple(key[p * R:(p + 1) * R] for p in range(P)) for key in set(flat)}
             return map(regroup.__getitem__, flat)
 
         states = list(zip(
@@ -618,7 +794,7 @@ class FrontierKernel:
             by_processor("mig", self.mg),
         ))
         f = self.f_violation
-        for i in _nz((rows[:, f.word] >> f.shift) & 1).tolist():
+        for i in np.flatnonzero((rows[:, f.word] >> f.shift) & 1).tolist():
             states[i] = VIOLATION
         return states
 
@@ -639,377 +815,390 @@ class FrontierKernel:
             if sunk.any():
                 # the sink has no moves, and its all-zero payload would
                 # read as idle cyclic threads
-                alive = _nz(sunk == 0)
+                alive = np.flatnonzero(sunk == 0)
                 rows = rows.take(alive, axis=0)
-        lv = _Level(self, rows)
-        if len(rows):
-            for tid in range(self.T):
-                self._thread_rules(lv, tid)
-            for pid in range(self.P):
-                self._grant_rules(lv, pid)
-            for pid in range(self.P):
-                self._homequeue_rules(lv, pid)
-            for pid in range(self.P):
-                self._remotequeue_rules(lv, pid)
-            if self.model.config.with_probes:
-                self._probe_rules(lv)
-        succ, src_pos, lids = lv.finish()
+        if not len(rows):
+            return (
+                np.zeros((0, self.n_words), dtype=np.uint64),
+                np.zeros(0, dtype=np.intp),
+                np.zeros(0, dtype=np.int32),
+            )
+        parts = []
+        for lo in range(0, len(rows), _CHUNK):
+            succ, row, inst = self.table.fire(rows[lo:lo + _CHUNK])
+            parts.append((succ, row + lo, self.table.lid[inst]))
+        succ, src_pos, lids = (parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts)))
         if alive is not None:
             src_pos = alive[src_pos]
         return succ, src_pos, lids
 
-    def _held(self, lv, sel, holder: Field, slot: int, pid: int) -> None:
-        """The scalar relation's check on releasing a protocol lock."""
-        if not lv.col(holder)[sel].all():
-            raise ModelError(f"releasing free lock slot {slot} on p{pid}")
+    # -- the summands ------------------------------------------------------
 
-    def _exclusive(self, lv, cp, sel, pid: int) -> np.ndarray:
-        """No processor but ``pid`` is on the copy's writer list."""
-        wl = lv.col(cp.wl)[sel]
-        return (wl == 0) | (wl == 1 << pid)
+    def _summands(self):
+        """Every rule instance of the protocol (their ranks order them)."""
+        for tid in range(self.T):
+            yield from self._thread_summands(tid)
+        for pid in range(self.P):
+            yield from self._lock_summands(pid)
+            yield from self._homequeue_summands(pid)
+            yield from self._remotequeue_summands(pid)
+        if self.model.config.with_probes:
+            yield from self._probe_summands()
 
-    def _alf_flushable(self, lv, sel, pid: int, dirty) -> np.ndarray:
-        """Every dirty region is exclusive at home on ``pid``."""
-        ok = np.ones(len(sel), dtype=bool)
-        for r, cp in enumerate(self.cp[pid]):
-            ok &= ((dirty >> r) & 1 == 0) | (
-                (lv.col(cp.home)[sel] == pid)
-                & self._exclusive(lv, cp, sel, pid)
-            )
-        return ok
+    @staticmethod
+    def _exclusive(cp, pid: int, op: str = "=="):
+        """No processor but ``pid`` is on the copy's writer list (``!=``:
+        another one is)."""
+        return Bits(cp.wl, cp.wl.mask ^ 1 << pid), op, 0
 
     @staticmethod
     def _hmsg(slot, flush: int, tid: int, src: int, r: int):
         """Updates putting ``(REQ | FLUSH, tid, src, r)`` into ``slot``."""
-        return ((slot.full, 1), (slot.flush, flush), (slot.tid, tid),
-                (slot.src, src), (slot.r, r))
+        return ((slot.full, 1), (slot.flush, flush), (slot.tid, tid), (slot.src, src), (slot.r, r))
+
+    def _alf_cases(self, th, pid: int):
+        """Adaptive lazy flushing's condition — every dirty region is
+        exclusive at home on ``pid`` — as a partition of the rows:
+        ``(terms, regions)``, ``regions`` the dirty ones where it holds
+        and None where it does not (split on the first region that
+        breaks it)."""
+        ok, bad = [], []
+        for r, cp in enumerate(self.cp[pid]):
+            bit = Bits(th.dirty, 1 << r)
+            dirty = (bit, "==", 1 << r)
+            here = (dirty, (cp.home, "==", pid))
+            ok.append((((bit, "==", 0),), (*here, self._exclusive(cp, pid))))
+            bad.append(((dirty, (cp.home, "!=", pid)), (*here, self._exclusive(cp, pid, "!="))))
+        for choice in itertools.product((0, 1), repeat=self.R):
+            yield (sum((ok[r][c] for r, c in enumerate(choice)), ()),
+                   [r for r, c in enumerate(choice) if c])
+        for first in range(self.R):
+            for choice in itertools.product((0, 1), repeat=first):
+                fine = sum((ok[r][c] for r, c in enumerate(choice)), ())
+                for terms in bad[first]:
+                    yield fine + terms, None
 
     # -- threads ---------------------------------------------------------
 
-    def _thread_rules(self, lv, tid: int) -> None:  # noqa: C901
+    def _thread_summands(self, tid: int):  # noqa: C901
         m = self.model
         th, pid = self.th[tid], m.pid_of[tid]
         lk, cps = self.lk[pid], self.cp[pid]
-        variant = m.variant
+        variant, checked = m.variant, m.check_assertions
         alf = variant.adaptive_lazy_flushing
         tbit, pbit = 1 << tid, 1 << pid
-        col, move = lv.col, lv.move
         rank = tid * self.R
         write, writeover = m.lbl_write[tid], m.lbl_writeover[tid]
-        flush, restart = m.lbl_flush[tid], m.lbl_restart[tid]
-        ph = col(th.phase)
+        flush, flushover = m.lbl_flush[tid], m.lbl_flushover[tid]
+        restart = m.lbl_restart[tid]
+
+        def phase(p):
+            return th.phase, "==", p
 
         def wrote(r):  # thread := (IDLE, ., 0, wdone + 1, ., dirty | 1 << r)
-            return ((th.phase, _IDLE), (th.aho, 0), (th.wdone, INC),
-                    (th.dirty, Raise(1 << r)))
+            return ((th.phase, _IDLE), (th.aho, 0), (th.wdone, INC), (th.dirty, Raise(1 << r)))
 
         def at_home(cp):  # copy := (pid, USED, wl | 1 << pid, lt + 1)
             return (cp.rstate, _USED), (cp.wl, Raise(pbit)), (cp.lt, INC)
 
+        def round_over(name, label, guard, *updates):
+            """``thread := (IDLE, ., 0, 0, rounds - 1 if bounded, 0)``;
+            rounds is stored + 1: 0 cyclic, 1 none left."""
+            over = ((th.phase, _IDLE), (th.aho, 0), (th.wdone, 0), (th.dirty, 0), *updates)
+            yield Rule(name, rank, label, (*guard, (th.rounds, "<", 2)), over)
+            yield Rule(name, rank, label, (*guard, (th.rounds, ">=", 2)), (*over, (th.rounds, DEC)))
+
+        wait_flush = ((th.phase, _WANT_FLUSH), (th.aho, 0), (lk.fls_w, Raise(tbit)))
+
         # IDLE with rounds left: start a write to any region, or reach
         # the synchronisation point
-        sel = _nz((ph == _IDLE) & (col(th.rounds) != 1))
-        writing = col(th.wdone)[sel] < self.W
-        wsel, fsel = sel[writing], sel[~writing]
-        if wsel.size:
-            dirty = col(th.dirty)[wsel]
-            for r, cp in enumerate(cps):
-                cached = (dirty >> r) & 1 != 0
-                here = col(cp.home)[wsel] == pid
-                slow = ~cached & here
-                start = (th.reg, r), (th.aho, 0)
-                move(wsel[cached], rank + r, write,
-                     (th.phase, _LOCAL), (th.reg, r))
-                if alf:
-                    fast = slow & self._exclusive(lv, cp, wsel, pid)
-                    slow &= ~fast
-                    move(wsel[fast], rank + r, write,
-                         (th.phase, _ALF_WRITE), *start)
-                move(wsel[slow], rank + r, write,
-                     (th.phase, _WANT_SERVER), *start,
-                     (lk.srv_w, Raise(tbit)))
-                move(wsel[~cached & ~here], rank + r, write,
-                     (th.phase, _WANT_FAULT), *start,
-                     (lk.flt_w, Raise(tbit)))
-        if fsel.size:
-            dirty = col(th.dirty)[fsel]
-            if not dirty.all():
-                wdone = int(col(th.wdone)[fsel[dirty == 0]][0])
-                raise ModelError(f"thread {tid}: wdone={wdone} but clean")
+        idle = phase(_IDLE), (th.rounds, "!=", 1)
+        writing = (*idle, (th.wdone, "<", self.W))
+        for r, cp in enumerate(cps):
+            bit = Bits(th.dirty, 1 << r)
+            start = (th.reg, r), (th.aho, 0)
+            yield Rule("write_cached", rank + r, write,
+                       (*writing, (bit, "==", 1 << r)),
+                       ((th.phase, _LOCAL), (th.reg, r)))
+            here = (*writing, (bit, "==", 0), (cp.home, "==", pid))
             if alf:
-                fast = self._alf_flushable(lv, fsel, pid, dirty)
-                move(fsel[fast], rank, flush,
-                     (th.phase, _ALF_FLUSH), (th.aho, 0))
-                fsel = fsel[~fast]
-            move(fsel, rank, flush, (th.phase, _WANT_FLUSH), (th.aho, 0),
-                 (lk.fls_w, Raise(tbit)))
+                yield Rule("write_alf", rank + r, write,
+                           (*here, self._exclusive(cp, pid)),
+                           ((th.phase, _ALF_WRITE), *start))
+                here += (self._exclusive(cp, pid, "!="),)
+            yield Rule("write_server", rank + r, write, here,
+                       ((th.phase, _WANT_SERVER), *start,
+                        (lk.srv_w, Raise(tbit))))
+            yield Rule("write_fault", rank + r, write,
+                       (*writing, (bit, "==", 0), (cp.home, "!=", pid)),
+                       ((th.phase, _WANT_FAULT), *start,
+                        (lk.flt_w, Raise(tbit))))
+        done = (*idle, (th.wdone, ">=", self.W))
+        yield Rule("flush_clean", rank, "", (*done, (th.dirty, "==", 0)),
+                   Fail(f"thread {tid}: wdone={{}} but clean", th.wdone))
+        if alf:
+            for terms, flushed in self._alf_cases(th, pid):
+                if flushed is None:
+                    yield Rule("flush", rank, flush, (*done, *terms), wait_flush)
+                elif flushed:
+                    yield Rule("flush_alf", rank, flush, (*done, *terms),
+                               ((th.phase, _ALF_FLUSH), (th.aho, 0)))
+        else:
+            yield Rule("flush", rank, flush, (*done, (th.dirty, "!=", 0)), wait_flush)
 
         # HAVE_FLUSH: flush the lowest dirty region, or finish the round
-        sel = _nz(ph == _HAVE_FLUSH)
-        if sel.size:
-            dirty = col(th.dirty)[sel]
-            s = sel[dirty == 0]
-            self._held(lv, s, lk.fls_h, 4, pid)
-            move(s, rank, m.lbl_flushover[tid],
-                 *self._round_over(lv, th, s), (lk.fls_h, 0))
-            for r in range(self.R):
-                self._flush_region(
-                    lv, sel[dirty & ((2 << r) - 1) == 1 << r], tid, r
-                )
+        empty = phase(_HAVE_FLUSH), (th.dirty, "==", 0)
+        yield Rule("flushover_free", rank, "", (*empty, (lk.fls_h, "==", 0)),
+                   Fail(f"releasing free lock slot 4 on p{pid}"))
+        yield from round_over("flushover", flushover, empty, (lk.fls_h, 0))
+        for r in range(self.R):
+            yield from self._flush_region(tid, r)
 
         # REMOTE_READY: complete the remote write
-        sel = _nz(ph == _REMOTE_READY)
-        if sel.size:
-            self._held(lv, sel, lk.flt_h, 2, pid)
-            reg = col(th.reg)[sel]
-            for r, cp in enumerate(cps):
-                move(sel[reg == r], rank, writeover,
-                     (cp.lt, INC), *wrote(r), (lk.flt_h, 0))
+        ready = phase(_REMOTE_READY)
+        yield Rule("writeover_free", rank, "", (ready, (lk.flt_h, "==", 0)),
+                   Fail(f"releasing free lock slot 2 on p{pid}"))
+        for r, cp in enumerate(cps):
+            yield Rule("writeover_remote", rank, writeover,
+                       (ready, (th.reg, "==", r)),
+                       ((cp.lt, INC), *wrote(r), (lk.flt_h, 0)))
 
         # HAVE_FAULT: request the data — unless the home came here
-        sel = _nz(ph == _HAVE_FAULT)
-        if sel.size:
-            reg = col(th.reg)[sel]
-            for r, cp in enumerate(cps):
-                rs = sel[reg == r]
-                home = col(cp.home)[rs]
-                s = rs[home == pid]
-                if variant.fault_lock_recheck:
-                    self._held(lv, s, lk.flt_h, 2, pid)
-                    move(s, rank, m.lbl_f2s[tid],
-                         (th.phase, _WANT_SERVER), (th.aho, 0),
-                         (lk.flt_h, 0), (lk.srv_w, Raise(tbit)))
-                else:
-                    move(s, rank, m.lbl_stale[tid],
-                         (th.phase, _WAIT_DATA), (th.aho, 0))
-                for h, hq in enumerate(self.hq):
-                    if h != pid:
-                        s = rs[home == h]
-                        move(s[col(hq.full)[s] == 0], rank,
-                             m.lbl_sreq[tid][pid][h],
-                             *self._hmsg(hq, 0, tid, pid, r),
-                             (th.phase, _WAIT_DATA), (th.aho, 0))
+        for r, cp in enumerate(cps):
+            fault = phase(_HAVE_FAULT), (th.reg, "==", r)
+            here = (*fault, (cp.home, "==", pid))
+            if variant.fault_lock_recheck:
+                yield Rule("fault_free", rank, "",
+                           (*here, (lk.flt_h, "==", 0)),
+                           Fail(f"releasing free lock slot 2 on p{pid}"))
+                yield Rule("fault_to_server", rank, m.lbl_f2s[tid], here,
+                           ((th.phase, _WANT_SERVER), (th.aho, 0),
+                            (lk.flt_h, 0), (lk.srv_w, Raise(tbit))))
+            else:
+                yield Rule("stale_remote_wait", rank, m.lbl_stale[tid], here,
+                           ((th.phase, _WAIT_DATA), (th.aho, 0)))
+            for h, hq in enumerate(self.hq):
+                if h != pid:
+                    yield Rule("send_datareq", rank, m.lbl_sreq[tid][pid][h],
+                               (*fault, (cp.home, "==", h),
+                                (hq.full, "==", 0)),
+                               (*self._hmsg(hq, 0, tid, pid, r),
+                                (th.phase, _WAIT_DATA), (th.aho, 0)))
 
         # HAVE_SERVER: write at home, or retry remotely
-        sel = _nz(ph == _HAVE_SERVER)
-        if sel.size:
-            self._held(lv, sel, lk.srv_h, 0, pid)
-            reg = col(th.reg)[sel]
-            for r, cp in enumerate(cps):
-                rs = sel[reg == r]
-                here = col(cp.home)[rs] == pid
-                move(rs[here], rank, writeover,
-                     *at_home(cp), *wrote(r), (lk.srv_h, 0))
-                move(rs[~here], rank, restart,
-                     (th.phase, _WANT_FAULT), (th.aho, 0), (lk.srv_h, 0),
-                     (lk.flt_w, Raise(tbit)))
+        server = phase(_HAVE_SERVER)
+        yield Rule("server_free", rank, "", (server, (lk.srv_h, "==", 0)),
+                   Fail(f"releasing free lock slot 0 on p{pid}"))
+        for r, cp in enumerate(cps):
+            at = server, (th.reg, "==", r)
+            yield Rule("writeover_home", rank, writeover,
+                       (*at, (cp.home, "==", pid)),
+                       (*at_home(cp), *wrote(r), (lk.srv_h, 0)))
+            yield Rule("restart_write", rank, restart,
+                       (*at, (cp.home, "!=", pid)),
+                       ((th.phase, _WANT_FAULT), (th.aho, 0), (lk.srv_h, 0),
+                        (lk.flt_w, Raise(tbit))))
 
         # LOCAL: complete the cached write
-        move(_nz(ph == _LOCAL), rank, writeover,
-             (th.phase, _IDLE), (th.wdone, INC))
+        yield Rule("writeover_local", rank, writeover, (phase(_LOCAL),),
+                   ((th.phase, _IDLE), (th.wdone, INC)))
 
         if not alf:
             return
 
         # ALF_WRITE: complete lock-free if still exclusive, else retry
-        sel = _nz(ph == _ALF_WRITE)
-        if sel.size:
-            reg = col(th.reg)[sel]
-            for r, cp in enumerate(cps):
-                rs = sel[reg == r]
-                still = (col(cp.home)[rs] == pid) & self._exclusive(
-                    lv, cp, rs, pid
-                )
-                move(rs[still], rank, writeover, *at_home(cp), *wrote(r))
-                move(rs[~still], rank, restart,
-                     (th.phase, _IDLE), (th.aho, 0))
+        for r, cp in enumerate(cps):
+            at = phase(_ALF_WRITE), (th.reg, "==", r)
+            back = (th.phase, _IDLE), (th.aho, 0)
+            yield Rule("writeover_alf", rank, writeover,
+                       (*at, (cp.home, "==", pid), self._exclusive(cp, pid)),
+                       (*at_home(cp), *wrote(r)))
+            yield Rule("restart_alf", rank, restart, (*at, (cp.home, "!=", pid)), back)
+            yield Rule("restart_alf", rank, restart,
+                       (*at, (cp.home, "==", pid),
+                        self._exclusive(cp, pid, "!=")), back)
 
-        # ALF_FLUSH: flush every dirty region at once, or fall back
-        sel = _nz(ph == _ALF_FLUSH)
-        if sel.size:
-            dirty = col(th.dirty)[sel]
-            fast = self._alf_flushable(lv, sel, pid, dirty)
-            move(sel[~fast], rank, restart, (th.phase, _WANT_FLUSH),
-                 (th.aho, 0), (lk.fls_w, Raise(tbit)))
-            s, dirty = sel[fast], dirty[fast]
-            if m.check_assertions:
-                bad = np.zeros(len(s), dtype=bool)
-                for r, cp in enumerate(cps):
-                    bad |= ((dirty >> r) & 1 != 0) & (col(cp.lt)[s] == 0)
-                lv.violation(s[bad], rank, m.lbl_viol_lt)
-                s, dirty = s[~bad], dirty[~bad]
-            updates: list = []
-            for r, cp in enumerate(cps):
-                flushed = (dirty >> r) & 1 != 0
-                lt, wl = col(cp.lt)[s], col(cp.wl)[s]
-                nlt = np.where(flushed, lt - 1, lt)
-                nwl = np.where(flushed & (nlt == 0), wl & ~np.uint64(pbit), wl)
-                used = np.where(flushed, (nwl != 0) | (nlt != 0),
-                                col(cp.rstate)[s])
-                updates += (cp.lt, nlt), (cp.wl, nwl), (cp.rstate, used)
-            move(s, rank, m.lbl_flushover[tid], *updates,
-                 *self._round_over(lv, th, s))
+        # ALF_FLUSH: flush every dirty region at once, or fall back; per
+        # flushed region localthreads is 1 (the last: the writer list
+        # empties), more, or already 0 (the sink)
+        for terms, flushed in self._alf_cases(th, pid):
+            guard = (phase(_ALF_FLUSH), *terms)
+            if flushed is None:
+                yield Rule("alf_flush_restart", rank, restart, guard, wait_flush)
+                continue
+            for cases in itertools.product(range(3 if checked else 2), repeat=len(flushed)):
+                terms, updates = list(guard), []
+                for r, case in zip(flushed, cases):
+                    cp = cps[r]
+                    if case == 0:
+                        terms.append((cp.lt, "==", 1))
+                        updates += ((cp.lt, 0), (cp.wl, 0), (cp.rstate, _UNUSED))
+                    elif case == 1:
+                        terms.append((cp.lt, ">=", 2) if checked else (cp.lt, "!=", 1))
+                        updates += (cp.lt, DEC), (cp.rstate, _USED)
+                    else:
+                        terms.append((cp.lt, "==", 0))
+                if 2 in cases:
+                    yield Rule("alf_flush_violation", rank, m.lbl_viol_lt, tuple(terms), SINK)
+                else:
+                    yield from round_over("alf_flushover", flushover, terms, *updates)
 
-    def _round_over(self, lv, th, sel):
-        """``thread := (IDLE, ., 0, 0, rounds - 1 if bounded, 0)``."""
-        left = lv.col(th.rounds)[sel]  # stored + 1: 0 cyclic, 1 none left
-        return ((th.phase, _IDLE), (th.aho, 0), (th.wdone, 0),
-                (th.dirty, 0), (th.rounds, left - (left > 1)))
-
-    def _flush_region(self, lv, sel, tid: int, r: int) -> None:
+    def _flush_region(self, tid: int, r: int):
         """HAVE_FLUSH with ``r`` the lowest dirty region."""
-        if not sel.size:
-            return
         m = self.model
         th, pid = self.th[tid], m.pid_of[tid]
         cp = self.cp[pid][r]
-        col, move = lv.col, lv.move
         rank = tid * self.R
+        lowest = ((th.phase, "==", _HAVE_FLUSH), (Bits(th.dirty, (2 << r) - 1), "==", 1 << r))
         stay = (th.aho, 0), (th.dirty, Drop(1 << r))
-        home = col(cp.home)[sel]
+        checked = m.check_assertions
 
-        def asserted(s):
-            """``s`` less the rows whose localthreads is already zero,
-            which step to the sink (unchecked, the decrement then fails
-            the field check)."""
-            if m.check_assertions:
-                bad = col(cp.lt)[s] == 0
-                lv.violation(s[bad], rank, m.lbl_viol_lt)
-                s = s[~bad]
-            return s
-
-        # remote home: send a Flush once its home queue has room
+        # remote home: send a Flush once its home queue has room; a
+        # localthreads already zero steps to the sink (unchecked, the
+        # decrement fails the field check)
         for h, hq in enumerate(self.hq):
             if h != pid:
-                s = sel[home == h]
-                move(asserted(s[col(hq.full)[s] == 0]), rank,
-                     m.lbl_sflush[tid][pid][h], (cp.lt, DEC),
-                     *self._hmsg(hq, 1, tid, pid, r), *stay)
+                guard = (*lowest, (cp.home, "==", h), (hq.full, "==", 0))
+                if checked:
+                    yield Rule("flush_violation", rank, m.lbl_viol_lt,
+                               (*guard, (cp.lt, "==", 0)), SINK)
+                    guard += ((cp.lt, "!=", 0),)
+                yield Rule("send_flush", rank, m.lbl_sflush[tid][pid][h],
+                           guard, ((cp.lt, DEC),
+                                   *self._hmsg(hq, 1, tid, pid, r), *stay))
 
-        # at home: flush locally; a sole remaining remote writer gets
-        # the home
-        s = asserted(sel[home == pid])
-        if not s.size:
-            return
-        nlt = col(cp.lt)[s] - 1
-        wl = col(cp.wl)[s]
-        nwl = np.where(nlt == 0, wl & ~np.uint64(1 << pid), wl)
-        rest = np.ones(len(s), dtype=bool)
-        if m.variant.home_migration:
-            for dst in range(self.P):
-                if dst != pid:
-                    to = nwl == 1 << dst
-                    rest &= ~to
-                    mg = self.mg[dst][r]
-                    to &= col(mg.full)[s] == 0
-                    move(s[to], rank, m.lbl_fhome_mig[tid][pid][dst],
-                         (cp.home, dst), (cp.rstate, _USED), (cp.wl, 0),
-                         (cp.lt, nlt[to]), (mg.full, 1),
-                         (mg.wl, 1 << dst), (mg.rstate, _USED), *stay)
-        nlt, nwl = nlt[rest], nwl[rest]
-        move(s[rest], rank, m.lbl_fhome[tid][pid],
-             (cp.rstate, (nwl != 0) | (nlt != 0)), (cp.wl, nwl),
-             (cp.lt, nlt), *stay)
+        # at home: flush locally; a sole remaining remote writer gets the
+        # home. The last local thread (localthreads 1) leaves the writer
+        # list, so ``others`` is what remains of it
+        home = (*lowest, (cp.home, "==", pid))
+        if checked:
+            yield Rule("flush_violation", rank, m.lbl_viol_lt, (*home, (cp.lt, "==", 0)), SINK)
+        others = Bits(cp.wl, cp.wl.mask ^ 1 << pid)
+        label = m.lbl_fhome[tid][pid]
+        for last, wl, lt in ((True, others, 0), (False, cp.wl, DEC),):
+            guard = (*home, (cp.lt, "==", 1) if last
+                     else (cp.lt, ">=", 2) if checked else (cp.lt, "!=", 1))
+            if m.variant.home_migration:
+                for dst in range(self.P):
+                    if dst != pid:
+                        mg = self.mg[dst][r]
+                        yield Rule(
+                            "flush_home_migrate", rank,
+                            m.lbl_fhome_mig[tid][pid][dst],
+                            (*guard, (wl, "==", 1 << dst), (mg.full, "==", 0)),
+                            ((cp.home, dst), (cp.rstate, _USED), (cp.wl, 0),
+                             (cp.lt, lt), (mg.full, 1), (mg.wl, 1 << dst),
+                             (mg.rstate, _USED), *stay),
+                        )
+                        guard += ((wl, "!=", 1 << dst),)
+            if last:
+                yield Rule("flush_home", rank, label,
+                           (*guard, (others, "==", 0)),
+                           ((cp.rstate, _UNUSED), (cp.wl, 0), (cp.lt, 0),
+                            *stay))
+                yield Rule("flush_home", rank, label,
+                           (*guard, (others, "!=", 0)),
+                           ((cp.rstate, _USED), (cp.wl, Drop(1 << pid)),
+                            (cp.lt, 0), *stay))
+            else:
+                yield Rule("flush_home", rank, label, guard,
+                           ((cp.rstate, _USED), (cp.lt, DEC), *stay))
 
     # -- protocol lock manager -------------------------------------------
 
-    def _grant_rules(self, lv, pid: int) -> None:
+    def _lock_summands(self, pid: int):
         m = self.model
         lk = self.lk[pid]
-        col = lv.col
-        free = col(lk.fls_h) == 0
-        srv_free = col(lk.srv_h) == 0
-        flt_free = col(lk.flt_h) == 0
         # the flush lock also waits for the processor's queues to drain
-        quiet = srv_free & flt_free
-        for slot in (self.hq[pid], self.rq[pid], self.hqa[pid],
-                     self.rqa[pid], *self.mg[pid]):
-            quiet = quiet & (col(slot.full) == 0)
+        quiet = ((lk.srv_h, "==", 0), (lk.flt_h, "==", 0), *(
+            (slot.full, "==", 0) for slot in (
+                self.hq[pid], self.rq[pid], self.hqa[pid], self.rqa[pid],
+                *self.mg[pid])
+        ))
         for kind, (holder, waiters, guard, phase, table) in enumerate((
-            (lk.srv_h, lk.srv_w, srv_free, _HAVE_SERVER, m.lbl_lock_srv),
-            (lk.flt_h, lk.flt_w, flt_free, _HAVE_FAULT, m.lbl_lock_flt),
+            (lk.srv_h, lk.srv_w, ((lk.srv_h, "==", 0),), _HAVE_SERVER,
+             m.lbl_lock_srv),
+            (lk.flt_h, lk.flt_w, ((lk.flt_h, "==", 0),), _HAVE_FAULT,
+             m.lbl_lock_flt),
             (lk.fls_h, lk.fls_w, quiet, _HAVE_FLUSH, m.lbl_lock_fls),
         )):
-            waiting = col(waiters)
-            sel = _nz((waiting != 0) & free & guard)
-            if sel.size:
-                waiting = waiting[sel]
-                rank = self._rank_grant + (pid * 3 + kind) * self.T
-                for tid, th in enumerate(self.th):
-                    lv.move(sel[(waiting >> tid) & 1 != 0], rank + tid,
-                            table[tid][pid], (th.phase, phase),
-                            (holder, tid + 1), (waiters, Drop(1 << tid)))
+            rank = self._rank_grant + (pid * 3 + kind) * self.T
+            for tid, th in enumerate(self.th):
+                yield Rule(
+                    "lock_grant", rank + tid, table[tid][pid],
+                    ((Bits(waiters, 1 << tid), "==", 1 << tid),
+                     (lk.fls_h, "==", 0), *guard),
+                    ((th.phase, phase), (holder, tid + 1),
+                     (waiters, Drop(1 << tid))),
+                )
 
     # -- home queue handler ----------------------------------------------
 
-    def _homequeue_rules(self, lv, pid: int) -> None:
+    def _homequeue_summands(self, pid: int):
         m = self.model
-        R = self.R
-        col, move = lv.col, lv.move
         hq, hqa = self.hq[pid], self.hqa[pid]
-        rank = self._rank_hq + pid * (R + 1)
+        rank = self._rank_hq + pid * (self.R + 1)
 
-        # a Region Sponmigrate is absorbed from its slot at any time
-        arriving = np.zeros(len(lv.rows), dtype=bool)
+        # a Region Sponmigrate is absorbed from its slot at any time; with
+        # the Error-2 fix, a local thread waiting for the region's data
+        # is told it holds the home (one case split per local thread)
         for r, (mg, cp) in enumerate(zip(self.mg[pid], self.cp[pid])):
-            full = col(mg.full) != 0
-            arriving |= full
-            s = _nz(full)
-            told: list = []
-            if m.variant.sponmigrate_informs_threads and s.size:
+            told = []
+            if m.variant.sponmigrate_informs_threads:
                 for tid in m.threads_on[pid]:
                     th = self.th[tid]
-                    waits = (col(th.phase)[s] == _WAIT_DATA) & (
-                        col(th.reg)[s] == r
-                    )
-                    told.append((th.aho, col(th.aho)[s] | waits))
-            move(s, rank + r, m.lbl_mig[pid], (cp.home, pid),
-                 (cp.rstate, From(mg.rstate)), (cp.wl, From(mg.wl)),
-                 *told, (mg.all, 0))
+                    waits = th.phase, "==", _WAIT_DATA
+                    told.append((
+                        ((waits, (th.reg, "==", r)), ((th.aho, 1),)),
+                        (((th.phase, "!=", _WAIT_DATA),), ()),
+                        ((waits, (th.reg, "!=", r)), ()),
+                    ))
+            for cases in itertools.product(*told):
+                yield Rule(
+                    "recv_sponmigrate", rank + r, m.lbl_mig[pid],
+                    ((mg.full, "==", 1), *(t for g, _u in cases for t in g)),
+                    ((cp.home, pid), (cp.rstate, From(mg.rstate)),
+                     (cp.wl, From(mg.wl)), (mg.all, 0),
+                     *(u for _g, us in cases for u in us)),
+                )
 
-        rank += R
-        held = col(hqa.full) != 0
+        rank += self.R
         # idle handler: take the message out of the queue — unless a
-        # migration towards this processor is still on its way
-        sel = _nz(~held & (col(hq.full) != 0) & ~arriving)
-        for slot in (self.rq[pid], self.rqa[pid]):
-            sel = sel[(col(slot.full)[sel] == 0) | (col(slot.mig)[sel] == 0)]
-        move(sel, rank, m.lbl_hql[pid], (hqa.all, From(hq.all)), (hq.all, 0))
+        # migration towards this processor is still on its way (a slot's
+        # mig bit is set only while it holds a migration reply: an empty
+        # slot is all-zero)
+        yield Rule(
+            "lock_homequeue", rank, m.lbl_hql[pid],
+            ((hq.full, "==", 1), (hqa.full, "==", 0),
+             (self.rq[pid].mig, "==", 0), (self.rqa[pid].mig, "==", 0),
+             *((mg.full, "==", 0) for mg in self.mg[pid])),
+            ((hqa.all, From(hq.all)), (hq.all, 0)),
+        )
 
-        sel = _nz(held)
-        if not sel.size:
-            return
-        flush = col(hqa.flush)[sel] != 0
-        reg, src_of = col(hqa.r)[sel], col(hqa.src)[sel]
         for r, cp in enumerate(self.cp[pid]):
-            home = col(cp.home)[sel]
+            held = (hqa.full, "==", 1), (hqa.r, "==", r)
             # stale destination: forward to where the home is believed
             # to be, once that queue has room
             for h, hqh in enumerate(self.hq):
                 if h != pid:
-                    to = (reg == r) & (home == h) & (col(hqh.full)[sel] == 0)
-                    for kind, table in ((~flush, m.lbl_fwd_req),
-                                        (flush, m.lbl_fwd_flush)):
-                        move(sel[to & kind], rank, table[pid][h],
-                             (hqh.all, From(hqa.all)), (hqa.all, 0))
-            here = (reg == r) & (home == pid)
-            if here.any():
-                for src in range(self.P):
-                    from_src = here & (src_of == src)
-                    self._serve_request(
-                        lv, sel[from_src & ~flush], pid, src, r, rank
-                    )
-                    self._serve_flush(
-                        lv, sel[from_src & flush], pid, src, r, rank
-                    )
+                    for flush, table in ((0, m.lbl_fwd_req), (1, m.lbl_fwd_flush)):
+                        yield Rule(
+                            "forward", rank, table[pid][h],
+                            (*held, (hqa.flush, "==", flush),
+                             (cp.home, "==", h), (hqh.full, "==", 0)),
+                            ((hqh.all, From(hqa.all)), (hqa.all, 0)),
+                        )
+            for src in range(self.P):
+                here = (*held, (hqa.src, "==", src), (cp.home, "==", pid))
+                yield from self._serve_request(pid, src, r, rank, (*here, (hqa.flush, "==", 0)))
+                yield from self._serve_flush(pid, src, r, rank, (*here, (hqa.flush, "==", 1)))
 
-    def _serve_request(self, lv, s, pid, src, r, rank) -> None:
+    def _serve_request(self, pid, src, r, rank, guard):
         """The home ``pid`` answers a Data Request from ``src``, once
         the requester's remote queue has room."""
         m = self.model
-        col = lv.col
         cp, hqa, rq = self.cp[pid][r], self.hqa[pid], self.rq[src]
-        s = s[col(rq.full)[s] == 0]
+        guard += ((rq.full, "==", 0),)
         sbit = 1 << src
 
         def reply(mig, wl, rstate):
@@ -1019,108 +1208,124 @@ class FrontierKernel:
 
         if m.variant.home_migration and src != pid:
             # the home migrates to the only writing processor
-            alone = col(cp.wl)[s] & ~np.uint64(sbit) == 0
-            lv.move(s[alone], rank, m.lbl_sretm[pid][src], (cp.home, src),
-                    (cp.rstate, _USED), (cp.wl, 0), *reply(1, sbit, _USED))
-            s = s[~alone]
-        lv.move(s, rank, m.lbl_sret[pid][src], (cp.rstate, _USED),
-                (cp.wl, Raise(sbit)), *reply(0, 0, 0))
+            alone = self._exclusive(cp, src)
+            yield Rule("send_dataret_mig", rank, m.lbl_sretm[pid][src],
+                       (*guard, alone),
+                       ((cp.home, src), (cp.rstate, _USED), (cp.wl, 0),
+                        *reply(1, sbit, _USED)))
+            guard += (self._exclusive(cp, src, "!="),)
+        yield Rule("send_dataret", rank, m.lbl_sret[pid][src], guard,
+                   ((cp.rstate, _USED), (cp.wl, Raise(sbit)),
+                    *reply(0, 0, 0)))
 
-    def _serve_flush(self, lv, s, pid, src, r, rank) -> None:
+    def _serve_flush(self, pid, src, r, rank, guard):
         """The home ``pid`` processes a Flush from ``src``; a sole
-        remaining remote writer gets the home."""
-        if not s.size:
-            return
+        remaining remote writer gets the home. ``others`` is the writer
+        list once ``src`` has left it."""
         m = self.model
-        col = lv.col
         cp, hqa = self.cp[pid][r], self.hqa[pid]
-        nwl = col(cp.wl)[s] & ~np.uint64(1 << src)
-        rest = np.ones(len(s), dtype=bool)
+        others = Bits(cp.wl, cp.wl.mask ^ 1 << src)
         if m.variant.home_migration:
             for dst in range(self.P):
-                if dst != pid:
-                    to = nwl == 1 << dst
-                    rest &= ~to
+                if dst not in (pid, src):
                     mg = self.mg[dst][r]
-                    lv.move(s[to & (col(mg.full)[s] == 0)], rank,
-                            m.lbl_frecv_mig[pid][dst], (cp.home, dst),
-                            (cp.rstate, _USED), (cp.wl, 0), (mg.full, 1),
-                            (mg.wl, 1 << dst), (mg.rstate, _USED),
-                            (hqa.all, 0))
-        s, nwl = s[rest], nwl[rest]
-        lv.move(s, rank, m.lbl_frecv[pid],
-                (cp.rstate, (nwl != 0) | (col(cp.lt)[s] != 0)),
-                (cp.wl, nwl), (hqa.all, 0))
+                    yield Rule(
+                        "flush_recv_migrate", rank, m.lbl_frecv_mig[pid][dst],
+                        (*guard, (others, "==", 1 << dst), (mg.full, "==", 0)),
+                        ((cp.home, dst), (cp.rstate, _USED), (cp.wl, 0),
+                         (mg.full, 1), (mg.wl, 1 << dst), (mg.rstate, _USED),
+                         (hqa.all, 0)),
+                    )
+                    guard += ((others, "!=", 1 << dst),)
+        done = (cp.wl, Drop(1 << src)), (hqa.all, 0)
+        label = m.lbl_frecv[pid]
+        yield Rule("flush_recv", rank, label, (*guard, (others, "!=", 0)),
+                   ((cp.rstate, _USED), *done))
+        yield Rule("flush_recv", rank, label,
+                   (*guard, (others, "==", 0), (cp.lt, "!=", 0)),
+                   ((cp.rstate, _USED), *done))
+        yield Rule("flush_recv", rank, label,
+                   (*guard, (others, "==", 0), (cp.lt, "==", 0)),
+                   ((cp.rstate, _UNUSED), *done))
 
     # -- remote queue handler --------------------------------------------
 
-    def _remotequeue_rules(self, lv, pid: int) -> None:
+    def _remotequeue_summands(self, pid: int):
         m = self.model
-        col, move = lv.col, lv.move
         rq, rqa = self.rq[pid], self.rqa[pid]
         rank = self._rank_rq + pid
-        held = col(rqa.full) != 0
-        move(_nz(~held & (col(rq.full) != 0)), rank, m.lbl_rql[pid],
-             (rqa.all, From(rq.all)), (rq.all, 0))
+        yield Rule("lock_remotequeue", rank, m.lbl_rql[pid],
+                   ((rq.full, "==", 1), (rqa.full, "==", 0)),
+                   ((rqa.all, From(rq.all)), (rq.all, 0)))
 
-        sel = _nz(held)
-        if not sel.size:
-            return
-        for_tid, for_r = col(rqa.tid)[sel], col(rqa.r)[sel]
         for tid, th in enumerate(self.th):
-            ts = sel[for_tid == tid]
-            if m.check_assertions:
+            held = (rqa.full, "==", 1), (rqa.tid, "==", tid)
+            waits = th.phase, "==", _WAIT_DATA
+            checked = m.check_assertions
+            if checked:
+                # a reply must find its thread here, waiting for the
+                # region's data
+                unexpected = [held]
+                if m.pid_of[tid] == pid:
+                    unexpected = [(*held, (th.phase, "!=", _WAIT_DATA)),
+                                  (*held, waits, (th.reg, "!=", rqa.r))]
+                for guard in unexpected:
+                    yield Rule("unexpected_data_return", rank, m.lbl_viol_ret, guard, SINK)
                 if m.pid_of[tid] != pid:
-                    lv.violation(ts, rank, m.lbl_viol_ret)
                     continue
-                expected = (col(th.phase)[ts] == _WAIT_DATA) & (
-                    col(th.reg)[ts] == for_r[for_tid == tid]
-                )
-                lv.violation(ts[~expected], rank, m.lbl_viol_ret)
-                ts = ts[expected]
-            if not ts.size:
-                continue
+            signal = m.lbl_signal[tid][pid]
             wake = (th.phase, _REMOTE_READY), (rqa.all, 0)
-            mig = col(rqa.mig)[ts] != 0
             # a thread told of a sponmigrate keeps the home it has
-            keep = ~mig & (col(th.aho)[ts] != 0)
-            move(ts[keep], rank, m.lbl_signal[tid][pid], *wake)
+            yield Rule("signal", rank, signal,
+                       (*held, *((waits, (th.reg, "==", rqa.r)) if checked
+                                 else ()),
+                        (rqa.mig, "==", 0), (th.aho, "!=", 0)), wake)
             for r, cp in enumerate(self.cp[pid]):
-                in_r = col(rqa.r)[ts] == r
-                move(ts[in_r & mig], rank, m.lbl_signal[tid][pid],
-                     (cp.home, pid), (cp.rstate, From(rqa.rstate)),
-                     (cp.wl, From(rqa.wl)), *wake)
-                move(ts[in_r & ~mig & ~keep], rank, m.lbl_signal[tid][pid],
-                     (cp.home, From(rqa.sender)), (cp.rstate, _USED),
-                     (cp.wl, 0), *wake)
+                in_r = (*held, (rqa.r, "==", r), *((waits, (th.reg, "==", r)) if checked else ()))
+                yield Rule("signal", rank, signal,
+                           (*in_r, (rqa.mig, "==", 1)),
+                           ((cp.home, pid), (cp.rstate, From(rqa.rstate)),
+                            (cp.wl, From(rqa.wl)), *wake))
+                yield Rule("signal", rank, signal,
+                           (*in_r, (rqa.mig, "==", 0), (th.aho, "==", 0)),
+                           ((cp.home, From(rqa.sender)), (cp.rstate, _USED),
+                            (cp.wl, 0), *wake))
 
     # -- probes ----------------------------------------------------------
 
-    def _probe_rules(self, lv) -> None:
-        col = lv.col
-        P, n = self.P, len(lv.rows)
-        any_home = np.zeros(n, dtype=bool)
-        any_copy = np.zeros(n, dtype=bool)
-        for r in range(self.R):
-            homes = np.zeros(n, dtype=np.int64)
-            for p in range(P):
-                homes += col(self.cp[p][r].home) == p
-            any_home |= homes >= 2
-            any_copy |= P - homes >= 2
-        lock_empty = np.ones(n, dtype=bool)
-        hq_empty = np.ones(n, dtype=bool)
-        rq_empty = np.ones(n, dtype=bool)
-        for p in range(P):
-            lk = self.lk[p]
-            for f in (lk.srv_h, lk.flt_h, lk.fls_h, self.hqa[p].full,
-                      self.rqa[p].full):
-                lock_empty &= col(f) == 0
-            for slot in (self.hq[p], *self.mg[p]):
-                hq_empty &= col(slot.full) == 0
-            rq_empty &= col(self.rq[p].full) == 0
-        for i, (mask, label) in enumerate((
-            (any_home, C_HOME), (any_copy, C_COPY),
-            (lock_empty, LOCK_EMPTY), (hq_empty, HOMEQUEUE_EMPTY),
-            (rq_empty, REMOTEQUEUE_EMPTY),
+    def _probe_summands(self):
+        """The probes, self-loops ranked after every move. A region with
+        two homes (or two non-home copies) is split on which copies
+        think themselves home, at the first region where it happens."""
+        P, R = self.P, self.R
+        rank = self._rank_probe
+        for i, (label, counts) in enumerate((
+            (C_HOME, lambda homes: homes >= 2),
+            (C_COPY, lambda homes: P - homes >= 2),
         )):
-            lv.move(_nz(mask), self._rank_probe + i, label)
+            splits = [
+                [
+                    (counts(sum(home)), tuple(
+                        (self.cp[p][r].home, "==" if h else "!=", p)
+                        for p, h in enumerate(home)
+                    ))
+                    for home in itertools.product((0, 1), repeat=P)
+                ]
+                for r in range(R)
+            ]
+            for first in range(R):
+                for cases in itertools.product(*(
+                    [terms for hit, terms in splits[r] if r == first
+                     and hit or r < first and not hit]
+                    for r in range(first + 1)
+                )):
+                    yield Rule("probe", rank + i, label, sum(cases, ()), ())
+        for i, fields in enumerate((
+            [f for p in range(P) for f in (
+                self.lk[p].srv_h, self.lk[p].flt_h, self.lk[p].fls_h,
+                self.hqa[p].full, self.rqa[p].full)],
+            [slot.full for p in range(P)
+             for slot in (self.hq[p], *self.mg[p])],
+            [self.rq[p].full for p in range(P)],
+        ), start=2):
+            yield Rule("probe", rank + i, _PROBES[i], tuple((f, "==", 0) for f in fields), ())

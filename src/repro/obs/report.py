@@ -151,6 +151,27 @@ def _wave_table(waves: list[dict]) -> list[str]:
     return lines
 
 
+def successor_fit(waves: list[dict]):
+    """``(a, b)`` of the least-squares fit ``succ_s = a + b * rows`` over
+    one sweep's ``wave`` events, ``rows`` the size of the level a wave
+    expanded (the previous wave's ``frontier``; 1 for the first): the
+    successor phase's seconds per level and per row. None with fewer
+    than two distinct level sizes."""
+    points, rows = [], 1
+    for w in waves:
+        if "succ_s" in w:
+            points.append((rows, w["succ_s"]))
+        rows = w.get("frontier", 0)
+    n = len(points)
+    mean_x = sum(x for x, _y in points) / max(n, 1)
+    mean_y = sum(y for _x, y in points) / max(n, 1)
+    sxx = sum((x - mean_x) ** 2 for x, _y in points)
+    if n < 2 or sxx == 0:
+        return None
+    b = sum((x - mean_x) * (y - mean_y) for x, y in points) / sxx
+    return mean_y - b * mean_x, b
+
+
 def _render_sweep(i: int, events: list[dict]) -> list[str]:
     start = events[0] if events[0].get("ev") == "sweep_start" else {}
     end = next(
@@ -199,6 +220,13 @@ def _render_sweep(i: int, events: list[dict]) -> list[str]:
     if waves:
         lines.append("  depth waves:")
         lines.extend("  " + ln for ln in _wave_table(waves))
+        fit = successor_fit(waves)
+        if fit is not None:
+            lines.append(
+                f"  successor phase: {1e3 * fit[0]:.3f} ms/level + "
+                f"{1e6 * fit[1]:.3f} µs/row (least squares over "
+                f"{len(waves)} levels)"
+            )
 
     phases = phase_breakdown(events)
     if phases["total_s"] > 0:

@@ -62,6 +62,9 @@ ALLOWED: dict[str, str] = {
         "the in-memory recorder's reader: examples/trace_replay.py and "
         "CI's whole-run step",
     # error paths
+    "repro/jackal/kernel.py::RuleTable._raise":
+        "error path: a Fail rule (the scalar relation's ModelError) fires "
+        "only on a state no paper variant reaches",
     "repro/jackal/model.py::JackalModel._violate":
         "error path: the assertion-violation move; Requirement 2 holds on "
         "every paper variant",

@@ -1,16 +1,15 @@
 """The frontier kernel, state by state and field by field.
 
 ``JackalModel.successors`` is the specification. The kernel evaluates
-the same relation over packed rows a BFS level at a time: here its
-``expand`` is held to ``successors`` on random walks, its limits and
-model errors to the scalar loop's, and its write plans to the field
-boundaries. Whole sweeps are held to the reference explorer column for
+the same relation over packed rows a BFS level at a time, as a rule
+table and one interpreter: here its ``expand`` is held to
+``successors`` on random walks, its limits and model errors to the
+scalar loop's, and the interpreter's guards and write plans to the
+field boundaries. Whole sweeps are held to the reference explorer column for
 column in ``tests/conformance/``.
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +18,17 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.errors import ModelError
-from repro.jackal.kernel import DEC, INC, Drop, From, Layout, Raise, _Level
+from repro.jackal.kernel import (
+    DEC,
+    INC,
+    Drop,
+    Fail,
+    From,
+    Layout,
+    Raise,
+    Rule,
+    RuleTable,
+)
 from repro.jackal.model import VIOLATION, JackalModel, Phase
 from repro.jackal.params import Config, ProtocolVariant
 from repro.lts.engine import explore_fast
@@ -157,88 +166,84 @@ def test_value_outside_its_field_raises_instead_of_wrapping():
     assert moves[model.lbl_viol_lt] == VIOLATION
 
 
-#: one element of fields either side of each cache-type boundary, and
-#: two elements wider than any narrow type
+#: narrow fields either side of the byte boundary and at the widest a
+#: guard reads, fields too wide for a guard, and two wide elements
 _BOUNDARY = Layout([
-    ("narrow", [("f7", 7), ("f8", 8), ("f15", 15), ("f16", 16)]),
+    ("narrow", [("f7", 7), ("f8", 8), ("f15", 15)]),
+    ("edge", [("f10", 10)]),
+    ("wide", [("f11", 11)]),
     ("wa", [("x", 40)]),
     ("wb", [("x", 40)]),
 ])
 
 
-def _level(**values):
-    """A one-row level over :data:`_BOUNDARY` holding ``values``."""
-    return _rows_level([values])
+def _table(*updates, guard=()):
+    """A table over :data:`_BOUNDARY` holding one rule writing ``updates``."""
+    return RuleTable(
+        _BOUNDARY, [Rule("step", 0, "step", guard, tuple(updates))],
+        {"step": 0},
+    )
 
 
-def _rows_level(rows):
-    """A level over :data:`_BOUNDARY` with one row per dict of values."""
+def _fire(table, rows=({},)):
+    """The successor rows ``table`` fires on one row per dict of values."""
     packed = np.zeros((len(rows), _BOUNDARY.n_words), dtype=np.uint64)
     for i, values in enumerate(rows):
         for name, value in values.items():
             f = _BOUNDARY[name.replace("_", ".")]
             packed[i, f.word] |= np.uint64(value << f.shift)
-    kernel = SimpleNamespace(
-        layout=_BOUNDARY, label_ids={"step": 0}, n_words=_BOUNDARY.n_words,
-        n_ranks=1,
-    )
-    return _Level(kernel, packed)
+    return table.fire(packed)[0]
 
 
-def _after(lv, name):
-    """Field ``name`` of the one successor ``lv`` emitted."""
-    (value,) = _after_rows(lv.finish()[0], name)
-    return value
-
-
-def _after_rows(succ, name):
+def _after(succ, name):
     """Field ``name`` of every row of ``succ``."""
     f = _BOUNDARY[name.replace("_", ".")]
     return ((succ[:, f.word] >> np.uint64(f.shift)) & np.uint64(f.mask)).tolist()
 
 
-@pytest.mark.parametrize("width,itemsize", [(7, 1), (8, 2), (15, 2), (16, 4)])
-def test_inc_and_dec_leave_a_narrow_field_at_each_type_boundary(
-    width, itemsize
-):
-    name = f"narrow_f{width}"
-    f = _BOUNDARY[f"narrow.f{width}"]
-    one = np.array([0])
-    lv = _level(**{name: f.mask})
-    assert lv.col(f).dtype.itemsize == itemsize
-    with pytest.raises(ModelError, match=f.name):
-        lv.move(one, 0, "step", (f, INC))
-    with pytest.raises(ModelError, match=f.name):
-        _level(**{name: 0}).move(one, 0, "step", (f, DEC))
-    # one step inside the range still lands on the edge
-    lv = _level(**{name: f.mask - 1})
-    lv.move(one, 0, "step", (f, INC))
-    assert _after(lv, name) == f.mask
-    lv = _level(**{name: 1})
-    lv.move(one, 0, "step", (f, DEC))
-    assert _after(lv, name) == 0
+@pytest.mark.parametrize("width", [7, 8, 10])
+def test_inc_and_dec_leave_a_field_at_its_edge(width):
+    name = {7: "narrow_f7", 8: "narrow_f8", 10: "edge_f10"}[width]
+    f = _BOUNDARY[name.replace("_", ".")]
+    inc, dec = _table((f, INC)), _table((f, DEC))
+    with pytest.raises(ModelError, match=f"{f.name} written with a value"):
+        _fire(inc, [{name: f.mask}])
+    with pytest.raises(ModelError, match=f"{f.name} written with a value"):
+        _fire(dec, [{name: 0}])
+    # one step inside the range still lands on the edge, in every row
+    assert _after(_fire(inc, [{name: f.mask - 1}, {name: 0}]), name) == [
+        f.mask, 1]
+    assert _after(_fire(dec, [{name: 1}, {name: f.mask}]), name) == [
+        0, f.mask - 1]
+    # a step never carries into the neighbouring field
+    assert _after(_fire(inc, [{name: f.mask - 1, "wa_x": 5}]), "wa_x") == [5]
+
+
+def test_a_step_on_a_field_wider_than_a_guard_is_refused():
+    # the write that would leave the field is a rule guarded on it
+    with pytest.raises(ModelError, match="wide.f11 is too wide"):
+        _table((_BOUNDARY["wide.f11"], INC))
 
 
 def test_from_keeps_the_value_between_narrow_and_wide_fields():
-    wide = (1 << 39) | 0xFFFF
-    one = np.array([0])
-    narrow, wa, wb = (
-        _BOUNDARY["narrow.f16"], _BOUNDARY["wa.x"], _BOUNDARY["wb.x"]
-    )
-    lv = _level(narrow_f16=0xFFFF, wa_x=wide)
-    assert lv.col(wa).dtype == np.uint64
-    lv.move(one, 0, "step", (wb, From(narrow)))
-    assert _after(lv, "wb_x") == 0xFFFF
-    lv = _level(wa_x=wide)
-    lv.move(one, 0, "step", (_BOUNDARY["wb"], From(_BOUNDARY["wa"])))
-    assert _after(lv, "wb_x") == wide
-    # a wide value that fits the narrow field is copied whole, one that
+    wide = (1 << 39) | 0xFF
+    f8, f7, f10 = (_BOUNDARY[n] for n in ("narrow.f8", "narrow.f7", "edge.f10"))
+    wa, wb = _BOUNDARY["wa.x"], _BOUNDARY["wb.x"]
+    assert _after(_fire(_table((wb, From(f8))), [{"narrow_f8": 0xFF}]),
+                  "wb_x") == [0xFF]
+    assert _after(
+        _fire(_table((_BOUNDARY["wb"], From(_BOUNDARY["wa"]))),
+              [{"wa_x": wide}]),
+        "wb_x") == [wide]
+    # a wider value that fits the narrow field is copied whole, one that
     # does not is refused
-    lv = _level(wa_x=0xFFFF)
-    lv.move(one, 0, "step", (narrow, From(wa)))
-    assert _after(lv, "narrow_f16") == 0xFFFF
-    with pytest.raises(ModelError, match="narrow.f16"):
-        _level(wa_x=wide).move(one, 0, "step", (narrow, From(wa)))
+    narrowing = _table((f7, From(f10)))
+    assert _after(_fire(narrowing, [{"edge_f10": 0x7F}]), "narrow_f7") == [
+        0x7F]
+    with pytest.raises(ModelError, match="narrow.f7 written with a value"):
+        _fire(narrowing, [{"edge_f10": 0x80}])
+    with pytest.raises(ModelError, match="wa.x is too wide"):
+        _table((f7, From(wa)))
 
 
 @pytest.mark.parametrize("first,second", [
@@ -247,71 +252,80 @@ def test_from_keeps_the_value_between_narrow_and_wide_fields():
     ("narrow.f15", "narrow"),
 ])
 def test_overlapping_writes_in_one_move_are_refused(first, second):
-    one = np.array([0])
     with pytest.raises(ModelError, match=rf"{second} overlaps another write"):
-        _level().move(one, 0, "step", (_BOUNDARY[first], 0),
-                      (_BOUNDARY[second], INC))
+        _table((_BOUNDARY[first], 0), (_BOUNDARY[second], INC))
     # fields side by side in one word do not overlap
-    lv = _level()
-    lv.move(one, 0, "step", (_BOUNDARY["narrow.f7"], 1),
-            (_BOUNDARY["narrow.f8"], 2))
-    assert (_after(lv, "narrow_f7"), _after(lv, "narrow_f8")) == (1, 2)
+    succ = _fire(_table((_BOUNDARY["narrow.f7"], 1),
+                        (_BOUNDARY["narrow.f8"], 2)))
+    assert (_after(succ, "narrow_f7"), _after(succ, "narrow_f8")) == ([1], [2])
 
 
 def test_out_of_range_constant_raises_on_every_use_and_is_not_cached():
-    one = np.array([0])
     f7 = _BOUNDARY["narrow.f7"]
     plans = dict(_BOUNDARY._plans)
     for _ in range(2):
         with pytest.raises(ModelError, match="narrow.f7 = 128 outside"):
-            _level().move(one, 0, "step", (f7, 128))
+            _table((f7, 128))
         with pytest.raises(ModelError, match="narrow.f7 has no bits"):
-            _level().move(one, 0, "step", (f7, Raise(128)))
+            _table((f7, Raise(128)))
     assert _BOUNDARY._plans == plans
 
 
 def test_from_narrow_to_wide_is_exact_without_a_range_check():
-    narrow, wb = _BOUNDARY["narrow.f16"], _BOUNDARY["wb.x"]
-    rows = [{"narrow_f16": v, "wb_x": (1 << 40) - 1} for v in (0, 1, 0xFFFF)]
-    lv = _rows_level(rows)
-    lv.move(np.arange(3), 0, "step", (wb, From(narrow)))
-    assert _after_rows(lv.finish()[0], "wb_x") == [0, 1, 0xFFFF]
-    (_i, _f, checked), = _BOUNDARY.plan([(wb, From(narrow))]).computed
-    assert not checked
-    (_i, _f, checked), = _BOUNDARY.plan([(narrow, From(wb))]).computed
-    assert checked
+    narrow, wb = _BOUNDARY["narrow.f8"], _BOUNDARY["wb.x"]
+    rows = [{"narrow_f8": v, "wb_x": (1 << 40) - 1} for v in (0, 1, 0xFF)]
+    widening = _table((wb, From(narrow)))
+    assert _after(_fire(widening, rows), "wb_x") == [0, 1, 0xFF]
+    # no rule guards the widening write; the narrowing one has its Fail
+    assert [r.name for r in widening.rules] == ["step"]
+    narrowing = _table((narrow, From(_BOUNDARY["edge.f10"])))
+    assert [type(r.updates).__name__ for r in narrowing.rules] == [
+        "tuple", "Fail"]
 
 
 def test_a_cached_plan_gives_the_rows_of_a_fresh_one():
-    f7, f8, f16 = (_BOUNDARY[f"narrow.f{w}"] for w in (7, 8, 16))
+    f7, f8, f10 = (_BOUNDARY[n] for n in ("narrow.f7", "narrow.f8", "edge.f10"))
     wa, wb = _BOUNDARY["wa.x"], _BOUNDARY["wb.x"]
-
-    def successors(rows):
-        lv = _rows_level(rows)
-        sel = np.arange(len(rows))
-        lv.move(sel, 0, "step", (f7, 5), (f8, INC), (wb, From(wa)),
-                (f16, sel * 7), (_BOUNDARY["narrow.f15"], Raise(0b101)))
-        return lv.finish()[0]
-
-    successors([{"narrow_f8": 1}])  # compiles the plan
-    plans = dict(_BOUNDARY._plans)
-    rows = [{"narrow_f8": 9, "narrow_f15": 2, "wa_x": 1 << 39},
+    updates = ((f7, 5), (f8, INC), (wb, From(wa)), (f10, Raise(0b101)))
+    rows = [{"narrow_f8": 9, "edge_f10": 2, "wa_x": 1 << 39},
             {"narrow_f7": 127, "wa_x": 3}]
-    cached = successors(rows)
+    _table(*updates)  # compiles the plan
+    plans = dict(_BOUNDARY._plans)
+    cached = _fire(_table(*updates), rows)
     assert _BOUNDARY._plans == plans
     _BOUNDARY._plans.clear()
-    fresh = successors(rows)
+    fresh = _fire(_table(*updates), rows)
     assert np.array_equal(cached, fresh)
-    assert _after_rows(fresh, "narrow_f8") == [10, 1]
-    assert _after_rows(fresh, "narrow_f15") == [0b111, 0b101]
-    assert _after_rows(fresh, "wb_x") == [1 << 39, 3]
-    assert _after_rows(fresh, "narrow_f16") == [0, 7]
+    assert _after(fresh, "narrow_f8") == [10, 1]
+    assert _after(fresh, "edge_f10") == [0b111, 0b101]
+    assert _after(fresh, "wb_x") == [1 << 39, 3]
+    assert _after(fresh, "narrow_f7") == [5, 5]
     # Raise and Drop of the same bits compare equal as tuples; their
     # plans must not
-    lv = _level(narrow_f16=1)
-    lv.move(np.array([0]), 0, "step", (f16, Raise(1)))
-    lv.move(np.array([0]), 0, "step", (f16, Drop(1)))
-    assert _after_rows(lv.finish()[0], "narrow_f16") == [1, 0]
+    table = RuleTable(_BOUNDARY, [
+        Rule("raise", 0, "step", (), ((f10, Raise(1)),)),
+        Rule("drop", 1, "step", (), ((f10, Drop(1)),)),
+    ], {"step": 0})
+    assert _after(_fire(table, [{"edge_f10": 1}]), "edge_f10") == [1, 0]
+
+
+def test_guards_select_rows_and_order_them_by_rank():
+    f7, f8 = _BOUNDARY["narrow.f7"], _BOUNDARY["narrow.f8"]
+    table = RuleTable(_BOUNDARY, [
+        Rule("late", 2, "b", ((f7, "<", 3),), ((f8, 2),)),
+        Rule("early", 1, "a", ((f7, "==", 3), (f8, "!=", 0)), ((f8, 1),)),
+        Rule("fail", 0, "", ((f7, ">=", 100),), Fail("f7 is {}", f7)),
+    ], {"a": 0, "b": 1})
+    packed = np.array([[v << f7.shift | w << f8.shift, 0, 0]
+                       for v, w in ((3, 1), (1, 0), (3, 0), (2, 5))],
+                      dtype=np.uint64)
+    succ, row, inst = table.fire(packed)
+    assert row.tolist() == [0, 1, 3]
+    assert table.lid[inst].tolist() == [0, 1, 1]
+    assert _after(succ, "narrow_f8") == [1, 2, 2]
+    packed[2, 0] = np.uint64(101 << f7.shift)
+    with pytest.raises(ModelError, match="f7 is 101"):
+        table.fire(packed)
 
 
 def test_instrumented_kernel_sweep_reports_like_the_scalar_loop():

@@ -12,6 +12,7 @@ from repro.obs.report import (
     phase_breakdown,
     render_report,
     report_from_file,
+    successor_fit,
     whole_run,
 )
 from repro.obs.tracer import read_trace
@@ -36,6 +37,23 @@ def test_phase_breakdown_from_wave_events():
     assert phases["total_s"] == 0.2
 
 
+def test_successor_fit_is_per_level_plus_per_row():
+    # level sizes 1, 10, 30, 20: each wave expands the previous frontier
+    waves = [
+        {"ev": "wave", "frontier": f, "succ_s": 1e-3 + 2e-6 * rows}
+        for rows, f in ((1, 10), (10, 30), (30, 20), (20, 0))
+    ]
+    a, b = successor_fit(waves)
+    assert a == pytest.approx(1e-3) and b == pytest.approx(2e-6)
+    events = [{"t": 0.0, "ev": "sweep_start", "backend": "engine"},
+              *waves, {"t": 1.0, "ev": "sweep_end", "seconds": 1.0}]
+    assert ("  successor phase: 1.000 ms/level + 2.000 µs/row "
+            "(least squares over 4 levels)") in render_report(events)
+    # one level size, or untimed waves, fit nothing
+    assert successor_fit(waves[:1]) is None
+    assert successor_fit([{"ev": "wave", "frontier": 3}] * 3) is None
+
+
 def test_phase_breakdown_empty():
     phases = phase_breakdown([])
     assert phases["total_s"] == 0.0
@@ -49,6 +67,7 @@ def test_render_report_on_recorded_sweep(model):
     assert "flight recorder report" in text
     assert "sweep 1: engine" in text
     assert "depth waves:" in text
+    assert "successor phase: " in text
     assert "phase breakdown:" in text
 
 

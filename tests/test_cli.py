@@ -30,6 +30,23 @@ def test_check_error1_fails_with_trace(capsys):
     assert "stale_remote_wait" in out
 
 
+def test_check_all_shows_the_trace_of_each_violated_requirement(capsys):
+    args = ["check", "--config", "1", "--rounds", "2", "--variant", "error1"]
+    assert main(args) == 1
+    table = capsys.readouterr().out
+    assert main([*args, "--show-trace"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(table)
+    # Requirements 1 and 4 are violated; Requirement 1's verdict carries
+    # a trace (Requirement 4's names the formulas that fail)
+    traces = out[len(table):]
+    assert traces.startswith(
+        "\nrequirement 1 (deadlock freeness), error trace:\n 1. write(t0)\n"
+    )
+    assert traces.count("), error trace:") == 1
+    assert "34. " in traces and "stale_remote_wait(t1)" in traces
+
+
 def test_check_error2(capsys):
     code = main([
         "check", "--config", "2", "--variant", "error2",
