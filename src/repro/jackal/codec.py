@@ -26,8 +26,9 @@ from repro.errors import ModelError
 from repro.jackal.model import VIOLATION, JackalModel
 
 #: fine fields :meth:`StateCodec.projector` can retract — the
-#: write-only read-state bookkeeping family the cone-of-influence
-#: analysis (:mod:`repro.staticcheck.slicing`) can prove sliceable
+#: read-state bookkeeping family, and the only fields a slice may drop:
+#: the cone-of-influence analysis (:mod:`repro.staticcheck.slicing`)
+#: refuses a cone that leaves out any other (JKL403)
 PROJECTABLE_FIELDS = frozenset(
     ("copy.rstate", "rq.rstate", "rqa.rstate", "mig.rstate")
 )

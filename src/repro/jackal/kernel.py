@@ -136,6 +136,11 @@ class Layout:
         self.leaves: list[Field] = []
         #: the element of every leaf field
         self.element: dict[Field, Field] = {}
+        #: the leaves of every element
+        self.parts: dict[Field, list[Field]] = {}
+        #: every leaf's name without its element's index
+        #: (``copy.rstate`` for ``copy0_1.rstate``)
+        self.family: dict[Field, str] = {}
         word = used = 0
         for element, parts in elements:
             total = sum(bits for _name, bits in parts)
@@ -144,10 +149,13 @@ class Layout:
             if used + total > 64:
                 word, used = word + 1, 0
             whole = self._add(element, word, used, total)
+            self.parts[whole] = []
             for name, bits in parts:
                 leaf = self._add(f"{element}.{name}", word, used, bits)
                 self.leaves.append(leaf)
                 self.element[leaf] = whole
+                self.parts[whole].append(leaf)
+                self.family[leaf] = f"{element.rstrip('0123456789_')}.{name}"
                 used += bits
         self.n_words = word + 1
         #: bits of all leaf fields together
@@ -601,6 +609,15 @@ class FrontierKernel:
         self.rqa = [g(f"rqa{p}") for p in range(P)]
         self.lk = [g(f"locks{p}") for p in range(P)]
         self.mg = [[g(f"mig{p}_{r}") for r in range(R)] for p in range(P)]
+        #: per processor, the ``(slot, bit)`` pairs of "a migration is
+        #: pending here": a migration reply in the remote queue or its
+        #: handler, or a loaded migration slot. The home-queue take waits
+        #: for every bit to be clear
+        self.migpend = [
+            [(self.rq[p], self.rq[p].mig), (self.rqa[p], self.rqa[p].mig),
+             *((mg, mg.full) for mg in self.mg[p])]
+            for p in range(P)
+        ]
 
         self.violation_row = np.zeros(self.n_words, dtype=np.uint64)
         self.violation_row[self.f_violation.word] = 1 << self.f_violation.shift
@@ -1170,8 +1187,7 @@ class FrontierKernel:
         yield Rule(
             "lock_homequeue", rank, m.lbl_hql[pid],
             ((hq.full, "==", 1), (hqa.full, "==", 0),
-             (self.rq[pid].mig, "==", 0), (self.rqa[pid].mig, "==", 0),
-             *((mg.full, "==", 0) for mg in self.mg[pid])),
+             *((bit, "==", 0) for _slot, bit in self.migpend[pid])),
             ((hqa.all, From(hq.all)), (hq.all, 0)),
         )
 

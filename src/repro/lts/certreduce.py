@@ -1,8 +1,8 @@
 """Certificate-gated reduced view of a transition system.
 
 :class:`ReducedSystem` wraps a :class:`~repro.jackal.model.JackalModel`
-(or anything exposing ``config``/``variant``/``codec()``) and presents
-the same ``TransitionSystem`` protocol, a kernel included, so
+(or anything exposing ``config``/``variant``/``codec()``/``kernel()``)
+and presents the same ``TransitionSystem`` protocol, a kernel included, so
 :func:`~repro.lts.engine.explore_fast` sweeps the reduction a BFS level
 at a time (:class:`ReducedKernel`), held column for column to
 ``successors``. Per state, in this order:
@@ -11,7 +11,10 @@ at a time (:class:`ReducedKernel`), held column for column to
   (certified invisible and independent of every other enabled one) is
   expanded alone. Safe-class transitions strictly move queue content
   toward handlers and never re-enable each other, so the ignoring
-  proviso holds;
+  proviso holds. Which labels are safe, and which may commute, is one
+  table over the kernel's label ids, built at construction from the
+  footprints :mod:`repro.staticcheck.independence` reads off the
+  kernel's rule table; the scalar and the kernel pruner both index it;
 * **field slicing** (``slice_fields``, by default the certificate's;
   ``()`` disables it): the certified-sliceable ``rstate`` fields are
   zeroed — a certified congruence
@@ -63,6 +66,27 @@ def require_valid(certificate, config, variant) -> None:
         raise ReproError(f"refusing to reduce: {reasons}")
 
 
+def _commute_table(kernel):
+    """``(safe, commute)`` over ``kernel``'s label ids: whether a label
+    is a safe class's (:data:`~repro.staticcheck.independence.SAFE_CLASSES`),
+    and for a safe one, which labels it may commute with (all that the
+    pruner asks). A label no rule emits has no footprint: it never fires."""
+    from repro.staticcheck import independence as ind
+
+    fps = ind.footprints(kernel)
+    none = frozenset(), frozenset()
+    table = [fps.get(label, none) for label in kernel.labels]
+    safe_labels = {
+        rule.label for rule in kernel.table.rules
+        if rule.name in ind.SAFE_CLASSES
+    }
+    safe = np.array([label in safe_labels for label in kernel.labels], dtype=bool)
+    commute = np.zeros((len(table), len(table)), dtype=bool)
+    for i in np.flatnonzero(safe).tolist():
+        commute[i] = [ind.may_commute(table[i], fp) for fp in table]
+    return safe, commute
+
+
 class QuotientLTS(LTS):
     """A reduced kernel sweep's LTS plus the :attr:`ReducedKernel.winners`
     of its transitions and initial state, for :func:`unfold_quotient`."""
@@ -106,8 +130,9 @@ class ReducedSystem:
             if self.slice_fields
             else None
         )
-        self._footprints: dict = {}
-        self._safe: dict = {}
+        kernel = system.kernel()
+        self._lid = kernel.label_ids
+        self._safe, self._commute = _commute_table(kernel)
         #: successors whose visited key changed under canonicalization
         self.canonical_hits = 0
         #: commuting transitions pruned by singleton ample sets
@@ -146,39 +171,14 @@ class ReducedSystem:
 
     # -- the reduction ---------------------------------------------------
 
-    def _footprint(self, label):
-        fp = self._footprints.get(label)
-        if fp is None:
-            from repro.staticcheck.independence import label_footprint
-
-            fp = self._footprints[label] = label_footprint(
-                label, self.system.config
-            )
-        return fp
-
-    def _is_safe(self, label):
-        safe = self._safe.get(label)
-        if safe is None:
-            from repro.staticcheck.independence import is_safe
-
-            safe = self._safe[label] = is_safe(label)
-        return safe
-
     def _prune(self, moves):
         if len(moves) < 2:
             return moves
-        from repro.staticcheck.independence import may_commute
-
-        fps = None
-        for i, (label, _ns) in enumerate(moves):
-            if not self._is_safe(label):
-                continue
-            if fps is None:
-                fps = [self._footprint(lbl) for lbl, _ in moves]
-            mine = fps[i]
-            if all(
-                may_commute(mine, fps[j])
-                for j in range(len(moves))
+        lids = [self._lid[label] for label, _ns in moves]
+        for i, lid in enumerate(lids):
+            if self._safe[lid] and all(
+                self._commute[lid, other]
+                for j, other in enumerate(lids)
                 if j != i
             ):
                 self.ample_prunes += len(moves) - 1
@@ -226,20 +226,12 @@ class ReducedKernel:
     """
 
     def __init__(self, red: ReducedSystem, base):
-        from repro.staticcheck import independence as ind
-
         self.red, self.base, self.labels = red, base, base.labels
         self.pack, self.unpack = base.pack, base.unpack
-        # safe[lid], and commute[lid, lid'] for safe lid (all that is asked)
-        self._safe = np.array(list(map(ind.is_safe, self.labels)), dtype=bool)
-        fps = [ind.label_footprint(lb, red.system.config) for lb in self.labels]
-        self._commute = np.zeros((len(fps), len(fps)), dtype=bool)
-        for i in np.flatnonzero(self._safe).tolist():
-            self._commute[i] = [ind.may_commute(fps[i], fp) for fp in fps]
+        self._safe, self._commute = red._safe, red._commute
         self._drop = np.zeros(base.n_words, dtype=np.uint64)
         for f in base.layout.leaves:
-            element, name = f.name.split(".")
-            if f"{element.rstrip('0123456789_')}.{name}" in red.slice_fields:
+            if base.layout.family[f] in red.slice_fields:
                 self._drop[f.word] |= np.uint64(f.mask << f.shift)
         self._orbit = _Orbit(base, _group(red.certificate)) if red._perms else None
         #: per expanded level, each candidate's winning group element

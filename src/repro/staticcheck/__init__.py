@@ -22,7 +22,7 @@ from repro.staticcheck.findings import (
     LintReport,
     Severity,
 )
-from repro.staticcheck.independence import label_footprint, may_commute
+from repro.staticcheck.independence import footprints, may_commute
 from repro.staticcheck.labelcheck import (
     formula_literals,
     lint_labels,
@@ -59,9 +59,9 @@ __all__ = [
     "certify",
     "compute_locksets",
     "default_formulas",
+    "footprints",
     "formula_literals",
     "is_admissible",
-    "label_footprint",
     "lint_labels",
     "lint_locksets",
     "may_commute",

@@ -66,8 +66,8 @@ RULES: dict[str, str] = {
     "permutation group (no symmetrized orbit conjunction exists)",
     "JKL402": "permuting a formula literal leaves the model's label "
     "vocabulary (the symmetrized property would be vacuous)",
-    "JKL403": "a field slice is inconsistent: a guard observes a dropped "
-    "field, a dropped field flows into a kept one, or the congruence "
+    "JKL403": "a field slice is unsound: a field outside the rule "
+    "table's cone of influence cannot be projected, or the congruence "
     "self-test found a counterexample",
 }
 

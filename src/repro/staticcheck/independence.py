@@ -1,32 +1,36 @@
-"""Static independence analysis over summand read/write footprints.
+"""Static independence analysis, read off the kernel's rule table.
 
-Every transition label of :class:`~repro.jackal.model.JackalModel`
-belongs to a *class* (the rule that emits it) whose read and write
-footprint over the packed state fields is known statically — the
-frontier kernel's :class:`~repro.jackal.kernel.Layout` is the ground
-truth for what a "field" is. Two transitions *may commute* when
-neither writes an atom the other reads or writes; that relation is
-what the ample-set pruner in :mod:`repro.lts.certreduce` consults,
-computing each footprint from the label itself
-(:func:`label_footprint`).
+The frontier kernel (:mod:`repro.jackal.kernel`) holds the protocol as
+guarded summands: a table of :class:`~repro.jackal.kernel.Rule`
+instances, each a guard and an update list over the fields of the
+packed :class:`~repro.jackal.kernel.Layout`. A label's read/write
+footprint is the union over the instances that emit it
+(:func:`footprints`); nothing is declared beside the rules. Two
+transitions *may commute* when neither writes an atom the other reads
+or writes; that relation is what the ample-set pruner in
+:mod:`repro.lts.certreduce` consults.
 
-Atoms are per-index field slots: ``thr[t]``, ``copy[p]`` (one
-processor's whole copy row — regions are few and rules touch one row
-at a time), ``hq[p]``, ``hqa[p]``, ``rq[p]``, ``rqa[p]``, ``lock[p]``,
-``mig[p]``, plus one *predicate atom*:
+Atoms are layout elements (``thread1``, ``copy0_1``, ``hq0``, ...): an
+instance reads the element of every field a guard term tests (either
+side of the comparison), a :class:`~repro.jackal.kernel.From` copies or
+an ``INC``/``DEC``/``Raise``/``Drop`` update steps in place, and writes
+the element of every field it updates. One more atom per processor is
+a *predicate atom*:
 
-``migpend[p]``
-    "a migration is pending at ``p``" — the disjunction the home-queue
-    take guards on (a mig-flagged Data Return in ``rq[p]``/``rqa[p]``
-    or a loaded migration slot). It is its own atom so that
+``migpend<p>``
+    "a migration is pending at ``p``": the disjunction of the bits the
+    kernel names in :attr:`~repro.jackal.kernel.FrontierKernel.migpend`
+    (a migration reply in ``rq[p]`` or ``rqa[p]``, a loaded migration
+    slot of ``p``). A guard that finds every one of them clear — the
+    home-queue take's — reads the atom instead of their elements, and
+    an instance that can flip the predicate writes it. So
     ``lock_remotequeue(p)``, which moves a message from ``rq[p]`` to
     ``rqa[p]`` *preserving the predicate*, is independent of the
-    home-queue take that reads it. Only rules that can flip the
-    predicate write it.
+    home-queue take that waits on it.
 
-Unknown labels and assertion violations get the conservative ``TOP``
-footprint (conflicts with everything), so new rules fail safe: they
-are never pruned against until given an explicit footprint here.
+Assertion sinks get the ``TOP`` footprint (conflicts with everything);
+instances that raise (:class:`~repro.jackal.kernel.Fail`) are no
+transitions and are skipped.
 
 Safe classes (candidates for singleton ample sets) are the two queue
 takes. ``lock_remotequeue(p)`` is *persistent*: nothing can disable
@@ -41,198 +45,122 @@ variants, and the class must be dropped here if any verdict drifts.
 
 from __future__ import annotations
 
-import re
+from typing import cast
 
-from repro.jackal.params import Config
+from repro.jackal.kernel import (
+    DEC,
+    INC,
+    SINK,
+    Bits,
+    Drop,
+    Fail,
+    Field,
+    From,
+    FrontierKernel,
+    Raise,
+)
 
-#: the conflicts-with-everything atom (assertions, unknown labels)
-STAR = ("*", 0)
+#: the conflicts-with-everything atom (assertion sinks)
+STAR = "*"
 TOP = frozenset((STAR,))
 
 #: classes eligible as singleton ample sets, in priority order
 SAFE_CLASSES = ("lock_remotequeue", "lock_homequeue")
 
-_LABEL = re.compile(r"^([a-z0-9_]+)(?:\((.*)\))?$")
-
-#: a field slot — ``("thr", 1)``; the index is ``None`` for the rare
-#: thread-indexed atoms of a label that carries no thread argument
-Atom = tuple[str, "int | None"]
-
 #: ``(reads, writes)`` atom sets of one transition label
-Footprint = tuple[frozenset[Atom], frozenset[Atom]]
+Footprint = tuple[frozenset[str], frozenset[str]]
+
+#: per field holding a bit of ``migpend[p]`` (the bit, or its slot
+#: whole): ``p``, and the slot's ``full`` bit
+Pending = dict[Field, tuple[int, Field]]
+
+#: an update list: ``(field, value)`` pairs
+Updates = tuple[tuple[Field, object], ...]
 
 
-def parse_label(label: str) -> tuple[str, list[int], list[int]]:
-    """``(class, thread_args, processor_args)`` of a model label.
+def footprints(kernel: FrontierKernel) -> dict[str, Footprint]:
+    """``{label: (reads, writes)}`` of every label a rule instance of
+    ``kernel``'s table emits: the union over its instances."""
+    pending: Pending = {}
+    for p, slots in enumerate(kernel.migpend):
+        for slot, bit in slots:
+            pending[bit] = pending[slot.all] = (p, slot.full)
+    out: dict[str, Footprint] = {}
+    for rule in kernel.table.rules:
+        if isinstance(rule.updates, Fail):
+            continue
+        if rule.updates is SINK:
+            reads, writes = TOP, TOP
+        else:
+            updates = cast(Updates, rule.updates)
+            reads, writes = _footprint(kernel, pending, rule.guard, updates)
+        if rule.label in out:
+            had_reads, had_writes = out[rule.label]
+            reads, writes = had_reads | reads, had_writes | writes
+        out[rule.label] = (reads, writes)
+    return out
 
-    ``signal(t1,p0)`` → ``("signal", [1], [0])``. Non-index arguments
-    (assertion names) yield no indices; the class still resolves.
-    """
-    m = _LABEL.match(label)
-    if m is None:
-        return label, [], []
-    name, args = m.group(1), m.group(2)
-    ts: list[int] = []
-    ps: list[int] = []
-    for arg in (args or "").split(","):
-        arg = arg.strip()
-        if re.fullmatch(r"t\d+", arg):
-            ts.append(int(arg[1:]))
-        elif re.fullmatch(r"p\d+", arg):
-            ps.append(int(arg[1:]))
-    return name, ts, ps
+
+def _footprint(
+    kernel: FrontierKernel, pending: Pending, guard: tuple, updates: Updates
+) -> Footprint:
+    """``(reads, writes)`` atoms of one transition instance."""
+    element = kernel.layout.element
+
+    def atom(field: Field) -> str:
+        return element.get(field, field).name
+
+    reads: set[str] = set()
+    writes: set[str] = set()
+    # a guard that finds every bit of migpend[p] clear reads the
+    # predicate, not the bits' elements
+    predicate: set[tuple] = set()
+    for p, slots in enumerate(kernel.migpend):
+        tests = {(bit, "==", 0) for _slot, bit in slots}
+        if tests <= set(guard):
+            reads.add(f"migpend{p}")
+            predicate |= tests
+    for term in guard:
+        lhs, _op, rhs = term
+        if term not in predicate:
+            reads.add(atom(lhs.field if isinstance(lhs, Bits) else lhs))
+        if not isinstance(rhs, int):
+            reads.add(atom(rhs))
+    for field, value in updates:
+        writes.add(atom(field))
+        if isinstance(value, From):
+            reads.add(atom(value.field))
+        elif value is INC or value is DEC or isinstance(value, (Raise, Drop)):
+            reads.add(atom(field))
+    writes.update(f"migpend{p}" for p in _flipped(pending, guard, updates))
+    return frozenset(reads), frozenset(writes)
 
 
-def label_footprint(label: str, config: Config) -> Footprint:
-    """``(reads, writes)`` atom sets of one concrete label.
+def _flipped(pending: Pending, guard: tuple, updates: Updates) -> set[int]:
+    """The processors ``p`` where an instance can change ``migpend[p]``.
 
-    Conservative by construction: a superset footprint is always
-    sound (it can only suppress pruning), so rules with variant- or
-    phase-dependent behaviour carry the union of their paths.
-    """
-    name, ts, ps = parse_label(label)
-    t = ts[0] if ts else None
-    tp = config.processor_of(t) if t is not None else None
-
-    def thr(i: int | None) -> Atom:
-        return ("thr", i)
-
-    def copy(i: int | None) -> Atom:
-        return ("copy", i)
-
-    if name in ("write", "flush"):
-        # thread starts a write/flush: phase change + lock enqueue
-        return (
-            frozenset((thr(t), copy(tp), ("lock", tp))),
-            frozenset((thr(t), ("lock", tp))),
-        )
-    if name in ("writeover", "flushover"):
-        fp = frozenset((thr(t), copy(tp), ("lock", tp)))
-        return fp, fp
-    if name in ("restart_write", "fault_to_server"):
-        return (
-            frozenset((thr(t), copy(tp), ("lock", tp))),
-            frozenset((thr(t), ("lock", tp))),
-        )
-    if name == "stale_remote_wait":
-        return frozenset((thr(t), copy(tp))), frozenset((thr(t),))
-    if name in ("lock_server", "lock_fault"):
-        p = ps[0]
-        return (
-            frozenset((thr(t), ("lock", p))),
-            frozenset((thr(t), ("lock", p))),
-        )
-    if name == "lock_flush":
-        p = ps[0]
-        return (
-            frozenset(
-                (
-                    thr(t),
-                    ("lock", p),
-                    ("hq", p),
-                    ("rq", p),
-                    ("hqa", p),
-                    ("rqa", p),
-                    ("mig", p),
-                )
-            ),
-            frozenset((thr(t), ("lock", p))),
-        )
-    if name == "send_datareq":
-        s, d = ps
-        return (
-            frozenset((thr(t), copy(s), ("hq", d))),
-            frozenset((thr(t), ("hq", d))),
-        )
-    if name == "send_flush":
-        s, d = ps
-        return (
-            frozenset((thr(t), copy(s), ("hq", d))),
-            frozenset((thr(t), copy(s), ("hq", d))),
-        )
-    if name == "flush_home":
-        p = ps[0]
-        fp = frozenset((thr(t), copy(p)))
-        return fp, fp
-    if name == "flush_home_migrate":
-        p, d = ps
-        return (
-            frozenset((thr(t), copy(p), ("mig", d))),
-            frozenset((thr(t), copy(p), ("mig", d), ("migpend", d))),
-        )
-    if name == "lock_homequeue":
-        p = ps[0]
-        return (
-            frozenset((("hq", p), ("hqa", p), ("migpend", p))),
-            frozenset((("hq", p), ("hqa", p))),
-        )
-    if name == "lock_remotequeue":
-        p = ps[0]
-        fp = frozenset((("rq", p), ("rqa", p)))
-        return fp, fp
-    if name in ("forward_req", "forward_flush"):
-        p, d = ps
-        return (
-            frozenset((("hqa", p), copy(p), ("hq", d))),
-            frozenset((("hqa", p), ("hq", d))),
-        )
-    if name == "send_dataret":
-        p, d = ps
-        return (
-            frozenset((("hqa", p), copy(p), ("rq", d))),
-            frozenset((("hqa", p), copy(p), ("rq", d))),
-        )
-    if name == "send_dataret_mig":
-        p, d = ps
-        return (
-            frozenset((("hqa", p), copy(p), ("rq", d))),
-            frozenset((("hqa", p), copy(p), ("rq", d), ("migpend", d))),
-        )
-    if name == "flush_recv":
-        p = ps[0]
-        fp = frozenset((("hqa", p), copy(p)))
-        return fp, fp
-    if name == "flush_recv_migrate":
-        p, d = ps
-        return (
-            frozenset((("hqa", p), copy(p), ("mig", d))),
-            frozenset((("hqa", p), copy(p), ("mig", d), ("migpend", d))),
-        )
-    if name == "recv_sponmigrate":
-        p = ps[0]
-        local = tuple(thr(i) for i in config.thread_ids_of(p))
-        fp = frozenset((("mig", p), copy(p), ("migpend", p)) + local)
-        return fp, fp
-    if name == "signal":
-        p = ps[0]
-        return (
-            frozenset((thr(t), copy(p), ("rqa", p))),
-            frozenset((thr(t), copy(p), ("rqa", p), ("migpend", p))),
-        )
-    if name in ("c_home", "c_copy"):
-        reads = frozenset(copy(p) for p in range(config.n_processors))
-        return reads, frozenset()
-    if name == "lock_empty":
-        reads = frozenset(
-            (kind, p)
-            for p in range(config.n_processors)
-            for kind in ("lock", "hqa", "rqa")
-        )
-        return reads, frozenset()
-    if name == "homequeue_empty":
-        reads = frozenset(
-            (kind, p)
-            for p in range(config.n_processors)
-            for kind in ("hq", "mig")
-        )
-        return reads, frozenset()
-    if name == "remotequeue_empty":
-        return (
-            frozenset(("rq", p) for p in range(config.n_processors)),
-            frozenset(),
-        )
-    # assertion_violation(...) and anything unrecognised
-    return TOP, TOP
+    Any write to a bit of the predicate (or its slot whole) can, but
+    two: moving a slot of ``p`` into another slot of ``p`` and clearing
+    it keeps the predicate, and so does clearing a slot the guard finds
+    empty (an empty slot is all-zero)."""
+    empty = {lhs for lhs, op, rhs in guard if op == "==" and rhs == 0}
+    cleared = {field for field, value in updates if value == 0}
+    moved = {
+        value.field for field, value in updates
+        if isinstance(value, From) and value.field in cleared
+        and field in pending and value.field in pending
+        and pending[field][0] == pending[value.field][0]
+    }
+    out: set[int] = set()
+    for field, value in updates:
+        if field not in pending or field in moved:
+            continue
+        if isinstance(value, From) and value.field in moved:
+            continue
+        p, full = pending[field]
+        if not (value == 0 and full in empty):
+            out.add(p)
+    return out
 
 
 def may_commute(fp_a: Footprint, fp_b: Footprint) -> bool:
@@ -245,8 +173,3 @@ def may_commute(fp_a: Footprint, fp_b: Footprint) -> bool:
     return not (
         writes_a & (reads_b | writes_b) or writes_b & reads_a
     )
-
-
-def is_safe(label: str) -> bool:
-    """Eligible as a singleton ample set (invisible by construction)."""
-    return parse_label(label)[0] in SAFE_CLASSES

@@ -1,318 +1,117 @@
-"""Cone-of-influence slicing over packed state fields.
+"""Cone-of-influence slicing, read off the kernel's rule table.
 
-The independence pass (:mod:`repro.staticcheck.independence`) already
-assigns every label class a read/write footprint over *coarse* atoms —
-whole structures like ``copy[p]`` or ``rq[p]``. This pass refines each
-structure into its packed sub-fields (the bit fields of the frontier
-kernel's :class:`~repro.jackal.kernel.Layout`) and builds a
-field-level dependency graph:
+The frontier kernel (:mod:`repro.jackal.kernel`) holds the protocol as
+a table of guarded :class:`~repro.jackal.kernel.Rule` instances over
+the leaf fields of its packed :class:`~repro.jackal.kernel.Layout`.
+:func:`_cone` reads a field-level dependency graph off that table:
 
-* the **guard set** of a class — the fine fields its enabling condition
-  and emitted label can observe;
-* its **flows** — for each fine field the class writes, the fine fields
-  the written value is computed from.
+* every leaf a guard term tests (either side of the comparison) is
+  observed — it decides which transitions are enabled, and so which
+  labels are emitted — and so is the ``violation`` flag, the sink the
+  requirements observe;
+* a :class:`~repro.jackal.kernel.From` update copies its source into
+  its target leaf by leaf, and ``INC``/``DEC``/``Raise``/``Drop``
+  compute a field from itself; every other update writes a constant.
 
-The backward closure from the fields observable by a requirement's
-formulas then yields the *cone of influence*: every field that can ever
-influence an observable label or a field in the cone. Whatever falls
-outside is sliceable — projecting it to a fixed value is a congruence
-of the transition system (projection commutes with stepping), hence a
-strong bisimulation: verdicts of *all* µ-calculus requirements,
-liveness included, are preserved on the projected system.
-
-For the Jackal spec the analysis finds exactly the ``rstate`` family
-(``copy.rstate``, ``rq.rstate``, ``rqa.rstate``, ``mig.rstate``):
-read-state bookkeeping the protocol threads through messages and copy
-rows but that no guard ever reads and no kept field is ever computed
-from — it only flows into itself. Every requirement formula closes
-over ``T*`` (any-action paths), and Requirements 1 and 2 observe the
-whole transition relation, so every label class is observable for
-every requirement: one cone over all classes is every requirement's
+The backward closure of the observed leaves over those flows is the
+*cone of influence*: every leaf that can ever influence an emitted
+label or a leaf in the cone. A family of leaves (``copy.rstate`` for
+``copy0_1.rstate`` and its siblings at every index) with no leaf in
+the cone is sliceable — projecting it to zero commutes with stepping,
+since no guard reads it and no kept leaf is computed from it. That
+makes the projection a congruence, hence a strong bisimulation:
+verdicts of *all* µ-calculus requirements, liveness included, are
+preserved on the projected system. Every requirement formula closes
+over ``T*`` (any-action paths) and Requirements 1 and 2 observe the
+whole transition relation, so every label is observable for every
+requirement: one cone over the whole table is every requirement's
 slice, and the certificate's ``slice_fields`` are what the backends
 project by.
 
+For the Jackal spec the cone leaves out exactly the ``rstate`` family
+(``copy.rstate``, ``rq.rstate``, ``rqa.rstate``, ``mig.rstate``):
+read-state bookkeeping the protocol threads through messages and copy
+rows but that no guard ever reads.
+
 Trust chain (all refusals are **JKL403**):
 
-* :func:`_refutations` statically checks the dropped set against the
-  flow table — a guard reading a dropped field, or a dropped
-  field flowing into a kept one, refuses the slice;
+* :func:`_slices_section` refuses a dropped family the projector
+  cannot zero (outside :data:`~repro.jackal.codec.PROJECTABLE_FIELDS`);
 * :func:`selftest_findings` replays the congruence on a bounded
   breadth-first sample: ``successors(project(s))`` must equal
   ``project(successors(s))`` label-for-label (static analysis never
   builds an LTS — this samples exactly like the equivariance
-  self-test).
+  self-test), so the scalar relation is held to what the table said.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable, cast
 
+from repro.jackal.codec import PROJECTABLE_FIELDS
+from repro.jackal.kernel import SINK, Bits, Fail, Field, From, FrontierKernel
 from repro.staticcheck.findings import Finding, Severity
-from repro.staticcheck.independence import STAR, parse_label
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.jackal.params import Config
-
-#: every packed sub-field, index-uniform (a slice drops a field at
-#: every processor/thread index, so projection commutes with the
-#: certified permutations by construction)
-UNIVERSE: tuple[str, ...] = (
-    "thr.phase",
-    "thr.reg",
-    "thr.aho",
-    "thr.wdone",
-    "thr.rounds",
-    "thr.dirty",
-    "copy.home",
-    "copy.rstate",
-    "copy.wl",
-    "copy.lt",
-    "hq.slot",
-    "hqa.slot",
-    "rq.core",
-    "rq.wl",
-    "rq.rstate",
-    "rqa.core",
-    "rqa.wl",
-    "rqa.rstate",
-    "lock.srv",
-    "lock.flt",
-    "lock.fls",
-    "mig.wl",
-    "mig.rstate",
-)
-
-#: the read-state bookkeeping family — candidates the flow analysis
-#: may prove sliceable (and, for the shipped spec, does)
-RSTATE_FIELDS = frozenset(
-    ("copy.rstate", "rq.rstate", "rqa.rstate", "mig.rstate")
-)
-
-#: coarse structure -> the fine fields a *guard* over that structure
-#: can observe. ``rstate`` members are deliberately absent: no Jackal
-#: guard reads them (the dynamic self-test would expose a lie here as
-#: a JKL403 congruence counterexample). ``migpend`` is the pending-
-#: migration predicate, a disjunction over mig/rq/rqa cores.
-_COARSE_FIELDS: dict[str, tuple[str, ...]] = {
-    "thr": (
-        "thr.phase",
-        "thr.reg",
-        "thr.aho",
-        "thr.wdone",
-        "thr.rounds",
-        "thr.dirty",
-    ),
-    "copy": ("copy.home", "copy.wl", "copy.lt"),
-    "hq": ("hq.slot",),
-    "hqa": ("hqa.slot",),
-    "rq": ("rq.core", "rq.wl"),
-    "rqa": ("rqa.core", "rqa.wl"),
-    "lock": ("lock.srv", "lock.flt", "lock.fls"),
-    "mig": ("mig.wl",),
-    "migpend": ("mig.wl", "rq.core", "rqa.core"),
-}
-
-#: structure -> its rstate member (for the generic self-flow)
-_STRUCT_RSTATE = {
-    "copy": "copy.rstate",
-    "rq": "rq.rstate",
-    "rqa": "rqa.rstate",
-    "mig": "mig.rstate",
-}
-
-#: where rstate values *cross* structures: class -> {dst: extra srcs}.
-#: These document the real dataflow — a data return carries the home
-#: copy's rstate, queue moves and signals thread it onward — and let
-#: :func:`_refutations` prove the family closed: rstate flows only
-#: into rstate.
-_RSTATE_XFLOWS: dict[str, dict[str, tuple[str, ...]]] = {
-    "send_dataret": {"rq.rstate": ("copy.rstate",)},
-    "send_dataret_mig": {"rq.rstate": ("copy.rstate",)},
-    "flush_home_migrate": {"mig.rstate": ("copy.rstate",)},
-    "flush_recv_migrate": {"mig.rstate": ("copy.rstate",)},
-    "lock_remotequeue": {"rqa.rstate": ("rq.rstate",)},
-    "signal": {"copy.rstate": ("rqa.rstate",)},
-    "recv_sponmigrate": {"copy.rstate": ("mig.rstate",)},
-}
-
-_FULL = frozenset(UNIVERSE)
 
 
-def _expand(atoms: Iterable[tuple[str, int]]) -> frozenset[str]:
-    out: set[str] = set()
-    for kind, _idx in atoms:
-        out.update(_COARSE_FIELDS.get(kind, ()))
-    return frozenset(out)
+def _cone(kernel: FrontierKernel) -> set[Field]:
+    """The leaves of ``kernel``'s layout in the cone of influence: the
+    leaves its guards test and the violation flag, closed over the
+    leaves a kept leaf is copied from. A field that updates itself
+    (``INC``/``DEC``/``Raise``/``Drop``) flows only into itself, which
+    adds nothing to the closure."""
+    parts = kernel.layout.parts
 
+    def leaves(field: Field) -> list[Field]:
+        return parts.get(field, [field])
 
-def fine_footprint(
-    label: str, config: "Config"
-) -> tuple[frozenset[str], frozenset[str]]:
-    """``(guard, writes)`` fine-field sets of one label class.
-
-    The guard set covers everything the enabling condition *and* the
-    emitted label parameters can observe; writes cover every field a
-    transition of the class may assign. Indices are dropped — the
-    slice is index-uniform. Assertion checks read every non-rstate
-    field (their guards compare phases, regions, owners and counters,
-    never read-state bookkeeping — verified by the congruence
-    self-test); unknown classes fail safe with the full universe,
-    which forces the closure to keep everything.
-    """
-    from repro.staticcheck.independence import label_footprint
-
-    name = parse_label(label)[0]
-    reads, writes = label_footprint(label, config)
-    if STAR in reads or STAR in writes:
-        if name == "assertion_violation":
-            return _FULL - RSTATE_FIELDS, frozenset()
-        return _FULL, _FULL
-    fine_reads = _expand(reads)
-    fine_writes = set(_expand(writes))
-    for kind, _idx in writes:
-        rs = _STRUCT_RSTATE.get(kind)
-        if rs is not None:
-            fine_writes.add(rs)
-    return fine_reads, frozenset(fine_writes)
-
-
-def class_flows(
-    label: str, config: "Config"
-) -> dict[str, frozenset[str]]:
-    """``{written field: fields its new value is computed from}``.
-
-    Kept fields are conservatively computed from the whole guard set
-    (control dependence included); rstate fields only from their own
-    family (self-flow plus the documented cross-flows).
-    """
-    name = parse_label(label)[0]
-    guard, writes = fine_footprint(label, config)
-    xflows = _RSTATE_XFLOWS.get(name, {})
-    flows: dict[str, frozenset[str]] = {}
-    for dst in writes:
-        if dst in RSTATE_FIELDS and guard.isdisjoint(RSTATE_FIELDS):
-            flows[dst] = frozenset((dst,)) | frozenset(xflows.get(dst, ()))
-        else:
-            flows[dst] = guard | frozenset(xflows.get(dst, ()))
-    return flows
-
-
-def _label_classes(config: "Config") -> tuple[str, ...]:
-    """One representative label per class of ``config``'s vocabulary
-    (the union over both Error-1 spellings, probe labels included)."""
-    from repro.jackal.model import JackalModel
-    from repro.jackal.params import ProtocolVariant
-    from repro.staticcheck.labelcheck import model_labels
-
-    labels: set[str] = set()
-    for variant in (ProtocolVariant.fixed(), ProtocolVariant.error1()):
-        labels |= model_labels(
-            JackalModel(replace(config, with_probes=True), variant)
-        )
-    seen: dict[str, str] = {}
-    for label in sorted(labels):
-        seen.setdefault(parse_label(label)[0], label)
-    return tuple(seen[name] for name in sorted(seen))
-
-
-def _cone(config, classes):
-    """``(kept, dropped)`` fine fields of ``config``'s label ``classes``.
-
-    Seeds the closure with the guard sets of every class (all are
-    observable) and saturates over the flow graph: a field in the cone
-    pulls in every field it is computed from.
-    """
-    guards = {c: fine_footprint(c, config)[0] for c in classes}
-    flows = {c: class_flows(c, config) for c in classes}
-    relevant: set[str] = set()
-    for c in classes:
-        relevant |= guards[c]
-    changed = True
-    while changed:
-        changed = False
-        for c in classes:
-            for dst, srcs in flows[c].items():
-                if dst in relevant and not srcs <= relevant:
-                    relevant |= srcs
-                    changed = True
-    kept = frozenset(relevant)
-    return kept, _FULL - kept
-
-
-def _refutations(config, classes, dropped) -> list[Finding]:
-    """JKL403 findings refuting a dropped-field set.
-
-    A slice is sound iff no guard of ``classes`` observes a dropped
-    field and no dropped field flows into a kept one, both read off
-    the flow table (:func:`fine_footprint`, :func:`class_flows`).
-    """
-    dropped = frozenset(dropped)
-    findings: list[Finding] = []
-    unknown = dropped - _FULL
-    if unknown:
-        findings.append(
-            Finding(
-                "JKL403",
-                Severity.ERROR,
-                "slice/fields",
-                f"dropped fields {sorted(unknown)} are not packed state "
-                "fields of this spec",
-                data={"expected": sorted(_FULL), "found": sorted(unknown)},
-            )
-        )
-        return findings
-    for cls in classes:
-        name = parse_label(cls)[0]
-        guard, _writes = fine_footprint(cls, config)
-        hit = sorted(guard & dropped)
-        if hit:
-            findings.append(
-                Finding(
-                    "JKL403",
-                    Severity.ERROR,
-                    f"slice/{name}",
-                    f"guard of class {name!r} observes dropped "
-                    f"field(s) {hit}: projecting them changes "
-                    "enabledness, the slice is not a congruence",
-                    data={"class": name, "expected": [], "found": hit},
-                )
-            )
+    kept = {kernel.f_violation}
+    sources: dict[Field, set[Field]] = {}
+    for rule in kernel.table.rules:
+        for lhs, _op, rhs in rule.guard:
+            kept.update(leaves(lhs.field if isinstance(lhs, Bits) else lhs))
+            if not isinstance(rhs, int):
+                kept.update(leaves(rhs))
+        if isinstance(rule.updates, Fail) or rule.updates is SINK:
             continue
-        for dst, srcs in class_flows(cls, config).items():
-            if dst in dropped:
-                continue
-            leak = sorted(srcs & dropped)
-            if leak:
-                findings.append(
-                    Finding(
-                        "JKL403",
-                        Severity.ERROR,
-                        f"slice/{name}",
-                        f"class {name!r} computes kept field {dst!r} "
-                        f"from dropped field(s) {leak}: the projection "
-                        "loses information the transition relation "
-                        "depends on",
-                        data={
-                            "class": name,
-                            "field": dst,
-                            "expected": [],
-                            "found": leak,
-                        },
-                    )
-                )
-    return findings
+        for field, value in cast(tuple, rule.updates):
+            if isinstance(value, From):
+                for dst, src in zip(leaves(field), leaves(value.field)):
+                    sources.setdefault(dst, set()).add(src)
+    work = list(kept)
+    while work:
+        for src in sources.get(work.pop(), ()):
+            if src not in kept:
+                kept.add(src)
+                work.append(src)
+    return kept
 
 
 def _slices_section(
-    config: "Config",
+    kernel: FrontierKernel,
 ) -> tuple[frozenset[str], list[Finding]]:
-    """``(dropped, findings)``: the fields outside the cone of influence
-    of ``config``'s label classes, and the JKL403 refutations of
-    dropping them (none on the shipped spec)."""
-    classes = _label_classes(config)
-    _kept, dropped = _cone(config, classes)
-    return dropped, _refutations(config, classes, dropped)
+    """``(dropped, findings)``: the leaf families of ``kernel`` with no
+    leaf in the cone of influence, and a JKL403 refusal if the projector
+    cannot zero one of them (none on the shipped spec)."""
+    family = kernel.layout.family
+    kept = {family[f] for f in _cone(kernel)}
+    dropped = frozenset(family[f] for f in kernel.layout.leaves) - kept
+    unprojectable = sorted(dropped - PROJECTABLE_FIELDS)
+    if not unprojectable:
+        return dropped, []
+    return dropped, [
+        Finding(
+            "JKL403",
+            Severity.ERROR,
+            "slice/fields",
+            f"fields {unprojectable} are outside the cone of influence "
+            "but cannot be projected: only "
+            f"{sorted(PROJECTABLE_FIELDS)} are sliceable",
+            data={
+                "expected": sorted(PROJECTABLE_FIELDS),
+                "found": unprojectable,
+            },
+        )
+    ]
 
 
 def selftest_findings(
@@ -326,7 +125,8 @@ def selftest_findings(
 
     For sampled ``s``, stepping then projecting must equal projecting
     then stepping, label-for-label — the dynamic witness that the
-    static flow table told the truth. Samples via the model's
+    cone read off the rule table holds for the scalar relation too.
+    Samples via the model's
     successor function only (never the exploration machinery).
     """
     from repro.staticcheck.symmetry import _sample_states

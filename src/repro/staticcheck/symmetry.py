@@ -417,7 +417,8 @@ def certify(
     ``model`` defaults to the probe-enabled model of the configuration
     (probes are part of the Requirement-3 vocabulary, so the self-test
     covers them); pass a model instance to certify a mutated build, as
-    the CI mutation smoke does.
+    the CI mutation smoke does. The slice is read off that model's
+    kernel.
     """
     from repro.staticcheck.certificates import ReductionCertificate
     from repro.staticcheck.formulasym import (
@@ -454,7 +455,7 @@ def certify(
     findings = formulas_section(config)
     if not findings:
         findings = vocabulary_findings(model, config, nontrivial)
-    dropped, slice_findings = _slices_section(config)
+    dropped, slice_findings = _slices_section(model.kernel())
     findings.extend(slice_findings)
     if not findings:
         findings = selftest_findings(model, dropped, max_states=max_states)

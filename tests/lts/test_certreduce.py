@@ -124,7 +124,7 @@ def test_a_certified_check_validates_once(monkeypatch):
     calls = []
     for module, name in ((symmetry, "certify"),
                          (formulasym, "formulas_section"),
-                         (slicing, "_cone"), (slicing, "_refutations")):
+                         (slicing, "_cone"), (slicing, "_slices_section")):
         def counting(*args, _name=name, _original=getattr(module, name),
                      **kwargs):
             calls.append(_name)

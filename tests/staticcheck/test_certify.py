@@ -6,11 +6,12 @@ from dataclasses import asdict, replace
 
 import pytest
 
+from repro.jackal.codec import PROJECTABLE_FIELDS
 from repro.jackal.model import JackalModel
 from repro.jackal.params import CONFIG_1, CONFIG_2, ProtocolVariant
 from repro.staticcheck.certificates import validate
-from repro.staticcheck.slicing import RSTATE_FIELDS
 from repro.staticcheck.symmetry import Permutation, admissible_group, certify
+from tests.staticcheck.test_slicing import _ObservesRstate
 
 FIXED = ProtocolVariant.fixed()
 
@@ -40,7 +41,7 @@ def test_certify_shipped_specs(config):
     assert cert.group == tuple(
         g for g in admissible_group(config) if not g.is_identity
     )
-    assert cert.slice_fields == RSTATE_FIELDS
+    assert cert.slice_fields == PROJECTABLE_FIELDS
     assert validate(cert, config, FIXED) == []
 
 
@@ -75,6 +76,20 @@ def test_asymmetrized_spec_is_refused():
     assert findings, "asymmetric spec must produce findings"
     assert {f.rule for f in findings} == {"JKL302"}
     assert all(f.severity.name == "ERROR" for f in findings)
+
+
+def test_certify_slices_the_model_it_is_given():
+    # the slice is read off the kernel of the model certified: a guard
+    # term on a copy's rstate (one that always holds, so every other
+    # pass is unchanged) keeps the rstate family
+    class Model(JackalModel):
+        def kernel(self):
+            return _ObservesRstate(self)
+
+    model = Model(replace(CONFIG_1, with_probes=True), FIXED)
+    cert, findings = certify(CONFIG_1, FIXED, model=model)
+    assert findings == []
+    assert "copy.rstate" not in cert.slice_fields
 
 
 def test_certificate_for_other_variant_fires_jkl305():

@@ -8,68 +8,96 @@ commutes with the group action, only the dropped fields change, and the
 sliced encoding is the encoding of the projection.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from repro.errors import ModelError
+from repro.jackal import params
 from repro.jackal.codec import PROJECTABLE_FIELDS
+from repro.jackal.kernel import FrontierKernel
 from repro.jackal.model import JackalModel
-from repro.jackal.params import CONFIG_1, CONFIG_2, ProtocolVariant
-from repro.staticcheck.slicing import (
-    RSTATE_FIELDS,
-    UNIVERSE,
-    _cone,
-    _label_classes,
-    _refutations,
-    _slices_section,
-    selftest_findings,
-)
+from repro.jackal.params import CONFIG_1, ProtocolVariant
+from repro.staticcheck.slicing import _cone, _slices_section, selftest_findings
 from repro.staticcheck.symmetry import _sample_states, admissible_group
 
 FIXED = ProtocolVariant.fixed()
+VARIANTS = ("fixed", "error1", "error2", "buggy", "no_migration", "alf")
 
 
 def _model(config):
     return JackalModel(config, FIXED)
 
 
+class _ObservesRstate(FrontierKernel):
+    """The kernel with one more guard term, on a copy's rstate: a term
+    that always holds, so the relation is the same, but the field is
+    observed."""
+
+    def _summands(self):
+        rules = iter(super()._summands())
+        first = next(rules)
+        yield first._replace(guard=(*first.guard, (self.cp[0][0].rstate, ">=", 0)))
+        yield from rules
+
+
+class _IgnoresAho(FrontierKernel):
+    """The kernel with every guard term on a thread's ``aho`` flag left
+    out: the flag is then written but never observed."""
+
+    def _summands(self):
+        aho = {th.aho for th in self.th}
+        for rule in super()._summands():
+            yield rule._replace(guard=tuple(t for t in rule.guard if t[0] not in aho))
+
+
 # -- the derived slice -------------------------------------------------------
 
 
-@pytest.mark.parametrize("config", [CONFIG_1, CONFIG_2], ids=["c1", "c2"])
-def test_slice_is_exactly_the_rstate_family(config):
-    dropped, findings = _slices_section(config)
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("config_no", [1, 2, 3], ids=["c1", "c2", "c3"])
+def test_slice_is_exactly_the_rstate_family(config_no, variant):
+    config = replace(getattr(params, f"CONFIG_{config_no}"), rounds=1, with_probes=True)
+    model = JackalModel(config, getattr(ProtocolVariant, variant)())
+    dropped, findings = _slices_section(model.kernel())
     assert findings == []
-    assert dropped == RSTATE_FIELDS
-    assert RSTATE_FIELDS <= PROJECTABLE_FIELDS
+    assert dropped == PROJECTABLE_FIELDS
 
 
 def test_cone_partitions_the_universe():
-    kept, dropped = _cone(CONFIG_1, _label_classes(CONFIG_1))
-    assert kept | dropped == frozenset(UNIVERSE)
-    assert not kept & dropped
-    assert dropped == RSTATE_FIELDS
+    kernel = _model(CONFIG_1).kernel()
+    kept = _cone(kernel)
+    leaves = set(kernel.layout.leaves)
+    assert kept <= leaves
+    family = kernel.layout.family
+    assert {family[f] for f in leaves - kept} == PROJECTABLE_FIELDS
+    assert not {family[f] for f in kept} & PROJECTABLE_FIELDS
+    # no guard tests the violation flag; the requirements observe it
+    assert kernel.f_violation in kept
 
 
 def test_verify_slice_refuses_observed_fields():
-    # dropping a field every guard reads must be a JKL403 refusal
-    findings = _refutations(
-        CONFIG_1, _label_classes(CONFIG_1), RSTATE_FIELDS | {"thr.phase"}
-    )
-    assert findings
-    assert {f.rule for f in findings} == {"JKL403"}
-    assert all(f.severity.name == "ERROR" for f in findings)
-    assert any(f.data for f in findings)
+    # a guard that tests one copy's rstate keeps the whole family: the
+    # remote queues' and the migration slots' rstates are copied into it
+    dropped, findings = _slices_section(_ObservesRstate(_model(CONFIG_1)))
+    assert findings == []
+    assert dropped == frozenset()
 
 
 def test_verify_slice_refuses_unknown_fields():
-    findings = _refutations(CONFIG_1, _label_classes(CONFIG_1), {"no.such.field"})
-    assert {f.rule for f in findings} == {"JKL403"}
+    # a field outside the cone that the projector cannot zero refuses
+    # the slice (JKL403)
+    dropped, findings = _slices_section(_IgnoresAho(_model(CONFIG_1)))
+    assert dropped == PROJECTABLE_FIELDS | {"thread.aho"}
+    assert [f.rule for f in findings] == ["JKL403"]
+    assert findings[0].severity.name == "ERROR"
+    assert findings[0].data["found"] == ["thread.aho"]
 
 
 def test_congruence_selftest_passes_on_the_shipped_model():
-    assert selftest_findings(_model(CONFIG_1), RSTATE_FIELDS) == []
+    assert selftest_findings(_model(CONFIG_1), PROJECTABLE_FIELDS) == []
 
 
 # -- projection laws ---------------------------------------------------------
@@ -78,7 +106,7 @@ _MODEL = _model(CONFIG_1)
 _CODEC = _MODEL.codec()
 _STATES = _sample_states(_MODEL, 150)
 _PERMS = admissible_group(CONFIG_1)
-_PROJECT = _CODEC.projector(RSTATE_FIELDS)
+_PROJECT = _CODEC.projector(PROJECTABLE_FIELDS)
 
 
 @settings(max_examples=200, deadline=None)
