@@ -14,8 +14,7 @@ orbit member with the least key as its representative
 The reserved key ``0`` encodes the :data:`~repro.jackal.model.VIOLATION`
 sink; every ordinary state's key is odd. The sweeps key on the
 kernel's rows, not on this key: the codec serves the scalar reduction
-(:class:`~repro.lts.certreduce.ReducedSystem`) and the certifier's
-self-tests.
+(:class:`~repro.lts.certreduce.ReducedSystem`) and the tests.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ level at once, in the shape the paper's specification has: a set of
 guarded summands, each a condition on the state and an update.
 
 * a state is one row of ``uint64`` words; :class:`Layout` assigns every
-  field of the state (``name -> bit width``, declared once in
+  field of the state (``name -> bit width[, sort]``, declared once in
   :meth:`FrontierKernel._declare`) a word, shift and mask, and no
   element (a thread, a region copy, a queue slot, a lock tuple) — hence
   no field — straddles a word. Configuration 3 is 223 bits = 4 words,
@@ -122,7 +122,7 @@ class Field:
 class Layout:
     """Word, shift and mask of every declared field.
 
-    ``elements`` is ``[(element, [(field, bits), ...]), ...]``. Elements
+    ``elements`` is ``[(element, [(field, bits[, sort]), ...]), ...]``. Elements
     are placed in order and never straddle a 64-bit word; each is
     addressable as a whole (``layout["hq0"]``) and by field
     (``layout["hq0.tid"]``). An element's all-zero value is its
@@ -131,6 +131,11 @@ class Layout:
 
     def __init__(self, elements):
         self._fields: dict[str, Field] = {}
+        #: every leaf's value sort: what renaming processors and threads
+        #: does to its values (``pid``, ``tid``, ``holder`` — a thread
+        #: + 1, 0 free —, or the bit masks ``pmask`` and ``tmask``), or
+        #: None where no renaming moves them (a region, a count, a flag)
+        self.sort: dict[Field, str | None] = {}
         #: the leaf fields in declaration order — the order of
         #: :meth:`FrontierKernel._values`
         self.leaves: list[Field] = []
@@ -143,20 +148,24 @@ class Layout:
         self.family: dict[Field, str] = {}
         word = used = 0
         for element, parts in elements:
-            total = sum(bits for _name, bits in parts)
+            total = sum(part[1] for part in parts)
             if total > 64:
                 raise ModelError(f"element {element} needs {total} bits, more than a word")
             if used + total > 64:
                 word, used = word + 1, 0
             whole = self._add(element, word, used, total)
             self.parts[whole] = []
-            for name, bits in parts:
+            for name, bits, *sort in parts:
                 leaf = self._add(f"{element}.{name}", word, used, bits)
                 self.leaves.append(leaf)
                 self.element[leaf] = whole
                 self.parts[whole].append(leaf)
                 self.family[leaf] = f"{element.rstrip('0123456789_')}.{name}"
+                self.sort[leaf] = sort[0] if sort else None
                 used += bits
+        #: the elements whose first field is ``full``: all-zero when
+        #: empty, and an empty one no renaming moves
+        self.slots = {e for e, leaves in self.parts.items() if leaves[0].name.endswith(".full")}
         self.n_words = word + 1
         #: bits of all leaf fields together
         self.n_bits = sum(f.mask.bit_length() for f in self.leaves)
@@ -169,6 +178,23 @@ class Layout:
 
     def __getitem__(self, name: str) -> Field:
         return self._fields[name]
+
+    def image(self, g) -> dict[Field, Field]:
+        """Where the renaming ``g`` moves each element and leaf:
+        ``thread{t}`` to ``thread{g.tid_map[t]}``, any other element's
+        first index by ``g.pid_map`` (a region index stays), a leaf to
+        its namesake in the image. What has no image is left out."""
+        out: dict[Field, Field] = {}
+        for whole, leaves in self.parts.items():
+            family = whole.name.rstrip("0123456789_")
+            first, *rest = whole.name[len(family):].split("_")
+            if first:
+                first = str((g.tid_map if family == "thread" else g.pid_map)[int(first)])
+            name = "_".join([family + first, *rest])
+            for f in (whole, *leaves):
+                if name + f.name[len(whole.name):] in self._fields:
+                    out[f] = self._fields[name + f.name[len(whole.name):]]
+        return out
 
     def group(self, element: str) -> SimpleNamespace:
         """The element's fields by short name, the element itself as ``all``."""
@@ -652,7 +678,10 @@ class FrontierKernel:
     # -- the layout ------------------------------------------------------
 
     def _declare(self, cfg):
-        """Every field of a state and its width, element by element."""
+        """Every field of a state, its width and its value sort
+        (:attr:`Layout.sort`) where a renaming moves its values,
+        element by element. A thread's ``dirty`` ranges over regions,
+        which no renaming moves."""
         T, P, R = self.T, self.P, self.R
         rounds0 = 0 if cfg.rounds is None else cfg.rounds + 1
         w_tid, w_pid, w_reg = _width(T - 1), _width(P - 1), _width(R - 1)
@@ -662,16 +691,17 @@ class FrontierKernel:
             ("rounds", _width(rounds0)),  # stored + 1; 0 = cyclic
             ("dirty", R),
         ]
-        copy = [("home", w_pid), ("rstate", 1), ("wl", P), ("lt", _width(T))]
-        hmsg = [("full", 1), ("flush", 1), ("tid", w_tid), ("src", w_pid), ("r", w_reg)]
-        rmsg = [("full", 1), ("tid", w_tid), ("sender", w_pid), ("mig", 1),
-                ("wl", P), ("rstate", 1), ("r", w_reg)]
+        copy = [("home", w_pid, "pid"), ("rstate", 1), ("wl", P, "pmask"), ("lt", _width(T))]
+        hmsg = [("full", 1), ("flush", 1), ("tid", w_tid, "tid"), ("src", w_pid, "pid"),
+                ("r", w_reg)]
+        rmsg = [("full", 1), ("tid", w_tid, "tid"), ("sender", w_pid, "pid"), ("mig", 1),
+                ("wl", P, "pmask"), ("rstate", 1), ("r", w_reg)]
         locks = [
-            (name, bits)
+            part
             for kind in ("srv", "flt", "fls")
-            for name, bits in ((f"{kind}_h", _width(T)), (f"{kind}_w", T))
+            for part in ((f"{kind}_h", _width(T), "holder"), (f"{kind}_w", T, "tmask"))
         ]
-        mig = [("full", 1), ("wl", P), ("rstate", 1)]
+        mig = [("full", 1), ("wl", P, "pmask"), ("rstate", 1)]
         elements = [("violation", [("flag", 1)])]
         elements += [(f"thread{t}", thread) for t in range(T)]
         elements += [(f"copy{p}_{r}", copy) for p in range(P) for r in range(R)]

@@ -282,17 +282,13 @@ class ReducedKernel:
         return sliced, self._orbit.canonicalize(rows)
 
 
-#: the index-valued leaf fields, and the renaming each goes through
-_RENAMED = {"home": "pid", "src": "pid", "sender": "pid", "tid": "tid",
-            "wl": "pmask", "h": "holder", "w": "tmask"}
-
-
 class _Orbit:
     """Orbit representatives of packed rows under a certified group.
 
     A renaming moves the kernel's key units — a thread, copy, queue
-    slot, lock (holder, waiters) pair or migration slot — whole and
-    rewrites their :data:`_RENAMED` fields. The representative is the
+    slot, lock (holder, waiters) pair or migration slot — whole
+    (:meth:`~repro.jackal.kernel.Layout.image`) and rewrites each field
+    by its value sort (:attr:`~repro.jackal.kernel.Layout.sort`). The representative is the
     image least in the canonical key order
     (:meth:`~repro.jackal.kernel.FrontierKernel.key_units`, the order
     :class:`~repro.jackal.codec.StateCodec` encodes), so tables map a
@@ -301,13 +297,16 @@ class _Orbit:
     """
 
     def __init__(self, kernel, group):
+        layout = kernel.layout
         order = kernel.key_units()
         self._loc, kinds, key_loc = [], [], []
         word = used = 0
         for _unit, parts in order:
             base = parts[0][1]
-            kinds.append(tuple((name, f.shift - base.shift, f.mask) for name, f in parts))
-            width = sum(m.bit_length() for _n, _s, m in kinds[-1])
+            kinds.append((layout.element[base] in layout.slots, tuple(
+                (layout.sort[f], f.shift - base.shift, f.mask) for _name, f in parts
+            )))
+            width = sum(m.bit_length() for _n, _s, m in kinds[-1][1])
             self._loc.append((base.word, base.shift, (1 << width) - 1))
             if used + width > 64:
                 word, used = word + 1, 0
@@ -315,16 +314,16 @@ class _Orbit:
             key_loc.append((word, 64 - used))
         self._n_keys, self._n_words = word + 1, kernel.n_words
         self._violation = kernel.f_violation
-        position = {unit: u for u, (unit, _parts) in enumerate(order)}
+        position = {parts[0][1]: u for u, (_unit, parts) in enumerate(order)}
         #: per group element, per unit: the unit moved onto it, its image
         #: and key tables, and where the key bits go
         self._units = []
         for g in group:
-            tables = {kind: _tables(kind, g, kernel) for kind in set(kinds)}
+            tables = {kind: _tables(kind, g) for kind in set(kinds)}
+            image = layout.image(g)
             source = [0] * len(order)
-            for u, ((family, i, *rest), _parts) in enumerate(order):
-                i = g.tid_map[i] if family == "thread" else g.pid_map[i]
-                source[position[(family, i, *rest)]] = u
+            for u, (_unit, parts) in enumerate(order):
+                source[position[image[parts[0][1]]]] = u
             self._units.append([
                 (s, *tables[kind], *loc)
                 for s, kind, loc in zip(source, kinds, key_loc)
@@ -362,29 +361,19 @@ class _Orbit:
         return win
 
 
-def _tables(kind, g, kernel):
-    """Per code of a unit with fields ``kind``: its ``g`` image, key bits."""
-
-    def masks(index_map):  # bit i of a mask moves to bit index_map[i]
-        m = np.arange(1 << len(index_map))
-        return sum(((m >> i) & 1) << j for i, j in enumerate(index_map))
-
-    # index maps, the identity beyond the valid indices (no field is wider)
-    pid, tid, holder = np.arange(256), np.arange(256), np.arange(256)
-    pid[:kernel.P], tid[:kernel.T] = g.pid_map, g.tid_map
-    holder[1:kernel.T + 1] = tid[:kernel.T] + 1  # tid + 1, 0 = free
-    maps = {"pid": pid, "tid": tid, "holder": holder,
-            "pmask": masks(g.pid_map), "tmask": masks(g.tid_map)}
-    codes = np.arange(1 << sum(m.bit_length() for _n, _s, m in kind))
+def _tables(kind, g):
+    """Per code of a unit of ``kind`` — whether it is a slot, and its
+    fields' ``(sort, shift, mask)`` —: its ``g`` image, key bits."""
+    slot, parts = kind
+    codes = np.arange(1 << sum(m.bit_length() for _sort, _s, m in parts))
     image = np.zeros_like(codes)
-    for name, s, m in kind:
+    for sort, s, m in parts:
         value = (codes >> s) & m
-        image |= (maps[_RENAMED[name]][value] if name in _RENAMED
-                  else value) << s
-    if kind[0][0] == "full":  # the slot's low bit: empty stays empty
+        image |= (np.asarray(g.renaming(sort))[value] if sort else value) << s
+    if slot:  # the slot's low bit: empty stays empty
         image = np.where(codes & 1 != 0, image, codes)
     key = np.zeros_like(codes)
-    for _name, s, m in kind:
+    for _sort, s, m in parts:
         key = (key << m.bit_length()) | ((image >> s) & m)
     return image.astype(np.uint64), key.astype(np.uint64)
 

@@ -59,8 +59,9 @@ def phase_breakdown(events: list[dict]) -> dict:
 def whole_run(events: list[dict]) -> dict:
     """Where the recording's wall-clock went, top down.
 
-    ``sweeps_s`` + ``checks_s`` + ``unattributed_s`` = ``span_s``, the
-    ``t`` of the last event. A span counts its own ``seconds`` less
+    ``sweeps_s`` + ``checks_s`` + ``certify_s`` + ``unattributed_s`` =
+    ``span_s``, the ``t`` of the last event (``certify_s`` is the
+    reduction certificates a ``--reduce`` run proves first). A span counts its own ``seconds`` less
     those of the counted spans nearest inside it (by ``parent`` ids): a
     sweep inside a check counts once, as sweep time (a certified
     Requirement 4 handed an LTS without winners, as
@@ -69,7 +70,7 @@ def whole_run(events: list[dict]) -> dict:
     (older traces) count whole, as top-level spans.
     """
     spans = {e["span"]: e for e in events if "span" in e}
-    parts = {"sweep_end": 0.0, "check": 0.0}
+    parts = {"sweep_end": 0.0, "check": 0.0, "certify": 0.0}
     for e in events:
         if e.get("ev") not in parts:
             continue
@@ -87,6 +88,7 @@ def whole_run(events: list[dict]) -> dict:
         "span_s": round(span, 6),
         "sweeps_s": round(parts["sweep_end"], 6),
         "checks_s": round(parts["check"], 6),
+        "certify_s": round(parts["certify"], 6),
         "unattributed_s": round(max(span - sum(parts.values()), 0.0), 6),
     }
 
@@ -302,7 +304,7 @@ def render_report(events: list[dict]) -> str:
                 f"{name} {run[key]:.3f} s ({_pct(run[key], run['span_s'])})"
                 for name, key in (
                     ("sweeps", "sweeps_s"), ("checks", "checks_s"),
-                    ("unattributed", "unattributed_s"),
+                    ("certify", "certify_s"), ("unattributed", "unattributed_s"),
                 )
             )
         )

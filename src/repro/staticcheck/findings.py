@@ -56,19 +56,19 @@ RULES: dict[str, str] = {
     "JKL201": "a formula references a label the model can never emit",
     "JKL202": "a label prefix in a formula matches nothing the model emits",
     "JKL301": "the model is not index-generic: no nontrivial "
-    "processor/thread permutation applies, or its label vocabulary is not "
-    "closed under one",
-    "JKL302": "the bounded equivariance self-test found a state where "
-    "permuting and stepping do not commute",
+    "processor/thread permutation applies",
+    "JKL302": "a permutation does not map the rule table onto itself: "
+    "some label's rule instances, renamed, are not its image's (or the "
+    "packed layout does not respect the permutation action)",
     "JKL305": "a reduction certificate was issued for another spec, or its "
     "permutation group is empty or not admissible for this configuration",
     "JKL401": "a requirement formula is asymmetric under the certified "
     "permutation group (no symmetrized orbit conjunction exists)",
     "JKL402": "permuting a formula literal leaves the model's label "
     "vocabulary (the symmetrized property would be vacuous)",
-    "JKL403": "a field slice is unsound: a field outside the rule "
-    "table's cone of influence cannot be projected, or the congruence "
-    "self-test found a counterexample",
+    "JKL403": "a field slice is unsound: a rule instance reads a "
+    "dropped field or copies one into a kept field, or a field outside "
+    "the rule table's cone of influence cannot be projected",
 }
 
 

@@ -3,11 +3,11 @@
 A mu-calculus requirement that quotes a label the model can never emit
 is *vacuously* satisfied (a box over an empty match set holds
 everywhere), which is exactly how a misspelt label silently turns a
-liveness check off. This pass enumerates every label the model can emit
-— statically, from the ``lbl_*`` tables that
-``JackalModel._precompute_labels`` builds for the configured thread and
-processor counts — and diffs that vocabulary against the action
-literals appearing in requirement formulas:
+liveness check off. This pass reads every label the model can emit off the
+frontier kernel's rule table (:mod:`repro.jackal.kernel`, the probe
+rules included where the configuration has probes) and diffs that
+vocabulary against the action literals appearing in requirement
+formulas:
 
 * **JKL201** — an exact label literal matches no emittable label;
 * **JKL202** — a prefix literal (``ActLit(..., prefix=True)``) matches
@@ -15,19 +15,16 @@ literals appearing in requirement formulas:
 
 Both are errors: a formula over a phantom label checks nothing.
 
-The enumeration is an over-approximation of *reachably* emitted labels
-(a rule's label is listed even if its guard never fires in the explored
-configuration) with two variant-aware refinements: ``fault_to_server``
-only exists when the variant has the Error-1 fix, ``stale_remote_wait``
-only when it does not, and probe labels only when the configuration
-enables probes.
+The vocabulary over-approximates the *reachably* emitted labels only
+by rules whose guard no reachable state satisfies: a label no rule
+instance emits (``signal(t1,p0)`` on configuration 1, where ``t1``
+runs on ``p1``) is not in it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Iterator
 
-from repro.jackal.actions import PROBE_LABELS
 from repro.mucalc.syntax import (
     ActionPredicate,
     ActLit,
@@ -46,28 +43,11 @@ from repro.mucalc.syntax import (
 from repro.staticcheck.findings import Finding, Severity
 
 
-def _flatten(value: Any, out: set[str]) -> None:
-    if isinstance(value, str):
-        out.add(value)
-    elif isinstance(value, (list, tuple)):
-        for v in value:
-            _flatten(v, out)
-
-
 def model_labels(model: Any) -> frozenset[str]:
-    """Every label ``model`` can emit, from its precomputed tables."""
-    out: set[str] = set()
-    for attr, value in vars(model).items():
-        if attr.startswith("lbl_"):
-            _flatten(value, out)
-    # variant refinement: exactly one of the two Error-1 rules exists
-    if model.variant.fault_lock_recheck:
-        out.difference_update(model.lbl_stale)
-    else:
-        out.difference_update(model.lbl_f2s)
-    if model.config.with_probes:
-        out.update(PROBE_LABELS)
-    return frozenset(out)
+    """Every label a rule instance of ``model``'s kernel emits."""
+    return frozenset(
+        rule.label for rule in model.kernel().table.rules if rule.label
+    )
 
 
 def _lits_in_pred(pred: ActionPredicate) -> Iterator[ActLit]:

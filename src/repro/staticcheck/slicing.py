@@ -33,24 +33,49 @@ For the Jackal spec the cone leaves out exactly the ``rstate`` family
 read-state bookkeeping the protocol threads through messages and copy
 rows but that no guard ever reads.
 
-Trust chain (all refusals are **JKL403**):
+Trust chain (all refusals are **JKL403**), one pass over the rule
+instances in :func:`_slices_section`:
 
-* :func:`_slices_section` refuses a dropped family the projector
-  cannot zero (outside :data:`~repro.jackal.codec.PROJECTABLE_FIELDS`);
-* :func:`selftest_findings` replays the congruence on a bounded
-  breadth-first sample: ``successors(project(s))`` must equal
-  ``project(successors(s))`` label-for-label (static analysis never
-  builds an LTS — this samples exactly like the equivariance
-  self-test), so the scalar relation is held to what the table said.
+* a guard term reading a dropped leaf, or a kept leaf copied from a
+  dropped one, refuses the slice: the cone excludes both by
+  construction, and this rechecks the table it was read from;
+* so does a dropped family the projector cannot zero (outside
+  :data:`~repro.jackal.codec.PROJECTABLE_FIELDS`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, cast
+from typing import cast
 
 from repro.jackal.codec import PROJECTABLE_FIELDS
-from repro.jackal.kernel import SINK, Bits, Fail, Field, From, FrontierKernel
+from repro.jackal.kernel import SINK, Fail, Field, From, FrontierKernel, Layout, _operand
 from repro.staticcheck.findings import Finding, Severity
+
+
+def _leaves(layout: Layout, field: Field) -> list[Field]:
+    return layout.parts.get(field, [field])
+
+
+def _read(layout: Layout, rule) -> list[Field]:
+    """The leaves ``rule``'s guard terms test, either side."""
+    return [
+        leaf
+        for lhs, _op, rhs in rule.guard
+        for field in (_operand(lhs)[0], rhs) if isinstance(field, Field)
+        for leaf in _leaves(layout, field)
+    ]
+
+
+def _copies(layout: Layout, rule) -> list[tuple[Field, Field]]:
+    """``(target, source)`` of every leaf a :class:`From` update of
+    ``rule`` copies."""
+    if isinstance(rule.updates, Fail) or rule.updates is SINK:
+        return []
+    return [
+        pair
+        for field, value in cast(tuple, rule.updates) if isinstance(value, From)
+        for pair in zip(_leaves(layout, field), _leaves(layout, value.field))
+    ]
 
 
 def _cone(kernel: FrontierKernel) -> set[Field]:
@@ -59,24 +84,13 @@ def _cone(kernel: FrontierKernel) -> set[Field]:
     leaves a kept leaf is copied from. A field that updates itself
     (``INC``/``DEC``/``Raise``/``Drop``) flows only into itself, which
     adds nothing to the closure."""
-    parts = kernel.layout.parts
-
-    def leaves(field: Field) -> list[Field]:
-        return parts.get(field, [field])
-
+    layout = kernel.layout
     kept = {kernel.f_violation}
     sources: dict[Field, set[Field]] = {}
     for rule in kernel.table.rules:
-        for lhs, _op, rhs in rule.guard:
-            kept.update(leaves(lhs.field if isinstance(lhs, Bits) else lhs))
-            if not isinstance(rhs, int):
-                kept.update(leaves(rhs))
-        if isinstance(rule.updates, Fail) or rule.updates is SINK:
-            continue
-        for field, value in cast(tuple, rule.updates):
-            if isinstance(value, From):
-                for dst, src in zip(leaves(field), leaves(value.field)):
-                    sources.setdefault(dst, set()).add(src)
+        kept.update(_read(layout, rule))
+        for dst, src in _copies(layout, rule):
+            sources.setdefault(dst, set()).add(src)
     work = list(kept)
     while work:
         for src in sources.get(work.pop(), ()):
@@ -90,11 +104,28 @@ def _slices_section(
     kernel: FrontierKernel,
 ) -> tuple[frozenset[str], list[Finding]]:
     """``(dropped, findings)``: the leaf families of ``kernel`` with no
-    leaf in the cone of influence, and a JKL403 refusal if the projector
-    cannot zero one of them (none on the shipped spec)."""
-    family = kernel.layout.family
+    leaf in the cone of influence, and a JKL403 refusal if a rule
+    instance reads a dropped leaf or copies one into a kept leaf, or if
+    the projector cannot zero a dropped family (none on the shipped
+    spec)."""
+    layout = kernel.layout
+    family = layout.family
     kept = {family[f] for f in _cone(kernel)}
-    dropped = frozenset(family[f] for f in kernel.layout.leaves) - kept
+    dropped = frozenset(family[f] for f in layout.leaves) - kept
+    for rule in kernel.table.rules:
+        bad = [f for f in _read(layout, rule) if family[f] in dropped]
+        bad += [src for dst, src in _copies(layout, rule)
+                if family[src] in dropped and family[dst] not in dropped]
+        if bad:
+            return dropped, [Finding(
+                "JKL403",
+                Severity.ERROR,
+                "slice/congruence",
+                f"rule {rule.name!r} ({rule.label!r}) reads {bad[0].name}, "
+                "which the slice drops: projecting and stepping would not "
+                "commute",
+                data={"dropped": sorted(dropped), "rule": rule.name, "field": bad[0].name},
+            )]
     unprojectable = sorted(dropped - PROJECTABLE_FIELDS)
     if not unprojectable:
         return dropped, []
@@ -112,64 +143,3 @@ def _slices_section(
             },
         )
     ]
-
-
-def selftest_findings(
-    model: object,
-    dropped: Iterable[str],
-    *,
-    max_states: int = 200,
-    max_findings: int = 3,
-) -> list[Finding]:
-    """JKL403 congruence counterexamples on a bounded state sample.
-
-    For sampled ``s``, stepping then projecting must equal projecting
-    then stepping, label-for-label — the dynamic witness that the
-    cone read off the rule table holds for the scalar relation too.
-    Samples via the model's
-    successor function only (never the exploration machinery).
-    """
-    from repro.staticcheck.symmetry import _sample_states
-
-    dropped = frozenset(dropped)
-    if not dropped:
-        return []
-    codec = model.codec()  # type: ignore[attr-defined]
-    project = codec.projector(dropped)
-    findings: list[Finding] = []
-    for state in _sample_states(model, max_states):
-        if len(state) != 8:
-            continue
-        projected = project(state)
-        expected = sorted(
-            (lbl, codec.encode(project(ns)))
-            for lbl, ns in model.successors(state)  # type: ignore[attr-defined]
-        )
-        actual = sorted(
-            (lbl, codec.encode(project(ns)))
-            for lbl, ns in model.successors(projected)  # type: ignore[attr-defined]
-        )
-        if expected != actual:
-            exp_labels = [lbl for lbl, _ in expected]
-            act_labels = [lbl for lbl, _ in actual]
-            diff = sorted(
-                set(exp_labels).symmetric_difference(act_labels)
-            ) or ["<same labels, different targets>"]
-            findings.append(
-                Finding(
-                    "JKL403",
-                    Severity.ERROR,
-                    "slice/congruence",
-                    "slice projection is not a congruence: stepping a "
-                    "projected state and projecting the successors "
-                    f"disagree at a sampled state (dropped="
-                    f"{sorted(dropped)}, mismatched labels: {diff[:4]})",
-                    data={
-                        "dropped": sorted(dropped),
-                        "mismatched_labels": diff[:4],
-                    },
-                )
-            )
-            if len(findings) >= max_findings:
-                return findings
-    return findings

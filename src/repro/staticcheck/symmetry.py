@@ -9,29 +9,29 @@ leaves this structure on the table; here a static pass certifies it
 exploration backends validate before they reduce (see
 :mod:`repro.lts.certreduce`).
 
-Certification is three independent obligations:
+Certification proves two obligations on the frontier kernel's rule
+table (:mod:`repro.jackal.kernel`), the relation every sweep runs:
 
 1. **admissible group** — the group of processor permutations
    preserving the thread-count topology, composed with per-processor
    thread permutations, must be nontrivial (else JKL301: nothing to
    reduce by);
-2. **index genericity** — the model's label vocabulary must be closed
-   under every admissible permutation (a rule emitted only for ``p0``
-   breaks closure: JKL301);
-3. **bounded equivariance self-test** — on a breadth-first sample of
-   states, ``decode ∘ permute ∘ encode`` must commute (the frontier
-   kernel's :class:`~repro.jackal.kernel.Layout`, read through
-   :class:`~repro.jackal.codec.StateCodec`, respects the permutation
-   action) and the successor relation must be equivariant:
-   ``succ(π(s)) = π(succ(s))``, labels included. Any counterexample is
-   JKL302 with the offending state and permutation.
+2. **equivariance** (:func:`_rule_findings`, as scalarsets let Murφ
+   prove it, Ip & Dill 1996) — each nontrivial ``g`` must join packed
+   elements with identical field lists, and for every label ``L``,
+   ``L``'s rule instances renamed by ``g`` (each field to its image's,
+   each value by its field's sort,
+   :attr:`~repro.jackal.kernel.Layout.sort`) must be exactly the
+   instances of ``g(L)``. The group holds every inverse, so then
+   ``succ(g(s)) = g(succ(s))`` on every row, labels included. Else
+   JKL302, naming the label and the permutation.
 
 Once those hold, the certifier runs the two formula-directed passes —
 formula symmetrization (:mod:`repro.staticcheck.formulasym`,
 JKL401/402) and cone-of-influence slicing
 (:mod:`repro.staticcheck.slicing`, JKL403) — and records the group and
 the certified slice in the certificate. Certification is refused, never
-degraded, on any ERROR.
+degraded, on any ERROR. It never steps the model.
 
 Soundness note: the *initial* state is deliberately not required to be
 a fixed point of the group (``initial_home`` picks a processor). The
@@ -46,18 +46,29 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import permutations as _permutations, product
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, cast
 
 from repro.errors import ReproError
+from repro.jackal.kernel import (
+    _COMPARE,
+    SINK,
+    Drop,
+    Fail,
+    Field,
+    From,
+    FrontierKernel,
+    Layout,
+    Raise,
+    Rule,
+    _operand,
+)
 from repro.jackal.model import JackalModel
 from repro.jackal.params import Config, ProtocolVariant
+from repro.obs.core import current as _current_tracer
 from repro.staticcheck.findings import Finding, Severity
 
 if TYPE_CHECKING:  # certificates imports this module
     from repro.staticcheck.certificates import ReductionCertificate
-
-#: default number of sampled states for the equivariance self-test
-DEFAULT_SELFTEST_STATES = 200
 
 _INDEX_TOKEN = re.compile(r"\b([tp])(\d+)\b")
 
@@ -135,6 +146,21 @@ class Permutation:
             tuple(self.pid_map[p] for p in other.pid_map),
             tuple(self.tid_map[t] for t in other.tid_map),
         )
+
+    def renaming(self, sort: str) -> tuple[int, ...]:
+        """The image of each value of a field of value sort ``sort``
+        (:attr:`~repro.jackal.kernel.Layout.sort`): processor and thread
+        ids and lock holders (a thread + 1, 0 free) are renamed, the
+        identity beyond the valid ones (no such field is wider than 8
+        bits); the bits of a ``pmask`` or ``tmask`` move."""
+        if sort in ("pmask", "tmask"):
+            return self._pmask if sort == "pmask" else self._tmask
+        head = {
+            "pid": self.pid_map,
+            "tid": self.tid_map,
+            "holder": (0, *(t + 1 for t in self.tid_map)),
+        }[sort]
+        return (*head, *range(len(head), 256))
 
     # -- action on states ------------------------------------------------
 
@@ -275,126 +301,130 @@ def is_admissible(
     )
 
 
-# -- obligation 2: index genericity -------------------------------------
+# -- obligation 2: the rule table is equivariant ------------------------
 
 
-def _label_closure_findings(
-    model: Any, group: Sequence[Permutation]
-) -> list[Finding]:
-    from repro.staticcheck.labelcheck import model_labels
-
-    vocabulary = model_labels(model)
-    findings: list[Finding] = []
-    for perm in group:
-        if perm.is_identity:
+def _normal(rule: Rule) -> tuple:
+    """``rule`` as ``(guard, updates)``, its rank left out: the guard as
+    the values each leaf it tests may take (its terms on a leaf
+    intersected, a leaf left out if that is every value; a term
+    comparing two fields kept whole), the updates as a set, a
+    :class:`Fail` as the class alone (its message is no state)."""
+    allowed: dict = {}
+    terms = set()
+    for lhs, op, value in rule.guard:
+        f, mask = _operand(lhs)
+        if not isinstance(value, int):
+            terms.add((lhs, op, value))
             continue
-        permuted = {perm.apply_label(lbl) for lbl in vocabulary}
-        broken = sorted(permuted - vocabulary)
-        if broken:
-            findings.append(
-                Finding(
-                    "JKL301",
-                    Severity.ERROR,
-                    "model/labels",
-                    "label vocabulary is not closed under the admissible "
-                    f"permutation pid_map={list(perm.pid_map)}: a rule "
-                    "exists for some indices but not their renamings "
-                    f"(e.g. {broken[0]!r} is never emitted)",
-                    data={
-                        "permutation": perm.as_dict(),
-                        "missing": broken[:4],
-                    },
-                )
-            )
-            break
-    return findings
+        holds = frozenset(x for x in range(f.mask + 1) if _COMPARE[op](x & mask, value))
+        allowed[f] = allowed.get(f, holds) & holds
+    updates = rule.updates
+    if isinstance(updates, Fail):
+        updates = Fail
+    elif updates is not SINK:
+        updates = frozenset((f, type(v), v) for f, v in cast(tuple, updates))
+    terms.update((f, values) for f, values in allowed.items() if len(values) <= f.mask)
+    return frozenset(terms), updates
 
 
-# -- obligation 3: bounded equivariance self-test -----------------------
+def _signature(layout: Layout, element: Field) -> list:
+    """The fields of ``element``: name, width and value sort."""
+    return [(f.name.partition(".")[2], f.mask, layout.sort[f]) for f in layout.parts[element]]
 
 
-def _sample_states(model: Any, limit: int) -> list[Any]:
-    """Up to ``limit`` states by plain breadth-first walk over
-    ``model.successors``. Deliberately *not* the exploration machinery:
-    static analysis never builds an LTS, it samples a bounded prefix."""
-    init = model.initial_state()
-    seen = {init}
-    frontier = [init]
-    out = [init]
-    while frontier and len(out) < limit:
-        nxt = []
-        for s in frontier:
-            if len(s) != 8:
-                continue
-            for _lbl, ns in model.successors(s):
-                if ns not in seen:
-                    seen.add(ns)
-                    out.append(ns)
-                    nxt.append(ns)
-                    if len(out) >= limit:
-                        return out
-        frontier = nxt
-    return out
+def _renamed(inst: tuple, layout: Layout, image: dict, maps: dict):
+    """The normal form (:func:`_normal`) of an instance renamed: each
+    field to its ``image``, each value by its field's sort (``maps``).
+    None where that renames nothing: a term comparing two fields, an
+    index-valued field stepped, copied from another sort or its bits
+    set, a whole element written but to empty it or copy another, or an
+    index in a slot not known full (an empty slot is all-zero, and no
+    renaming moves it)."""
+    guard, updates = inst
+    if any(len(term) != 2 for term in guard):
+        return None
+    sort, element, slots = layout.sort, layout.element, layout.slots
+    fulls = {layout.parts[e][0] for e in slots}
+    full = {element[f] for f, values in guard if f in fulls and values == {1}}
+
+    def renames(f, full):  # no index in a slot that may be empty
+        return not sort[f] or element[f] not in slots or element[f] in full
+
+    if not all(renames(f, full) for f, _values in guard):
+        return None
+    out = frozenset(
+        (image[f], frozenset(maps[sort[f]][x] for x in values) if sort[f] else values)
+        for f, values in guard
+    )
+    if type(updates) is not frozenset:
+        return out, updates
+    filled = {element[f] for f, _kind, v in updates if f in fulls and v == 1}
+    moved = []
+    for f, kind, v in updates:
+        s = sort.get(f)  # None for a whole element
+        if f in layout.parts:
+            ok = (_signature(layout, f) == _signature(layout, v.field) if kind is From
+                  else kind is int and v == 0 and f in slots)
+        elif kind is From:
+            ok = sort[v.field] == s and renames(v.field, full) and renames(f, filled)
+        else:
+            ok = renames(f, filled) and (
+                not s or kind is int or kind in (Raise, Drop) and s in ("pmask", "tmask"))
+        if not ok:
+            return None
+        if kind is From:
+            v = From(image[v.field])
+        elif s:
+            v = maps[s][v] if kind is int else kind(maps[s][v.bits])
+        moved.append((image[f], kind, v))
+    return out, frozenset(moved)
 
 
-def equivariance_findings(
-    model: Any,
-    group: Sequence[Permutation],
-    *,
-    max_states: int = DEFAULT_SELFTEST_STATES,
-    max_findings: int = 3,
+def _rule_findings(
+    kernel: FrontierKernel, group: Sequence[Permutation]
 ) -> list[Finding]:
-    """JKL302 counterexamples to layout/successor equivariance."""
-    findings: list[Finding] = []
-    perms = [g for g in group if not g.is_identity]
-    if not perms:
-        return findings
-    codec = model.codec()
-    for state in _sample_states(model, max_states):
-        for perm in perms:
-            permuted = perm.apply(state)
-            if codec.decode(codec.encode(permuted)) != permuted:
-                findings.append(
-                    Finding(
-                        "JKL302",
-                        Severity.ERROR,
-                        "model/codec",
-                        "decode(encode(permute(s))) != permute(s) for "
-                        f"pid_map={list(perm.pid_map)}: the packed layout "
-                        "does not respect the permutation action",
-                        data={"permutation": perm.as_dict()},
-                    )
-                )
-            expected = sorted(
-                (perm.apply_label(lbl), perm.apply(ns))
-                for lbl, ns in model.successors(state)
-            )
-            actual = sorted(model.successors(permuted))
-            if expected != actual:
-                exp_labels = [lbl for lbl, _ in expected]
-                act_labels = [lbl for lbl, _ in actual]
-                diff = sorted(
-                    set(exp_labels).symmetric_difference(act_labels)
-                ) or ["<same labels, different targets>"]
-                findings.append(
-                    Finding(
-                        "JKL302",
-                        Severity.ERROR,
-                        "model/successors",
-                        "successor relation is not equivariant under "
-                        f"pid_map={list(perm.pid_map)} "
-                        f"tid_map={list(perm.tid_map)}: permuting and "
-                        "stepping disagree at a sampled state "
-                        f"(mismatched labels: {diff[:4]})",
-                        data={
-                            "permutation": perm.as_dict(),
-                            "mismatched_labels": diff[:4],
-                        },
-                    )
-                )
-            if len(findings) >= max_findings:
-                return findings
-    return findings
+    """JKL302 where a nontrivial ``g`` of ``group`` does not map
+    ``kernel``'s rule table onto itself: its element map joins elements
+    of different field lists, or the instances of some label ``L``,
+    renamed by ``g``, are not those of ``g(L)``."""
+    layout = kernel.layout
+    by_label: dict[str, set] = {}
+    for rule in kernel.table.rules:
+        by_label.setdefault(rule.label, set()).add(_normal(rule))
+    for g in group:
+        image = layout.image(g)
+        broken = sorted(
+            e.name for e in layout.parts
+            if e not in image or _signature(layout, e) != _signature(layout, image[e])
+        )
+        if broken:
+            return [Finding(
+                "JKL302",
+                Severity.ERROR,
+                "model/layout",
+                f"pid_map={list(g.pid_map)} tid_map={list(g.tid_map)} "
+                f"moves elements {broken[:4]} onto elements with other "
+                "fields: the packed layout does not respect the "
+                "permutation action",
+                data={"permutation": g.as_dict(), "elements": broken[:4]},
+            )]
+        maps = {s: g.renaming(s) for s in set(layout.sort.values()) if s}
+        for label, instances in by_label.items():
+            target = g.apply_label(label)
+            renamed = {_renamed(inst, layout, image, maps) for inst in instances}
+            if renamed != by_label.get(target, set()):
+                return [Finding(
+                    "JKL302",
+                    Severity.ERROR,
+                    "model/rules",
+                    f"the rule instances emitting {label!r}, renamed by "
+                    f"pid_map={list(g.pid_map)} tid_map={list(g.tid_map)}, "
+                    f"are not those emitting {target!r}: the rule table "
+                    "is not equivariant",
+                    data={"permutation": g.as_dict(), "label": label, "image": target},
+                )]
+    return []
 
 
 # -- the certifier -------------------------------------------------------
@@ -405,7 +435,6 @@ def certify(
     variant: ProtocolVariant,
     *,
     model: Any = None,
-    max_states: int = DEFAULT_SELFTEST_STATES,
 ) -> tuple[ReductionCertificate | None, list[Finding]]:
     """Attempt to certify symmetry + independence for ``config``.
 
@@ -415,56 +444,53 @@ def certify(
     certificate is ``None`` — certification is refused, never degraded.
 
     ``model`` defaults to the probe-enabled model of the configuration
-    (probes are part of the Requirement-3 vocabulary, so the self-test
-    covers them); pass a model instance to certify a mutated build, as
-    the CI mutation smoke does. The slice is read off that model's
-    kernel.
+    (probes are part of the Requirement-3 vocabulary, so the proof
+    covers their rules); pass a model instance to certify a mutated
+    build, as the CI mutation smoke does. The proof and the slice are
+    read off that model's kernel. The work is a ``certify`` span of the
+    active tracer.
     """
-    from repro.staticcheck.certificates import ReductionCertificate
-    from repro.staticcheck.formulasym import (
-        formulas_section,
-        vocabulary_findings,
-    )
-    from repro.staticcheck.slicing import _slices_section, selftest_findings
-
-    group = admissible_group(config)
-    nontrivial = tuple(g for g in group if not g.is_identity)
-    if not nontrivial:
-        return None, [
-            Finding(
-                "JKL301",
-                Severity.ERROR,
-                f"config/{config.describe()}",
-                "only the identity permutation is admissible for this "
-                "topology: there is no symmetry to reduce by",
-            )
-        ]
-    if model is None:
-        model = JackalModel(replace(config, with_probes=True), variant)
-    # every pass below emits ERRORs only: any finding refuses
-    findings = _label_closure_findings(model, nontrivial)
-    if not findings:
-        findings = equivariance_findings(
-            model, nontrivial, max_states=max_states
+    with _current_tracer().span("certify"):
+        from repro.staticcheck.certificates import ReductionCertificate
+        from repro.staticcheck.formulasym import (
+            formulas_section,
+            vocabulary_findings,
         )
-    if findings:
-        return None, findings
-    # formula-directed passes: the requirement formulas must be closed
-    # under the certified group, and the cone-of-influence field slice
-    # must be a congruence, each with its own refusals
-    findings = formulas_section(config)
-    if not findings:
-        findings = vocabulary_findings(model, config, nontrivial)
-    dropped, slice_findings = _slices_section(model.kernel())
-    findings.extend(slice_findings)
-    if not findings:
-        findings = selftest_findings(model, dropped, max_states=max_states)
-    if findings:
-        return None, findings
-    cert = ReductionCertificate(
-        replace(config, with_probes=False), variant, nontrivial, dropped
-    )
-    return cert, findings
+        from repro.staticcheck.slicing import _slices_section
+
+        group = admissible_group(config)
+        nontrivial = tuple(g for g in group if not g.is_identity)
+        if not nontrivial:
+            return None, [
+                Finding(
+                    "JKL301",
+                    Severity.ERROR,
+                    f"config/{config.describe()}",
+                    "only the identity permutation is admissible for this "
+                    "topology: there is no symmetry to reduce by",
+                )
+            ]
+        if model is None:
+            model = JackalModel(replace(config, with_probes=True), variant)
+        kernel = model.kernel()
+        # every pass below emits ERRORs only: any finding refuses
+        findings = _rule_findings(kernel, nontrivial)
+        if findings:
+            return None, findings
+        # formula-directed passes: the requirement formulas must be
+        # closed under the certified group, and the cone-of-influence
+        # field slice must be a congruence, each with its own refusals
+        findings = formulas_section(config)
+        if not findings:
+            findings = vocabulary_findings(model, config, nontrivial)
+        dropped, slice_findings = _slices_section(kernel)
+        findings.extend(slice_findings)
+        if findings:
+            return None, findings
+        cert = ReductionCertificate(
+            replace(config, with_probes=False), variant, nontrivial, dropped
+        )
+        return cert, findings
 
 
 def certified(

@@ -203,9 +203,12 @@ def test_whole_run_line_accounts_for_a_recorded_check(tmp_path, capsys):
     path, events = _recorded_check(tmp_path)
     run = whole_run(events)
     # one sweep, five checks that were handed their sweep
-    assert set(run) == {"span_s", "sweeps_s", "checks_s", "unattributed_s"}
+    assert set(run) == {
+        "span_s", "sweeps_s", "checks_s", "certify_s", "unattributed_s"
+    }
     assert run["sweeps_s"] == pytest.approx(_seconds(events, "sweep_end"))
     assert run["checks_s"] == pytest.approx(_seconds(events, "check"))
+    assert run["certify_s"] == 0  # nothing to certify without --reduce
     assert min(run.values()) >= 0
     assert run["span_s"] >= events[-1]["t"] - events[0]["t"]
     assert (
@@ -214,6 +217,20 @@ def test_whole_run_line_accounts_for_a_recorded_check(tmp_path, capsys):
     last = report_from_file(path).splitlines()[-1]
     assert last.startswith(f"whole run: {run['span_s']:.3f} s = sweeps ")
     assert "+ checks " in last and "+ unattributed " in last
+
+
+def test_whole_run_line_accounts_for_certify(tmp_path, capsys):
+    # a --reduce run proves its certificate first, in a span of its own
+    path, events = _recorded_check(tmp_path, "--reduce")
+    (span,) = [e for e in events if e["ev"] == "certify"]
+    assert span["parent"] is None
+    run = whole_run(events)
+    assert run["certify_s"] == pytest.approx(span["seconds"])
+    assert run["certify_s"] > 0
+    assert sum(v for k, v in run.items() if k != "span_s") == pytest.approx(
+        run["span_s"], abs=1e-5
+    )
+    assert f"+ certify {run['certify_s']:.3f} s" in report_from_file(path)
 
 
 def test_whole_run_counts_a_sweep_inside_a_check_once(tmp_path, capsys):

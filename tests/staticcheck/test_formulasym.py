@@ -2,6 +2,8 @@
 closure of the shipped requirement families, and the JKL401/402
 refusals that keep asymmetric specs off the full quotient."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.jackal.params import CONFIG_1, CONFIG_2, ProtocolVariant
@@ -123,15 +125,15 @@ def test_asymmetric_family_is_refused_with_jkl401():
 
 
 class _FakeModel:
-    """Just enough surface for ``labelcheck.model_labels``: ``lbl_``
-    vocabulary tables plus the variant/config refinement flags."""
+    """Just enough surface for ``labelcheck.model_labels``: a kernel
+    whose rule table holds one rule per label."""
 
     def __init__(self, labels):
-        self.lbl_all = list(labels)
-        self.lbl_stale: list = []
-        self.lbl_f2s: list = []
-        self.variant = FIXED
-        self.config = CONFIG_1
+        rules = [SimpleNamespace(label=label) for label in labels]
+        self._kernel = SimpleNamespace(table=SimpleNamespace(rules=rules))
+
+    def kernel(self):
+        return self._kernel
 
 
 def test_vocabulary_gap_in_the_orbit_is_refused_with_jkl402():

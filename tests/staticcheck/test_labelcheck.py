@@ -25,8 +25,10 @@ def test_model_labels_cover_the_vocabulary():
     assert "lock_fault(t0,p1)" in labels
     assert "assertion_violation(localthreads_negative)" in labels
     assert "c_home" in labels  # probes on
-    # out-of-range ids are not in the vocabulary
+    # out-of-range ids are not in the vocabulary, nor labels no rule
+    # emits: t1 runs on p1, so nothing signals it on p0
     assert "write(t2)" not in labels
+    assert "signal(t1,p0)" not in labels
 
 
 def test_probe_labels_follow_the_config():
@@ -73,3 +75,12 @@ def test_jkl202_fires_on_phantom_prefix():
 def test_matching_prefix_is_clean():
     f = parse_formula("[T*.writeover(*)] F")
     assert lint_labels(_model(), [("ok", f)]) == []
+
+
+def test_jkl201_fires_on_a_label_no_rule_emits(capsys):
+    from repro.cli import main
+
+    code = main(["lint", "--config", "1", "--formula", "x=[T*.signal(t1,p0)] F"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "JKL201" in out and "'signal(t1,p0)'" in out

@@ -2,7 +2,7 @@
 projection laws the certified reduction relies on.
 
 The property tests sample real reachable states (bounded BFS, never the
-exploration machinery) and check, under random admissible permutations,
+exploration machinery; :mod:`tests.staticcheck.samplers`) and check, under random admissible permutations,
 exactly the algebra :mod:`repro.lts.certreduce` depends on: projection
 commutes with the group action, only the dropped fields change, and the
 sliced encoding is the encoding of the projection.
@@ -20,8 +20,9 @@ from repro.jackal.codec import PROJECTABLE_FIELDS
 from repro.jackal.kernel import FrontierKernel
 from repro.jackal.model import JackalModel
 from repro.jackal.params import CONFIG_1, ProtocolVariant
-from repro.staticcheck.slicing import _cone, _slices_section, selftest_findings
-from repro.staticcheck.symmetry import _sample_states, admissible_group
+from repro.staticcheck.slicing import _cone, _slices_section
+from repro.staticcheck.symmetry import admissible_group
+from tests.staticcheck.samplers import _sample_states, selftest_findings
 
 FIXED = ProtocolVariant.fixed()
 VARIANTS = ("fixed", "error1", "error2", "buggy", "no_migration", "alf")
@@ -98,6 +99,23 @@ def test_verify_slice_refuses_unknown_fields():
 
 def test_congruence_selftest_passes_on_the_shipped_model():
     assert selftest_findings(_model(CONFIG_1), PROJECTABLE_FIELDS) == []
+
+
+def test_congruence_check_refuses_a_dropped_leaf_that_is_read(monkeypatch):
+    # the cone never drops a leaf a guard reads; handed one that does,
+    # the check over the rule instances refuses the slice
+    from repro.staticcheck import slicing
+
+    kernel = _model(CONFIG_1).kernel()
+    cone = slicing._cone(kernel)
+    for family, field in (("thread.phase", "thread0.phase"), ("mig.wl", "mig0_0.wl")):
+        left = {f for f in cone if kernel.layout.family[f] != family}
+        monkeypatch.setattr(slicing, "_cone", lambda _kernel: left)
+        dropped, findings = _slices_section(kernel)
+        assert family in dropped
+        assert [(f.rule, f.location) for f in findings] == [("JKL403", "slice/congruence")]
+        # a guard reads the phase; a kept copy.wl is copied from mig.wl
+        assert findings[0].data["field"] == field
 
 
 # -- projection laws ---------------------------------------------------------

@@ -14,10 +14,10 @@ from repro.jackal.model import JackalModel
 from repro.jackal.params import CONFIG_1, CONFIG_2, CONFIG_3, ProtocolVariant
 from repro.staticcheck.symmetry import (
     Permutation,
-    _sample_states,
     admissible_group,
     is_admissible,
 )
+from tests.staticcheck.samplers import _sample_states
 
 
 def _model(config, variant=None, probes=False):
