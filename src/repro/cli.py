@@ -252,7 +252,8 @@ def _cmd_report(args) -> int:
 
 def _cmd_lint(args) -> int:
     from repro.mucalc.parser import parse_formula
-    from repro.staticcheck import RULES, default_formulas, run_lint
+    from repro.staticcheck.analyzer import default_formulas, run_lint
+    from repro.staticcheck.findings import RULES
 
     if args.rules:
         for rule, text in sorted(RULES.items()):

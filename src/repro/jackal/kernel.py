@@ -57,14 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import ModelError
-from repro.jackal.actions import (
-    C_COPY,
-    C_HOME,
-    HOMEQUEUE_EMPTY,
-    LOCK_EMPTY,
-    PROBE_LABELS,
-    REMOTEQUEUE_EMPTY,
-)
+from repro.jackal.actions import C_COPY, C_HOME, PROBE_LABELS
 from repro.jackal.model import VIOLATION, Msg, Phase, RegionState
 
 _M64 = (1 << 64) - 1
@@ -95,8 +88,6 @@ _REQ, _RET, _FLUSH = int(Msg.REQ), int(Msg.RET), int(Msg.FLUSH)
 #: the canonical key's order of element families (the layout's is hq,
 #: rq, hqa, rqa): :meth:`FrontierKernel.key_units`
 _KEY_ORDER = ("thread", "copy", "hq", "hqa", "rq", "rqa", "locks", "mig")
-#: the probes in rank order
-_PROBES = (C_HOME, C_COPY, LOCK_EMPTY, HOMEQUEUE_EMPTY, REMOTEQUEUE_EMPTY)
 
 
 def _width(max_value: int) -> int:
@@ -365,7 +356,7 @@ class RuleTable:
     instance is a keep/or mask per word plus its computed writes.
     """
 
-    def __init__(self, layout: Layout, rules, label_ids: dict, sink=None):
+    def __init__(self, layout: Layout, rules, sink=None):
         self.layout = layout
         rules = sorted(
             (case for rule in rules for case in self._cases(rule)),
@@ -397,7 +388,10 @@ class RuleTable:
         n, nw = len(self.rules), layout.n_words
         self.n_words = nw
         self.rank = np.array([rule.rank for rule in self.rules], np.int64)
-        self.lid = np.array([label_ids.get(rule.label, -1) for rule in self.rules], np.int32)
+        #: the labels the instances emit, in rank order; ``lid`` indexes it
+        self.labels = list(dict.fromkeys(rule.label for rule in self.rules if rule.label))
+        self.label_ids = {label: i for i, label in enumerate(self.labels)}
+        self.lid = np.array([self.label_ids.get(rule.label, -1) for rule in self.rules], np.int32)
         #: per instance, per word: the bits it keeps, and what it adds —
         #: the constants it writes into the bits it clears, and the
         #: steps of its INC and DEC writes
@@ -593,15 +587,6 @@ class RuleTable:
         raise ModelError(fail.message.format(value))
 
 
-def _strings(nested):
-    """The strings of arbitrarily nested lists, depth first."""
-    if isinstance(nested, str):
-        yield nested
-    else:
-        for item in nested:
-            yield from _strings(item)
-
-
 class FrontierKernel:
     """Packed-row form of one :class:`~repro.jackal.model.JackalModel`.
 
@@ -616,13 +601,6 @@ class FrontierKernel:
         self.W = cfg.writes_per_round
         self.layout = Layout(self._declare(cfg))
         self.n_words = self.layout.n_words
-        #: the label table :meth:`expand`'s label ids index
-        self.labels = list(dict.fromkeys(_strings(
-            [table for name, table in vars(model).items()
-             if name.startswith("lbl_")]
-        )))
-        self.labels += PROBE_LABELS
-        self.label_ids = {label: i for i, label in enumerate(self.labels)}
 
         g = self.layout.group
         T, P, R = self.T, self.P, self.R
@@ -673,7 +651,10 @@ class FrontierKernel:
             ]
             self._kinds[kind] = (parts, {})
 
-        self.table = RuleTable(self.layout, self._summands(), self.label_ids, self.violation_row)
+        self.table = RuleTable(self.layout, self._summands(), self.violation_row)
+        #: the labels the rules emit, in rank order: what :meth:`expand`'s
+        #: label ids index
+        self.labels, self.label_ids = self.table.labels, self.table.label_ids
 
     # -- the layout ------------------------------------------------------
 
@@ -1374,4 +1355,4 @@ class FrontierKernel:
              for slot in (self.hq[p], *self.mg[p])],
             [self.rq[p].full for p in range(P)],
         ), start=2):
-            yield Rule("probe", rank + i, _PROBES[i], tuple((f, "==", 0) for f in fields), ())
+            yield Rule("probe", rank + i, PROBE_LABELS[i], tuple((f, "==", 0) for f in fields), ())

@@ -70,12 +70,11 @@ def _commute_table(kernel):
     """``(safe, commute)`` over ``kernel``'s label ids: whether a label
     is a safe class's (:data:`~repro.staticcheck.independence.SAFE_CLASSES`),
     and for a safe one, which labels it may commute with (all that the
-    pruner asks). A label no rule emits has no footprint: it never fires."""
+    pruner asks)."""
     from repro.staticcheck import independence as ind
 
     fps = ind.footprints(kernel)
-    none = frozenset(), frozenset()
-    table = [fps.get(label, none) for label in kernel.labels]
+    table = [fps[label] for label in kernel.labels]
     safe_labels = {
         rule.label for rule in kernel.table.rules
         if rule.name in ind.SAFE_CLASSES

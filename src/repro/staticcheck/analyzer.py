@@ -1,15 +1,17 @@
 """The ``repro lint`` driver: run every static analysis, one report.
 
-Two exploration-free passes over the protocol model:
+Two exploration-free passes over the rule table of the selected
+:class:`~repro.jackal.params.ProtocolVariant` (the probe model's, as
+Requirement 3 builds it):
 
-1. lockset dataflow over the phase graph of the selected
-   :class:`~repro.jackal.params.ProtocolVariant` (JKL0xx);
-2. label cross-check between the model's vocabulary and the
+1. lockset dataflow over the thread phase graph read off the table
+   (JKL0xx);
+2. label cross-check between the labels the rules emit and the
    requirement formulas (JKL2xx).
 
-None of them builds an LTS — the analyzer only constructs the model
-object (for its precomputed label tables) and walks syntax, so a full
-run finishes in well under a second where exploration takes minutes.
+None of them builds an LTS — the analyzer only builds the model's
+frontier kernel and walks syntax, so a full run finishes in well under
+a second where exploration takes minutes.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from repro.jackal.requirements import (
 from repro.mucalc.syntax import Formula
 from repro.staticcheck.findings import LintReport
 from repro.staticcheck.labelcheck import lint_labels
-from repro.staticcheck.lockset import lint_locksets
-from repro.staticcheck.phasegraph import phase_graph
+from repro.staticcheck.lockset import lint_locksets, phase_graph
 
 
 def default_formulas(config: Config) -> list[tuple[str, Formula]]:
@@ -55,17 +56,17 @@ def run_lint(
 
     ``formulas`` defaults to the requirement formulas of ``config``
     (pass extra ``(name, formula)`` pairs to vet your own properties).
-    The label cross-check always runs against the probe-enabled model,
-    mirroring how Requirement 3 builds its LTS.
+    Both passes read the probe-enabled model's rule table, mirroring
+    how Requirement 3 builds its LTS.
     """
     report = LintReport(suppressed=tuple(suppress))
+    model = JackalModel(replace(config, with_probes=True), variant)
 
-    # 1. lockset dataflow over the phase graph
-    report.extend(lint_locksets(phase_graph(variant)))
+    # 1. lockset dataflow over the phase graph of the rule table
+    report.extend(lint_locksets(phase_graph(model.kernel())))
 
     # 2. label cross-check (probe labels are part of the vocabulary,
     #    as in the Requirement-3 LTS builds)
-    model = JackalModel(replace(config, with_probes=True), variant)
     named = default_formulas(config) if formulas is None else list(formulas)
     report.extend(lint_labels(model, named))
     return report

@@ -43,11 +43,10 @@ from repro.mucalc.syntax import (
 from repro.staticcheck.findings import Finding, Severity
 
 
-def model_labels(model: Any) -> frozenset[str]:
-    """Every label a rule instance of ``model``'s kernel emits."""
-    return frozenset(
-        rule.label for rule in model.kernel().table.rules if rule.label
-    )
+def model_labels(model: Any) -> list[str]:
+    """Every label a rule instance of ``model``'s kernel emits, in rank
+    order: the kernel's own label table."""
+    return model.kernel().labels
 
 
 def _lits_in_pred(pred: ActionPredicate) -> Iterator[ActLit]:

@@ -1,4 +1,14 @@
-"""Lockset dataflow over the thread phase graph.
+"""Lockset dataflow over the thread phase graph of the rule table.
+
+A thread moves through the phases of :class:`~repro.jackal.model.Phase`;
+each move acquires, releases or waits on some of the protocol lock
+slots of its processor. :func:`phase_graph` projects the frontier
+kernel's rule table (:mod:`repro.jackal.kernel`) — the relation every
+sweep runs — onto that thread-local view: nodes are phases, edges are
+rule instances annotated with their lock effects. The projection reads
+guards and updates, never states, which is what lets ``repro lint``
+reason about lock discipline in milliseconds where the LTS takes
+minutes.
 
 A forward fixpoint from IDLE computes, for every reachable phase, the
 *may*-held and *must*-held sets of protocol lock slots (union / meet
@@ -10,8 +20,8 @@ fixpoint:
 * **JKL003** — IDLE is reachable with a lock possibly still held
   (acquire/release imbalance around the write/flush cycle);
 * **JKL004** — a rule enqueues the thread on a lock while it still
-  holds a slot that blocks that lock's grant (self-deadlock by the
-  lock manager's own exclusion rules);
+  holds a slot whose holder that lock's grant instances require free
+  (self-deadlock by the lock manager's own exclusion rules);
 * **JKL005** — a home-side operation fires in a phase where the thread
   must hold the *fault* lock and cannot hold the server or flush lock.
   This is the static signature of the paper's **Error 1**: the thread
@@ -23,18 +33,151 @@ fixpoint:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from enum import IntEnum
+from typing import Mapping
 
+from repro.jackal.kernel import Bits, Raise
 from repro.jackal.model import Phase
 from repro.staticcheck.findings import Finding, Severity
-from repro.staticcheck.phasegraph import (
-    GRANT_BLOCKERS,
-    LockSlot,
-    PhaseGraph,
-    PhaseRule,
-)
 
-_ALL = frozenset(LockSlot)
+
+class LockSlot(IntEnum):
+    """The three per-processor protocol locks a thread can hold: the
+    ``srv``, ``flt`` and ``fls`` holders of the kernel's ``locks{p}``
+    element (their waiter masks are what :attr:`PhaseRule.waits`
+    tracks)."""
+
+    SERVER = 0
+    FAULT = 1
+    FLUSH = 2
+
+    def __str__(self) -> str:
+        return self.name.lower()
+
+
+#: the lock slot of each ``locks{p}`` field's prefix
+_SLOTS = {"srv": LockSlot.SERVER, "flt": LockSlot.FAULT, "fls": LockSlot.FLUSH}
+
+
+@dataclass(frozen=True)
+class PhaseRule:
+    """One rule as seen by a single thread.
+
+    Attributes
+    ----------
+    name:
+        The rule's :attr:`~repro.jackal.kernel.Rule.name`.
+    src, dst:
+        Thread phase before and after the rule fires.
+    acquires, releases:
+        Lock slots whose *holder* field this rule takes or frees.
+    waits:
+        Lock slots this rule enqueues the thread on (the grant arrives
+        later through a separate lock-manager rule).
+    home_side:
+        True when the rule's guard finds the thread's processor the
+        home of one of its copies and the rule keeps the fault lock:
+        work the protocol serialises through the server lock (or the
+        flush lock, whose grant excludes every other lock holder).
+    """
+
+    name: str
+    src: Phase
+    dst: Phase
+    acquires: frozenset = frozenset()
+    releases: frozenset = frozenset()
+    waits: frozenset = frozenset()
+    home_side: bool = False
+
+    def describe(self) -> str:
+        return f"{self.src.name} -[{self.name}]-> {self.dst.name}"
+
+
+@dataclass(frozen=True)
+class PhaseGraph:
+    """The per-thread phase graph of one rule table, and per lock slot
+    the held slots that keep its grant from firing."""
+
+    rules: tuple[PhaseRule, ...]
+    blockers: Mapping[LockSlot, frozenset]
+
+    @property
+    def phases(self) -> frozenset:
+        out = {r.src for r in self.rules} | {r.dst for r in self.rules}
+        return frozenset(out)
+
+    def rules_from(self, phase: Phase) -> tuple[PhaseRule, ...]:
+        return tuple(r for r in self.rules if r.src == phase)
+
+
+def phase_graph(kernel) -> PhaseGraph:
+    """The thread phase graph of ``kernel``'s rule table.
+
+    For each thread ``t`` on processor ``p``, an instance whose guard
+    fixes ``t``'s phase to ``s`` is an edge from ``s`` to the phase it
+    writes (``s`` where it writes none). Its lock effects are its
+    writes to ``locks{p}``: a holder set to 0 is released, set to
+    ``t + 1`` acquired, and a waiter mask raising ``t``'s bit is waited
+    on. A lock grant tests the waiter bit, not the phase: its sources
+    are the destinations of the edges that raise that bit, and the
+    holders its guard requires free block that slot. An edge is
+    home-side when its guard holds one of ``p``'s copies at home on
+    ``p`` and it keeps the fault lock. The edges are the union over the
+    threads, without duplicates, in rank order.
+    """
+    edges: dict[PhaseRule, None] = {}
+    blockers: dict[LockSlot, frozenset] = {}
+    for t, th in enumerate(kernel.th):
+        p = kernel.model.pid_of[t]
+        locks: dict = {}  # field -> (slot, "h" holder | "w" waiter mask)
+        for f in kernel.layout.parts[kernel.lk[p].all]:
+            kind, _, role = f.name.rpartition(".")[2].partition("_")
+            locks[f] = _SLOTS[kind], role
+        home = {(cp.home, "==", p) for cp in kernel.cp[p]}
+        waited: dict[LockSlot, set] = {slot: set() for slot in LockSlot}
+        grants: list = []
+        for rule in kernel.table.rules:
+            if type(rule.updates) is not tuple:
+                continue  # a Fail raises and a sink ends the run
+            acq, rel, wait = set(), set(), set()
+            dst: Phase | None = None
+            for f, value in rule.updates:
+                if f is th.phase:
+                    dst = Phase(value)
+                elif f in locks:
+                    slot, role = locks[f]
+                    if role == "w":
+                        if isinstance(value, Raise) and value.bits == 1 << t:
+                            wait.add(slot)
+                    elif value == t + 1:
+                        acq.add(slot)
+                    elif value == 0:
+                        rel.add(slot)
+            edge = PhaseRule(
+                rule.name, Phase.IDLE, Phase.IDLE, frozenset(acq),
+                frozenset(rel), frozenset(wait),
+                bool(home.intersection(rule.guard)) and LockSlot.FAULT not in rel,
+            )
+            for lhs, op, value in rule.guard:
+                if lhs is th.phase and op == "==":
+                    src = Phase(value)
+                    edge = replace(edge, src=src, dst=src if dst is None else dst)
+                    edges[edge] = None
+                    for slot in wait:
+                        waited[slot].add(edge.dst)
+                elif (isinstance(lhs, Bits) and lhs.field in locks
+                      and lhs.mask == value == 1 << t and dst is not None):
+                    slot = locks[lhs.field][0]
+                    grants.append((slot, replace(edge, dst=dst)))
+                    blockers[slot] = blockers.get(slot, frozenset()) | {
+                        locks[f][0] for f, op, v in rule.guard
+                        if f in locks and locks[f][1] == "h" and op == "==" and v == 0
+                    }
+        for slot, edge in grants:
+            for src in sorted(waited[slot]):
+                edges[replace(edge, src=src)] = None
+    return PhaseGraph(rules=tuple(edges), blockers=blockers)
 
 
 def _fmt(slots: frozenset[LockSlot]) -> str:
@@ -83,7 +226,7 @@ def compute_locksets(graph: PhaseGraph) -> LocksetResult:
 
 
 def _check_rule(
-    rule: PhaseRule, may_in: frozenset, must_in: frozenset
+    rule: PhaseRule, may_in: frozenset, must_in: frozenset, blockers: Mapping
 ) -> list[Finding]:
     out: list[Finding] = []
     loc = rule.describe()
@@ -122,15 +265,15 @@ def _check_rule(
             )
     held_after = (must_in - rule.releases) | rule.acquires
     for w in sorted(rule.waits):
-        blockers = GRANT_BLOCKERS[w] & held_after
-        if blockers:
+        blocked = blockers.get(w, frozenset()) & held_after
+        if blocked:
             out.append(
                 Finding(
                     "JKL004",
                     Severity.ERROR,
                     loc,
                     f"waits for the {w} lock while still holding "
-                    f"{_fmt(blockers)}, which block(s) its grant: the "
+                    f"{_fmt(blocked)}, which block(s) its grant: the "
                     "thread deadlocks against its own processor's lock "
                     "manager",
                 )
@@ -162,7 +305,8 @@ def lint_locksets(graph: PhaseGraph) -> list[Finding]:
         if rule.src not in result.may:
             continue  # only reachable rules are judged
         findings.extend(
-            _check_rule(rule, result.may[rule.src], result.must[rule.src])
+            _check_rule(rule, result.may[rule.src], result.must[rule.src],
+                        graph.blockers)
         )
     leftover = result.may.get(Phase.IDLE, frozenset())
     if leftover:

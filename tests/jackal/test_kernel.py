@@ -179,10 +179,7 @@ _BOUNDARY = Layout([
 
 def _table(*updates, guard=()):
     """A table over :data:`_BOUNDARY` holding one rule writing ``updates``."""
-    return RuleTable(
-        _BOUNDARY, [Rule("step", 0, "step", guard, tuple(updates))],
-        {"step": 0},
-    )
+    return RuleTable(_BOUNDARY, [Rule("step", 0, "step", guard, tuple(updates))])
 
 
 def _fire(table, rows=({},)):
@@ -305,7 +302,7 @@ def test_a_cached_plan_gives_the_rows_of_a_fresh_one():
     table = RuleTable(_BOUNDARY, [
         Rule("raise", 0, "step", (), ((f10, Raise(1)),)),
         Rule("drop", 1, "step", (), ((f10, Drop(1)),)),
-    ], {"step": 0})
+    ])
     assert _after(_fire(table, [{"edge_f10": 1}]), "edge_f10") == [1, 0]
 
 
@@ -315,12 +312,14 @@ def test_guards_select_rows_and_order_them_by_rank():
         Rule("late", 2, "b", ((f7, "<", 3),), ((f8, 2),)),
         Rule("early", 1, "a", ((f7, "==", 3), (f8, "!=", 0)), ((f8, 1),)),
         Rule("fail", 0, "", ((f7, ">=", 100),), Fail("f7 is {}", f7)),
-    ], {"a": 0, "b": 1})
+    ])
     packed = np.array([[v << f7.shift | w << f8.shift, 0, 0]
                        for v, w in ((3, 1), (1, 0), (3, 0), (2, 5))],
                       dtype=np.uint64)
     succ, row, inst = table.fire(packed)
     assert row.tolist() == [0, 1, 3]
+    # the labels are the emitted ones, in rank order
+    assert table.labels == ["a", "b"]
     assert table.lid[inst].tolist() == [0, 1, 1]
     assert _after(succ, "narrow_f8") == [1, 2, 2]
     packed[2, 0] = np.uint64(101 << f7.shift)

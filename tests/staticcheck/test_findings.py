@@ -3,7 +3,7 @@
 import json
 
 from repro.jackal.params import CONFIG_1, ProtocolVariant
-from repro.staticcheck import run_lint
+from repro.staticcheck.analyzer import run_lint
 from repro.staticcheck.findings import (
     LINT_SCHEMA_VERSION,
     Finding,

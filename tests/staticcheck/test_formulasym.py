@@ -126,11 +126,10 @@ def test_asymmetric_family_is_refused_with_jkl401():
 
 class _FakeModel:
     """Just enough surface for ``labelcheck.model_labels``: a kernel
-    whose rule table holds one rule per label."""
+    emitting ``labels``."""
 
     def __init__(self, labels):
-        rules = [SimpleNamespace(label=label) for label in labels]
-        self._kernel = SimpleNamespace(table=SimpleNamespace(rules=rules))
+        self._kernel = SimpleNamespace(labels=list(labels))
 
     def kernel(self):
         return self._kernel

@@ -6,7 +6,7 @@ from repro.jackal.model import JackalModel
 from repro.jackal.params import CONFIG_1, ProtocolVariant
 from repro.jackal.requirements import formula_4_write
 from repro.mucalc.parser import parse_formula
-from repro.staticcheck import (
+from repro.staticcheck.labelcheck import (
     formula_literals,
     lint_labels,
     model_labels,

@@ -1,9 +1,21 @@
-"""Unit tests for the lockset dataflow and its JKL0xx checks."""
+"""Unit tests for the lockset dataflow, its JKL0xx checks and the phase
+graph it reads off the rule table."""
 
-from repro.jackal.model import Phase
-from repro.jackal.params import ProtocolVariant
-from repro.staticcheck import compute_locksets, lint_locksets, phase_graph
-from repro.staticcheck.phasegraph import LockSlot, PhaseGraph, PhaseRule
+from dataclasses import replace
+
+from repro.jackal.kernel import FrontierKernel
+from repro.jackal.model import JackalModel, Phase
+from repro.jackal.params import CONFIG_1, CONFIG_2, CONFIG_3, ProtocolVariant
+from repro.staticcheck.findings import Severity
+from repro.staticcheck.lockset import (
+    LockSlot,
+    PhaseGraph,
+    PhaseRule,
+    compute_locksets,
+    lint_locksets,
+    phase_graph,
+)
+from tests.staticcheck.test_certify import _WithKernel
 
 
 def _rule(name, src, dst, **kw):
@@ -13,8 +25,13 @@ def _rule(name, src, dst, **kw):
     return PhaseRule(name=name, src=src, dst=dst, **kw)
 
 
-def _graph(*rules):
-    return PhaseGraph(variant=ProtocolVariant.fixed(), rules=tuple(rules))
+def _graph(*rules, blockers=None):
+    return PhaseGraph(rules=tuple(rules), blockers=blockers or {})
+
+
+def _derived(config, variant=None):
+    model = JackalModel(replace(config, with_probes=True), variant or ProtocolVariant.fixed())
+    return phase_graph(model.kernel())
 
 
 SRV, FLT, FLS = LockSlot.SERVER, LockSlot.FAULT, LockSlot.FLUSH
@@ -24,15 +41,16 @@ SRV, FLT, FLS = LockSlot.SERVER, LockSlot.FAULT, LockSlot.FLUSH
 
 
 def test_fixpoint_on_the_fixed_protocol():
-    result = compute_locksets(phase_graph(ProtocolVariant.fixed()))
-    assert result.must[Phase.IDLE] == frozenset()
-    assert result.must[Phase.HAVE_SERVER] == frozenset({SRV})
-    assert result.must[Phase.HAVE_FAULT] == frozenset({FLT})
-    assert result.must[Phase.WAIT_DATA] == frozenset({FLT})
-    assert result.must[Phase.REMOTE_READY] == frozenset({FLT})
-    assert result.must[Phase.HAVE_FLUSH] == frozenset({FLS})
-    # on this protocol every phase has a unique lockset: may == must
-    assert result.may == result.must
+    for config in (CONFIG_1, CONFIG_2, CONFIG_3):
+        result = compute_locksets(_derived(config))
+        assert result.must[Phase.IDLE] == frozenset()
+        assert result.must[Phase.HAVE_SERVER] == frozenset({SRV})
+        assert result.must[Phase.HAVE_FAULT] == frozenset({FLT})
+        assert result.must[Phase.WAIT_DATA] == frozenset({FLT})
+        assert result.must[Phase.REMOTE_READY] == frozenset({FLT})
+        assert result.must[Phase.HAVE_FLUSH] == frozenset({FLS})
+        # on this protocol every phase has a unique lockset: may == must
+        assert result.may == result.must
 
 
 def test_fixpoint_joins_paths():
@@ -47,6 +65,103 @@ def test_fixpoint_joins_paths():
     result = compute_locksets(g)
     assert result.may[Phase.LOCAL] == frozenset({SRV})
     assert result.must[Phase.LOCAL] == frozenset()
+
+
+# -- the graph read off the rule table --------------------------------------
+
+I, WS, HS, WF, HF, WD, RR, WL, HL, L = (
+    Phase.IDLE, Phase.WANT_SERVER, Phase.HAVE_SERVER, Phase.WANT_FAULT,
+    Phase.HAVE_FAULT, Phase.WAIT_DATA, Phase.REMOTE_READY, Phase.WANT_FLUSH,
+    Phase.HAVE_FLUSH, Phase.LOCAL,
+)
+
+#: configuration 1 ``fixed``, names erased: (src, dst, acquires,
+#: releases, waits, home_side)
+_C1_FIXED = {
+    (I, L, (), (), (), False),
+    (I, WS, (), (), (SRV,), True),  # write_server: its guard has home == p
+    (I, WF, (), (), (FLT,), False),
+    (I, WL, (), (), (FLS,), False),
+    (WS, HS, (SRV,), (), (), False),  # the three lock grants
+    (WF, HF, (FLT,), (), (), False),
+    (WL, HL, (FLS,), (), (), False),
+    (HS, I, (), (SRV,), (), True),
+    (HS, WF, (), (SRV,), (FLT,), False),
+    (HF, WS, (), (FLT,), (SRV,), False),  # fault_to_server, the Error-1 fix
+    (HF, WD, (), (), (), False),
+    (WD, WD, (), (), (), False),  # recv_sponmigrate tells the waiter
+    (WD, RR, (), (), (), False),
+    (RR, I, (), (FLT,), (), False),
+    (HL, I, (), (FLS,), (), False),
+    (HL, HL, (), (), (), False),
+    (HL, HL, (), (), (), True),
+    (L, I, (), (), (), False),
+}
+
+
+def test_config_1_fixed_phase_graph():
+    graph = _derived(CONFIG_1)
+    assert {
+        (r.src, r.dst, tuple(sorted(r.acquires)), tuple(sorted(r.releases)),
+         tuple(sorted(r.waits)), r.home_side)
+        for r in graph.rules
+    } == _C1_FIXED
+    # a grant waits for the holders its guard finds free
+    assert graph.blockers == {
+        SRV: {SRV, FLS}, FLT: {FLT, FLS}, FLS: {SRV, FLT, FLS},
+    }
+
+
+def test_the_graph_follows_the_variant():
+    names = {r.name for r in _derived(CONFIG_1, ProtocolVariant.error1()).rules}
+    assert "stale_remote_wait" in names and "fault_to_server" not in names
+    alf = {r.src for r in _derived(CONFIG_1, ProtocolVariant.alf()).rules}
+    assert {Phase.ALF_WRITE, Phase.ALF_FLUSH} <= alf
+
+
+class _KeepsFaultLock(FrontierKernel):
+    """``fault_to_server`` without its ``flt_h := 0``: the thread queues
+    for the server lock still holding the fault lock."""
+
+    def _summands(self):
+        for rule in super()._summands():
+            if rule.name == "fault_to_server":
+                rule = rule._replace(updates=tuple(
+                    (f, v) for f, v in rule.updates if not f.name.endswith(".flt_h")
+                ))
+            yield rule
+
+
+class _WaitsForData(FrontierKernel):
+    """``fault_to_server`` writing WAIT_DATA instead of WANT_SERVER: the
+    mutant that survives all five requirements on c1r2, since the
+    server-lock grant tests the waiter bit, not the phase."""
+
+    def _summands(self):
+        for rule in super()._summands():
+            if rule.name == "fault_to_server":
+                rule = rule._replace(updates=tuple(
+                    (f, int(Phase.WAIT_DATA) if f.name.endswith(".phase") else v)
+                    for f, v in rule.updates
+                ))
+            yield rule
+
+
+def _errors(kernel_class):
+    graph = phase_graph(_WithKernel(kernel_class).kernel())
+    return {f.rule for f in lint_locksets(graph) if f.severity == Severity.ERROR}
+
+
+def test_a_table_mutant_keeping_the_fault_lock_is_flagged():
+    # the lock leaks back to IDLE, and the at-home re-check now runs
+    # under the fault lock alone
+    assert _errors(_KeepsFaultLock) == {"JKL003", "JKL005"}
+
+
+def test_the_surviving_wait_data_mutant_is_flagged():
+    # WAIT_DATA is entered holding the fault lock (send_datareq) or not
+    # (the mutant): the merge keeps it may-held past its release
+    assert _errors(_WaitsForData) == {"JKL003"}
 
 
 # -- the checks, each on a minimal seeded graph ----------------------------
@@ -103,6 +218,7 @@ def test_jkl004_wait_while_holding_blocker():
               acquires=frozenset({FLS})),
         _rule("then_fault", Phase.HAVE_FLUSH, Phase.WANT_FAULT,
               waits=frozenset({FLT})),
+        blockers={FLT: frozenset({FLT, FLS})},
     )
     findings = [f for f in lint_locksets(g) if f.rule == "JKL004"]
     assert len(findings) == 1

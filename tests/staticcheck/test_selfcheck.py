@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.jackal.params import CONFIG_1, CONFIG_2, CONFIG_3, ProtocolVariant
-from repro.staticcheck import run_lint
+from repro.staticcheck.analyzer import run_lint
 
 
 @pytest.fixture(autouse=True)
